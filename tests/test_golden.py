@@ -1,0 +1,86 @@
+"""Golden traces: every recorded bit of the reference runs is pinned.
+
+Each digest is the SHA-256 of the trace's CSV serialization followed by the
+name, dtype, shape and raw bytes of every diagnostics array, so a change that
+moves any float of any recorded series, in the CSV or only in memory, fails
+here.  The session fixtures of ``conftest.py`` are hashed as they are (they
+cost no extra simulation time); ``EXTRA_RUNS`` adds short runs of the
+controller / extension / parameterization combinations the fixtures miss.
+
+A change that alters the numerics on purpose re-records the digests with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and states the measured deviation in CHANGES.md.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import run
+from ftlab import sim
+
+GOLDEN = Path(__file__).with_name("golden_digests.json")
+
+# session fixture name -> run(...) arguments, as conftest.py builds them
+FIXTURE_RUNS = {
+    "c1_case1": ("c1", "case1", {}),
+    "c2_case1": ("c2", "case1", {}),
+    "c3_case1": ("c3", "case1", {}),
+    "c4_case1": ("c4", "case1", {}),
+    "c1_case2": ("c1", "case2", {}),
+    "c2_case2": ("c2", "case2", {}),
+    "c3_case2": ("c3", "case2", {}),
+    "c4_case2": ("c4", "case2", {}),
+    "c1_case1_pb": ("c1", "case1", {"parameterization": "power_balance"}),
+    "c2_case1_pb": ("c2", "case1", {"parameterization": "power_balance"}),
+}
+
+# combinations no fixture covers, at a 1 s horizon
+EXTRA_RUNS = {
+    "c1_case1_kreis": ("c1", "case1", {"dre": "kreisselmeier", "t_final": 1.0}),
+    "c2_case1_ls": ("c2", "case1", {"dre": "least_squares", "t_final": 1.0}),
+    "c1_case2_pb": ("c1", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
+    "c2_case2_pb": ("c2", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
+}
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256(sim.trace_csv_string(trace).encode())
+    for name in sorted(trace.diagnostics):
+        arr = np.ascontiguousarray(trace.diagnostics[name])
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_RUNS))
+def test_fixture_trace_matches_golden(name, golden, request):
+    assert trace_digest(request.getfixturevalue(name)) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXTRA_RUNS))
+def test_extra_trace_matches_golden(name, golden):
+    controller, scenario, kwargs = EXTRA_RUNS[name]
+    assert trace_digest(run(controller, scenario, **kwargs)) == golden[name]
+
+
+def test_golden_covers_every_run(golden):
+    assert set(golden) == set(FIXTURE_RUNS) | set(EXTRA_RUNS)
+
+
+if __name__ == "__main__":
+    digests = {name: trace_digest(run(controller, scenario, **kwargs))
+               for name, (controller, scenario, kwargs)
+               in sorted({**FIXTURE_RUNS, **EXTRA_RUNS}.items())}
+    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}")
