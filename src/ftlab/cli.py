@@ -282,14 +282,28 @@ def load_config(path: str | None, controller: str | None = None,
 
 
 def _run_and_write(config: SimConfig, out_dir: Path) -> None:
+    """Run one closed loop and write trace.csv and metrics.txt into out_dir.
+
+    Both files are written under temporary names in out_dir and renamed into
+    place once both are complete, so a run that fails, in the loop or while
+    writing, leaves neither file behind.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = run_closed_loop(config)
     metrics = compute_metrics(trace, gramian_start=config.gramian_start,
                               gramian_window=min(config.gramian_window,
                                                  config.t_final - config.gramian_start))
-    with open(out_dir / "trace.csv", "w") as stream:
-        write_trace_csv(trace, stream)
-    (out_dir / "metrics.txt").write_text(metrics.to_text())
+    trace_tmp = out_dir / f".trace.csv.{os.getpid()}.tmp"
+    metrics_tmp = out_dir / f".metrics.txt.{os.getpid()}.tmp"
+    try:
+        with open(trace_tmp, "w") as stream:
+            write_trace_csv(trace, stream)
+        metrics_tmp.write_text(metrics.to_text())
+        os.replace(trace_tmp, out_dir / "trace.csv")
+        os.replace(metrics_tmp, out_dir / "metrics.txt")
+    finally:
+        trace_tmp.unlink(missing_ok=True)
+        metrics_tmp.unlink(missing_ok=True)
 
 
 def cmd_simulate(args) -> int:
@@ -321,18 +335,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Run every controller x scenario job; a job that fails numerically is
+    reported and the others run on.  A configured theta_hat0 goes to the
+    controllers whose estimate has its length; the others start from zeros."""
     base = load_config(args.config)
     scenarios = [args.scenario] if args.scenario else ["case1", "case2"]
     controllers = [args.controller] if args.controller else ["c1", "c2", "c3", "c4"]
     jobs = []
     for controller in controllers:
         for scenario in scenarios:
-            config = dataclasses.replace(base, controller=controller, scenario=scenario,
-                                         theta_hat0=None)
+            config = dataclasses.replace(base, controller=controller, scenario=scenario)
+            out = Path(args.out) / f"{controller}_{scenario}"
+            if base.theta_hat0 is not None and base.theta_hat0.size != config.estimate_dim:
+                config.theta_hat0 = None
+                print(f"{out}: theta_hat0 has {base.theta_hat0.size} entries and "
+                      f"{controller} estimates {config.estimate_dim}; starting from zeros",
+                      file=sys.stderr)
             config.validate()
-            jobs.append((config, Path(args.out) / f"{controller}_{scenario}"))
+            jobs.append((config, out))
     workers = int(os.environ.get("FTLAB_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
-    status = EXIT_OK
+    failed = 0
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_and_write, config, out): out for config, out in jobs}
         for future in concurrent.futures.as_completed(futures):
@@ -342,8 +364,14 @@ def cmd_sweep(args) -> int:
                 print(f"done {out}")
             except NumericalDegeneracyError as exc:
                 print(f"numerical degeneracy in {out}: {exc}", file=sys.stderr)
-                status = EXIT_DEGENERACY
-    return status
+                failed += 1
+            except (ValueError, ArithmeticError) as exc:
+                print(f"{type(exc).__name__} in {out}: {exc}", file=sys.stderr)
+                failed += 1
+    if failed:
+        print(f"{failed} of {len(jobs)} runs failed", file=sys.stderr)
+        return EXIT_DEGENERACY
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

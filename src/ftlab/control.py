@@ -15,7 +15,9 @@ stateful wrappers only own their parameter estimates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,15 +52,16 @@ class FtPdGains:
         if not (2.0 * self.r2 > self.r1 > self.r2 > 0.0):
             raise ValueError("exponent weights must satisfy 2 r2 > r1 > r2 > 0")
 
-    @property
+    # the instance is frozen, so derived constants are computed once
+    @cached_property
     def m_c(self) -> float:
         return 2.0 * self.r2 - self.r1
 
-    @property
+    @cached_property
     def a(self) -> float:
         return self.m_c / self.r1
 
-    @property
+    @cached_property
     def b(self) -> float:
         return self.m_c / self.r2
 
@@ -109,6 +112,23 @@ class CompositeAdaptGains:
         if not self.sat_d > 0.0:
             raise ValueError("sat_d must be positive")
 
+    # the instance is frozen, so derived constants are computed once
+    @cached_property
+    def g12(self) -> float:
+        return self.gamma1 + self.gamma2
+
+    @cached_property
+    def g1d1(self) -> float:
+        return self.gamma1 * self.d1
+
+    @cached_property
+    def indirect_gain(self) -> np.ndarray:
+        return self.g12 * self.upsilon_diag
+
+    @cached_property
+    def neg_gamma_diag(self) -> np.ndarray:
+        return -self.gamma_diag
+
 
 def saturation(delta: float, c: float, d: float) -> float:
     """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d))."""
@@ -137,13 +157,12 @@ def prediction_error_vector(delta: float, theta_hat_u, y_u, c: float) -> np.ndar
 def composite_adapt_rate(e1, e2, psi, theta_hat_u, mixed: MixedRegression,
                          gains: CompositeAdaptGains) -> np.ndarray:
     """Time derivative of theta_hat_u under the composite law."""
-    g12 = gains.gamma1 + gains.gamma2
-    direct = psi.T @ (gains.gamma1 * gains.d1 * np.tanh(np.asarray(e1, dtype=float))
-                      + g12 * np.asarray(e2, dtype=float))
+    direct = psi.T @ (gains.g1d1 * np.tanh(np.asarray(e1, dtype=float))
+                      + gains.g12 * np.asarray(e2, dtype=float))
     xi = prediction_error_vector(mixed.delta, theta_hat_u, mixed.Y_u, gains.sat_c)
     f_gain = saturation(mixed.delta, gains.sat_c, gains.sat_d)
-    indirect = g12 * gains.upsilon_diag * f_gain * xi
-    return -gains.gamma_diag * (direct + indirect)
+    indirect = gains.indirect_gain * f_gain * xi
+    return gains.neg_gamma_diag * (direct + indirect)
 
 
 class CompositeFtController:
@@ -172,16 +191,18 @@ class CompositeFtController:
 def slotine_li_regressor(q, qd, qd_r, qdd_r) -> np.ndarray:
     """Two-link tracking regressor W with
     W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
-    c2 = np.cos(q[1])
-    s2 = np.sin(q[1])
-    s12 = np.sin(q[0] + q[1])
-    s1 = np.sin(q[0])
-    w12 = c2 * (2.0 * qdd_r[0] + qdd_r[1]) - s2 * (qd[1] * qd_r[0]
-                                                   + (qd[0] + qd[1]) * qd_r[1])
-    w21 = c2 * qdd_r[0] + s2 * qd[0] * qd_r[0]
+    q1, q2 = np.asarray(q, dtype=float).tolist()
+    qd1, qd2 = np.asarray(qd, dtype=float).tolist()
+    r1, r2 = np.asarray(qd_r, dtype=float).tolist()
+    a1, a2 = np.asarray(qdd_r, dtype=float).tolist()
+    c2 = math.cos(q2)
+    s2 = math.sin(q2)
+    s12 = math.sin(q1 + q2)
+    w12 = c2 * (2.0 * a1 + a2) - s2 * (qd2 * r1 + (qd1 + qd2) * r2)
+    w21 = c2 * a1 + s2 * qd1 * r1
     return np.array([
-        [qdd_r[0], w12, qdd_r[1], s12, s1],
-        [0.0, w21, qdd_r[0] + qdd_r[1], s12, 0.0],
+        [a1, w12, a2, s12, math.sin(q1)],
+        [0.0, w21, a1 + a2, s12, 0.0],
     ])
 
 
@@ -321,6 +342,7 @@ class SlotineLiLsController:
                           else np.asarray(theta_hat0, dtype=float).copy())
         self.P = np.eye(dim) / params.p0
         self.last_beta = self.beta()
+        self.last_e_p = None
         self._w = None
         self._s = None
 
@@ -351,6 +373,7 @@ class SlotineLiLsController:
             raise RuntimeError("torque() must be evaluated before rates()")
         p = self.params
         e_p = pair.omega @ self.theta_hat - pair.y
+        self.last_e_p = e_p
         theta_rate = -self.P @ (self._w.T @ self._s + pair.omega.T @ e_p)
         b = self.beta()
         self.last_beta = b

@@ -85,7 +85,8 @@ class LeastSquaresDre:
         self._r = self.params.f0 * np.eye(dim)
         self._u = self.params.f0 * self.rho0.copy()
         self.rho_hat = self.rho0.copy()
-        self.F = np.eye(dim) / self.params.f0
+        self._eye = np.eye(dim)
+        self.F = self._eye / self.params.f0
         self.z = 1.0
         self.last_beta = self.beta()
 
@@ -105,25 +106,24 @@ class LeastSquaresDre:
     def step(self, pair: RegressionPair, dt: float) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        alpha = self.params.alpha
+        gain = dt * self.params.alpha
         b = self.beta()
         self.last_beta = b
         omega = pair.omega
         decay = 1.0 - dt * b
-        self._r = decay * self._r + dt * alpha * (omega.T @ omega)
-        self._r = 0.5 * (self._r + self._r.T)
-        self._u = decay * self._u + dt * alpha * (omega.T @ pair.y)
+        r = decay * self._r + gain * (omega.T @ omega)
+        self._r = 0.5 * (r + r.T)
+        self._u = decay * self._u + gain * (omega.T @ pair.y)
         self.z = self.z * decay
-        self.F = np.linalg.inv(self._r)
-        self.F = 0.5 * (self.F + self.F.T)
+        f = np.linalg.inv(self._r)
+        self.F = 0.5 * (f + f.T)
         self.rho_hat = self.F @ self._u
 
     def mix(self) -> MixedRegression:
         zf = self.z * self.params.f0
-        phi = np.eye(self.dim) - zf * self.F
-        delta = mathx.det(phi)
+        phi = self._eye - zf * self.F
         v = self.rho_hat - zf * (self.F @ self.rho0)
-        Y = mathx.cramer_products(phi, v)
+        delta, Y = mathx.det_and_cramer(phi, v)
         return MixedRegression(Y=Y, delta=delta, Y_u=Y[-self.tail_dim:])
 
 
@@ -160,12 +160,11 @@ class KreisselmeierDre:
         l2, l3 = self.params.lambda2, self.params.lambda3
         omega = pair.omega
         self.phi1 = self.phi1 + dt * (-l2 * self.phi1 + l3 * (omega.T @ pair.y))
-        self.phi2 = self.phi2 + dt * (-l2 * self.phi2 + l3 * (omega.T @ omega))
-        self.phi2 = 0.5 * (self.phi2 + self.phi2.T)
+        phi2 = self.phi2 + dt * (-l2 * self.phi2 + l3 * (omega.T @ omega))
+        self.phi2 = 0.5 * (phi2 + phi2.T)
 
     def mix(self) -> MixedRegression:
-        delta = mathx.det(self.phi2)
-        Y = mathx.cramer_products(self.phi2, self.phi1)
+        delta, Y = mathx.det_and_cramer(self.phi2, self.phi1)
         return MixedRegression(Y=Y, delta=delta, Y_u=Y[-self.tail_dim:])
 
 

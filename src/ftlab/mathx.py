@@ -83,23 +83,33 @@ def adjugate(a) -> np.ndarray:
     return out
 
 
-def cramer_products(phi, v) -> np.ndarray:
-    """w_j = det of phi with column j replaced by v; equals adjugate(phi) @ v.
+def det_and_cramer(phi, v) -> tuple[float, np.ndarray]:
+    """(det(phi), cramer_products(phi, v)), the per-step path of the mixing
+    stage.
 
-    The column-replaced determinants are evaluated in one batch, which is the
-    per-step path of the mixing stage.
+    phi and its m column-replaced copies are stacked and their determinants
+    taken in one batch; each determinant equals the one a separate ``det``
+    call gives, so the values match the two calls bit for bit.
     """
     phi = _as_square(phi, "phi")
     m = phi.shape[0]
     v = np.asarray(v, dtype=float)
     if v.shape != (m,):
         raise ValueError(f"vector length {v.shape} does not match matrix dimension {m}")
-    stacked = np.broadcast_to(phi, (m, m, m)).copy()
-    for j in range(m):
-        stacked[j, :, j] = v
+    stacked = np.empty((m + 1, m, m))
+    stacked[:] = phi
+    cols = np.arange(m)
+    stacked[cols + 1, :, cols] = v
     if m <= 3:
-        return np.array([det(stacked[j]) for j in range(m)])
-    return np.linalg.det(stacked)
+        dets = np.array([det(a) for a in stacked])
+    else:
+        dets = np.linalg.det(stacked)
+    return float(dets[0]), dets[1:]
+
+
+def cramer_products(phi, v) -> np.ndarray:
+    """w_j = det of phi with column j replaced by v; equals adjugate(phi) @ v."""
+    return det_and_cramer(phi, v)[1]
 
 
 def _min_eig_sym3(a: np.ndarray) -> float:

@@ -15,6 +15,7 @@ that only the simulation loop applies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -131,7 +132,7 @@ class BasisFunctions:
 
 
 def _two_link_inertia_basis(q: np.ndarray) -> np.ndarray:
-    c2 = np.cos(q[1])
+    c2 = math.cos(q[1])
     return np.array([
         [[1.0, 0.0], [0.0, 0.0]],
         [[2.0 * c2, c2], [c2, 0.0]],
@@ -140,26 +141,31 @@ def _two_link_inertia_basis(q: np.ndarray) -> np.ndarray:
 
 
 def _two_link_coriolis_basis(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    s2 = np.sin(q[1])
-    out = np.zeros((3, 2, 2))
-    out[1] = s2 * np.array([[-qd[1], -(qd[0] + qd[1])], [qd[0], 0.0]])
-    return out
+    s2 = math.sin(q[1])
+    qd1, qd2 = qd.tolist()
+    return np.array([
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[s2 * -qd2, s2 * -(qd1 + qd2)], [s2 * qd1, s2 * 0.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+    ])
 
 
 def _two_link_potential_basis(q: np.ndarray) -> np.ndarray:
-    return np.array([-np.cos(q[0] + q[1]), -np.cos(q[0])])
+    q1, q2 = q.tolist()
+    return np.array([-math.cos(q1 + q2), -math.cos(q1)])
 
 
 def _two_link_potential_grad(q: np.ndarray) -> np.ndarray:
-    s12 = np.sin(q[0] + q[1])
-    s1 = np.sin(q[0])
-    return np.array([[s12, s1], [s12, 0.0]])
+    q1, q2 = q.tolist()
+    s12 = math.sin(q1 + q2)
+    return np.array([[s12, math.sin(q1)], [s12, 0.0]])
 
 
 def _two_link_kinetic_grad(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
     # Only M_2 depends on q:  qd' M_2 qd = 2 c2 qd1 (qd1 + qd2).
+    qd1, qd2 = qd.tolist()
     out = np.zeros((2, 3))
-    out[1, 1] = -2.0 * np.sin(q[1]) * qd[0] * (qd[0] + qd[1])
+    out[1, 1] = -2.0 * math.sin(q[1]) * qd1 * (qd1 + qd2)
     return out
 
 
@@ -196,9 +202,11 @@ class Plant:
     def n(self) -> int:
         return self.basis.n
 
-    def inertia(self, q) -> np.ndarray:
-        """Inertia matrix M(q), symmetric positive definite."""
-        stack = self.basis.inertia_basis(np.asarray(q, dtype=float))
+    def inertia(self, q, stack=None) -> np.ndarray:
+        """Inertia matrix M(q), symmetric positive definite.  ``stack`` is
+        inertia_basis(q), for a caller that has it already."""
+        if stack is None:
+            stack = self.basis.inertia_basis(np.asarray(q, dtype=float))
         k, n = stack.shape[0], stack.shape[1]
         return (self.theta.theta_m @ stack.reshape(k, n * n)).reshape(n, n)
 
@@ -217,19 +225,21 @@ class Plant:
     def gravity(self, q) -> np.ndarray:
         return self.psi(q) @ self.theta.theta_u
 
-    def kinetic_basis(self, q, qd) -> np.ndarray:
-        """Per-basis kinetic energies (1/2) qd' M_k(q) qd."""
-        q = np.asarray(q, dtype=float)
+    def kinetic_basis(self, q, qd, stack=None) -> np.ndarray:
+        """Per-basis kinetic energies (1/2) qd' M_k(q) qd; ``stack`` as in
+        ``inertia``."""
         qd = np.asarray(qd, dtype=float)
-        stack = self.basis.inertia_basis(q)
+        if stack is None:
+            stack = self.basis.inertia_basis(np.asarray(q, dtype=float))
         return 0.5 * ((stack @ qd) @ qd)
 
     def potential_basis(self, q) -> np.ndarray:
         return self.basis.potential_basis(np.asarray(q, dtype=float))
 
-    def energy_regressor(self, q, qd) -> np.ndarray:
-        """Row of basis energies: total energy = energy_regressor . theta."""
-        return np.concatenate([self.kinetic_basis(q, qd), self.potential_basis(q)])
+    def energy_regressor(self, q, qd, stack=None) -> np.ndarray:
+        """Row of basis energies: total energy = energy_regressor . theta;
+        ``stack`` as in ``inertia``."""
+        return np.concatenate([self.kinetic_basis(q, qd, stack), self.potential_basis(q)])
 
     def total_energy(self, q, qd) -> float:
         return float(self.energy_regressor(q, qd) @ self.theta.stacked)
@@ -246,24 +256,28 @@ class Plant:
             mu_M = max(mu_M, float(eigs[-1]))
         return mu_m, mu_M
 
-    def forward_dynamics(self, q, qd, tau, tau_f=None) -> np.ndarray:
+    def forward_dynamics(self, q, qd, tau, tau_f=None, psi=None, inertia=None) -> np.ndarray:
         """Joint accelerations from M(q) qdd + C(q,qd) qd + g(q) = tau - tau_f.
 
-        Friction enters as an opposing torque on the plant side only.
+        Friction enters as an opposing torque on the plant side only.  ``psi``
+        and ``inertia`` are Psi(q) and M(q), for a caller that has them already.
         """
         q = np.asarray(q, dtype=float)
         qd = np.asarray(qd, dtype=float)
-        rhs = np.asarray(tau, dtype=float) - self.coriolis(q, qd) @ qd - self.gravity(q)
+        if psi is None:
+            psi = self.psi(q)
+        rhs = np.asarray(tau, dtype=float) - self.coriolis(q, qd) @ qd - psi @ self.theta.theta_u
         if tau_f is not None:
             rhs = rhs - np.asarray(tau_f, dtype=float)
-        m = self.inertia(q)
+        m = self.inertia(q) if inertia is None else inertia
         if m.shape == (2, 2):
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            (m11, m12), (m21, m22) = m.tolist()
+            r1, r2 = rhs.tolist()
+            det = m11 * m22 - m12 * m21
             if abs(det) < 1e-300:
                 raise NumericalDegeneracyError("inertia matrix is singular; "
                                                "parameters are likely corrupted")
-            return np.array([(m[1, 1] * rhs[0] - m[0, 1] * rhs[1]) / det,
-                             (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det])
+            return np.array([(m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det])
         try:
             return np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError as exc:

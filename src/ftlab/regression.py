@@ -68,12 +68,14 @@ class PowerBalanceRegression:
         row = self._z + self.lambda0 * self.plant.energy_regressor(q, qd)
         return RegressionPair(y=np.array([self._y]), omega=row[None, :])
 
-    def step(self, q, qd, tau, dt: float) -> RegressionPair:
-        """Sample the pair at this measurement, then advance one Euler step."""
+    def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
+        """Sample the pair at this measurement, then advance one Euler step.
+        ``stack`` is the plant's inertia_basis(q), for a caller that has it
+        already; ``psi`` is not used by this parameterization."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         qd = np.asarray(qd, dtype=float)
-        omega = self.plant.energy_regressor(q, qd)
+        omega = self.plant.energy_regressor(q, qd, stack)
         row = self._z + self.lambda0 * omega
         pair = RegressionPair(y=np.array([self._y]), omega=row[None, :])
         power = float(qd @ np.asarray(tau, dtype=float))
@@ -101,6 +103,8 @@ class ForceBalanceRegression:
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         n, nu = plant.basis.n, plant.basis.n_potential
+        self._n_inertia = plant.basis.n_inertia
+        self._grad_gain = self.lambda0 / (2.0 * self.lambda1)
         self._y = np.zeros(n)
         self._z = -self.lambda0 * self._phi3(q0, qd0)
         self._omega_d2 = np.zeros((n, nu))
@@ -113,35 +117,42 @@ class ForceBalanceRegression:
     def z(self) -> np.ndarray:
         return self._z.copy()
 
-    def _phi3(self, q, qd) -> np.ndarray:
-        stack = self.plant.basis.inertia_basis(np.asarray(q, dtype=float))
+    def _phi3(self, q, qd, stack=None) -> np.ndarray:
+        if stack is None:
+            stack = self.plant.basis.inertia_basis(np.asarray(q, dtype=float))
         return (stack @ np.asarray(qd, dtype=float)).T
 
-    def _phi1(self, q, qd, phi3) -> np.ndarray:
-        grad = self.plant.basis.kinetic_grad_basis(np.asarray(q, dtype=float),
-                                                   np.asarray(qd, dtype=float))
-        return self.lambda0 * phi3 + (self.lambda0 / (2.0 * self.lambda1)) * grad
+    def _omega(self, lambda0_phi3) -> np.ndarray:
+        # [Omega_d1 | Omega_d2], written into one fresh array
+        omega = np.empty((self._y.size, self._n_inertia + self._omega_d2.shape[1]))
+        np.add(self._z, lambda0_phi3, out=omega[:, :self._n_inertia])
+        omega[:, self._n_inertia:] = self._omega_d2
+        return omega
 
     def output(self, q, qd) -> RegressionPair:
-        phi3 = self._phi3(q, qd)
-        omega = np.hstack([self._z + self.lambda0 * phi3, self._omega_d2])
+        omega = self._omega(self.lambda0 * self._phi3(q, qd))
         return RegressionPair(y=self._y.copy(), omega=omega)
 
-    def step(self, q, qd, tau, dt: float) -> RegressionPair:
-        """Sample the pair at this measurement, then advance one Euler step."""
+    def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
+        """Sample the pair at this measurement, then advance one Euler step.
+        ``psi`` and ``stack`` are the plant's Psi(q) and inertia_basis(q), for
+        a caller that has them already."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        phi3 = self._phi3(q, qd)
-        omega_d1 = self._z + self.lambda0 * phi3
-        pair = RegressionPair(y=self._y.copy(),
-                              omega=np.hstack([omega_d1, self._omega_d2]))
-        phi1 = self._phi1(q, qd, phi3)
-        phi2 = self.plant.basis.potential_grad_basis(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        qd = np.asarray(qd, dtype=float)
+        lambda0_phi3 = self.lambda0 * self._phi3(q, qd, stack)
+        # the filter states are rebound below, never written in place, so the
+        # pair may share the current y
+        pair = RegressionPair(y=self._y, omega=self._omega(lambda0_phi3))
+        phi1 = lambda0_phi3 + self._grad_gain * self.plant.basis.kinetic_grad_basis(q, qd)
+        if psi is None:
+            psi = self.plant.basis.potential_grad_basis(q)
         self._y = self._y + dt * (-self.lambda1 * self._y
                                   + self.lambda0 * np.asarray(tau, dtype=float))
         self._z = self._z + dt * (-self.lambda1 * (self._z + phi1))
         self._omega_d2 = self._omega_d2 + dt * (-self.lambda1 * self._omega_d2
-                                                + self.lambda0 * phi2)
+                                                + self.lambda0 * psi)
         return pair
 
 

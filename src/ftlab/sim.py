@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,7 @@ CONTROLLERS = ("c1", "c2", "c3", "c4")
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
 DRES = ("least_squares", "kreisselmeier")
+_CSV_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -73,6 +75,12 @@ class SimConfig:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.theta_hat0 is not None:
             self.theta_hat0 = np.asarray(self.theta_hat0, dtype=float)
+
+    @property
+    def estimate_dim(self) -> int:
+        """Length of the controller's parameter estimate (and of theta_hat0):
+        c1/c2 estimate theta_u, c3/c4 the full theta."""
+        return 2 if self.controller in ("c1", "c2") else 5
 
     @property
     def effective_parameterization(self) -> str:
@@ -127,9 +135,9 @@ class SimConfig:
         if not bounds.contains(theta_u):
             raise ConfigError("theta_bar does not contain the plant's potential "
                               "parameters (violates the known-bound assumption)")
-        est_dim = 2 if self.controller in ("c1", "c2") else 5
-        if self.theta_hat0 is not None and self.theta_hat0.shape != (est_dim,):
-            raise ConfigError(f"theta_hat0 must have length {est_dim} for {self.controller}")
+        if self.theta_hat0 is not None and self.theta_hat0.shape != (self.estimate_dim,):
+            raise ConfigError(f"theta_hat0 must have length {self.estimate_dim} "
+                              f"for {self.controller}")
         if self.controller in ("c1", "c2"):
             init = self.theta_hat0 if self.theta_hat0 is not None else np.zeros(2)
             if np.linalg.norm(init - theta_u) > 2.0 * np.linalg.norm(self.theta_bar):
@@ -161,32 +169,42 @@ class Trace:
         return self.t.size
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_i . y_i over the leading axes, as the 1-D product ``x @ y`` computes
+    it for one sample (a stacked matmul makes the same BLAS dot per row)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
-                adapt: control.CompositeAdaptGains) -> float:
+                adapt: control.CompositeAdaptGains):
     """Runtime Lyapunov monitor of the composite loop.
 
     V1 = (g1+g2) V0 + g1 d1 tanh(e1)' M e2 + g1 d1 sum_i kd_lin_i ln cosh(e1_i)
          + (1/2) tt' Gamma^-1 tt,
     V0 = (r1 / 2 r2) e1' Kp <e1>^a + (1/2) e2' M e2.
+
+    Takes one sample (e1, e2, tt of length n, M of shape (n, n)) and returns
+    a float, or samples along a leading axis and returns an array.
     """
     e1 = np.asarray(e1, dtype=float)
     e2 = np.asarray(e2, dtype=float)
     tt = np.asarray(theta_tilde_u, dtype=float)
-    g12 = adapt.gamma1 + adapt.gamma2
-    m_e2 = inertia @ e2
-    v0 = (ftpd.r1 / (2.0 * ftpd.r2)) * float(e1 @ (ftpd.kp * mathx.signed_power_vec(e1, ftpd.a))) \
-        + 0.5 * float(e2 @ m_e2)
+    inertia = np.asarray(inertia, dtype=float)
+    m_e2 = (inertia @ e2[..., None])[..., 0]
+    v0 = (ftpd.r1 / (2.0 * ftpd.r2)) * _row_dot(e1, ftpd.kp * mathx.signed_power_vec(e1, ftpd.a)) \
+        + 0.5 * _row_dot(e2, m_e2)
     # ln(cosh(x)) via logaddexp for overflow safety at large |x|
     ln_cosh = np.logaddexp(e1, -e1) - np.log(2.0)
-    return (g12 * v0
-            + adapt.gamma1 * adapt.d1 * float(np.tanh(e1) @ m_e2)
-            + adapt.gamma1 * adapt.d1 * float(ftpd.kd_lin @ ln_cosh)
-            + 0.5 * float(tt @ (tt / adapt.gamma_diag)))
+    v1 = (adapt.g12 * v0
+          + adapt.g1d1 * _row_dot(np.tanh(e1), m_e2)
+          + adapt.g1d1 * _row_dot(ftpd.kd_lin, ln_cosh)
+          + 0.5 * _row_dot(tt, tt / adapt.gamma_diag))
+    return float(v1) if v1.ndim == 0 else v1
 
 
 def _build_controller(config: SimConfig, plant: Plant):
-    est_dim = 2 if config.controller in ("c1", "c2") else 5
-    theta0 = config.theta_hat0 if config.theta_hat0 is not None else np.zeros(est_dim)
+    theta0 = (config.theta_hat0 if config.theta_hat0 is not None
+              else np.zeros(config.estimate_dim))
     if config.controller in ("c1", "c2"):
         # the closed-loop factorization requires the saturation exponent c = b
         adapt = dataclasses.replace(config.adapt, sat_c=config.ftpd.b)
@@ -196,62 +214,84 @@ def _build_controller(config: SimConfig, plant: Plant):
     return control.SlotineLiLsController(config.sl, theta0), config.adapt
 
 
+def _require_finite(named) -> None:
+    """Raise NumericalDegeneracyError naming the first non-finite quantity of
+    ``named``, a sequence of (name, value) pairs."""
+    for name, value in named:
+        if not np.isfinite(value).all():
+            raise NumericalDegeneracyError(f"{name} is not finite")
+
+
 def run_closed_loop(config: SimConfig) -> Trace:
-    """Integrate the closed loop and return the full trace."""
+    """Integrate the closed loop and return the full trace.
+
+    Psi(q), the inertia basis stack and M(q) are evaluated once per step (at
+    the true and, in case2, at the measured configuration) and passed to the
+    controller, the regression filter and the plant step.  The monitors V1,
+    zeta1 and |z1| feed nothing back, so they are evaluated after the loop,
+    over the recorded series.  A non-finite state or mixing output ends the
+    run with a NumericalDegeneracyError naming it, the step and the time.
+    """
     config.validate()
     plant = Plant.two_link(config.params)
     theta_true = plant.theta
     l_dim = theta_true.size
     j_dim = theta_true.theta_u.size
     n = plant.n
+    inertia_basis = plant.basis.inertia_basis
 
     noisy = config.scenario == "case2"
     friction = FrictionModel(config.friction) if noisy else None
     noise = NoiseModel(config.noise_amplitude, config.noise_frequency) if noisy else None
 
+    composite = config.controller in ("c1", "c2")
+    switching = config.controller == "c3"
     controller, adapt_eff = _build_controller(config, plant)
     regression = make_regression(config.effective_parameterization, plant,
                                  config.q0, config.qd0,
                                  config.effective_lambda0, config.lambda1)
     extension = None
-    if config.controller in ("c1", "c2"):
+    if composite:
         extension = drem.make_dre(config.effective_dre, l_dim, j_dim,
                                   ls_params=config.ls, kreis_params=config.kreis)
-    elif config.controller == "c3":
+    elif switching:
         # the switching estimator consumes the classical extension filters
         kp = dataclasses.replace(config.kreis, lambda3=1.0)
         extension = drem.KreisselmeierDre(l_dim, j_dim, kp)
+    least_squares = isinstance(extension, drem.LeastSquaresDre)
+    kreisselmeier = isinstance(extension, drem.KreisselmeierDre)
 
     # floor semantics with slack for float division noise on exact multiples
     n_steps = int(np.floor(config.t_final / config.dt + 1e-9))
     n_rec = n_steps + 1
-    est_dim = controller.theta_hat_u.size if config.controller in ("c1", "c2") \
-        else controller.theta_hat.size
 
-    rec = {
-        "t": np.empty(n_rec), "q": np.empty((n_rec, n)), "qd": np.empty((n_rec, n)),
-        "e1": np.empty((n_rec, n)), "e2": np.empty((n_rec, n)),
-        "tau": np.empty((n_rec, n)), "theta_hat": np.empty((n_rec, est_dim)),
-        "delta": np.empty(n_rec), "zeta1": np.empty(n_rec),
-        "v1": np.empty(n_rec), "z1norm": np.empty(n_rec),
-    }
+    q_rec = np.empty((n_rec, n))
+    qd_rec = np.empty((n_rec, n))
+    tau_rec = np.empty((n_rec, n))
+    theta_rec = np.empty((n_rec, config.estimate_dim))
+    delta_rec = np.empty(n_rec)
+    # Psi(q) and M(q) of the true state, for the monitors after the loop
+    psi_rec = np.empty((n_rec, n, j_dim))
+    inertia_rec = np.empty((n_rec, n, n))
     n_out = 1 if config.effective_parameterization == "power_balance" else n
     diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim))}
-    if config.controller in ("c1", "c2", "c3"):
+    if extension is not None:
         diag["Y_mixed"] = np.empty((n_rec, l_dim))
-    if isinstance(extension, drem.LeastSquaresDre):
+    if least_squares:
         diag.update(F=np.empty((n_rec, l_dim, l_dim)), z_forget=np.empty(n_rec),
                     rho_hat=np.empty((n_rec, l_dim)), beta=np.empty(n_rec))
-    if isinstance(extension, drem.KreisselmeierDre):
+    if kreisselmeier:
         diag.update(phi1=np.empty((n_rec, l_dim)), phi2=np.empty((n_rec, l_dim, l_dim)))
-    if config.controller == "c3":
+    if switching:
         diag["branch"] = np.empty(n_rec, dtype=np.int8)
     if config.controller == "c4":
         diag.update(P=np.empty((n_rec, l_dim, l_dim)), e_p=np.empty((n_rec, n)),
                     beta=np.empty(n_rec))
+    y_rec, omega_rec = diag["y"], diag["omega"]
 
     q = config.q0.astype(float).copy()
     qd = config.qd0.astype(float).copy()
+    q_d = config.q_d
     dt = config.dt
     b_exp = config.ftpd.b
     d_exp = adapt_eff.sat_d
@@ -260,36 +300,49 @@ def run_closed_loop(config: SimConfig) -> Trace:
     for k in range(n_rec):
         t = k * dt
         try:
+            estimate = controller.theta_hat_u if composite else controller.theta_hat
+            # fast test first; a finite sum that overflows falls through to
+            # the exact check, which then finds nothing
+            if not math.isfinite(sum(q.tolist()) + sum(qd.tolist()) + sum(estimate.tolist())):
+                _require_finite((("position q", q), ("velocity qd", qd),
+                                 ("estimate theta_hat", estimate)))
+            stack = inertia_basis(q)
+            inertia = plant.inertia(q, stack)
+            psi = plant.psi(q)
             if noisy:
                 q_m = q + noise.position(t)
                 qd_m = qd + noise.velocity(t)
+                stack_m = inertia_basis(q_m)
+                psi_m = plant.psi(q_m)
             else:
-                q_m, qd_m = q, qd
-            e1_m = q_m - config.q_d
+                q_m, qd_m, stack_m, psi_m = q, qd, stack, psi
+            e1_m = q_m - q_d
             e2_m = qd_m
 
-            if config.controller in ("c1", "c2"):
-                psi_m = plant.psi(q_m)
+            if composite:
                 tau = controller.torque(e1_m, e2_m, psi_m)
-            elif config.controller == "c3":
-                tau = controller.torque(e1_m, e2_m, q_m, qd_m, plant.inertia(q_m))
+            elif switching:
+                inertia_m = plant.inertia(q_m, stack_m) if noisy else inertia
+                tau = controller.torque(e1_m, e2_m, q_m, qd_m, inertia_m)
             else:
                 tau = controller.torque(e1_m, e2_m, q_m, qd_m)
 
-            pair = regression.step(q_m, qd_m, tau, dt)
-            theta_snapshot = (controller.theta_hat_u if config.controller in ("c1", "c2")
-                              else controller.theta_hat).copy()
+            pair = regression.step(q_m, qd_m, tau, dt, psi_m, stack_m)
+            theta_rec[k] = estimate
 
             delta = 0.0
             if extension is not None:
                 extension.step(pair, dt)
                 mixed = extension.mix()
                 delta = mixed.delta
+                if not math.isfinite(delta + sum(mixed.Y.tolist())):
+                    _require_finite((("mixing factor Delta", delta),
+                                     ("mixed regression Y", mixed.Y)))
 
-            if config.controller in ("c1", "c2"):
+            if composite:
                 rate = controller.adapt_rate(e1_m, e2_m, psi_m, mixed)
                 controller.advance(rate, dt)
-            elif config.controller == "c3":
+            elif switching:
                 rate = controller.adapt_rate(extension.phi1, extension.phi2)
                 controller.advance(rate, dt)
             else:
@@ -298,52 +351,50 @@ def run_closed_loop(config: SimConfig) -> Trace:
         except NumericalDegeneracyError as exc:
             raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
 
-        e1 = q - config.q_d
-        psi_true = psi_m if (not noisy and config.controller in ("c1", "c2")) \
-            else plant.psi(q)
-        theta_tilde_u = (theta_snapshot[-j_dim:] - theta_u_true)
-        rec["t"][k] = t
-        rec["q"][k] = q
-        rec["qd"][k] = qd
-        rec["e1"][k] = e1
-        rec["e2"][k] = qd
-        rec["tau"][k] = tau
-        rec["theta_hat"][k] = theta_snapshot
-        rec["delta"][k] = delta
-        rec["zeta1"][k] = control.excitation_gain(delta, b_exp, d_exp)
-        rec["v1"][k] = lyapunov_v1(e1, qd, theta_tilde_u, plant.inertia(q),
-                                   config.ftpd, adapt_eff)
-        rec["z1norm"][k] = float(np.linalg.norm(psi_true @ theta_tilde_u))
-
-        diag["y"][k] = pair.y
-        diag["omega"][k] = pair.omega
-        if "Y_mixed" in diag:
+        q_rec[k] = q
+        qd_rec[k] = qd
+        tau_rec[k] = tau
+        delta_rec[k] = delta
+        psi_rec[k] = psi
+        inertia_rec[k] = inertia
+        y_rec[k] = pair.y
+        omega_rec[k] = pair.omega
+        if extension is not None:
             diag["Y_mixed"][k] = mixed.Y
-        if isinstance(extension, drem.LeastSquaresDre):
+        if least_squares:
             diag["F"][k] = extension.F
             diag["z_forget"][k] = extension.z
             diag["rho_hat"][k] = extension.rho_hat
             diag["beta"][k] = extension.last_beta
-        if isinstance(extension, drem.KreisselmeierDre):
+        elif kreisselmeier:
             diag["phi1"][k] = extension.phi1
             diag["phi2"][k] = extension.phi2
-        if config.controller == "c3":
+        if switching:
             diag["branch"][k] = 0 if controller.branch == "tsm" else 1
-        if config.controller == "c4":
+        elif config.controller == "c4":
             diag["P"][k] = controller.P
-            diag["e_p"][k] = pair.omega @ theta_snapshot - pair.y
+            diag["e_p"][k] = controller.last_e_p
             diag["beta"][k] = controller.last_beta
 
         if k < n_steps:
             tau_f = friction.torque(qd) if noisy else None
-            qdd = plant.forward_dynamics(q, qd, tau, tau_f)
+            qdd = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
             q = q + dt * qd
             qd = qd + dt * qdd
 
+    e1_rec = q_rec - q_d
+    theta_tilde_u = theta_rec[:, -j_dim:] - theta_u_true
+    v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, adapt_eff)
+    z1 = (psi_rec @ theta_tilde_u[:, :, None])[:, :, 0]
+    z1norm = np.sqrt(_row_dot(z1, z1))
+    # Python floats: numpy's power is not the C library's pow on every CPU
+    zeta1 = np.array([control.excitation_gain(delta, b_exp, d_exp)
+                      for delta in delta_rec.tolist()])
+
     # c3 always runs the classical extension filters; c4 has its own gain law
-    if config.controller in ("c1", "c2"):
+    if composite:
         dre_used = config.effective_dre
-    elif config.controller == "c3":
+    elif switching:
         dre_used = "kreisselmeier"
     else:
         dre_used = "none"
@@ -356,9 +407,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
         "q_d": config.q_d.copy(), "exponent_b": b_exp, "sat_d": d_exp,
         "settle_tol": config.settle_tol, "param_tol": config.param_tol,
     }
-    return Trace(rec["t"], rec["q"], rec["qd"], rec["e1"], rec["e2"], rec["tau"],
-                 rec["theta_hat"], rec["delta"], rec["zeta1"], rec["v1"],
-                 rec["z1norm"], diagnostics=diag, meta=meta)
+    return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, qd_rec.copy(), tau_rec,
+                 theta_rec, delta_rec, zeta1, v1, z1norm, diagnostics=diag, meta=meta)
 
 
 @dataclass
@@ -465,11 +515,14 @@ def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:
 
 def write_trace_csv(trace: Trace, stream) -> None:
     """Serialize the trace; numbers keep 17 significant digits so a read-back
-    reproduces every float64 exactly."""
+    reproduces every float64 exactly.  Rows are formatted a block at a time,
+    which bounds the memory the Python floats of a long trace take."""
     header, data = trace_columns(trace)
     stream.write(",".join(header) + "\n")
-    for row in data:
-        stream.write(",".join(f"{x:.17g}" for x in row) + "\n")
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    for start in range(0, len(data), _CSV_BLOCK_ROWS):
+        block = data[start:start + _CSV_BLOCK_ROWS].tolist()
+        stream.write("".join([row_format % tuple(row) for row in block]))
 
 
 def read_trace_csv(stream) -> Trace:

@@ -111,6 +111,39 @@ class TestCliCommands:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "simulate"]) == 3
 
+    @pytest.mark.parametrize("controller", ["c2", "c3"])
+    def test_coarse_step_blow_up_exit_code(self, tmp_path, capsys, controller):
+        # the extension determinant overflows at dt = 0.05; this must end in
+        # the degeneracy exit code with step and time, not a traceback
+        out = tmp_path / "o"
+        assert main(["--config", str(_write(tmp_path, "dt=0.05\n")), "--controller",
+                     controller, "--out", str(out), "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "step " in err and "(t = " in err
+        assert list(out.iterdir()) == []
+
+    def test_failed_write_leaves_neither_output(self, tmp_path, monkeypatch):
+        from ftlab import cli as cli_mod
+
+        def half_written(trace, stream):
+            stream.write("t,q1\n0,")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli_mod, "write_trace_csv", half_written)
+        out = tmp_path / "o"
+        code = main(["--config", str(_write(tmp_path, "t_final=0.05\n")),
+                     "--out", str(out), "simulate"])
+        assert code == 2
+        assert list(out.iterdir()) == []
+
+    def test_failed_run_leaves_neither_output(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["--config", str(_write(tmp_path, "controller=c4\nt_final=1.0\n"
+                                                       "dre.alpha=1e7\n")),
+                     "--out", str(out), "simulate"])
+        assert code == 3
+        assert list(out.iterdir()) == []
+
     def test_property_failure_exit_code(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod
         broken = [verify.PropertyResult("synthetic", False, "injected failure")]
@@ -126,6 +159,54 @@ class TestCliCommands:
         assert code == 0
         for controller in ("c1", "c2", "c3", "c4"):
             assert (tmp_path / "grid" / f"{controller}_case1" / "trace.csv").exists()
+
+    def test_sweep_runs_on_after_a_failed_job(self, tmp_path, monkeypatch, capsys):
+        from ftlab import cli as cli_mod
+        real = cli_mod.run_closed_loop
+
+        def flaky(config):
+            if config.controller == "c2":
+                raise ValueError("argument must be finite")
+            if config.controller == "c3":
+                raise FloatingPointError("overflow")
+            return real(config)
+
+        monkeypatch.setattr(cli_mod, "run_closed_loop", flaky)
+        monkeypatch.setenv("FTLAB_THREADS", "1")
+        code = main(["--config", str(_write(tmp_path, "t_final=0.05\n")), "--scenario",
+                     "case1", "--out", str(tmp_path / "grid"), "sweep"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "2 of 4 runs failed" in err
+        assert "c2_case1" in err and "c3_case1" in err
+        for controller in ("c1", "c4"):
+            assert (tmp_path / "grid" / f"{controller}_case1" / "trace.csv").exists()
+        for controller in ("c2", "c3"):
+            assert list((tmp_path / "grid" / f"{controller}_case1").iterdir()) == []
+
+    def test_sweep_applies_theta_hat0_where_its_length_fits(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "controller=c3\nt_final=0.01\n"
+                               "gains.theta_hat0=0.1,0.2,0.3,0.4,0.5\n")
+        code = main(["--config", str(cfg), "--scenario", "case1",
+                     "--out", str(tmp_path / "grid"), "sweep"])
+        assert code == 0
+        err = capsys.readouterr().err
+        first = {}
+        for controller in ("c1", "c2", "c3", "c4"):
+            trace_file = tmp_path / "grid" / f"{controller}_case1" / "trace.csv"
+            first[controller] = ftlab.read_trace_csv(trace_file.open()).theta_hat[0]
+        np.testing.assert_array_equal(first["c3"], [0.1, 0.2, 0.3, 0.4, 0.5])
+        np.testing.assert_array_equal(first["c4"], [0.1, 0.2, 0.3, 0.4, 0.5])
+        np.testing.assert_array_equal(first["c1"], [0.0, 0.0])
+        np.testing.assert_array_equal(first["c2"], [0.0, 0.0])
+        assert "c1_case1" in err and "c2_case1" in err and "starting from zeros" in err
+        assert "c3_case1" not in err and "c4_case1" not in err
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return path
 
 
 class TestVerifySuite:

@@ -101,6 +101,23 @@ class TestCramerProducts:
         with pytest.raises(ValueError):
             mathx.cramer_products(np.eye(3), np.ones(4))
 
+    def test_fused_determinants_equal_separate_calls_bitwise(self):
+        # the mixing stage's one batched call must reproduce det() and the
+        # column-replaced determinants exactly, not just closely
+        rng = np.random.default_rng(4)
+        for m in range(1, 7):
+            for _ in range(20):
+                phi = rng.standard_normal((m, m))
+                v = rng.standard_normal(m)
+                delta, w = mathx.det_and_cramer(phi, v)
+                assert delta == mathx.det(phi)
+                replaced = []
+                for j in range(m):
+                    a = phi.copy()
+                    a[:, j] = v
+                    replaced.append(mathx.det(a))
+                assert w.tobytes() == np.array(replaced).tobytes()
+
 
 def _power_iteration_min_eig(a, iters=200000, tol=1e-13):
     """Shifted power iteration: largest eigenvalue of (c I - A) gives the

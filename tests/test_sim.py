@@ -5,7 +5,8 @@ import pytest
 
 import ftlab
 from ftlab.control import CompositeAdaptGains, FtPdGains
-from ftlab.errors import ConfigError
+from ftlab.errors import ConfigError, NumericalDegeneracyError
+from ftlab.plant import Plant
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
                        read_trace_csv, run_closed_loop, trace_csv_string)
 
@@ -77,6 +78,22 @@ class TestRunClosedLoop:
         np.testing.assert_allclose(np.diff(trace.q, axis=0), DT * trace.qd[:-1],
                                    atol=1e-15)
 
+    def test_coarse_step_ends_in_named_degeneracy(self):
+        # at dt = 0.05 the Kreisselmeier determinant overflows; the run must
+        # stop with the quantity, step and time, not a bare ValueError
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"step 9 \(t = 0\.45 s\): mixing factor Delta is not finite"):
+            run_closed_loop(SimConfig(controller="c2", dt=0.05))
+
+    def test_nonfinite_state_ends_run_with_degeneracy(self, monkeypatch):
+        # a plant step that returns NaN must be caught before the torque's
+        # signed powers see it
+        monkeypatch.setattr(Plant, "forward_dynamics",
+                            lambda self, *args, **kwargs: np.array([np.nan, 0.0]))
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"step 1 \(t = 0\.0005 s\): velocity qd is not finite"):
+            run_closed_loop(SimConfig(t_final=0.01))
+
     def test_asymptotic_controller_still_decaying_late(self, c4_case1):
         e1 = np.linalg.norm(c4_case1.e1, axis=1)
         k = lambda t: int(round(t / DT))
@@ -94,6 +111,19 @@ class TestRunClosedLoop:
 
 
 class TestLyapunovMonitor:
+    def test_leading_axis_equals_per_sample_bitwise(self, plant):
+        rng = np.random.default_rng(8)
+        e1 = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-9, 1, (500, 2))
+        e2 = rng.standard_normal((500, 2))
+        tt = rng.standard_normal((500, 2))
+        inertia = np.array([plant.inertia(q) for q in rng.uniform(-4.0, 4.0, (500, 2))])
+        gains, adapt = FtPdGains(), CompositeAdaptGains()
+        batch = lyapunov_v1(e1, e2, tt, inertia, gains, adapt)
+        single = [lyapunov_v1(e1[k], e2[k], tt[k], inertia[k], gains, adapt)
+                  for k in range(500)]
+        assert all(isinstance(v, float) for v in single)
+        assert batch.tobytes() == np.array(single).tobytes()
+
     def test_zero_at_origin(self, plant):
         v = lyapunov_v1(np.zeros(2), np.zeros(2), np.zeros(2),
                         plant.inertia([2.0, 2.0]), FtPdGains(), CompositeAdaptGains())
