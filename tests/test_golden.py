@@ -23,6 +23,7 @@ import pytest
 
 from conftest import run
 from ftlab import sim
+from ftlab.control import FtPdGains
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 
@@ -40,12 +41,21 @@ FIXTURE_RUNS = {
     "c2_case1_pb": ("c2", "case1", {"parameterization": "power_balance"}),
 }
 
-# combinations no fixture covers, at a 1 s horizon
+THETA_HAT0_FULL = (0.1, 0.2, 0.3, 0.4, 0.5)
+
+# combinations no fixture covers, at a 1 s horizon; the r1 = 1.4 runs have
+# b = 0.6, so they pin that the composite law's saturation exponent is b
 EXTRA_RUNS = {
     "c1_case1_kreis": ("c1", "case1", {"dre": "kreisselmeier", "t_final": 1.0}),
     "c2_case1_ls": ("c2", "case1", {"dre": "least_squares", "t_final": 1.0}),
     "c1_case2_pb": ("c1", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
     "c2_case2_pb": ("c2", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
+    "c3_case1_pb": ("c3", "case1", {"parameterization": "power_balance", "t_final": 1.0}),
+    "c3_case2_theta0": ("c3", "case2", {"theta_hat0": THETA_HAT0_FULL, "t_final": 1.0}),
+    "c4_case1_theta0": ("c4", "case1", {"theta_hat0": THETA_HAT0_FULL, "t_final": 1.0}),
+    "c1_case2_r14_theta0": ("c1", "case2", {"ftpd": FtPdGains(r1=1.4),
+                                            "theta_hat0": (0.5, 4.0), "t_final": 1.0}),
+    "c2_case1_r14": ("c2", "case1", {"ftpd": FtPdGains(r1=1.4), "t_final": 1.0}),
 }
 
 
