@@ -3,8 +3,9 @@
 Config format: flat ``key = value`` lines with ``#`` comments.  Keys are
 either bare run selectors (controller, scenario, parameterization, dre and
 the common sim keys) or section-prefixed (sim., plant., gains., dre.).
-Vectors are comma-separated.  Unknown keys are rejected with their line
-number.  An empty file reproduces the reference c1/case1 study.
+Vectors are comma-separated; every number must be finite.  Unknown keys
+are rejected with their line number.  An empty file reproduces the
+reference c1/case1 study.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
 4 property failure (verify).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,7 +26,8 @@ import numpy as np
 from . import control, drem, verify
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import PhysicalParams
-from .sim import (SimConfig, compute_metrics, run_closed_loop, write_trace_csv)
+from .sim import (CONTROLLERS, DRES, PARAMETERIZATIONS, SCENARIOS, SimConfig,
+                  compute_metrics, run_closed_loop, write_trace_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,9 +37,12 @@ EXIT_PROPERTY = 4
 
 def _parse_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_positive(key: str, raw: str) -> float:
@@ -47,10 +53,7 @@ def _parse_positive(key: str, raw: str) -> float:
 
 
 def _parse_vector(key: str, raw: str, length: int | None = None) -> np.ndarray:
-    try:
-        vec = np.array([float(part) for part in raw.split(",")], dtype=float)
-    except ValueError:
-        raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+    vec = np.array([_parse_float(key, part) for part in raw.split(",")], dtype=float)
     if length is not None and vec.size != length:
         raise ConfigError(f"{key}: expected {length} entries, got {vec.size}")
     return vec
@@ -86,10 +89,10 @@ _SIM_KEYS = {
 }
 
 _TOP_KEYS = {
-    "controller": lambda k, v: _parse_enum(k, v, ("c1", "c2", "c3", "c4")),
-    "scenario": lambda k, v: _parse_enum(k, v, ("case1", "case2")),
-    "parameterization": lambda k, v: _parse_enum(k, v, ("power_balance", "force_balance")),
-    "dre": lambda k, v: _parse_enum(k, v, ("least_squares", "kreisselmeier")),
+    "controller": lambda k, v: _parse_enum(k, v, CONTROLLERS),
+    "scenario": lambda k, v: _parse_enum(k, v, SCENARIOS),
+    "parameterization": lambda k, v: _parse_enum(k, v, PARAMETERIZATIONS),
+    "dre": lambda k, v: _parse_enum(k, v, DRES),
 }
 
 _PLANT_KEYS = {name: _parse_positive for name in
@@ -133,7 +136,15 @@ _DRE_KEYS = {
 
 
 def parse_config(text: str) -> SimConfig:
-    """Parse a key=value config into a fully populated SimConfig."""
+    """Parse a key=value config into a fully populated, validated SimConfig."""
+    config = _read_config(text)
+    config.validate()
+    return config
+
+
+def _read_config(text: str) -> SimConfig:
+    """The SimConfig of a key=value config, checked key by key but not yet
+    validated as a whole."""
     top: dict = {}
     sim_kv: dict = {}
     plant_kv: dict = {}
@@ -184,6 +195,15 @@ def parse_config(text: str) -> SimConfig:
     return _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv)
 
 
+def _build(section: str, cls, kv: dict, **fields):
+    """``cls`` from the entries of ``kv`` that ``fields`` names (config key =
+    field name); its ValueError becomes a ConfigError of ``section``."""
+    try:
+        return cls(**{name: kv[key] for key, name in fields.items() if key in kv})
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv) -> SimConfig:
     base = {k: plant_kv[k] for k in ("m1", "m2", "l1", "l2", "g") if k in plant_kv}
     params = PhysicalParams.uniform_rods(**base)
@@ -191,68 +211,20 @@ def _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv) -> SimConfig:
     if explicit:
         params = dataclasses.replace(params, **explicit)
 
-    ftpd_kv = {}
-    if "P" in gain_kv:
-        ftpd_kv["kp"] = gain_kv["P"]
-    if "D" in gain_kv:
-        ftpd_kv["kd"] = gain_kv["D"]
-    if "DL" in gain_kv:
-        ftpd_kv["kd_lin"] = gain_kv["DL"]
-    for name in ("r1", "r2"):
-        if name in gain_kv:
-            ftpd_kv[name] = gain_kv[name]
-    try:
-        ftpd = control.FtPdGains(**ftpd_kv)
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}") from None
-
-    adapt_kv = {}
-    for src, dst in (("gamma1", "gamma1"), ("gamma2", "gamma2"), ("d1", "d1"),
-                     ("Gamma", "gamma_diag"), ("Upsilon", "upsilon_diag"),
-                     ("sat_d", "sat_d")):
-        if src in gain_kv:
-            adapt_kv[dst] = gain_kv[src]
-    try:
-        adapt = control.CompositeAdaptGains(sat_c=ftpd.b, **adapt_kv)
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}") from None
-
-    tsm_kv = {}
-    for src, dst in (("K1", "k1"), ("K2", "k2"), ("Ks", "ks"),
-                     ("tsm_gamma", "gamma_tsm"), ("tsm_k", "k_tsm"),
-                     ("lin_gamma", "gamma_lin"), ("lin_k", "k_lin"),
-                     ("tsm_clamp", "clamp")):
-        if src in gain_kv:
-            tsm_kv[dst] = gain_kv[src]
-    try:
-        tsm = control.TsmParams(**tsm_kv)
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}") from None
-
-    sl_kv = {}
-    for src, dst in (("K1", "k1"), ("K2", "k2"), ("Ks", "ks")):
-        if src in gain_kv:
-            sl_kv[dst] = gain_kv[src]
-    for src, dst in (("alpha", "alpha"), ("beta0", "beta0"),
-                     ("f0", "p0"), ("xi", "gain_cap"), ("norm", "norm")):
-        if src in dre_kv:
-            sl_kv[dst] = dre_kv[src]
-    try:
-        sl = control.SlotineLiLsParams(**sl_kv)
-    except ValueError as exc:
-        raise ConfigError(f"gains/dre: {exc}") from None
-
-    ls_kv = {}
-    for src, dst in (("alpha", "alpha"), ("beta0", "beta0"), ("f0", "f0"),
-                     ("xi", "gain_cap"), ("rho0", "rho0"), ("norm", "norm")):
-        if src in dre_kv:
-            ls_kv[dst] = dre_kv[src]
-    kreis_kv = {k: dre_kv[k] for k in ("lambda2", "lambda3") if k in dre_kv}
-    try:
-        ls = drem.LsDreParams(**ls_kv)
-        kreis = drem.KreisParams(**kreis_kv)
-    except ValueError as exc:
-        raise ConfigError(f"dre: {exc}") from None
+    ftpd = _build("gains", control.FtPdGains, gain_kv,
+                  P="kp", D="kd", DL="kd_lin", r1="r1", r2="r2")
+    adapt = _build("gains", control.CompositeAdaptGains, gain_kv,
+                   gamma1="gamma1", gamma2="gamma2", d1="d1", Gamma="gamma_diag",
+                   Upsilon="upsilon_diag", sat_d="sat_d")
+    tsm = _build("gains", control.TsmParams, gain_kv,
+                 K1="k1", K2="k2", Ks="ks", tsm_gamma="gamma_tsm", tsm_k="k_tsm",
+                 lin_gamma="gamma_lin", lin_k="k_lin", tsm_clamp="clamp")
+    sl = _build("gains/dre", control.SlotineLiLsParams, {**gain_kv, **dre_kv},
+                K1="k1", K2="k2", Ks="ks", alpha="alpha", beta0="beta0", f0="p0",
+                xi="gain_cap", norm="norm")
+    ls = _build("dre", drem.LsDreParams, dre_kv, alpha="alpha", beta0="beta0", f0="f0",
+                xi="gain_cap", rho0="rho0", norm="norm")
+    kreis = _build("dre", drem.KreisParams, dre_kv, lambda2="lambda2", lambda3="lambda3")
 
     cfg_kv = dict(sim_kv)
     cfg_kv.update(top)
@@ -263,20 +235,23 @@ def _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv) -> SimConfig:
     if "theta_hat0" in gain_kv:
         cfg_kv["theta_hat0"] = gain_kv["theta_hat0"]
 
-    config = SimConfig(params=params, ftpd=ftpd, adapt=adapt, tsm=tsm, sl=sl,
-                       ls=ls, kreis=kreis, **cfg_kv)
-    config.validate()
-    return config
+    return SimConfig(params=params, ftpd=ftpd, adapt=adapt, tsm=tsm, sl=sl,
+                     ls=ls, kreis=kreis, **cfg_kv)
+
+
+def _read_file(path: str | None) -> SimConfig:
+    return _read_config(Path(path).read_text() if path else "")
 
 
 def load_config(path: str | None, controller: str | None = None,
                 scenario: str | None = None) -> SimConfig:
-    text = Path(path).read_text() if path else ""
-    config = parse_config(text)
+    """The config file's SimConfig with the command line's overrides,
+    validated after they are applied."""
+    config = _read_file(path)
     if controller is not None:
-        config.controller = _parse_enum("controller", controller, ("c1", "c2", "c3", "c4"))
+        config.controller = _parse_enum("controller", controller, CONTROLLERS)
     if scenario is not None:
-        config.scenario = _parse_enum("scenario", scenario, ("case1", "case2"))
+        config.scenario = _parse_enum("scenario", scenario, SCENARIOS)
     config.validate()
     return config
 
@@ -336,20 +311,22 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Run every controller x scenario job; a job that fails numerically is
-    reported and the others run on.  A configured theta_hat0 goes to the
-    controllers whose estimate has its length; the others start from zeros."""
-    base = load_config(args.config)
-    scenarios = [args.scenario] if args.scenario else ["case1", "case2"]
-    controllers = [args.controller] if args.controller else ["c1", "c2", "c3", "c4"]
+    reported and the others run on.  Each job is validated for its own
+    controller: a configured theta_hat0 goes to the controllers whose
+    estimate has its length, and the others start from zeros."""
+    base = _read_file(args.config)
+    scenarios = [args.scenario] if args.scenario else SCENARIOS
+    controllers = [args.controller] if args.controller else CONTROLLERS
     jobs = []
     for controller in controllers:
+        dim = control.FAMILIES[controller].estimate_dim
         for scenario in scenarios:
             config = dataclasses.replace(base, controller=controller, scenario=scenario)
             out = Path(args.out) / f"{controller}_{scenario}"
-            if base.theta_hat0 is not None and base.theta_hat0.size != config.estimate_dim:
+            if base.theta_hat0 is not None and base.theta_hat0.size != dim:
                 config.theta_hat0 = None
                 print(f"{out}: theta_hat0 has {base.theta_hat0.size} entries and "
-                      f"{controller} estimates {config.estimate_dim}; starting from zeros",
+                      f"{controller} estimates {dim}; starting from zeros",
                       file=sys.stderr)
             config.validate()
             jobs.append((config, out))
@@ -379,9 +356,9 @@ def main(argv=None) -> int:
         prog="ftlab",
         description="Composite adaptive finite-time control laboratory")
     parser.add_argument("--config", help="path to a key=value run configuration")
-    parser.add_argument("--controller", choices=["c1", "c2", "c3", "c4"],
+    parser.add_argument("--controller", choices=CONTROLLERS,
                         help="override the configured controller")
-    parser.add_argument("--scenario", choices=["case1", "case2"],
+    parser.add_argument("--scenario", choices=SCENARIOS,
                         help="override the configured scenario")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,12 +9,19 @@
 * ``SlotineLiLsController`` (c4): classical virtual-reference adaptive
   controller with a time-varying least-squares estimation gain.
 
-Torque and rate computations are pure given a state snapshot; the small
-stateful wrappers only own their parameter estimates.
+Torque and rate computations are pure given a state snapshot.  The runner
+knows the controllers only through their shared protocol: the estimate
+``theta_hat``; ``torque(e1, e2, q, qd, psi, inertia, stack)`` from the
+measured signals; ``update(pair, dt)``, which steps the family's regressor
+extension (if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)``
+and ``record(diag, k)`` for its per-step series; and ``dre``, the name of
+its extension.  ``FAMILIES`` maps the controller names to the classes, whose
+``from_config`` builds one and ``check_config`` holds the family's rules.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -22,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import mathx
-from .errors import NumericalDegeneracyError
-from .drem import MixedRegression
+from .errors import ConfigError, NumericalDegeneracyError
+from .drem import KreisselmeierDre, MixedRegression, make_dre
 from .regression import RegressionPair
 
 
@@ -165,27 +172,77 @@ def composite_adapt_rate(e1, e2, psi, theta_hat_u, mixed: MixedRegression,
     return gains.neg_gamma_diag * (direct + indirect)
 
 
+def _check_theta_hat0(config, dim: int) -> None:
+    if config.theta_hat0 is not None and config.theta_hat0.shape != (dim,):
+        raise ConfigError(f"theta_hat0 must have length {dim} for {config.controller}")
+
+
 class CompositeFtController:
-    """Stateful wrapper pairing the fractional PD law with the composite
-    estimator; owns only theta_hat_u."""
+    """The fractional PD law with the composite estimator (c1, c2), driven by
+    a regressor extension; the estimate is theta_u.
 
-    def __init__(self, ftpd: FtPdGains, adapt: CompositeAdaptGains, theta_hat0=None):
+    The saturation exponent of the update law is set to the PD exponent b:
+    the closed-loop factorization requires c = b.
+    """
+
+    estimate_dim = 2
+
+    def __init__(self, ftpd: FtPdGains, adapt: CompositeAdaptGains, theta_hat0=None,
+                 extension=None):
         self.ftpd = ftpd
-        self.adapt = adapt
+        self.adapt = dataclasses.replace(adapt, sat_c=ftpd.b)
+        self.extension = extension
         j = adapt.gamma_diag.size
-        self.theta_hat_u = (np.zeros(j) if theta_hat0 is None
-                            else np.asarray(theta_hat0, dtype=float).copy())
-        if self.theta_hat_u.shape != (j,):
+        self.theta_hat = (np.zeros(j) if theta_hat0 is None
+                          else np.asarray(theta_hat0, dtype=float).copy())
+        if self.theta_hat.shape != (j,):
             raise ValueError("theta_hat0 length does not match the adaptation gains")
+        self.mixed = None
+        self._e1 = self._e2 = self._psi = None
 
-    def torque(self, e1, e2, psi) -> np.ndarray:
-        return ftpd_torque(e1, e2, psi, self.theta_hat_u, self.ftpd)
+    @classmethod
+    def from_config(cls, config, plant) -> "CompositeFtController":
+        theta = plant.theta
+        extension = make_dre(config.dre or DEFAULT_DRE[config.controller],
+                             theta.size, theta.theta_u.size,
+                             ls_params=config.ls, kreis_params=config.kreis)
+        return cls(config.ftpd, config.adapt, config.theta_hat0, extension)
+
+    @classmethod
+    def check_config(cls, config, theta_u) -> None:
+        _check_theta_hat0(config, cls.estimate_dim)
+        init = config.theta_hat0 if config.theta_hat0 is not None else np.zeros(cls.estimate_dim)
+        if np.linalg.norm(init - theta_u) > 2.0 * np.linalg.norm(config.theta_bar):
+            raise ConfigError("theta_hat0 violates the initial-error bound "
+                              "|theta_tilde(0)| <= 2 |theta_bar|")
+
+    @property
+    def dre(self) -> str:
+        return self.extension.kind
+
+    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
+        self._e1, self._e2, self._psi = e1, e2, psi
+        return ftpd_torque(e1, e2, psi, self.theta_hat, self.ftpd)
 
     def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> np.ndarray:
-        return composite_adapt_rate(e1, e2, psi, self.theta_hat_u, mixed, self.adapt)
+        return composite_adapt_rate(e1, e2, psi, self.theta_hat, mixed, self.adapt)
 
     def advance(self, rate, dt: float) -> None:
-        self.theta_hat_u = self.theta_hat_u + dt * rate
+        self.theta_hat = self.theta_hat + dt * rate
+
+    def update(self, pair: RegressionPair, dt: float) -> float:
+        self.extension.step(pair, dt)
+        self.mixed = self.extension.mix()
+        self.advance(self.adapt_rate(self._e1, self._e2, self._psi, self.mixed), dt)
+        return self.mixed.delta
+
+    def diagnostics(self, n_rec: int) -> dict:
+        return {"Y_mixed": np.empty((n_rec, self.extension.dim)),
+                **self.extension.diagnostics(n_rec)}
+
+    def record(self, diag: dict, k: int) -> None:
+        diag["Y_mixed"][k] = self.mixed.Y
+        self.extension.record(diag, k)
 
 
 def slotine_li_regressor(q, qd, qd_r, qdd_r) -> np.ndarray:
@@ -239,23 +296,43 @@ class TsmParams:
 
 
 class SwitchingTsmController:
-    """Tracking-born switching controller applied to regulation.
+    """Tracking-born switching controller applied to regulation (c3).
 
     The active branch is a deterministic function of (e1, e2, q): the
     nonlinear branch runs while e2' M(q) e2 <= lam_max(M) |k2 <e1>^a|^2,
-    the linear branch otherwise.  Estimates the full parameter vector.
+    the linear branch otherwise.  Estimates the full parameter vector from
+    the classical Kreisselmeier extension filters (lambda3 = 1).  ``plant``
+    evaluates M(q) when the caller of torque() has not.
     """
 
-    def __init__(self, params: TsmParams, exponent_a: float, theta_hat0=None, dim: int = 5):
+    estimate_dim = 5
+    dre = "kreisselmeier"
+
+    def __init__(self, params: TsmParams, exponent_a: float, theta_hat0=None,
+                 plant=None, extension=None):
         self.params = params
         self.a = float(exponent_a)
         if not 0.0 < self.a < 1.0:
             raise ValueError("exponent a must lie in (0, 1)")
-        self.theta_hat = (np.zeros(dim) if theta_hat0 is None
+        self.theta_hat = (np.zeros(self.estimate_dim) if theta_hat0 is None
                           else np.asarray(theta_hat0, dtype=float).copy())
+        self.plant = plant
+        self.extension = extension
+        self.mixed = None
         self._w = None
         self._s = None
         self._nonlinear = True
+
+    @classmethod
+    def from_config(cls, config, plant) -> "SwitchingTsmController":
+        theta = plant.theta
+        kreis = dataclasses.replace(config.kreis, lambda3=1.0)
+        extension = KreisselmeierDre(theta.size, theta.theta_u.size, kreis)
+        return cls(config.tsm, config.ftpd.a, config.theta_hat0, plant, extension)
+
+    @classmethod
+    def check_config(cls, config, theta_u) -> None:
+        _check_theta_hat0(config, cls.estimate_dim)
 
     def switching_function(self, e1, e2, inertia: np.ndarray) -> float:
         p = self.params
@@ -263,10 +340,13 @@ class SwitchingTsmController:
         lam_max = mathx.max_eig_sym(inertia)
         return float(e2 @ inertia @ e2) - lam_max * float(ref @ ref)
 
-    def torque(self, e1, e2, q, qd, inertia: np.ndarray) -> np.ndarray:
+    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
         """Branch selection plus torque; caches the regressor and sliding
-        variable for the subsequent adaptation-rate evaluation."""
+        variable for the subsequent adaptation-rate evaluation.  ``inertia``
+        is M(q), or None to have it evaluated from ``stack``."""
         p = self.params
+        if inertia is None:
+            inertia = self.plant.inertia(q, stack)
         self._nonlinear = self.switching_function(e1, e2, inertia) <= 0.0
         if self._nonlinear:
             ref = mathx.signed_power_vec(e1, self.a)
@@ -302,6 +382,22 @@ class SwitchingTsmController:
     def advance(self, rate, dt: float) -> None:
         self.theta_hat = self.theta_hat + dt * rate
 
+    def update(self, pair: RegressionPair, dt: float) -> float:
+        extension = self.extension
+        extension.step(pair, dt)
+        self.mixed = extension.mix()
+        self.advance(self.adapt_rate(extension.phi1, extension.phi2), dt)
+        return self.mixed.delta
+
+    def diagnostics(self, n_rec: int) -> dict:
+        return {"Y_mixed": np.empty((n_rec, self.extension.dim)),
+                **self.extension.diagnostics(n_rec), "branch": np.empty(n_rec, dtype=np.int8)}
+
+    def record(self, diag: dict, k: int) -> None:
+        diag["Y_mixed"][k] = self.mixed.Y
+        self.extension.record(diag, k)
+        diag["branch"][k] = 0 if self._nonlinear else 1
+
 
 @dataclass(frozen=True)
 class SlotineLiLsParams:
@@ -334,17 +430,32 @@ class SlotineLiLsController:
     """Linear virtual reference s = qd + k2 e1 with
     tau = W theta_hat - k1 s - ks s/|s|; the estimate integrates
     -P (W' s + Omega' e_p) where e_p = Omega theta_hat - y and P follows the
-    norm-capped least-squares gain dynamics."""
+    norm-capped least-squares gain dynamics (c4).  It runs no regressor
+    extension (Delta is 0) and needs the force-balance regression."""
 
-    def __init__(self, params: SlotineLiLsParams, theta_hat0=None, dim: int = 5):
+    estimate_dim = 5
+    dre = "none"
+
+    def __init__(self, params: SlotineLiLsParams, theta_hat0=None):
         self.params = params
-        self.theta_hat = (np.zeros(dim) if theta_hat0 is None
+        self.theta_hat = (np.zeros(self.estimate_dim) if theta_hat0 is None
                           else np.asarray(theta_hat0, dtype=float).copy())
-        self.P = np.eye(dim) / params.p0
+        self.P = np.eye(self.estimate_dim) / params.p0
         self.last_beta = self.beta()
         self.last_e_p = None
         self._w = None
         self._s = None
+
+    @classmethod
+    def from_config(cls, config, plant) -> "SlotineLiLsController":
+        return cls(config.sl, config.theta_hat0)
+
+    @classmethod
+    def check_config(cls, config, theta_u) -> None:
+        if config.effective_parameterization != "force_balance":
+            raise ConfigError(f"controller {config.controller} requires the "
+                              "force_balance parameterization")
+        _check_theta_hat0(config, cls.estimate_dim)
 
     def beta(self) -> float:
         eigs = np.linalg.eigvalsh(self.P)
@@ -357,7 +468,7 @@ class SlotineLiLsController:
             norm = float(np.sqrt(np.sum(self.P * self.P)))
         return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
 
-    def torque(self, e1, e2, q, qd) -> np.ndarray:
+    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
         p = self.params
         s = qd + p.k2 * np.asarray(e1, dtype=float)
         qd_r = -p.k2 * np.asarray(e1, dtype=float)
@@ -385,3 +496,32 @@ class SlotineLiLsController:
         self.theta_hat = self.theta_hat + dt * theta_rate
         self.P = self.P + dt * p_rate
         self.P = 0.5 * (self.P + self.P.T)
+
+    def update(self, pair: RegressionPair, dt: float) -> float:
+        theta_rate, p_rate = self.rates(pair)
+        self.advance(theta_rate, p_rate, dt)
+        return 0.0
+
+    def diagnostics(self, n_rec: int) -> dict:
+        l_dim = self.estimate_dim
+        # e_p has one entry per force-balance equation of the two-link arm
+        return {"P": np.empty((n_rec, l_dim, l_dim)), "e_p": np.empty((n_rec, 2)),
+                "beta": np.empty(n_rec)}
+
+    def record(self, diag: dict, k: int) -> None:
+        diag["P"][k] = self.P
+        diag["e_p"][k] = self.last_e_p
+        diag["beta"][k] = self.last_beta
+
+
+# controller name -> family; c1 and c2 differ only in their default extension
+FAMILIES = {"c1": CompositeFtController, "c2": CompositeFtController,
+            "c3": SwitchingTsmController, "c4": SlotineLiLsController}
+CONTROLLERS = tuple(FAMILIES)
+DEFAULT_DRE = {"c1": "least_squares", "c2": "kreisselmeier"}
+
+
+def make_controller(config, plant):
+    """The controller ``config.controller`` names, built from ``config`` for
+    ``plant``, its estimate started from config.theta_hat0 (zeros if unset)."""
+    return FAMILIES[config.controller].from_config(config, plant)

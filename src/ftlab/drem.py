@@ -4,11 +4,13 @@ Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor or through a Kreisselmeier extension.  The
 mixing step evaluates the column-replaced determinants directly (Cramer
-form) instead of building the adjugate.
+form) instead of building the adjugate.  A mixing output that is not finite
+raises NumericalDegeneracyError naming Delta or Y.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,17 @@ class MixedRegression:
     Y: np.ndarray
     delta: float
     Y_u: np.ndarray
+
+
+def _mixed(delta: float, Y: np.ndarray, tail_dim: int) -> MixedRegression:
+    # one sum tests both; a finite sum that overflows falls through to the
+    # exact tests, which then find nothing
+    if not math.isfinite(delta + sum(Y.tolist())):
+        if not math.isfinite(delta):
+            raise NumericalDegeneracyError("mixing factor Delta is not finite")
+        if not np.isfinite(Y).all():
+            raise NumericalDegeneracyError("mixed regression Y is not finite")
+    return MixedRegression(Y=Y, delta=delta, Y_u=Y[-tail_dim:])
 
 
 @dataclass(frozen=True)
@@ -73,6 +86,8 @@ class LeastSquaresDre:
     identity error (about 2e-3 relative at dt = 5e-4 on the reference runs)
     dwarfs the tolerance the mixing stage is held to.
     """
+
+    kind = "least_squares"
 
     def __init__(self, dim: int, tail_dim: int, params: LsDreParams | None = None):
         self.params = params or LsDreParams()
@@ -124,7 +139,18 @@ class LeastSquaresDre:
         phi = self._eye - zf * self.F
         v = self.rho_hat - zf * (self.F @ self.rho0)
         delta, Y = mathx.det_and_cramer(phi, v)
-        return MixedRegression(Y=Y, delta=delta, Y_u=Y[-self.tail_dim:])
+        return _mixed(delta, Y, self.tail_dim)
+
+    def diagnostics(self, n_rec: int) -> dict:
+        l_dim = self.dim
+        return {"F": np.empty((n_rec, l_dim, l_dim)), "z_forget": np.empty(n_rec),
+                "rho_hat": np.empty((n_rec, l_dim)), "beta": np.empty(n_rec)}
+
+    def record(self, diag: dict, k: int) -> None:
+        diag["F"][k] = self.F
+        diag["z_forget"][k] = self.z
+        diag["rho_hat"][k] = self.rho_hat
+        diag["beta"][k] = self.last_beta
 
 
 @dataclass(frozen=True)
@@ -147,6 +173,8 @@ class KreisselmeierDre:
     semidefinite (exponentially weighted integral of Omega' Omega).
     """
 
+    kind = "kreisselmeier"
+
     def __init__(self, dim: int, tail_dim: int, params: KreisParams | None = None):
         self.params = params or KreisParams()
         self.dim = dim
@@ -165,7 +193,15 @@ class KreisselmeierDre:
 
     def mix(self) -> MixedRegression:
         delta, Y = mathx.det_and_cramer(self.phi2, self.phi1)
-        return MixedRegression(Y=Y, delta=delta, Y_u=Y[-self.tail_dim:])
+        return _mixed(delta, Y, self.tail_dim)
+
+    def diagnostics(self, n_rec: int) -> dict:
+        l_dim = self.dim
+        return {"phi1": np.empty((n_rec, l_dim)), "phi2": np.empty((n_rec, l_dim, l_dim))}
+
+    def record(self, diag: dict, k: int) -> None:
+        diag["phi1"][k] = self.phi1
+        diag["phi2"][k] = self.phi2
 
 
 def make_dre(kind: str, dim: int, tail_dim: int,

@@ -112,56 +112,12 @@ def cramer_products(phi, v) -> np.ndarray:
     return det_and_cramer(phi, v)[1]
 
 
-def _min_eig_sym3(a: np.ndarray) -> float:
-    # Trigonometric solution of the characteristic cubic for symmetric 3x3.
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    if p1 == 0.0:
-        return float(np.min(np.diag(a)))
-    q = float(np.trace(a)) / 3.0
-    p2 = sum((a[i, i] - q) ** 2 for i in range(3)) + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = _det3(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    # eigenvalues are q + 2p cos(phi + 2k pi/3); k = 1 gives the smallest
-    return q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-
-
-def _jacobi_eigenvalues(a: np.ndarray, sweeps: int = 50) -> np.ndarray:
-    # Cyclic Jacobi rotations; quadratic convergence makes 1e-12 off-diagonal
-    # mass reachable in a handful of sweeps for m <= 6.
-    a = a.copy()
-    m = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    for _ in range(sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= 1e-13 * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.diag(a).copy()
-
-
 def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
     """Smallest eigenvalue of a symmetric matrix (m <= 6).
 
-    Closed form for m <= 2, characteristic-polynomial solution for m = 3,
-    cyclic Jacobi iteration above that.  Raises if the input is asymmetric
-    beyond ``sym_tol`` (relative to max(1, |a|_max)).
+    Closed form for m <= 2 (the per-step case), LAPACK's symmetric
+    eigensolver above that.  Raises if the input is asymmetric beyond
+    ``sym_tol`` (relative to max(1, |a|_max)).
     """
     a = _as_square(a)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
@@ -175,9 +131,7 @@ def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
         tr = a[0, 0] + a[1, 1]
         gap = math.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
         return float(0.5 * (tr - gap))
-    if m == 3:
-        return float(_min_eig_sym3(a))
-    return float(np.min(_jacobi_eigenvalues(a)))
+    return float(np.linalg.eigvalsh(a)[0])
 
 
 def max_eig_sym(a, sym_tol: float = 1e-9) -> float:

@@ -63,11 +63,6 @@ class PowerBalanceRegression:
     def z(self) -> np.ndarray:
         return self._z.copy()
 
-    def output(self, q, qd) -> RegressionPair:
-        """Regression pair for the current state and the given measurement."""
-        row = self._z + self.lambda0 * self.plant.energy_regressor(q, qd)
-        return RegressionPair(y=np.array([self._y]), omega=row[None, :])
-
     def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
         ``stack`` is the plant's inertia_basis(q), for a caller that has it
@@ -128,10 +123,6 @@ class ForceBalanceRegression:
         np.add(self._z, lambda0_phi3, out=omega[:, :self._n_inertia])
         omega[:, self._n_inertia:] = self._omega_d2
         return omega
-
-    def output(self, q, qd) -> RegressionPair:
-        omega = self._omega(self.lambda0 * self._phi3(q, qd))
-        return RegressionPair(y=self._y.copy(), omega=omega)
 
     def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.

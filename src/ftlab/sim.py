@@ -5,11 +5,15 @@ advances everything with a shared explicit-Euler step.  Per step:
 
 1. form measurements (exact in case1, noisy in case2);
 2. evaluate the control torque from the measurements;
-3. advance the regression filters and the regressor extension with the
-   measured signals and the commanded torque;
-4. evaluate the adaptation rate and Euler-update the estimates;
+3. advance the regression filters with the measured signals and the
+   commanded torque;
+4. update the controller: its regressor extension, if it has one, the
+   mixing and the Euler step of its estimates;
 5. evaluate friction from the true velocity (case2);
 6. Euler-update the plant state.
+
+The runner knows the controllers only through the protocol of
+``control`` (see its module docstring).
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.
@@ -17,7 +21,6 @@ configurations produce bit-identical traces.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
@@ -25,12 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, drem, mathx
+from .control import CONTROLLERS
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import (FrictionModel, NoiseModel, PhysicalParams, Plant,
                     ThetaBounds, default_params)
 from .regression import make_regression
 
-CONTROLLERS = ("c1", "c2", "c3", "c4")
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
 DRES = ("least_squares", "kreisselmeier")
@@ -45,7 +48,7 @@ class SimConfig:
     controller: str = "c1"
     scenario: str = "case1"
     parameterization: str | None = None     # default: force_balance
-    dre: str | None = None                  # default: per controller
+    dre: str | None = None                  # default: per controller (c1, c2)
     dt: float = 5e-4
     t_final: float = 10.0
     q_d: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0]))
@@ -77,20 +80,8 @@ class SimConfig:
             self.theta_hat0 = np.asarray(self.theta_hat0, dtype=float)
 
     @property
-    def estimate_dim(self) -> int:
-        """Length of the controller's parameter estimate (and of theta_hat0):
-        c1/c2 estimate theta_u, c3/c4 the full theta."""
-        return 2 if self.controller in ("c1", "c2") else 5
-
-    @property
     def effective_parameterization(self) -> str:
         return self.parameterization or "force_balance"
-
-    @property
-    def effective_dre(self) -> str:
-        if self.dre is not None:
-            return self.dre
-        return "least_squares" if self.controller == "c1" else "kreisselmeier"
 
     @property
     def effective_lambda0(self) -> float:
@@ -104,7 +95,8 @@ class SimConfig:
         return 0.3 if self.effective_parameterization == "power_balance" else 1.5
 
     def validate(self):
-        """Range and consistency checks; raises ConfigError naming the key."""
+        """Range and consistency checks; raises ConfigError naming the key.
+        The rules of one controller family are its class's check_config."""
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         if self.scenario not in SCENARIOS:
@@ -113,8 +105,6 @@ class SimConfig:
             raise ConfigError(f"parameterization must be one of {PARAMETERIZATIONS}")
         if self.dre is not None and self.dre not in DRES:
             raise ConfigError(f"dre must be one of {DRES}, got {self.dre!r}")
-        if self.controller == "c4" and self.effective_parameterization != "force_balance":
-            raise ConfigError("controller c4 requires the force_balance parameterization")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_final > self.dt:
@@ -130,19 +120,14 @@ class SimConfig:
         for name in ("q_d", "q0", "qd0", "friction"):
             if getattr(self, name).shape != (n,):
                 raise ConfigError(f"{name} must have length {n}")
+        if not np.all(self.friction >= 0.0):
+            raise ConfigError("friction coefficients must be nonnegative")
         bounds = ThetaBounds(self.theta_bar)
         theta_u = Plant.two_link(self.params).theta.theta_u
         if not bounds.contains(theta_u):
             raise ConfigError("theta_bar does not contain the plant's potential "
                               "parameters (violates the known-bound assumption)")
-        if self.theta_hat0 is not None and self.theta_hat0.shape != (self.estimate_dim,):
-            raise ConfigError(f"theta_hat0 must have length {self.estimate_dim} "
-                              f"for {self.controller}")
-        if self.controller in ("c1", "c2"):
-            init = self.theta_hat0 if self.theta_hat0 is not None else np.zeros(2)
-            if np.linalg.norm(init - theta_u) > 2.0 * np.linalg.norm(self.theta_bar):
-                raise ConfigError("theta_hat0 violates the initial-error bound "
-                                  "|theta_tilde(0)| <= 2 |theta_bar|")
+        control.FAMILIES[self.controller].check_config(self, theta_u)
 
 
 @dataclass
@@ -202,35 +187,16 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
     return float(v1) if v1.ndim == 0 else v1
 
 
-def _build_controller(config: SimConfig, plant: Plant):
-    theta0 = (config.theta_hat0 if config.theta_hat0 is not None
-              else np.zeros(config.estimate_dim))
-    if config.controller in ("c1", "c2"):
-        # the closed-loop factorization requires the saturation exponent c = b
-        adapt = dataclasses.replace(config.adapt, sat_c=config.ftpd.b)
-        return control.CompositeFtController(config.ftpd, adapt, theta0), adapt
-    if config.controller == "c3":
-        return control.SwitchingTsmController(config.tsm, config.ftpd.a, theta0), config.adapt
-    return control.SlotineLiLsController(config.sl, theta0), config.adapt
-
-
-def _require_finite(named) -> None:
-    """Raise NumericalDegeneracyError naming the first non-finite quantity of
-    ``named``, a sequence of (name, value) pairs."""
-    for name, value in named:
-        if not np.isfinite(value).all():
-            raise NumericalDegeneracyError(f"{name} is not finite")
-
-
 def run_closed_loop(config: SimConfig) -> Trace:
     """Integrate the closed loop and return the full trace.
 
     Psi(q), the inertia basis stack and M(q) are evaluated once per step (at
-    the true and, in case2, at the measured configuration) and passed to the
-    controller, the regression filter and the plant step.  The monitors V1,
-    zeta1 and |z1| feed nothing back, so they are evaluated after the loop,
-    over the recorded series.  A non-finite state or mixing output ends the
-    run with a NumericalDegeneracyError naming it, the step and the time.
+    the true and, in case2, at the measured configuration; M(q) there only
+    if the controller asks for it) and passed to the controller, the
+    regression filter and the plant step.  The monitors V1, zeta1 and |z1|
+    feed nothing back, so they are evaluated after the loop, over the
+    recorded series.  A non-finite state or mixing output ends the run with
+    a NumericalDegeneracyError naming it, the step and the time.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -244,22 +210,10 @@ def run_closed_loop(config: SimConfig) -> Trace:
     friction = FrictionModel(config.friction) if noisy else None
     noise = NoiseModel(config.noise_amplitude, config.noise_frequency) if noisy else None
 
-    composite = config.controller in ("c1", "c2")
-    switching = config.controller == "c3"
-    controller, adapt_eff = _build_controller(config, plant)
+    controller = control.make_controller(config, plant)
     regression = make_regression(config.effective_parameterization, plant,
                                  config.q0, config.qd0,
                                  config.effective_lambda0, config.lambda1)
-    extension = None
-    if composite:
-        extension = drem.make_dre(config.effective_dre, l_dim, j_dim,
-                                  ls_params=config.ls, kreis_params=config.kreis)
-    elif switching:
-        # the switching estimator consumes the classical extension filters
-        kp = dataclasses.replace(config.kreis, lambda3=1.0)
-        extension = drem.KreisselmeierDre(l_dim, j_dim, kp)
-    least_squares = isinstance(extension, drem.LeastSquaresDre)
-    kreisselmeier = isinstance(extension, drem.KreisselmeierDre)
 
     # floor semantics with slack for float division noise on exact multiples
     n_steps = int(np.floor(config.t_final / config.dt + 1e-9))
@@ -268,44 +222,33 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q_rec = np.empty((n_rec, n))
     qd_rec = np.empty((n_rec, n))
     tau_rec = np.empty((n_rec, n))
-    theta_rec = np.empty((n_rec, config.estimate_dim))
+    theta_rec = np.empty((n_rec, controller.theta_hat.size))
     delta_rec = np.empty(n_rec)
     # Psi(q) and M(q) of the true state, for the monitors after the loop
     psi_rec = np.empty((n_rec, n, j_dim))
     inertia_rec = np.empty((n_rec, n, n))
     n_out = 1 if config.effective_parameterization == "power_balance" else n
-    diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim))}
-    if extension is not None:
-        diag["Y_mixed"] = np.empty((n_rec, l_dim))
-    if least_squares:
-        diag.update(F=np.empty((n_rec, l_dim, l_dim)), z_forget=np.empty(n_rec),
-                    rho_hat=np.empty((n_rec, l_dim)), beta=np.empty(n_rec))
-    if kreisselmeier:
-        diag.update(phi1=np.empty((n_rec, l_dim)), phi2=np.empty((n_rec, l_dim, l_dim)))
-    if switching:
-        diag["branch"] = np.empty(n_rec, dtype=np.int8)
-    if config.controller == "c4":
-        diag.update(P=np.empty((n_rec, l_dim, l_dim)), e_p=np.empty((n_rec, n)),
-                    beta=np.empty(n_rec))
+    diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim)),
+            **controller.diagnostics(n_rec)}
     y_rec, omega_rec = diag["y"], diag["omega"]
 
     q = config.q0.astype(float).copy()
     qd = config.qd0.astype(float).copy()
     q_d = config.q_d
     dt = config.dt
-    b_exp = config.ftpd.b
-    d_exp = adapt_eff.sat_d
     theta_u_true = theta_true.theta_u
 
     for k in range(n_rec):
         t = k * dt
         try:
-            estimate = controller.theta_hat_u if composite else controller.theta_hat
+            estimate = controller.theta_hat
             # fast test first; a finite sum that overflows falls through to
             # the exact check, which then finds nothing
             if not math.isfinite(sum(q.tolist()) + sum(qd.tolist()) + sum(estimate.tolist())):
-                _require_finite((("position q", q), ("velocity qd", qd),
-                                 ("estimate theta_hat", estimate)))
+                for name, value in (("position q", q), ("velocity qd", qd),
+                                    ("estimate theta_hat", estimate)):
+                    if not np.isfinite(value).all():
+                        raise NumericalDegeneracyError(f"{name} is not finite")
             stack = inertia_basis(q)
             inertia = plant.inertia(q, stack)
             psi = plant.psi(q)
@@ -314,40 +257,14 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 qd_m = qd + noise.velocity(t)
                 stack_m = inertia_basis(q_m)
                 psi_m = plant.psi(q_m)
+                inertia_m = None
             else:
-                q_m, qd_m, stack_m, psi_m = q, qd, stack, psi
-            e1_m = q_m - q_d
-            e2_m = qd_m
+                q_m, qd_m, stack_m, psi_m, inertia_m = q, qd, stack, psi, inertia
 
-            if composite:
-                tau = controller.torque(e1_m, e2_m, psi_m)
-            elif switching:
-                inertia_m = plant.inertia(q_m, stack_m) if noisy else inertia
-                tau = controller.torque(e1_m, e2_m, q_m, qd_m, inertia_m)
-            else:
-                tau = controller.torque(e1_m, e2_m, q_m, qd_m)
-
+            tau = controller.torque(q_m - q_d, qd_m, q_m, qd_m, psi_m, inertia_m, stack_m)
             pair = regression.step(q_m, qd_m, tau, dt, psi_m, stack_m)
             theta_rec[k] = estimate
-
-            delta = 0.0
-            if extension is not None:
-                extension.step(pair, dt)
-                mixed = extension.mix()
-                delta = mixed.delta
-                if not math.isfinite(delta + sum(mixed.Y.tolist())):
-                    _require_finite((("mixing factor Delta", delta),
-                                     ("mixed regression Y", mixed.Y)))
-
-            if composite:
-                rate = controller.adapt_rate(e1_m, e2_m, psi_m, mixed)
-                controller.advance(rate, dt)
-            elif switching:
-                rate = controller.adapt_rate(extension.phi1, extension.phi2)
-                controller.advance(rate, dt)
-            else:
-                theta_rate, p_rate = controller.rates(pair)
-                controller.advance(theta_rate, p_rate, dt)
+            delta = controller.update(pair, dt)
         except NumericalDegeneracyError as exc:
             raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
 
@@ -359,22 +276,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
         inertia_rec[k] = inertia
         y_rec[k] = pair.y
         omega_rec[k] = pair.omega
-        if extension is not None:
-            diag["Y_mixed"][k] = mixed.Y
-        if least_squares:
-            diag["F"][k] = extension.F
-            diag["z_forget"][k] = extension.z
-            diag["rho_hat"][k] = extension.rho_hat
-            diag["beta"][k] = extension.last_beta
-        elif kreisselmeier:
-            diag["phi1"][k] = extension.phi1
-            diag["phi2"][k] = extension.phi2
-        if switching:
-            diag["branch"][k] = 0 if controller.branch == "tsm" else 1
-        elif config.controller == "c4":
-            diag["P"][k] = controller.P
-            diag["e_p"][k] = controller.last_e_p
-            diag["beta"][k] = controller.last_beta
+        controller.record(diag, k)
 
         if k < n_steps:
             tau_f = friction.torque(qd) if noisy else None
@@ -384,24 +286,19 @@ def run_closed_loop(config: SimConfig) -> Trace:
 
     e1_rec = q_rec - q_d
     theta_tilde_u = theta_rec[:, -j_dim:] - theta_u_true
-    v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, adapt_eff)
+    v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, config.adapt)
     z1 = (psi_rec @ theta_tilde_u[:, :, None])[:, :, 0]
     z1norm = np.sqrt(_row_dot(z1, z1))
+    b_exp = config.ftpd.b
+    d_exp = config.adapt.sat_d
     # Python floats: numpy's power is not the C library's pow on every CPU
     zeta1 = np.array([control.excitation_gain(delta, b_exp, d_exp)
                       for delta in delta_rec.tolist()])
 
-    # c3 always runs the classical extension filters; c4 has its own gain law
-    if composite:
-        dre_used = config.effective_dre
-    elif switching:
-        dre_used = "kreisselmeier"
-    else:
-        dre_used = "none"
     meta = {
         "controller": config.controller, "scenario": config.scenario,
         "parameterization": config.effective_parameterization,
-        "dre": dre_used,
+        "dre": controller.dre,
         "dt": dt, "t_final": config.t_final,
         "theta_true": theta_true.stacked, "theta_u_true": theta_u_true,
         "q_d": config.q_d.copy(), "exponent_b": b_exp, "sat_d": d_exp,

@@ -4,17 +4,18 @@ import pytest
 import ftlab
 from ftlab import verify
 from ftlab.cli import main, parse_config
+from ftlab.control import make_controller
 from ftlab.errors import ConfigError
 from ftlab.plant import Plant
 
 
 class TestParseConfig:
-    def test_empty_gives_reference_defaults(self):
+    def test_empty_gives_reference_defaults(self, plant):
         cfg = parse_config("")
         assert cfg.controller == "c1"
         assert cfg.scenario == "case1"
         assert cfg.effective_parameterization == "force_balance"
-        assert cfg.effective_dre == "least_squares"
+        assert make_controller(cfg, plant).dre == "least_squares"
         assert cfg.dt == 5e-4 and cfg.t_final == 10.0
         np.testing.assert_array_equal(cfg.q_d, [2.0, 2.0])
         np.testing.assert_array_equal(cfg.q0, [3.0, 0.0])
@@ -29,9 +30,9 @@ class TestParseConfig:
         assert cfg.tsm.gamma_tsm == 0.001 and cfg.tsm.k_tsm == 5000.0
         assert cfg.tsm.gamma_lin == 1.0 and cfg.tsm.k_lin == 50.0
 
-    def test_c2_defaults(self):
+    def test_c2_defaults(self, plant):
         cfg = parse_config("controller=c2")
-        assert cfg.effective_dre == "kreisselmeier"
+        assert make_controller(cfg, plant).dre == "kreisselmeier"
         assert cfg.kreis.lambda2 == 1.0 and cfg.kreis.lambda3 == 1.3
 
     def test_negative_dt_names_key(self):
@@ -144,6 +145,23 @@ class TestCliCommands:
         assert code == 3
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("text, key", [
+        ("q0 = nan, 0\n", "q0"),
+        ("q_d = inf, 0\n", "q_d"),
+        ("t_final = inf\n", "t_final"),
+        ("scenario = case2\nplant.noise_amplitude = nan\n", "noise_amplitude"),
+        ("scenario = case2\nplant.friction = -1, 0\n", "friction"),
+        ("plant.friction = -1, 0\n", "friction"),
+    ], ids=["q0_nan", "q_d_inf", "t_final_inf", "noise_nan_case2", "friction_negative_case2",
+            "friction_negative_case1"])
+    def test_bad_value_is_a_config_error(self, tmp_path, capsys, text, key):
+        out = tmp_path / "o"
+        assert main(["--config", str(_write(tmp_path, "sim.t_final = 0.05\n" + text)),
+                     "--out", str(out), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
     def test_property_failure_exit_code(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod
         broken = [verify.PropertyResult("synthetic", False, "injected failure")]
@@ -184,8 +202,12 @@ class TestCliCommands:
         for controller in ("c2", "c3"):
             assert list((tmp_path / "grid" / f"{controller}_case1").iterdir()) == []
 
-    def test_sweep_applies_theta_hat0_where_its_length_fits(self, tmp_path, capsys):
-        cfg = _write(tmp_path, "controller=c3\nt_final=0.01\n"
+    @pytest.mark.parametrize("controller_line", ["controller=c3\n", ""],
+                             ids=["controller_c3", "no_controller"])
+    def test_sweep_applies_theta_hat0_where_its_length_fits(self, tmp_path, capsys,
+                                                            controller_line):
+        # each job is validated for its own controller, whatever the file names
+        cfg = _write(tmp_path, controller_line + "t_final=0.01\n"
                                "gains.theta_hat0=0.1,0.2,0.3,0.4,0.5\n")
         code = main(["--config", str(cfg), "--scenario", "case1",
                      "--out", str(tmp_path / "grid"), "sweep"])

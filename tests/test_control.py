@@ -183,14 +183,15 @@ class TestSwitchingTsm:
     def test_zero_velocity_selects_nonlinear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2), plant.inertia(q))
+        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2),
+                    plant.psi(q), plant.inertia(q))
         assert ctrl.branch == "tsm"
 
     def test_fast_motion_selects_linear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
         ctrl.torque(np.array([1e-4, 0.0]), np.array([3.0, -2.0]), q,
-                    np.array([3.0, -2.0]), plant.inertia(q))
+                    np.array([3.0, -2.0]), plant.psi(q), plant.inertia(q))
         assert ctrl.branch == "linear"
 
     def test_branch_is_deterministic(self, plant):
@@ -210,7 +211,7 @@ class TestSwitchingTsm:
         e1 = np.array([0.2, -0.4])
         s_ref = -ctrl.params.k2 * mathx.signed_power_vec(e1, ctrl.a)
         q = e1 + np.array([2.0, 2.0])
-        tau = ctrl.torque(e1, s_ref, q, s_ref, plant.inertia(q))
+        tau = ctrl.torque(e1, s_ref, q, s_ref, plant.psi(q), plant.inertia(q))
         assert ctrl.branch == "tsm"
         w = ctrl._w
         np.testing.assert_allclose(tau, w @ ctrl.theta_hat, atol=1e-12)
@@ -218,7 +219,8 @@ class TestSwitchingTsm:
     def test_normalized_drift_term_zero_at_zero(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2), plant.inertia(q))
+        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2),
+                    plant.psi(q), plant.inertia(q))
         rate = ctrl.adapt_rate(np.zeros(5), np.zeros((5, 5)))
         # phi2 theta_hat - phi1 = 0: the normalized term must be defined as 0
         expected = -ctrl.params.gamma_tsm * (ctrl._w.T @ ctrl._s)
@@ -228,7 +230,7 @@ class TestSwitchingTsm:
         ctrl = self.make()
         q = np.array([2.0, 2.0])
         tau = ctrl.torque(np.zeros(2), np.array([1e-9, 0.0]), q,
-                          np.array([1e-9, 0.0]), plant.inertia(q))
+                          np.array([1e-9, 0.0]), plant.psi(q), plant.inertia(q))
         assert np.all(np.isfinite(tau))
 
 
@@ -236,7 +238,8 @@ class TestSlotineLiLs:
     def test_zero_error_zero_rate(self, plant):
         ctrl = SlotineLiLsController(SlotineLiLsParams())
         q = np.array([2.0, 2.0])
-        ctrl.torque(np.zeros(2), np.zeros(2), q, np.zeros(2))
+        ctrl.torque(np.zeros(2), np.zeros(2), q, np.zeros(2), plant.psi(q),
+                    plant.inertia(q))
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
         theta_rate, _ = ctrl.rates(pair)
         np.testing.assert_allclose(theta_rate, np.zeros(5), atol=1e-15)
@@ -245,7 +248,8 @@ class TestSlotineLiLs:
         q_d = np.array([2.0, 2.0])
         ctrl = SlotineLiLsController(SlotineLiLsParams())
         ctrl.theta_hat = plant.theta.stacked.copy()
-        tau = ctrl.torque(np.zeros(2), np.zeros(2), q_d, np.zeros(2))
+        tau = ctrl.torque(np.zeros(2), np.zeros(2), q_d, np.zeros(2),
+                          plant.psi(q_d), plant.inertia(q_d))
         np.testing.assert_allclose(tau, plant.gravity(q_d), atol=1e-12)
 
     def test_gain_matrix_stays_positive_definite(self, c4_case1):
@@ -262,9 +266,9 @@ class TestSlotineLiLs:
 class TestControllerWrappers:
     def test_composite_controller_advance(self, plant):
         ctrl = CompositeFtController(FtPdGains(), CompositeAdaptGains())
-        before = ctrl.theta_hat_u.copy()
+        before = ctrl.theta_hat.copy()
         ctrl.advance(np.array([1.0, -1.0]), 1e-3)
-        np.testing.assert_allclose(ctrl.theta_hat_u - before, [1e-3, -1e-3])
+        np.testing.assert_allclose(ctrl.theta_hat - before, [1e-3, -1e-3])
 
     def test_theta0_length_checked(self):
         with pytest.raises(ValueError):

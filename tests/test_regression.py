@@ -10,7 +10,7 @@ DT = 5e-4
 class TestPowerBalance:
     def test_zero_transient_initialization(self, plant):
         reg = PowerBalanceRegression(plant, [3.0, 0.0], [0.0, 0.0], 1.0, 1.0)
-        pair = reg.output([3.0, 0.0], [0.0, 0.0])
+        pair = reg.step([3.0, 0.0], [0.0, 0.0], [0.0, 0.0], DT)
         assert pair.y[0] == 0.0
         np.testing.assert_allclose(pair.omega, np.zeros((1, 5)), atol=1e-15)
 
@@ -55,14 +55,14 @@ class TestForceBalance:
     def test_zero_velocity_initialization(self, plant):
         reg = ForceBalanceRegression(plant, [3.0, 0.0], [0.0, 0.0], 1.0, 1.0)
         np.testing.assert_array_equal(reg.z, np.zeros((2, 3)))
-        pair = reg.output([3.0, 0.0], [0.0, 0.0])
+        pair = reg.step([3.0, 0.0], [0.0, 0.0], [0.0, 0.0], DT)
         np.testing.assert_array_equal(pair.y, np.zeros(2))
         np.testing.assert_allclose(pair.omega, np.zeros((2, 5)), atol=1e-15)
 
     def test_nonzero_initial_velocity_still_zero_residual(self, plant):
         q0, qd0 = np.array([1.0, -0.5]), np.array([2.0, 1.0])
         reg = ForceBalanceRegression(plant, q0, qd0, 1.5, 1.0)
-        pair = reg.output(q0, qd0)
+        pair = reg.step(q0, qd0, np.zeros(2), DT)
         resid = pair.y - pair.omega @ plant.theta.stacked
         np.testing.assert_allclose(resid, np.zeros(2), atol=1e-14)
 
@@ -71,7 +71,7 @@ class TestForceBalance:
         reg = ForceBalanceRegression(plant, q, np.zeros(2), 1.0, 1.0)
         # one Euler step loads the potential block with dt * lambda0 * Psi
         reg.step(q, np.zeros(2), np.zeros(2), DT)
-        pair = reg.output(q, np.zeros(2))
+        pair = reg.step(q, np.zeros(2), np.zeros(2), DT)
         np.testing.assert_allclose(pair.omega[:, 3:], DT * np.array([[1.0, 1.0], [1.0, 0.0]]),
                                    atol=1e-15)
 

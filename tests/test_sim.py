@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ftlab
-from ftlab.control import CompositeAdaptGains, FtPdGains
+from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import Plant
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
@@ -29,10 +29,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(theta_bar=np.array([0.5, 0.5])).validate()
 
-    def test_dre_defaults_follow_controller(self):
-        assert SimConfig(controller="c1").effective_dre == "least_squares"
-        assert SimConfig(controller="c2").effective_dre == "kreisselmeier"
-        assert SimConfig(controller="c2", dre="least_squares").effective_dre == "least_squares"
+    def test_dre_defaults_follow_controller(self, plant):
+        dre = lambda **kwargs: make_controller(SimConfig(**kwargs), plant).dre
+        assert dre(controller="c1") == "least_squares"
+        assert dre(controller="c2") == "kreisselmeier"
+        assert dre(controller="c2", dre="least_squares") == "least_squares"
 
     def test_estimate_dimension_checked(self):
         with pytest.raises(ConfigError):
