@@ -11,24 +11,32 @@
 
 Torque and rate computations are pure given a state snapshot.  The runner
 knows the controllers only through their shared protocol: the estimate
-``theta_hat``; ``torque(e1, e2, q, qd, psi, inertia, stack)`` from the
-measured signals; ``update(pair, dt)``, which steps the family's regressor
-extension (if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)``
-and ``record(diag, k)`` for its per-step series; and ``dre``, the name of
-its extension.  ``FAMILIES`` maps the controller names to the classes, whose
+``estimate``, a tuple of floats (``theta_hat`` is its numpy view);
+``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
+floats; ``update(pair, dt)``, which steps the family's regressor extension
+(if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)`` and
+``record(diag, k)`` for its per-step series; and ``dre``, the name of its
+extension.  ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
+
+The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
+sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
+row sequences.  The public functions below return numpy arrays of the same
+kernels' results.  Only the l = 5 estimator algebra of c3 and c4 is numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import mathx
+from .mathx import matvec2, spow
 from .errors import ConfigError, NumericalDegeneracyError
 from .drem import KreisselmeierDre, MixedRegression, make_dre
 from .regression import RegressionPair
@@ -72,6 +80,19 @@ class FtPdGains:
     def b(self) -> float:
         return self.m_c / self.r2
 
+    @cached_property
+    def diagonals(self) -> tuple:
+        """(kp, kd, kd_lin) as tuples of floats."""
+        return tuple(self.kp.tolist()), tuple(self.kd.tolist()), tuple(self.kd_lin.tolist())
+
+
+def _ftpd(e1, e2, psi, theta_hat_u, gains: FtPdGains, a: float, b: float) -> tuple:
+    (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.diagonals
+    (e11, e12), (e21, e22) = e1, e2
+    g1, g2 = matvec2(psi, theta_hat_u)
+    return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + g1,
+            -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + g2)
+
 
 def ftpd_torque(e1, e2, psi, theta_hat_u, gains: FtPdGains,
                 a: float | None = None, b: float | None = None) -> np.ndarray:
@@ -80,12 +101,8 @@ def ftpd_torque(e1, e2, psi, theta_hat_u, gains: FtPdGains,
     <.>^p is the elementwise signed power; a = b = 1 gives the plain adaptive
     PD structure.
     """
-    a = gains.a if a is None else a
-    b = gains.b if b is None else b
-    return (-gains.kp * mathx.signed_power_vec(e1, a)
-            - gains.kd * mathx.signed_power_vec(e2, b)
-            - gains.kd_lin * np.asarray(e2, dtype=float)
-            + psi @ theta_hat_u)
+    return np.array(_ftpd(e1, e2, psi, theta_hat_u, gains,
+                          gains.a if a is None else a, gains.b if b is None else b))
 
 
 @dataclass(frozen=True)
@@ -136,6 +153,11 @@ class CompositeAdaptGains:
     def neg_gamma_diag(self) -> np.ndarray:
         return -self.gamma_diag
 
+    @cached_property
+    def diagonals(self) -> tuple:
+        """(indirect_gain, neg_gamma_diag) as tuples of floats."""
+        return tuple(self.indirect_gain.tolist()), tuple(self.neg_gamma_diag.tolist())
+
 
 def saturation(delta: float, c: float, d: float) -> float:
     """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d))."""
@@ -151,25 +173,39 @@ def excitation_gain(delta: float, b: float, d: float) -> float:
     return saturation(delta, b, d) * mathx.signed_power(delta, b)
 
 
+def _prediction_error(delta: float, theta_hat_u, y_u, c: float) -> tuple:
+    (t1, t2), (y1, y2) = theta_hat_u, y_u
+    return spow(delta * t1 - y1, c), spow(delta * t2 - y2, c)
+
+
 def prediction_error_vector(delta: float, theta_hat_u, y_u, c: float) -> np.ndarray:
     """Componentwise <delta * theta_hat_u - y_u>^c.
 
     When y_u = delta * theta_u exactly, this factors into
     <delta>^c <theta_hat_u - theta_u>^c.
     """
-    return mathx.signed_power_vec(delta * np.asarray(theta_hat_u, dtype=float)
-                                  - np.asarray(y_u, dtype=float), c)
+    return np.array(_prediction_error(delta, theta_hat_u, y_u, c))
+
+
+def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
+                    gains: CompositeAdaptGains) -> tuple:
+    (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, e2, psi
+    g1d1, g12 = gains.g1d1, gains.g12
+    v1 = g1d1 * math.tanh(e11) + g12 * e21
+    v2 = g1d1 * math.tanh(e12) + g12 * e22
+    xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, gains.sat_c)
+    f_gain = saturation(delta, gains.sat_c, gains.sat_d)
+    (i1, i2), (n1, n2) = gains.diagonals
+    # -gamma (direct + indirect), the direct term being Psi' v
+    return (n1 * (p11 * v1 + p21 * v2 + i1 * f_gain * xi1),
+            n2 * (p12 * v1 + p22 * v2 + i2 * f_gain * xi2))
 
 
 def composite_adapt_rate(e1, e2, psi, theta_hat_u, mixed: MixedRegression,
                          gains: CompositeAdaptGains) -> np.ndarray:
     """Time derivative of theta_hat_u under the composite law."""
-    direct = psi.T @ (gains.g1d1 * np.tanh(np.asarray(e1, dtype=float))
-                      + gains.g12 * np.asarray(e2, dtype=float))
-    xi = prediction_error_vector(mixed.delta, theta_hat_u, mixed.Y_u, gains.sat_c)
-    f_gain = saturation(mixed.delta, gains.sat_c, gains.sat_d)
-    indirect = gains.indirect_gain * f_gain * xi
-    return gains.neg_gamma_diag * (direct + indirect)
+    return np.array(_composite_rate(e1, e2, psi, theta_hat_u, mixed.delta,
+                                    mixed.Y_u.tolist(), gains))
 
 
 def _check_theta_hat0(config, dim: int) -> None:
@@ -177,7 +213,27 @@ def _check_theta_hat0(config, dim: int) -> None:
         raise ConfigError(f"theta_hat0 must have length {dim} for {config.controller}")
 
 
-class CompositeFtController:
+class _Estimate:
+    """The estimate as a tuple of floats, ``estimate``, which the runner
+    reads and records, with ``theta_hat`` as its numpy view."""
+
+    estimate: tuple
+
+    @property
+    def theta_hat(self) -> np.ndarray:
+        return np.array(self.estimate)
+
+    @theta_hat.setter
+    def theta_hat(self, value) -> None:
+        self.estimate = tuple(np.asarray(value, dtype=float).tolist())
+
+    def _start(self, theta_hat0, dim: int) -> None:
+        self.theta_hat = np.zeros(dim) if theta_hat0 is None else theta_hat0
+        if len(self.estimate) != dim:
+            raise ValueError("theta_hat0 length does not match the estimate")
+
+
+class CompositeFtController(_Estimate):
     """The fractional PD law with the composite estimator (c1, c2), driven by
     a regressor extension; the estimate is theta_u.
 
@@ -192,11 +248,7 @@ class CompositeFtController:
         self.ftpd = ftpd
         self.adapt = dataclasses.replace(adapt, sat_c=ftpd.b)
         self.extension = extension
-        j = adapt.gamma_diag.size
-        self.theta_hat = (np.zeros(j) if theta_hat0 is None
-                          else np.asarray(theta_hat0, dtype=float).copy())
-        if self.theta_hat.shape != (j,):
-            raise ValueError("theta_hat0 length does not match the adaptation gains")
+        self._start(theta_hat0, adapt.gamma_diag.size)
         self.mixed = None
         self._e1 = self._e2 = self._psi = None
 
@@ -220,15 +272,17 @@ class CompositeFtController:
     def dre(self) -> str:
         return self.extension.kind
 
-    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
+    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
         self._e1, self._e2, self._psi = e1, e2, psi
-        return ftpd_torque(e1, e2, psi, self.theta_hat, self.ftpd)
+        ftpd = self.ftpd
+        return _ftpd(e1, e2, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
 
-    def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> np.ndarray:
-        return composite_adapt_rate(e1, e2, psi, self.theta_hat, mixed, self.adapt)
+    def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> tuple:
+        return _composite_rate(e1, e2, psi, self.estimate, mixed.delta,
+                               mixed.Y_u.tolist(), self.adapt)
 
     def advance(self, rate, dt: float) -> None:
-        self.theta_hat = self.theta_hat + dt * rate
+        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
 
     def update(self, pair: RegressionPair, dt: float) -> float:
         self.extension.step(pair, dt)
@@ -245,22 +299,35 @@ class CompositeFtController:
         self.extension.record(diag, k)
 
 
-def slotine_li_regressor(q, qd, qd_r, qdd_r) -> np.ndarray:
-    """Two-link tracking regressor W with
-    W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
-    q1, q2 = np.asarray(q, dtype=float).tolist()
-    qd1, qd2 = np.asarray(qd, dtype=float).tolist()
-    r1, r2 = np.asarray(qd_r, dtype=float).tolist()
-    a1, a2 = np.asarray(qdd_r, dtype=float).tolist()
+def _slotine_li_rows(q, qd, qd_r, qdd_r) -> tuple:
+    (q1, q2), (qd1, qd2), (r1, r2), (a1, a2) = q, qd, qd_r, qdd_r
     c2 = math.cos(q2)
     s2 = math.sin(q2)
     s12 = math.sin(q1 + q2)
     w12 = c2 * (2.0 * a1 + a2) - s2 * (qd2 * r1 + (qd1 + qd2) * r2)
     w21 = c2 * a1 + s2 * qd1 * r1
-    return np.array([
-        [a1, w12, a2, s12, math.sin(q1)],
-        [0.0, w21, a1 + a2, s12, 0.0],
-    ])
+    return ((a1, w12, a2, s12, math.sin(q1)), (0.0, w21, a1 + a2, s12, 0.0))
+
+
+def slotine_li_regressor(q, qd, qd_r, qdd_r) -> np.ndarray:
+    """Two-link tracking regressor W with
+    W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
+    return np.array(_slotine_li_rows(q, qd, qd_r, qdd_r))
+
+
+def _slotine_li_torque(w, theta_hat, s, k1: float, ks: float) -> tuple:
+    """W theta_hat - k1 s - ks s / |s| (the last term 0 at s = 0)."""
+    (w1, w2), (s1, s2) = w, s
+    norm = math.sqrt(s1 * s1 + s2 * s2)
+    u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
+    return (sum(map(operator.mul, w1, theta_hat)) - k1 * s1 - ks * u1,
+            sum(map(operator.mul, w2, theta_hat)) - k1 * s2 - ks * u2)
+
+
+def _regressor_times(w, s) -> np.ndarray:
+    """W' s for the two rows of W."""
+    (w1, w2), (s1, s2) = w, s
+    return np.array([a * s1 + b * s2 for a, b in zip(w1, w2)])
 
 
 def _unit_or_zero(v: np.ndarray) -> np.ndarray:
@@ -295,7 +362,7 @@ class TsmParams:
             raise ValueError("clamp must be positive")
 
 
-class SwitchingTsmController:
+class SwitchingTsmController(_Estimate):
     """Tracking-born switching controller applied to regulation (c3).
 
     The active branch is a deterministic function of (e1, e2, q): the
@@ -314,8 +381,7 @@ class SwitchingTsmController:
         self.a = float(exponent_a)
         if not 0.0 < self.a < 1.0:
             raise ValueError("exponent a must lie in (0, 1)")
-        self.theta_hat = (np.zeros(self.estimate_dim) if theta_hat0 is None
-                          else np.asarray(theta_hat0, dtype=float).copy())
+        self._start(theta_hat0, self.estimate_dim)
         self.plant = plant
         self.extension = extension
         self.mixed = None
@@ -334,34 +400,39 @@ class SwitchingTsmController:
     def check_config(cls, config, theta_u) -> None:
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def switching_function(self, e1, e2, inertia: np.ndarray) -> float:
-        p = self.params
-        ref = p.k2 * mathx.signed_power_vec(e1, self.a)
-        lam_max = mathx.max_eig_sym(inertia)
-        return float(e2 @ inertia @ e2) - lam_max * float(ref @ ref)
+    def switching_function(self, e1, e2, inertia) -> float:
+        """e2' M e2 - lam_max(M) |k2 <e1>^a|^2, with M = ``inertia``."""
+        k2, a = self.params.k2, self.a
+        (e11, e12), (e21, e22), ((m11, m12), (m21, m22)) = e1, e2, inertia
+        ref1, ref2 = k2 * spow(e11, a), k2 * spow(e12, a)
+        lam_max = mathx.eig_sym2(m11, m12, m22)[1]
+        return ((e21 * m11 + e22 * m21) * e21 + (e21 * m12 + e22 * m22) * e22
+                - lam_max * (ref1 * ref1 + ref2 * ref2))
 
-    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
+    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
         """Branch selection plus torque; caches the regressor and sliding
         variable for the subsequent adaptation-rate evaluation.  ``inertia``
-        is M(q), or None to have it evaluated from ``stack``."""
+        is M(q), or None to have the plant evaluate it."""
         p = self.params
+        k2, a = p.k2, self.a
         if inertia is None:
-            inertia = self.plant.inertia(q, stack)
+            inertia = self.plant.inertia_rows(q)
         self._nonlinear = self.switching_function(e1, e2, inertia) <= 0.0
+        (e11, e12), (qd1, qd2) = e1, qd
         if self._nonlinear:
-            ref = mathx.signed_power_vec(e1, self.a)
-            qd_r = -p.k2 * ref
-            s = qd + p.k2 * ref
-            clamped = np.maximum(np.abs(e1), p.clamp)
-            qdd_r = -self.a * p.k2 * clamped ** (self.a - 1.0) * qd
+            ref1, ref2 = spow(e11, a), spow(e12, a)
+            qd_r = (-k2 * ref1, -k2 * ref2)
+            s = (qd1 + k2 * ref1, qd2 + k2 * ref2)
+            gain = -a * k2
+            qdd_r = (gain * max(abs(e11), p.clamp) ** (a - 1.0) * qd1,
+                     gain * max(abs(e12), p.clamp) ** (a - 1.0) * qd2)
         else:
-            qd_r = -p.k2 * np.asarray(e1, dtype=float)
-            s = qd + p.k2 * np.asarray(e1, dtype=float)
-            qdd_r = -p.k2 * np.asarray(qd, dtype=float)
-        self._w = slotine_li_regressor(q, qd, qd_r, qdd_r)
+            qd_r = (-k2 * e11, -k2 * e12)
+            s = (qd1 + k2 * e11, qd2 + k2 * e12)
+            qdd_r = (-k2 * qd1, -k2 * qd2)
+        self._w = _slotine_li_rows(q, qd, qd_r, qdd_r)
         self._s = s
-        u_r = p.ks * _unit_or_zero(s)
-        return self._w @ self.theta_hat - p.k1 * s - u_r
+        return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
 
     @property
     def branch(self) -> str:
@@ -373,14 +444,15 @@ class SwitchingTsmController:
         if self._w is None:
             raise RuntimeError("torque() must be evaluated before adapt_rate()")
         p = self.params
+        w_s = _regressor_times(self._w, self._s)
         drift = phi2 @ self.theta_hat - phi1
         if self._nonlinear:
-            return (-p.gamma_tsm * (self._w.T @ self._s)
+            return (-p.gamma_tsm * w_s
                     - p.gamma_tsm * p.k_tsm * (phi2.T @ _unit_or_zero(drift)))
-        return -p.gamma_lin * (self._w.T @ self._s) - p.gamma_lin * p.k_lin * drift
+        return -p.gamma_lin * w_s - p.gamma_lin * p.k_lin * drift
 
     def advance(self, rate, dt: float) -> None:
-        self.theta_hat = self.theta_hat + dt * rate
+        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate.tolist()))
 
     def update(self, pair: RegressionPair, dt: float) -> float:
         extension = self.extension
@@ -426,7 +498,7 @@ class SlotineLiLsParams:
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
-class SlotineLiLsController:
+class SlotineLiLsController(_Estimate):
     """Linear virtual reference s = qd + k2 e1 with
     tau = W theta_hat - k1 s - ks s/|s|; the estimate integrates
     -P (W' s + Omega' e_p) where e_p = Omega theta_hat - y and P follows the
@@ -438,8 +510,7 @@ class SlotineLiLsController:
 
     def __init__(self, params: SlotineLiLsParams, theta_hat0=None):
         self.params = params
-        self.theta_hat = (np.zeros(self.estimate_dim) if theta_hat0 is None
-                          else np.asarray(theta_hat0, dtype=float).copy())
+        self._start(theta_hat0, self.estimate_dim)
         self.P = np.eye(self.estimate_dim) / params.p0
         self.last_beta = self.beta()
         self.last_e_p = None
@@ -468,14 +539,14 @@ class SlotineLiLsController:
             norm = float(np.sqrt(np.sum(self.P * self.P)))
         return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
 
-    def torque(self, e1, e2, q, qd, psi, inertia, stack=None) -> np.ndarray:
+    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
         p = self.params
-        s = qd + p.k2 * np.asarray(e1, dtype=float)
-        qd_r = -p.k2 * np.asarray(e1, dtype=float)
-        qdd_r = -p.k2 * np.asarray(qd, dtype=float)
-        self._w = slotine_li_regressor(q, qd, qd_r, qdd_r)
+        k2 = p.k2
+        (e11, e12), (qd1, qd2) = e1, qd
+        s = (qd1 + k2 * e11, qd2 + k2 * e12)
+        self._w = _slotine_li_rows(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2))
         self._s = s
-        return self._w @ self.theta_hat - p.k1 * s - p.ks * _unit_or_zero(s)
+        return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
 
     def rates(self, pair: RegressionPair):
         """(theta_hat rate, P rate) from the last torque evaluation and the
@@ -485,7 +556,7 @@ class SlotineLiLsController:
         p = self.params
         e_p = pair.omega @ self.theta_hat - pair.y
         self.last_e_p = e_p
-        theta_rate = -self.P @ (self._w.T @ self._s + pair.omega.T @ e_p)
+        theta_rate = -self.P @ (_regressor_times(self._w, self._s) + pair.omega.T @ e_p)
         b = self.beta()
         self.last_beta = b
         p_om = self.P @ pair.omega.T
@@ -493,7 +564,7 @@ class SlotineLiLsController:
         return theta_rate, p_rate
 
     def advance(self, theta_rate, p_rate, dt: float) -> None:
-        self.theta_hat = self.theta_hat + dt * theta_rate
+        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, theta_rate.tolist()))
         self.P = self.P + dt * p_rate
         self.P = 0.5 * (self.P + self.P.T)
 

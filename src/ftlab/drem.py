@@ -66,6 +66,10 @@ class LsDreParams:
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
+_LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
+                    "(alpha * dt too large for this excitation level)")
+
+
 class LeastSquaresDre:
     """Least-squares regressor extension with forgetting, plus mixing.
 
@@ -105,20 +109,33 @@ class LeastSquaresDre:
         self.z = 1.0
         self.last_beta = self.beta()
 
+    @property
+    def F(self) -> np.ndarray:
+        """The gain matrix F = R^-1."""
+        return self._f
+
+    @F.setter
+    def F(self, value) -> None:
+        self._f = np.asarray(value, dtype=float)
+        self._f_eigs = np.linalg.eigvalsh(self._f).tolist()
+
     def beta(self) -> float:
-        """Current forgetting rate; also validates positive definiteness."""
-        eigs = np.linalg.eigvalsh(self.F)
+        """Current forgetting rate, from the eigenvalues of F the last step
+        (or assignment) left; also validates positive definiteness."""
+        eigs = self._f_eigs
         if eigs[0] <= 0.0:
-            raise NumericalDegeneracyError(
-                "least-squares gain matrix lost positive definiteness "
-                "(alpha * dt too large for this excitation level)")
+            raise NumericalDegeneracyError(_LS_DEFINITENESS)
         if self.params.norm == "spectral":
-            norm = float(eigs[-1])
+            norm = eigs[-1]
         else:
-            norm = float(np.sqrt(np.sum(self.F * self.F)))
+            norm = math.sqrt(sum(x * x for x in eigs))
         return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
 
     def step(self, pair: RegressionPair, dt: float) -> None:
+        """One Euler step in information coordinates.  One symmetric
+        eigendecomposition R = V diag(w) V' gives F = S S' with
+        S = V diag(w)^-1/2 and the eigenvalues 1/w of F, which the next
+        beta() reads."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         gain = dt * self.params.alpha
@@ -126,18 +143,28 @@ class LeastSquaresDre:
         self.last_beta = b
         omega = pair.omega
         decay = 1.0 - dt * b
-        r = decay * self._r + gain * (omega.T @ omega)
-        self._r = 0.5 * (r + r.T)
+        # omega' omega and S S' are symmetric rank-k products, so R and F
+        # stay exactly symmetric
+        self._r = decay * self._r + gain * (omega.T @ omega)
         self._u = decay * self._u + gain * (omega.T @ pair.y)
         self.z = self.z * decay
-        f = np.linalg.inv(self._r)
-        self.F = 0.5 * (f + f.T)
-        self.rho_hat = self.F @ self._u
+        try:
+            w, v = np.linalg.eigh(self._r)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalDegeneracyError(
+                "least-squares information matrix R has no eigendecomposition") from exc
+        eigs = w.tolist()
+        if eigs[0] <= 0.0:
+            raise NumericalDegeneracyError(_LS_DEFINITENESS)
+        s = v * w ** -0.5
+        self._f = s @ s.T
+        self._f_eigs = [1.0 / x for x in reversed(eigs)]
+        self.rho_hat = self._f @ self._u
 
     def mix(self) -> MixedRegression:
         zf = self.z * self.params.f0
-        phi = self._eye - zf * self.F
-        v = self.rho_hat - zf * (self.F @ self.rho0)
+        phi = self._eye - zf * self._f
+        v = self.rho_hat - zf * (self._f @ self.rho0)
         delta, Y = mathx.det_and_cramer(phi, v)
         return _mixed(delta, Y, self.tail_dim)
 
@@ -185,11 +212,12 @@ class KreisselmeierDre:
     def step(self, pair: RegressionPair, dt: float) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        l2, l3 = self.params.lambda2, self.params.lambda3
+        # phi <- phi + dt (-lambda2 phi + lambda3 drive); omega' omega is a
+        # symmetric rank-k product, so phi2 stays exactly symmetric
+        decay, gain = 1.0 - dt * self.params.lambda2, dt * self.params.lambda3
         omega = pair.omega
-        self.phi1 = self.phi1 + dt * (-l2 * self.phi1 + l3 * (omega.T @ pair.y))
-        phi2 = self.phi2 + dt * (-l2 * self.phi2 + l3 * (omega.T @ omega))
-        self.phi2 = 0.5 * (phi2 + phi2.T)
+        self.phi1 = decay * self.phi1 + gain * (omega.T @ pair.y)
+        self.phi2 = decay * self.phi2 + gain * (omega.T @ omega)
 
     def mix(self) -> MixedRegression:
         delta, Y = mathx.det_and_cramer(self.phi2, self.phi1)

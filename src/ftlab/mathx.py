@@ -1,12 +1,14 @@
 """Signed-power arithmetic and small dense-matrix helpers.
 
-Everything here targets the tiny fixed sizes that occur in the control loop
-(vectors up to length 6, matrices up to 6x6).  None of it is meant for
-general-purpose linear algebra.
+The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
+``matvec2`` and ``eig_sym2`` as its kernels.  The rest targets the tiny
+fixed sizes of the regressor extension (vectors up to length 6, matrices up
+to 6x6).  None of it is meant for general-purpose linear algebra.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,26 +16,49 @@ import numpy as np
 MAX_DIM = 6
 
 
-def signed_power(z: float, q: float) -> float:
-    """|z|**q * sign(z), with sign(0) = 0 so the result is exactly 0.0 at z = 0."""
+def spow(z: float, q: float) -> float:
+    """|z|**q * sign(z) of a float, 0.0 at z = 0; NaN stays NaN.  Unchecked:
+    the step loop calls it on values it has checked finite."""
+    return math.copysign(abs(z) ** q, z) if z else 0.0
+
+
+def matvec2(a, v) -> tuple[float, float]:
+    """a v for a 2x2 matrix a, given as two rows, and a 2-vector v."""
+    (a11, a12), (a21, a22) = a
+    v1, v2 = v
+    return a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
+
+
+def _check_exponent(q) -> None:
     if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
         raise ValueError(f"exponent must be a finite positive number, got {q!r}")
+
+
+def signed_power(z: float, q: float) -> float:
+    """``spow`` with its arguments checked: raises ValueError on a
+    non-finite z or an exponent that is not finite and positive."""
+    _check_exponent(q)
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"argument must be finite, got {z!r}")
-    if z == 0.0:
-        return 0.0
-    return math.copysign(abs(z) ** q, z)
+    return spow(z, q)
 
 
 def signed_power_vec(z, q: float) -> np.ndarray:
-    """Elementwise signed power of a vector."""
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
-        raise ValueError(f"exponent must be a finite positive number, got {q!r}")
+    """Elementwise ``signed_power`` of an array, through the float kernel."""
+    _check_exponent(q)
     z = np.asarray(z, dtype=float)
-    if not all(map(math.isfinite, z.ravel().tolist())):
+    flat = z.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
         raise ValueError("argument must be finite")
-    return np.sign(z) * np.abs(z) ** q
+    return np.array([spow(x, q) for x in flat]).reshape(z.shape)
+
+
+def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
+    """Eigenvalues (lower, upper) of the symmetric 2x2 matrix [[a, b], [b, d]]."""
+    tr = a + d
+    gap = math.sqrt((a - d) ** 2 + 4.0 * b ** 2)
+    return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -83,6 +108,16 @@ def adjugate(a) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _cramer_mask(m: int) -> np.ndarray:
+    """True where matrix j + 1 of the Cramer stack holds v: its column j."""
+    mask = np.zeros((m + 1, m, m), dtype=bool)
+    cols = np.arange(m)
+    mask[cols + 1, :, cols] = True
+    mask.flags.writeable = False
+    return mask
+
+
 def det_and_cramer(phi, v) -> tuple[float, np.ndarray]:
     """(det(phi), cramer_products(phi, v)), the per-step path of the mixing
     stage.
@@ -96,10 +131,7 @@ def det_and_cramer(phi, v) -> tuple[float, np.ndarray]:
     v = np.asarray(v, dtype=float)
     if v.shape != (m,):
         raise ValueError(f"vector length {v.shape} does not match matrix dimension {m}")
-    stacked = np.empty((m + 1, m, m))
-    stacked[:] = phi
-    cols = np.arange(m)
-    stacked[cols + 1, :, cols] = v
+    stacked = np.where(_cramer_mask(m), v[:, None], phi)
     if m <= 3:
         dets = np.array([det(a) for a in stacked])
     else:
@@ -115,9 +147,9 @@ def cramer_products(phi, v) -> np.ndarray:
 def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
     """Smallest eigenvalue of a symmetric matrix (m <= 6).
 
-    Closed form for m <= 2 (the per-step case), LAPACK's symmetric
-    eigensolver above that.  Raises if the input is asymmetric beyond
-    ``sym_tol`` (relative to max(1, |a|_max)).
+    Closed form for m <= 2, LAPACK's symmetric eigensolver above that.
+    Raises if the input is asymmetric beyond ``sym_tol`` (relative to
+    max(1, |a|_max)).
     """
     a = _as_square(a)
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
@@ -128,9 +160,8 @@ def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
     if m == 1:
         return float(a[0, 0])
     if m == 2:
-        tr = a[0, 0] + a[1, 1]
-        gap = math.sqrt((a[0, 0] - a[1, 1]) ** 2 + 4.0 * a[0, 1] ** 2)
-        return float(0.5 * (tr - gap))
+        (a00, a01), (_, a11) = a.tolist()
+        return eig_sym2(a00, a01, a11)[0]
     return float(np.linalg.eigvalsh(a)[0])
 
 

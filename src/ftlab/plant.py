@@ -7,10 +7,12 @@ coefficients,
     U(q)  = sum_k U_k(q) theta_u[k]          (potential energy)
     g(q)  = Psi(q) theta_u                   (potential forces)
 
-so that the same machinery serves any fully actuated arm described by such a
-decomposition.  The shipped instance is the planar two-link manipulator with
-revolute joints; friction and measurement noise are separate bolt-on models
-that only the simulation loop applies.
+so that the regression can be built from the known terms.  The arm is the
+planar two-link manipulator with revolute joints.  ``BasisFunctions`` states
+its decomposition as numpy stacks; ``Plant`` evaluates the same quantities
+as closed forms in Python floats, which is what the step loop calls.
+Friction and measurement noise are separate bolt-on models that only the
+simulation loop applies; they too return floats.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import mathx
 from .errors import NumericalDegeneracyError
 
 
@@ -182,16 +185,27 @@ def two_link_basis() -> BasisFunctions:
 
 
 class Plant:
-    """Evaluation of the EL dynamics for a given basis bundle and parameter
-    vector.  All methods are pure; instances hold no mutable state."""
+    """Evaluation of the two-link arm's dynamics for a parameter vector.
+
+    The per-step quantities are closed forms in Python floats, for the
+    two-link decomposition that ``basis`` states as numpy stacks.  Methods
+    ending in ``_rows`` take joint vectors as any length-2 sequences and
+    return matrices as tuples of row tuples; the others return numpy arrays.
+    All methods are pure; instances hold no mutable state.
+    """
 
     def __init__(self, basis: BasisFunctions, theta: ThetaVector):
+        if (basis.n, basis.n_inertia, basis.n_potential) != (2, 3, 2):
+            raise ValueError("the closed forms are those of the two-link arm "
+                             "(n = 2, three inertia and two potential terms)")
         if theta.theta_m.size != basis.n_inertia:
             raise ValueError("theta_m length does not match the inertia basis")
         if theta.theta_u.size != basis.n_potential:
             raise ValueError("theta_u length does not match the potential basis")
         self.basis = basis
         self.theta = theta
+        self._theta_m = tuple(theta.theta_m.tolist())
+        self._theta_u = tuple(theta.theta_u.tolist())
 
     @classmethod
     def two_link(cls, params: PhysicalParams | None = None) -> "Plant":
@@ -202,44 +216,77 @@ class Plant:
     def n(self) -> int:
         return self.basis.n
 
-    def inertia(self, q, stack=None) -> np.ndarray:
-        """Inertia matrix M(q), symmetric positive definite.  ``stack`` is
-        inertia_basis(q), for a caller that has it already."""
-        if stack is None:
-            stack = self.basis.inertia_basis(np.asarray(q, dtype=float))
-        k, n = stack.shape[0], stack.shape[1]
-        return (self.theta.theta_m @ stack.reshape(k, n * n)).reshape(n, n)
+    # -- float kernels ---------------------------------------------------------
+
+    def inertia_rows(self, q) -> tuple:
+        """M(q) = sum_k theta_m[k] M_k(q)."""
+        d1, d2, d3 = self._theta_m
+        c2 = math.cos(q[1])
+        m12 = d2 * c2 + d3
+        return ((d1 + d2 * (2.0 * c2), m12), (m12, d3))
+
+    def coriolis_rows(self, q, qd) -> tuple:
+        """C(q, qd) from Christoffel symbols, so that dM/dt = C + C'."""
+        qd1, qd2 = qd
+        h = self._theta_m[1] * math.sin(q[1])
+        return ((h * -qd2, h * -(qd1 + qd2)), (h * qd1, 0.0))
+
+    def psi_rows(self, q) -> tuple:
+        """Potential-force regressor Psi(q) with g(q) = Psi(q) theta_u."""
+        q1, q2 = q
+        s12 = math.sin(q1 + q2)
+        return ((s12, math.sin(q1)), (s12, 0.0))
+
+    def basis_force_rows(self, q, qd) -> tuple:
+        """The n x 3 matrix whose column k is M_k(q) qd."""
+        qd1, qd2 = qd
+        c2 = math.cos(q[1])
+        return ((qd1, 2.0 * c2 * qd1 + c2 * qd2, qd2), (0.0, c2 * qd1, qd1 + qd2))
+
+    def kinetic_grad_rows(self, q, qd) -> tuple:
+        """The n x 3 matrix whose column k is grad_q(qd' M_k(q) qd); only M_2
+        depends on q, through qd' M_2 qd = 2 cos(q2) qd1 (qd1 + qd2)."""
+        qd1, qd2 = qd
+        return ((0.0, 0.0, 0.0), (0.0, -2.0 * math.sin(q[1]) * qd1 * (qd1 + qd2), 0.0))
+
+    def energy_terms(self, q, qd) -> tuple:
+        """Basis energies: (1/2) qd' M_k(q) qd for k = 1..3, then U_1(q), U_2(q);
+        the total energy is their dot product with theta."""
+        qd1, qd2 = qd
+        (f11, f12, f13), (f21, f22, f23) = self.basis_force_rows(q, qd)
+        return (0.5 * (f11 * qd1 + f21 * qd2), 0.5 * (f12 * qd1 + f22 * qd2),
+                0.5 * (f13 * qd1 + f23 * qd2), *self._potential_terms(q))
+
+    @staticmethod
+    def _potential_terms(q) -> tuple:
+        q1, q2 = q
+        return (-math.cos(q1 + q2), -math.cos(q1))
+
+    # -- numpy views -----------------------------------------------------------
+
+    def inertia(self, q) -> np.ndarray:
+        """Inertia matrix M(q), symmetric positive definite."""
+        return np.array(self.inertia_rows(q))
 
     def coriolis(self, q, qd) -> np.ndarray:
-        """Coriolis/centrifugal matrix C(q, qd) from Christoffel symbols, so
-        that dM/dt = C + C' along trajectories."""
-        stack = self.basis.coriolis_basis(np.asarray(q, dtype=float),
-                                          np.asarray(qd, dtype=float))
-        k, n = stack.shape[0], stack.shape[1]
-        return (self.theta.theta_m @ stack.reshape(k, n * n)).reshape(n, n)
+        return np.array(self.coriolis_rows(q, qd))
 
     def psi(self, q) -> np.ndarray:
-        """Potential-force regressor Psi(q) with g(q) = Psi(q) theta_u."""
-        return self.basis.potential_grad_basis(np.asarray(q, dtype=float))
+        return np.array(self.psi_rows(q))
 
     def gravity(self, q) -> np.ndarray:
-        return self.psi(q) @ self.theta.theta_u
+        return np.array(mathx.matvec2(self.psi_rows(q), self._theta_u))
 
-    def kinetic_basis(self, q, qd, stack=None) -> np.ndarray:
-        """Per-basis kinetic energies (1/2) qd' M_k(q) qd; ``stack`` as in
-        ``inertia``."""
-        qd = np.asarray(qd, dtype=float)
-        if stack is None:
-            stack = self.basis.inertia_basis(np.asarray(q, dtype=float))
-        return 0.5 * ((stack @ qd) @ qd)
+    def kinetic_basis(self, q, qd) -> np.ndarray:
+        """Per-basis kinetic energies (1/2) qd' M_k(q) qd."""
+        return np.array(self.energy_terms(q, qd)[:3])
 
     def potential_basis(self, q) -> np.ndarray:
-        return self.basis.potential_basis(np.asarray(q, dtype=float))
+        return np.array(self._potential_terms(q))
 
-    def energy_regressor(self, q, qd, stack=None) -> np.ndarray:
-        """Row of basis energies: total energy = energy_regressor . theta;
-        ``stack`` as in ``inertia``."""
-        return np.concatenate([self.kinetic_basis(q, qd, stack), self.potential_basis(q)])
+    def energy_regressor(self, q, qd) -> np.ndarray:
+        """Row of basis energies: total energy = energy_regressor . theta."""
+        return np.array(self.energy_terms(q, qd))
 
     def total_energy(self, q, qd) -> float:
         return float(self.energy_regressor(q, qd) @ self.theta.stacked)
@@ -256,33 +303,30 @@ class Plant:
             mu_M = max(mu_M, float(eigs[-1]))
         return mu_m, mu_M
 
-    def forward_dynamics(self, q, qd, tau, tau_f=None, psi=None, inertia=None) -> np.ndarray:
-        """Joint accelerations from M(q) qdd + C(q,qd) qd + g(q) = tau - tau_f.
+    def forward_dynamics(self, q, qd, tau, tau_f=None, psi=None, inertia=None) -> tuple:
+        """Joint accelerations from M(q) qdd + C(q,qd) qd + g(q) = tau - tau_f,
+        as a pair of floats.
 
         Friction enters as an opposing torque on the plant side only.  ``psi``
         and ``inertia`` are Psi(q) and M(q), for a caller that has them already.
         """
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
         if psi is None:
-            psi = self.psi(q)
-        rhs = np.asarray(tau, dtype=float) - self.coriolis(q, qd) @ qd - psi @ self.theta.theta_u
+            psi = self.psi_rows(q)
+        c1, c2 = mathx.matvec2(self.coriolis_rows(q, qd), qd)
+        g1, g2 = mathx.matvec2(psi, self._theta_u)
+        t1, t2 = tau
+        r1 = t1 - c1 - g1
+        r2 = t2 - c2 - g2
         if tau_f is not None:
-            rhs = rhs - np.asarray(tau_f, dtype=float)
-        m = self.inertia(q) if inertia is None else inertia
-        if m.shape == (2, 2):
-            (m11, m12), (m21, m22) = m.tolist()
-            r1, r2 = rhs.tolist()
-            det = m11 * m22 - m12 * m21
-            if abs(det) < 1e-300:
-                raise NumericalDegeneracyError("inertia matrix is singular; "
-                                               "parameters are likely corrupted")
-            return np.array([(m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det])
-        try:
-            return np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError as exc:
+            f1, f2 = tau_f
+            r1 = r1 - f1
+            r2 = r2 - f2
+        (m11, m12), (m21, m22) = self.inertia_rows(q) if inertia is None else inertia
+        det = m11 * m22 - m12 * m21
+        if abs(det) < 1e-300:
             raise NumericalDegeneracyError("inertia matrix is singular; "
-                                           "parameters are likely corrupted") from exc
+                                           "parameters are likely corrupted")
+        return ((m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det)
 
 
 @dataclass(frozen=True)
@@ -295,9 +339,12 @@ class FrictionModel:
         object.__setattr__(self, "coulomb", np.asarray(self.coulomb, dtype=float))
         if not np.all(self.coulomb >= 0.0):
             raise ValueError("friction coefficients must be nonnegative")
+        object.__setattr__(self, "_coulomb", tuple(self.coulomb.tolist()))
 
-    def torque(self, qd) -> np.ndarray:
-        return self.coulomb * np.sign(np.asarray(qd, dtype=float))
+    def torque(self, qd) -> tuple:
+        """The friction torques as a pair of floats."""
+        return tuple(c * (1.0 if v > 0.0 else -1.0 if v < 0.0 else v)
+                     for c, v in zip(self._coulomb, qd))
 
 
 @dataclass(frozen=True)
@@ -319,13 +366,14 @@ class NoiseModel:
             if phase not in ("sin", "cos"):
                 raise ValueError(f"phase selector must be 'sin' or 'cos', got {phase!r}")
 
-    def _eval(self, phases, t: float) -> np.ndarray:
+    def _eval(self, phases, t: float) -> tuple:
         w = self.frequency * t
-        return self.amplitude * np.array(
-            [np.sin(w) if p == "sin" else np.cos(w) for p in phases])
+        return tuple(self.amplitude * (math.sin(w) if p == "sin" else math.cos(w))
+                     for p in phases)
 
-    def position(self, t: float) -> np.ndarray:
+    def position(self, t: float) -> tuple:
+        """The position noise at time t, one float per joint."""
         return self._eval(self.position_phases, t)
 
-    def velocity(self, t: float) -> np.ndarray:
+    def velocity(self, t: float) -> tuple:
         return self._eval(self.velocity_phases, t)

@@ -12,7 +12,8 @@ step.  ``step`` returns the regression pair sampled at the incoming
 measurement (state before the update), then advances the filter states; with
 the zero-transient initialization chosen here the identity y = Omega theta
 holds exactly at t = 0 and the residual stays at the integration-error level
-afterwards.
+afterwards.  The filter states are Python floats; the pair is numpy, for the
+regressor extension that consumes it.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class PowerBalanceRegression:
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         self._y = 0.0
-        self._z = -self.lambda0 * plant.energy_regressor(q0, qd0)
+        self._z = tuple(-self.lambda0 * w for w in plant.energy_terms(q0, qd0))
 
     @property
     def y(self) -> float:
@@ -61,21 +62,23 @@ class PowerBalanceRegression:
 
     @property
     def z(self) -> np.ndarray:
-        return self._z.copy()
+        return np.array(self._z)
 
-    def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
+    def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
-        ``stack`` is the plant's inertia_basis(q), for a caller that has it
-        already; ``psi`` is not used by this parameterization."""
+        ``psi`` is not used by this parameterization."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        qd = np.asarray(qd, dtype=float)
-        omega = self.plant.energy_regressor(q, qd, stack)
-        row = self._z + self.lambda0 * omega
-        pair = RegressionPair(y=np.array([self._y]), omega=row[None, :])
-        power = float(qd @ np.asarray(tau, dtype=float))
-        self._y += dt * (-self.lambda1 * self._y + self.lambda0 * power)
-        self._z += dt * (-self.lambda1 * row)
+        l0, l1 = self.lambda0, self.lambda1
+        w1, w2, w3, w4, w5 = self.plant.energy_terms(q, qd)
+        z1, z2, z3, z4, z5 = self._z
+        r1, r2, r3, r4, r5 = z1 + l0 * w1, z2 + l0 * w2, z3 + l0 * w3, z4 + l0 * w4, z5 + l0 * w5
+        pair = RegressionPair(y=np.array([self._y]), omega=np.array([[r1, r2, r3, r4, r5]]))
+        (qd1, qd2), (t1, t2) = qd, tau
+        power = qd1 * t1 + qd2 * t2
+        self._y += dt * (-l1 * self._y + l0 * power)
+        self._z = (z1 + dt * (-l1 * r1), z2 + dt * (-l1 * r2), z3 + dt * (-l1 * r3),
+                   z4 + dt * (-l1 * r4), z5 + dt * (-l1 * r5))
         return pair
 
 
@@ -89,7 +92,7 @@ class ForceBalanceRegression:
 
     with Omega_d1 = z + lambda0 phi3, while the potential block Omega_d2 is the
     filtered gravity regressor Psi(q).  Initialization zeroes the t = 0
-    residual for any initial state.
+    residual for any initial state.  The states are rows of floats.
     """
 
     def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0):
@@ -97,53 +100,47 @@ class ForceBalanceRegression:
         self.plant = plant
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
-        n, nu = plant.basis.n, plant.basis.n_potential
-        self._n_inertia = plant.basis.n_inertia
         self._grad_gain = self.lambda0 / (2.0 * self.lambda1)
-        self._y = np.zeros(n)
-        self._z = -self.lambda0 * self._phi3(q0, qd0)
-        self._omega_d2 = np.zeros((n, nu))
+        self._y = (0.0, 0.0)
+        self._z = tuple(tuple(-self.lambda0 * f for f in row)
+                        for row in plant.basis_force_rows(q0, qd0))
+        self._omega_d2 = ((0.0, 0.0), (0.0, 0.0))
 
     @property
     def y(self) -> np.ndarray:
-        return self._y.copy()
+        return np.array(self._y)
 
     @property
     def z(self) -> np.ndarray:
-        return self._z.copy()
+        return np.array(self._z)
 
-    def _phi3(self, q, qd, stack=None) -> np.ndarray:
-        if stack is None:
-            stack = self.plant.basis.inertia_basis(np.asarray(q, dtype=float))
-        return (stack @ np.asarray(qd, dtype=float)).T
-
-    def _omega(self, lambda0_phi3) -> np.ndarray:
-        # [Omega_d1 | Omega_d2], written into one fresh array
-        omega = np.empty((self._y.size, self._n_inertia + self._omega_d2.shape[1]))
-        np.add(self._z, lambda0_phi3, out=omega[:, :self._n_inertia])
-        omega[:, self._n_inertia:] = self._omega_d2
-        return omega
-
-    def step(self, q, qd, tau, dt: float, psi=None, stack=None) -> RegressionPair:
+    def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
-        ``psi`` and ``stack`` are the plant's Psi(q) and inertia_basis(q), for
-        a caller that has them already."""
+        ``psi`` is the plant's Psi(q), for a caller that has it already."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        q = np.asarray(q, dtype=float)
-        qd = np.asarray(qd, dtype=float)
-        lambda0_phi3 = self.lambda0 * self._phi3(q, qd, stack)
-        # the filter states are rebound below, never written in place, so the
-        # pair may share the current y
-        pair = RegressionPair(y=self._y, omega=self._omega(lambda0_phi3))
-        phi1 = lambda0_phi3 + self._grad_gain * self.plant.basis.kinetic_grad_basis(q, qd)
-        if psi is None:
-            psi = self.plant.basis.potential_grad_basis(q)
-        self._y = self._y + dt * (-self.lambda1 * self._y
-                                  + self.lambda0 * np.asarray(tau, dtype=float))
-        self._z = self._z + dt * (-self.lambda1 * (self._z + phi1))
-        self._omega_d2 = self._omega_d2 + dt * (-self.lambda1 * self._omega_d2
-                                                + self.lambda0 * psi)
+        plant = self.plant
+        l0, l1, gg = self.lambda0, self.lambda1, self._grad_gain
+        (f11, f12, f13), (f21, f22, f23) = plant.basis_force_rows(q, qd)
+        f11, f12, f13, f21, f22, f23 = l0 * f11, l0 * f12, l0 * f13, l0 * f21, l0 * f22, l0 * f23
+        (z11, z12, z13), (z21, z22, z23) = self._z
+        (w11, w12), (w21, w22) = self._omega_d2
+        pair = RegressionPair(y=np.array(self._y),
+                              omega=np.array([[z11 + f11, z12 + f12, z13 + f13, w11, w12],
+                                              [z21 + f21, z22 + f22, z23 + f23, w21, w22]]))
+        # phi1 = lambda0 phi3 + grad_gain * kinetic gradient
+        (g11, g12, g13), (g21, g22, g23) = plant.kinetic_grad_rows(q, qd)
+        f11, f12, f13 = f11 + gg * g11, f12 + gg * g12, f13 + gg * g13
+        f21, f22, f23 = f21 + gg * g21, f22 + gg * g22, f23 + gg * g23
+        (p11, p12), (p21, p22) = plant.psi_rows(q) if psi is None else psi
+        (y1, y2), (t1, t2) = self._y, tau
+        self._y = (y1 + dt * (-l1 * y1 + l0 * t1), y2 + dt * (-l1 * y2 + l0 * t2))
+        self._z = ((z11 + dt * (-l1 * (z11 + f11)), z12 + dt * (-l1 * (z12 + f12)),
+                    z13 + dt * (-l1 * (z13 + f13))),
+                   (z21 + dt * (-l1 * (z21 + f21)), z22 + dt * (-l1 * (z22 + f22)),
+                    z23 + dt * (-l1 * (z23 + f23))))
+        self._omega_d2 = ((w11 + dt * (-l1 * w11 + l0 * p11), w12 + dt * (-l1 * w12 + l0 * p12)),
+                          (w21 + dt * (-l1 * w21 + l0 * p21), w22 + dt * (-l1 * w22 + l0 * p22)))
         return pair
 
 

@@ -21,6 +21,7 @@ configurations produce bit-identical traces.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 from dataclasses import dataclass, field
@@ -97,6 +98,10 @@ class SimConfig:
     def validate(self):
         """Range and consistency checks; raises ConfigError naming the key.
         The rules of one controller family are its class's check_config."""
+        for key, value in _numeric_fields(self):
+            flat = value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
+            if not all(map(math.isfinite, flat)):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
         if self.scenario not in SCENARIOS:
@@ -128,6 +133,17 @@ class SimConfig:
             raise ConfigError("theta_bar does not contain the plant's potential "
                               "parameters (violates the known-bound assumption)")
         control.FAMILIES[self.controller].check_config(self, theta_u)
+
+
+def _numeric_fields(obj, prefix: str = ""):
+    """(dotted key, value) of every number or array in a dataclass and the
+    dataclasses it holds."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _numeric_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, (int, float, np.ndarray)):
+            yield prefix + f.name, value
 
 
 @dataclass
@@ -190,13 +206,14 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
 def run_closed_loop(config: SimConfig) -> Trace:
     """Integrate the closed loop and return the full trace.
 
-    Psi(q), the inertia basis stack and M(q) are evaluated once per step (at
-    the true and, in case2, at the measured configuration; M(q) there only
-    if the controller asks for it) and passed to the controller, the
-    regression filter and the plant step.  The monitors V1, zeta1 and |z1|
-    feed nothing back, so they are evaluated after the loop, over the
-    recorded series.  A non-finite state or mixing output ends the run with
-    a NumericalDegeneracyError naming it, the step and the time.
+    The loop carries q, qd and the estimate as Python floats.  Psi(q) and
+    M(q) are evaluated once per step (at the true and, in case2, at the
+    measured configuration; M(q) there only if the controller asks for it)
+    and passed to the controller, the regression filter and the plant step.
+    The monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
+    after the loop, over the recorded series.  A non-finite state or mixing
+    output ends the run with a NumericalDegeneracyError naming it, the step
+    and the time.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -204,7 +221,6 @@ def run_closed_loop(config: SimConfig) -> Trace:
     l_dim = theta_true.size
     j_dim = theta_true.theta_u.size
     n = plant.n
-    inertia_basis = plant.basis.inertia_basis
 
     noisy = config.scenario == "case2"
     friction = FrictionModel(config.friction) if noisy else None
@@ -219,81 +235,82 @@ def run_closed_loop(config: SimConfig) -> Trace:
     n_steps = int(np.floor(config.t_final / config.dt + 1e-9))
     n_rec = n_steps + 1
 
-    q_rec = np.empty((n_rec, n))
-    qd_rec = np.empty((n_rec, n))
-    tau_rec = np.empty((n_rec, n))
-    theta_rec = np.empty((n_rec, controller.theta_hat.size))
-    delta_rec = np.empty(n_rec)
-    # Psi(q) and M(q) of the true state, for the monitors after the loop
-    psi_rec = np.empty((n_rec, n, j_dim))
-    inertia_rec = np.empty((n_rec, n, n))
+    # one row per step: q, qd, tau (2 each), the estimate, Delta, then Psi(q)
+    # and M(q) of the true state (4 each, row-major) for the monitors
+    j_est = len(controller.estimate)
+    rows = np.empty((n_rec, 6 + j_est + 1 + 8))
     n_out = 1 if config.effective_parameterization == "power_balance" else n
     diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim)),
             **controller.diagnostics(n_rec)}
     y_rec, omega_rec = diag["y"], diag["omega"]
 
-    q = config.q0.astype(float).copy()
-    qd = config.qd0.astype(float).copy()
-    q_d = config.q_d
+    q1, q2 = config.q0.tolist()
+    qd1, qd2 = config.qd0.tolist()
+    qdes1, qdes2 = config.q_d.tolist()
     dt = config.dt
-    theta_u_true = theta_true.theta_u
 
     for k in range(n_rec):
         t = k * dt
         try:
-            estimate = controller.theta_hat
+            estimate = controller.estimate
             # fast test first; a finite sum that overflows falls through to
             # the exact check, which then finds nothing
-            if not math.isfinite(sum(q.tolist()) + sum(qd.tolist()) + sum(estimate.tolist())):
-                for name, value in (("position q", q), ("velocity qd", qd),
+            if not math.isfinite(q1 + q2 + qd1 + qd2 + sum(estimate)):
+                for name, value in (("position q", (q1, q2)), ("velocity qd", (qd1, qd2)),
                                     ("estimate theta_hat", estimate)):
-                    if not np.isfinite(value).all():
+                    if not all(map(math.isfinite, value)):
                         raise NumericalDegeneracyError(f"{name} is not finite")
-            stack = inertia_basis(q)
-            inertia = plant.inertia(q, stack)
-            psi = plant.psi(q)
+            q = (q1, q2)
+            qd = (qd1, qd2)
+            psi = plant.psi_rows(q)
+            inertia = plant.inertia_rows(q)
             if noisy:
-                q_m = q + noise.position(t)
-                qd_m = qd + noise.velocity(t)
-                stack_m = inertia_basis(q_m)
-                psi_m = plant.psi(q_m)
+                (n1, n2), (v1, v2) = noise.position(t), noise.velocity(t)
+                q_m = (q1 + n1, q2 + n2)
+                qd_m = (qd1 + v1, qd2 + v2)
+                psi_m = plant.psi_rows(q_m)
                 inertia_m = None
             else:
-                q_m, qd_m, stack_m, psi_m, inertia_m = q, qd, stack, psi, inertia
+                q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
 
-            tau = controller.torque(q_m - q_d, qd_m, q_m, qd_m, psi_m, inertia_m, stack_m)
-            pair = regression.step(q_m, qd_m, tau, dt, psi_m, stack_m)
-            theta_rec[k] = estimate
+            tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), qd_m, q_m, qd_m,
+                                    psi_m, inertia_m)
+            pair = regression.step(q_m, qd_m, tau, dt, psi_m)
             delta = controller.update(pair, dt)
         except NumericalDegeneracyError as exc:
             raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
 
-        q_rec[k] = q
-        qd_rec[k] = qd
-        tau_rec[k] = tau
-        delta_rec[k] = delta
-        psi_rec[k] = psi
-        inertia_rec[k] = inertia
+        (p11, p12), (p21, p22) = psi
+        (m11, m12), (m21, m22) = inertia
+        rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta,
+                   p11, p12, p21, p22, m11, m12, m21, m22)
         y_rec[k] = pair.y
         omega_rec[k] = pair.omega
         controller.record(diag, k)
 
         if k < n_steps:
             tau_f = friction.torque(qd) if noisy else None
-            qdd = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
-            q = q + dt * qd
-            qd = qd + dt * qdd
+            a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
+            q1, q2 = q1 + dt * qd1, q2 + dt * qd2
+            qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
 
-    e1_rec = q_rec - q_d
+    q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
+    theta_rec = rows[:, 6:6 + j_est].copy()
+    delta_rec = rows[:, 6 + j_est].copy()
+    psi_rec = rows[:, 7 + j_est:11 + j_est].reshape(n_rec, n, n)
+    inertia_rec = rows[:, 11 + j_est:].reshape(n_rec, n, n)
+
+    theta_u_true = theta_true.theta_u
+    e1_rec = q_rec - config.q_d
     theta_tilde_u = theta_rec[:, -j_dim:] - theta_u_true
     v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, config.adapt)
     z1 = (psi_rec @ theta_tilde_u[:, :, None])[:, :, 0]
     z1norm = np.sqrt(_row_dot(z1, z1))
     b_exp = config.ftpd.b
     d_exp = config.adapt.sat_d
-    # Python floats: numpy's power is not the C library's pow on every CPU
     zeta1 = np.array([control.excitation_gain(delta, b_exp, d_exp)
                       for delta in delta_rec.tolist()])
+    del rows, psi_rec, inertia_rec
 
     meta = {
         "controller": config.controller, "scenario": config.scenario,

@@ -252,3 +252,11 @@ def ls_step(r, u, z, f, params, y, omega, dt):
     f = np.linalg.inv(r)
     f = 0.5 * (f + f.T)
     return b, r, u, z * decay, f, f @ u
+
+
+# -- Kreisselmeier extension ---------------------------------------------------
+
+def kreis_step(phi1, phi2, lambda2, lambda3, y, omega, dt):
+    phi1 = phi1 + dt * (-lambda2 * phi1 + lambda3 * (omega.T @ y))
+    phi2 = phi2 + dt * (-lambda2 * phi2 + lambda3 * (omega.T @ omega))
+    return phi1, 0.5 * (phi2 + phi2.T)

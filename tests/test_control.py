@@ -223,7 +223,7 @@ class TestSwitchingTsm:
                     plant.psi(q), plant.inertia(q))
         rate = ctrl.adapt_rate(np.zeros(5), np.zeros((5, 5)))
         # phi2 theta_hat - phi1 = 0: the normalized term must be defined as 0
-        expected = -ctrl.params.gamma_tsm * (ctrl._w.T @ ctrl._s)
+        expected = -ctrl.params.gamma_tsm * (np.array(ctrl._w).T @ ctrl._s)
         np.testing.assert_allclose(rate, expected, atol=1e-15)
 
     def test_reference_acceleration_is_clamped(self, plant):

@@ -9,7 +9,8 @@ sign or index but not on the last bits:
 
 * n = 2 kernels: 1e-13 (about 450 eps) times max(1, the largest term);
 * the 2x2 solve of the forward dynamics: the same, divided by lambda_min(M);
-* the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken.
+* the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken;
+* the Kreisselmeier filters: 1e-13 times their largest term, per step taken.
 """
 
 import math
@@ -24,7 +25,8 @@ from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController, SlotineLiLsParams,
                            SwitchingTsmController, TsmParams,
                            composite_adapt_rate, ftpd_torque)
-from ftlab.drem import LeastSquaresDre, LsDreParams, MixedRegression
+from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
+                        LsDreParams, MixedRegression)
 from ftlab.plant import Plant
 from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
                               RegressionPair)
@@ -111,7 +113,7 @@ def test_ftpd_torque_matches(e1, e2, q, th):
     scale = ftpd_scale(gains, e1, e2, psi_q, th)
     assert_close(ftpd_torque(e1, e2, psi_q, th, gains), want, scale)
     ctrl = CompositeFtController(gains, CompositeAdaptGains(), theta_hat0=th)
-    got = ctrl.torque(e1, e2, q + 0.0, e2, psi_q, ref.inertia(THETA.theta_m, q))
+    got = ctrl.torque(e1, e2, q, e2, psi_q, ref.inertia(THETA.theta_m, q))
     assert_close(got, want, scale)
 
 
@@ -144,8 +146,8 @@ def test_switching_torque_matches(e1, e2, q, th):
     assert_close(ctrl.switching_function(e1, e2, m), f_want, f_scale)
     if abs(f_want) <= N2 * max(1.0, f_scale):
         return    # on the switching surface either branch is right
-    want, nonlinear, w, s = ref.tsm_torque(params, a, th, e1, e2, q + 0.0, e2, m)
-    got = ctrl.torque(e1, e2, q + 0.0, e2, ref.psi(q), m)
+    want, nonlinear, w, s = ref.tsm_torque(params, a, th, e1, e2, q, e2, m)
+    got = ctrl.torque(e1, e2, q, e2, ref.psi(q), m)
     assert ctrl.branch == ("tsm" if nonlinear else "linear")
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
@@ -210,3 +212,23 @@ def test_least_squares_step_matches(omegas, norm, rho0):
         assert_close(dre.rho_hat, rho_hat, float(np.max(np.abs(f)) * np.max(np.abs(u))),
                      rel=tol)
     assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol, abs=tol)
+
+
+# -- Kreisselmeier extension ---------------------------------------------------
+
+@given(omegas=st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15,
+                                max_size=15), min_size=1, max_size=12),
+       lambda3=st.sampled_from([1.0, 1.3]))
+@settings(max_examples=100)
+def test_kreisselmeier_step_matches(omegas, lambda3):
+    dre = KreisselmeierDre(5, 2, KreisParams(lambda3=lambda3))
+    phi1, phi2 = np.zeros(5), np.zeros((5, 5))
+    dt = 5e-4
+    for k, flat in enumerate(omegas, start=1):
+        omega = np.reshape(flat, (3, 5))[:2]
+        y = np.reshape(flat, (3, 5))[2, :2]
+        phi1, phi2 = ref.kreis_step(phi1, phi2, 1.0, lambda3, y, omega, dt)
+        dre.step(RegressionPair(y=y, omega=omega), dt)
+        scale = k * dt * lambda3 * 9.0 * 2    # |omega' omega| <= 2 rows of 3 x 3
+        assert_close(dre.phi1, phi1, scale, rel=N2 * k)
+        assert_close(dre.phi2, phi2, scale, rel=N2 * k)

@@ -35,6 +35,26 @@ class TestConfig:
         assert dre(controller="c2") == "kreisselmeier"
         assert dre(controller="c2", dre="least_squares") == "least_squares"
 
+    NONFINITE = {
+        "t_final_inf": ({"t_final": np.inf}, "t_final"),
+        "noise_amplitude_nan_case2": ({"scenario": "case2", "noise_amplitude": np.nan},
+                                      "noise_amplitude"),
+        "noise_frequency_nan_case2": ({"scenario": "case2", "noise_frequency": np.nan},
+                                      "noise_frequency"),
+        "q0_nan": ({"q0": [np.nan, 0.0]}, "q0"),
+        "theta_bar_inf": ({"theta_bar": [np.inf, 8.0]}, "theta_bar"),
+        "gramian_window_inf": ({"gramian_window": np.inf}, "gramian_window"),
+        "ftpd_kp_inf": ({"ftpd": FtPdGains(kp=[np.inf, 3.0])}, "ftpd.kp"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NONFINITE))
+    def test_nonfinite_value_is_a_config_error(self, case):
+        # the library path rejects what the CLI parser rejects, naming the key
+        kwargs = {"t_final": 0.05, **self.NONFINITE[case][0]}
+        key = self.NONFINITE[case][1]
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+            run_closed_loop(SimConfig(**kwargs))
+
     def test_estimate_dimension_checked(self):
         with pytest.raises(ConfigError):
             SimConfig(controller="c1", theta_hat0=np.zeros(5)).validate()
