@@ -269,12 +269,15 @@ class Plant:
         return np.array(self.inertia_rows(q))
 
     def coriolis(self, q, qd) -> np.ndarray:
+        """Coriolis/centrifugal matrix C(q, qd), as ``coriolis_rows``."""
         return np.array(self.coriolis_rows(q, qd))
 
     def psi(self, q) -> np.ndarray:
+        """Potential-force regressor Psi(q), as ``psi_rows``."""
         return np.array(self.psi_rows(q))
 
     def gravity(self, q) -> np.ndarray:
+        """g(q) = Psi(q) theta_u."""
         return np.array(mathx.matvec2(self.psi_rows(q), self._theta_u))
 
     def kinetic_basis(self, q, qd) -> np.ndarray:
