@@ -2,18 +2,16 @@
 finite-time set-point control of Euler-Lagrange systems."""
 
 from .errors import ConfigError, NumericalDegeneracyError
-from .plant import (BasisFunctions, FrictionModel, NoiseModel, PhysicalParams,
-                    Plant, ThetaBounds, ThetaVector, default_params,
-                    two_link_basis)
+from .plant import (FrictionModel, NoiseModel, PhysicalParams, Plant,
+                    ThetaBounds, ThetaVector, default_params)
 from .regression import (ForceBalanceRegression, PowerBalanceRegression,
                          RegressionPair, make_regression)
 from .drem import (KreisParams, KreisselmeierDre, LeastSquaresDre, LsDreParams,
                    MixedRegression, excitation_gramian, make_dre)
 from .control import (CompositeAdaptGains, CompositeFtController, FtPdGains,
-                      SlotineLiLsController, SlotineLiLsParams,
-                      SwitchingTsmController, TsmParams, composite_adapt_rate,
-                      excitation_gain, ftpd_torque, prediction_error_vector,
-                      saturation, slotine_li_regressor)
+                      SlotineLiLsController, SwitchingTsmController, TsmParams,
+                      composite_adapt_rate, excitation_gain, ftpd_torque,
+                      prediction_error_vector, saturation, slotine_li_regressor)
 from .sim import (Metrics, SimConfig, Trace, compute_metrics, lyapunov_v1,
                   read_trace_csv, run_closed_loop, trace_csv_string,
                   write_trace_csv)

@@ -3,9 +3,10 @@
 Config format: flat ``key = value`` lines with ``#`` comments.  Keys are
 either bare run selectors (controller, scenario, parameterization, dre and
 the common sim keys) or section-prefixed (sim., plant., gains., dre.).
-Vectors are comma-separated; every number must be finite.  Unknown keys
-are rejected with their line number.  An empty file reproduces the
-reference c1/case1 study.
+``CONFIG_KEYS`` maps each key to the one field it sets.  Vectors are
+comma-separated; every number must be finite.  Unknown keys are rejected
+with their line number.  An empty file reproduces the reference c1/case1
+study.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
 4 property failure (verify).
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, drem, verify
+from . import control, verify
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import PhysicalParams
 from .sim import (CONTROLLERS, DRES, PARAMETERIZATIONS, SCENARIOS, SimConfig,
@@ -75,64 +76,71 @@ def _parse_enum(key: str, raw: str, options: tuple) -> str:
     return raw
 
 
-# key -> (target dict, field, parser); "plain" keys land on SimConfig directly
-_SIM_KEYS = {
-    "dt": ("sim", "dt", lambda k, v: _parse_positive(k, v)),
-    "t_final": ("sim", "t_final", lambda k, v: _parse_positive(k, v)),
-    "q_d": ("sim", "q_d", lambda k, v: _parse_vector(k, v, 2)),
-    "q0": ("sim", "q0", lambda k, v: _parse_vector(k, v, 2)),
-    "qd0": ("sim", "qd0", lambda k, v: _parse_vector(k, v, 2)),
-    "settle_tol": ("sim", "settle_tol", lambda k, v: _parse_positive(k, v)),
-    "param_tol": ("sim", "param_tol", lambda k, v: _parse_positive(k, v)),
-    "gramian_start": ("sim", "gramian_start", lambda k, v: _parse_float(k, v)),
-    "gramian_window": ("sim", "gramian_window", lambda k, v: _parse_positive(k, v)),
+def _pair(key: str, raw: str) -> np.ndarray:
+    return _parse_vector(key, raw, 2)
+
+
+def _enum(options: tuple):
+    return lambda key, raw: _parse_enum(key, raw, options)
+
+
+# config key -> (the SimConfig attribute whose dataclass holds the field, or
+# None for a field of SimConfig itself; field; parser).  Every settable field
+# has one key; a bare key is an alias of its sim. key.
+CONFIG_KEYS = {
+    "controller": (None, "controller", _enum(CONTROLLERS)),
+    "scenario": (None, "scenario", _enum(SCENARIOS)),
+    "parameterization": (None, "parameterization", _enum(PARAMETERIZATIONS)),
+    "dre": (None, "dre", _enum(DRES)),
+    "sim.dt": (None, "dt", _parse_positive),
+    "sim.t_final": (None, "t_final", _parse_positive),
+    "sim.q_d": (None, "q_d", _pair),
+    "sim.q0": (None, "q0", _pair),
+    "sim.qd0": (None, "qd0", _pair),
+    "sim.settle_tol": (None, "settle_tol", _parse_positive),
+    "sim.param_tol": (None, "param_tol", _parse_positive),
+    "sim.gramian_start": (None, "gramian_start", _parse_float),
+    "sim.gramian_window": (None, "gramian_window", _parse_positive),
+    **{f"plant.{name}": ("params", name, _parse_positive)
+       for name in ("m1", "m2", "l1", "l2", "g", "lc1", "lc2", "I1", "I2")},
+    "plant.friction": (None, "friction", _pair),
+    "plant.noise_amplitude": (None, "noise_amplitude", _parse_float),
+    "plant.noise_frequency": (None, "noise_frequency", _parse_positive),
+    "plant.theta_bar": (None, "theta_bar", _pair),
+    "gains.P": ("ftpd", "kp", _parse_diag),
+    "gains.D": ("ftpd", "kd", _parse_diag),
+    "gains.DL": ("ftpd", "kd_lin", _parse_diag),
+    "gains.r1": ("ftpd", "r1", _parse_positive),
+    "gains.r2": ("ftpd", "r2", _parse_positive),
+    "gains.gamma1": ("adapt", "gamma1", _parse_positive),
+    "gains.gamma2": ("adapt", "gamma2", _parse_positive),
+    "gains.d1": ("adapt", "d1", _parse_positive),
+    "gains.Gamma": ("adapt", "gamma_diag", _parse_diag),
+    "gains.Upsilon": ("adapt", "upsilon_diag", _parse_diag),
+    "gains.sat_d": ("adapt", "sat_d", _parse_positive),
+    "gains.theta_hat0": (None, "theta_hat0", _parse_vector),
+    "gains.K1": ("tsm", "k1", _parse_positive),
+    "gains.K2": ("tsm", "k2", _parse_positive),
+    "gains.Ks": ("tsm", "ks", _parse_float),
+    "gains.tsm_gamma": ("tsm", "gamma_tsm", _parse_positive),
+    "gains.tsm_k": ("tsm", "k_tsm", _parse_positive),
+    "gains.lin_gamma": ("tsm", "gamma_lin", _parse_positive),
+    "gains.lin_k": ("tsm", "k_lin", _parse_positive),
+    "gains.tsm_clamp": ("tsm", "clamp", _parse_positive),
+    "dre.alpha": ("ls", "alpha", _parse_positive),
+    "dre.beta0": ("ls", "beta0", _parse_positive),
+    "dre.f0": ("ls", "f0", _parse_positive),
+    "dre.xi": ("ls", "gain_cap", _parse_positive),
+    "dre.rho0": ("ls", "rho0", lambda key, raw: _parse_vector(key, raw, 5)),
+    "dre.norm": ("ls", "norm", _enum(("spectral", "frobenius"))),
+    "dre.lambda0": (None, "lambda0", _parse_positive),
+    "dre.lambda1": (None, "lambda1", _parse_positive),
+    "dre.lambda2": ("kreis", "lambda2", _parse_positive),
+    "dre.lambda3": ("kreis", "lambda3", _parse_positive),
 }
 
-_TOP_KEYS = {
-    "controller": lambda k, v: _parse_enum(k, v, CONTROLLERS),
-    "scenario": lambda k, v: _parse_enum(k, v, SCENARIOS),
-    "parameterization": lambda k, v: _parse_enum(k, v, PARAMETERIZATIONS),
-    "dre": lambda k, v: _parse_enum(k, v, DRES),
-}
-
-_PLANT_KEYS = {name: _parse_positive for name in
-               ("m1", "m2", "l1", "l2", "g", "lc1", "lc2", "I1", "I2")}
-
-_GAIN_KEYS = {
-    "P": lambda k, v: _parse_diag(k, v),
-    "D": lambda k, v: _parse_diag(k, v),
-    "DL": lambda k, v: _parse_diag(k, v),
-    "r1": _parse_positive,
-    "r2": _parse_positive,
-    "gamma1": _parse_positive,
-    "gamma2": _parse_positive,
-    "d1": _parse_positive,
-    "Gamma": lambda k, v: _parse_diag(k, v),
-    "Upsilon": lambda k, v: _parse_diag(k, v),
-    "sat_d": _parse_positive,
-    "theta_hat0": lambda k, v: _parse_vector(k, v),
-    "K1": _parse_positive,
-    "K2": _parse_positive,
-    "Ks": lambda k, v: _parse_float(k, v),
-    "tsm_gamma": _parse_positive,
-    "tsm_k": _parse_positive,
-    "lin_gamma": _parse_positive,
-    "lin_k": _parse_positive,
-    "tsm_clamp": _parse_positive,
-}
-
-_DRE_KEYS = {
-    "alpha": _parse_positive,
-    "beta0": _parse_positive,
-    "f0": _parse_positive,
-    "xi": _parse_positive,
-    "rho0": lambda k, v: _parse_vector(k, v, 5),
-    "norm": lambda k, v: _parse_enum(k, v, ("spectral", "frobenius")),
-    "lambda0": _parse_positive,
-    "lambda1": _parse_positive,
-    "lambda2": _parse_positive,
-    "lambda3": _parse_positive,
-}
+# the link data the uniform-rod model completes lc1, lc2, I1 and I2 from
+_ROD_FIELDS = ("m1", "m2", "l1", "l2", "g")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -145,12 +153,8 @@ def parse_config(text: str) -> SimConfig:
 def _read_config(text: str) -> SimConfig:
     """The SimConfig of a key=value config, checked key by key but not yet
     validated as a whole."""
-    top: dict = {}
-    sim_kv: dict = {}
-    plant_kv: dict = {}
-    gain_kv: dict = {}
-    dre_kv: dict = {}
-
+    fields: dict = {}    # attribute -> {field: value}
+    sources: dict = {}   # attribute -> ["key (line n)", ...]
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -162,81 +166,25 @@ def _read_config(text: str) -> SimConfig:
         raw = raw.strip()
         if not raw:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
-
-        section, _, field = key.partition(".")
+        entry = CONFIG_KEYS.get(key) or CONFIG_KEYS.get(f"sim.{key}")
+        if entry is None:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        attr, name, parse = entry
         try:
-            if key in _TOP_KEYS:
-                top[key] = _TOP_KEYS[key](key, raw)
-            elif key in _SIM_KEYS:   # bare alias for sim keys
-                sim_kv[_SIM_KEYS[key][1]] = _SIM_KEYS[key][2](key, raw)
-            elif section == "sim" and field in _SIM_KEYS:
-                sim_kv[field] = _SIM_KEYS[field][2](key, raw)
-            elif section == "plant" and field in _PLANT_KEYS:
-                plant_kv[field] = _PLANT_KEYS[field](key, raw)
-            elif section == "plant" and field == "friction":
-                sim_kv["friction"] = _parse_vector(key, raw, 2)
-            elif section == "plant" and field == "noise_amplitude":
-                sim_kv["noise_amplitude"] = _parse_float(key, raw)
-            elif section == "plant" and field == "noise_frequency":
-                sim_kv["noise_frequency"] = _parse_positive(key, raw)
-            elif section == "plant" and field == "theta_bar":
-                sim_kv["theta_bar"] = _parse_vector(key, raw, 2)
-            elif section == "gains" and field in _GAIN_KEYS:
-                gain_kv[field] = _GAIN_KEYS[field](key, raw)
-            elif section == "dre" and field in _DRE_KEYS:
-                dre_kv[field] = _DRE_KEYS[field](key, raw)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            fields.setdefault(attr, {})[name] = parse(key, raw)
         except ConfigError as exc:
-            if str(exc).startswith("line "):
-                raise
             raise ConfigError(f"line {lineno}: {exc}") from None
+        sources.setdefault(attr, []).append(f"{key} (line {lineno})")
 
-    return _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv)
-
-
-def _build(section: str, cls, kv: dict, **fields):
-    """``cls`` from the entries of ``kv`` that ``fields`` names (config key =
-    field name); its ValueError becomes a ConfigError of ``section``."""
-    try:
-        return cls(**{name: kv[key] for key, name in fields.items() if key in kv})
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-
-
-def _build_config(top, sim_kv, plant_kv, gain_kv, dre_kv) -> SimConfig:
-    base = {k: plant_kv[k] for k in ("m1", "m2", "l1", "l2", "g") if k in plant_kv}
-    params = PhysicalParams.uniform_rods(**base)
-    explicit = {k: plant_kv[k] for k in ("lc1", "lc2", "I1", "I2") if k in plant_kv}
-    if explicit:
-        params = dataclasses.replace(params, **explicit)
-
-    ftpd = _build("gains", control.FtPdGains, gain_kv,
-                  P="kp", D="kd", DL="kd_lin", r1="r1", r2="r2")
-    adapt = _build("gains", control.CompositeAdaptGains, gain_kv,
-                   gamma1="gamma1", gamma2="gamma2", d1="d1", Gamma="gamma_diag",
-                   Upsilon="upsilon_diag", sat_d="sat_d")
-    tsm = _build("gains", control.TsmParams, gain_kv,
-                 K1="k1", K2="k2", Ks="ks", tsm_gamma="gamma_tsm", tsm_k="k_tsm",
-                 lin_gamma="gamma_lin", lin_k="k_lin", tsm_clamp="clamp")
-    sl = _build("gains/dre", control.SlotineLiLsParams, {**gain_kv, **dre_kv},
-                K1="k1", K2="k2", Ks="ks", alpha="alpha", beta0="beta0", f0="p0",
-                xi="gain_cap", norm="norm")
-    ls = _build("dre", drem.LsDreParams, dre_kv, alpha="alpha", beta0="beta0", f0="f0",
-                xi="gain_cap", rho0="rho0", norm="norm")
-    kreis = _build("dre", drem.KreisParams, dre_kv, lambda2="lambda2", lambda3="lambda3")
-
-    cfg_kv = dict(sim_kv)
-    cfg_kv.update(top)
-    if "lambda0" in dre_kv:
-        cfg_kv["lambda0"] = dre_kv["lambda0"]
-    if "lambda1" in dre_kv:
-        cfg_kv["lambda1"] = dre_kv["lambda1"]
-    if "theta_hat0" in gain_kv:
-        cfg_kv["theta_hat0"] = gain_kv["theta_hat0"]
-
-    return SimConfig(params=params, ftpd=ftpd, adapt=adapt, tsm=tsm, sl=sl,
-                     ls=ls, kreis=kreis, **cfg_kv)
+    config = SimConfig(**fields.pop(None, {}))
+    link = fields.get("params", {})
+    config.params = PhysicalParams.uniform_rods(**{k: link[k] for k in _ROD_FIELDS if k in link})
+    for attr, values in fields.items():
+        try:
+            setattr(config, attr, dataclasses.replace(getattr(config, attr), **values))
+        except ValueError as exc:
+            raise ConfigError(f"{', '.join(sources[attr])}: {exc}") from None
+    return config
 
 
 def _read_file(path: str | None) -> SimConfig:
@@ -266,8 +214,7 @@ def _run_and_write(config: SimConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     trace = run_closed_loop(config)
     metrics = compute_metrics(trace, gramian_start=config.gramian_start,
-                              gramian_window=min(config.gramian_window,
-                                                 config.t_final - config.gramian_start))
+                              gramian_window=config.gramian_window)
     trace_tmp = out_dir / f".trace.csv.{os.getpid()}.tmp"
     metrics_tmp = out_dir / f".metrics.txt.{os.getpid()}.tmp"
     try:
@@ -330,7 +277,7 @@ def cmd_sweep(args) -> int:
                       file=sys.stderr)
             config.validate()
             jobs.append((config, out))
-    workers = int(os.environ.get("FTLAB_THREADS", "0")) or min(len(jobs), os.cpu_count() or 1)
+    workers = _worker_count() or min(len(jobs), os.cpu_count() or 1)
     failed = 0
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_run_and_write, config, out): out for config, out in jobs}
@@ -349,6 +296,18 @@ def cmd_sweep(args) -> int:
         print(f"{failed} of {len(jobs)} runs failed", file=sys.stderr)
         return EXIT_DEGENERACY
     return EXIT_OK
+
+
+def _worker_count() -> int:
+    """FTLAB_THREADS as a worker count; 0, empty or unset means "auto"."""
+    raw = os.environ.get("FTLAB_THREADS") or "0"
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ConfigError(f"FTLAB_THREADS: expected a whole number, got {raw!r}") from None
+    if workers < 0:
+        raise ConfigError(f"FTLAB_THREADS: must be 0 (auto) or positive, got {workers}")
+    return workers
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 from . import mathx
 from .mathx import matvec2, spow
 from .errors import ConfigError, NumericalDegeneracyError
-from .drem import KreisselmeierDre, MixedRegression, make_dre
+from .drem import KreisselmeierDre, LsDreParams, MixedRegression, make_dre
 from .regression import RegressionPair
 
 
@@ -111,9 +111,9 @@ class CompositeAdaptGains:
 
     gamma1/d1 scale the tanh position term, gamma1+gamma2 the velocity term
     and the indirect (mixed-regression) term; gamma_diag and upsilon_diag are
-    the diagonal adaptation gains.  sat_c must equal the controller exponent b
-    for the prediction error to factor cleanly; sat_d only shapes the
-    saturation.
+    the diagonal adaptation gains.  sat_d shapes the saturation; its other
+    exponent c is the controller's b, which the prediction error needs to
+    factor cleanly, so the controller supplies it.
     """
 
     gamma1: float = 0.3
@@ -121,7 +121,6 @@ class CompositeAdaptGains:
     d1: float = 5.0
     gamma_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
     upsilon_diag: np.ndarray = field(default_factory=lambda: np.array([50.0, 50.0]))
-    sat_c: float = 0.5
     sat_d: float = 0.5
 
     def __post_init__(self):
@@ -131,8 +130,6 @@ class CompositeAdaptGains:
                 raise ValueError(f"{name} diagonal must be positive")
         if not (self.gamma1 > 0.0 and self.gamma2 > 0.0 and self.d1 > 0.0):
             raise ValueError("gamma1, gamma2 and d1 must be positive")
-        if not 0.0 < self.sat_c < 1.0:
-            raise ValueError("sat_c must lie in (0, 1)")
         if not self.sat_d > 0.0:
             raise ValueError("sat_d must be positive")
 
@@ -188,13 +185,13 @@ def prediction_error_vector(delta: float, theta_hat_u, y_u, c: float) -> np.ndar
 
 
 def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
-                    gains: CompositeAdaptGains) -> tuple:
+                    gains: CompositeAdaptGains, c: float) -> tuple:
     (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, e2, psi
     g1d1, g12 = gains.g1d1, gains.g12
     v1 = g1d1 * math.tanh(e11) + g12 * e21
     v2 = g1d1 * math.tanh(e12) + g12 * e22
-    xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, gains.sat_c)
-    f_gain = saturation(delta, gains.sat_c, gains.sat_d)
+    xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, c)
+    f_gain = saturation(delta, c, gains.sat_d)
     (i1, i2), (n1, n2) = gains.diagonals
     # -gamma (direct + indirect), the direct term being Psi' v
     return (n1 * (p11 * v1 + p21 * v2 + i1 * f_gain * xi1),
@@ -202,10 +199,11 @@ def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
 
 
 def composite_adapt_rate(e1, e2, psi, theta_hat_u, mixed: MixedRegression,
-                         gains: CompositeAdaptGains) -> np.ndarray:
-    """Time derivative of theta_hat_u under the composite law."""
+                         gains: CompositeAdaptGains, c: float) -> np.ndarray:
+    """Time derivative of theta_hat_u under the composite law, with
+    saturation and prediction-error exponent c (the controller's b)."""
     return np.array(_composite_rate(e1, e2, psi, theta_hat_u, mixed.delta,
-                                    mixed.Y_u.tolist(), gains))
+                                    mixed.Y_u.tolist(), gains, c))
 
 
 def _check_theta_hat0(config, dim: int) -> None:
@@ -237,8 +235,8 @@ class CompositeFtController(_Estimate):
     """The fractional PD law with the composite estimator (c1, c2), driven by
     a regressor extension; the estimate is theta_u.
 
-    The saturation exponent of the update law is set to the PD exponent b:
-    the closed-loop factorization requires c = b.
+    The saturation exponent c of the update law is the PD exponent b: the
+    closed-loop factorization requires c = b.
     """
 
     estimate_dim = 2
@@ -246,7 +244,7 @@ class CompositeFtController(_Estimate):
     def __init__(self, ftpd: FtPdGains, adapt: CompositeAdaptGains, theta_hat0=None,
                  extension=None):
         self.ftpd = ftpd
-        self.adapt = dataclasses.replace(adapt, sat_c=ftpd.b)
+        self.adapt = adapt
         self.extension = extension
         self._start(theta_hat0, adapt.gamma_diag.size)
         self.mixed = None
@@ -279,7 +277,7 @@ class CompositeFtController(_Estimate):
 
     def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> tuple:
         return _composite_rate(e1, e2, psi, self.estimate, mixed.delta,
-                               mixed.Y_u.tolist(), self.adapt)
+                               mixed.Y_u.tolist(), self.adapt, self.ftpd.b)
 
     def advance(self, rate, dt: float) -> None:
         self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
@@ -471,47 +469,24 @@ class SwitchingTsmController(_Estimate):
         diag["branch"][k] = 0 if self._nonlinear else 1
 
 
-@dataclass(frozen=True)
-class SlotineLiLsParams:
-    """Virtual-reference adaptive controller with least-squares gain: k1/k2
-    and the unit-vector gain ks as in the switching controller's linear
-    branch, and the gain matrix dynamics use the (alpha, beta0, p0, gain_cap)
-    quadruple of the least-squares extension."""
-
-    k1: float = 2.0
-    k2: float = 1.5
-    ks: float = 0.6
-    alpha: float = 10.0
-    beta0: float = 10.0
-    p0: float = 1.0
-    gain_cap: float = 10.0
-    norm: str = "spectral"
-
-    def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0 and self.ks >= 0.0):
-            raise ValueError("k1, k2 must be positive and ks nonnegative")
-        if not (self.alpha > 0.0 and self.beta0 > 0.0 and self.p0 > 0.0):
-            raise ValueError("alpha, beta0 and p0 must be positive")
-        if not self.gain_cap >= 1.0 / self.p0:
-            raise ValueError("gain_cap must be at least 1/p0")
-        if self.norm not in ("spectral", "frobenius"):
-            raise ValueError(f"unknown norm {self.norm!r}")
-
-
 class SlotineLiLsController(_Estimate):
     """Linear virtual reference s = qd + k2 e1 with
     tau = W theta_hat - k1 s - ks s/|s|; the estimate integrates
     -P (W' s + Omega' e_p) where e_p = Omega theta_hat - y and P follows the
-    norm-capped least-squares gain dynamics (c4).  It runs no regressor
-    extension (Delta is 0) and needs the force-balance regression."""
+    norm-capped least-squares gain dynamics from P(0) = I / f0 (c4).  It has
+    no parameters of its own: k1, k2 and ks are the switching controller's
+    (``tsm``), and alpha, beta0, f0, gain_cap and norm the least-squares
+    extension's (``ls``).  It runs no regressor extension (Delta is 0) and
+    needs the force-balance regression."""
 
     estimate_dim = 5
     dre = "none"
 
-    def __init__(self, params: SlotineLiLsParams, theta_hat0=None):
-        self.params = params
+    def __init__(self, tsm: TsmParams, ls: LsDreParams, theta_hat0=None):
+        self.tsm = tsm
+        self.ls = ls
         self._start(theta_hat0, self.estimate_dim)
-        self.P = np.eye(self.estimate_dim) / params.p0
+        self.P = np.eye(self.estimate_dim) / ls.f0
         self.last_beta = self.beta()
         self.last_e_p = None
         self._w = None
@@ -519,7 +494,7 @@ class SlotineLiLsController(_Estimate):
 
     @classmethod
     def from_config(cls, config, plant) -> "SlotineLiLsController":
-        return cls(config.sl, config.theta_hat0)
+        return cls(config.tsm, config.ls, config.theta_hat0)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -533,14 +508,14 @@ class SlotineLiLsController(_Estimate):
         if eigs[0] <= 0.0:
             raise NumericalDegeneracyError(
                 "estimation gain matrix lost positive definiteness")
-        if self.params.norm == "spectral":
+        if self.ls.norm == "spectral":
             norm = float(eigs[-1])
         else:
             norm = float(np.sqrt(np.sum(self.P * self.P)))
-        return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
+        return self.ls.beta0 * (1.0 - norm / self.ls.gain_cap)
 
     def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
-        p = self.params
+        p = self.tsm
         k2 = p.k2
         (e11, e12), (qd1, qd2) = e1, qd
         s = (qd1 + k2 * e11, qd2 + k2 * e12)
@@ -553,14 +528,13 @@ class SlotineLiLsController(_Estimate):
         current regression sample."""
         if self._w is None:
             raise RuntimeError("torque() must be evaluated before rates()")
-        p = self.params
         e_p = pair.omega @ self.theta_hat - pair.y
         self.last_e_p = e_p
         theta_rate = -self.P @ (_regressor_times(self._w, self._s) + pair.omega.T @ e_p)
         b = self.beta()
         self.last_beta = b
         p_om = self.P @ pair.omega.T
-        p_rate = -p.alpha * (p_om @ p_om.T) + b * self.P
+        p_rate = -self.ls.alpha * (p_om @ p_om.T) + b * self.P
         return theta_rate, p_rate
 
     def advance(self, theta_rate, p_rate, dt: float) -> None:

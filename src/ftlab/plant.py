@@ -8,18 +8,17 @@ coefficients,
     g(q)  = Psi(q) theta_u                   (potential forces)
 
 so that the regression can be built from the known terms.  The arm is the
-planar two-link manipulator with revolute joints.  ``BasisFunctions`` states
-its decomposition as numpy stacks; ``Plant`` evaluates the same quantities
-as closed forms in Python floats, which is what the step loop calls.
-Friction and measurement noise are separate bolt-on models that only the
-simulation loop applies; they too return floats.
+planar two-link manipulator with revolute joints, with three inertia terms
+and two potential terms; ``Plant`` evaluates its quantities as closed forms
+in Python floats, which is what the step loop calls.  Friction and
+measurement noise are separate bolt-on models that only the simulation loop
+applies; they too return floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -112,97 +111,21 @@ class ThetaBounds:
         return bool(np.all(np.abs(np.asarray(theta_u, dtype=float)) <= self.theta_bar))
 
 
-@dataclass(frozen=True)
-class BasisFunctions:
-    """Callback bundle defining the known structural part of an EL system.
-
-    inertia_basis(q)            -> (n_inertia, n, n) stack of M_k(q)
-    coriolis_basis(q, qd)       -> (n_inertia, n, n) stack of C_k(q, qd),
-                                   Christoffel-consistent with M_k
-    potential_basis(q)          -> (n_potential,) values U_k(q)
-    potential_grad_basis(q)     -> (n, n_potential), columns grad U_k = Psi(q)
-    kinetic_grad_basis(q, qd)   -> (n, n_inertia), column k = grad_q(qd' M_k(q) qd)
-    """
-
-    n: int
-    n_inertia: int
-    n_potential: int
-    inertia_basis: Callable[[np.ndarray], np.ndarray]
-    coriolis_basis: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    potential_basis: Callable[[np.ndarray], np.ndarray]
-    potential_grad_basis: Callable[[np.ndarray], np.ndarray]
-    kinetic_grad_basis: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def _two_link_inertia_basis(q: np.ndarray) -> np.ndarray:
-    c2 = math.cos(q[1])
-    return np.array([
-        [[1.0, 0.0], [0.0, 0.0]],
-        [[2.0 * c2, c2], [c2, 0.0]],
-        [[0.0, 1.0], [1.0, 1.0]],
-    ])
-
-
-def _two_link_coriolis_basis(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    s2 = math.sin(q[1])
-    qd1, qd2 = qd.tolist()
-    return np.array([
-        [[0.0, 0.0], [0.0, 0.0]],
-        [[s2 * -qd2, s2 * -(qd1 + qd2)], [s2 * qd1, s2 * 0.0]],
-        [[0.0, 0.0], [0.0, 0.0]],
-    ])
-
-
-def _two_link_potential_basis(q: np.ndarray) -> np.ndarray:
-    q1, q2 = q.tolist()
-    return np.array([-math.cos(q1 + q2), -math.cos(q1)])
-
-
-def _two_link_potential_grad(q: np.ndarray) -> np.ndarray:
-    q1, q2 = q.tolist()
-    s12 = math.sin(q1 + q2)
-    return np.array([[s12, math.sin(q1)], [s12, 0.0]])
-
-
-def _two_link_kinetic_grad(q: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    # Only M_2 depends on q:  qd' M_2 qd = 2 c2 qd1 (qd1 + qd2).
-    qd1, qd2 = qd.tolist()
-    out = np.zeros((2, 3))
-    out[1, 1] = -2.0 * math.sin(q[1]) * qd1 * (qd1 + qd2)
-    return out
-
-
-def two_link_basis() -> BasisFunctions:
-    """Basis decomposition of the planar two-link arm."""
-    return BasisFunctions(
-        n=2, n_inertia=3, n_potential=2,
-        inertia_basis=_two_link_inertia_basis,
-        coriolis_basis=_two_link_coriolis_basis,
-        potential_basis=_two_link_potential_basis,
-        potential_grad_basis=_two_link_potential_grad,
-        kinetic_grad_basis=_two_link_kinetic_grad,
-    )
-
-
 class Plant:
     """Evaluation of the two-link arm's dynamics for a parameter vector.
 
-    The per-step quantities are closed forms in Python floats, for the
-    two-link decomposition that ``basis`` states as numpy stacks.  Methods
+    The per-step quantities are closed forms in Python floats.  Methods
     ending in ``_rows`` take joint vectors as any length-2 sequences and
     return matrices as tuples of row tuples; the others return numpy arrays.
     All methods are pure; instances hold no mutable state.
     """
 
-    def __init__(self, basis: BasisFunctions, theta: ThetaVector):
-        if (basis.n, basis.n_inertia, basis.n_potential) != (2, 3, 2):
-            raise ValueError("the closed forms are those of the two-link arm "
-                             "(n = 2, three inertia and two potential terms)")
-        if theta.theta_m.size != basis.n_inertia:
-            raise ValueError("theta_m length does not match the inertia basis")
-        if theta.theta_u.size != basis.n_potential:
-            raise ValueError("theta_u length does not match the potential basis")
-        self.basis = basis
+    n = 2
+
+    def __init__(self, theta: ThetaVector):
+        if (theta.theta_m.size, theta.theta_u.size) != (3, 2):
+            raise ValueError("the closed forms are those of the two-link arm: "
+                             "three inertia and two potential parameters")
         self.theta = theta
         self._theta_m = tuple(theta.theta_m.tolist())
         self._theta_u = tuple(theta.theta_u.tolist())
@@ -210,11 +133,7 @@ class Plant:
     @classmethod
     def two_link(cls, params: PhysicalParams | None = None) -> "Plant":
         params = params or default_params()
-        return cls(two_link_basis(), ThetaVector.from_params(params))
-
-    @property
-    def n(self) -> int:
-        return self.basis.n
+        return cls(ThetaVector.from_params(params))
 
     # -- float kernels ---------------------------------------------------------
 
@@ -354,29 +273,18 @@ class FrictionModel:
 class NoiseModel:
     """Deterministic sinusoidal measurement noise.
 
-    Each channel is amplitude * sin(frequency t) or amplitude * cos(...)
-    according to its phase selector; the reference pattern is (sin, cos) on
-    positions and (sin, sin) on velocities.
+    With w = frequency t, the positions carry amplitude * (sin w, cos w)
+    and the velocities amplitude * (sin w, sin w).
     """
 
     amplitude: float = 0.005
     frequency: float = 100.0
-    position_phases: tuple = ("sin", "cos")
-    velocity_phases: tuple = ("sin", "sin")
-
-    def __post_init__(self):
-        for phase in self.position_phases + self.velocity_phases:
-            if phase not in ("sin", "cos"):
-                raise ValueError(f"phase selector must be 'sin' or 'cos', got {phase!r}")
-
-    def _eval(self, phases, t: float) -> tuple:
-        w = self.frequency * t
-        return tuple(self.amplitude * (math.sin(w) if p == "sin" else math.cos(w))
-                     for p in phases)
 
     def position(self, t: float) -> tuple:
         """The position noise at time t, one float per joint."""
-        return self._eval(self.position_phases, t)
+        w = self.frequency * t
+        return self.amplitude * math.sin(w), self.amplitude * math.cos(w)
 
     def velocity(self, t: float) -> tuple:
-        return self._eval(self.velocity_phases, t)
+        noise = self.amplitude * math.sin(self.frequency * t)
+        return noise, noise

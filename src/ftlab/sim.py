@@ -64,7 +64,6 @@ class SimConfig:
     ftpd: control.FtPdGains = field(default_factory=control.FtPdGains)
     adapt: control.CompositeAdaptGains = field(default_factory=control.CompositeAdaptGains)
     tsm: control.TsmParams = field(default_factory=control.TsmParams)
-    sl: control.SlotineLiLsParams = field(default_factory=control.SlotineLiLsParams)
     ls: drem.LsDreParams = field(default_factory=drem.LsDreParams)
     kreis: drem.KreisParams = field(default_factory=drem.KreisParams)
     lambda0: float | None = None
@@ -373,7 +372,8 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     Settling / convergence times are the last instants at which the monitored
     magnitude exceeds its tolerance; the steady-state window is the trailing
-    ``steady_fraction`` of the trace.
+    ``steady_fraction`` of the trace.  The Gramian window ends at the end of
+    the trace at the latest.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
@@ -403,8 +403,8 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
         # batched symmetric eigensolve; phi2 is re-symmetrized by the filter
         min_eig_phi2 = np.linalg.eigvalsh(trace.diagnostics["phi2"])[:, 0]
 
-    gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"],
-                                   gramian_start, gramian_window)
+    gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,
+                                   min(gramian_window, trace.t[-1] - gramian_start))
     gram_min = mathx.min_eig_sym(gram, sym_tol=1e-6)
 
     return Metrics(settling_time=settling, steady_state_error=steady_err,

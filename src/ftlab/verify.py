@@ -2,7 +2,9 @@
 
 Each check returns a PropertyResult; checks that probe the plant accept the
 relevant evaluation functions as arguments so a harness (or a mutation test)
-can substitute a broken implementation and watch the property trip.
+can substitute a broken implementation and watch the property trip.  The
+checks on a trace (power audit, mixing identity, V1 monotonicity) take any
+trace, so the test suite holds its runs to the same bounds.
 """
 
 from __future__ import annotations
@@ -38,13 +40,31 @@ def check_signed_power_odd(n_samples: int = 2000, seed: int = 7) -> PropertyResu
                           f"max |<-z>^q + <z>^q| = {worst:.3e}")
 
 
+def adjugate(a) -> np.ndarray:
+    """Adjugate (transposed cofactor matrix), with the minors' determinants
+    by LU: the reference the mixing's Cramer products are held to.  Satisfies
+    A adj(A) = det(A) I, including for singular A, which inv() cannot give."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    m = a.shape[0]
+    if m == 1:
+        return np.ones((1, 1))
+    out = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            minor = np.delete(np.delete(a, i, axis=0), j, axis=1)
+            out[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return out
+
+
 def check_adjugate_identity(n_samples: int = 50, seed: int = 11) -> PropertyResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         m = int(rng.integers(2, 7))
         a = rng.standard_normal((m, m))
-        resid = a @ mathx.adjugate(a) - mathx.det(a) * np.eye(m)
+        resid = a @ adjugate(a) - np.linalg.det(a) * np.eye(m)
         tol_scale = max(1.0, float(np.max(np.abs(a))) ** m)
         worst = max(worst, float(np.max(np.abs(resid))) / tol_scale)
     return PropertyResult("adjugate_identity", worst <= 1e-9,
@@ -53,7 +73,7 @@ def check_adjugate_identity(n_samples: int = 50, seed: int = 11) -> PropertyResu
 
 def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
                                   adjugate_fn=None) -> PropertyResult:
-    adjugate_fn = adjugate_fn or mathx.adjugate
+    adjugate_fn = adjugate_fn or adjugate
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
@@ -61,7 +81,7 @@ def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
         phi = rng.standard_normal((m, m))
         v = rng.standard_normal(m)
         ref = adjugate_fn(phi) @ v
-        got = mathx.cramer_products(phi, v)
+        got = mathx.det_and_cramer(phi, v)[1]
         worst = max(worst, float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref)))))
     return PropertyResult("cramer_matches_adjugate", worst <= 1e-10,
                           f"max relative deviation = {worst:.3e}")
@@ -139,9 +159,13 @@ def check_mixing_identity(controller: str, trace: Trace | None = None) -> Proper
                           f"max |Y - Delta theta| (scaled) = {worst:.3e}")
 
 
-def check_excitation_gain_range(n_samples: int = 100000) -> PropertyResult:
-    deltas = np.linspace(-1e6, 1e6, n_samples)
-    vals = np.array([control.excitation_gain(d, 0.5, 0.5) for d in deltas[:: max(1, n_samples // 2000)]])
+def check_excitation_gain_range(deltas=None) -> PropertyResult:
+    """excitation_gain(delta) in [0, 1) over ``deltas``, by default every
+    50th point of 100 000 spread evenly over [-1e6, 1e6]."""
+    if deltas is None:
+        deltas = np.linspace(-1e6, 1e6, 100000)[::50]
+    vals = np.array([control.excitation_gain(d, 0.5, 0.5)
+                     for d in np.asarray(deltas, dtype=float).tolist()])
     ok = bool(np.all(vals >= 0.0) and np.all(vals < 1.0))
     return PropertyResult("excitation_gain_range", ok,
                           f"range over sweep = [{vals.min():.3e}, {vals.max():.6f}]")

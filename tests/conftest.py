@@ -85,12 +85,3 @@ def c2_case1_pb():
 def theta_tilde_u(trace):
     true = trace.meta["theta_u_true"]
     return np.linalg.norm(trace.theta_hat[:, -true.size:] - true, axis=1)
-
-
-def mixing_residual(trace):
-    """max_t |Y - Delta theta| / (1 + |Delta| |theta|) along the trace."""
-    theta = trace.meta["theta_true"]
-    scale = 1.0 + np.abs(trace.delta) * np.linalg.norm(theta)
-    resid = np.linalg.norm(trace.diagnostics["Y_mixed"]
-                           - trace.delta[:, None] * theta, axis=1)
-    return float(np.max(resid / scale))

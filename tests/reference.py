@@ -4,8 +4,10 @@ The step loop evaluates every n = 2 quantity in Python floats.  Before that,
 it evaluated them with the numpy expressions below (BLAS products, numpy's
 vectorised ``power``, ``eigvalsh`` + ``inv`` in the least-squares
 extension).  ``test_kernels.py`` compares the float kernels with these over
-drawn states, within tolerances derived from float64 rounding.  Nothing in
-``src/`` imports this module.
+drawn states, within tolerances derived from float64 rounding.  The basis
+stacks are also the statement of the two-link decomposition M(q) =
+sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
+hold the plant's closed forms to.  Nothing in ``src/`` imports this module.
 """
 
 import math
@@ -116,12 +118,12 @@ def saturation(delta, c, d):
     return num / (1.0 + abs(float(delta)) ** (c + d))
 
 
-def composite_adapt_rate(e1, e2, psi_q, theta_hat_u, delta, y_u, gains):
+def composite_adapt_rate(e1, e2, psi_q, theta_hat_u, delta, y_u, gains, c):
     direct = psi_q.T @ (gains.gamma1 * gains.d1 * np.tanh(np.asarray(e1, dtype=float))
                         + (gains.gamma1 + gains.gamma2) * np.asarray(e2, dtype=float))
     xi = signed_power_vec(delta * np.asarray(theta_hat_u, dtype=float)
-                          - np.asarray(y_u, dtype=float), gains.sat_c)
-    f_gain = saturation(delta, gains.sat_c, gains.sat_d)
+                          - np.asarray(y_u, dtype=float), c)
+    f_gain = saturation(delta, c, gains.sat_d)
     indirect = (gains.gamma1 + gains.gamma2) * gains.upsilon_diag * f_gain * xi
     return -gains.gamma_diag * (direct + indirect)
 

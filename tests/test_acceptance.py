@@ -2,16 +2,15 @@
 
 Reference protocol: regulation to q_d = [2, 2] from q(0) = [3, 0] at rest,
 explicit Euler at dt = 5e-4 over 10 s, gains as configured by default.
+Criteria 4-6 are checks of the ``verify`` suite, applied to these runs.
 """
 
 import numpy as np
 
 import ftlab
-from conftest import at, mixing_residual, run, theta_tilde_u
-from ftlab import mathx
-from ftlab.control import excitation_gain, prediction_error_vector
-
-DT = 5e-4
+from conftest import at, run, theta_tilde_u
+from ftlab import mathx, verify
+from ftlab.control import prediction_error_vector
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -76,74 +75,45 @@ def test_criterion_3_chattering(c1_case1, c2_case1, c4_case1):
         "exceed 0.015; structural discretization limit cycle at dt = 5e-4")
 
 
+def report_checks(num: int, name: str, results: dict) -> None:
+    """One criterion made of ``verify`` checks: its line, then its asserts."""
+    report(num, name, all(r.passed for r in results.values()),
+           "; ".join(f"{k}: {r.detail}" for k, r in results.items()))
+    for label, result in results.items():
+        assert result.passed, f"{label}: {result.line()}"
+
+
 def test_criterion_4_scalar_regression_identity(c1_case1, c2_case1,
                                                 c1_case1_pb, c2_case1_pb):
-    combos = {
-        "ls/force": mixing_residual(c1_case1),
-        "ls/power": mixing_residual(c1_case1_pb),
-        "kreis/force": mixing_residual(c2_case1),
-        "kreis/power": mixing_residual(c2_case1_pb),
-    }
-    passed = all(v <= 1e-4 for v in combos.values())
-    report(4, "scalar-regression identity", passed,
-           ", ".join(f"{k} {v:.2e}" for k, v in combos.items()) + " (bound 1e-4)")
-    for combo, value in combos.items():
-        assert value <= 1e-4, combo
+    # bound 1e-4 on |Y - Delta theta| / (1 + |Delta| |theta|)
+    report_checks(4, "scalar-regression identity", {
+        "ls/force": verify.check_mixing_identity("c1", c1_case1),
+        "ls/power": verify.check_mixing_identity("c1", c1_case1_pb),
+        "kreis/force": verify.check_mixing_identity("c2", c2_case1),
+        "kreis/power": verify.check_mixing_identity("c2", c2_case1_pb),
+    })
 
 
 def test_criterion_5_mechanical_invariants(plant, c1_case1):
-    rng = np.random.default_rng(123)
-    h = 1e-6
-    worst_skew = 0.0
-    for _ in range(1000):
-        q = rng.uniform(-np.pi, np.pi, 2)
-        qd = rng.uniform(-3.0, 3.0, 2)
-        v = rng.uniform(-1.0, 1.0, 2)
-        m_dot = (plant.inertia(q + h * qd) - plant.inertia(q - h * qd)) / (2 * h)
-        resid = abs(v @ (m_dot - 2.0 * plant.coriolis(q, qd)) @ v)
-        worst_skew = max(worst_skew, resid / (1e-5 * (v @ v) * max(1.0, np.linalg.norm(qd))))
-
-    worst_grav = 0.0
-    for _ in range(1000):
-        q = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-        worst_grav = max(worst_grav, float(np.max(np.abs(
-            plant.gravity(q) - plant.psi(q) @ plant.theta.theta_u))))
-
-    energy = np.array([plant.total_energy(q, qd)
-                       for q, qd in zip(c1_case1.q, c1_case1.qd)])
-    power = np.einsum("ki,ki->k", c1_case1.qd[:-1], c1_case1.tau[:-1])
-    defect = np.abs(energy[1:] - energy[:-1] - DT * power)
-    scale = 1e-3 * (1.0 + np.linalg.norm(c1_case1.qd[:-1], axis=1)
-                    * np.linalg.norm(c1_case1.tau[:-1], axis=1))
-    worst_audit = float(np.max(defect / scale))
-
-    passed = worst_skew <= 1.0 and worst_grav <= 1e-14 and worst_audit <= 1.0
-    report(5, "mechanical invariants", passed,
-           f"skew {worst_skew:.2e} (rel), gravity factorization {worst_grav:.1e} "
-           f"(bound 1e-14), power audit {worst_audit:.2e} (rel)")
-    assert worst_skew <= 1.0
-    assert worst_grav <= 1e-14
-    assert worst_audit <= 1.0
+    # bounds: skew residual within 1e-5 |v|^2 max(1, |qd|), gravity
+    # factorization 1e-14, power defect within 1e-3 (1 + |qd| |tau|)
+    report_checks(5, "mechanical invariants", {
+        "skew": verify.check_skew_symmetry(plant),
+        "gravity": verify.check_gravity_factorization(plant),
+        "power audit": verify.check_energy_audit(c1_case1, plant),
+    })
 
 
 def test_criterion_6_lyapunov_monotonicity(c1_case1):
-    dv = np.diff(c1_case1.v1)
-    slack = 1e-6 * (1.0 + c1_case1.v1[:-1])
-    frac = float(np.mean(dv <= slack))
-    passed = frac >= 0.999
-    report(6, "Lyapunov monotonicity", passed,
-           f"non-increasing fraction {frac:.5f} (bound 0.999), "
-           f"worst increase {dv.max():.2e}")
-    assert frac >= 0.999
+    # bound: V1 non-increasing, within 1e-6 (1 + V1), on 99.9 % of the steps
+    report_checks(6, "Lyapunov monotonicity",
+                  {"V1": verify.check_v1_monotone(c1_case1)})
 
 
 def test_criterion_7_excitation_gain_properties():
     b = d = 0.5
-    deltas = np.linspace(-1e6, 1e6, 1_000_001)
-    gains = np.empty(deltas.size)
-    for i, delta in enumerate(deltas):
-        gains[i] = excitation_gain(delta, b, d)
-    range_ok = bool(np.all(gains >= 0.0) and np.all(gains < 1.0))
+    gain_range = verify.check_excitation_gain_range(np.linspace(-1e6, 1e6, 1_000_001))
+    range_ok = gain_range.passed
 
     rng = np.random.default_rng(31)
     odd_ok = all(ftlab.saturation(-z, b, d) == -ftlab.saturation(z, b, d)
@@ -161,7 +131,7 @@ def test_criterion_7_excitation_gain_properties():
         worst_id = max(worst_id, float(np.max(np.abs(xi - expected))))
     passed = range_ok and odd_ok and worst_id <= 1e-12
     report(7, "excitation gain properties", passed,
-           f"range over 1e6-point sweep [{gains.min():.1e}, {gains.max():.8f}], "
+           f"{gain_range.detail} (1e6 points), "
            f"oddness exact: {odd_ok}, factorization error {worst_id:.1e}")
     assert range_ok
     assert odd_ok

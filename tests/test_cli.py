@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ftlab
 from ftlab import verify
-from ftlab.cli import main, parse_config
+from ftlab.cli import CONFIG_KEYS, main, parse_config
 from ftlab.control import make_controller
 from ftlab.errors import ConfigError
 from ftlab.plant import Plant
+from ftlab.sim import SimConfig
 
 
 class TestParseConfig:
@@ -76,6 +79,82 @@ class TestParseConfig:
     def test_bad_gain_combination(self):
         with pytest.raises(ConfigError, match="gains"):
             parse_config("gains.r1=1.0\ngains.r2=1.0")
+
+    def test_c4_reads_the_shared_gains(self, plant):
+        # c4 shares K1 K2 Ks with c3 and alpha beta0 f0 xi norm with the
+        # least-squares extension
+        cfg = parse_config("controller = c4\ngains.K1 = 3.5\ndre.alpha = 7\ndre.f0 = 2\n")
+        ctrl = make_controller(cfg, plant)
+        assert ctrl.tsm.k1 == 3.5 and ctrl.ls.alpha == 7.0
+        np.testing.assert_array_equal(ctrl.P, np.eye(5) / 2.0)
+
+
+def settable_fields() -> list:
+    """(SimConfig attribute or None, field) of every field of SimConfig and of
+    the parameter dataclasses it holds; None stands for SimConfig itself."""
+    default = SimConfig()
+    fields = []
+    for f in dataclasses.fields(SimConfig):
+        value = getattr(default, f.name)
+        if dataclasses.is_dataclass(value):
+            fields += [(f.name, g.name) for g in dataclasses.fields(value)]
+        else:
+            fields.append((None, f.name))
+    return fields
+
+
+def field_value(config, target):
+    attr, name = target
+    return getattr(config if attr is None else getattr(config, attr), name)
+
+
+def same(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return bool(np.array_equal(a, b))
+
+
+# valid non-default values where scaling the default by 1.25 does not give one
+SAMPLES = {
+    "controller": "c2", "scenario": "case2", "parameterization": "power_balance",
+    "dre": "kreisselmeier", "sim.qd0": "0.5, -0.5", "sim.gramian_start": "0.5",
+    "gains.theta_hat0": "1, 5", "dre.rho0": "1, 2, 3, 4, 5", "dre.norm": "frobenius",
+    "dre.lambda0": "0.7",
+}
+
+# the uniform-rod completion, the one rule by which a key moves other fields
+COMPLETED = {"m1": {"I1"}, "m2": {"I2"}, "l1": {"lc1", "I1"}, "l2": {"lc2", "I2"}}
+
+
+def sample(key: str) -> str:
+    if key in SAMPLES:
+        return SAMPLES[key]
+    default = np.atleast_1d(field_value(SimConfig(), CONFIG_KEYS[key][:2]))
+    return ", ".join(repr(1.25 * x) for x in default.tolist())
+
+
+class TestOneHomePerSetting:
+    @pytest.mark.parametrize("target", settable_fields(),
+                             ids=lambda t: f"{t[0] or 'SimConfig'}.{t[1]}")
+    def test_every_field_has_one_key(self, target):
+        keys = [key for key, (attr, name, _) in CONFIG_KEYS.items() if (attr, name) == target]
+        assert len(keys) == 1, keys
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_each_key_sets_exactly_its_field(self, key):
+        attr, name, parse = CONFIG_KEYS[key]
+        raw = sample(key)
+        config, default = parse_config(f"{key} = {raw}\n"), SimConfig()
+        moved = {t for t in settable_fields()
+                 if not same(field_value(config, t), field_value(default, t))}
+        allowed = {(attr, other) for other in COMPLETED.get(name, ())} if attr == "params" else set()
+        assert (attr, name) in moved
+        assert moved - {(attr, name)} <= allowed
+        assert same(field_value(config, (attr, name)), parse(key, raw))
+        if key.startswith("sim."):    # the bare alias sets the same field
+            bare = parse_config(f"{key[4:]} = {raw}\n")
+            assert all(same(field_value(bare, t), field_value(config, t))
+                       for t in settable_fields())
 
 
 class TestCliCommands:
@@ -202,6 +281,17 @@ class TestCliCommands:
         for controller in ("c2", "c3"):
             assert list((tmp_path / "grid" / f"{controller}_case1").iterdir()) == []
 
+    @pytest.mark.parametrize("threads", ["abc", "-1"])
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys,
+                                                threads):
+        monkeypatch.setenv("FTLAB_THREADS", threads)
+        out = tmp_path / "grid"
+        assert main(["--config", str(_write(tmp_path, "t_final=0.01\n")), "--scenario",
+                     "case1", "--out", str(out), "sweep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "FTLAB_THREADS" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("controller_line", ["controller=c3\n", ""],
                              ids=["controller_c3", "no_controller"])
     def test_sweep_applies_theta_hat0_where_its_length_fits(self, tmp_path, capsys,
@@ -250,8 +340,7 @@ class TestVerifySuite:
         assert not result.passed
 
     def test_wrong_adjugate_trips_cramer_equivalence(self):
-        from ftlab import mathx
-        broken = lambda a: mathx.adjugate(a).T     # forgot the transpose
+        broken = lambda a: verify.adjugate(a).T    # forgot the transpose
         result = verify.check_cramer_matches_adjugate(n_samples=20, adjugate_fn=broken)
         assert not result.passed
 

@@ -7,11 +7,11 @@ import ftlab
 from ftlab import mathx
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
-                           SlotineLiLsParams, SwitchingTsmController,
-                           TsmParams, composite_adapt_rate, excitation_gain,
-                           ftpd_torque, prediction_error_vector, saturation,
+                           SwitchingTsmController, TsmParams,
+                           composite_adapt_rate, excitation_gain, ftpd_torque,
+                           prediction_error_vector, saturation,
                            slotine_li_regressor)
-from ftlab.drem import MixedRegression
+from ftlab.drem import LsDreParams, MixedRegression
 from ftlab.regression import RegressionPair
 
 
@@ -133,7 +133,7 @@ class TestCompositeAdaptation:
         th = np.array([1.0, 2.0])
         mixed = MixedRegression(Y=np.zeros(5), delta=0.7, Y_u=0.7 * th)
         rate = composite_adapt_rate(np.zeros(2), np.zeros(2), plant.psi([2.0, 2.0]),
-                                    th, mixed, gains)
+                                    th, mixed, gains, FtPdGains().b)
         np.testing.assert_allclose(rate, np.zeros(2), atol=1e-15)
 
     def test_zero_delta_leaves_direct_term(self, plant):
@@ -142,14 +142,13 @@ class TestCompositeAdaptation:
         e1 = np.array([0.2, -0.1])
         e2 = np.array([0.05, 0.4])
         mixed = MixedRegression(Y=np.zeros(5), delta=0.0, Y_u=np.zeros(2))
-        rate = composite_adapt_rate(e1, e2, psi, np.array([5.0, -3.0]), mixed, gains)
+        rate = composite_adapt_rate(e1, e2, psi, np.array([5.0, -3.0]), mixed, gains,
+                                    FtPdGains().b)
         direct = -gains.gamma_diag * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
                                                + (gains.gamma1 + gains.gamma2) * e2))
         np.testing.assert_allclose(rate, direct, atol=1e-15)
 
     def test_rejects_bad_gains(self):
-        with pytest.raises(ValueError):
-            CompositeAdaptGains(sat_c=1.0)
         with pytest.raises(ValueError):
             CompositeAdaptGains(gamma1=-0.1)
         with pytest.raises(ValueError):
@@ -236,7 +235,7 @@ class TestSwitchingTsm:
 
 class TestSlotineLiLs:
     def test_zero_error_zero_rate(self, plant):
-        ctrl = SlotineLiLsController(SlotineLiLsParams())
+        ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         q = np.array([2.0, 2.0])
         ctrl.torque(np.zeros(2), np.zeros(2), q, np.zeros(2), plant.psi(q),
                     plant.inertia(q))
@@ -246,7 +245,7 @@ class TestSlotineLiLs:
 
     def test_equilibrium_hold(self, plant):
         q_d = np.array([2.0, 2.0])
-        ctrl = SlotineLiLsController(SlotineLiLsParams())
+        ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         ctrl.theta_hat = plant.theta.stacked.copy()
         tau = ctrl.torque(np.zeros(2), np.zeros(2), q_d, np.zeros(2),
                           plant.psi(q_d), plant.inertia(q_d))
@@ -257,10 +256,12 @@ class TestSlotineLiLs:
         assert eigs[:, 0].min() > 0.0
 
     def test_rejects_bad_params(self):
+        # c4 reads its gains from the parameter objects of c3 and of the
+        # least-squares extension, and their checks are its checks
         with pytest.raises(ValueError):
-            SlotineLiLsParams(p0=1.0, gain_cap=0.5)
+            LsDreParams(f0=1.0, gain_cap=0.5)
         with pytest.raises(ValueError):
-            SlotineLiLsParams(k1=0.0)
+            TsmParams(k1=0.0)
 
 
 class TestControllerWrappers:

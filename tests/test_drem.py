@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import mixing_residual
+from ftlab import mathx, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, excitation_gramian, make_dre)
 from ftlab.errors import NumericalDegeneracyError
@@ -140,21 +140,22 @@ class TestKreisselmeier:
 
 class TestMixingIdentityOnTraces:
     def test_least_squares_along_run(self, c1_case1):
-        assert mixing_residual(c1_case1) <= 1e-4
+        result = verify.check_mixing_identity("c1", c1_case1)
+        assert result.passed, result.line()
 
     def test_kreisselmeier_along_run(self, c2_case1):
-        assert mixing_residual(c2_case1) <= 1e-4
+        result = verify.check_mixing_identity("c2", c2_case1)
+        assert result.passed, result.line()
 
     def test_cramer_equals_adjugate_along_run(self, c1_case1):
-        from ftlab import mathx
         # reconstruct the mixing matrix at sampled steps and compare routes
         f0 = 1.0
         for k in range(0, len(c1_case1), 997):
             phi = np.eye(5) - c1_case1.diagnostics["z_forget"][k] * f0 \
                 * c1_case1.diagnostics["F"][k]
             v = c1_case1.diagnostics["rho_hat"][k]
-            ref = mathx.adjugate(phi) @ v
-            got = mathx.cramer_products(phi, v)
+            ref = verify.adjugate(phi) @ v
+            got = mathx.det_and_cramer(phi, v)[1]
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -181,7 +182,6 @@ class TestExcitationGramian:
             excitation_gramian(t, omega, -1.0, 5 * DT)
 
     def test_excitation_grows_along_run(self, c1_case1):
-        from ftlab import mathx
         gram_early = excitation_gramian(c1_case1.t, c1_case1.diagnostics["omega"],
                                         0.0, 0.5)
         gram_late = excitation_gramian(c1_case1.t, c1_case1.diagnostics["omega"],
@@ -194,7 +194,6 @@ class TestQualitativeMonitors:
     def test_ls_gain_keeps_gramian_growing(self, c4_case1):
         # under the norm-capped least-squares gain the regressor keeps
         # exciting: the excitation level of growing windows keeps rising
-        from ftlab import mathx
         levels = []
         for window in (1.0, 2.5, 5.0, 9.0):
             gram = excitation_gramian(c4_case1.t, c4_case1.diagnostics["omega"],

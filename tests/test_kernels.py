@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
-                           FtPdGains, SlotineLiLsController, SlotineLiLsParams,
+                           FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams,
                            composite_adapt_rate, ftpd_torque)
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
@@ -121,14 +121,14 @@ def test_ftpd_torque_matches(e1, e2, q, th):
        delta=st.floats(-50.0, 50.0, allow_nan=False), y_u=vec(2, 500.0),
        r1=st.sampled_from([1.2, 1.4, 1.5, 1.8]))
 def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
-    gains = CompositeAdaptGains(sat_c=FtPdGains(r1=r1).b)
+    gains, c = CompositeAdaptGains(), FtPdGains(r1=r1).b
     psi_q = ref.psi(q)
     mixed = MixedRegression(Y=np.concatenate([np.zeros(3), y_u]), delta=delta, Y_u=y_u)
-    want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains)
+    want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains, c)
     direct = np.abs(psi_q).T @ (gains.g1d1 + gains.g12 * np.abs(e2))
-    indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** gains.sat_c
+    indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** c
     scale = float(np.max(gains.gamma_diag * (direct + indirect)))
-    assert_close(composite_adapt_rate(e1, e2, psi_q, th, mixed, gains), want, scale)
+    assert_close(composite_adapt_rate(e1, e2, psi_q, th, mixed, gains, c), want, scale)
 
 
 def slotine_li_scale(w, th, s, k1, ks):
@@ -154,9 +154,9 @@ def test_switching_torque_matches(e1, e2, q, th):
 
 @given(e1=errors, qd=rates, q=angles, th=full_estimates)
 def test_slotine_li_torque_matches(e1, qd, q, th):
-    params = SlotineLiLsParams()
+    params = TsmParams()
     want, w, s = ref.slotine_li_torque(params, th, e1, q, qd)
-    ctrl = SlotineLiLsController(params, theta_hat0=th)
+    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
     got = ctrl.torque(e1, qd, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ftlab import mathx
+from ftlab import mathx, verify
 
 
 class TestSignedPower:
@@ -47,44 +47,49 @@ class TestSignedPower:
 
 
 class TestDetAdjugate:
+    """The mixing's determinant and the adjugate that ``verify`` holds its
+    Cramer products to."""
+
     def test_identity_and_zero(self):
-        assert mathx.det(np.eye(5)) == 1.0
-        np.testing.assert_array_equal(mathx.adjugate(np.eye(5)), np.eye(5))
-        assert mathx.det(np.zeros((5, 5))) == 0.0
-        np.testing.assert_array_equal(mathx.adjugate(np.zeros((5, 5))), np.zeros((5, 5)))
+        assert mathx.det_and_cramer(np.eye(5), np.zeros(5))[0] == 1.0
+        np.testing.assert_array_equal(verify.adjugate(np.eye(5)), np.eye(5))
+        assert mathx.det_and_cramer(np.zeros((5, 5)), np.zeros(5))[0] == 0.0
+        np.testing.assert_array_equal(verify.adjugate(np.zeros((5, 5))), np.zeros((5, 5)))
 
     def test_small_hand_values(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert mathx.det(a) == pytest.approx(-2.0)
-        np.testing.assert_allclose(mathx.adjugate(a), [[4.0, -2.0], [-3.0, 1.0]])
+        assert mathx.det_and_cramer(a, np.zeros(2))[0] == pytest.approx(-2.0)
+        np.testing.assert_allclose(verify.adjugate(a), [[4.0, -2.0], [-3.0, 1.0]])
         b = np.array([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 1.0]])
         # cofactor expansion by hand: 2*(3) - 0 + 1*(1) = 7
-        assert mathx.det(b) == pytest.approx(7.0)
+        assert mathx.det_and_cramer(b, np.zeros(3))[0] == pytest.approx(7.0)
 
     def test_adjugate_identity_random(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
             m = int(rng.integers(2, 7))
             a = rng.standard_normal((m, m))
-            resid = a @ mathx.adjugate(a) - mathx.det(a) * np.eye(m)
+            resid = a @ verify.adjugate(a) - np.linalg.det(a) * np.eye(m)
             assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(a)) ** m)
 
-    def test_rejects_nonsquare_and_oversize(self):
+    def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            mathx.det(np.ones((2, 3)))
+            mathx.det_and_cramer(np.ones((2, 3)), np.ones(2))
         with pytest.raises(ValueError):
-            mathx.det(np.eye(7))
-        with pytest.raises(ValueError):
-            mathx.adjugate(np.ones((3, 2)))
+            verify.adjugate(np.ones((3, 2)))
+
+
+def cramer_products(phi, v):
+    return mathx.det_and_cramer(phi, v)[1]
 
 
 class TestCramerProducts:
     def test_identity_matrix_returns_vector(self):
         v = np.array([3.0, -1.0, 2.0, 0.5, 7.0])
-        np.testing.assert_allclose(mathx.cramer_products(np.eye(5), v), v)
+        np.testing.assert_allclose(cramer_products(np.eye(5), v), v)
 
     def test_scaled_identity(self):
-        got = mathx.cramer_products(2.0 * np.eye(3), np.ones(3))
+        got = cramer_products(2.0 * np.eye(3), np.ones(3))
         np.testing.assert_allclose(got, [4.0, 4.0, 4.0])
 
     def test_matches_adjugate_product(self):
@@ -93,29 +98,30 @@ class TestCramerProducts:
             m = int(rng.integers(2, 7))
             phi = rng.standard_normal((m, m))
             v = rng.standard_normal(m)
-            ref = mathx.adjugate(phi) @ v
-            got = mathx.cramer_products(phi, v)
+            ref = verify.adjugate(phi) @ v
+            got = cramer_products(phi, v)
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     def test_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
-            mathx.cramer_products(np.eye(3), np.ones(4))
+            cramer_products(np.eye(3), np.ones(4))
 
     def test_fused_determinants_equal_separate_calls_bitwise(self):
-        # the mixing stage's one batched call must reproduce det() and the
-        # column-replaced determinants exactly, not just closely
+        # the mixing stage's one batched call must reproduce the determinants
+        # of phi and of its column-replaced copies taken one at a time
+        # exactly, not just closely
         rng = np.random.default_rng(4)
         for m in range(1, 7):
             for _ in range(20):
                 phi = rng.standard_normal((m, m))
                 v = rng.standard_normal(m)
                 delta, w = mathx.det_and_cramer(phi, v)
-                assert delta == mathx.det(phi)
+                assert delta == np.linalg.det(phi)
                 replaced = []
                 for j in range(m):
                     a = phi.copy()
                     a[:, j] = v
-                    replaced.append(mathx.det(a))
+                    replaced.append(np.linalg.det(a))
                 assert w.tobytes() == np.array(replaced).tobytes()
 
 
@@ -155,11 +161,13 @@ class TestMinEigSym:
                 _power_iteration_min_eig(a), abs=1e-8)
 
     def test_max_eig(self):
-        assert mathx.max_eig_sym(np.diag([3.0, -2.0, 0.5])) == pytest.approx(3.0, abs=1e-12)
+        # the closed-form 2x2 pair, whose upper value is c3's lambda_max(M)
+        assert mathx.eig_sym2(3.0, 0.0, -2.0) == (-2.0, 3.0)
         rng = np.random.default_rng(8)
-        b = rng.standard_normal((5, 5))
-        a = 0.5 * (b + b.T)
-        assert mathx.max_eig_sym(a) == pytest.approx(np.linalg.eigvalsh(a)[-1], abs=1e-9)
+        for _ in range(50):
+            a, b, d = rng.standard_normal(3)
+            want = np.linalg.eigvalsh([[a, b], [b, d]])
+            np.testing.assert_allclose(mathx.eig_sym2(a, b, d), want, atol=1e-12)
 
     def test_rejects_asymmetric(self):
         a = np.eye(4)

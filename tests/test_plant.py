@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import reference as ref
+from ftlab import verify
 from ftlab.plant import (FrictionModel, NoiseModel, PhysicalParams,
                          ThetaBounds, ThetaVector, default_params)
 
@@ -60,7 +62,7 @@ class TestInertia:
         rng = np.random.default_rng(0)
         for _ in range(20):
             q = rng.uniform(-np.pi, np.pi, 2)
-            stack = plant.basis.inertia_basis(q)
+            stack = ref.inertia_basis(q)
             recomposed = sum(t * mk for t, mk in zip(plant.theta.theta_m, stack))
             np.testing.assert_allclose(plant.inertia(q), recomposed, atol=1e-14)
 
@@ -86,15 +88,8 @@ class TestCoriolis:
                                    np.zeros((2, 2)), atol=1e-15)
 
     def test_skew_symmetry_against_finite_difference(self, plant):
-        rng = np.random.default_rng(2)
-        h = 1e-6
-        for _ in range(1000):
-            q = rng.uniform(-np.pi, np.pi, 2)
-            qd = rng.uniform(-3.0, 3.0, 2)
-            v = rng.uniform(-1.0, 1.0, 2)
-            m_dot = (plant.inertia(q + h * qd) - plant.inertia(q - h * qd)) / (2 * h)
-            resid = abs(v @ (m_dot - 2.0 * plant.coriolis(q, qd)) @ v)
-            assert resid <= 1e-5 * (v @ v) * max(1.0, np.linalg.norm(qd))
+        result = verify.check_skew_symmetry(plant, seed=2)
+        assert result.passed, result.line()
 
 
 class TestGravity:
@@ -109,11 +104,8 @@ class TestGravity:
                                    [d[3] + d[4], d[3]], rtol=1e-12)
 
     def test_factorization_exact(self, plant):
-        rng = np.random.default_rng(3)
-        for _ in range(1000):
-            q = rng.uniform(-2 * np.pi, 2 * np.pi, 2)
-            resid = plant.gravity(q) - plant.psi(q) @ plant.theta.theta_u
-            assert np.max(np.abs(resid)) <= 1e-14
+        result = verify.check_gravity_factorization(plant, seed=3)
+        assert result.passed, result.line()
 
     def test_psi_uniformly_bounded(self, plant):
         rng = np.random.default_rng(4)
