@@ -3,7 +3,8 @@
 The step loop evaluates every n = 2 quantity in Python floats.  Before that,
 it evaluated them with the numpy expressions below (BLAS products, numpy's
 vectorised ``power``, ``eigvalsh`` + ``inv`` in the least-squares
-extension).  ``test_kernels.py`` compares the float kernels with these over
+extension, and the least-squares mixing through phi = I - z f0 F and its
+Cramer determinants).  ``test_kernels.py`` compares the float kernels with these over
 drawn states, within tolerances derived from float64 rounding.  The basis
 stacks are also the statement of the two-link decomposition M(q) =
 sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
@@ -13,6 +14,8 @@ hold the plant's closed forms to.  Nothing in ``src/`` imports this module.
 import math
 
 import numpy as np
+
+from ftlab.mathx import det_and_cramer
 
 
 # -- signed power -------------------------------------------------------------
@@ -254,6 +257,15 @@ def ls_step(r, u, z, f, params, y, omega, dt):
     f = np.linalg.inv(r)
     f = 0.5 * (f + f.T)
     return b, r, u, z * decay, f, f @ u
+
+
+def ls_mix(f, rho_hat, z, params, rho0):
+    """(Delta, Y) of the least-squares extension: phi = I - z f0 F and
+    v = rho_hat - z f0 F rho0, then det(phi) and the column-replaced
+    determinants adj(phi) v."""
+    zf = z * params.f0
+    phi = np.eye(f.shape[0]) - zf * f
+    return det_and_cramer(phi, rho_hat - zf * (f @ rho0))
 
 
 # -- Kreisselmeier extension ---------------------------------------------------

@@ -7,15 +7,18 @@ here.  The session fixtures of ``conftest.py`` are hashed as they are (they
 cost no extra simulation time); ``EXTRA_RUNS`` adds short runs of the
 controller / extension / parameterization combinations the fixtures miss.
 
-A change that alters the numerics on purpose re-records the digests with
+A change that alters the numerics on purpose re-records the digests of the
+runs it moves with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py NAME...
 
-and states the measured deviation in CHANGES.md.
+(every run if no NAME is given), which prints for each run it re-records
+whether its digest changed, and states the measured deviation in CHANGES.md.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +91,22 @@ def test_golden_covers_every_run(golden):
     assert set(golden) == set(FIXTURE_RUNS) | set(EXTRA_RUNS)
 
 
+def rerecord(names) -> None:
+    """Re-record the digests of the named runs and print, per run, whether
+    its digest changed; every other stored digest is kept as it is."""
+    runs = {**FIXTURE_RUNS, **EXTRA_RUNS}
+    unknown = sorted(set(names) - set(runs))
+    if unknown:
+        raise SystemExit(f"unknown run(s): {', '.join(unknown)}; known: {', '.join(sorted(runs))}")
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    digests = dict(stored)
+    for name in names:
+        controller, scenario, kwargs = runs[name]
+        digests[name] = trace_digest(run(controller, scenario, **kwargs))
+        print(f"{name}: {'unchanged' if digests[name] == stored.get(name) else 'changed'}")
+    GOLDEN.write_text(json.dumps(dict(sorted(digests.items())), indent=2) + "\n")
+    print(f"re-recorded {len(names)} of {len(digests)} digests in {GOLDEN}")
+
+
 if __name__ == "__main__":
-    digests = {name: trace_digest(run(controller, scenario, **kwargs))
-               for name, (controller, scenario, kwargs)
-               in sorted({**FIXTURE_RUNS, **EXTRA_RUNS}.items())}
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    rerecord(sys.argv[1:] or sorted({**FIXTURE_RUNS, **EXTRA_RUNS}))

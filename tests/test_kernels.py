@@ -10,10 +10,14 @@ sign or index but not on the last bits:
 * n = 2 kernels: 1e-13 (about 450 eps) times max(1, the largest term);
 * the 2x2 solve of the forward dynamics: the same, divided by lambda_min(M);
 * the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken;
+* the least-squares mixing: Delta, which lies in [0, 1), within the same
+  cond(R) * 1e-14 per step; Y and rho_hat within it times |F| (|u| + |z f0 rho0|),
+  the size of the vector v = rho_hat - z f0 F rho0 that is mixed;
 * the Kreisselmeier filters: 1e-13 times their largest term, per step taken.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -212,6 +216,102 @@ def test_least_squares_step_matches(omegas, norm, rho0):
         assert_close(dre.rho_hat, rho_hat, float(np.max(np.abs(f)) * np.max(np.abs(u))),
                      rel=tol)
     assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol, abs=tol)
+
+
+LsStep = namedtuple("LsStep", "mixed rho_hat want_delta want_Y want_F want_rho_hat tol scale")
+
+
+def ls_drive(rows, params):
+    """Step a LeastSquaresDre and the reference step side by side, each step
+    on two regressor rows and a residual row of ``rows`` (15 floats), mixing
+    and recording as the run does.  Returns (dre, the finished record, one
+    LsStep per step)."""
+    dre = LeastSquaresDre(5, 2, params)
+    rho0 = np.zeros(5) if params.rho0 is None else params.rho0
+    r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
+    dt = 5e-4
+    theta = THETA.stacked
+    diag = dre.diagnostics(len(rows))
+    steps = []
+    for k, flat in enumerate(rows):
+        omega, resid = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
+        y = omega @ theta + resid
+        _, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
+        dre.step(RegressionPair(y=y, omega=omega), dt)
+        mixed = dre.mix()
+        dre.record(diag, k)
+        delta, Y = ref.ls_mix(f, rho_hat, z, params, rho0)
+        scale = float(np.max(np.abs(f))) * (float(np.max(np.abs(u)))
+                                             + z * params.f0 * float(np.max(np.abs(rho0))))
+        steps.append(LsStep(mixed, dre.rho_hat, delta, Y, f, rho_hat,
+                            LS * (k + 1) * np.linalg.cond(r), scale))
+    dre.finish(diag)
+    return dre, diag, steps
+
+
+ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, max_size=15),
+                   min_size=1, max_size=12)
+
+
+@given(rows=ls_rows, norm=st.sampled_from(["spectral", "frobenius"]),
+       rho0=st.one_of(st.none(), vec(5, 2.0)))
+@settings(max_examples=100)
+def test_least_squares_mix_matches(rows, norm, rho0):
+    _, diag, steps = ls_drive(rows, LsDreParams(norm=norm, rho0=rho0))
+    for k, s in enumerate(steps):
+        assert abs(s.mixed.delta - s.want_delta) <= s.tol, (s.mixed.delta, s.want_delta)
+        assert_close(s.mixed.Y, s.want_Y, s.scale, rel=s.tol)
+        assert_close(s.mixed.Y_u, s.want_Y[-2:], s.scale, rel=s.tol)
+        assert_close(diag["F"][k], s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
+        assert_close(diag["rho_hat"][k], s.want_rho_hat, s.scale, rel=s.tol)
+
+
+@given(rows=ls_rows, column=st.integers(0, 4))
+@settings(max_examples=30)
+def test_least_squares_never_excited_direction_mixes_to_zero(rows, column):
+    # a regressor column that stays 0 leaves R - z f0 I singular: Delta = 0
+    rows = np.array(rows).reshape(-1, 3, 5)
+    rows[:, :2, column] = 0.0
+    _, _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams())
+    for s in steps:
+        assert abs(s.want_delta) <= s.tol
+        assert abs(s.mixed.delta) <= s.tol
+
+
+@given(rows=ls_rows, rho0=vec(5, 2.0).filter(lambda v: bool(np.any(v != 0.0))))
+@settings(max_examples=30)
+def test_least_squares_nonzero_rho0(rows, rho0):
+    # rho0 enters only through v = rho_hat - z f0 F rho0; under an exact
+    # regression the mixing identity Y = Delta theta holds for any rho0
+    rows = np.array(rows).reshape(-1, 3, 5)
+    rows[:, 2] = 0.0
+    _, _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams(rho0=rho0))
+    for s in steps:
+        assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
+        assert_close(s.mixed.Y, s.mixed.delta * THETA.stacked, s.scale, rel=s.tol)
+
+
+def test_least_squares_setters_round_trip():
+    params = LsDreParams(rho0=np.array([0.3, -1.0, 0.0, 2.0, 0.5]))
+    dre = LeastSquaresDre(5, 2, params)
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5, 5))
+    f = a @ a.T + 0.5 * np.eye(5)
+    rho_hat = rng.normal(size=5)
+    dre.z = 0.25
+    dre.F = f
+    dre.rho_hat = rho_hat
+    tol = LS * np.linalg.cond(f)
+    f_max = float(np.max(np.abs(f)))
+    assert_close(dre.F, f, f_max, rel=tol)
+    assert_close(dre.rho_hat, rho_hat,
+                 f_max * float(np.max(np.abs(np.linalg.solve(f, rho_hat)))), rel=tol)
+    assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol)
+    # the mixing reads the assigned state
+    delta, Y = ref.ls_mix(f, rho_hat, 0.25, params, params.rho0)
+    mixed = dre.mix()
+    assert mixed.delta == pytest.approx(delta, rel=tol, abs=tol)
+    assert_close(mixed.Y, Y, float(np.max(np.abs(Y))), rel=tol)
 
 
 # -- Kreisselmeier extension ---------------------------------------------------
