@@ -14,9 +14,9 @@ knows the controllers only through their shared protocol: the estimate
 ``estimate``, a tuple of floats (``theta_hat`` is its numpy view);
 ``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
 floats; ``update(pair, dt)``, which steps the family's regressor extension
-(if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)`` and
-``record(diag, k)`` for its per-step series; and ``dre``, the name of its
-extension.  ``FAMILIES`` maps the controller names to the classes, whose
+(if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)``,
+``record(diag, k)`` and, once after the last step, ``finish(diag)`` for its
+per-step series; and ``dre``, the name of its extension.  ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
@@ -225,6 +225,10 @@ class _Estimate:
     def theta_hat(self, value) -> None:
         self.estimate = tuple(np.asarray(value, dtype=float).tolist())
 
+    def finish(self, diag: dict) -> None:
+        """Complete the recorded series after the last step; a family whose
+        record is complete as the steps wrote it has nothing to do."""
+
     def _start(self, theta_hat0, dim: int) -> None:
         self.theta_hat = np.zeros(dim) if theta_hat0 is None else theta_hat0
         if len(self.estimate) != dim:
@@ -295,6 +299,9 @@ class CompositeFtController(_Estimate):
     def record(self, diag: dict, k: int) -> None:
         diag["Y_mixed"][k] = self.mixed.Y
         self.extension.record(diag, k)
+
+    def finish(self, diag: dict) -> None:
+        self.extension.finish(diag)
 
 
 def _slotine_li_rows(q, qd, qd_r, qdd_r) -> tuple:

@@ -3,9 +3,13 @@
 Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor or through a Kreisselmeier extension.  The
-mixing step evaluates the column-replaced determinants directly (Cramer
-form) instead of building the adjugate.  A mixing output that is not finite
-raises NumericalDegeneracyError naming Delta or Y.
+least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
+of the information matrix that its step takes anyway; the Kreisselmeier
+mixing evaluates the column-replaced determinants of phi2 directly (Cramer
+form, ``mathx.det_and_cramer``) instead of building the adjugate.  A mixing
+output that is not finite raises NumericalDegeneracyError naming Delta or Y.
+An extension records its per-step series with ``record`` and completes them
+once after the last step with ``finish``.
 """
 
 from __future__ import annotations
@@ -68,27 +72,40 @@ class LsDreParams:
 
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
                     "(alpha * dt too large for this excitation level)")
+_FINISH_BLOCK = 1024    # recorded steps per batched product in finish()
 
 
 class LeastSquaresDre:
     """Least-squares regressor extension with forgetting, plus mixing.
 
-    State: estimate rho_hat, gain matrix F (symmetric positive definite),
-    and the scalar discount z in (0, 1].  The Euler update is applied in
-    information coordinates (R, u) = (F^-1, F^-1 rho_hat), whose right-hand
-    sides are affine in the state:
+    State: gain matrix F (symmetric positive definite), estimate rho_hat and
+    the scalar discount z in (0, 1].  The Euler update is applied in
+    information coordinates R = F^-1 and u~ = F^-1 rho_hat - z f0 rho0,
+    whose right-hand sides are affine in the state:
 
-        R' = alpha Omega' Omega - beta R,   u' = alpha Omega' y - beta u.
+        R' = alpha Omega' Omega - beta R,   u~' = alpha Omega' y - beta u~,
 
-    This keeps R a positively weighted sum of positive-definite terms (so F
-    never loses definiteness for any step size with beta dt < 1) and, more
-    importantly, makes the discrete mixing identity Y = Delta theta exact up
-    to the regression residual: the same per-step decay factor (1 - beta dt)
-    multiplies R, u and z, so the telescoping that proves the identity in
-    continuous time carries over to the discrete recursion unchanged.  A
-    direct Euler step of (rho_hat, F) loses that cancellation and its
-    identity error (about 2e-3 relative at dt = 5e-4 on the reference runs)
-    dwarfs the tolerance the mixing stage is held to.
+    carried as one stacked (l, l + 1) state [R | u~] that one affine step
+    advances.  This keeps R a positively weighted sum of positive-definite
+    terms (so F never loses definiteness for any step size with beta dt < 1)
+    and, more importantly, makes the discrete mixing identity Y = Delta theta
+    exact up to the regression residual: the same per-step decay factor
+    (1 - beta dt) multiplies R, u~ and z, so the telescoping that proves the
+    identity in continuous time carries over to the discrete recursion
+    unchanged.  A direct Euler step of (rho_hat, F) loses that cancellation
+    and its identity error (about 2e-3 relative at dt = 5e-4 on the
+    reference runs) dwarfs the tolerance the mixing stage is held to.
+
+    Each step takes one symmetric eigendecomposition R = V diag(w) V', and
+    the mixing is read off it: with phi = I - z f0 F = V diag(1 - z f0 / w) V'
+    and v = rho_hat - z f0 F rho0 = F u~,
+
+        Delta = det(phi) = prod_i (w_i - z f0) / w_i,
+        Y = adj(phi) v = V diag(prod_{j != i} ((w_j - z f0) / w_j) / w_i) V' u~,
+
+    which never divides by a factor w_i - z f0 (all of them are 0 at t = 0).
+    F and rho_hat are properties of the eigenpairs; the loop records V, w
+    and u~, and ``finish`` turns the record into F and rho_hat.
     """
 
     kind = "least_squares"
@@ -101,23 +118,44 @@ class LeastSquaresDre:
         self.rho0 = np.zeros(dim) if rho0 is None else np.asarray(rho0, dtype=float).copy()
         if self.rho0.shape != (dim,):
             raise ValueError("rho0 length does not match the regression dimension")
-        self._r = self.params.f0 * np.eye(dim)
-        self._u = self.params.f0 * self.rho0.copy()
-        self.rho_hat = self.rho0.copy()
-        self._eye = np.eye(dim)
-        self.F = self._eye / self.params.f0
+        f0 = self.params.f0
         self.z = 1.0
+        self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
+        # eigenpairs of R (w ascending) and the eigenvalues of F = R^-1
+        self._v = np.eye(dim)
+        self._w = [f0] * dim
+        self._f_eigs = [1.0 / f0] * dim
+        self._w_rec = None
         self.last_beta = self.beta()
 
     @property
     def F(self) -> np.ndarray:
-        """The gain matrix F = R^-1."""
-        return self._f
+        """The gain matrix F = R^-1 = S S', S = V diag(w)^-1/2."""
+        s = self._v * np.array(self._w) ** -0.5
+        return s @ s.T
 
     @F.setter
     def F(self, value) -> None:
-        self._f = np.asarray(value, dtype=float)
-        self._f_eigs = np.linalg.eigvalsh(self._f).tolist()
+        # F's eigenvectors are R's; F's eigenvalues, checked by beta(), are
+        # kept as they are, so an indefinite assignment is reported there
+        f_eigs, v = np.linalg.eigh(np.asarray(value, dtype=float))
+        w = 1.0 / f_eigs[::-1]
+        self._v = v[:, ::-1]
+        self._w = w.tolist()
+        self._f_eigs = f_eigs.tolist()
+        self._state[:, :self.dim] = (self._v * w) @ self._v.T
+
+    @property
+    def rho_hat(self) -> np.ndarray:
+        """The estimate F (u~ + z f0 rho0)."""
+        return self.F @ (self._state[:, self.dim] + (self.z * self.params.f0) * self.rho0)
+
+    @rho_hat.setter
+    def rho_hat(self, value) -> None:
+        # u~ of this estimate at the current F and z
+        r = self._state[:, :self.dim]
+        self._state[:, self.dim] = r @ np.asarray(value, dtype=float) \
+            - (self.z * self.params.f0) * self.rho0
 
     def beta(self) -> float:
         """Current forgetting rate, from the eigenvalues of F the last step
@@ -132,10 +170,8 @@ class LeastSquaresDre:
         return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
 
     def step(self, pair: RegressionPair, dt: float) -> None:
-        """One Euler step in information coordinates.  One symmetric
-        eigendecomposition R = V diag(w) V' gives F = S S' with
-        S = V diag(w)^-1/2 and the eigenvalues 1/w of F, which the next
-        beta() reads."""
+        """One Euler step of [R | u~] and the eigendecomposition of R; the
+        eigenvalues 1/w of F feed the next beta()."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         gain = dt * self.params.alpha
@@ -143,41 +179,70 @@ class LeastSquaresDre:
         self.last_beta = b
         omega = pair.omega
         decay = 1.0 - dt * b
-        # omega' omega and S S' are symmetric rank-k products, so R and F
-        # stay exactly symmetric
-        self._r = decay * self._r + gain * (omega.T @ omega)
-        self._u = decay * self._u + gain * (omega.T @ pair.y)
+        drive = omega.T.dot(np.concatenate((omega, pair.y[:, None]), axis=1))
+        self._state = state = decay * self._state + gain * drive
         self.z = self.z * decay
         try:
-            w, v = np.linalg.eigh(self._r)
+            w, v = np.linalg.eigh(state[:, :self.dim])
         except np.linalg.LinAlgError as exc:
             raise NumericalDegeneracyError(
                 "least-squares information matrix R has no eigendecomposition") from exc
         eigs = w.tolist()
         if eigs[0] <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
-        s = v * w ** -0.5
-        self._f = s @ s.T
+        self._v = v
+        self._w = eigs
         self._f_eigs = [1.0 / x for x in reversed(eigs)]
-        self.rho_hat = self._f @ self._u
 
     def mix(self) -> MixedRegression:
+        """Delta and Y from the eigenpairs of R (see the class docstring).
+        The eigenvalues (w_i - z f0) / w_i of phi lie in [0, 1), so their
+        prefix and suffix products neither overflow nor underflow."""
         zf = self.z * self.params.f0
-        phi = self._eye - zf * self._f
-        v = self.rho_hat - zf * (self._f @ self.rho0)
-        delta, Y = mathx.det_and_cramer(phi, v)
-        return _mixed(delta, Y, self.tail_dim)
+        w = self._w
+        ratios = [(x - zf) / x for x in w]
+        # coef[i] = prod(ratios[:i]) prod(ratios[i + 1:]) / w[i]
+        coef = []
+        prefix = 1.0
+        for x, ratio in zip(w, ratios):
+            coef.append(prefix / x)
+            prefix *= ratio
+        suffix = 1.0
+        for i in range(len(w) - 1, 0, -1):
+            suffix *= ratios[i]
+            coef[i - 1] *= suffix
+        v = self._v
+        Y = v.dot(np.multiply(coef, self._state[:, self.dim].dot(v)))
+        return _mixed(prefix, Y, self.tail_dim)
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim
+        self._w_rec = np.empty((n_rec, l_dim))
         return {"F": np.empty((n_rec, l_dim, l_dim)), "z_forget": np.empty(n_rec),
                 "rho_hat": np.empty((n_rec, l_dim)), "beta": np.empty(n_rec)}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["F"][k] = self.F
+        """Record V in place of F and u~ in place of rho_hat, and w aside;
+        ``finish`` completes them."""
+        diag["F"][k] = self._v
+        self._w_rec[k] = self._w
         diag["z_forget"][k] = self.z
-        diag["rho_hat"][k] = self.rho_hat
+        diag["rho_hat"][k] = self._state[:, self.dim]
         diag["beta"][k] = self.last_beta
+
+    def finish(self, diag: dict) -> None:
+        """Turn the recorded eigenpairs into F = S S' (S = V diag(w)^-1/2)
+        and rho_hat = F (u~ + z f0 rho0), a block of steps at a time."""
+        f_rec, rho_rec, z_rec = diag["F"], diag["rho_hat"], diag["z_forget"]
+        w_rec, self._w_rec = self._w_rec, None
+        f0 = self.params.f0
+        for start in range(0, len(w_rec), _FINISH_BLOCK):
+            block = slice(start, start + _FINISH_BLOCK)
+            s = f_rec[block] * w_rec[block, None, :] ** -0.5
+            f = s @ s.transpose(0, 2, 1)
+            u = rho_rec[block] + (z_rec[block] * f0)[:, None] * self.rho0
+            rho_rec[block] = (f @ u[:, :, None])[:, :, 0]
+            f_rec[block] = f
 
 
 @dataclass(frozen=True)
@@ -230,6 +295,9 @@ class KreisselmeierDre:
     def record(self, diag: dict, k: int) -> None:
         diag["phi1"][k] = self.phi1
         diag["phi2"][k] = self.phi2
+
+    def finish(self, diag: dict) -> None:
+        """The record is complete as the steps wrote it."""
 
 
 def make_dre(kind: str, dim: int, tail_dim: int,

@@ -2,8 +2,9 @@
 
 The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
 ``matvec2`` and ``eig_sym2`` as its kernels.  ``det_and_cramer`` is the
-mixing stage's determinant call on the l = 5 extension matrices, and
-``min_eig_sym`` the excitation level of the metrics' Gramian.
+Kreisselmeier mixing's determinant call on the l = 5 filter matrix phi2 (the
+least-squares mixing takes its determinants from an eigendecomposition, in
+``drem``), and ``min_eig_sym`` the excitation level of the metrics' Gramian.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _cramer_mask(m: int) -> np.ndarray:
 
 def det_and_cramer(phi, v) -> tuple[float, np.ndarray]:
     """(det(phi), w) with w_j the determinant of phi with column j replaced
-    by v, which equals adj(phi) v: the mixing stage's one call per step.
+    by v, which equals adj(phi) v: the Kreisselmeier mixing's one call per
+    step.
 
     phi and its m column-replaced copies are stacked and their determinants
     taken in one batched LU (LAPACK) call; each equals the determinant of

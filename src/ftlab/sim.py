@@ -94,6 +94,12 @@ class SimConfig:
             return self.lambda0
         return 0.3 if self.effective_parameterization == "power_balance" else 1.5
 
+    @property
+    def n_steps(self) -> int:
+        """Euler steps of the run, floor(t_final / dt), with slack for float
+        division noise on exact multiples; the last sample is at n_steps dt."""
+        return int(math.floor(self.t_final / self.dt + 1e-9))
+
     def validate(self):
         """Range and consistency checks; raises ConfigError naming the key.
         The rules of one controller family are its class's check_config."""
@@ -118,8 +124,10 @@ class SimConfig:
         for name in ("settle_tol", "param_tol", "gramian_window"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.gramian_start < self.t_final:
-            raise ConfigError("gramian_start must lie inside [0, t_final)")
+        t_last = self.n_steps * self.dt
+        if not 0.0 <= self.gramian_start < t_last:
+            raise ConfigError(f"gramian_start must lie inside [0, {t_last:.17g}), before the "
+                              f"last sample at floor(t_final / dt) dt, got {self.gramian_start}")
         n = 2
         for name in ("q_d", "q0", "qd0", "friction"):
             if getattr(self, name).shape != (n,):
@@ -230,8 +238,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
                                  config.q0, config.qd0,
                                  config.effective_lambda0, config.lambda1)
 
-    # floor semantics with slack for float division noise on exact multiples
-    n_steps = int(np.floor(config.t_final / config.dt + 1e-9))
+    n_steps = config.n_steps
     n_rec = n_steps + 1
 
     # one row per step: q, qd, tau (2 each), the estimate, Delta, then Psi(q)
@@ -292,6 +299,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
             a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
             q1, q2 = q1 + dt * qd1, q2 + dt * qd2
             qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
+    controller.finish(diag)
 
     q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
     theta_rec = rows[:, 6:6 + j_est].copy()

@@ -42,8 +42,9 @@ def check_signed_power_odd(n_samples: int = 2000, seed: int = 7) -> PropertyResu
 
 def adjugate(a) -> np.ndarray:
     """Adjugate (transposed cofactor matrix), with the minors' determinants
-    by LU: the reference the mixing's Cramer products are held to.  Satisfies
-    A adj(A) = det(A) I, including for singular A, which inv() cannot give."""
+    by LU: the reference the Kreisselmeier mixing's Cramer products are held
+    to.  Satisfies A adj(A) = det(A) I, including for singular A, which inv()
+    cannot give."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")

@@ -265,7 +265,9 @@ def ls_mix(f, rho_hat, z, params, rho0):
     determinants adj(phi) v."""
     zf = z * params.f0
     phi = np.eye(f.shape[0]) - zf * f
-    return det_and_cramer(phi, rho_hat - zf * (f @ rho0))
+    # before any excitation phi is exactly singular, and the LU divides by 0
+    with np.errstate(divide="ignore"):
+        return det_and_cramer(phi, rho_hat - zf * (f @ rho0))
 
 
 # -- Kreisselmeier extension ---------------------------------------------------

@@ -241,6 +241,15 @@ class TestCliCommands:
         assert err.startswith("config error:") and key in err
         assert not out.exists()
 
+    def test_gramian_start_past_the_last_sample_is_a_config_error(self, tmp_path, capsys):
+        # t_final = 1.0003 leaves the last sample at 1.0 s, before gramian_start
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "sim.t_final = 1.0003\nsim.gramian_start = 1.0001\n")
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "gramian_start" in err
+        assert not out.exists()
+
     def test_property_failure_exit_code(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod
         broken = [verify.PropertyResult("synthetic", False, "injected failure")]
