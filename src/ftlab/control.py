@@ -16,8 +16,9 @@ knows the controllers only through their shared protocol: the estimate
 floats; ``update(pair, dt)``, which steps the family's regressor extension
 (if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)``,
 ``record(diag, k)`` and, once after the last step, ``finish(diag)`` for its
-per-step series; and ``dre``, the name of its extension.  ``FAMILIES`` maps the controller names to the classes, whose
-``from_config`` builds one and ``check_config`` holds the family's rules.
+per-step series; and ``dre``, the name of its extension.  ``FAMILIES`` maps
+the controller names to the classes, whose ``from_config`` builds one and
+``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
