@@ -224,8 +224,8 @@ LsStep = namedtuple("LsStep", "mixed rho_hat want_delta want_Y want_F want_rho_h
 def ls_drive(rows, params):
     """Step a LeastSquaresDre and the reference step side by side, each step
     on two regressor rows and a residual row of ``rows`` (15 floats), mixing
-    and recording as the run does.  Returns (dre, the finished record, one
-    LsStep per step)."""
+    and recording as the run does.  Returns the finished record and one
+    LsStep per step."""
     dre = LeastSquaresDre(5, 2, params)
     rho0 = np.zeros(5) if params.rho0 is None else params.rho0
     r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
@@ -246,7 +246,7 @@ def ls_drive(rows, params):
         steps.append(LsStep(mixed, dre.rho_hat, delta, Y, f, rho_hat,
                             LS * (k + 1) * np.linalg.cond(r), scale))
     dre.finish(diag)
-    return dre, diag, steps
+    return diag, steps
 
 
 ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, max_size=15),
@@ -257,7 +257,7 @@ ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, 
        rho0=st.one_of(st.none(), vec(5, 2.0)))
 @settings(max_examples=100)
 def test_least_squares_mix_matches(rows, norm, rho0):
-    _, diag, steps = ls_drive(rows, LsDreParams(norm=norm, rho0=rho0))
+    diag, steps = ls_drive(rows, LsDreParams(norm=norm, rho0=rho0))
     for k, s in enumerate(steps):
         assert abs(s.mixed.delta - s.want_delta) <= s.tol, (s.mixed.delta, s.want_delta)
         assert_close(s.mixed.Y, s.want_Y, s.scale, rel=s.tol)
@@ -272,7 +272,7 @@ def test_least_squares_never_excited_direction_mixes_to_zero(rows, column):
     # a regressor column that stays 0 leaves R - z f0 I singular: Delta = 0
     rows = np.array(rows).reshape(-1, 3, 5)
     rows[:, :2, column] = 0.0
-    _, _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams())
+    _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams())
     for s in steps:
         assert abs(s.want_delta) <= s.tol
         assert abs(s.mixed.delta) <= s.tol
@@ -285,7 +285,7 @@ def test_least_squares_nonzero_rho0(rows, rho0):
     # regression the mixing identity Y = Delta theta holds for any rho0
     rows = np.array(rows).reshape(-1, 3, 5)
     rows[:, 2] = 0.0
-    _, _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams(rho0=rho0))
+    _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams(rho0=rho0))
     for s in steps:
         assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
         assert_close(s.mixed.Y, s.mixed.delta * THETA.stacked, s.scale, rel=s.tol)
