@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -257,8 +256,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Run every controller x scenario job; a job that fails numerically is
-    reported and the others run on.  Each job is validated for its own
+    """Run every controller x scenario job, one after another in that order;
+    a job that fails numerically is reported and the others run on, and an
+    i/o failure ends the sweep.  Each job is validated for its own
     controller: a configured theta_hat0 goes to the controllers whose
     estimate has its length, and the others start from zeros."""
     base = _read_file(args.config)
@@ -277,37 +277,21 @@ def cmd_sweep(args) -> int:
                       file=sys.stderr)
             config.validate()
             jobs.append((config, out))
-    workers = _worker_count() or min(len(jobs), os.cpu_count() or 1)
     failed = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_run_and_write, config, out): out for config, out in jobs}
-        for future in concurrent.futures.as_completed(futures):
-            out = futures[future]
-            try:
-                future.result()
-                print(f"done {out}")
-            except NumericalDegeneracyError as exc:
-                print(f"numerical degeneracy in {out}: {exc}", file=sys.stderr)
-                failed += 1
-            except (ValueError, ArithmeticError) as exc:
-                print(f"{type(exc).__name__} in {out}: {exc}", file=sys.stderr)
-                failed += 1
+    for config, out in jobs:
+        try:
+            _run_and_write(config, out)
+            print(f"done {out}")
+        except NumericalDegeneracyError as exc:
+            print(f"numerical degeneracy in {out}: {exc}", file=sys.stderr)
+            failed += 1
+        except (ValueError, ArithmeticError) as exc:
+            print(f"{type(exc).__name__} in {out}: {exc}", file=sys.stderr)
+            failed += 1
     if failed:
         print(f"{failed} of {len(jobs)} runs failed", file=sys.stderr)
         return EXIT_DEGENERACY
     return EXIT_OK
-
-
-def _worker_count() -> int:
-    """FTLAB_THREADS as a worker count; 0, empty or unset means "auto"."""
-    raw = os.environ.get("FTLAB_THREADS") or "0"
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(f"FTLAB_THREADS: expected a whole number, got {raw!r}") from None
-    if workers < 0:
-        raise ConfigError(f"FTLAB_THREADS: must be 0 (auto) or positive, got {workers}")
-    return workers
 
 
 def main(argv=None) -> int:
@@ -323,7 +307,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="run one closed loop, write trace.csv + metrics.txt")
     sub.add_parser("verify", help="run the numerical property suite")
-    sub.add_parser("sweep", help="run the controller/scenario grid concurrently")
+    sub.add_parser("sweep", help="run the controller/scenario grid, one job after another")
     args = parser.parse_args(argv)
 
     try:

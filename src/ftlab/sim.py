@@ -255,50 +255,53 @@ def run_closed_loop(config: SimConfig) -> Trace:
     qdes1, qdes2 = config.q_d.tolist()
     dt = config.dt
 
-    for k in range(n_rec):
-        t = k * dt
-        try:
-            estimate = controller.estimate
-            # fast test first; a finite sum that overflows falls through to
-            # the exact check, which then finds nothing
-            if not math.isfinite(q1 + q2 + qd1 + qd2 + sum(estimate)):
-                for name, value in (("position q", (q1, q2)), ("velocity qd", (qd1, qd2)),
-                                    ("estimate theta_hat", estimate)):
-                    if not all(map(math.isfinite, value)):
-                        raise NumericalDegeneracyError(f"{name} is not finite")
-            q = (q1, q2)
-            qd = (qd1, qd2)
-            psi = plant.psi_rows(q)
-            inertia = plant.inertia_rows(q)
-            if noisy:
-                (n1, n2), (v1, v2) = noise.position(t), noise.velocity(t)
-                q_m = (q1 + n1, q2 + n2)
-                qd_m = (qd1 + v1, qd2 + v2)
-                psi_m = plant.psi_rows(q_m)
-                inertia_m = None
-            else:
-                q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
+    # every state and mixing output is checked below, so numpy's
+    # floating-point warnings would only repeat what the check names
+    with np.errstate(all="ignore"):
+        for k in range(n_rec):
+            t = k * dt
+            try:
+                estimate = controller.estimate
+                # fast test first; a finite sum that overflows falls through to
+                # the exact check, which then finds nothing
+                if not math.isfinite(q1 + q2 + qd1 + qd2 + sum(estimate)):
+                    for name, value in (("position q", (q1, q2)), ("velocity qd", (qd1, qd2)),
+                                        ("estimate theta_hat", estimate)):
+                        if not all(map(math.isfinite, value)):
+                            raise NumericalDegeneracyError(f"{name} is not finite")
+                q = (q1, q2)
+                qd = (qd1, qd2)
+                psi = plant.psi_rows(q)
+                inertia = plant.inertia_rows(q)
+                if noisy:
+                    (n1, n2), (v1, v2) = noise.position(t), noise.velocity(t)
+                    q_m = (q1 + n1, q2 + n2)
+                    qd_m = (qd1 + v1, qd2 + v2)
+                    psi_m = plant.psi_rows(q_m)
+                    inertia_m = None
+                else:
+                    q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
 
-            tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), qd_m, q_m, qd_m,
-                                    psi_m, inertia_m)
-            pair = regression.step(q_m, qd_m, tau, dt, psi_m)
-            delta = controller.update(pair, dt)
-        except NumericalDegeneracyError as exc:
-            raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
+                tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), qd_m, q_m, qd_m,
+                                        psi_m, inertia_m)
+                pair = regression.step(q_m, qd_m, tau, dt, psi_m)
+                delta = controller.update(pair, dt)
+            except NumericalDegeneracyError as exc:
+                raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
 
-        (p11, p12), (p21, p22) = psi
-        (m11, m12), (m21, m22) = inertia
-        rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta,
-                   p11, p12, p21, p22, m11, m12, m21, m22)
-        y_rec[k] = pair.y
-        omega_rec[k] = pair.omega
-        controller.record(diag, k)
+            (p11, p12), (p21, p22) = psi
+            (m11, m12), (m21, m22) = inertia
+            rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta,
+                       p11, p12, p21, p22, m11, m12, m21, m22)
+            y_rec[k] = pair.y
+            omega_rec[k] = pair.omega
+            controller.record(diag, k)
 
-        if k < n_steps:
-            tau_f = friction.torque(qd) if noisy else None
-            a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
-            q1, q2 = q1 + dt * qd1, q2 + dt * qd2
-            qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
+            if k < n_steps:
+                tau_f = friction.torque(qd) if noisy else None
+                a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
+                q1, q2 = q1 + dt * qd1, q2 + dt * qd2
+                qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
     controller.finish(diag)
 
     q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ftlab.cli import CONFIG_KEYS, main, parse_config
 from ftlab.control import make_controller
 from ftlab.errors import ConfigError
 from ftlab.plant import Plant
-from ftlab.sim import SimConfig
+from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig
 
 
 class TestParseConfig:
@@ -202,6 +203,13 @@ class TestCliCommands:
         assert "is not finite" in err and "step " in err and "(t = " in err
         assert list(out.iterdir()) == []
 
+    def test_coarse_step_prints_only_the_degeneracy_line(self, tmp_path, capsys):
+        # numpy's overflow warning from the extension determinant stays off stderr
+        assert main(["--config", str(_write(tmp_path, "controller=c2\ndt=0.05\n")),
+                     "--out", str(tmp_path / "o"), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: step 9 (t = 0.45 s): mixing factor Delta is not finite\n")
+
     def test_failed_write_leaves_neither_output(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod
 
@@ -256,8 +264,7 @@ class TestCliCommands:
         monkeypatch.setattr(cli_mod.verify, "run_all", lambda t_final: broken)
         assert main(["--out", str(tmp_path), "verify"]) == 4
 
-    def test_sweep_writes_grid(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FTLAB_THREADS", "2")
+    def test_sweep_writes_grid(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t_final=0.05\n")
         code = main(["--config", str(cfg), "--scenario", "case1",
@@ -278,7 +285,6 @@ class TestCliCommands:
             return real(config)
 
         monkeypatch.setattr(cli_mod, "run_closed_loop", flaky)
-        monkeypatch.setenv("FTLAB_THREADS", "1")
         code = main(["--config", str(_write(tmp_path, "t_final=0.05\n")), "--scenario",
                      "case1", "--out", str(tmp_path / "grid"), "sweep"])
         assert code == 3
@@ -290,16 +296,44 @@ class TestCliCommands:
         for controller in ("c2", "c3"):
             assert list((tmp_path / "grid" / f"{controller}_case1").iterdir()) == []
 
-    @pytest.mark.parametrize("threads", ["abc", "-1"])
-    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys,
-                                                threads):
-        monkeypatch.setenv("FTLAB_THREADS", threads)
-        out = tmp_path / "grid"
-        assert main(["--config", str(_write(tmp_path, "t_final=0.01\n")), "--scenario",
-                     "case1", "--out", str(out), "sweep"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "FTLAB_THREADS" in err
-        assert not out.exists()
+    def test_sweep_runs_its_jobs_in_order_on_the_calling_thread(self, tmp_path,
+                                                                monkeypatch, capsys):
+        from ftlab import cli as cli_mod
+        real = cli_mod.run_closed_loop
+        ran = []
+
+        def recording(config):
+            ran.append((threading.current_thread(), (config.controller, config.scenario)))
+            return real(config)
+
+        monkeypatch.setattr(cli_mod, "run_closed_loop", recording)
+        grid = tmp_path / "grid"
+        assert main(["--config", str(_write(tmp_path, "t_final=0.01\n")),
+                     "--out", str(grid), "sweep"]) == 0
+        order = [(c, s) for c in CONTROLLERS for s in SCENARIOS]
+        assert [job for _, job in ran] == order
+        assert all(thread is threading.main_thread() for thread, _ in ran)
+        done = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("done ")]
+        assert done == [f"done {grid / f'{c}_{s}'}" for c, s in order]
+
+    def test_sweep_ends_at_a_failed_write(self, tmp_path, monkeypatch, capsys):
+        from ftlab import cli as cli_mod
+        real = cli_mod.run_closed_loop
+        ran = []
+
+        def recording(config):
+            ran.append(config.controller)
+            if config.controller == "c2":
+                raise OSError(28, "No space left on device", "trace.csv")
+            return real(config)
+
+        monkeypatch.setattr(cli_mod, "run_closed_loop", recording)
+        code = main(["--config", str(_write(tmp_path, "t_final=0.01\n")), "--scenario",
+                     "case1", "--out", str(tmp_path / "grid"), "sweep"])
+        assert code == 2
+        assert ran == ["c1", "c2"]
+        assert capsys.readouterr().err.startswith("i/o failure:")
 
     @pytest.mark.parametrize("controller_line", ["controller=c3\n", ""],
                              ids=["controller_c3", "no_controller"])
