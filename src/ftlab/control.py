@@ -157,18 +157,33 @@ class CompositeAdaptGains:
         return tuple(self.indirect_gain.tolist()), tuple(self.neg_gamma_diag.tolist())
 
 
+def sat(delta: float, c: float, d: float) -> float:
+    """``saturation`` of a float, unchecked: the step loop calls it on a
+    Delta that the mixing has checked finite."""
+    return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
+
+
+def exc_gain(delta: float, b: float, d: float) -> float:
+    """``excitation_gain`` of a float, unchecked (0.0 at delta = 0)."""
+    return sat(delta, b, d) * spow(delta, b)
+
+
 def saturation(delta: float, c: float, d: float) -> float:
-    """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d))."""
-    num = mathx.signed_power(delta, d)
-    return num / (1.0 + abs(float(delta)) ** (c + d))
+    """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Raises
+    ValueError on a non-finite delta or an exponent d that is not finite
+    and positive."""
+    return sat(mathx.check_power_args(delta, d), c, d)
 
 
 def excitation_gain(delta: float, b: float, d: float) -> float:
     """saturation(delta) * <delta>^b; equals |delta|^(b+d) / (1 + |delta|^(b+d))
-    when the saturation exponent c equals b, hence always in [0, 1)."""
+    when the saturation exponent c equals b, hence always in [0, 1).  0.0 at
+    delta = 0; otherwise delta, b and d are checked as in ``saturation``."""
     if delta == 0.0:
         return 0.0
-    return saturation(delta, b, d) * mathx.signed_power(delta, b)
+    delta = mathx.check_power_args(delta, d)
+    mathx.check_power_args(delta, b)
+    return exc_gain(delta, b, d)
 
 
 def _prediction_error(delta: float, theta_hat_u, y_u, c: float) -> tuple:
@@ -192,7 +207,7 @@ def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
     v1 = g1d1 * math.tanh(e11) + g12 * e21
     v2 = g1d1 * math.tanh(e12) + g12 * e22
     xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, c)
-    f_gain = saturation(delta, c, gains.sat_d)
+    f_gain = sat(delta, c, gains.sat_d)
     (i1, i2), (n1, n2) = gains.diagonals
     # -gamma (direct + indirect), the direct term being Psi' v
     return (n1 * (p11 * v1 + p21 * v2 + i1 * f_gain * xi1),

@@ -2,14 +2,17 @@
 
 Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
-norm-capped forgetting factor or through a Kreisselmeier extension.  The
+norm-capped forgetting factor or through a Kreisselmeier extension.  Each
+carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
+[phi2 | phi1], that one affine update advances per step.  The
 least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
 of the information matrix that its step takes anyway; the Kreisselmeier
-mixing evaluates the column-replaced determinants of phi2 directly (Cramer
-form, ``mathx.det_and_cramer``) instead of building the adjugate.  A mixing
-output that is not finite raises NumericalDegeneracyError naming Delta or Y.
-An extension records its per-step series with ``record`` and completes them
-once after the last step with ``finish``.
+mixing hands its state to ``mathx.det_and_cramer``, which evaluates the
+column-replaced determinants of phi2 directly (Cramer form) instead of
+building the adjugate.  A mixing output that is not finite raises
+NumericalDegeneracyError naming Delta or Y.  An extension records its
+per-step series with ``record`` and completes them once after the last step
+with ``finish``.
 """
 
 from __future__ import annotations
@@ -261,8 +264,20 @@ class KreisParams:
 class KreisselmeierDre:
     """Kreisselmeier regressor extension plus mixing.
 
-    State: phi1 (l,) and phi2 (l, l); phi2 stays symmetric positive
-    semidefinite (exponentially weighted integral of Omega' Omega).
+    State: phi2 (l, l) and phi1 (l,), carried as one stacked (l, l + 1)
+    state [phi2 | phi1]; ``phi2`` and ``phi1`` are views of it, and
+    assigning either writes into it.  A step is one affine update
+
+        [phi2 | phi1] <- (1 - lambda2 dt) [phi2 | phi1]
+                         + lambda3 dt [Omega' Omega | Omega' y],
+
+    with Omega' Omega and Omega' y each written into its block of the drive.
+    phi2 stays symmetric positive semidefinite (an exponentially weighted
+    sum of the symmetric rank-k products Omega' Omega).  The mixing hands
+    the state as it stands to ``mathx.det_and_cramer``: Delta = det(phi2)
+    and Y = adj(phi2) phi1.  The record holds the state of every step in
+    one (steps, l, l + 1) buffer, of which the recorded ``phi2`` and
+    ``phi1`` are views.
     """
 
     kind = "kreisselmeier"
@@ -271,33 +286,59 @@ class KreisselmeierDre:
         self.params = params or KreisParams()
         self.dim = dim
         self.tail_dim = tail_dim
-        self.phi1 = np.zeros(dim)
-        self.phi2 = np.zeros((dim, dim))
+        self._state = np.zeros((dim, dim + 1))
+        self._drive = np.empty((dim, dim + 1))
+        self._drive_blocks = self._drive[:, :dim], self._drive[:, dim]
+        self._rec = None
+
+    @property
+    def phi1(self) -> np.ndarray:
+        return self._state[:, self.dim]
+
+    @phi1.setter
+    def phi1(self, value) -> None:
+        self._state[:, self.dim] = value
+
+    @property
+    def phi2(self) -> np.ndarray:
+        return self._state[:, :self.dim]
+
+    @phi2.setter
+    def phi2(self, value) -> None:
+        self._state[:, :self.dim] = value
 
     def step(self, pair: RegressionPair, dt: float) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        # phi <- phi + dt (-lambda2 phi + lambda3 drive); omega' omega is a
-        # symmetric rank-k product, so phi2 stays exactly symmetric
-        decay, gain = 1.0 - dt * self.params.lambda2, dt * self.params.lambda3
         omega = pair.omega
-        self.phi1 = decay * self.phi1 + gain * (omega.T @ pair.y)
-        self.phi2 = decay * self.phi2 + gain * (omega.T @ omega)
+        drive_phi2, drive_phi1 = self._drive_blocks
+        # each product into its own block, so that both are the BLAS calls of
+        # the products taken alone (one Omega' [Omega | y] product rounds the
+        # phi1 column differently); the symmetric rank-k product keeps phi2
+        # exactly symmetric
+        np.matmul(omega.T, omega, out=drive_phi2)
+        np.matmul(omega.T, pair.y, out=drive_phi1)
+        drive = self._drive
+        drive *= dt * self.params.lambda3
+        state = self._state
+        state *= 1.0 - dt * self.params.lambda2
+        state += drive
 
     def mix(self) -> MixedRegression:
-        delta, Y = mathx.det_and_cramer(self.phi2, self.phi1)
+        delta, Y = mathx.det_and_cramer(self._state)
         return _mixed(delta, Y, self.tail_dim)
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim
-        return {"phi1": np.empty((n_rec, l_dim)), "phi2": np.empty((n_rec, l_dim, l_dim))}
+        self._rec = rec = np.empty((n_rec, l_dim, l_dim + 1))
+        return {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["phi1"][k] = self.phi1
-        diag["phi2"][k] = self.phi2
+        self._rec[k] = self._state
 
     def finish(self, diag: dict) -> None:
         """The record is complete as the steps wrote it."""
+        self._rec = None
 
 
 def make_dre(kind: str, dim: int, tail_dim: int,

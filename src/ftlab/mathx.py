@@ -2,9 +2,11 @@
 
 The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
 ``matvec2`` and ``eig_sym2`` as its kernels.  ``det_and_cramer`` is the
-Kreisselmeier mixing's determinant call on the l = 5 filter matrix phi2 (the
-least-squares mixing takes its determinants from an eigendecomposition, in
-``drem``), and ``min_eig_sym`` the excitation level of the metrics' Gramian.
+Kreisselmeier mixing's determinant call: it takes the extension's stacked
+l = 5 state [phi2 | phi1] as it stands and gathers phi2 and its Cramer
+copies with one cached flat index (the least-squares mixing takes its
+determinants from an eigendecomposition, in ``drem``).  ``min_eig_sym`` is
+the excitation level of the metrics' Gramian.
 """
 
 from __future__ import annotations
@@ -32,14 +34,19 @@ def _check_exponent(q) -> None:
         raise ValueError(f"exponent must be a finite positive number, got {q!r}")
 
 
-def signed_power(z: float, q: float) -> float:
-    """``spow`` with its arguments checked: raises ValueError on a
-    non-finite z or an exponent that is not finite and positive."""
+def check_power_args(z: float, q: float) -> float:
+    """float(z), after checking that z is finite and q a finite positive
+    exponent; raises ValueError otherwise."""
     _check_exponent(q)
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"argument must be finite, got {z!r}")
-    return spow(z, q)
+    return z
+
+
+def signed_power(z: float, q: float) -> float:
+    """``spow`` with its arguments checked (``check_power_args``)."""
+    return spow(check_power_args(z, q), q)
 
 
 def signed_power_vec(z, q: float) -> np.ndarray:
@@ -59,38 +66,32 @@ def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
     return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a
-
-
 @functools.cache
-def _cramer_mask(m: int) -> np.ndarray:
-    """True where matrix j + 1 of the Cramer stack holds v: its column j."""
-    mask = np.zeros((m + 1, m, m), dtype=bool)
-    cols = np.arange(m)
-    mask[cols + 1, :, cols] = True
-    mask.flags.writeable = False
-    return mask
+def _cramer_index(m: int) -> np.ndarray:
+    """Flat indices into an (m, m + 1) matrix [phi | v] that gather phi and
+    its m copies with column j replaced by v, as one (m + 1, m, m) stack."""
+    cols = np.tile(np.arange(m), (m + 1, m, 1))
+    j = np.arange(m)
+    cols[j + 1, :, j] = m
+    index = np.arange(m)[:, None] * (m + 1) + cols
+    index.flags.writeable = False
+    return index
 
 
-def det_and_cramer(phi, v) -> tuple[float, np.ndarray]:
-    """(det(phi), w) with w_j the determinant of phi with column j replaced
-    by v, which equals adj(phi) v: the Kreisselmeier mixing's one call per
-    step.
+def det_and_cramer(aug) -> tuple[float, np.ndarray]:
+    """(det(phi), w) of the augmented (m, m + 1) matrix [phi | v], with w_j
+    the determinant of phi with column j replaced by v, which equals
+    adj(phi) v: the Kreisselmeier mixing's one call per step.
 
-    phi and its m column-replaced copies are stacked and their determinants
-    taken in one batched LU (LAPACK) call; each equals the determinant of
-    the same matrix taken alone, bit for bit.
+    phi and its m column-replaced copies are gathered into one stack and
+    their determinants taken in one batched LU (LAPACK) call; each equals
+    the determinant of the same matrix taken alone, bit for bit.
     """
-    phi = _as_square(phi, "phi")
-    m = phi.shape[0]
-    v = np.asarray(v, dtype=float)
-    if v.shape != (m,):
-        raise ValueError(f"vector length {v.shape} does not match matrix dimension {m}")
-    dets = np.linalg.det(np.where(_cramer_mask(m), v[:, None], phi))
+    aug = np.asarray(aug, dtype=float)
+    if aug.ndim != 2 or aug.shape[1] != aug.shape[0] + 1:
+        raise ValueError(f"augmented matrix [phi | v] must have shape (m, m + 1), "
+                         f"got {aug.shape}")
+    dets = np.linalg.det(aug.take(_cramer_index(aug.shape[0])))
     return float(dets[0]), dets[1:]
 
 
@@ -98,7 +99,9 @@ def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
     """Smallest eigenvalue of a symmetric matrix, by LAPACK's symmetric
     eigensolver.  Raises if the input is asymmetric beyond ``sym_tol``
     (relative to max(1, |a|_max))."""
-    a = _as_square(a)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
     if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
         raise ValueError("matrix is not symmetric within tolerance")

@@ -318,7 +318,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     z1norm = np.sqrt(_row_dot(z1, z1))
     b_exp = config.ftpd.b
     d_exp = config.adapt.sat_d
-    zeta1 = np.array([control.excitation_gain(delta, b_exp, d_exp)
+    # every recorded Delta passed the mixing's finiteness check
+    zeta1 = np.array([control.exc_gain(delta, b_exp, d_exp)
                       for delta in delta_rec.tolist()])
     del rows, psi_rec, inertia_rec
 

@@ -82,7 +82,7 @@ def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
         phi = rng.standard_normal((m, m))
         v = rng.standard_normal(m)
         ref = adjugate_fn(phi) @ v
-        got = mathx.det_and_cramer(phi, v)[1]
+        got = mathx.det_and_cramer(np.column_stack((phi, v)))[1]
         worst = max(worst, float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref)))))
     return PropertyResult("cramer_matches_adjugate", worst <= 1e-10,
                           f"max relative deviation = {worst:.3e}")

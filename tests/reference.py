@@ -3,9 +3,12 @@
 The step loop evaluates every n = 2 quantity in Python floats.  Before that,
 it evaluated them with the numpy expressions below (BLAS products, numpy's
 vectorised ``power``, ``eigvalsh`` + ``inv`` in the least-squares
-extension, and the least-squares mixing through phi = I - z f0 F and its
-Cramer determinants).  ``test_kernels.py`` compares the float kernels with these over
-drawn states, within tolerances derived from float64 rounding.  The basis
+extension, the least-squares mixing through phi = I - z f0 F and its
+Cramer determinants, and the Kreisselmeier filters as two separate arrays
+mixed from a masked Cramer stack).  ``test_kernels.py`` compares the float
+kernels with these over drawn states, within tolerances derived from
+float64 rounding; ``test_drem.py`` holds the stacked Kreisselmeier state to
+its two-array form bit for bit.  The basis
 stacks are also the statement of the two-link decomposition M(q) =
 sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
 hold the plant's closed forms to.  Nothing in ``src/`` imports this module.
@@ -267,7 +270,7 @@ def ls_mix(f, rho_hat, z, params, rho0):
     phi = np.eye(f.shape[0]) - zf * f
     # before any excitation phi is exactly singular, and the LU divides by 0
     with np.errstate(divide="ignore"):
-        return det_and_cramer(phi, rho_hat - zf * (f @ rho0))
+        return det_and_cramer(np.column_stack((phi, rho_hat - zf * (f @ rho0))))
 
 
 # -- Kreisselmeier extension ---------------------------------------------------
@@ -276,3 +279,23 @@ def kreis_step(phi1, phi2, lambda2, lambda3, y, omega, dt):
     phi1 = phi1 + dt * (-lambda2 * phi1 + lambda3 * (omega.T @ y))
     phi2 = phi2 + dt * (-lambda2 * phi2 + lambda3 * (omega.T @ omega))
     return phi1, 0.5 * (phi2 + phi2.T)
+
+
+def kreis_update(phi1, phi2, params, y, omega, dt):
+    """The extension's step before it carried one stacked state: phi1 and
+    phi2 each take decay * phi + gain * product, with the products taken
+    alone.  The stacked step equals it bit for bit."""
+    decay, gain = 1.0 - dt * params.lambda2, dt * params.lambda3
+    return (decay * phi1 + gain * (omega.T @ y),
+            decay * phi2 + gain * (omega.T @ omega))
+
+
+def kreis_mix(phi1, phi2):
+    """(det(phi2), adj(phi2) phi1) from the stack phi2 and its copies with
+    column j replaced by phi1, built by ``np.where`` over a boolean mask."""
+    m = phi2.shape[0]
+    mask = np.zeros((m + 1, m, m), dtype=bool)
+    cols = np.arange(m)
+    mask[cols + 1, :, cols] = True
+    dets = np.linalg.det(np.where(mask, phi1[:, None], phi2))
+    return float(dets[0]), dets[1:]

@@ -349,7 +349,8 @@ class TestCliCommands:
         first = {}
         for controller in ("c1", "c2", "c3", "c4"):
             trace_file = tmp_path / "grid" / f"{controller}_case1" / "trace.csv"
-            first[controller] = ftlab.read_trace_csv(trace_file.open()).theta_hat[0]
+            with trace_file.open() as stream:
+                first[controller] = ftlab.read_trace_csv(stream).theta_hat[0]
         np.testing.assert_array_equal(first["c3"], [0.1, 0.2, 0.3, 0.4, 0.5])
         np.testing.assert_array_equal(first["c4"], [0.1, 0.2, 0.3, 0.4, 0.5])
         np.testing.assert_array_equal(first["c1"], [0.0, 0.0])

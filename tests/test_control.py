@@ -8,9 +8,9 @@ from ftlab import mathx
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams,
-                           composite_adapt_rate, excitation_gain, ftpd_torque,
-                           prediction_error_vector, saturation,
-                           slotine_li_regressor)
+                           composite_adapt_rate, exc_gain, excitation_gain,
+                           ftpd_torque, prediction_error_vector, sat,
+                           saturation, slotine_li_regressor)
 from ftlab.drem import LsDreParams, MixedRegression
 from ftlab.regression import RegressionPair
 
@@ -99,6 +99,52 @@ class TestSaturationAndGain:
     def test_monotone_in_magnitude(self):
         vals = [excitation_gain(d, 0.5, 0.5) for d in (0.0, 0.1, 0.5, 2.0, 100.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def _outcome(fn, *args):
+    """The float's exact bits, or the type of the exception raised."""
+    try:
+        return fn(*args).hex()
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+def _assert_kernels_match(delta, c, d):
+    assert _outcome(sat, delta, c, d) == _outcome(saturation, delta, c, d)
+    assert _outcome(exc_gain, delta, c, d) == _outcome(excitation_gain, delta, c, d)
+
+
+# (c or b, d): the default composite law's, a b = 0.6 law's, and one whose
+# c + d > 1 overflows the denominator at |delta| = 1e300
+KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
+
+
+class TestUncheckedKernels:
+    """``sat`` and ``exc_gain`` are the step loop's unchecked forms of
+    ``saturation`` and ``excitation_gain``: same bits on every finite delta."""
+
+    @pytest.mark.parametrize("c, d", KERNEL_EXPONENTS)
+    @pytest.mark.parametrize("delta", [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12,
+                                       1.0, -1.0, 1e300, -1e300])
+    def test_edge_values_bitwise(self, delta, c, d):
+        _assert_kernels_match(delta, c, d)
+
+    @given(delta=st.floats(allow_nan=False, allow_infinity=False),
+           exponents=st.sampled_from(KERNEL_EXPONENTS))
+    @settings(max_examples=500)
+    def test_drawn_sweep_bitwise(self, delta, exponents):
+        _assert_kernels_match(delta, *exponents)
+
+    def test_checked_forms_reject_what_the_kernels_skip(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                saturation(bad, 0.5, 0.5)
+            with pytest.raises(ValueError):
+                excitation_gain(bad, 0.5, 0.5)
+        with pytest.raises(ValueError):
+            saturation(1.0, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            excitation_gain(1.0, -0.5, 0.5)
 
 
 class TestPredictionError:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference as ref
 from ftlab import mathx, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, excitation_gramian, make_dre)
@@ -132,6 +133,63 @@ class TestKreisselmeier:
         assert mixed.delta == 0.0
         np.testing.assert_array_equal(mixed.Y, np.zeros(5))
 
+    @pytest.mark.parametrize("n_out", [1, 2])
+    @pytest.mark.parametrize("params", [KreisParams(), KreisParams(lambda3=1.0)])
+    def test_stacked_state_matches_two_arrays_bitwise(self, n_out, params):
+        # 1 x 5 pairs are power balance, 2 x 5 force balance; magnitudes span
+        # four decades so that the products round in their last bits
+        rng = np.random.default_rng(31 + n_out)
+        dre = KreisselmeierDre(5, 2, params)
+        phi1, phi2 = np.zeros(5), np.zeros((5, 5))
+        for k in range(600):
+            omega = rng.standard_normal((n_out, 5)) * 10.0 ** rng.uniform(-2, 2, (n_out, 1))
+            y = rng.standard_normal(n_out) * 10.0 ** rng.uniform(-2, 2)
+            phi1, phi2 = ref.kreis_update(phi1, phi2, params, y, omega, DT)
+            dre.step(RegressionPair(y=y, omega=omega), DT)
+            assert dre.phi1.tobytes() == phi1.tobytes()
+            assert dre.phi2.tobytes() == phi2.tobytes()
+            assert np.array_equal(dre.phi2, dre.phi2.T)
+            delta, Y = ref.kreis_mix(phi1, phi2)
+            mixed = dre.mix()
+            assert np.float64(mixed.delta).tobytes() == np.float64(delta).tobytes()
+            assert mixed.Y.tobytes() == Y.tobytes()
+
+    def test_record_holds_the_state_of_every_step(self):
+        rng = np.random.default_rng(5)
+        dre = KreisselmeierDre(5, 2)
+        diag = dre.diagnostics(20)
+        want1, want2 = [], []
+        for k in range(20):
+            omega = rng.standard_normal((2, 5))
+            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
+            dre.record(diag, k)
+            want1.append(dre.phi1.copy())
+            want2.append(dre.phi2.copy())
+        dre.finish(diag)
+        assert diag["phi1"].shape == (20, 5) and diag["phi2"].shape == (20, 5, 5)
+        assert diag["phi1"].dtype == diag["phi2"].dtype == np.float64
+        assert diag["phi1"].tobytes() == np.array(want1).tobytes()
+        assert diag["phi2"].tobytes() == np.array(want2).tobytes()
+
+    def test_setters_write_through_to_the_mixing(self):
+        rng = np.random.default_rng(8)
+        dre = KreisselmeierDre(5, 2)
+        a = rng.standard_normal((5, 5))
+        phi2, phi1 = a @ a.T, rng.standard_normal(5)
+        dre.phi2 = phi2
+        dre.phi1 = phi1
+        np.testing.assert_array_equal(dre.phi2, phi2)
+        np.testing.assert_array_equal(dre.phi1, phi1)
+        delta, Y = ref.kreis_mix(phi1, phi2)
+        mixed = dre.mix()
+        assert mixed.delta == delta
+        assert mixed.Y.tobytes() == Y.tobytes()
+        # the next step starts from the assigned state
+        dre.step(zero_pair(), DT)
+        decay = 1.0 - DT * dre.params.lambda2
+        assert dre.phi1.tobytes() == (decay * phi1).tobytes()
+        assert dre.phi2.tobytes() == (decay * phi2).tobytes()
+
     def test_phi2_stays_positive_semidefinite(self, c2_case1):
         eigs = np.linalg.eigvalsh(c2_case1.diagnostics["phi2"])
         assert eigs[:, 0].min() >= -1e-9
@@ -155,7 +213,7 @@ class TestMixingIdentityOnTraces:
                 * c1_case1.diagnostics["F"][k]
             v = c1_case1.diagnostics["rho_hat"][k]
             ref = verify.adjugate(phi) @ v
-            got = mathx.det_and_cramer(phi, v)[1]
+            got = mathx.det_and_cramer(np.column_stack((phi, v)))[1]
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 

@@ -46,23 +46,31 @@ class TestSignedPower:
                                       -mathx.signed_power_vec(z, q))
 
 
+def det(phi):
+    return mathx.det_and_cramer(np.column_stack((phi, np.zeros(len(phi)))))[0]
+
+
+def cramer_products(phi, v):
+    return mathx.det_and_cramer(np.column_stack((phi, v)))[1]
+
+
 class TestDetAdjugate:
     """The mixing's determinant and the adjugate that ``verify`` holds its
     Cramer products to."""
 
     def test_identity_and_zero(self):
-        assert mathx.det_and_cramer(np.eye(5), np.zeros(5))[0] == 1.0
+        assert det(np.eye(5)) == 1.0
         np.testing.assert_array_equal(verify.adjugate(np.eye(5)), np.eye(5))
-        assert mathx.det_and_cramer(np.zeros((5, 5)), np.zeros(5))[0] == 0.0
+        assert det(np.zeros((5, 5))) == 0.0
         np.testing.assert_array_equal(verify.adjugate(np.zeros((5, 5))), np.zeros((5, 5)))
 
     def test_small_hand_values(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert mathx.det_and_cramer(a, np.zeros(2))[0] == pytest.approx(-2.0)
+        assert det(a) == pytest.approx(-2.0)
         np.testing.assert_allclose(verify.adjugate(a), [[4.0, -2.0], [-3.0, 1.0]])
         b = np.array([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 1.0]])
         # cofactor expansion by hand: 2*(3) - 0 + 1*(1) = 7
-        assert mathx.det_and_cramer(b, np.zeros(3))[0] == pytest.approx(7.0)
+        assert det(b) == pytest.approx(7.0)
 
     def test_adjugate_identity_random(self):
         rng = np.random.default_rng(42)
@@ -73,14 +81,12 @@ class TestDetAdjugate:
             assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(a)) ** m)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            mathx.det_and_cramer(np.ones((2, 3)), np.ones(2))
+        # [phi | v] must be (m, m + 1): phi square and v one column
+        for shape in ((2, 2), (2, 4), (3, 2), (6,), (1, 2, 3)):
+            with pytest.raises(ValueError):
+                mathx.det_and_cramer(np.ones(shape))
         with pytest.raises(ValueError):
             verify.adjugate(np.ones((3, 2)))
-
-
-def cramer_products(phi, v):
-    return mathx.det_and_cramer(phi, v)[1]
 
 
 class TestCramerProducts:
@@ -104,7 +110,7 @@ class TestCramerProducts:
 
     def test_rejects_mismatched_vector(self):
         with pytest.raises(ValueError):
-            cramer_products(np.eye(3), np.ones(4))
+            mathx.det_and_cramer(np.column_stack((np.eye(3), np.ones((3, 2)))))
 
     def test_fused_determinants_equal_separate_calls_bitwise(self):
         # the mixing stage's one batched call must reproduce the determinants
@@ -115,7 +121,7 @@ class TestCramerProducts:
             for _ in range(20):
                 phi = rng.standard_normal((m, m))
                 v = rng.standard_normal(m)
-                delta, w = mathx.det_and_cramer(phi, v)
+                delta, w = mathx.det_and_cramer(np.column_stack((phi, v)))
                 assert delta == np.linalg.det(phi)
                 replaced = []
                 for j in range(m):
