@@ -10,8 +10,7 @@ from .drem import (KreisParams, KreisselmeierDre, LeastSquaresDre, LsDreParams,
                    MixedRegression, excitation_gramian, make_dre)
 from .control import (CompositeAdaptGains, CompositeFtController, FtPdGains,
                       SlotineLiLsController, SwitchingTsmController, TsmParams,
-                      composite_adapt_rate, excitation_gain, ftpd_torque,
-                      prediction_error_vector, saturation, slotine_li_regressor)
+                      excitation_gain, saturation)
 from .sim import (Metrics, SimConfig, Trace, compute_metrics, lyapunov_v1,
                   read_trace_csv, run_closed_loop, trace_csv_string,
                   write_trace_csv)

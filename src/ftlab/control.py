@@ -14,16 +14,18 @@ knows the controllers only through their shared protocol: the estimate
 ``estimate``, a tuple of floats (``theta_hat`` is its numpy view);
 ``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
 floats; ``update(pair, dt)``, which steps the family's regressor extension
-(if any), mixes, adapts and returns Delta; ``diagnostics(n_rec)``,
-``record(diag, k)`` and, once after the last step, ``finish(diag)`` for its
-per-step series; and ``dre``, the name of its extension.  ``FAMILIES`` maps
-the controller names to the classes, whose ``from_config`` builds one and
-``check_config`` holds the family's rules.
+(c4: its least-squares gain), mixes (c1-c3), adapts and returns Delta;
+``diagnostics(n_rec)``, ``record(diag, k)`` and, once after the last step,
+``finish(diag)`` for its per-step series; and ``dre``, the name of the
+extension it mixes from.  ``FAMILIES`` maps the controller names to the
+classes, whose ``from_config`` builds one and ``check_config`` holds the
+family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
-row sequences.  The public functions below return numpy arrays of the same
-kernels' results.  Only the l = 5 estimator algebra of c3 and c4 is numpy.
+row sequences, and the kernels return floats.  Only the l = 5 estimator
+algebra of c3 and c4 is numpy; c4 steps the least-squares extension's gain
+(``drem.LeastSquaresDre``) rather than a gain of its own.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ import numpy as np
 
 from . import mathx
 from .mathx import matvec2, spow
-from .errors import ConfigError, NumericalDegeneracyError
-from .drem import KreisselmeierDre, LsDreParams, MixedRegression, make_dre
+from .errors import ConfigError
+from .drem import (KreisselmeierDre, LeastSquaresDre, LsDreParams, MixedRegression,
+                   make_dre)
 from .regression import RegressionPair
 
 
@@ -50,8 +53,8 @@ class FtPdGains:
     The exponents derive from the weights r1, r2 through m_c = 2 r2 - r1,
     a = m_c / r1, b = m_c / r2; the admissible range 2 r2 > r1 > r2 > 0
     guarantees 1 > b > a > 0.  a = b = 1 (r1 = r2) is outside that range and
-    deliberately not representable here: the linear PD limit is recovered by
-    calling ``ftpd_torque`` with explicit exponents.
+    deliberately not representable here: the linear PD limit is the kernel
+    ``_ftpd`` called with explicit exponents.
     """
 
     kp: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.0]))
@@ -88,22 +91,13 @@ class FtPdGains:
 
 
 def _ftpd(e1, e2, psi, theta_hat_u, gains: FtPdGains, a: float, b: float) -> tuple:
+    """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_hat_u, with <.>^p
+    the elementwise signed power; a = b = 1 gives the plain adaptive PD."""
     (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.diagonals
     (e11, e12), (e21, e22) = e1, e2
     g1, g2 = matvec2(psi, theta_hat_u)
     return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + g1,
             -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + g2)
-
-
-def ftpd_torque(e1, e2, psi, theta_hat_u, gains: FtPdGains,
-                a: float | None = None, b: float | None = None) -> np.ndarray:
-    """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_hat_u.
-
-    <.>^p is the elementwise signed power; a = b = 1 gives the plain adaptive
-    PD structure.
-    """
-    return np.array(_ftpd(e1, e2, psi, theta_hat_u, gains,
-                          gains.a if a is None else a, gains.b if b is None else b))
 
 
 @dataclass(frozen=True)
@@ -187,21 +181,16 @@ def excitation_gain(delta: float, b: float, d: float) -> float:
 
 
 def _prediction_error(delta: float, theta_hat_u, y_u, c: float) -> tuple:
+    """Componentwise <delta * theta_hat_u - y_u>^c; when y_u = delta * theta_u
+    exactly, this factors into <delta>^c <theta_hat_u - theta_u>^c."""
     (t1, t2), (y1, y2) = theta_hat_u, y_u
     return spow(delta * t1 - y1, c), spow(delta * t2 - y2, c)
 
 
-def prediction_error_vector(delta: float, theta_hat_u, y_u, c: float) -> np.ndarray:
-    """Componentwise <delta * theta_hat_u - y_u>^c.
-
-    When y_u = delta * theta_u exactly, this factors into
-    <delta>^c <theta_hat_u - theta_u>^c.
-    """
-    return np.array(_prediction_error(delta, theta_hat_u, y_u, c))
-
-
 def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
                     gains: CompositeAdaptGains, c: float) -> tuple:
+    """Time derivative of theta_hat_u under the composite law, with
+    saturation and prediction-error exponent c (the controller's b)."""
     (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, e2, psi
     g1d1, g12 = gains.g1d1, gains.g12
     v1 = g1d1 * math.tanh(e11) + g12 * e21
@@ -214,14 +203,6 @@ def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
             n2 * (p12 * v1 + p22 * v2 + i2 * f_gain * xi2))
 
 
-def composite_adapt_rate(e1, e2, psi, theta_hat_u, mixed: MixedRegression,
-                         gains: CompositeAdaptGains, c: float) -> np.ndarray:
-    """Time derivative of theta_hat_u under the composite law, with
-    saturation and prediction-error exponent c (the controller's b)."""
-    return np.array(_composite_rate(e1, e2, psi, theta_hat_u, mixed.delta,
-                                    mixed.Y_u.tolist(), gains, c))
-
-
 def _check_theta_hat0(config, dim: int) -> None:
     if config.theta_hat0 is not None and config.theta_hat0.shape != (dim,):
         raise ConfigError(f"theta_hat0 must have length {dim} for {config.controller}")
@@ -229,9 +210,11 @@ def _check_theta_hat0(config, dim: int) -> None:
 
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
-    reads and records, with ``theta_hat`` as its numpy view."""
+    reads and records, with ``theta_hat`` as its numpy view, and the
+    regressor extension, ``extension``, that each family steps."""
 
     estimate: tuple
+    extension: object
 
     @property
     def theta_hat(self) -> np.ndarray:
@@ -242,8 +225,9 @@ class _Estimate:
         self.estimate = tuple(np.asarray(value, dtype=float).tolist())
 
     def finish(self, diag: dict) -> None:
-        """Complete the recorded series after the last step; a family whose
-        record is complete as the steps wrote it has nothing to do."""
+        """Complete the recorded series after the last step: the extension
+        completes its own."""
+        self.extension.finish(diag)
 
     def _start(self, theta_hat0, dim: int) -> None:
         self.theta_hat = np.zeros(dim) if theta_hat0 is None else theta_hat0
@@ -316,11 +300,10 @@ class CompositeFtController(_Estimate):
         diag["Y_mixed"][k] = self.mixed.Y
         self.extension.record(diag, k)
 
-    def finish(self, diag: dict) -> None:
-        self.extension.finish(diag)
-
 
 def _slotine_li_rows(q, qd, qd_r, qdd_r) -> tuple:
+    """Two-link tracking regressor W with
+    W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
     (q1, q2), (qd1, qd2), (r1, r2), (a1, a2) = q, qd, qd_r, qdd_r
     c2 = math.cos(q2)
     s2 = math.sin(q2)
@@ -328,12 +311,6 @@ def _slotine_li_rows(q, qd, qd_r, qdd_r) -> tuple:
     w12 = c2 * (2.0 * a1 + a2) - s2 * (qd2 * r1 + (qd1 + qd2) * r2)
     w21 = c2 * a1 + s2 * qd1 * r1
     return ((a1, w12, a2, s12, math.sin(q1)), (0.0, w21, a1 + a2, s12, 0.0))
-
-
-def slotine_li_regressor(q, qd, qd_r, qdd_r) -> np.ndarray:
-    """Two-link tracking regressor W with
-    W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
-    return np.array(_slotine_li_rows(q, qd, qd_r, qdd_r))
 
 
 def _slotine_li_torque(w, theta_hat, s, k1: float, ks: float) -> tuple:
@@ -495,12 +472,13 @@ class SwitchingTsmController(_Estimate):
 class SlotineLiLsController(_Estimate):
     """Linear virtual reference s = qd + k2 e1 with
     tau = W theta_hat - k1 s - ks s/|s|; the estimate integrates
-    -P (W' s + Omega' e_p) where e_p = Omega theta_hat - y and P follows the
-    norm-capped least-squares gain dynamics from P(0) = I / f0 (c4).  It has
-    no parameters of its own: k1, k2 and ks are the switching controller's
-    (``tsm``), and alpha, beta0, f0, gain_cap and norm the least-squares
-    extension's (``ls``).  It runs no regressor extension (Delta is 0) and
-    needs the force-balance regression."""
+    -F (W' s + Omega' e_p) where e_p = Omega theta_hat - y and F is the gain
+    of a least-squares extension, which follows the norm-capped least-squares
+    gain dynamics from F(0) = I / f0 (c4).  It has no parameters of its own:
+    k1, k2 and ks are the switching controller's (``tsm``), and alpha,
+    beta0, f0, gain_cap and norm the least-squares extension's (``ls``).  It
+    steps that extension for F but mixes nothing (Delta is 0), and needs the
+    force-balance regression."""
 
     estimate_dim = 5
     dre = "none"
@@ -509,8 +487,7 @@ class SlotineLiLsController(_Estimate):
         self.tsm = tsm
         self.ls = ls
         self._start(theta_hat0, self.estimate_dim)
-        self.P = np.eye(self.estimate_dim) / ls.f0
-        self.last_beta = self.beta()
+        self.extension = LeastSquaresDre(self.estimate_dim, self.estimate_dim, ls)
         self.last_e_p = None
         self._w = None
         self._s = None
@@ -526,17 +503,6 @@ class SlotineLiLsController(_Estimate):
                               "force_balance parameterization")
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def beta(self) -> float:
-        eigs = np.linalg.eigvalsh(self.P)
-        if eigs[0] <= 0.0:
-            raise NumericalDegeneracyError(
-                "estimation gain matrix lost positive definiteness")
-        if self.ls.norm == "spectral":
-            norm = float(eigs[-1])
-        else:
-            norm = float(np.sqrt(np.sum(self.P * self.P)))
-        return self.ls.beta0 * (1.0 - norm / self.ls.gain_cap)
-
     def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
         p = self.tsm
         k2 = p.k2
@@ -546,40 +512,30 @@ class SlotineLiLsController(_Estimate):
         self._s = s
         return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
 
-    def rates(self, pair: RegressionPair):
-        """(theta_hat rate, P rate) from the last torque evaluation and the
-        current regression sample."""
-        if self._w is None:
-            raise RuntimeError("torque() must be evaluated before rates()")
-        e_p = pair.omega @ self.theta_hat - pair.y
-        self.last_e_p = e_p
-        theta_rate = -self.P @ (_regressor_times(self._w, self._s) + pair.omega.T @ e_p)
-        b = self.beta()
-        self.last_beta = b
-        p_om = self.P @ pair.omega.T
-        p_rate = -self.ls.alpha * (p_om @ p_om.T) + b * self.P
-        return theta_rate, p_rate
-
-    def advance(self, theta_rate, p_rate, dt: float) -> None:
-        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, theta_rate.tolist()))
-        self.P = self.P + dt * p_rate
-        self.P = 0.5 * (self.P + self.P.T)
+    def advance(self, rate, dt: float) -> None:
+        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate.tolist()))
 
     def update(self, pair: RegressionPair, dt: float) -> float:
-        theta_rate, p_rate = self.rates(pair)
-        self.advance(theta_rate, p_rate, dt)
+        """Euler-step the estimate at the rate -F (W' s + Omega' e_p), from
+        the last torque evaluation and the gain F the last step left, then
+        step the extension."""
+        if self._w is None:
+            raise RuntimeError("torque() must be evaluated before update()")
+        omega = pair.omega
+        e_p = omega.dot(self.estimate) - pair.y
+        self.last_e_p = e_p
+        drive = _regressor_times(self._w, self._s) + e_p.dot(omega)
+        self.advance(-self.extension.gain_times(drive), dt)
+        self.extension.step(pair, dt)
         return 0.0
 
     def diagnostics(self, n_rec: int) -> dict:
-        l_dim = self.estimate_dim
         # e_p has one entry per force-balance equation of the two-link arm
-        return {"P": np.empty((n_rec, l_dim, l_dim)), "e_p": np.empty((n_rec, 2)),
-                "beta": np.empty(n_rec)}
+        return {"e_p": np.empty((n_rec, 2)), **self.extension.diagnostics(n_rec)}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["P"][k] = self.P
         diag["e_p"][k] = self.last_e_p
-        diag["beta"][k] = self.last_beta
+        self.extension.record(diag, k)
 
 
 # controller name -> family; c1 and c2 differ only in their default extension

@@ -71,10 +71,12 @@ class LsDreParams:
             raise ValueError("gain_cap must be at least 1/f0")
         if self.norm not in ("spectral", "frobenius"):
             raise ValueError(f"unknown norm {self.norm!r}")
+        if self.rho0 is not None:
+            object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=float))
 
 
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
-                    "(alpha * dt too large for this excitation level)")
+                    "(beta dt >= 1: the forgetting factor 1 - beta dt is not positive)")
 _FINISH_BLOCK = 1024    # recorded steps per batched product in finish()
 
 
@@ -159,6 +161,11 @@ class LeastSquaresDre:
         r = self._state[:, :self.dim]
         self._state[:, self.dim] = r @ np.asarray(value, dtype=float) \
             - (self.z * self.params.f0) * self.rho0
+
+    def gain_times(self, x: np.ndarray) -> np.ndarray:
+        """F x = V diag(1/w) V' x, as two matvecs on the current eigenpairs."""
+        v = self._v
+        return v.dot(np.divide(x.dot(v), self._w))
 
     def beta(self) -> float:
         """Current forgetting rate, from the eigenvalues of F the last step

@@ -44,13 +44,9 @@ def check_power_args(z: float, q: float) -> float:
     return z
 
 
-def signed_power(z: float, q: float) -> float:
-    """``spow`` with its arguments checked (``check_power_args``)."""
-    return spow(check_power_args(z, q), q)
-
-
 def signed_power_vec(z, q: float) -> np.ndarray:
-    """Elementwise ``signed_power`` of an array, through the float kernel."""
+    """Elementwise ``spow`` of an array, with z checked finite and q a finite
+    positive exponent (ValueError otherwise)."""
     _check_exponent(q)
     z = np.asarray(z, dtype=float)
     flat = z.ravel().tolist()

@@ -115,9 +115,9 @@ class Plant:
     """Evaluation of the two-link arm's dynamics for a parameter vector.
 
     The per-step quantities are closed forms in Python floats.  Methods
-    ending in ``_rows`` take joint vectors as any length-2 sequences and
-    return matrices as tuples of row tuples; the others return numpy arrays.
-    All methods are pure; instances hold no mutable state.
+    take joint vectors as any length-2 sequences; those ending in ``_rows``
+    return matrices as tuples of row tuples.  All methods are pure;
+    instances hold no mutable state.
     """
 
     n = 2
@@ -181,49 +181,9 @@ class Plant:
         q1, q2 = q
         return (-math.cos(q1 + q2), -math.cos(q1))
 
-    # -- numpy views -----------------------------------------------------------
-
-    def inertia(self, q) -> np.ndarray:
-        """Inertia matrix M(q), symmetric positive definite."""
-        return np.array(self.inertia_rows(q))
-
-    def coriolis(self, q, qd) -> np.ndarray:
-        """Coriolis/centrifugal matrix C(q, qd), as ``coriolis_rows``."""
-        return np.array(self.coriolis_rows(q, qd))
-
-    def psi(self, q) -> np.ndarray:
-        """Potential-force regressor Psi(q), as ``psi_rows``."""
-        return np.array(self.psi_rows(q))
-
-    def gravity(self, q) -> np.ndarray:
-        """g(q) = Psi(q) theta_u."""
-        return np.array(mathx.matvec2(self.psi_rows(q), self._theta_u))
-
-    def kinetic_basis(self, q, qd) -> np.ndarray:
-        """Per-basis kinetic energies (1/2) qd' M_k(q) qd."""
-        return np.array(self.energy_terms(q, qd)[:3])
-
-    def potential_basis(self, q) -> np.ndarray:
-        return np.array(self._potential_terms(q))
-
-    def energy_regressor(self, q, qd) -> np.ndarray:
-        """Row of basis energies: total energy = energy_regressor . theta."""
-        return np.array(self.energy_terms(q, qd))
-
     def total_energy(self, q, qd) -> float:
-        return float(self.energy_regressor(q, qd) @ self.theta.stacked)
-
-    def inertia_bounds(self, n_samples: int = 10000, seed: int = 0):
-        """Sampled uniform bounds (mu_m, mu_M) with mu_m I <= M(q) <= mu_M I,
-        over configurations drawn from [-pi, pi]^n.  The inertia of a
-        revolute-joint arm is periodic in q, so the sample covers its range."""
-        rng = np.random.default_rng(seed)
-        mu_m, mu_M = np.inf, 0.0
-        for _ in range(n_samples):
-            eigs = np.linalg.eigvalsh(self.inertia(rng.uniform(-np.pi, np.pi, self.n)))
-            mu_m = min(mu_m, float(eigs[0]))
-            mu_M = max(mu_M, float(eigs[-1]))
-        return mu_m, mu_M
+        """The energy terms dotted with theta: the energy audit's reference."""
+        return float(np.array(self.energy_terms(q, qd)) @ self.theta.stacked)
 
     def forward_dynamics(self, q, qd, tau, tau_f=None, psi=None, inertia=None) -> tuple:
         """Joint accelerations from M(q) qdd + C(q,qd) qd + g(q) = tau - tau_f,

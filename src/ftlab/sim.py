@@ -128,10 +128,12 @@ class SimConfig:
         if not 0.0 <= self.gramian_start < t_last:
             raise ConfigError(f"gramian_start must lie inside [0, {t_last:.17g}), before the "
                               f"last sample at floor(t_final / dt) dt, got {self.gramian_start}")
-        n = 2
-        for name in ("q_d", "q0", "qd0", "friction"):
-            if getattr(self, name).shape != (n,):
-                raise ConfigError(f"{name} must have length {n}")
+        # every vector is a joint vector or a theta_u bound, except rho0 (one
+        # entry per regression parameter) and theta_hat0 (the family's check)
+        for key, value in _numeric_fields(self):
+            n = 5 if key == "ls.rho0" else 2
+            if isinstance(value, np.ndarray) and key != "theta_hat0" and value.shape != (n,):
+                raise ConfigError(f"{key} must have length {n}")
         if not np.all(self.friction >= 0.0):
             raise ConfigError("friction coefficients must be nonnegative")
         bounds = ThetaBounds(self.theta_bar)
@@ -412,7 +414,8 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     min_eig_phi2 = None
     if "phi2" in trace.diagnostics:
-        # batched symmetric eigensolve; phi2 is re-symmetrized by the filter
+        # batched symmetric eigensolve; phi2 is exactly symmetric, since the
+        # filter adds the symmetric rank-k products Omega' Omega
         min_eig_phi2 = np.linalg.eigvalsh(trace.diagnostics["phi2"])[:, 0]
 
     gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,

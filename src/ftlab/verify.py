@@ -92,7 +92,7 @@ def check_skew_symmetry(plant: Plant | None = None, coriolis_fn=None,
                         n_samples: int = 1000, seed: int = 17) -> PropertyResult:
     """|v' (dM/dt - 2C) v| with dM/dt by central finite difference."""
     plant = plant or Plant.two_link()
-    coriolis_fn = coriolis_fn or plant.coriolis
+    coriolis_fn = coriolis_fn or (lambda q, qd: np.array(plant.coriolis_rows(q, qd)))
     rng = np.random.default_rng(seed)
     h = 1e-6
     worst = 0.0
@@ -100,7 +100,8 @@ def check_skew_symmetry(plant: Plant | None = None, coriolis_fn=None,
         q = rng.uniform(-np.pi, np.pi, plant.n)
         qd = rng.uniform(-3.0, 3.0, plant.n)
         v = rng.uniform(-1.0, 1.0, plant.n)
-        m_dot = (plant.inertia(q + h * qd) - plant.inertia(q - h * qd)) / (2.0 * h)
+        m_dot = (np.array(plant.inertia_rows(q + h * qd))
+                 - np.array(plant.inertia_rows(q - h * qd))) / (2.0 * h)
         resid = abs(float(v @ (m_dot - 2.0 * coriolis_fn(q, qd)) @ v))
         bound = 1e-5 * float(v @ v) * max(1.0, float(np.linalg.norm(qd)))
         worst = max(worst, resid / bound)
@@ -111,12 +112,14 @@ def check_skew_symmetry(plant: Plant | None = None, coriolis_fn=None,
 def check_gravity_factorization(plant: Plant | None = None, psi_fn=None,
                                 n_samples: int = 1000, seed: int = 19) -> PropertyResult:
     plant = plant or Plant.two_link()
-    psi_fn = psi_fn or plant.psi
+    psi_fn = psi_fn or (lambda q: np.array(plant.psi_rows(q)))
+    theta_u = plant.theta.theta_u
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, plant.n)
-        resid = float(np.max(np.abs(plant.gravity(q) - psi_fn(q) @ plant.theta.theta_u)))
+        gravity = np.array(mathx.matvec2(plant.psi_rows(q), theta_u.tolist()))
+        resid = float(np.max(np.abs(gravity - psi_fn(q) @ theta_u)))
         worst = max(worst, resid)
     return PropertyResult("gravity_equals_psi_theta", worst <= 1e-14,
                           f"max |g - Psi theta_u| = {worst:.3e}")

@@ -87,7 +87,11 @@ class TestParseConfig:
         cfg = parse_config("controller = c4\ngains.K1 = 3.5\ndre.alpha = 7\ndre.f0 = 2\n")
         ctrl = make_controller(cfg, plant)
         assert ctrl.tsm.k1 == 3.5 and ctrl.ls.alpha == 7.0
-        np.testing.assert_array_equal(ctrl.P, np.eye(5) / 2.0)
+        # the gain c4 applies is the extension's F, from F(0) = I / f0
+        assert ctrl.extension.params is cfg.ls
+        np.testing.assert_array_equal([ctrl.extension.gain_times(e) for e in np.eye(5)],
+                                      np.eye(5) / 2.0)
+        np.testing.assert_allclose(ctrl.extension.F, np.eye(5) / 2.0, rtol=1e-15)
 
 
 def settable_fields() -> list:
@@ -187,8 +191,9 @@ class TestCliCommands:
 
     def test_degeneracy_exit_code(self, tmp_path):
         cfg = tmp_path / "explode.cfg"
-        # absurd estimator gain destabilizes the c4 gain-matrix update
-        cfg.write_text("controller=c4\nt_final=1.0\ndre.alpha=1e7\n")
+        # an absurd forgetting rate (beta dt > 1) destabilizes the c4 gain
+        # update; no alpha can, since the information form adds alpha Omega' Omega
+        cfg.write_text("controller=c4\nt_final=1.0\ndre.beta0=1e4\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"),
                      "simulate"]) == 3
 
@@ -227,7 +232,7 @@ class TestCliCommands:
     def test_failed_run_leaves_neither_output(self, tmp_path):
         out = tmp_path / "o"
         code = main(["--config", str(_write(tmp_path, "controller=c4\nt_final=1.0\n"
-                                                       "dre.alpha=1e7\n")),
+                                                       "dre.beta0=1e4\n")),
                      "--out", str(out), "simulate"])
         assert code == 3
         assert list(out.iterdir()) == []
@@ -373,13 +378,13 @@ class TestVerifySuite:
 
     def test_sign_flip_in_coriolis_trips_skew_symmetry(self):
         plant = Plant.two_link()
-        broken = lambda q, qd: -plant.coriolis(q, qd)
+        broken = lambda q, qd: -np.array(plant.coriolis_rows(q, qd))
         result = verify.check_skew_symmetry(plant, coriolis_fn=broken, n_samples=100)
         assert not result.passed
 
     def test_wrong_regressor_trips_gravity_factorization(self):
         plant = Plant.two_link()
-        broken = lambda q: plant.psi(q)[:, ::-1]   # swapped columns
+        broken = lambda q: np.array(plant.psi_rows(q))[:, ::-1]   # swapped columns
         result = verify.check_gravity_factorization(plant, psi_fn=broken, n_samples=100)
         assert not result.passed
 

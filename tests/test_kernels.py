@@ -9,7 +9,8 @@ sign or index but not on the last bits:
 
 * n = 2 kernels: 1e-13 (about 450 eps) times max(1, the largest term);
 * the 2x2 solve of the forward dynamics: the same, divided by lambda_min(M);
-* the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken;
+* the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken,
+  and c4's estimate rate -F x within the same times |F| |x|;
 * the least-squares mixing: Delta, which lies in [0, 1), within the same
   cond(R) * 1e-14 per step; Y and rho_hat within it times |F| (|u| + |z f0 rho0|),
   the size of the vector v = rho_hat - z f0 F rho0 that is mixed;
@@ -27,8 +28,8 @@ from hypothesis import strategies as st
 import reference as ref
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
-                           SwitchingTsmController, TsmParams,
-                           composite_adapt_rate, ftpd_torque)
+                           SwitchingTsmController, TsmParams)
+from ftlab.mathx import matvec2
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, MixedRegression)
 from ftlab.plant import Plant
@@ -67,20 +68,21 @@ def assert_close(got, want, scale, rel=N2):
 @given(q=angles)
 def test_inertia_matches_basis_product(q):
     want = ref.inertia(THETA.theta_m, q)
-    assert_close(PLANT.inertia(q), want, np.max(np.abs(want)))
+    assert_close(PLANT.inertia_rows(q), want, np.max(np.abs(want)))
 
 
 @given(q=angles, qd=rates)
 def test_coriolis_times_velocity_matches(q, qd):
     want = ref.coriolis(THETA.theta_m, q, qd) @ qd
     scale = THETA.theta_m[1] * 2.0 * float(np.max(np.abs(qd))) ** 2
-    assert_close(PLANT.coriolis(q, qd) @ qd, want, scale)
+    assert_close(np.array(PLANT.coriolis_rows(q, qd)) @ qd, want, scale)
 
 
 @given(q=angles)
 def test_gravity_and_psi_match(q):
-    assert_close(PLANT.psi(q), ref.psi(q), 1.0)
-    assert_close(PLANT.gravity(q), ref.gravity(THETA.theta_u, q), float(np.sum(THETA.theta_u)))
+    assert_close(PLANT.psi_rows(q), ref.psi(q), 1.0)
+    assert_close(matvec2(PLANT.psi_rows(q), THETA.theta_u), ref.gravity(THETA.theta_u, q),
+                 float(np.sum(THETA.theta_u)))
 
 
 @given(q=angles, qd=rates, tau=torques, tau_f=vec(2, 1.0), friction=st.booleans())
@@ -98,7 +100,7 @@ def test_forward_dynamics_matches(q, qd, tau, tau_f, friction):
 @given(q=angles, qd=rates)
 def test_energy_regressor_matches(q, qd):
     want = ref.energy_regressor(q, qd)
-    assert_close(PLANT.energy_regressor(q, qd), want, float(np.max(np.abs(want))))
+    assert_close(PLANT.energy_terms(q, qd), want, float(np.max(np.abs(want))))
 
 
 # -- controllers ---------------------------------------------------------------
@@ -115,7 +117,6 @@ def test_ftpd_torque_matches(e1, e2, q, th):
     psi_q = ref.psi(q)
     want = ref.ftpd_torque(e1, e2, psi_q, th, gains)
     scale = ftpd_scale(gains, e1, e2, psi_q, th)
-    assert_close(ftpd_torque(e1, e2, psi_q, th, gains), want, scale)
     ctrl = CompositeFtController(gains, CompositeAdaptGains(), theta_hat0=th)
     got = ctrl.torque(e1, e2, q, e2, psi_q, ref.inertia(THETA.theta_m, q))
     assert_close(got, want, scale)
@@ -125,14 +126,16 @@ def test_ftpd_torque_matches(e1, e2, q, th):
        delta=st.floats(-50.0, 50.0, allow_nan=False), y_u=vec(2, 500.0),
        r1=st.sampled_from([1.2, 1.4, 1.5, 1.8]))
 def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
-    gains, c = CompositeAdaptGains(), FtPdGains(r1=r1).b
+    ftpd, gains = FtPdGains(r1=r1), CompositeAdaptGains()
+    c = ftpd.b
     psi_q = ref.psi(q)
     mixed = MixedRegression(Y=np.concatenate([np.zeros(3), y_u]), delta=delta, Y_u=y_u)
     want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains, c)
     direct = np.abs(psi_q).T @ (gains.g1d1 + gains.g12 * np.abs(e2))
     indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** c
     scale = float(np.max(gains.gamma_diag * (direct + indirect)))
-    assert_close(composite_adapt_rate(e1, e2, psi_q, th, mixed, gains, c), want, scale)
+    ctrl = CompositeFtController(ftpd, gains, theta_hat0=th)
+    assert_close(ctrl.adapt_rate(e1, e2, psi_q, mixed), want, scale)
 
 
 def slotine_li_scale(w, th, s, k1, ks):
@@ -216,6 +219,43 @@ def test_least_squares_step_matches(omegas, norm, rho0):
         assert_close(dre.rho_hat, rho_hat, float(np.max(np.abs(f)) * np.max(np.abs(u))),
                      rel=tol)
     assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol, abs=tol)
+
+
+class RateProbe(SlotineLiLsController):
+    """c4 with the estimate rate of its last update kept as ``rate``."""
+
+    def advance(self, rate, dt):
+        self.rate = rate
+        super().advance(rate, dt)
+
+
+@given(steps=st.lists(st.tuples(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
+                                         min_size=15, max_size=15),
+                                errors, rates, angles), min_size=1, max_size=12),
+       th=full_estimates, norm=st.sampled_from(["spectral", "frobenius"]))
+@settings(max_examples=100)
+def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
+    # c4's estimate rate is -F (W' s + Omega' e_p), e_p = Omega theta_hat - y,
+    # with F the gain the least-squares step has reached before this step
+    params, ls = TsmParams(), LsDreParams(norm=norm)
+    ctrl = RateProbe(params, ls, theta_hat0=th)
+    r, u, z, f = ls.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / ls.f0
+    dt = 5e-4
+    tol = LS
+    for k, (flat, e1, qd, q) in enumerate(steps, start=1):
+        omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
+        theta_hat = ctrl.theta_hat
+        _, w, s = ref.slotine_li_torque(params, theta_hat, e1, q, qd)
+        ctrl.torque(e1, qd, q, qd, ref.psi(q), None)
+        ctrl.update(RegressionPair(y=y, omega=omega), dt)
+        e_p = omega @ theta_hat - y
+        want = -f @ (w.T @ s + omega.T @ e_p)
+        x_scale = float(np.max(np.abs(w).T @ np.abs(s)
+                               + np.abs(omega).T @ (np.abs(omega) @ np.abs(theta_hat)
+                                                    + np.abs(y))))
+        assert_close(ctrl.rate, want, 5.0 * float(np.max(np.abs(f))) * x_scale, rel=tol)
+        _, r, u, z, f, _ = ref.ls_step(r, u, z, f, ls, y, omega, dt)
+        tol = LS * k * np.linalg.cond(r)
 
 
 LsStep = namedtuple("LsStep", "mixed rho_hat want_delta want_Y want_F want_rho_hat tol scale")

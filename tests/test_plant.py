@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from ftlab import verify
+from ftlab import mathx, verify
 from ftlab.plant import (FrictionModel, NoiseModel, PhysicalParams,
                          ThetaBounds, ThetaVector, default_params)
 
@@ -50,13 +50,13 @@ class TestInertia:
         d = reference_deltas()
         expected = np.array([[d[0] + 2 * d[1], d[2] + d[1]],
                              [d[2] + d[1], d[2]]])
-        np.testing.assert_allclose(plant.inertia([0.0, 0.0]), expected, atol=1e-14)
+        np.testing.assert_allclose(plant.inertia_rows([0.0, 0.0]), expected, atol=1e-14)
 
     def test_folded_configuration(self, plant):
         d = reference_deltas()
         expected = np.array([[d[0] - 2 * d[1], d[2] - d[1]],
                              [d[2] - d[1], d[2]]])
-        np.testing.assert_allclose(plant.inertia([0.0, np.pi]), expected, atol=1e-12)
+        np.testing.assert_allclose(plant.inertia_rows([0.0, np.pi]), expected, atol=1e-12)
 
     def test_basis_decomposition_exact(self, plant):
         rng = np.random.default_rng(0)
@@ -64,27 +64,32 @@ class TestInertia:
             q = rng.uniform(-np.pi, np.pi, 2)
             stack = ref.inertia_basis(q)
             recomposed = sum(t * mk for t, mk in zip(plant.theta.theta_m, stack))
-            np.testing.assert_allclose(plant.inertia(q), recomposed, atol=1e-14)
+            np.testing.assert_allclose(plant.inertia_rows(q), recomposed, atol=1e-14)
 
     def test_uniformly_positive_definite(self, plant):
-        mu_m, mu_M = plant.inertia_bounds(n_samples=10000)
+        # sampled bounds mu_m I <= M(q) <= mu_M I over [-pi, pi]^2, which covers
+        # the range of M, as it is periodic in q
+        rng = np.random.default_rng(0)
+        eigs = np.linalg.eigvalsh([plant.inertia_rows(q)
+                                   for q in rng.uniform(-np.pi, np.pi, (10000, 2))])
+        mu_m, mu_M = float(eigs[:, 0].min()), float(eigs[:, -1].max())
         assert mu_m > 1e-4
         assert mu_M < 1.0
         # independent spot check; small slack since both sides are sampled
         rng = np.random.default_rng(99)
         for _ in range(200):
-            eigs = np.linalg.eigvalsh(plant.inertia(rng.uniform(-np.pi, np.pi, 2)))
+            eigs = np.linalg.eigvalsh(plant.inertia_rows(rng.uniform(-np.pi, np.pi, 2)))
             assert eigs[0] >= mu_m * (1.0 - 1e-3)
             assert eigs[-1] <= mu_M * (1.0 + 1e-3)
 
 
 class TestCoriolis:
     def test_zero_velocity(self, plant):
-        np.testing.assert_array_equal(plant.coriolis([0.3, 1.1], [0.0, 0.0]),
+        np.testing.assert_array_equal(plant.coriolis_rows([0.3, 1.1], [0.0, 0.0]),
                                       np.zeros((2, 2)))
 
     def test_zero_elbow_angle(self, plant):
-        np.testing.assert_allclose(plant.coriolis([0.7, 0.0], [1.0, 2.0]),
+        np.testing.assert_allclose(plant.coriolis_rows([0.7, 0.0], [1.0, 2.0]),
                                    np.zeros((2, 2)), atol=1e-15)
 
     def test_skew_symmetry_against_finite_difference(self, plant):
@@ -94,14 +99,15 @@ class TestCoriolis:
 
 class TestGravity:
     def test_hanging_pose(self, plant):
-        np.testing.assert_array_equal(plant.gravity([0.0, 0.0]), [0.0, 0.0])
+        g = mathx.matvec2(plant.psi_rows([0.0, 0.0]), plant.theta.theta_u)
+        np.testing.assert_array_equal(g, [0.0, 0.0])
 
     def test_horizontal_first_link(self, plant):
         d = reference_deltas()
-        np.testing.assert_allclose(plant.psi([np.pi / 2, 0.0]),
+        np.testing.assert_allclose(plant.psi_rows([np.pi / 2, 0.0]),
                                    [[1.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        np.testing.assert_allclose(plant.gravity([np.pi / 2, 0.0]),
-                                   [d[3] + d[4], d[3]], rtol=1e-12)
+        g = mathx.matvec2(plant.psi_rows([np.pi / 2, 0.0]), plant.theta.theta_u)
+        np.testing.assert_allclose(g, [d[3] + d[4], d[3]], rtol=1e-12)
 
     def test_factorization_exact(self, plant):
         result = verify.check_gravity_factorization(plant, seed=3)
@@ -111,15 +117,16 @@ class TestGravity:
         rng = np.random.default_rng(4)
         for _ in range(200):
             q = rng.uniform(-10.0, 10.0, 2)
-            assert np.linalg.norm(plant.psi(q)) <= 2.0
+            assert np.linalg.norm(plant.psi_rows(q)) <= 2.0
 
 
 class TestEnergy:
     def test_potential_basis_at_rest_pose(self, plant):
-        np.testing.assert_allclose(plant.potential_basis([0.0, 0.0]), [-1.0, -1.0])
+        np.testing.assert_allclose(plant.energy_terms([0.0, 0.0], [0.0, 0.0])[3:],
+                                   [-1.0, -1.0])
 
     def test_kinetic_basis_zero_velocity(self, plant):
-        np.testing.assert_array_equal(plant.kinetic_basis([1.0, 2.0], [0.0, 0.0]),
+        np.testing.assert_array_equal(plant.energy_terms([1.0, 2.0], [0.0, 0.0])[:3],
                                       np.zeros(3))
 
     def test_energy_is_regressor_times_theta(self, plant):
@@ -127,7 +134,7 @@ class TestEnergy:
         for _ in range(100):
             q = rng.uniform(-np.pi, np.pi, 2)
             qd = rng.uniform(-3.0, 3.0, 2)
-            direct = 0.5 * qd @ plant.inertia(q) @ qd \
+            direct = 0.5 * qd @ np.array(plant.inertia_rows(q)) @ qd \
                 - plant.theta.theta_u[0] * np.cos(q[0] + q[1]) \
                 - plant.theta.theta_u[1] * np.cos(q[0])
             assert plant.total_energy(q, qd) == pytest.approx(direct, abs=1e-12)
@@ -140,7 +147,8 @@ class TestEnergy:
 class TestForwardDynamics:
     def test_gravity_hold_is_equilibrium(self, plant):
         q = np.array([0.4, -0.9])
-        qdd = plant.forward_dynamics(q, np.zeros(2), plant.gravity(q))
+        g = mathx.matvec2(plant.psi_rows(q), plant.theta.theta_u)
+        qdd = plant.forward_dynamics(q, np.zeros(2), g)
         np.testing.assert_allclose(qdd, np.zeros(2), atol=1e-14)
 
     def test_hanging_pose_zero_torque(self, plant):
@@ -155,8 +163,9 @@ class TestForwardDynamics:
             tau = rng.uniform(-10.0, 10.0, 2)
             tau_f = rng.uniform(-0.5, 0.5, 2)
             qdd = plant.forward_dynamics(q, qd, tau, tau_f)
-            resid = plant.inertia(q) @ qdd + plant.coriolis(q, qd) @ qd \
-                + plant.gravity(q) - tau + tau_f
+            resid = np.array(plant.inertia_rows(q)) @ qdd \
+                + np.array(plant.coriolis_rows(q, qd)) @ qd \
+                + mathx.matvec2(plant.psi_rows(q), plant.theta.theta_u) - tau + tau_f
             assert np.max(np.abs(resid)) <= 1e-10
 
 

@@ -6,6 +6,7 @@ import pytest
 import ftlab
 from ftlab import verify
 from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
+from ftlab.drem import LsDreParams
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import Plant
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
@@ -55,6 +56,28 @@ class TestConfig:
         key = self.NONFINITE[case][1]
         with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
             run_closed_loop(SimConfig(**kwargs))
+
+    BAD_LENGTH = {
+        "theta_bar_1": ({"theta_bar": [8.0]}, "theta_bar", 2),
+        "theta_bar_3": ({"theta_bar": [1.0, 2.0, 9.0]}, "theta_bar", 2),
+        "ftpd_kp_1": ({"ftpd": FtPdGains(kp=[3.0])}, "ftpd.kp", 2),
+        "ftpd_kd_3": ({"ftpd": FtPdGains(kd=[2.0, 2.0, 2.0])}, "ftpd.kd", 2),
+        "ftpd_kd_lin_1": ({"ftpd": FtPdGains(kd_lin=[0.5])}, "ftpd.kd_lin", 2),
+        "adapt_gamma_diag_3": ({"adapt": CompositeAdaptGains(gamma_diag=[1.0, 1.0, 1.0])},
+                               "adapt.gamma_diag", 2),
+        "adapt_upsilon_diag_1": ({"adapt": CompositeAdaptGains(upsilon_diag=[50.0])},
+                                 "adapt.upsilon_diag", 2),
+        "ls_rho0_4_c1": ({"ls": LsDreParams(rho0=[0.0] * 4)}, "ls.rho0", 5),
+        "ls_rho0_2_c4": ({"controller": "c4", "ls": LsDreParams(rho0=[0.0] * 2)}, "ls.rho0", 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LENGTH))
+    def test_wrong_vector_length_is_a_config_error(self, case):
+        # the CLI parsers force these lengths; the library path checks them,
+        # naming the key, before any step runs
+        kwargs, key, n = self.BAD_LENGTH[case]
+        with pytest.raises(ConfigError, match=rf"^{key} must have length {n}$"):
+            run_closed_loop(SimConfig(t_final=0.05, **kwargs))
 
     def test_estimate_dimension_checked(self):
         with pytest.raises(ConfigError):
@@ -132,7 +155,7 @@ class TestLyapunovMonitor:
         e1 = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-9, 1, (500, 2))
         e2 = rng.standard_normal((500, 2))
         tt = rng.standard_normal((500, 2))
-        inertia = np.array([plant.inertia(q) for q in rng.uniform(-4.0, 4.0, (500, 2))])
+        inertia = np.array([plant.inertia_rows(q) for q in rng.uniform(-4.0, 4.0, (500, 2))])
         gains, adapt = FtPdGains(), CompositeAdaptGains()
         batch = lyapunov_v1(e1, e2, tt, inertia, gains, adapt)
         single = [lyapunov_v1(e1[k], e2[k], tt[k], inertia[k], gains, adapt)
@@ -142,7 +165,7 @@ class TestLyapunovMonitor:
 
     def test_zero_at_origin(self, plant):
         v = lyapunov_v1(np.zeros(2), np.zeros(2), np.zeros(2),
-                        plant.inertia([2.0, 2.0]), FtPdGains(), CompositeAdaptGains())
+                        plant.inertia_rows([2.0, 2.0]), FtPdGains(), CompositeAdaptGains())
         assert v == 0.0
 
     def test_hand_value(self, plant):
@@ -152,7 +175,7 @@ class TestLyapunovMonitor:
         adapt = CompositeAdaptGains()
         e1 = np.array([1.0, 0.0])
         v = lyapunov_v1(e1, np.zeros(2), np.zeros(2),
-                        plant.inertia(e1 + np.array([2.0, 2.0])), gains, adapt)
+                        plant.inertia_rows(e1 + np.array([2.0, 2.0])), gains, adapt)
         expected = (adapt.gamma1 + adapt.gamma2) * 0.75 * 3.0 \
             + adapt.gamma1 * adapt.d1 * 0.5 * np.log(np.cosh(1.0))
         assert v == pytest.approx(expected, rel=1e-12)
@@ -163,7 +186,7 @@ class TestLyapunovMonitor:
 
     def test_overflow_safe_barrier(self, plant):
         v = lyapunov_v1(np.array([500.0, -800.0]), np.zeros(2), np.zeros(2),
-                        plant.inertia([0.0, 0.0]), FtPdGains(), CompositeAdaptGains())
+                        plant.inertia_rows([0.0, 0.0]), FtPdGains(), CompositeAdaptGains())
         assert np.isfinite(v)
 
 
