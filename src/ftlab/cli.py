@@ -1,8 +1,8 @@
 """Command-line front end: config parsing, run orchestration, file output.
 
 Config format: flat ``key = value`` lines with ``#`` comments.  Keys are
-either bare run selectors (controller, scenario, parameterization, dre and
-the common sim keys) or section-prefixed (sim., plant., gains., dre.).
+either bare run selectors (controller, scenario, parameterization and the
+common sim keys) or section-prefixed (sim., plant., gains., dre.).
 ``CONFIG_KEYS`` maps each key to the one field it sets.  Vectors are
 comma-separated; every number must be finite.  Unknown keys are rejected
 with their line number.  An empty file reproduces the reference c1/case1
@@ -26,7 +26,7 @@ import numpy as np
 from . import control, verify
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import PhysicalParams
-from .sim import (CONTROLLERS, DRES, PARAMETERIZATIONS, SCENARIOS, SimConfig,
+from .sim import (CONTROLLERS, PARAMETERIZATIONS, SCENARIOS, SimConfig,
                   compute_metrics, run_closed_loop, write_trace_csv)
 
 EXIT_OK = 0
@@ -90,7 +90,6 @@ CONFIG_KEYS = {
     "controller": (None, "controller", _enum(CONTROLLERS)),
     "scenario": (None, "scenario", _enum(SCENARIOS)),
     "parameterization": (None, "parameterization", _enum(PARAMETERIZATIONS)),
-    "dre": (None, "dre", _enum(DRES)),
     "sim.dt": (None, "dt", _parse_positive),
     "sim.t_final": (None, "t_final", _parse_positive),
     "sim.q_d": (None, "q_d", _pair),

@@ -1,8 +1,9 @@
 """The four set-point controllers.
 
-* ``CompositeFtController`` (used by runs c1 and c2): fractional-power PD
-  feedback with adaptive gravity compensation, driven by a composite update
-  law whose indirect part consumes the mixed scalar regression.
+* ``CompositeFtController`` (c1, c2): fractional-power PD feedback with
+  adaptive gravity compensation, driven by a composite update law whose
+  indirect part consumes the mixed scalar regression of the least-squares
+  (c1) or the Kreisselmeier (c2) extension.
 * ``SwitchingTsmController`` (c3): terminal-sliding-mode tracking controller
   applied to regulation, switching between a nonlinear and a linear virtual
   reference, with a normalized extension-based estimator.
@@ -41,8 +42,7 @@ import numpy as np
 from . import mathx
 from .mathx import matvec2, spow
 from .errors import ConfigError
-from .drem import (KreisselmeierDre, LeastSquaresDre, LsDreParams, MixedRegression,
-                   make_dre)
+from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams, MixedRegression
 from .regression import RegressionPair
 
 
@@ -224,6 +224,10 @@ class _Estimate:
     def theta_hat(self, value) -> None:
         self.estimate = tuple(np.asarray(value, dtype=float).tolist())
 
+    def advance(self, rate, dt: float) -> None:
+        """Euler-step the estimate at ``rate``, a sequence of floats."""
+        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
+
     def finish(self, diag: dict) -> None:
         """Complete the recorded series after the last step: the extension
         completes its own."""
@@ -236,8 +240,8 @@ class _Estimate:
 
 
 class CompositeFtController(_Estimate):
-    """The fractional PD law with the composite estimator (c1, c2), driven by
-    a regressor extension; the estimate is theta_u.
+    """The fractional PD law with the composite estimator (c1, c2); the
+    estimate is theta_u, whose mixed regression is the last entries of Y.
 
     The saturation exponent c of the update law is the PD exponent b: the
     closed-loop factorization requires c = b.
@@ -256,10 +260,9 @@ class CompositeFtController(_Estimate):
 
     @classmethod
     def from_config(cls, config, plant) -> "CompositeFtController":
-        theta = plant.theta
-        extension = make_dre(config.dre or DEFAULT_DRE[config.controller],
-                             theta.size, theta.theta_u.size,
-                             ls_params=config.ls, kreis_params=config.kreis)
+        dim = plant.theta.size
+        extension = (LeastSquaresDre(dim, config.ls) if config.controller == "c1"
+                     else KreisselmeierDre(dim, config.kreis))
         return cls(config.ftpd, config.adapt, config.theta_hat0, extension)
 
     @classmethod
@@ -281,10 +284,7 @@ class CompositeFtController(_Estimate):
 
     def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> tuple:
         return _composite_rate(e1, e2, psi, self.estimate, mixed.delta,
-                               mixed.Y_u.tolist(), self.adapt, self.ftpd.b)
-
-    def advance(self, rate, dt: float) -> None:
-        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
+                               mixed.Y[-self.estimate_dim:].tolist(), self.adapt, self.ftpd.b)
 
     def update(self, pair: RegressionPair, dt: float) -> float:
         self.extension.step(pair, dt)
@@ -354,10 +354,11 @@ class TsmParams:
     clamp: float = 1e-6
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0 and self.ks >= 0.0):
-            raise ValueError("k1, k2 must be positive and ks nonnegative")
-        if not self.clamp > 0.0:
-            raise ValueError("clamp must be positive")
+        for name in ("k1", "k2", "gamma_tsm", "k_tsm", "gamma_lin", "k_lin", "clamp"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.ks >= 0.0:
+            raise ValueError("ks must be nonnegative")
 
 
 class SwitchingTsmController(_Estimate):
@@ -389,9 +390,8 @@ class SwitchingTsmController(_Estimate):
 
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
-        theta = plant.theta
         kreis = dataclasses.replace(config.kreis, lambda3=1.0)
-        extension = KreisselmeierDre(theta.size, theta.theta_u.size, kreis)
+        extension = KreisselmeierDre(plant.theta.size, kreis)
         return cls(config.tsm, config.ftpd.a, config.theta_hat0, plant, extension)
 
     @classmethod
@@ -449,14 +449,11 @@ class SwitchingTsmController(_Estimate):
                     - p.gamma_tsm * p.k_tsm * (phi2.T @ _unit_or_zero(drift)))
         return -p.gamma_lin * w_s - p.gamma_lin * p.k_lin * drift
 
-    def advance(self, rate, dt: float) -> None:
-        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate.tolist()))
-
     def update(self, pair: RegressionPair, dt: float) -> float:
         extension = self.extension
         extension.step(pair, dt)
         self.mixed = extension.mix()
-        self.advance(self.adapt_rate(extension.phi1, extension.phi2), dt)
+        self.advance(self.adapt_rate(extension.phi1, extension.phi2).tolist(), dt)
         return self.mixed.delta
 
     def diagnostics(self, n_rec: int) -> dict:
@@ -487,7 +484,7 @@ class SlotineLiLsController(_Estimate):
         self.tsm = tsm
         self.ls = ls
         self._start(theta_hat0, self.estimate_dim)
-        self.extension = LeastSquaresDre(self.estimate_dim, self.estimate_dim, ls)
+        self.extension = LeastSquaresDre(self.estimate_dim, ls)
         self.last_e_p = None
         self._w = None
         self._s = None
@@ -512,9 +509,6 @@ class SlotineLiLsController(_Estimate):
         self._s = s
         return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
 
-    def advance(self, rate, dt: float) -> None:
-        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate.tolist()))
-
     def update(self, pair: RegressionPair, dt: float) -> float:
         """Euler-step the estimate at the rate -F (W' s + Omega' e_p), from
         the last torque evaluation and the gain F the last step left, then
@@ -525,7 +519,7 @@ class SlotineLiLsController(_Estimate):
         e_p = omega.dot(self.estimate) - pair.y
         self.last_e_p = e_p
         drive = _regressor_times(self._w, self._s) + e_p.dot(omega)
-        self.advance(-self.extension.gain_times(drive), dt)
+        self.advance((-self.extension.gain_times(drive)).tolist(), dt)
         self.extension.step(pair, dt)
         return 0.0
 
@@ -538,11 +532,11 @@ class SlotineLiLsController(_Estimate):
         self.extension.record(diag, k)
 
 
-# controller name -> family; c1 and c2 differ only in their default extension
+# controller name -> family; c1 and c2 differ only in their extension, which
+# the name fixes: least squares for c1, Kreisselmeier for c2
 FAMILIES = {"c1": CompositeFtController, "c2": CompositeFtController,
             "c3": SwitchingTsmController, "c4": SlotineLiLsController}
 CONTROLLERS = tuple(FAMILIES)
-DEFAULT_DRE = {"c1": "least_squares", "c2": "kreisselmeier"}
 
 
 def make_controller(config, plant):

@@ -10,9 +10,10 @@ of the information matrix that its step takes anyway; the Kreisselmeier
 mixing hands its state to ``mathx.det_and_cramer``, which evaluates the
 column-replaced determinants of phi2 directly (Cramer form) instead of
 building the adjugate.  A mixing output that is not finite raises
-NumericalDegeneracyError naming Delta or Y.  An extension records its
-per-step series with ``record`` and completes them once after the last step
-with ``finish``.
+NumericalDegeneracyError naming Delta or Y.  An extension knows only the
+regression dimension l, not which of its parameters a controller estimates.
+It records its per-step series with ``record`` and completes them once
+after the last step with ``finish``.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from .regression import RegressionPair
 
 @dataclass
 class MixedRegression:
-    """Mixing output: vector Y, scalar factor Delta, and the trailing block
-    Y_u that corresponds to the potential-side parameters."""
+    """Mixing output: vector Y (one entry per regression parameter) and
+    scalar factor Delta."""
 
     Y: np.ndarray
     delta: float
-    Y_u: np.ndarray
 
 
-def _mixed(delta: float, Y: np.ndarray, tail_dim: int) -> MixedRegression:
+def _mixed(delta: float, Y: np.ndarray) -> MixedRegression:
     # one sum tests both; a finite sum that overflows falls through to the
     # exact tests, which then find nothing
     if not math.isfinite(delta + sum(Y.tolist())):
@@ -45,7 +45,7 @@ def _mixed(delta: float, Y: np.ndarray, tail_dim: int) -> MixedRegression:
             raise NumericalDegeneracyError("mixing factor Delta is not finite")
         if not np.isfinite(Y).all():
             raise NumericalDegeneracyError("mixed regression Y is not finite")
-    return MixedRegression(Y=Y, delta=delta, Y_u=Y[-tail_dim:])
+    return MixedRegression(Y=Y, delta=delta)
 
 
 @dataclass(frozen=True)
@@ -115,10 +115,9 @@ class LeastSquaresDre:
 
     kind = "least_squares"
 
-    def __init__(self, dim: int, tail_dim: int, params: LsDreParams | None = None):
+    def __init__(self, dim: int, params: LsDreParams | None = None):
         self.params = params or LsDreParams()
         self.dim = dim
-        self.tail_dim = tail_dim
         rho0 = self.params.rho0
         self.rho0 = np.zeros(dim) if rho0 is None else np.asarray(rho0, dtype=float).copy()
         if self.rho0.shape != (dim,):
@@ -126,10 +125,9 @@ class LeastSquaresDre:
         f0 = self.params.f0
         self.z = 1.0
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
-        # eigenpairs of R (w ascending) and the eigenvalues of F = R^-1
+        # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w
         self._v = np.eye(dim)
         self._w = [f0] * dim
-        self._f_eigs = [1.0 / f0] * dim
         self._w_rec = None
         self.last_beta = self.beta()
 
@@ -141,13 +139,12 @@ class LeastSquaresDre:
 
     @F.setter
     def F(self, value) -> None:
-        # F's eigenvectors are R's; F's eigenvalues, checked by beta(), are
-        # kept as they are, so an indefinite assignment is reported there
+        # F's eigenvectors are R's; R's eigenvalues, checked by beta(), keep
+        # their signs, so an indefinite assignment is reported there
         f_eigs, v = np.linalg.eigh(np.asarray(value, dtype=float))
         w = 1.0 / f_eigs[::-1]
         self._v = v[:, ::-1]
         self._w = w.tolist()
-        self._f_eigs = f_eigs.tolist()
         self._state[:, :self.dim] = (self._v * w) @ self._v.T
 
     @property
@@ -168,20 +165,21 @@ class LeastSquaresDre:
         return v.dot(np.divide(x.dot(v), self._w))
 
     def beta(self) -> float:
-        """Current forgetting rate, from the eigenvalues of F the last step
-        (or assignment) left; also validates positive definiteness."""
-        eigs = self._f_eigs
-        if eigs[0] <= 0.0:
+        """Current forgetting rate, from the eigenvalues w of R the last step
+        (or assignment) left, F's being 1/w; also validates positive
+        definiteness."""
+        w = self._w
+        if min(w) <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
         if self.params.norm == "spectral":
-            norm = eigs[-1]
+            norm = 1.0 / w[0]
         else:
-            norm = math.sqrt(sum(x * x for x in eigs))
+            norm = math.sqrt(sum((1.0 / x) * (1.0 / x) for x in reversed(w)))
         return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
 
     def step(self, pair: RegressionPair, dt: float) -> None:
-        """One Euler step of [R | u~] and the eigendecomposition of R; the
-        eigenvalues 1/w of F feed the next beta()."""
+        """One Euler step of [R | u~] and the eigendecomposition of R, whose
+        eigenvalues w feed the next beta()."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         gain = dt * self.params.alpha
@@ -202,7 +200,6 @@ class LeastSquaresDre:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
         self._v = v
         self._w = eigs
-        self._f_eigs = [1.0 / x for x in reversed(eigs)]
 
     def mix(self) -> MixedRegression:
         """Delta and Y from the eigenpairs of R (see the class docstring).
@@ -223,7 +220,7 @@ class LeastSquaresDre:
             coef[i - 1] *= suffix
         v = self._v
         Y = v.dot(np.multiply(coef, self._state[:, self.dim].dot(v)))
-        return _mixed(prefix, Y, self.tail_dim)
+        return _mixed(prefix, Y)
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim
@@ -289,10 +286,9 @@ class KreisselmeierDre:
 
     kind = "kreisselmeier"
 
-    def __init__(self, dim: int, tail_dim: int, params: KreisParams | None = None):
+    def __init__(self, dim: int, params: KreisParams | None = None):
         self.params = params or KreisParams()
         self.dim = dim
-        self.tail_dim = tail_dim
         self._state = np.zeros((dim, dim + 1))
         self._drive = np.empty((dim, dim + 1))
         self._drive_blocks = self._drive[:, :dim], self._drive[:, dim]
@@ -333,7 +329,7 @@ class KreisselmeierDre:
 
     def mix(self) -> MixedRegression:
         delta, Y = mathx.det_and_cramer(self._state)
-        return _mixed(delta, Y, self.tail_dim)
+        return _mixed(delta, Y)
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim
@@ -346,17 +342,6 @@ class KreisselmeierDre:
     def finish(self, diag: dict) -> None:
         """The record is complete as the steps wrote it."""
         self._rec = None
-
-
-def make_dre(kind: str, dim: int, tail_dim: int,
-             ls_params: LsDreParams | None = None,
-             kreis_params: KreisParams | None = None):
-    """Factory keyed by the configuration value."""
-    if kind == "least_squares":
-        return LeastSquaresDre(dim, tail_dim, ls_params)
-    if kind == "kreisselmeier":
-        return KreisselmeierDre(dim, tail_dim, kreis_params)
-    raise ValueError(f"unknown regressor extension {kind!r}")
 
 
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,

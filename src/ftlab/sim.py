@@ -37,7 +37,6 @@ from .regression import make_regression
 
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
-DRES = ("least_squares", "kreisselmeier")
 _CSV_BLOCK_ROWS = 256
 
 
@@ -49,7 +48,6 @@ class SimConfig:
     controller: str = "c1"
     scenario: str = "case1"
     parameterization: str | None = None     # default: force_balance
-    dre: str | None = None                  # default: per controller (c1, c2)
     dt: float = 5e-4
     t_final: float = 10.0
     q_d: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0]))
@@ -113,8 +111,6 @@ class SimConfig:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if self.effective_parameterization not in PARAMETERIZATIONS:
             raise ConfigError(f"parameterization must be one of {PARAMETERIZATIONS}")
-        if self.dre is not None and self.dre not in DRES:
-            raise ConfigError(f"dre must be one of {DRES}, got {self.dre!r}")
         if not self.dt > 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.t_final > self.dt:
@@ -222,7 +218,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     The monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
     after the loop, over the recorded series.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
-    and the time.
+    and the time, and so does a float overflow within a step.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -290,6 +286,9 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 delta = controller.update(pair, dt)
             except NumericalDegeneracyError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
+            except OverflowError as exc:
+                raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): float overflow "
+                                               f"{exc}") from exc
 
             (p11, p12), (p21, p22) = psi
             (m11, m12), (m21, m22) = inertia

@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,9 @@ class TestParseConfig:
     def test_unknown_key_rejected_with_line(self):
         with pytest.raises(ConfigError, match="line 3"):
             parse_config("controller=c1\n\nwhatever=1\n")
+        # the controller name fixes the extension: no key selects it
+        with pytest.raises(ConfigError, match="line 2: unknown key 'dre'"):
+            parse_config("controller = c2\ndre = least_squares\n")
 
     def test_sectioned_and_comments(self):
         cfg = parse_config("""
@@ -122,7 +127,7 @@ def same(a, b) -> bool:
 # valid non-default values where scaling the default by 1.25 does not give one
 SAMPLES = {
     "controller": "c2", "scenario": "case2", "parameterization": "power_balance",
-    "dre": "kreisselmeier", "sim.qd0": "0.5, -0.5", "sim.gramian_start": "0.5",
+    "sim.qd0": "0.5, -0.5", "sim.gramian_start": "0.5",
     "gains.theta_hat0": "1, 5", "dre.rho0": "1, 2, 3, 4, 5", "dre.norm": "frobenius",
     "dre.lambda0": "0.7",
 }
@@ -160,6 +165,32 @@ class TestOneHomePerSetting:
             bare = parse_config(f"{key[4:]} = {raw}\n")
             assert all(same(field_value(bare, t), field_value(config, t))
                        for t in settable_fields())
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_keys() -> list:
+    """The keys of the README's configuration table: the run selectors bare,
+    the sim row ``sim.``-prefixed, every other row under its group prefix."""
+    text = README.read_text()
+    table = text[text.index("| group | keys |"):].split("\n\n", 1)[0]
+    keys = []
+    for row in table.splitlines()[2:]:
+        group, cell = (part.strip() for part in row.strip("|").split("|"))
+        if group == "run selectors":
+            prefix = ""
+        elif group.startswith("sim "):
+            prefix = "sim."
+        else:
+            prefix = group.strip("`")
+        keys += [prefix + name for quoted in re.findall(r"`([^`]+)`", cell)
+                 for name in quoted.split()]
+    return keys
+
+
+def test_readme_key_table_is_config_keys():
+    assert sorted(readme_config_keys()) == sorted(CONFIG_KEYS)
 
 
 class TestCliCommands:
@@ -214,6 +245,23 @@ class TestCliCommands:
                      "--out", str(tmp_path / "o"), "simulate"]) == 3
         assert capsys.readouterr().err == (
             "numerical degeneracy: step 9 (t = 0.45 s): mixing factor Delta is not finite\n")
+
+    @pytest.mark.parametrize("lambda3", ["1e30", "1e40"])
+    def test_float_overflow_exit_code(self, tmp_path, capsys, lambda3):
+        # a huge extension gain overflows a float power of the composite law
+        # (in control.sat at 1e30, in mathx.spow at 1e40); the run ends in the
+        # degeneracy exit code with step and time, not a traceback
+        cfg = _write(tmp_path, f"controller = c2\ndre.lambda3 = {lambda3}\n"
+                               "gains.sat_d = 3\nsim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical degeneracy: step ") and "(t = " in err
+        assert "float overflow" in err
+        assert list(out.iterdir()) == []
+        assert main(["--config", str(cfg), "--scenario", "case1", "--controller", "c2",
+                     "--out", str(tmp_path / "grid"), "sweep"]) == 3
+        assert "numerical degeneracy in " in capsys.readouterr().err
 
     def test_failed_write_leaves_neither_output(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod

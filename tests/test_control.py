@@ -177,7 +177,8 @@ class TestCompositeAdaptation:
     def test_equilibrium_rate_is_zero(self, plant):
         gains = CompositeAdaptGains()
         th = np.array([1.0, 2.0])
-        mixed = MixedRegression(Y=np.zeros(5), delta=0.7, Y_u=0.7 * th)
+        # the composite law reads theta_u's block as the last two entries of Y
+        mixed = MixedRegression(Y=np.concatenate([np.zeros(3), 0.7 * th]), delta=0.7)
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=th)
         rate = ctrl.adapt_rate(np.zeros(2), np.zeros(2), plant.psi_rows([2.0, 2.0]), mixed)
         np.testing.assert_allclose(rate, np.zeros(2), atol=1e-15)
@@ -187,7 +188,7 @@ class TestCompositeAdaptation:
         psi = ref.psi([1.0, 0.3])
         e1 = np.array([0.2, -0.1])
         e2 = np.array([0.05, 0.4])
-        mixed = MixedRegression(Y=np.zeros(5), delta=0.0, Y_u=np.zeros(2))
+        mixed = MixedRegression(Y=np.zeros(5), delta=0.0)
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=[5.0, -3.0])
         rate = ctrl.adapt_rate(e1, e2, psi, mixed)
         direct = -gains.gamma_diag * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
@@ -307,8 +308,12 @@ class TestSlotineLiLs:
         # least-squares extension, and their checks are its checks
         with pytest.raises(ValueError):
             LsDreParams(f0=1.0, gain_cap=0.5)
-        with pytest.raises(ValueError):
-            TsmParams(k1=0.0)
+        for name in ("k1", "k2", "gamma_tsm", "k_tsm", "gamma_lin", "k_lin", "clamp"):
+            for value in (0.0, -1.0):
+                with pytest.raises(ValueError, match=name):
+                    TsmParams(**{name: value})
+        with pytest.raises(ValueError, match="ks"):
+            TsmParams(ks=-1.0)
 
 
 class TestControllerWrappers:

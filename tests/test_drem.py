@@ -4,7 +4,7 @@ import pytest
 import reference as ref
 from ftlab import mathx, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
-                        LsDreParams, excitation_gramian, make_dre)
+                        LsDreParams, excitation_gramian)
 from ftlab.errors import NumericalDegeneracyError
 from ftlab.regression import RegressionPair
 
@@ -17,18 +17,18 @@ def zero_pair(n_out=2, dim=5):
 
 class TestLeastSquares:
     def test_initial_state(self):
-        dre = LeastSquaresDre(5, 2)
+        dre = LeastSquaresDre(5)
         np.testing.assert_array_equal(dre.rho_hat, np.zeros(5))
         np.testing.assert_allclose(dre.F, np.eye(5))
         assert dre.z == 1.0
 
     def test_initial_forgetting_rate(self):
         # f0 = 1, cap 10: |F(0)| = 1 spectrally, so beta = 10 (1 - 1/10) = 9
-        dre = LeastSquaresDre(5, 2)
+        dre = LeastSquaresDre(5)
         assert dre.beta() == pytest.approx(9.0)
 
     def test_unexcited_dynamics(self):
-        dre = LeastSquaresDre(5, 2, LsDreParams(rho0=np.array([1.0, 0, 0, 0, -2.0])))
+        dre = LeastSquaresDre(5, LsDreParams(rho0=np.array([1.0, 0, 0, 0, -2.0])))
         norms = []
         for _ in range(4000):
             dre.step(zero_pair(), DT)
@@ -41,14 +41,13 @@ class TestLeastSquares:
         assert dre.z == pytest.approx(1.0 / norms[-1], rel=1e-9)
 
     def test_mix_starts_at_zero(self):
-        dre = LeastSquaresDre(5, 2, LsDreParams(rho0=np.array([0.5, 1, 2, 3, 4.0])))
+        dre = LeastSquaresDre(5, LsDreParams(rho0=np.array([0.5, 1, 2, 3, 4.0])))
         mixed = dre.mix()
         assert mixed.delta == 0.0
         np.testing.assert_allclose(mixed.Y, np.zeros(5), atol=1e-18)
-        np.testing.assert_allclose(mixed.Y_u, np.zeros(2), atol=1e-18)
 
     def test_diagonal_cramer_structure(self):
-        dre = LeastSquaresDre(3, 1)
+        dre = LeastSquaresDre(3)
         # force a diagonal mixing matrix by hand
         dre.z = 0.5
         dre.F = np.diag([0.4, 1.0, 1.6])
@@ -64,7 +63,7 @@ class TestLeastSquares:
         # synthetic trace: y = Omega theta exactly, time-varying Omega
         rng = np.random.default_rng(21)
         theta = np.array([0.16, 0.03, 0.013, 0.98, 5.9])
-        dre = LeastSquaresDre(5, 2)
+        dre = LeastSquaresDre(5)
         t = 0.0
         for k in range(6000):
             omega = np.vstack([np.sin(np.array([1, 2, 3, 4, 5]) * t + 0.3),
@@ -85,7 +84,7 @@ class TestLeastSquares:
         assert eigs[:, 0].min() > 0.0
 
     def test_degeneracy_detection(self):
-        dre = LeastSquaresDre(5, 2)
+        dre = LeastSquaresDre(5)
         dre.F = -np.eye(5)
         with pytest.raises(NumericalDegeneracyError):
             dre.beta()
@@ -101,7 +100,7 @@ class TestLeastSquares:
 
 class TestKreisselmeier:
     def test_decay_without_excitation(self):
-        dre = KreisselmeierDre(5, 2)
+        dre = KreisselmeierDre(5)
         dre.phi1 = np.ones(5)
         dre.phi2 = np.eye(5)
         for _ in range(2000):
@@ -111,7 +110,7 @@ class TestKreisselmeier:
         assert np.linalg.norm(dre.phi2) == pytest.approx(np.exp(-1.0) * np.sqrt(5.0), rel=1e-3)
 
     def test_single_step_from_zero(self):
-        dre = KreisselmeierDre(5, 2, KreisParams(lambda2=1.0, lambda3=1.3))
+        dre = KreisselmeierDre(5, KreisParams(lambda2=1.0, lambda3=1.3))
         omega = np.array([[1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 1.0, 0.0, 2.0, 0.0]])
         pair = RegressionPair(y=np.array([1.0, 2.0]), omega=omega)
         dre.step(pair, DT)
@@ -120,16 +119,15 @@ class TestKreisselmeier:
                                    atol=1e-15)
 
     def test_identity_mixing(self):
-        dre = KreisselmeierDre(5, 2)
+        dre = KreisselmeierDre(5)
         dre.phi2 = np.eye(5)
         dre.phi1 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         mixed = dre.mix()
         assert mixed.delta == 1.0
         np.testing.assert_allclose(mixed.Y, dre.phi1)
-        np.testing.assert_allclose(mixed.Y_u, [4.0, 5.0])
 
     def test_zero_state_mixes_to_zero(self):
-        mixed = KreisselmeierDre(5, 2).mix()
+        mixed = KreisselmeierDre(5).mix()
         assert mixed.delta == 0.0
         np.testing.assert_array_equal(mixed.Y, np.zeros(5))
 
@@ -139,7 +137,7 @@ class TestKreisselmeier:
         # 1 x 5 pairs are power balance, 2 x 5 force balance; magnitudes span
         # four decades so that the products round in their last bits
         rng = np.random.default_rng(31 + n_out)
-        dre = KreisselmeierDre(5, 2, params)
+        dre = KreisselmeierDre(5, params)
         phi1, phi2 = np.zeros(5), np.zeros((5, 5))
         for k in range(600):
             omega = rng.standard_normal((n_out, 5)) * 10.0 ** rng.uniform(-2, 2, (n_out, 1))
@@ -156,7 +154,7 @@ class TestKreisselmeier:
 
     def test_record_holds_the_state_of_every_step(self):
         rng = np.random.default_rng(5)
-        dre = KreisselmeierDre(5, 2)
+        dre = KreisselmeierDre(5)
         diag = dre.diagnostics(20)
         want1, want2 = [], []
         for k in range(20):
@@ -173,7 +171,7 @@ class TestKreisselmeier:
 
     def test_setters_write_through_to_the_mixing(self):
         rng = np.random.default_rng(8)
-        dre = KreisselmeierDre(5, 2)
+        dre = KreisselmeierDre(5)
         a = rng.standard_normal((5, 5))
         phi2, phi1 = a @ a.T, rng.standard_normal(5)
         dre.phi2 = phi2
@@ -274,10 +272,3 @@ class TestQualitativeMonitors:
                                axis=1)
         k5 = int(round(5.0 / c3_case1.meta["dt"]))
         assert tilde[k5:].max() <= 0.05 * tilde[0]
-
-
-def test_factory_dispatch():
-    assert isinstance(make_dre("least_squares", 5, 2), LeastSquaresDre)
-    assert isinstance(make_dre("kreisselmeier", 5, 2), KreisselmeierDre)
-    with pytest.raises(ValueError):
-        make_dre("gradient", 5, 2)

@@ -49,8 +49,8 @@ THETA_HAT0_FULL = (0.1, 0.2, 0.3, 0.4, 0.5)
 # combinations no fixture covers, at a 1 s horizon; the r1 = 1.4 runs have
 # b = 0.6, so they pin that the composite law's saturation exponent is b
 EXTRA_RUNS = {
-    "c1_case1_kreis": ("c1", "case1", {"dre": "kreisselmeier", "t_final": 1.0}),
-    "c2_case1_ls": ("c2", "case1", {"dre": "least_squares", "t_final": 1.0}),
+    "c1_case1_1s": ("c1", "case1", {"t_final": 1.0}),
+    "c2_case1_1s": ("c2", "case1", {"t_final": 1.0}),
     "c1_case2_pb": ("c1", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
     "c2_case2_pb": ("c2", "case2", {"parameterization": "power_balance", "t_final": 1.0}),
     "c3_case1_pb": ("c3", "case1", {"parameterization": "power_balance", "t_final": 1.0}),

@@ -129,7 +129,7 @@ def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
     ftpd, gains = FtPdGains(r1=r1), CompositeAdaptGains()
     c = ftpd.b
     psi_q = ref.psi(q)
-    mixed = MixedRegression(Y=np.concatenate([np.zeros(3), y_u]), delta=delta, Y_u=y_u)
+    mixed = MixedRegression(Y=np.concatenate([np.zeros(3), y_u]), delta=delta)
     want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains, c)
     direct = np.abs(psi_q).T @ (gains.g1d1 + gains.g12 * np.abs(e2))
     indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** c
@@ -202,7 +202,7 @@ def test_regression_step_matches(kind, q0, qd0, samples, lambda0):
 @settings(max_examples=100)
 def test_least_squares_step_matches(omegas, norm, rho0):
     params = LsDreParams(norm=norm, rho0=rho0)
-    dre = LeastSquaresDre(5, 2, params)
+    dre = LeastSquaresDre(5, params)
     rho = np.zeros(5) if rho0 is None else rho0
     r, u, z, f = params.f0 * np.eye(5), params.f0 * rho, 1.0, np.eye(5) / params.f0
     dt = 5e-4
@@ -266,7 +266,7 @@ def ls_drive(rows, params):
     on two regressor rows and a residual row of ``rows`` (15 floats), mixing
     and recording as the run does.  Returns the finished record and one
     LsStep per step."""
-    dre = LeastSquaresDre(5, 2, params)
+    dre = LeastSquaresDre(5, params)
     rho0 = np.zeros(5) if params.rho0 is None else params.rho0
     r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
     dt = 5e-4
@@ -301,7 +301,6 @@ def test_least_squares_mix_matches(rows, norm, rho0):
     for k, s in enumerate(steps):
         assert abs(s.mixed.delta - s.want_delta) <= s.tol, (s.mixed.delta, s.want_delta)
         assert_close(s.mixed.Y, s.want_Y, s.scale, rel=s.tol)
-        assert_close(s.mixed.Y_u, s.want_Y[-2:], s.scale, rel=s.tol)
         assert_close(diag["F"][k], s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
         assert_close(diag["rho_hat"][k], s.want_rho_hat, s.scale, rel=s.tol)
 
@@ -333,7 +332,7 @@ def test_least_squares_nonzero_rho0(rows, rho0):
 
 def test_least_squares_setters_round_trip():
     params = LsDreParams(rho0=np.array([0.3, -1.0, 0.0, 2.0, 0.5]))
-    dre = LeastSquaresDre(5, 2, params)
+    dre = LeastSquaresDre(5, params)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5))
     f = a @ a.T + 0.5 * np.eye(5)
@@ -361,7 +360,7 @@ def test_least_squares_setters_round_trip():
        lambda3=st.sampled_from([1.0, 1.3]))
 @settings(max_examples=100)
 def test_kreisselmeier_step_matches(omegas, lambda3):
-    dre = KreisselmeierDre(5, 2, KreisParams(lambda3=lambda3))
+    dre = KreisselmeierDre(5, KreisParams(lambda3=lambda3))
     phi1, phi2 = np.zeros(5), np.zeros((5, 5))
     dt = 5e-4
     for k, flat in enumerate(omegas, start=1):

@@ -35,7 +35,6 @@ class TestConfig:
         dre = lambda **kwargs: make_controller(SimConfig(**kwargs), plant).dre
         assert dre(controller="c1") == "least_squares"
         assert dre(controller="c2") == "kreisselmeier"
-        assert dre(controller="c2", dre="least_squares") == "least_squares"
 
     NONFINITE = {
         "t_final_inf": ({"t_final": np.inf}, "t_final"),
