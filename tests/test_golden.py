@@ -1,11 +1,13 @@
 """Golden traces: every recorded bit of the reference runs is pinned.
 
-Each digest is the SHA-256 of the trace's CSV serialization followed by the
-name, dtype, shape and raw bytes of every diagnostics array, so a change that
-moves any float of any recorded series, in the CSV or only in memory, fails
-here.  The session fixtures of ``conftest.py`` are hashed as they are (they
-cost no extra simulation time); ``EXTRA_RUNS`` adds short runs of the
-controller / extension / parameterization combinations the fixtures miss.
+Each digest is the SHA-256 of the trace's CSV serialization, then the name,
+dtype, shape and raw bytes of every diagnostics array, then the
+``metrics.txt`` text of ``compute_metrics`` at its defaults, so a change that
+moves any float of any recorded series, in the CSV or only in memory, or any
+printed metric, fails here.  The session fixtures of ``conftest.py`` are
+hashed as they are (they cost no extra simulation time); ``EXTRA_RUNS`` adds
+short runs of the controller / extension / parameterization combinations the
+fixtures miss.
 
 A change that alters the numerics on purpose re-records the digests of the
 runs it moves with
@@ -68,6 +70,7 @@ def trace_digest(trace) -> str:
         arr = np.ascontiguousarray(trace.diagnostics[name])
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
+    h.update(sim.compute_metrics(trace).to_text().encode())
     return h.hexdigest()
 
 
