@@ -16,9 +16,8 @@ knows the controllers only through their shared protocol: the estimate
 ``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
 floats; ``update(pair, dt)``, which steps the family's regressor extension
 (c4: its least-squares gain), mixes (c1-c3), adapts and returns Delta;
-``diagnostics(n_rec)``, ``record(diag, k)`` and, once after the last step,
-``finish(diag)`` for its per-step series; and ``dre``, the name of the
-extension it mixes from.  ``FAMILIES`` maps the controller names to the
+``diagnostics(n_rec)`` and ``record(diag, k)`` for its per-step series; and
+``dre``, the name of the extension it mixes from.  ``FAMILIES`` maps the controller names to the
 classes, whose ``from_config`` builds one and ``check_config`` holds the
 family's rules.
 
@@ -227,11 +226,6 @@ class _Estimate:
     def advance(self, rate, dt: float) -> None:
         """Euler-step the estimate at ``rate``, a sequence of floats."""
         self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
-
-    def finish(self, diag: dict) -> None:
-        """Complete the recorded series after the last step: the extension
-        completes its own."""
-        self.extension.finish(diag)
 
     def _start(self, theta_hat0, dim: int) -> None:
         self.theta_hat = np.zeros(dim) if theta_hat0 is None else theta_hat0
@@ -485,7 +479,6 @@ class SlotineLiLsController(_Estimate):
         self.ls = ls
         self._start(theta_hat0, self.estimate_dim)
         self.extension = LeastSquaresDre(self.estimate_dim, ls)
-        self.last_e_p = None
         self._w = None
         self._s = None
 
@@ -517,18 +510,15 @@ class SlotineLiLsController(_Estimate):
             raise RuntimeError("torque() must be evaluated before update()")
         omega = pair.omega
         e_p = omega.dot(self.estimate) - pair.y
-        self.last_e_p = e_p
         drive = _regressor_times(self._w, self._s) + e_p.dot(omega)
         self.advance((-self.extension.gain_times(drive)).tolist(), dt)
         self.extension.step(pair, dt)
         return 0.0
 
     def diagnostics(self, n_rec: int) -> dict:
-        # e_p has one entry per force-balance equation of the two-link arm
-        return {"e_p": np.empty((n_rec, 2)), **self.extension.diagnostics(n_rec)}
+        return self.extension.diagnostics(n_rec)
 
     def record(self, diag: dict, k: int) -> None:
-        diag["e_p"][k] = self.last_e_p
         self.extension.record(diag, k)
 
 

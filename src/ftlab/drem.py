@@ -12,8 +12,9 @@ column-replaced determinants of phi2 directly (Cramer form) instead of
 building the adjugate.  A mixing output that is not finite raises
 NumericalDegeneracyError naming Delta or Y.  An extension knows only the
 regression dimension l, not which of its parameters a controller estimates.
-It records its per-step series with ``record`` and completes them once
-after the last step with ``finish``.
+Its ``record`` writes what its step already holds: the least-squares
+extension the eigenvalues of R and the discount z, the Kreisselmeier
+extension its state.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ class LsDreParams:
 
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
                     "(beta dt >= 1: the forgetting factor 1 - beta dt is not positive)")
-_FINISH_BLOCK = 1024    # recorded steps per batched product in finish()
 
 
 class LeastSquaresDre:
@@ -109,8 +109,8 @@ class LeastSquaresDre:
         Y = adj(phi) v = V diag(prod_{j != i} ((w_j - z f0) / w_j) / w_i) V' u~,
 
     which never divides by a factor w_i - z f0 (all of them are 0 at t = 0).
-    F and rho_hat are properties of the eigenpairs; the loop records V, w
-    and u~, and ``finish`` turns the record into F and rho_hat.
+    F and rho_hat are properties of the eigenpairs.  The record holds w
+    (F's eigenvalues are 1/w) and z of every step.
     """
 
     kind = "least_squares"
@@ -128,8 +128,6 @@ class LeastSquaresDre:
         # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w
         self._v = np.eye(dim)
         self._w = [f0] * dim
-        self._w_rec = None
-        self.last_beta = self.beta()
 
     @property
     def F(self) -> np.ndarray:
@@ -184,7 +182,6 @@ class LeastSquaresDre:
             raise ValueError(f"dt must be positive, got {dt}")
         gain = dt * self.params.alpha
         b = self.beta()
-        self.last_beta = b
         omega = pair.omega
         decay = 1.0 - dt * b
         drive = omega.T.dot(np.concatenate((omega, pair.y[:, None]), axis=1))
@@ -223,33 +220,11 @@ class LeastSquaresDre:
         return _mixed(prefix, Y)
 
     def diagnostics(self, n_rec: int) -> dict:
-        l_dim = self.dim
-        self._w_rec = np.empty((n_rec, l_dim))
-        return {"F": np.empty((n_rec, l_dim, l_dim)), "z_forget": np.empty(n_rec),
-                "rho_hat": np.empty((n_rec, l_dim)), "beta": np.empty(n_rec)}
+        return {"w": np.empty((n_rec, self.dim)), "z_forget": np.empty(n_rec)}
 
     def record(self, diag: dict, k: int) -> None:
-        """Record V in place of F and u~ in place of rho_hat, and w aside;
-        ``finish`` completes them."""
-        diag["F"][k] = self._v
-        self._w_rec[k] = self._w
+        diag["w"][k] = self._w
         diag["z_forget"][k] = self.z
-        diag["rho_hat"][k] = self._state[:, self.dim]
-        diag["beta"][k] = self.last_beta
-
-    def finish(self, diag: dict) -> None:
-        """Turn the recorded eigenpairs into F = S S' (S = V diag(w)^-1/2)
-        and rho_hat = F (u~ + z f0 rho0), a block of steps at a time."""
-        f_rec, rho_rec, z_rec = diag["F"], diag["rho_hat"], diag["z_forget"]
-        w_rec, self._w_rec = self._w_rec, None
-        f0 = self.params.f0
-        for start in range(0, len(w_rec), _FINISH_BLOCK):
-            block = slice(start, start + _FINISH_BLOCK)
-            s = f_rec[block] * w_rec[block, None, :] ** -0.5
-            f = s @ s.transpose(0, 2, 1)
-            u = rho_rec[block] + (z_rec[block] * f0)[:, None] * self.rho0
-            rho_rec[block] = (f @ u[:, :, None])[:, :, 0]
-            f_rec[block] = f
 
 
 @dataclass(frozen=True)
@@ -338,10 +313,6 @@ class KreisselmeierDre:
 
     def record(self, diag: dict, k: int) -> None:
         self._rec[k] = self._state
-
-    def finish(self, diag: dict) -> None:
-        """The record is complete as the steps wrote it."""
-        self._rec = None
 
 
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,

@@ -13,7 +13,9 @@ advances everything with a shared explicit-Euler step.  Per step:
 6. Euler-update the plant state.
 
 The runner knows the controllers only through the protocol of
-``control`` (see its module docstring).
+``control`` (see its module docstring).  The trace keeps the series each
+step records and nothing built after the loop but the monitors; the
+metrics of a trace are scalars.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.
@@ -303,7 +305,6 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
                 q1, q2 = q1 + dt * qd1, q2 + dt * qd2
                 qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
-    controller.finish(diag)
 
     q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
     theta_rec = rows[:, 6:6 + j_est].copy()
@@ -339,16 +340,16 @@ def run_closed_loop(config: SimConfig) -> Trace:
 
 @dataclass
 class Metrics:
-    """Scalar figures of merit plus the monitor series used for excitation
-    diagnostics."""
+    """Scalar figures of merit of one run.  ``min_eig_phi2`` is the smallest
+    eigenvalue of the last step's phi2, None for a run whose extension has
+    no phi2."""
 
     settling_time: float
     steady_state_error: float
     param_convergence_time: float
     chattering_amplitude: float
     zeta1_integral: float
-    zeta1_integral_series: np.ndarray
-    min_eig_phi2: np.ndarray | None
+    min_eig_phi2: float | None
     gramian_min_eig: float
 
     def to_text(self) -> str:
@@ -361,19 +362,13 @@ class Metrics:
             f"gramian_min_eig={self.gramian_min_eig:.17g}",
         ]
         if self.min_eig_phi2 is not None:
-            lines.append(f"min_eig_phi2_final={float(self.min_eig_phi2[-1]):.17g}")
+            lines.append(f"min_eig_phi2_final={self.min_eig_phi2:.17g}")
         return "\n".join(lines) + "\n"
 
 
 def _last_exceed_time(t: np.ndarray, magnitude: np.ndarray, tol: float) -> float:
     over = np.nonzero(magnitude > tol)[0]
     return float(t[over[-1]]) if over.size else 0.0
-
-
-def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
-    return out
 
 
 def compute_metrics(trace: Trace, settle_tol: float | None = None,
@@ -409,13 +404,17 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
     jumps = np.abs(np.diff(trace.tau, axis=0)).max(axis=1)
     chatter = float(jumps[window.start - 1:].max()) if len(trace) > 1 else 0.0
 
-    zeta_series = _cumtrapz(trace.zeta1, trace.t)
+    # trapezoids summed in order, as a running integral's last entry (np.sum's
+    # pairwise order would move the last bits)
+    zeta1 = trace.zeta1
+    areas = 0.5 * (zeta1[1:] + zeta1[:-1]) * np.diff(trace.t)
+    zeta_integral = float(np.cumsum(areas)[-1]) if areas.size else 0.0
 
     min_eig_phi2 = None
     if "phi2" in trace.diagnostics:
-        # batched symmetric eigensolve; phi2 is exactly symmetric, since the
-        # filter adds the symmetric rank-k products Omega' Omega
-        min_eig_phi2 = np.linalg.eigvalsh(trace.diagnostics["phi2"])[:, 0]
+        # phi2 is exactly symmetric: the filter adds the symmetric rank-k
+        # products Omega' Omega
+        min_eig_phi2 = float(np.linalg.eigvalsh(trace.diagnostics["phi2"][-1])[0])
 
     gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,
                                    min(gramian_window, trace.t[-1] - gramian_start))
@@ -423,9 +422,7 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     return Metrics(settling_time=settling, steady_state_error=steady_err,
                    param_convergence_time=param_time, chattering_amplitude=chatter,
-                   zeta1_integral=float(zeta_series[-1]),
-                   zeta1_integral_series=zeta_series,
-                   min_eig_phi2=min_eig_phi2, gramian_min_eig=float(gram_min))
+                   zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2, gramian_min_eig=float(gram_min))
 
 
 def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:

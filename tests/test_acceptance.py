@@ -139,9 +139,10 @@ def test_criterion_7_excitation_gain_properties():
 
 
 def test_criterion_8_dre_state_health(c1_case1, c2_case1):
-    f_eigs = np.linalg.eigvalsh(c1_case1.diagnostics["F"])
+    # F = R^-1 has the eigenvalues 1/w of the recorded eigenvalues w of R
+    w = c1_case1.diagnostics["w"]
     z = c1_case1.diagnostics["z_forget"]
-    f_ok = float(f_eigs[:, 0].min()) > 0.0
+    f_ok = float(w.min()) > 0.0
     z_ok = bool(np.all((z > 0.0) & (z <= 1.0)))
 
     phi2_min = float(np.linalg.eigvalsh(c2_case1.diagnostics["phi2"])[:, 0].min())
@@ -158,7 +159,7 @@ def test_criterion_8_dre_state_health(c1_case1, c2_case1):
 
     passed = f_ok and z_ok and phi2_ok and growth_ok
     report(8, "extension state health", passed,
-           f"min eig F {f_eigs[:, 0].min():.2e}, z in ({z.min():.1e}, {z.max():.3f}], "
+           f"min eig F {1.0 / w.max():.2e}, z in ({z.min():.1e}, {z.max():.3f}], "
            f"min eig phi2 {phi2_min:.1e}, final-second gain integral c1 {inc1:.3f} "
            f"vs c2 {inc2:.5f}")
     assert f_ok and z_ok

@@ -211,9 +211,11 @@ def test_least_squares_step_matches(omegas, norm, rho0):
         omega = np.reshape(flat, (3, 5))[:2]
         y = omega @ theta + np.reshape(flat, (3, 5))[2, :2]
         b, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
+        # the rate this step uses
+        b_got = dre.beta()
         dre.step(RegressionPair(y=y, omega=omega), dt)
         tol = LS * k * np.linalg.cond(r)
-        assert dre.last_beta == pytest.approx(b, rel=tol, abs=tol)
+        assert b_got == pytest.approx(b, rel=tol, abs=tol)
         assert dre.z == pytest.approx(z, rel=tol)
         assert_close(dre.F, f, float(np.max(np.abs(f))), rel=tol)
         assert_close(dre.rho_hat, rho_hat, float(np.max(np.abs(f)) * np.max(np.abs(u))),
@@ -258,14 +260,15 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
         tol = LS * k * np.linalg.cond(r)
 
 
-LsStep = namedtuple("LsStep", "mixed rho_hat want_delta want_Y want_F want_rho_hat tol scale")
+LsStep = namedtuple("LsStep",
+                    "mixed F rho_hat want_delta want_Y want_R want_F want_rho_hat tol scale")
 
 
 def ls_drive(rows, params):
     """Step a LeastSquaresDre and the reference step side by side, each step
     on two regressor rows and a residual row of ``rows`` (15 floats), mixing
-    and recording as the run does.  Returns the finished record and one
-    LsStep per step."""
+    and recording as the run does.  Returns the record and one LsStep per
+    step."""
     dre = LeastSquaresDre(5, params)
     rho0 = np.zeros(5) if params.rho0 is None else params.rho0
     r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
@@ -283,9 +286,8 @@ def ls_drive(rows, params):
         delta, Y = ref.ls_mix(f, rho_hat, z, params, rho0)
         scale = float(np.max(np.abs(f))) * (float(np.max(np.abs(u)))
                                              + z * params.f0 * float(np.max(np.abs(rho0))))
-        steps.append(LsStep(mixed, dre.rho_hat, delta, Y, f, rho_hat,
+        steps.append(LsStep(mixed, dre.F, dre.rho_hat, delta, Y, r, f, rho_hat,
                             LS * (k + 1) * np.linalg.cond(r), scale))
-    dre.finish(diag)
     return diag, steps
 
 
@@ -301,8 +303,11 @@ def test_least_squares_mix_matches(rows, norm, rho0):
     for k, s in enumerate(steps):
         assert abs(s.mixed.delta - s.want_delta) <= s.tol, (s.mixed.delta, s.want_delta)
         assert_close(s.mixed.Y, s.want_Y, s.scale, rel=s.tol)
-        assert_close(diag["F"][k], s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
-        assert_close(diag["rho_hat"][k], s.want_rho_hat, s.scale, rel=s.tol)
+        assert_close(s.F, s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
+        assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
+        # the record holds the eigenvalues of R = F^-1, ascending
+        assert_close(diag["w"][k], np.linalg.eigvalsh(s.want_R),
+                     float(np.max(np.abs(s.want_R))), rel=s.tol)
 
 
 @given(rows=ls_rows, column=st.integers(0, 4))
