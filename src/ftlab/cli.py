@@ -4,12 +4,12 @@ Config format: flat ``key = value`` lines with ``#`` comments.  Keys are
 either bare run selectors (controller, scenario, parameterization and the
 common sim keys) or section-prefixed (sim., plant., gains., dre.).
 ``CONFIG_KEYS`` maps each key to the one field it sets.  Vectors are
-comma-separated; every number must be finite.  Unknown keys are rejected
-with their line number.  An empty file reproduces the reference c1/case1
-study.
+comma-separated; every number must be finite.  Unknown keys, and a field
+set twice, are rejected with their line numbers.  An empty file reproduces
+the reference c1/case1 study.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical degeneracy,
-4 property failure (verify).
+Exit codes: 0 success, 2 configuration error (also a record too large to
+allocate), 3 numerical degeneracy, 4 property failure (verify).
 """
 
 from __future__ import annotations
@@ -150,9 +150,10 @@ def parse_config(text: str) -> SimConfig:
 
 def _read_config(text: str) -> SimConfig:
     """The SimConfig of a key=value config, checked key by key but not yet
-    validated as a whole."""
+    validated as a whole.  A field set twice, under one spelling or two, is
+    an error naming both lines."""
     fields: dict = {}    # attribute -> {field: value}
-    sources: dict = {}   # attribute -> ["key (line n)", ...]
+    sources: dict = {}   # (attribute, field) -> "key (line n)"
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -168,11 +169,14 @@ def _read_config(text: str) -> SimConfig:
         if entry is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         attr, name, parse = entry
+        where = f"{key} (line {lineno})"
+        first = sources.setdefault((attr, name), where)
+        if first != where:
+            raise ConfigError(f"{where} sets the same field as {first}")
         try:
             fields.setdefault(attr, {})[name] = parse(key, raw)
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-        sources.setdefault(attr, []).append(f"{key} (line {lineno})")
 
     config = SimConfig(**fields.pop(None, {}))
     link = fields.get("params", {})
@@ -181,7 +185,8 @@ def _read_config(text: str) -> SimConfig:
         try:
             setattr(config, attr, dataclasses.replace(getattr(config, attr), **values))
         except ValueError as exc:
-            raise ConfigError(f"{', '.join(sources[attr])}: {exc}") from None
+            keys = [source for (held, _), source in sources.items() if held == attr]
+            raise ConfigError(f"{', '.join(keys)}: {exc}") from None
     return config
 
 
@@ -284,6 +289,8 @@ def cmd_sweep(args) -> int:
         except NumericalDegeneracyError as exc:
             print(f"numerical degeneracy in {out}: {exc}", file=sys.stderr)
             failed += 1
+        except ConfigError:
+            raise
         except (ValueError, ArithmeticError) as exc:
             print(f"{type(exc).__name__} in {out}: {exc}", file=sys.stderr)
             failed += 1

@@ -220,7 +220,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     The monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
     after the loop, over the recorded series.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
-    and the time, and so does a float overflow within a step.
+    and the time, and so does a float overflow within a step.  A record too
+    large to allocate is a ConfigError naming the step count.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -244,10 +245,14 @@ def run_closed_loop(config: SimConfig) -> Trace:
     # one row per step: q, qd, tau (2 each), the estimate, Delta, then Psi(q)
     # and M(q) of the true state (4 each, row-major) for the monitors
     j_est = len(controller.estimate)
-    rows = np.empty((n_rec, 6 + j_est + 1 + 8))
     n_out = 1 if config.effective_parameterization == "power_balance" else n
-    diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim)),
-            **controller.diagnostics(n_rec)}
+    try:
+        rows = np.empty((n_rec, 6 + j_est + 1 + 8))
+        diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim)),
+                **controller.diagnostics(n_rec)}
+    except MemoryError as exc:
+        raise ConfigError(f"sim.t_final / sim.dt gives {n_steps} steps, too many to "
+                          f"record: {exc}") from None
     y_rec, omega_rec = diag["y"], diag["omega"]
 
     q1, q2 = config.q0.tolist()

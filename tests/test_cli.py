@@ -52,6 +52,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 2: unknown key 'dre'"):
             parse_config("controller = c2\ndre = least_squares\n")
 
+    def test_repeated_field_names_both_lines(self):
+        # a field set twice, under its bare or its sectioned key, is an error
+        # rather than the last value silently winning
+        with pytest.raises(ConfigError, match=r"^sim\.dt \(line 2\) sets the same field "
+                                              r"as dt \(line 1\)$"):
+            parse_config("dt = 1e-3\nsim.dt = 2e-3\n")
+        with pytest.raises(ConfigError, match=r"^gains\.P \(line 3\) sets the same field "
+                                              r"as gains\.P \(line 1\)$"):
+            parse_config("gains.P = 3\ncontroller = c1\ngains.P = 9\n")
+
     def test_sectioned_and_comments(self):
         cfg = parse_config("""
             # a run with heavier links
@@ -301,6 +311,28 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_repeated_key_exit_code(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "sim.t_final = 0.05\ndt = 1e-3\nsim.dt = 2e-3\n")
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+        assert capsys.readouterr().err == ("config error: sim.dt (line 3) sets the same "
+                                           "field as dt (line 2)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_record_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys,
+                                                           command):
+        # 1e13 steps need a 1.2 PiB record, beyond any address space, so the
+        # allocator refuses it at once
+        out = tmp_path / "o"
+        cfg = _write(tmp_path, "sim.dt = 1e-12\n")
+        assert main(["--config", str(cfg), "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.t_final / sim.dt gives 10000000000000 "
+                              "steps, too many to record")
+        assert not list(out.rglob("*.*"))
 
     def test_gramian_start_past_the_last_sample_is_a_config_error(self, tmp_path, capsys):
         # t_final = 1.0003 leaves the last sample at 1.0 s, before gramian_start
