@@ -17,9 +17,9 @@ knows the controllers only through their shared protocol: the estimate
 floats; ``update(pair, dt)``, which steps the family's regressor extension
 (c4: its least-squares gain), mixes (c1-c3), adapts and returns Delta;
 ``diagnostics(n_rec)`` and ``record(diag, k)`` for its per-step series; and
-``dre``, the name of the extension it mixes from.  ``FAMILIES`` maps the controller names to the
-classes, whose ``from_config`` builds one and ``check_config`` holds the
-family's rules.
+``dre``, the name of the extension it mixes from.  ``FAMILIES`` maps the
+controller names to the classes, whose ``from_config`` builds one and
+``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2

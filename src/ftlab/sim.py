@@ -411,8 +411,7 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     # trapezoids summed in order, as a running integral's last entry (np.sum's
     # pairwise order would move the last bits)
-    zeta1 = trace.zeta1
-    areas = 0.5 * (zeta1[1:] + zeta1[:-1]) * np.diff(trace.t)
+    areas = 0.5 * (trace.zeta1[1:] + trace.zeta1[:-1]) * np.diff(trace.t)
     zeta_integral = float(np.cumsum(areas)[-1]) if areas.size else 0.0
 
     min_eig_phi2 = None
@@ -427,7 +426,8 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     return Metrics(settling_time=settling, steady_state_error=steady_err,
                    param_convergence_time=param_time, chattering_amplitude=chatter,
-                   zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2, gramian_min_eig=float(gram_min))
+                   zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2,
+                   gramian_min_eig=float(gram_min))
 
 
 def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:
