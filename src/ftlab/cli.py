@@ -210,14 +210,15 @@ def load_config(path: str | None, controller: str | None = None,
 def _run_and_write(config: SimConfig, out_dir: Path) -> None:
     """Run one closed loop and write trace.csv and metrics.txt into out_dir.
 
-    Both files are written under temporary names in out_dir and renamed into
-    place once both are complete, so a run that fails, in the loop or while
-    writing, leaves neither file behind.
+    out_dir is made only once the run and its metrics have succeeded, so a
+    run that fails there leaves no directory.  Both files are written under
+    temporary names in out_dir and renamed into place once both are
+    complete, so a run that fails while writing leaves neither file behind.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace = run_closed_loop(config)
     metrics = compute_metrics(trace, gramian_start=config.gramian_start,
                               gramian_window=config.gramian_window)
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace_tmp = out_dir / f".trace.csv.{os.getpid()}.tmp"
     metrics_tmp = out_dir / f".metrics.txt.{os.getpid()}.tmp"
     try:

@@ -4,13 +4,16 @@ Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
-[phi2 | phi1], that one affine update advances per step.  The
+[phi2 | phi1], that one affine update advances in place per step.  The
 least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
 of the information matrix that its step takes anyway; the Kreisselmeier
 mixing hands its state to ``mathx.det_and_cramer``, which evaluates the
 column-replaced determinants of phi2 directly (Cramer form) instead of
-building the adjugate.  A mixing output that is not finite raises
-NumericalDegeneracyError naming Delta or Y.  An extension knows only the
+building the adjugate.  Both LAPACK calls go through ``mathx``'s direct
+kernels (``eigh_sym``, ``det_stack``), not numpy's wrappers.  An
+eigendecomposition of R that fails (non-finite eigenvalues) raises
+NumericalDegeneracyError naming R, and a mixing output that is not finite
+one naming Delta or Y.  An extension knows only the
 regression dimension l, not which of its parameters a controller estimates.
 Its ``record`` writes what its step already holds: the least-squares
 extension the eigenvalues of R and the discount z, the Kreisselmeier
@@ -76,6 +79,12 @@ class LsDreParams:
             object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=float))
 
 
+def _augmented(rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An empty (rows, dim + 1) matrix [Omega | y] and its two blocks."""
+    aug = np.empty((rows, dim + 1))
+    return aug, aug[:, :dim], aug[:, dim]
+
+
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
                     "(beta dt >= 1: the forgetting factor 1 - beta dt is not positive)")
 
@@ -101,9 +110,9 @@ class LeastSquaresDre:
     and its identity error (about 2e-3 relative at dt = 5e-4 on the
     reference runs) dwarfs the tolerance the mixing stage is held to.
 
-    Each step takes one symmetric eigendecomposition R = V diag(w) V', and
-    the mixing is read off it: with phi = I - z f0 F = V diag(1 - z f0 / w) V'
-    and v = rho_hat - z f0 F rho0 = F u~,
+    Each step takes one symmetric eigendecomposition R = V diag(w) V'
+    (``mathx.eigh_sym``), and the mixing is read off it: with
+    phi = I - z f0 F = V diag(1 - z f0 / w) V' and v = rho_hat - z f0 F rho0 = F u~,
 
         Delta = det(phi) = prod_i (w_i - z f0) / w_i,
         Y = adj(phi) v = V diag(prod_{j != i} ((w_j - z f0) / w_j) / w_i) V' u~,
@@ -125,6 +134,10 @@ class LeastSquaresDre:
         f0 = self.params.f0
         self.z = 1.0
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
+        self._r = self._state[:, :dim]
+        self._drive = np.empty((dim, dim + 1))
+        # [Omega | y] and its two blocks, sized by the first step's Omega
+        self._aug = _augmented(0, dim)
         # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w
         self._v = np.eye(dim)
         self._w = [f0] * dim
@@ -143,7 +156,7 @@ class LeastSquaresDre:
         w = 1.0 / f_eigs[::-1]
         self._v = v[:, ::-1]
         self._w = w.tolist()
-        self._state[:, :self.dim] = (self._v * w) @ self._v.T
+        self._r[...] = (self._v * w) @ self._v.T
 
     @property
     def rho_hat(self) -> np.ndarray:
@@ -153,8 +166,7 @@ class LeastSquaresDre:
     @rho_hat.setter
     def rho_hat(self, value) -> None:
         # u~ of this estimate at the current F and z
-        r = self._state[:, :self.dim]
-        self._state[:, self.dim] = r @ np.asarray(value, dtype=float) \
+        self._state[:, self.dim] = self._r @ np.asarray(value, dtype=float) \
             - (self.z * self.params.f0) * self.rho0
 
     def gain_times(self, x: np.ndarray) -> np.ndarray:
@@ -184,15 +196,28 @@ class LeastSquaresDre:
         b = self.beta()
         omega = pair.omega
         decay = 1.0 - dt * b
-        drive = omega.T.dot(np.concatenate((omega, pair.y[:, None]), axis=1))
-        self._state = state = decay * self._state + gain * drive
+        aug, aug_omega, aug_y = self._aug
+        if len(aug) != len(omega):
+            self._aug = _augmented(len(omega), self.dim)
+            aug, aug_omega, aug_y = self._aug
+        aug_omega[...] = omega
+        aug_y[...] = pair.y
+        drive = self._drive
+        # one Omega' [Omega | y] product, as one BLAS call, then the affine
+        # update in place
+        np.dot(omega.T, aug, out=drive)
+        drive *= gain
+        state = self._state
+        state *= decay
+        state += drive
         self.z = self.z * decay
-        try:
-            w, v = np.linalg.eigh(state[:, :self.dim])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalDegeneracyError(
-                "least-squares information matrix R has no eigendecomposition") from exc
+        w, v = mathx.eigh_sym(self._r)
         eigs = w.tolist()
+        # a failed decomposition is NaN; a finite sum that overflows falls
+        # through to the exact test, which then finds nothing
+        if not math.isfinite(sum(eigs)) and not all(map(math.isfinite, eigs)):
+            raise NumericalDegeneracyError(
+                "least-squares information matrix R has no eigendecomposition")
         if eigs[0] <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
         self._v = v

@@ -1,12 +1,18 @@
 """Signed-power arithmetic and the few matrix helpers the run path calls.
 
 The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
-``matvec2`` and ``eig_sym2`` as its kernels.  ``det_and_cramer`` is the
-Kreisselmeier mixing's determinant call: it takes the extension's stacked
-l = 5 state [phi2 | phi1] as it stands and gathers phi2 and its Cramer
-copies with one cached flat index (the least-squares mixing takes its
-determinants from an eigendecomposition, in ``drem``).  ``min_eig_sym`` is
-the excitation level of the metrics' Gramian.
+``matvec2`` and ``eig_sym2`` as its kernels.  ``eigh_sym`` and ``det_stack``
+are the extensions' two LAPACK calls per step: the gufuncs that
+``np.linalg.eigh`` and ``np.linalg.det`` call, called directly, which gives
+the same bits without the wrappers' cost.  They are numpy's private
+``numpy.linalg._umath_linalg`` loops, named nowhere else in ftlab; the numpy
+pin in ``pyproject.toml`` and a bitwise test against the public functions
+guard them.  ``det_and_cramer`` is the Kreisselmeier mixing's determinant
+call: it takes the extension's stacked l = 5 state [phi2 | phi1] as it
+stands and gathers phi2 and its Cramer copies with one cached flat index
+(the least-squares mixing takes its determinants from an eigendecomposition,
+in ``drem``).  ``min_eig_sym`` is the excitation level of the metrics'
+Gramian.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import functools
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+
 
 def spow(z: float, q: float) -> float:
     """|z|**q * sign(z) of a float, 0.0 at z = 0; NaN stays NaN.  Unchecked:
@@ -62,6 +70,20 @@ def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
     return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
+def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of the symmetric matrix a, read from its lower triangle: w
+    ascending and v's columns the eigenvectors, bit for bit those of
+    ``np.linalg.eigh(a)``.  Unlike it, this raises no LinAlgError: a
+    decomposition that fails comes back as NaN, so the caller checks w."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+def det_stack(a) -> np.ndarray:
+    """Determinants of a stack of square matrices (one batched LU), bit for
+    bit those of ``np.linalg.det(a)``."""
+    return _umath_linalg.det(a, signature="d->d")
+
+
 @functools.cache
 def _cramer_index(m: int) -> np.ndarray:
     """Flat indices into an (m, m + 1) matrix [phi | v] that gather phi and
@@ -80,14 +102,14 @@ def det_and_cramer(aug) -> tuple[float, np.ndarray]:
     adj(phi) v: the Kreisselmeier mixing's one call per step.
 
     phi and its m column-replaced copies are gathered into one stack and
-    their determinants taken in one batched LU (LAPACK) call; each equals
-    the determinant of the same matrix taken alone, bit for bit.
+    their determinants taken in one ``det_stack`` call; each equals the
+    determinant of the same matrix taken alone, bit for bit.
     """
     aug = np.asarray(aug, dtype=float)
     if aug.ndim != 2 or aug.shape[1] != aug.shape[0] + 1:
         raise ValueError(f"augmented matrix [phi | v] must have shape (m, m + 1), "
                          f"got {aug.shape}")
-    dets = np.linalg.det(aug.take(_cramer_index(aug.shape[0])))
+    dets = det_stack(aug.take(_cramer_index(aug.shape[0])))
     return float(dets[0]), dets[1:]
 
 

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import reference as ref
-from ftlab import mathx, verify
+from ftlab import cli, mathx, sim, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, excitation_gramian)
 from ftlab.errors import NumericalDegeneracyError
@@ -88,6 +90,48 @@ class TestLeastSquares:
         dre.F = -np.eye(5)
         with pytest.raises(NumericalDegeneracyError):
             dre.beta()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+    def test_non_finite_information_matrix_is_degenerate(self, bad):
+        # LAPACK hands back NaN eigenvalues without an error (1e200 overflows
+        # R to inf); the step names R before the mixing could name Delta
+        dre = LeastSquaresDre(5)
+        omega = np.ones((2, 5))
+        omega[0, 1] = bad
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalDegeneracyError, match="^least-squares information matrix R has no "
+                                                "eigendecomposition$"):
+            dre.step(RegressionPair(y=np.ones(2), omega=omega), DT)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
+    def test_non_finite_information_matrix_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                     bad):
+        # a regressor that turns non-finite at step 3 of a run ends it in the
+        # degeneracy exit code, with step and time, and leaves no output
+        real = sim.make_regression
+
+        def corrupted(*args):
+            regression = real(*args)
+            step, count = regression.step, itertools.count()
+
+            def bad_step(*step_args):
+                pair = step(*step_args)
+                if next(count) == 3:
+                    pair.omega[0, 1] = bad
+                return pair
+
+            regression.step = bad_step
+            return regression
+
+        monkeypatch.setattr(sim, "make_regression", corrupted)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("controller = c1\nsim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: step 3 (t = 0.0015 s): least-squares information "
+            "matrix R has no eigendecomposition\n")
+        assert not out.exists()
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,9 @@ sign or index but not on the last bits:
   cond(R) * 1e-14 per step; Y and rho_hat within it times |F| (|u| + |z f0 rho0|),
   the size of the vector v = rho_hat - z f0 F rho0 that is mixed;
 * the Kreisselmeier filters: 1e-13 times their largest term, per step taken.
+
+The two direct LAPACK calls of ``mathx`` are held to the public
+``np.linalg`` functions bit for bit.
 """
 
 import math
@@ -29,6 +32,7 @@ import reference as ref
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
+from ftlab import mathx
 from ftlab.mathx import matvec2
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, MixedRegression)
@@ -376,3 +380,52 @@ def test_kreisselmeier_step_matches(omegas, lambda3):
         scale = k * dt * lambda3 * 9.0 * 2    # |omega' omega| <= 2 rows of 3 x 3
         assert_close(dre.phi1, phi1, scale, rel=N2 * k)
         assert_close(dre.phi2, phi2, scale, rel=N2 * k)
+
+
+# -- direct LAPACK calls -------------------------------------------------------
+
+def stacked_state(flat, shift):
+    """A (5, 6) stacked state [phi | v] with phi = A A' + shift I: symmetric
+    positive semidefinite at shift 0, positive definite above it."""
+    a = np.reshape(flat[:25], (5, 5))
+    state = np.empty((5, 6))
+    state[:, :5] = a @ a.T + shift * np.eye(5)
+    state[:, 5] = flat[25:]
+    return state
+
+
+stacked_states = st.builds(
+    stacked_state, st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=30, max_size=30),
+    st.sampled_from([0.0, 1e-6, 1.0, 1e3]))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# no skip and no fallback: a numpy without these loops fails here, loudly
+
+@given(state=stacked_states)
+@settings(max_examples=100)
+def test_eigh_sym_is_numpy_eigh_bitwise(state):
+    # the strided view state[:, :5] is how the least-squares step hands R over
+    for r in (state[:, :5], np.ascontiguousarray(state[:, :5])):
+        w, v = mathx.eigh_sym(r)
+        w_want, v_want = np.linalg.eigh(r)
+        assert same_bits(w, w_want) and same_bits(v, v_want)
+
+
+@given(state=stacked_states)
+@settings(max_examples=100)
+def test_det_stack_is_numpy_det_bitwise(state):
+    # the (6, 5, 5) Cramer stack of det_and_cramer: phi, then phi with
+    # column j replaced by v
+    stack = np.repeat(state[None, :, :5], 6, axis=0)
+    for j in range(5):
+        stack[j + 1, :, j] = state[:, 5]
+    want = np.linalg.det(stack)
+    assert same_bits(mathx.det_stack(stack), want)
+    delta, cramer = mathx.det_and_cramer(state)
+    assert same_bits(np.float64(delta), want[0]) and same_bits(cramer, want[1:])

@@ -122,6 +122,18 @@ class TestRunClosedLoop:
         np.testing.assert_allclose(np.diff(trace.q, axis=0), DT * trace.qd[:-1],
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("controller", ["c1", "c2", "c3", "c4"])
+    def test_step_path_calls_no_linalg_wrapper(self, monkeypatch, controller):
+        # the extensions call LAPACK through mathx's direct kernels; a run
+        # that reached np.linalg's eigh or det wrapper would fail here
+        def wrapper_called(*args, **kwargs):
+            raise AssertionError("np.linalg wrapper called on the step path")
+
+        monkeypatch.setattr(np.linalg, "eigh", wrapper_called)
+        monkeypatch.setattr(np.linalg, "det", wrapper_called)
+        trace = run_closed_loop(SimConfig(controller=controller, t_final=0.05))
+        assert len(trace) == 101 and np.isfinite(trace.delta).all()
+
     def test_coarse_step_ends_in_named_degeneracy(self):
         # at dt = 0.05 the Kreisselmeier determinant overflows; the run must
         # stop with the quantity, step and time, not a bare ValueError
