@@ -280,6 +280,11 @@ class CompositeFtController(_Estimate):
         return _composite_rate(e1, e2, psi, self.estimate, mixed.delta,
                                mixed.Y[-self.estimate_dim:].tolist(), self.adapt, self.ftpd.b)
 
+    def advance(self, rate, dt: float) -> None:
+        """Euler-step the two estimates at ``rate``, a pair of floats."""
+        (t1, t2), (r1, r2) = self.estimate, rate
+        self.estimate = (t1 + dt * r1, t2 + dt * r2)
+
     def update(self, pair: RegressionPair, dt: float) -> float:
         self.extension.step(pair, dt)
         self.mixed = self.extension.mix()
@@ -316,17 +321,10 @@ def _slotine_li_torque(w, theta_hat, s, k1: float, ks: float) -> tuple:
             sum(map(operator.mul, w2, theta_hat)) - k1 * s2 - ks * u2)
 
 
-def _regressor_times(w, s) -> np.ndarray:
-    """W' s for the two rows of W."""
+def _regressor_times(w, s) -> tuple:
+    """W' s for the two rows of W, as a tuple of floats."""
     (w1, w2), (s1, s2) = w, s
-    return np.array([a * s1 + b * s2 for a, b in zip(w1, w2)])
-
-
-def _unit_or_zero(v: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros_like(v)
-    return v / norm
+    return tuple(a * s1 + b * s2 for a, b in zip(w1, w2))
 
 
 @dataclass(frozen=True)
@@ -430,24 +428,33 @@ class SwitchingTsmController(_Estimate):
     def branch(self) -> str:
         return "tsm" if self._nonlinear else "linear"
 
-    def adapt_rate(self, phi1: np.ndarray, phi2: np.ndarray) -> np.ndarray:
+    def adapt_rate(self, phi1: np.ndarray, phi2: np.ndarray) -> tuple:
         """Estimator rate from the last torque evaluation and the current
-        extension filter states."""
+        extension filter states, as a tuple of floats: -gamma W' s minus
+        gamma k times the drift phi2 theta_hat - phi1 (linear branch) or
+        phi2' times its unit vector, 0 at zero drift (nonlinear branch).
+        The products with phi2 are numpy, where BLAS may fuse multiply-adds;
+        the rest is floats."""
         if self._w is None:
             raise RuntimeError("torque() must be evaluated before adapt_rate()")
         p = self.params
         w_s = _regressor_times(self._w, self._s)
         drift = phi2 @ self.theta_hat - phi1
         if self._nonlinear:
-            return (-p.gamma_tsm * w_s
-                    - p.gamma_tsm * p.k_tsm * (phi2.T @ _unit_or_zero(drift)))
-        return -p.gamma_lin * w_s - p.gamma_lin * p.k_lin * drift
+            gain, weight = p.gamma_tsm, p.gamma_tsm * p.k_tsm
+            # |drift| as np.linalg.norm computes it for a 1-D vector
+            norm = math.sqrt(drift.dot(drift))
+            term = (phi2.T @ (drift / norm)).tolist() if norm else [0.0] * len(w_s)
+        else:
+            gain, weight = p.gamma_lin, p.gamma_lin * p.k_lin
+            term = drift.tolist()
+        return tuple(-gain * a - weight * b for a, b in zip(w_s, term))
 
     def update(self, pair: RegressionPair, dt: float) -> float:
         extension = self.extension
         extension.step(pair, dt)
         self.mixed = extension.mix()
-        self.advance(self.adapt_rate(extension.phi1, extension.phi2).tolist(), dt)
+        self.advance(self.adapt_rate(extension.phi1, extension.phi2), dt)
         return self.mixed.delta
 
     def diagnostics(self, n_rec: int) -> dict:
@@ -510,7 +517,7 @@ class SlotineLiLsController(_Estimate):
             raise RuntimeError("torque() must be evaluated before update()")
         omega = pair.omega
         e_p = omega.dot(self.estimate) - pair.y
-        drive = _regressor_times(self._w, self._s) + e_p.dot(omega)
+        drive = np.add(_regressor_times(self._w, self._s), e_p.dot(omega))
         self.advance((-self.extension.gain_times(drive)).tolist(), dt)
         self.extension.step(pair, dt)
         return 0.0

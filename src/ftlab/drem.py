@@ -4,20 +4,24 @@ Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
-[phi2 | phi1], that one affine update advances in place per step.  The
-least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
-of the information matrix that its step takes anyway; the Kreisselmeier
-mixing hands its state to ``mathx.det_and_cramer``, which evaluates the
-column-replaced determinants of phi2 directly (Cramer form) instead of
-building the adjugate.  Both LAPACK calls go through ``mathx``'s direct
-kernels (``eigh_sym``, ``det_stack``), not numpy's wrappers.  An
-eigendecomposition of R that fails (non-finite eigenvalues) raises
-NumericalDegeneracyError naming R, and a mixing output that is not finite
-one naming Delta or Y.  An extension knows only the
-regression dimension l, not which of its parameters a controller estimates.
-Its ``record`` writes what its step already holds: the least-squares
-extension the eigenvalues of R and the discount z, the Kreisselmeier
-extension its state.
+[phi2 | phi1], that one affine update advances in place per step.  A step
+reads the pair in place: its ``omega`` and ``y`` are views of the regression
+filter's [Omega | y] buffer, which the least-squares product Omega' [Omega | y]
+takes as it stands.  The Kreisselmeier product Omega' y takes a contiguous
+copy of y, because matmul rounds that product differently on the strided
+column.  The least-squares mixing reads Delta and adj(phi) v off the
+eigendecomposition of the information matrix that its step takes anyway;
+the Kreisselmeier mixing gathers phi2 and its column-replaced copies with
+``mathx``'s cached Cramer index and takes their determinants in one call
+(Cramer form) instead of building the adjugate.  Both LAPACK calls go
+through ``mathx``'s direct kernels (``eigh_sym``, ``det_stack``), not
+numpy's wrappers.  An eigendecomposition of R that fails (non-finite
+eigenvalues) raises NumericalDegeneracyError naming R, and a mixing output
+that is not finite one naming Delta or Y.  Each mix returns a new
+``MixedRegression``.  An extension knows only the regression dimension l,
+not which of its parameters a controller estimates.  Its ``record`` writes
+what its step already holds: the least-squares extension the eigenvalues of
+R and the discount z, the Kreisselmeier extension its state.
 """
 
 from __future__ import annotations
@@ -79,12 +83,6 @@ class LsDreParams:
             object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=float))
 
 
-def _augmented(rows: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An empty (rows, dim + 1) matrix [Omega | y] and its two blocks."""
-    aug = np.empty((rows, dim + 1))
-    return aug, aug[:, :dim], aug[:, dim]
-
-
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
                     "(beta dt >= 1: the forgetting factor 1 - beta dt is not positive)")
 
@@ -136,8 +134,6 @@ class LeastSquaresDre:
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
         self._r = self._state[:, :dim]
         self._drive = np.empty((dim, dim + 1))
-        # [Omega | y] and its two blocks, sized by the first step's Omega
-        self._aug = _augmented(0, dim)
         # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w
         self._v = np.eye(dim)
         self._w = [f0] * dim
@@ -194,18 +190,11 @@ class LeastSquaresDre:
             raise ValueError(f"dt must be positive, got {dt}")
         gain = dt * self.params.alpha
         b = self.beta()
-        omega = pair.omega
         decay = 1.0 - dt * b
-        aug, aug_omega, aug_y = self._aug
-        if len(aug) != len(omega):
-            self._aug = _augmented(len(omega), self.dim)
-            aug, aug_omega, aug_y = self._aug
-        aug_omega[...] = omega
-        aug_y[...] = pair.y
         drive = self._drive
-        # one Omega' [Omega | y] product, as one BLAS call, then the affine
-        # update in place
-        np.dot(omega.T, aug, out=drive)
+        # one Omega' [Omega | y] product on the pair's own buffer, as one BLAS
+        # call, then the affine update in place
+        np.dot(pair.omega.T, pair.aug, out=drive)
         drive *= gain
         state = self._state
         state *= decay
@@ -277,11 +266,13 @@ class KreisselmeierDre:
 
     with Omega' Omega and Omega' y each written into its block of the drive.
     phi2 stays symmetric positive semidefinite (an exponentially weighted
-    sum of the symmetric rank-k products Omega' Omega).  The mixing hands
-    the state as it stands to ``mathx.det_and_cramer``: Delta = det(phi2)
-    and Y = adj(phi2) phi1.  The record holds the state of every step in
-    one (steps, l, l + 1) buffer, of which the recorded ``phi2`` and
-    ``phi1`` are views.
+    sum of the symmetric rank-k products Omega' Omega).  The mixing gathers
+    phi2 and its copies with column j replaced by phi1 from the state as it
+    stands, with ``mathx``'s Cramer index cached at construction, and takes
+    their determinants in one ``mathx.det_stack`` call, the gather and call
+    of ``mathx.det_and_cramer``: Delta = det(phi2) and Y = adj(phi2) phi1.
+    The record holds the state of every step in one (steps, l, l + 1)
+    buffer, of which the recorded ``phi2`` and ``phi1`` are views.
     """
 
     kind = "kreisselmeier"
@@ -292,6 +283,7 @@ class KreisselmeierDre:
         self._state = np.zeros((dim, dim + 1))
         self._drive = np.empty((dim, dim + 1))
         self._drive_blocks = self._drive[:, :dim], self._drive[:, dim]
+        self._cramer = mathx._cramer_index(dim)
         self._rec = None
 
     @property
@@ -318,9 +310,11 @@ class KreisselmeierDre:
         # each product into its own block, so that both are the BLAS calls of
         # the products taken alone (one Omega' [Omega | y] product rounds the
         # phi1 column differently); the symmetric rank-k product keeps phi2
-        # exactly symmetric
+        # exactly symmetric.  y is a strided column of the pair's buffer, and
+        # matmul rounds Omega' y differently there than on contiguous memory,
+        # so the product takes a contiguous copy
         np.matmul(omega.T, omega, out=drive_phi2)
-        np.matmul(omega.T, pair.y, out=drive_phi1)
+        np.matmul(omega.T, pair.y.copy(), out=drive_phi1)
         drive = self._drive
         drive *= dt * self.params.lambda3
         state = self._state
@@ -328,8 +322,8 @@ class KreisselmeierDre:
         state += drive
 
     def mix(self) -> MixedRegression:
-        delta, Y = mathx.det_and_cramer(self._state)
-        return _mixed(delta, Y)
+        dets = mathx.det_stack(self._state.take(self._cramer))
+        return _mixed(dets.item(0), dets[1:])
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim

@@ -7,12 +7,13 @@ are the extensions' two LAPACK calls per step: the gufuncs that
 the same bits without the wrappers' cost.  They are numpy's private
 ``numpy.linalg._umath_linalg`` loops, named nowhere else in ftlab; the numpy
 pin in ``pyproject.toml`` and a bitwise test against the public functions
-guard them.  ``det_and_cramer`` is the Kreisselmeier mixing's determinant
-call: it takes the extension's stacked l = 5 state [phi2 | phi1] as it
-stands and gathers phi2 and its Cramer copies with one cached flat index
-(the least-squares mixing takes its determinants from an eigendecomposition,
-in ``drem``).  ``min_eig_sym`` is the excitation level of the metrics'
-Gramian.
+guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
+from its stacked l = 5 state [phi2 | phi1] with the cached flat index of
+``_cramer_index`` and hands the stack to ``det_stack``; ``det_and_cramer``
+is that same gather and call behind shape checks, for ``verify`` and the
+tests (the least-squares mixing takes its determinants from an
+eigendecomposition, in ``drem``).  ``min_eig_sym`` is the excitation level
+of the metrics' Gramian.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def _cramer_index(m: int) -> np.ndarray:
 def det_and_cramer(aug) -> tuple[float, np.ndarray]:
     """(det(phi), w) of the augmented (m, m + 1) matrix [phi | v], with w_j
     the determinant of phi with column j replaced by v, which equals
-    adj(phi) v: the Kreisselmeier mixing's one call per step.
+    adj(phi) v: the Kreisselmeier mixing's determinants, with the shape
+    checked.
 
     phi and its m column-replaced copies are gathered into one stack and
     their determinants taken in one ``det_stack`` call; each equals the

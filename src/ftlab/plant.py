@@ -156,6 +156,28 @@ class Plant:
         s12 = math.sin(q1 + q2)
         return ((s12, math.sin(q1)), (s12, 0.0))
 
+    def inertia_stack(self, q: np.ndarray) -> np.ndarray:
+        """M(q) of every row of q (steps, 2), as a (steps, 2, 2) array: the
+        closed form of ``inertia_rows`` in the same order of operations."""
+        d1, d2, d3 = self._theta_m
+        c2 = np.cos(q[:, 1])
+        m12 = d2 * c2 + d3
+        out = np.empty((len(q), 2, 2))
+        out[:, 0, 0] = d1 + d2 * (2.0 * c2)
+        out[:, 0, 1] = out[:, 1, 0] = m12
+        out[:, 1, 1] = d3
+        return out
+
+    def psi_stack(self, q: np.ndarray) -> np.ndarray:
+        """Psi(q) of every row of q (steps, 2), as a (steps, 2, 2) array: the
+        closed form of ``psi_rows`` in the same order of operations."""
+        s12 = np.sin(q[:, 0] + q[:, 1])
+        out = np.empty((len(q), 2, 2))
+        out[:, 0, 0] = out[:, 1, 0] = s12
+        out[:, 0, 1] = np.sin(q[:, 0])
+        out[:, 1, 1] = 0.0
+        return out
+
     def basis_force_rows(self, q, qd) -> tuple:
         """The n x 3 matrix whose column k is M_k(q) qd."""
         qd1, qd2 = qd

@@ -12,25 +12,36 @@ step.  ``step`` returns the regression pair sampled at the incoming
 measurement (state before the update), then advances the filter states; with
 the zero-transient initialization chosen here the identity y = Omega theta
 holds exactly at t = 0 and the residual stays at the integration-error level
-afterwards.  The filter states are Python floats; the pair is numpy, for the
-regressor extension that consumes it.
+afterwards.  The filter states are Python floats.  Each filter owns one
+``RegressionPair`` for the whole run: a (n_out, l + 1) buffer [Omega | y]
+that ``step`` overwrites with one flat assignment per sample, and whose
+``omega`` and ``y`` are views of it.  The pair ``step`` returns is therefore
+valid until the next ``step``; a caller that keeps a sample copies it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .plant import Plant
 
 
-@dataclass
 class RegressionPair:
-    """One sample of the regression equation: y (n_out,) and Omega (n_out, l)."""
+    """One sample of the regression equation y = Omega theta, held as one
+    (n_out, l + 1) buffer ``aug`` = [Omega | y]: ``omega`` (n_out, l) and
+    ``y`` (n_out,) are views of it.  Built from y and Omega, it copies them
+    into a new buffer; a regression filter builds one per run and rewrites
+    its buffer in place every step."""
 
-    y: np.ndarray
-    omega: np.ndarray
+    __slots__ = ("aug", "omega", "y")
+
+    def __init__(self, y, omega):
+        omega = np.asarray(omega, dtype=float)
+        self.aug = np.empty((len(omega), omega.shape[1] + 1))
+        self.omega = self.aug[:, :-1]
+        self.y = self.aug[:, -1]
+        self.omega[...] = omega
+        self.y[...] = y
 
 
 def _check_filter_constants(lambda0: float, lambda1: float):
@@ -55,6 +66,8 @@ class PowerBalanceRegression:
         self.lambda1 = float(lambda1)
         self._y = 0.0
         self._z = tuple(-self.lambda0 * w for w in plant.energy_terms(q0, qd0))
+        self._pair = RegressionPair(np.zeros(1), np.zeros((1, 5)))
+        self._flat = self._pair.aug.reshape(-1)
 
     @property
     def y(self) -> float:
@@ -66,20 +79,21 @@ class PowerBalanceRegression:
 
     def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
-        ``psi`` is not used by this parameterization."""
+        The pair is the filter's own, valid until the next step.  ``psi``
+        is not used by this parameterization."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         l0, l1 = self.lambda0, self.lambda1
         w1, w2, w3, w4, w5 = self.plant.energy_terms(q, qd)
         z1, z2, z3, z4, z5 = self._z
         r1, r2, r3, r4, r5 = z1 + l0 * w1, z2 + l0 * w2, z3 + l0 * w3, z4 + l0 * w4, z5 + l0 * w5
-        pair = RegressionPair(y=np.array([self._y]), omega=np.array([[r1, r2, r3, r4, r5]]))
+        self._flat[:] = (r1, r2, r3, r4, r5, self._y)
         (qd1, qd2), (t1, t2) = qd, tau
         power = qd1 * t1 + qd2 * t2
         self._y += dt * (-l1 * self._y + l0 * power)
         self._z = (z1 + dt * (-l1 * r1), z2 + dt * (-l1 * r2), z3 + dt * (-l1 * r3),
                    z4 + dt * (-l1 * r4), z5 + dt * (-l1 * r5))
-        return pair
+        return self._pair
 
 
 class ForceBalanceRegression:
@@ -105,6 +119,8 @@ class ForceBalanceRegression:
         self._z = tuple(tuple(-self.lambda0 * f for f in row)
                         for row in plant.basis_force_rows(q0, qd0))
         self._omega_d2 = ((0.0, 0.0), (0.0, 0.0))
+        self._pair = RegressionPair(np.zeros(2), np.zeros((2, 5)))
+        self._flat = self._pair.aug.reshape(-1)
 
     @property
     def y(self) -> np.ndarray:
@@ -116,7 +132,8 @@ class ForceBalanceRegression:
 
     def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
-        ``psi`` is the plant's Psi(q), for a caller that has it already."""
+        The pair is the filter's own, valid until the next step.  ``psi`` is
+        the plant's Psi(q), for a caller that has it already."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
         plant = self.plant
@@ -125,15 +142,14 @@ class ForceBalanceRegression:
         f11, f12, f13, f21, f22, f23 = l0 * f11, l0 * f12, l0 * f13, l0 * f21, l0 * f22, l0 * f23
         (z11, z12, z13), (z21, z22, z23) = self._z
         (w11, w12), (w21, w22) = self._omega_d2
-        pair = RegressionPair(y=np.array(self._y),
-                              omega=np.array([[z11 + f11, z12 + f12, z13 + f13, w11, w12],
-                                              [z21 + f21, z22 + f22, z23 + f23, w21, w22]]))
+        (y1, y2), (t1, t2) = self._y, tau
+        self._flat[:] = (z11 + f11, z12 + f12, z13 + f13, w11, w12, y1,
+                         z21 + f21, z22 + f22, z23 + f23, w21, w22, y2)
         # phi1 = lambda0 phi3 + grad_gain * kinetic gradient
         (g11, g12, g13), (g21, g22, g23) = plant.kinetic_grad_rows(q, qd)
         f11, f12, f13 = f11 + gg * g11, f12 + gg * g12, f13 + gg * g13
         f21, f22, f23 = f21 + gg * g21, f22 + gg * g22, f23 + gg * g23
         (p11, p12), (p21, p22) = plant.psi_rows(q) if psi is None else psi
-        (y1, y2), (t1, t2) = self._y, tau
         self._y = (y1 + dt * (-l1 * y1 + l0 * t1), y2 + dt * (-l1 * y2 + l0 * t2))
         self._z = ((z11 + dt * (-l1 * (z11 + f11)), z12 + dt * (-l1 * (z12 + f12)),
                     z13 + dt * (-l1 * (z13 + f13))),
@@ -141,7 +157,7 @@ class ForceBalanceRegression:
                     z23 + dt * (-l1 * (z23 + f23))))
         self._omega_d2 = ((w11 + dt * (-l1 * w11 + l0 * p11), w12 + dt * (-l1 * w12 + l0 * p12)),
                           (w21 + dt * (-l1 * w21 + l0 * p21), w22 + dt * (-l1 * w22 + l0 * p22)))
-        return pair
+        return self._pair
 
 
 def make_regression(kind: str, plant: Plant, q0, qd0,

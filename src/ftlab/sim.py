@@ -217,8 +217,10 @@ def run_closed_loop(config: SimConfig) -> Trace:
     M(q) are evaluated once per step (at the true and, in case2, at the
     measured configuration; M(q) there only if the controller asks for it)
     and passed to the controller, the regression filter and the plant step.
-    The monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
-    after the loop, over the recorded series.  A non-finite state or mixing
+    The regression pair is the filter's one [Omega | y] buffer, recorded
+    whole each step.  The monitors V1, zeta1 and |z1| feed nothing back, so
+    they are evaluated after the loop, over the recorded series, with Psi(q)
+    and M(q) rebuilt from the recorded q.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
     and the time, and so does a float overflow within a step.  A record too
     large to allocate is a ConfigError naming the step count.
@@ -242,18 +244,17 @@ def run_closed_loop(config: SimConfig) -> Trace:
     n_steps = config.n_steps
     n_rec = n_steps + 1
 
-    # one row per step: q, qd, tau (2 each), the estimate, Delta, then Psi(q)
-    # and M(q) of the true state (4 each, row-major) for the monitors
+    # one row per step: q, qd, tau (2 each), the estimate and Delta; and the
+    # regression pair's [Omega | y] buffer
     j_est = len(controller.estimate)
     n_out = 1 if config.effective_parameterization == "power_balance" else n
     try:
-        rows = np.empty((n_rec, 6 + j_est + 1 + 8))
-        diag = {"y": np.empty((n_rec, n_out)), "omega": np.empty((n_rec, n_out, l_dim)),
-                **controller.diagnostics(n_rec)}
+        rows = np.empty((n_rec, 6 + j_est + 1))
+        aug_rec = np.empty((n_rec, n_out, l_dim + 1))
+        diag = controller.diagnostics(n_rec)
     except MemoryError as exc:
         raise ConfigError(f"sim.t_final / sim.dt gives {n_steps} steps, too many to "
                           f"record: {exc}") from None
-    y_rec, omega_rec = diag["y"], diag["omega"]
 
     q1, q2 = config.q0.tolist()
     qd1, qd2 = config.qd0.tolist()
@@ -297,12 +298,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): float overflow "
                                                f"{exc}") from exc
 
-            (p11, p12), (p21, p22) = psi
-            (m11, m12), (m21, m22) = inertia
-            rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta,
-                       p11, p12, p21, p22, m11, m12, m21, m22)
-            y_rec[k] = pair.y
-            omega_rec[k] = pair.omega
+            rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta)
+            aug_rec[k] = pair.aug
             controller.record(diag, k)
 
             if k < n_steps:
@@ -314,8 +311,11 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
     theta_rec = rows[:, 6:6 + j_est].copy()
     delta_rec = rows[:, 6 + j_est].copy()
-    psi_rec = rows[:, 7 + j_est:11 + j_est].reshape(n_rec, n, n)
-    inertia_rec = rows[:, 11 + j_est:].reshape(n_rec, n, n)
+    del rows
+    diag = {"y": aug_rec[:, :, l_dim].copy(), "omega": aug_rec[:, :, :l_dim].copy(), **diag}
+    del aug_rec
+    psi_rec = plant.psi_stack(q_rec)
+    inertia_rec = plant.inertia_stack(q_rec)
 
     theta_u_true = theta_true.theta_u
     e1_rec = q_rec - config.q_d
@@ -328,7 +328,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     # every recorded Delta passed the mixing's finiteness check
     zeta1 = np.array([control.exc_gain(delta, b_exp, d_exp)
                       for delta in delta_rec.tolist()])
-    del rows, psi_rec, inertia_rec
+    del psi_rec, inertia_rec
 
     meta = {
         "controller": config.controller, "scenario": config.scenario,

@@ -22,6 +22,7 @@ The two direct LAPACK calls of ``mathx`` are held to the public
 
 import math
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,6 +196,44 @@ def test_regression_step_matches(kind, q0, qd0, samples, lambda0):
     assert_close(np.reshape(reg.y, np.shape(want_reg.y)), want_reg.y,
                  float(np.max(np.abs(want_reg.y))))
     assert_close(reg.z, want_reg.z, float(np.max(np.abs(want_reg.z))))
+
+
+def sampled_pair(reg, q, qd):
+    """(y, Omega) that ``reg.step(q, qd, ...)`` samples, built from the
+    filter's float state as separate arrays, the way the filters built
+    their pairs before they owned one [Omega | y] buffer."""
+    l0 = reg.lambda0
+    if isinstance(reg, PowerBalanceRegression):
+        z1, z2, z3, z4, z5 = reg._z
+        w1, w2, w3, w4, w5 = PLANT.energy_terms(q, qd)
+        return (np.array([reg._y]), np.array([[z1 + l0 * w1, z2 + l0 * w2, z3 + l0 * w3,
+                                               z4 + l0 * w4, z5 + l0 * w5]]))
+    (f11, f12, f13), (f21, f22, f23) = PLANT.basis_force_rows(q, qd)
+    (z11, z12, z13), (z21, z22, z23) = reg._z
+    (w11, w12), (w21, w22) = reg._omega_d2
+    return (np.array(reg._y),
+            np.array([[z11 + l0 * f11, z12 + l0 * f12, z13 + l0 * f13, w11, w12],
+                      [z21 + l0 * f21, z22 + l0 * f22, z23 + l0 * f23, w21, w22]]))
+
+
+float_steps = st.lists(st.tuples(angles, rates, torques).map(
+    lambda s: tuple(x.tolist() for x in s)), min_size=2, max_size=5)
+
+
+@pytest.mark.parametrize("cls", [PowerBalanceRegression, ForceBalanceRegression])
+@given(q0=angles, qd0=rates, samples=float_steps, lambda0=st.sampled_from([0.3, 1.0, 1.5]))
+@settings(max_examples=60)
+def test_regression_pair_is_one_buffer_rewritten_in_place(cls, q0, qd0, samples, lambda0):
+    reg = cls(PLANT, q0, qd0, lambda0, 1.0)
+    first = None
+    for q, qd, tau in samples:
+        want_y, want_omega = sampled_pair(reg, q, qd)
+        pair = reg.step(q, qd, tau, 5e-4, PLANT.psi_rows(q))
+        assert same_bits(pair.y, want_y) and same_bits(pair.omega, want_omega)
+        # y and Omega are views of the one [Omega | y] buffer of the run
+        first = first or pair
+        assert pair.aug is first.aug
+        assert pair.omega.base is pair.aug and pair.y.base is pair.aug
 
 
 # -- least-squares extension ---------------------------------------------------
@@ -382,6 +421,24 @@ def test_kreisselmeier_step_matches(omegas, lambda3):
         assert_close(dre.phi2, phi2, scale, rel=N2 * k)
 
 
+@pytest.mark.parametrize("extension", [KreisselmeierDre, LeastSquaresDre])
+@pytest.mark.parametrize("cls", [PowerBalanceRegression, ForceBalanceRegression])
+@given(q0=angles, qd0=rates, samples=float_steps)
+@settings(max_examples=60)
+def test_extension_step_on_the_buffer_is_the_step_on_copies(extension, cls, q0, qd0,
+                                                            samples):
+    # the pair's Omega and y are views of [Omega | y], y a strided column
+    # for 2 rows; each step must round as it does on contiguous copies
+    reg = cls(PLANT, q0, qd0, 1.5, 1.0)
+    on_buffer, on_copies = extension(5), extension(5)
+    for q, qd, tau in samples:
+        pair = reg.step(q, qd, tau, 5e-4, PLANT.psi_rows(q))
+        copies = SimpleNamespace(y=pair.y.copy(), omega=pair.omega.copy(), aug=pair.aug.copy())
+        on_buffer.step(pair, 5e-4)
+        on_copies.step(copies, 5e-4)
+        assert same_bits(on_buffer._state, on_copies._state)
+
+
 # -- direct LAPACK calls -------------------------------------------------------
 
 def stacked_state(flat, shift):
@@ -429,3 +486,8 @@ def test_det_stack_is_numpy_det_bitwise(state):
     assert same_bits(mathx.det_stack(stack), want)
     delta, cramer = mathx.det_and_cramer(state)
     assert same_bits(np.float64(delta), want[0]) and same_bits(cramer, want[1:])
+    # the Kreisselmeier mixing makes the same gather and call unchecked
+    dre = KreisselmeierDre(5)
+    dre.phi2, dre.phi1 = state[:, :5], state[:, 5]
+    mixed = dre.mix()
+    assert same_bits(np.float64(mixed.delta), want[0]) and same_bits(mixed.Y, want[1:])

@@ -9,6 +9,7 @@ from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
 from ftlab.drem import LsDreParams
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import Plant
+from ftlab.regression import RegressionPair
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
                        read_trace_csv, run_closed_loop, trace_csv_string)
 
@@ -134,6 +135,24 @@ class TestRunClosedLoop:
         trace = run_closed_loop(SimConfig(controller=controller, t_final=0.05))
         assert len(trace) == 101 and np.isfinite(trace.delta).all()
 
+    @pytest.mark.parametrize("controller, parameterization",
+                             [("c1", None), ("c2", None), ("c3", None), ("c4", None),
+                              ("c2", "power_balance")])
+    def test_a_run_builds_one_regression_pair(self, monkeypatch, controller,
+                                              parameterization):
+        # the filter builds its [Omega | y] pair once and rewrites it every step
+        built = []
+        init = RegressionPair.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RegressionPair, "__init__", counting_init)
+        trace = run_closed_loop(SimConfig(controller=controller, t_final=0.05,
+                                          parameterization=parameterization))
+        assert len(trace) == 101 and len(built) == 1
+
     def test_coarse_step_ends_in_named_degeneracy(self):
         # at dt = 0.05 the Kreisselmeier determinant overflows; the run must
         # stop with the quantity, step and time, not a bare ValueError
@@ -161,6 +180,18 @@ class TestRunClosedLoop:
 
 
 class TestLyapunovMonitor:
+    @pytest.mark.parametrize("fixture", ["c1_case1", "c3_case2"])
+    def test_rebuilt_psi_and_inertia_are_the_step_kernels_bitwise(self, plant, fixture,
+                                                                 request):
+        # the monitors rebuild Psi(q) and M(q) after the loop from the
+        # recorded q; they must be the values the step computed
+        q = request.getfixturevalue(fixture).q
+        rows = q.tolist()
+        want_psi = np.array([plant.psi_rows(x) for x in rows])
+        want_inertia = np.array([plant.inertia_rows(x) for x in rows])
+        assert plant.psi_stack(q).tobytes() == want_psi.tobytes()
+        assert plant.inertia_stack(q).tobytes() == want_inertia.tobytes()
+
     def test_leading_axis_equals_per_sample_bitwise(self, plant):
         rng = np.random.default_rng(8)
         e1 = rng.standard_normal((500, 2)) * 10.0 ** rng.integers(-9, 1, (500, 2))
