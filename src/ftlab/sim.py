@@ -244,8 +244,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     n_steps = config.n_steps
     n_rec = n_steps + 1
 
-    # one row per step: q, qd, tau (2 each), the estimate and Delta; and the
-    # regression pair's [Omega | y] buffer
+    # per step: one row of q, qd, tau (2 each), the estimate and Delta, and
+    # the regression pair's [Omega | y] buffer
     j_est = len(controller.estimate)
     n_out = 1 if config.effective_parameterization == "power_balance" else n
     try:
@@ -311,9 +311,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
     theta_rec = rows[:, 6:6 + j_est].copy()
     delta_rec = rows[:, 6 + j_est].copy()
-    del rows
     diag = {"y": aug_rec[:, :, l_dim].copy(), "omega": aug_rec[:, :, :l_dim].copy(), **diag}
-    del aug_rec
+    del rows, aug_rec
     psi_rec = plant.psi_stack(q_rec)
     inertia_rec = plant.inertia_stack(q_rec)
 
