@@ -4,12 +4,11 @@ Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
-[phi2 | phi1], that one affine update advances in place per step.  A step
-reads the pair in place: its ``omega`` and ``y`` are views of the regression
-filter's [Omega | y] buffer, which the least-squares product Omega' [Omega | y]
-takes as it stands.  The Kreisselmeier product Omega' y takes a contiguous
-copy of y, because matmul rounds that product differently on the strided
-column.  The least-squares mixing reads Delta and adj(phi) v off the
+[phi2 | phi1], that one affine step advances in place: decay * state +
+gain * Omega' [Omega | y], the product one BLAS call on the regression
+filter's [Omega | y] buffer as it stands (the pair's ``omega`` and ``y`` are
+views of it; ``KreisselmeierDre`` says what the one product does to its
+bits and why phi2 stays symmetric).  The least-squares mixing reads Delta and adj(phi) v off the
 eigendecomposition of the information matrix that its step takes anyway;
 the Kreisselmeier mixing gathers phi2 and its column-replaced copies with
 ``mathx``'s cached Cramer index and takes their determinants in one call
@@ -54,6 +53,16 @@ def _mixed(delta: float, Y: np.ndarray) -> MixedRegression:
         if not np.isfinite(Y).all():
             raise NumericalDegeneracyError("mixed regression Y is not finite")
     return MixedRegression(Y=Y, delta=delta)
+
+
+def _affine_step(state: np.ndarray, drive: np.ndarray, pair: RegressionPair,
+                 gain: float, decay: float) -> None:
+    """state <- decay * state + gain * Omega' [Omega | y], in place: one BLAS
+    product on the pair's own buffer into ``drive``, then the update."""
+    np.dot(pair.omega.T, pair.aug, out=drive)
+    drive *= gain
+    state *= decay
+    state += drive
 
 
 @dataclass(frozen=True)
@@ -134,8 +143,10 @@ class LeastSquaresDre:
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
         self._r = self._state[:, :dim]
         self._drive = np.empty((dim, dim + 1))
-        # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w
+        # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w, kept
+        # as the array the record row takes and as floats for beta and mix
         self._v = np.eye(dim)
+        self._w_arr = np.full(dim, f0)
         self._w = [f0] * dim
 
     @property
@@ -151,6 +162,7 @@ class LeastSquaresDre:
         f_eigs, v = np.linalg.eigh(np.asarray(value, dtype=float))
         w = 1.0 / f_eigs[::-1]
         self._v = v[:, ::-1]
+        self._w_arr = w
         self._w = w.tolist()
         self._r[...] = (self._v * w) @ self._v.T
 
@@ -188,17 +200,8 @@ class LeastSquaresDre:
         eigenvalues w feed the next beta()."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        gain = dt * self.params.alpha
-        b = self.beta()
-        decay = 1.0 - dt * b
-        drive = self._drive
-        # one Omega' [Omega | y] product on the pair's own buffer, as one BLAS
-        # call, then the affine update in place
-        np.dot(pair.omega.T, pair.aug, out=drive)
-        drive *= gain
-        state = self._state
-        state *= decay
-        state += drive
+        decay = 1.0 - dt * self.beta()
+        _affine_step(self._state, self._drive, pair, dt * self.params.alpha, decay)
         self.z = self.z * decay
         w, v = mathx.eigh_sym(self._r)
         eigs = w.tolist()
@@ -210,6 +213,7 @@ class LeastSquaresDre:
         if eigs[0] <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
         self._v = v
+        self._w_arr = w
         self._w = eigs
 
     def mix(self) -> MixedRegression:
@@ -237,7 +241,7 @@ class LeastSquaresDre:
         return {"w": np.empty((n_rec, self.dim)), "z_forget": np.empty(n_rec)}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["w"][k] = self._w
+        diag["w"][k] = self._w_arr
         diag["z_forget"][k] = self.z
 
 
@@ -262,11 +266,15 @@ class KreisselmeierDre:
     assigning either writes into it.  A step is one affine update
 
         [phi2 | phi1] <- (1 - lambda2 dt) [phi2 | phi1]
-                         + lambda3 dt [Omega' Omega | Omega' y],
+                         + lambda3 dt Omega' [Omega | y],
 
-    with Omega' Omega and Omega' y each written into its block of the drive.
-    phi2 stays symmetric positive semidefinite (an exponentially weighted
-    sum of the symmetric rank-k products Omega' Omega).  The mixing gathers
+    the least-squares extension's affine step, its product one gemm.  With
+    one regression row that is the two products Omega' Omega and Omega' y
+    bit for bit; with two rows gemm rounds the phi1 column differently from
+    a matrix-vector product on y.  phi2 stays exactly
+    symmetric: its (i, j) and (j, i) entries sum the same row products in
+    the same order.  It is positive semidefinite, an exponentially weighted
+    sum of the rank-k products Omega' Omega.  The mixing gathers
     phi2 and its copies with column j replaced by phi1 from the state as it
     stands, with ``mathx``'s Cramer index cached at construction, and takes
     their determinants in one ``mathx.det_stack`` call, the gather and call
@@ -282,7 +290,6 @@ class KreisselmeierDre:
         self.dim = dim
         self._state = np.zeros((dim, dim + 1))
         self._drive = np.empty((dim, dim + 1))
-        self._drive_blocks = self._drive[:, :dim], self._drive[:, dim]
         self._cramer = mathx._cramer_index(dim)
         self._rec = None
 
@@ -305,21 +312,8 @@ class KreisselmeierDre:
     def step(self, pair: RegressionPair, dt: float) -> None:
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        omega = pair.omega
-        drive_phi2, drive_phi1 = self._drive_blocks
-        # each product into its own block, so that both are the BLAS calls of
-        # the products taken alone (one Omega' [Omega | y] product rounds the
-        # phi1 column differently); the symmetric rank-k product keeps phi2
-        # exactly symmetric.  y is a strided column of the pair's buffer, and
-        # matmul rounds Omega' y differently there than on contiguous memory,
-        # so the product takes a contiguous copy
-        np.matmul(omega.T, omega, out=drive_phi2)
-        np.matmul(omega.T, pair.y.copy(), out=drive_phi1)
-        drive = self._drive
-        drive *= dt * self.params.lambda3
-        state = self._state
-        state *= 1.0 - dt * self.params.lambda2
-        state += drive
+        _affine_step(self._state, self._drive, pair, dt * self.params.lambda3,
+                     1.0 - dt * self.params.lambda2)
 
     def mix(self) -> MixedRegression:
         dets = mathx.det_stack(self._state.take(self._cramer))

@@ -241,14 +241,18 @@ class FrictionModel:
 
     def __post_init__(self):
         object.__setattr__(self, "coulomb", np.asarray(self.coulomb, dtype=float))
+        if self.coulomb.shape != (2,):
+            raise ValueError("friction needs one coefficient per joint (2)")
         if not np.all(self.coulomb >= 0.0):
             raise ValueError("friction coefficients must be nonnegative")
         object.__setattr__(self, "_coulomb", tuple(self.coulomb.tolist()))
 
     def torque(self, qd) -> tuple:
         """The friction torques as a pair of floats."""
-        return tuple(c * (1.0 if v > 0.0 else -1.0 if v < 0.0 else v)
-                     for c, v in zip(self._coulomb, qd))
+        c1, c2 = self._coulomb
+        v1, v2 = qd
+        return (c1 * (1.0 if v1 > 0.0 else -1.0 if v1 < 0.0 else v1),
+                c2 * (1.0 if v2 > 0.0 else -1.0 if v2 < 0.0 else v2))
 
 
 @dataclass(frozen=True)

@@ -415,8 +415,8 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     min_eig_phi2 = None
     if "phi2" in trace.diagnostics:
-        # phi2 is exactly symmetric: the filter adds the symmetric rank-k
-        # products Omega' Omega
+        # phi2 is exactly symmetric: the filter adds gemm products Omega' Omega,
+        # whose (i, j) and (j, i) entries sum the same terms in the same order
         min_eig_phi2 = float(np.linalg.eigvalsh(trace.diagnostics["phi2"][-1])[0])
 
     gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,

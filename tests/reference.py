@@ -108,6 +108,11 @@ def forward_dynamics(theta, q, qd, tau, tau_f=None):
     return np.array([(m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det])
 
 
+def friction_torque(coulomb, qd):
+    """Coulomb friction joint by joint, c * sign(v), and c * v at v = +-0.0."""
+    return [c * (math.copysign(1.0, v) if v != 0.0 else v) for c, v in zip(coulomb, qd)]
+
+
 # -- controllers ---------------------------------------------------------------
 
 def ftpd_torque(e1, e2, psi_q, theta_hat_u, gains, a=None, b=None):
@@ -282,12 +287,13 @@ def kreis_step(phi1, phi2, lambda2, lambda3, y, omega, dt):
 
 
 def kreis_update(phi1, phi2, params, y, omega, dt):
-    """The extension's step before it carried one stacked state: phi1 and
-    phi2 each take decay * phi + gain * product, with the products taken
-    alone.  The stacked step equals it bit for bit."""
+    """The extension's step on two arrays: phi1 and phi2 each take
+    decay * phi + gain * their block of the one product
+    Omega' [Omega | y].  The stacked step equals it bit for bit."""
     decay, gain = 1.0 - dt * params.lambda2, dt * params.lambda3
-    return (decay * phi1 + gain * (omega.T @ y),
-            decay * phi2 + gain * (omega.T @ omega))
+    product = omega.T @ np.column_stack((omega, y))
+    return (decay * phi1 + gain * product[:, -1],
+            decay * phi2 + gain * product[:, :-1])
 
 
 def kreis_mix(phi1, phi2):

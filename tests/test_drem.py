@@ -85,6 +85,24 @@ class TestLeastSquares:
         # F = R^-1 has the eigenvalues 1/w of the recorded eigenvalues w of R
         assert c1_case1.diagnostics["w"].min() > 0.0
 
+    def test_record_row_is_the_eigh_array(self):
+        # the w row is the array eigh_sym returned for R, after a step and
+        # after an assignment of F, and the floats beta and mix read agree
+        rng = np.random.default_rng(13)
+        dre = LeastSquaresDre(5)
+        diag = dre.diagnostics(9)
+        for k in range(8):
+            omega = rng.standard_normal((2, 5))
+            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
+            dre.record(diag, k)
+            assert diag["w"][k].tobytes() == mathx.eigh_sym(dre._r)[0].tobytes()
+            assert diag["w"][k].tolist() == dre._w
+        a = rng.standard_normal((5, 5))
+        dre.F = a @ a.T + np.eye(5)
+        dre.record(diag, 8)
+        assert diag["w"][8].tolist() == dre._w
+        np.testing.assert_allclose(diag["w"][8], np.linalg.eigvalsh(dre._r), rtol=1e-12)
+
     def test_degeneracy_detection(self):
         dre = LeastSquaresDre(5)
         dre.F = -np.eye(5)

@@ -439,6 +439,31 @@ def test_extension_step_on_the_buffer_is_the_step_on_copies(extension, cls, q0, 
         assert same_bits(on_buffer._state, on_copies._state)
 
 
+@pytest.mark.parametrize("extension", [KreisselmeierDre, LeastSquaresDre])
+@pytest.mark.parametrize("cls", [PowerBalanceRegression, ForceBalanceRegression])
+@given(q0=angles, qd0=rates, samples=float_steps)
+@settings(max_examples=60)
+def test_extension_step_is_one_product_affine_step(extension, cls, q0, qd0, samples):
+    # both extensions advance decay * state + gain * Omega' [Omega | y], the
+    # product one gemm on 1 (power balance) or 2 (force balance) rows; its
+    # leading block, phi2 or R, stays exactly symmetric, which the final
+    # phi2's eigvalsh in compute_metrics relies on
+    dt = 5e-4
+    reg = cls(PLANT, q0, qd0, 1.5, 1.0)
+    dre = extension(5)
+    for q, qd, tau in samples:
+        pair = reg.step(q, qd, tau, dt, PLANT.psi_rows(q))
+        if extension is KreisselmeierDre:
+            decay, gain = 1.0 - dt * dre.params.lambda2, dt * dre.params.lambda3
+        else:
+            decay, gain = 1.0 - dt * dre.beta(), dt * dre.params.alpha
+        want = decay * dre._state + gain * (pair.omega.T @ pair.aug)
+        dre.step(pair, dt)
+        assert same_bits(dre._state, want)
+        block = dre._state[:, :5]
+        assert same_bits(block, block.T.copy())
+
+
 # -- direct LAPACK calls -------------------------------------------------------
 
 def stacked_state(flat, shift):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference as ref
 from ftlab import mathx, verify
@@ -176,6 +178,17 @@ class TestFrictionAndNoise:
     def test_friction_signs(self):
         np.testing.assert_allclose(FrictionModel().torque([-1.0, 2.0]), [-0.5, 0.4])
 
+    @given(coulomb=st.tuples(*[st.sampled_from([0.0]) | st.floats(0.0, 10.0)] * 2),
+           v=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0)] * 2),
+           signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 2))
+    def test_friction_is_the_per_joint_expression_bitwise(self, coulomb, v, signs):
+        # +-v and +-0.0 on each joint, zero coefficients included: the sign of
+        # a zero velocity carries into the torque
+        qd = [s * x for s, x in zip(signs, v)]
+        got = FrictionModel(np.array(coulomb)).torque(qd)
+        assert type(got) is tuple and all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == np.array(ref.friction_torque(coulomb, qd)).tobytes()
+
     def test_noise_at_zero(self):
         noise = NoiseModel()
         np.testing.assert_allclose(noise.position(0.0), [0.0, 0.005])
@@ -190,3 +203,8 @@ class TestFrictionAndNoise:
     def test_friction_rejects_negative(self):
         with pytest.raises(ValueError):
             FrictionModel(np.array([-0.1, 0.4]))
+
+    @pytest.mark.parametrize("coulomb", [[0.5], [0.5, 0.4, 0.3]])
+    def test_friction_rejects_a_vector_not_one_per_joint(self, coulomb):
+        with pytest.raises(ValueError, match="one coefficient per joint"):
+            FrictionModel(np.array(coulomb))
