@@ -7,7 +7,7 @@ from .plant import (FrictionModel, NoiseModel, PhysicalParams, Plant,
 from .regression import (ForceBalanceRegression, PowerBalanceRegression,
                          RegressionPair, make_regression)
 from .drem import (KreisParams, KreisselmeierDre, LeastSquaresDre, LsDreParams,
-                   MixedRegression, excitation_gramian)
+                   excitation_gramian)
 from .control import (CompositeAdaptGains, CompositeFtController, FtPdGains,
                       SlotineLiLsController, SwitchingTsmController, TsmParams,
                       excitation_gain, saturation)

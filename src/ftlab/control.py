@@ -14,12 +14,13 @@ Torque and rate computations are pure given a state snapshot.  The runner
 knows the controllers only through their shared protocol: the estimate
 ``estimate``, a tuple of floats (``theta_hat`` is its numpy view);
 ``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
-floats; ``update(pair, dt)``, which steps the family's regressor extension
-(c4: its least-squares gain), mixes (c1-c3), adapts and returns Delta;
-``diagnostics(n_rec)`` and ``record(diag, k)`` for its per-step series; and
-``dre``, the name of the extension it mixes from.  ``FAMILIES`` maps the
-controller names to the classes, whose ``from_config`` builds one and
-``check_config`` holds the family's rules.
+floats; ``diagnostics(n_rec)``, which allocates its per-step series before
+the loop; ``update(pair, dt, k)``, which steps the family's regressor
+extension (c4: its least-squares gain), mixes (c1-c3) straight into sample
+k of its mixing record, adapts and returns Delta; ``record(diag, k)`` for
+the rest of sample k; and ``dre``, the name of the extension it mixes
+from.  ``FAMILIES`` maps the controller names to the classes, whose
+``from_config`` builds one and ``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
@@ -41,7 +42,7 @@ import numpy as np
 from . import mathx
 from .mathx import matvec2, spow
 from .errors import ConfigError
-from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams, MixedRegression
+from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
 from .regression import RegressionPair
 
 
@@ -156,11 +157,6 @@ def sat(delta: float, c: float, d: float) -> float:
     return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
 
 
-def exc_gain(delta: float, b: float, d: float) -> float:
-    """``excitation_gain`` of a float, unchecked (0.0 at delta = 0)."""
-    return sat(delta, b, d) * spow(delta, b)
-
-
 def saturation(delta: float, c: float, d: float) -> float:
     """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Raises
     ValueError on a non-finite delta or an exponent d that is not finite
@@ -168,15 +164,17 @@ def saturation(delta: float, c: float, d: float) -> float:
     return sat(mathx.check_power_args(delta, d), c, d)
 
 
-def excitation_gain(delta: float, b: float, d: float) -> float:
+def excitation_gain(delta, b: float, d: float):
     """saturation(delta) * <delta>^b; equals |delta|^(b+d) / (1 + |delta|^(b+d))
-    when the saturation exponent c equals b, hence always in [0, 1).  0.0 at
-    delta = 0; otherwise delta, b and d are checked as in ``saturation``."""
-    if delta == 0.0:
-        return 0.0
-    delta = mathx.check_power_args(delta, d)
-    mathx.check_power_args(delta, b)
-    return exc_gain(delta, b, d)
+    when the saturation exponent c equals b, hence always in [0, 1), and 0.0
+    at delta = 0.  Of a float, a float; of an array (the zeta1 monitor's
+    record of Delta), an array, each entry ``sat(delta, b, d) * spow(delta,
+    b)`` bit for bit.  Raises ValueError on a non-finite delta or an
+    exponent b or d that is not finite and positive."""
+    power = mathx.signed_power_vec
+    p_b = power(delta, b)
+    gain = power(delta, d) / (1.0 + power(np.abs(delta), b + d)) * p_b
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def _prediction_error(delta: float, theta_hat_u, y_u, c: float) -> tuple:
@@ -249,7 +247,7 @@ class CompositeFtController(_Estimate):
         self.adapt = adapt
         self.extension = extension
         self._start(theta_hat0, adapt.gamma_diag.size)
-        self.mixed = None
+        self._mixing = None
         self._e1 = self._e2 = self._psi = None
 
     @classmethod
@@ -276,27 +274,32 @@ class CompositeFtController(_Estimate):
         ftpd = self.ftpd
         return _ftpd(e1, e2, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
 
-    def adapt_rate(self, e1, e2, psi, mixed: MixedRegression) -> tuple:
-        return _composite_rate(e1, e2, psi, self.estimate, mixed.delta,
-                               mixed.Y[-self.estimate_dim:].tolist(), self.adapt, self.ftpd.b)
+    def adapt_rate(self, e1, e2, psi, delta: float, y_u) -> tuple:
+        """The composite rate at Delta and theta_u's block y_u of Y."""
+        return _composite_rate(e1, e2, psi, self.estimate, delta, y_u, self.adapt,
+                               self.ftpd.b)
 
     def advance(self, rate, dt: float) -> None:
         """Euler-step the two estimates at ``rate``, a pair of floats."""
         (t1, t2), (r1, r2) = self.estimate, rate
         self.estimate = (t1 + dt * r1, t2 + dt * r2)
 
-    def update(self, pair: RegressionPair, dt: float) -> float:
+    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
+        # row k of the mixing record that diagnostics() allocated
         self.extension.step(pair, dt)
-        self.mixed = self.extension.mix()
-        self.advance(self.adapt_rate(self._e1, self._e2, self._psi, self.mixed), dt)
-        return self.mixed.delta
+        mixed = self.extension.mix(self._mixing[k])
+        delta = mixed[0]
+        self.advance(self.adapt_rate(self._e1, self._e2, self._psi, delta,
+                                     mixed[-self.estimate_dim:]), dt)
+        return delta
 
     def diagnostics(self, n_rec: int) -> dict:
-        return {"Y_mixed": np.empty((n_rec, self.extension.dim)),
-                **self.extension.diagnostics(n_rec)}
+        # one mixing row [Delta | Y] per sample, which update has the mix
+        # write into; Y_mixed is its [:, 1:] view
+        self._mixing = np.empty((n_rec, self.extension.dim + 1))
+        return {"Y_mixed": self._mixing[:, 1:], **self.extension.diagnostics(n_rec)}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["Y_mixed"][k] = self.mixed.Y
         self.extension.record(diag, k)
 
 
@@ -375,7 +378,7 @@ class SwitchingTsmController(_Estimate):
         self._start(theta_hat0, self.estimate_dim)
         self.plant = plant
         self.extension = extension
-        self.mixed = None
+        self._mixing = None
         self._w = None
         self._s = None
         self._nonlinear = True
@@ -450,19 +453,19 @@ class SwitchingTsmController(_Estimate):
             term = drift.tolist()
         return tuple(-gain * a - weight * b for a, b in zip(w_s, term))
 
-    def update(self, pair: RegressionPair, dt: float) -> float:
+    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
         extension = self.extension
         extension.step(pair, dt)
-        self.mixed = extension.mix()
+        delta = extension.mix(self._mixing[k])[0]
         self.advance(self.adapt_rate(extension.phi1, extension.phi2), dt)
-        return self.mixed.delta
+        return delta
 
     def diagnostics(self, n_rec: int) -> dict:
-        return {"Y_mixed": np.empty((n_rec, self.extension.dim)),
-                **self.extension.diagnostics(n_rec), "branch": np.empty(n_rec, dtype=np.int8)}
+        self._mixing = np.empty((n_rec, self.extension.dim + 1))
+        return {"Y_mixed": self._mixing[:, 1:], **self.extension.diagnostics(n_rec),
+                "branch": np.empty(n_rec, dtype=np.int8)}
 
     def record(self, diag: dict, k: int) -> None:
-        diag["Y_mixed"][k] = self.mixed.Y
         self.extension.record(diag, k)
         diag["branch"][k] = 0 if self._nonlinear else 1
 
@@ -509,10 +512,10 @@ class SlotineLiLsController(_Estimate):
         self._s = s
         return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
 
-    def update(self, pair: RegressionPair, dt: float) -> float:
+    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
         """Euler-step the estimate at the rate -F (W' s + Omega' e_p), from
         the last torque evaluation and the gain F the last step left, then
-        step the extension."""
+        step the extension; nothing is mixed, so sample k has no mixing row."""
         if self._w is None:
             raise RuntimeError("torque() must be evaluated before update()")
         omega = pair.omega

@@ -8,19 +8,22 @@ carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
 gain * Omega' [Omega | y], the product one BLAS call on the regression
 filter's [Omega | y] buffer as it stands (the pair's ``omega`` and ``y`` are
 views of it; ``KreisselmeierDre`` says what the one product does to its
-bits and why phi2 stays symmetric).  The least-squares mixing reads Delta and adj(phi) v off the
-eigendecomposition of the information matrix that its step takes anyway;
-the Kreisselmeier mixing gathers phi2 and its column-replaced copies with
-``mathx``'s cached Cramer index and takes their determinants in one call
-(Cramer form) instead of building the adjugate.  Both LAPACK calls go
+bits and why phi2 stays symmetric).  The least-squares mixing reads Delta
+and adj(phi) v off the eigendecomposition of the information matrix that
+its step takes anyway; the Kreisselmeier mixing gathers phi2 and its
+column-replaced copies with ``mathx``'s cached Cramer index and takes their
+determinants in one call (Cramer form) instead of building the adjugate.
+Both LAPACK calls go
 through ``mathx``'s direct kernels (``eigh_sym``, ``det_stack``), not
-numpy's wrappers.  An eigendecomposition of R that fails (non-finite
-eigenvalues) raises NumericalDegeneracyError naming R, and a mixing output
-that is not finite one naming Delta or Y.  Each mix returns a new
-``MixedRegression``.  An extension knows only the regression dimension l,
-not which of its parameters a controller estimates.  Its ``record`` writes
-what its step already holds: the least-squares extension the eigenvalues of
-R and the discount z, the Kreisselmeier extension its state.
+numpy's wrappers.  Each mix writes [Delta | Y] into the (l + 1,) row it is
+given, the caller's mixing record row for the step, and returns that row as
+floats: Delta first, then Y = adj(phi) v.  An eigendecomposition of R that
+fails (non-finite eigenvalues) raises NumericalDegeneracyError naming R,
+and a mixing output that is not finite one naming Delta or Y.  An
+extension knows only the regression dimension l, not which of its
+parameters a controller estimates.  Its ``record`` writes what its step
+already holds: the least-squares extension the eigenvalues of R and the
+discount z, the Kreisselmeier extension its state.
 """
 
 from __future__ import annotations
@@ -35,24 +38,17 @@ from .errors import NumericalDegeneracyError
 from .regression import RegressionPair
 
 
-@dataclass
-class MixedRegression:
-    """Mixing output: vector Y (one entry per regression parameter) and
-    scalar factor Delta."""
-
-    Y: np.ndarray
-    delta: float
-
-
-def _mixed(delta: float, Y: np.ndarray) -> MixedRegression:
-    # one sum tests both; a finite sum that overflows falls through to the
+def _checked_mix(row: np.ndarray) -> list:
+    """The mixing row [Delta | Y] as floats, checked finite."""
+    mixed = row.tolist()
+    # one sum tests all; a finite sum that overflows falls through to the
     # exact tests, which then find nothing
-    if not math.isfinite(delta + sum(Y.tolist())):
-        if not math.isfinite(delta):
+    if not math.isfinite(sum(mixed)):
+        if not math.isfinite(mixed[0]):
             raise NumericalDegeneracyError("mixing factor Delta is not finite")
-        if not np.isfinite(Y).all():
+        if not all(map(math.isfinite, mixed)):
             raise NumericalDegeneracyError("mixed regression Y is not finite")
-    return MixedRegression(Y=Y, delta=delta)
+    return mixed
 
 
 def _affine_step(state: np.ndarray, drive: np.ndarray, pair: RegressionPair,
@@ -216,10 +212,11 @@ class LeastSquaresDre:
         self._w_arr = w
         self._w = eigs
 
-    def mix(self) -> MixedRegression:
-        """Delta and Y from the eigenpairs of R (see the class docstring).
-        The eigenvalues (w_i - z f0) / w_i of phi lie in [0, 1), so their
-        prefix and suffix products neither overflow nor underflow."""
+    def mix(self, out: np.ndarray) -> list:
+        """[Delta | Y] from the eigenpairs of R (see the class docstring),
+        written into the (l + 1,) row ``out`` and returned as floats.  The
+        eigenvalues (w_i - z f0) / w_i of phi lie in [0, 1), so their prefix
+        and suffix products neither overflow nor underflow."""
         zf = self.z * self.params.f0
         w = self._w
         ratios = [(x - zf) / x for x in w]
@@ -234,8 +231,9 @@ class LeastSquaresDre:
             suffix *= ratios[i]
             coef[i - 1] *= suffix
         v = self._v
-        Y = v.dot(np.multiply(coef, self._state[:, self.dim].dot(v)))
-        return _mixed(prefix, Y)
+        v.dot(np.multiply(coef, self._state[:, self.dim].dot(v)), out=out[1:])
+        out[0] = prefix
+        return _checked_mix(out)
 
     def diagnostics(self, n_rec: int) -> dict:
         return {"w": np.empty((n_rec, self.dim)), "z_forget": np.empty(n_rec)}
@@ -277,8 +275,9 @@ class KreisselmeierDre:
     sum of the rank-k products Omega' Omega.  The mixing gathers
     phi2 and its copies with column j replaced by phi1 from the state as it
     stands, with ``mathx``'s Cramer index cached at construction, and takes
-    their determinants in one ``mathx.det_stack`` call, the gather and call
-    of ``mathx.det_and_cramer``: Delta = det(phi2) and Y = adj(phi2) phi1.
+    their determinants in one ``mathx.det_stack`` call into the caller's row,
+    the gather and call of ``mathx.det_and_cramer``: Delta = det(phi2) and
+    Y = adj(phi2) phi1.
     The record holds the state of every step in one (steps, l, l + 1)
     buffer, of which the recorded ``phi2`` and ``phi1`` are views.
     """
@@ -315,9 +314,11 @@ class KreisselmeierDre:
         _affine_step(self._state, self._drive, pair, dt * self.params.lambda3,
                      1.0 - dt * self.params.lambda2)
 
-    def mix(self) -> MixedRegression:
-        dets = mathx.det_stack(self._state.take(self._cramer))
-        return _mixed(dets.item(0), dets[1:])
+    def mix(self, out: np.ndarray) -> list:
+        """[Delta | Y] = [det(phi2) | adj(phi2) phi1], written into the
+        (l + 1,) row ``out`` and returned as floats."""
+        mathx.det_stack(self._state.take(self._cramer), out=out)
+        return _checked_mix(out)
 
     def diagnostics(self, n_rec: int) -> dict:
         l_dim = self.dim

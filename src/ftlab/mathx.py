@@ -1,7 +1,9 @@
 """Signed-power arithmetic and the few matrix helpers the run path calls.
 
 The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
-``matvec2`` and ``eig_sym2`` as its kernels.  ``eigh_sym`` and ``det_stack``
+``matvec2`` and ``eig_sym2`` as its kernels; ``signed_power_vec`` is
+``spow`` over a whole array, bit for bit, for the monitors that run after
+the loop.  ``eigh_sym`` and ``det_stack``
 are the extensions' two LAPACK calls per step: the gufuncs that
 ``np.linalg.eigh`` and ``np.linalg.det`` call, called directly, which gives
 the same bits without the wrappers' cost.  They are numpy's private
@@ -9,7 +11,8 @@ the same bits without the wrappers' cost.  They are numpy's private
 pin in ``pyproject.toml`` and a bitwise test against the public functions
 guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
 from its stacked l = 5 state [phi2 | phi1] with the cached flat index of
-``_cramer_index`` and hands the stack to ``det_stack``; ``det_and_cramer``
+``_cramer_index`` and hands the stack to ``det_stack``, which writes the
+determinants into the caller's mixing row; ``det_and_cramer``
 is that same gather and call behind shape checks, for ``verify`` and the
 tests (the least-squares mixing takes its determinants from an
 eigendecomposition, in ``drem``).  ``min_eig_sym`` is the excitation level
@@ -19,6 +22,7 @@ of the metrics' Gramian.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -54,14 +58,19 @@ def check_power_args(z: float, q: float) -> float:
 
 
 def signed_power_vec(z, q: float) -> np.ndarray:
-    """Elementwise ``spow`` of an array, with z checked finite and q a finite
-    positive exponent (ValueError otherwise)."""
+    """Elementwise ``spow`` of an array, bit for bit, with z checked finite
+    and q a finite positive exponent (ValueError otherwise).  |z|**q is
+    ``math.pow``, the C pow that float ``**`` calls: numpy's vectorised
+    power can differ from it in the last bit."""
     _check_exponent(q)
     z = np.asarray(z, dtype=float)
-    flat = z.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
+    if not np.isfinite(z).all():
         raise ValueError("argument must be finite")
-    return np.array([spow(x, q) for x in flat]).reshape(z.shape)
+    out = np.fromiter(map(math.pow, np.abs(z).ravel().tolist(), itertools.repeat(q)),
+                      float, z.size).reshape(z.shape)
+    np.copysign(out, z, out=out)
+    out[z == 0.0] = 0.0
+    return out
 
 
 def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
@@ -79,10 +88,10 @@ def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
     return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
-def det_stack(a) -> np.ndarray:
+def det_stack(a, out=None) -> np.ndarray:
     """Determinants of a stack of square matrices (one batched LU), bit for
-    bit those of ``np.linalg.det(a)``."""
-    return _umath_linalg.det(a, signature="d->d")
+    bit those of ``np.linalg.det(a)``; written into ``out`` if given."""
+    return _umath_linalg.det(a, signature="d->d", out=out)
 
 
 @functools.cache

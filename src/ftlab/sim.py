@@ -291,7 +291,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), qd_m, q_m, qd_m,
                                         psi_m, inertia_m)
                 pair = regression.step(q_m, qd_m, tau, dt, psi_m)
-                delta = controller.update(pair, dt)
+                delta = controller.update(pair, dt, k)
             except NumericalDegeneracyError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
             except OverflowError as exc:
@@ -324,9 +324,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     z1norm = np.sqrt(_row_dot(z1, z1))
     b_exp = config.ftpd.b
     d_exp = config.adapt.sat_d
-    # every recorded Delta passed the mixing's finiteness check
-    zeta1 = np.array([control.exc_gain(delta, b_exp, d_exp)
-                      for delta in delta_rec.tolist()])
+    zeta1 = control.excitation_gain(delta_rec, b_exp, d_exp)
     del psi_rec, inertia_rec
 
     meta = {

@@ -168,8 +168,7 @@ def check_excitation_gain_range(deltas=None) -> PropertyResult:
     50th point of 100 000 spread evenly over [-1e6, 1e6]."""
     if deltas is None:
         deltas = np.linspace(-1e6, 1e6, 100000)[::50]
-    vals = np.array([control.excitation_gain(d, 0.5, 0.5)
-                     for d in np.asarray(deltas, dtype=float).tolist()])
+    vals = control.excitation_gain(np.asarray(deltas, dtype=float), 0.5, 0.5)
     ok = bool(np.all(vals >= 0.0) and np.all(vals < 1.0))
     return PropertyResult("excitation_gain_range", ok,
                           f"range over sweep = [{vals.min():.3e}, {vals.max():.6f}]")

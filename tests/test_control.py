@@ -9,9 +9,9 @@ from ftlab import mathx
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams, _ftpd,
-                           _prediction_error, _slotine_li_rows, exc_gain,
+                           _prediction_error, _slotine_li_rows,
                            excitation_gain, sat, saturation)
-from ftlab.drem import LsDreParams, MixedRegression
+from ftlab.drem import LsDreParams
 from ftlab.regression import RegressionPair
 
 
@@ -109,9 +109,21 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _gain_kernel(delta, b, d):
+    """The excitation gain as the float kernels compose it."""
+    return sat(delta, b, d) * mathx.spow(delta, b)
+
+
+def _gain_of_record(delta, b, d):
+    """excitation_gain over a one-entry record, as the zeta1 monitor calls it."""
+    return excitation_gain(np.array([delta]), b, d)[0]
+
+
 def _assert_kernels_match(delta, c, d):
     assert _outcome(sat, delta, c, d) == _outcome(saturation, delta, c, d)
-    assert _outcome(exc_gain, delta, c, d) == _outcome(excitation_gain, delta, c, d)
+    want = _outcome(_gain_kernel, delta, c, d)
+    assert _outcome(excitation_gain, delta, c, d) == want
+    assert _outcome(_gain_of_record, delta, c, d) == want
 
 
 # (c or b, d): the default composite law's, a b = 0.6 law's, and one whose
@@ -120,8 +132,9 @@ KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
 
 
 class TestUncheckedKernels:
-    """``sat`` and ``exc_gain`` are the step loop's unchecked forms of
-    ``saturation`` and ``excitation_gain``: same bits on every finite delta."""
+    """``sat`` is the step loop's unchecked form of ``saturation``, and
+    ``excitation_gain``, of a float or over a record, is the float kernels'
+    ``sat(delta, b, d) * spow(delta, b)``: same bits on every finite delta."""
 
     @pytest.mark.parametrize("c, d", KERNEL_EXPONENTS)
     @pytest.mark.parametrize("delta", [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12,
@@ -141,10 +154,14 @@ class TestUncheckedKernels:
                 saturation(bad, 0.5, 0.5)
             with pytest.raises(ValueError):
                 excitation_gain(bad, 0.5, 0.5)
+            with pytest.raises(ValueError):
+                excitation_gain(np.array([1.0, bad]), 0.5, 0.5)
         with pytest.raises(ValueError):
             saturation(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             excitation_gain(1.0, -0.5, 0.5)
+        with pytest.raises(ValueError):
+            excitation_gain(np.zeros(3), 0.5, float("nan"))
 
 
 class TestPredictionError:
@@ -177,10 +194,9 @@ class TestCompositeAdaptation:
     def test_equilibrium_rate_is_zero(self, plant):
         gains = CompositeAdaptGains()
         th = np.array([1.0, 2.0])
-        # the composite law reads theta_u's block as the last two entries of Y
-        mixed = MixedRegression(Y=np.concatenate([np.zeros(3), 0.7 * th]), delta=0.7)
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=th)
-        rate = ctrl.adapt_rate(np.zeros(2), np.zeros(2), plant.psi_rows([2.0, 2.0]), mixed)
+        rate = ctrl.adapt_rate(np.zeros(2), np.zeros(2), plant.psi_rows([2.0, 2.0]), 0.7,
+                               (0.7 * th).tolist())
         np.testing.assert_allclose(rate, np.zeros(2), atol=1e-15)
 
     def test_zero_delta_leaves_direct_term(self, plant):
@@ -188,9 +204,8 @@ class TestCompositeAdaptation:
         psi = ref.psi([1.0, 0.3])
         e1 = np.array([0.2, -0.1])
         e2 = np.array([0.05, 0.4])
-        mixed = MixedRegression(Y=np.zeros(5), delta=0.0)
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=[5.0, -3.0])
-        rate = ctrl.adapt_rate(e1, e2, psi, mixed)
+        rate = ctrl.adapt_rate(e1, e2, psi, 0.0, [0.0, 0.0])
         direct = -gains.gamma_diag * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
                                                + (gains.gamma1 + gains.gamma2) * e2))
         np.testing.assert_allclose(rate, direct, atol=1e-15)
@@ -288,7 +303,7 @@ class TestSlotineLiLs:
         ctrl.torque(np.zeros(2), np.zeros(2), q, np.zeros(2), plant.psi_rows(q),
                     plant.inertia_rows(q))
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
-        assert ctrl.update(pair, 5e-4) == 0.0
+        assert ctrl.update(pair, 5e-4, 0) == 0.0
         np.testing.assert_array_equal(ctrl.theta_hat, np.zeros(5))
 
     def test_equilibrium_hold(self, plant):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import reference as ref
-from ftlab import cli, mathx, sim, verify
+from ftlab import cli, drem, mathx, sim, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, excitation_gramian)
 from ftlab.errors import NumericalDegeneracyError
@@ -15,6 +15,15 @@ DT = 5e-4
 
 def zero_pair(n_out=2, dim=5):
     return RegressionPair(y=np.zeros(n_out), omega=np.zeros((n_out, dim)))
+
+
+def mix(dre):
+    """(Delta, Y) of the extension's mix into a fresh row, after checking that
+    the floats it returns are that row."""
+    row = np.empty(dre.dim + 1)
+    mixed = dre.mix(row)
+    assert mixed == row.tolist()
+    return row[0], row[1:]
 
 
 class TestLeastSquares:
@@ -42,11 +51,16 @@ class TestLeastSquares:
         # without data the product z * f0 * F is invariant, so z tracks 1/|F|
         assert dre.z == pytest.approx(1.0 / norms[-1], rel=1e-9)
 
+    def test_finite_row_whose_sum_overflows_passes_the_mix_check(self):
+        # the one-sum test overflows; the exact tests then find every entry finite
+        row = np.array([1e308, 1e308, -1.0, 1e308, 0.0, 2.0])
+        assert drem._checked_mix(row) == row.tolist()
+
     def test_mix_starts_at_zero(self):
         dre = LeastSquaresDre(5, LsDreParams(rho0=np.array([0.5, 1, 2, 3, 4.0])))
-        mixed = dre.mix()
-        assert mixed.delta == 0.0
-        np.testing.assert_allclose(mixed.Y, np.zeros(5), atol=1e-18)
+        delta, Y = mix(dre)
+        assert delta == 0.0
+        np.testing.assert_allclose(Y, np.zeros(5), atol=1e-18)
 
     def test_diagonal_cramer_structure(self):
         dre = LeastSquaresDre(3)
@@ -54,12 +68,12 @@ class TestLeastSquares:
         dre.z = 0.5
         dre.F = np.diag([0.4, 1.0, 1.6])
         dre.rho_hat = np.array([1.0, 2.0, 3.0])
-        mixed = dre.mix()
+        delta, Y = mix(dre)
         d = 1.0 - 0.5 * np.array([0.4, 1.0, 1.6])
         for j in range(3):
             expected = dre.rho_hat[j] * np.prod([d[i] for i in range(3) if i != j])
-            assert mixed.Y[j] == pytest.approx(expected, rel=1e-12)
-        assert mixed.delta == pytest.approx(np.prod(d), rel=1e-12)
+            assert Y[j] == pytest.approx(expected, rel=1e-12)
+        assert delta == pytest.approx(np.prod(d), rel=1e-12)
 
     def test_identity_under_exact_regression(self):
         # synthetic trace: y = Omega theta exactly, time-varying Omega
@@ -74,9 +88,9 @@ class TestLeastSquares:
             dre.step(pair, DT)
             t += DT
             if k % 500 == 0:
-                mixed = dre.mix()
-                err = np.linalg.norm(mixed.Y - mixed.delta * theta)
-                assert err <= 1e-9 * (1.0 + abs(mixed.delta) * np.linalg.norm(theta))
+                delta, Y = mix(dre)
+                err = np.linalg.norm(Y - delta * theta)
+                assert err <= 1e-9 * (1.0 + abs(delta) * np.linalg.norm(theta))
 
     def test_z_monotone_and_f_positive_definite(self, c1_case1):
         z = c1_case1.diagnostics["z_forget"]
@@ -184,14 +198,14 @@ class TestKreisselmeier:
         dre = KreisselmeierDre(5)
         dre.phi2 = np.eye(5)
         dre.phi1 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        mixed = dre.mix()
-        assert mixed.delta == 1.0
-        np.testing.assert_allclose(mixed.Y, dre.phi1)
+        delta, Y = mix(dre)
+        assert delta == 1.0
+        np.testing.assert_allclose(Y, dre.phi1)
 
     def test_zero_state_mixes_to_zero(self):
-        mixed = KreisselmeierDre(5).mix()
-        assert mixed.delta == 0.0
-        np.testing.assert_array_equal(mixed.Y, np.zeros(5))
+        delta, Y = mix(KreisselmeierDre(5))
+        assert delta == 0.0
+        np.testing.assert_array_equal(Y, np.zeros(5))
 
     @pytest.mark.parametrize("n_out", [1, 2])
     @pytest.mark.parametrize("params", [KreisParams(), KreisParams(lambda3=1.0)])
@@ -210,9 +224,9 @@ class TestKreisselmeier:
             assert dre.phi2.tobytes() == phi2.tobytes()
             assert np.array_equal(dre.phi2, dre.phi2.T)
             delta, Y = ref.kreis_mix(phi1, phi2)
-            mixed = dre.mix()
-            assert np.float64(mixed.delta).tobytes() == np.float64(delta).tobytes()
-            assert mixed.Y.tobytes() == Y.tobytes()
+            got_delta, got_Y = mix(dre)
+            assert got_delta.tobytes() == np.float64(delta).tobytes()
+            assert got_Y.tobytes() == Y.tobytes()
 
     def test_record_holds_the_state_of_every_step(self):
         rng = np.random.default_rng(5)
@@ -240,9 +254,9 @@ class TestKreisselmeier:
         np.testing.assert_array_equal(dre.phi2, phi2)
         np.testing.assert_array_equal(dre.phi1, phi1)
         delta, Y = ref.kreis_mix(phi1, phi2)
-        mixed = dre.mix()
-        assert mixed.delta == delta
-        assert mixed.Y.tobytes() == Y.tobytes()
+        got_delta, got_Y = mix(dre)
+        assert got_delta == delta
+        assert got_Y.tobytes() == Y.tobytes()
         # the next step starts from the assigned state
         dre.step(zero_pair(), DT)
         decay = 1.0 - DT * dre.params.lambda2

@@ -36,7 +36,7 @@ from ftlab.control import (CompositeAdaptGains, CompositeFtController,
 from ftlab import mathx
 from ftlab.mathx import matvec2
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
-                        LsDreParams, MixedRegression)
+                        LsDreParams)
 from ftlab.plant import Plant
 from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
                               RegressionPair)
@@ -134,13 +134,12 @@ def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
     ftpd, gains = FtPdGains(r1=r1), CompositeAdaptGains()
     c = ftpd.b
     psi_q = ref.psi(q)
-    mixed = MixedRegression(Y=np.concatenate([np.zeros(3), y_u]), delta=delta)
     want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains, c)
     direct = np.abs(psi_q).T @ (gains.g1d1 + gains.g12 * np.abs(e2))
     indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** c
     scale = float(np.max(gains.gamma_diag * (direct + indirect)))
     ctrl = CompositeFtController(ftpd, gains, theta_hat0=th)
-    assert_close(ctrl.adapt_rate(e1, e2, psi_q, mixed), want, scale)
+    assert_close(ctrl.adapt_rate(e1, e2, psi_q, delta, y_u.tolist()), want, scale)
 
 
 def slotine_li_scale(w, th, s, k1, ks):
@@ -292,7 +291,7 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
         theta_hat = ctrl.theta_hat
         _, w, s = ref.slotine_li_torque(params, theta_hat, e1, q, qd)
         ctrl.torque(e1, qd, q, qd, ref.psi(q), None)
-        ctrl.update(RegressionPair(y=y, omega=omega), dt)
+        ctrl.update(RegressionPair(y=y, omega=omega), dt, k)
         e_p = omega @ theta_hat - y
         want = -f @ (w.T @ s + omega.T @ e_p)
         x_scale = float(np.max(np.abs(w).T @ np.abs(s)
@@ -304,7 +303,7 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
 
 
 LsStep = namedtuple("LsStep",
-                    "mixed F rho_hat want_delta want_Y want_R want_F want_rho_hat tol scale")
+                    "delta Y F rho_hat want_delta want_Y want_R want_F want_rho_hat tol scale")
 
 
 def ls_drive(rows, params):
@@ -318,19 +317,20 @@ def ls_drive(rows, params):
     dt = 5e-4
     theta = THETA.stacked
     diag = dre.diagnostics(len(rows))
+    mixing = np.empty((len(rows), 6))
     steps = []
     for k, flat in enumerate(rows):
         omega, resid = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
         y = omega @ theta + resid
         _, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
         dre.step(RegressionPair(y=y, omega=omega), dt)
-        mixed = dre.mix()
+        dre.mix(mixing[k])
         dre.record(diag, k)
         delta, Y = ref.ls_mix(f, rho_hat, z, params, rho0)
         scale = float(np.max(np.abs(f))) * (float(np.max(np.abs(u)))
                                              + z * params.f0 * float(np.max(np.abs(rho0))))
-        steps.append(LsStep(mixed, dre.F, dre.rho_hat, delta, Y, r, f, rho_hat,
-                            LS * (k + 1) * np.linalg.cond(r), scale))
+        steps.append(LsStep(mixing[k, 0], mixing[k, 1:], dre.F, dre.rho_hat, delta, Y, r, f,
+                            rho_hat, LS * (k + 1) * np.linalg.cond(r), scale))
     return diag, steps
 
 
@@ -344,8 +344,8 @@ ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, 
 def test_least_squares_mix_matches(rows, norm, rho0):
     diag, steps = ls_drive(rows, LsDreParams(norm=norm, rho0=rho0))
     for k, s in enumerate(steps):
-        assert abs(s.mixed.delta - s.want_delta) <= s.tol, (s.mixed.delta, s.want_delta)
-        assert_close(s.mixed.Y, s.want_Y, s.scale, rel=s.tol)
+        assert abs(s.delta - s.want_delta) <= s.tol, (s.delta, s.want_delta)
+        assert_close(s.Y, s.want_Y, s.scale, rel=s.tol)
         assert_close(s.F, s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
         assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
         # the record holds the eigenvalues of R = F^-1, ascending
@@ -362,7 +362,7 @@ def test_least_squares_never_excited_direction_mixes_to_zero(rows, column):
     _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams())
     for s in steps:
         assert abs(s.want_delta) <= s.tol
-        assert abs(s.mixed.delta) <= s.tol
+        assert abs(s.delta) <= s.tol
 
 
 @given(rows=ls_rows, rho0=vec(5, 2.0).filter(lambda v: bool(np.any(v != 0.0))))
@@ -375,7 +375,7 @@ def test_least_squares_nonzero_rho0(rows, rho0):
     _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams(rho0=rho0))
     for s in steps:
         assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
-        assert_close(s.mixed.Y, s.mixed.delta * THETA.stacked, s.scale, rel=s.tol)
+        assert_close(s.Y, s.delta * THETA.stacked, s.scale, rel=s.tol)
 
 
 def test_least_squares_setters_round_trip():
@@ -396,9 +396,10 @@ def test_least_squares_setters_round_trip():
     assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol)
     # the mixing reads the assigned state
     delta, Y = ref.ls_mix(f, rho_hat, 0.25, params, params.rho0)
-    mixed = dre.mix()
-    assert mixed.delta == pytest.approx(delta, rel=tol, abs=tol)
-    assert_close(mixed.Y, Y, float(np.max(np.abs(Y))), rel=tol)
+    row = np.empty(6)
+    dre.mix(row)
+    assert row[0] == pytest.approx(delta, rel=tol, abs=tol)
+    assert_close(row[1:], Y, float(np.max(np.abs(Y))), rel=tol)
 
 
 # -- Kreisselmeier extension ---------------------------------------------------
@@ -511,8 +512,8 @@ def test_det_stack_is_numpy_det_bitwise(state):
     assert same_bits(mathx.det_stack(stack), want)
     delta, cramer = mathx.det_and_cramer(state)
     assert same_bits(np.float64(delta), want[0]) and same_bits(cramer, want[1:])
-    # the Kreisselmeier mixing makes the same gather and call unchecked
+    # the Kreisselmeier mixing makes the same gather and call into its row
     dre = KreisselmeierDre(5)
     dre.phi2, dre.phi1 = state[:, :5], state[:, 5]
-    mixed = dre.mix()
-    assert same_bits(np.float64(mixed.delta), want[0]) and same_bits(mixed.Y, want[1:])
+    row = np.empty(6)
+    assert dre.mix(row) == want.tolist() and same_bits(row, want)

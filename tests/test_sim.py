@@ -1,12 +1,15 @@
 import io
+import itertools
+import math
 
 import numpy as np
 import pytest
 
 import ftlab
-from ftlab import verify
-from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
-from ftlab.drem import LsDreParams
+from ftlab import mathx, verify
+from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
+                           make_controller, sat)
+from ftlab.drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import Plant
 from ftlab.regression import RegressionPair
@@ -177,6 +180,100 @@ class TestRunClosedLoop:
     def test_energy_audit_case1(self, plant, c1_case1):
         result = verify.check_energy_audit(c1_case1, plant)
         assert result.passed, result.line()
+
+
+def _eigenpair_mix(dre):
+    """(Delta, Y) of a least-squares extension by the eigenpair formula of its
+    docstring, in the order the mix multiplies: Delta = prod_i r_i and
+    Y = V diag(prod_{j < i} r_j / w_i prod_{j > i} r_j) V' u~, with
+    r_i = (w_i - z f0) / w_i."""
+    zf = dre.z * dre.params.f0
+    w = dre._w
+    ratios = [(x - zf) / x for x in w]
+    coef = [math.prod(ratios[:i]) / x * math.prod(reversed(ratios[i + 1:]))
+            for i, x in enumerate(w)]
+    v = dre._v
+    return math.prod(ratios), v.dot(np.multiply(coef, dre._state[:, dre.dim].dot(v)))
+
+
+class TestMixingRecord:
+    """Each step's mix writes [Delta | Y] into the run's mixing record, whose
+    [:, 1:] is ``Y_mixed``; the recorded Delta is its first entry."""
+
+    @pytest.mark.parametrize("fixture", ["c2_case1", "c2_case1_pb", "c3_case2"])
+    def test_kreisselmeier_row_is_det_and_cramer_of_the_recorded_state(self, fixture,
+                                                                      request):
+        trace = request.getfixturevalue(fixture)
+        state = np.concatenate((trace.diagnostics["phi2"],
+                                trace.diagnostics["phi1"][:, :, None]), axis=2)
+        want = [mathx.det_and_cramer(aug) for aug in state]
+        assert trace.delta.tobytes() == np.array([d for d, _ in want]).tobytes()
+        assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
+
+    def test_least_squares_row_is_the_eigenpair_formula(self, monkeypatch):
+        want = []
+        mix = LeastSquaresDre.mix
+
+        def formula_then_mix(dre, out):
+            want.append(_eigenpair_mix(dre))
+            return mix(dre, out)
+
+        monkeypatch.setattr(LeastSquaresDre, "mix", formula_then_mix)
+        trace = run_closed_loop(SimConfig(controller="c1", t_final=1.0))
+        assert len(want) == len(trace)
+        assert trace.delta.tobytes() == np.array([d for d, _ in want]).tobytes()
+        assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
+
+    # (controller, extension, attribute, index, value, quantity named); index
+    # None assigns the attribute itself
+    @pytest.mark.parametrize("controller, extension, attribute, index, value, quantity", [
+        ("c2", KreisselmeierDre, "phi2", (0, 0), np.nan, "mixing factor Delta"),
+        ("c3", KreisselmeierDre, "phi2", (slice(None), 1), np.inf, "mixing factor Delta"),
+        ("c2", KreisselmeierDre, "phi1", 2, np.inf, "mixed regression Y"),
+        ("c1", LeastSquaresDre, "z", None, np.nan, "mixing factor Delta"),
+        ("c1", LeastSquaresDre, "_state", (3, 5), np.nan, "mixed regression Y"),
+    ], ids=["c2-delta-nan", "c3-delta-inf", "c2-y-inf", "c1-delta-nan", "c1-y-nan"])
+    def test_non_finite_mix_is_named_with_step_and_time(self, monkeypatch, controller,
+                                                        extension, attribute, index, value,
+                                                        quantity):
+        step, count = extension.step, itertools.count()
+
+        def corrupted(dre, pair, dt):
+            step(dre, pair, dt)
+            if next(count) == 3:
+                if index is None:
+                    setattr(dre, attribute, value)
+                else:
+                    getattr(dre, attribute)[index] = value
+
+        monkeypatch.setattr(extension, "step", corrupted)
+        with pytest.raises(NumericalDegeneracyError,
+                           match=rf"^step 3 \(t = 0\.0015 s\): {quantity} is not finite$"):
+            run_closed_loop(SimConfig(controller=controller, t_final=0.01))
+
+
+class TestArrayMonitors:
+    """zeta1 and V1's signed power run over whole arrays, with the bits of
+    the float kernels taken sample by sample."""
+
+    @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2", "c3_case2", "c4_case1"])
+    def test_zeta1_is_the_float_kernel_bitwise(self, fixture, request):
+        trace = request.getfixturevalue(fixture)
+        b, d = trace.meta["exponent_b"], trace.meta["sat_d"]
+        deltas = trace.delta.tolist()
+        want = np.array([sat(x, b, d) * mathx.spow(x, b) for x in deltas])
+        assert trace.zeta1.tobytes() == want.tobytes()
+        # Delta = 0 of either sign gives +0.0, as spow does
+        got = excitation_gain(np.array(deltas[:5] + [0.0, -0.0]), b, d)
+        assert got.tobytes() == np.concatenate((want[:5], [0.0, 0.0])).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2"])
+    def test_signed_power_of_e1_is_spow_bitwise(self, fixture, request):
+        a = FtPdGains().a
+        e1 = np.vstack((request.getfixturevalue(fixture).e1,
+                        [[0.0, -0.0], [-0.0, 1e-300], [-1e-300, 0.0]]))
+        want = np.array([[mathx.spow(x, a) for x in row] for row in e1.tolist()])
+        assert mathx.signed_power_vec(e1, a).tobytes() == want.tobytes()
 
 
 class TestLyapunovMonitor:
