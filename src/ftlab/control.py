@@ -12,21 +12,26 @@
 
 Torque and rate computations are pure given a state snapshot.  The runner
 knows the controllers only through their shared protocol: the estimate
-``estimate``, a tuple of floats (``theta_hat`` is its numpy view);
-``torque(e1, e2, q, qd, psi, inertia)`` from the measured signals, a pair of
-floats; ``diagnostics(n_rec)``, which allocates its per-step series before
-the loop; ``update(pair, dt, k)``, which steps the family's regressor
-extension (c4: its least-squares gain), mixes (c1-c3) straight into sample
-k of its mixing record, adapts and returns Delta; ``record(diag, k)`` for
-the rest of sample k; and ``dre``, the name of the extension it mixes
-from.  ``FAMILIES`` maps the controller names to the classes, whose
-``from_config`` builds one and ``check_config`` holds the family's rules.
+``estimate``, a tuple of floats; ``torque(e1, q, qd, psi, inertia)`` from
+the measured signals, a pair of floats (under set-point regulation the
+velocity error e2 is qd itself); ``diagnostics(n_rec)``, which allocates
+its per-step series before the loop; ``update(pair, dt, k)``, which steps
+the family's regressor extension (c4: its least-squares gain), mixes
+(c1-c3) straight into sample k of its mixing record, adapts and returns
+Delta; ``record(diag, k)`` for the rest of sample k; and ``dre``, the name
+of the extension it mixes from.  ``FAMILIES`` maps the controller names to
+the classes, whose ``from_config`` builds one and ``check_config`` holds
+the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
-row sequences, and the kernels return floats.  Only the l = 5 estimator
-algebra of c3 and c4 is numpy; c4 steps the least-squares extension's gain
-(``drem.LeastSquaresDre``) rather than a gain of its own.
+row sequences, and the kernels return floats.  The gain vectors are
+tuples of floats too, checked positive at construction.  Only the l = 5
+estimator algebra of c3 and c4 is numpy; c4 steps the least-squares
+extension's gain (``drem.LeastSquaresDre``) rather than a gain of its own.
+``saturation`` and ``excitation_gain`` are the checked forms, of a float or
+an array, over ``mathx.signed_power_vec``; ``sat`` is the step loop's
+unchecked kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +49,16 @@ from .mathx import matvec2, spow
 from .errors import ConfigError
 from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
 from .regression import RegressionPair
+
+
+def _positive_diagonals(gains, *names: str) -> None:
+    """Store each named field of the frozen ``gains`` as a tuple of floats,
+    checked positive."""
+    for name in names:
+        value = tuple(np.asarray(getattr(gains, name), dtype=float).tolist())
+        if not all(x > 0.0 for x in value):
+            raise ValueError(f"{name} diagonal must be positive")
+        object.__setattr__(gains, name, value)
 
 
 @dataclass(frozen=True)
@@ -57,17 +72,14 @@ class FtPdGains:
     ``_ftpd`` called with explicit exponents.
     """
 
-    kp: np.ndarray = field(default_factory=lambda: np.array([3.0, 3.0]))
-    kd: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0]))
-    kd_lin: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
+    kp: tuple = (3.0, 3.0)
+    kd: tuple = (2.0, 2.0)
+    kd_lin: tuple = (0.5, 0.5)
     r1: float = 1.5
     r2: float = 1.0
 
     def __post_init__(self):
-        for name in ("kp", "kd", "kd_lin"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            if not np.all(getattr(self, name) > 0.0):
-                raise ValueError(f"{name} diagonal must be positive")
+        _positive_diagonals(self, "kp", "kd", "kd_lin")
         if not (2.0 * self.r2 > self.r1 > self.r2 > 0.0):
             raise ValueError("exponent weights must satisfy 2 r2 > r1 > r2 > 0")
 
@@ -84,16 +96,11 @@ class FtPdGains:
     def b(self) -> float:
         return self.m_c / self.r2
 
-    @cached_property
-    def diagonals(self) -> tuple:
-        """(kp, kd, kd_lin) as tuples of floats."""
-        return tuple(self.kp.tolist()), tuple(self.kd.tolist()), tuple(self.kd_lin.tolist())
-
 
 def _ftpd(e1, e2, psi, theta_hat_u, gains: FtPdGains, a: float, b: float) -> tuple:
     """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_hat_u, with <.>^p
     the elementwise signed power; a = b = 1 gives the plain adaptive PD."""
-    (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.diagonals
+    (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.kp, gains.kd, gains.kd_lin
     (e11, e12), (e21, e22) = e1, e2
     g1, g2 = matvec2(psi, theta_hat_u)
     return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + g1,
@@ -114,15 +121,12 @@ class CompositeAdaptGains:
     gamma1: float = 0.3
     gamma2: float = 0.7
     d1: float = 5.0
-    gamma_diag: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
-    upsilon_diag: np.ndarray = field(default_factory=lambda: np.array([50.0, 50.0]))
+    gamma_diag: tuple = (1.0, 1.0)
+    upsilon_diag: tuple = (50.0, 50.0)
     sat_d: float = 0.5
 
     def __post_init__(self):
-        for name in ("gamma_diag", "upsilon_diag"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-            if not np.all(getattr(self, name) > 0.0):
-                raise ValueError(f"{name} diagonal must be positive")
+        _positive_diagonals(self, "gamma_diag", "upsilon_diag")
         if not (self.gamma1 > 0.0 and self.gamma2 > 0.0 and self.d1 > 0.0):
             raise ValueError("gamma1, gamma2 and d1 must be positive")
         if not self.sat_d > 0.0:
@@ -137,19 +141,6 @@ class CompositeAdaptGains:
     def g1d1(self) -> float:
         return self.gamma1 * self.d1
 
-    @cached_property
-    def indirect_gain(self) -> np.ndarray:
-        return self.g12 * self.upsilon_diag
-
-    @cached_property
-    def neg_gamma_diag(self) -> np.ndarray:
-        return -self.gamma_diag
-
-    @cached_property
-    def diagonals(self) -> tuple:
-        """(indirect_gain, neg_gamma_diag) as tuples of floats."""
-        return tuple(self.indirect_gain.tolist()), tuple(self.neg_gamma_diag.tolist())
-
 
 def sat(delta: float, c: float, d: float) -> float:
     """``saturation`` of a float, unchecked: the step loop calls it on a
@@ -157,23 +148,25 @@ def sat(delta: float, c: float, d: float) -> float:
     return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
 
 
-def saturation(delta: float, c: float, d: float) -> float:
-    """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Raises
-    ValueError on a non-finite delta or an exponent d that is not finite
-    and positive."""
-    return sat(mathx.check_power_args(delta, d), c, d)
+def saturation(delta, c: float, d: float):
+    """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Of a float, a
+    float; of an array, an array; each entry ``sat(delta, c, d)`` bit for
+    bit.  Raises ValueError on a non-finite delta or an exponent d or c + d
+    that is not finite and positive."""
+    power = mathx.signed_power_vec
+    gain = power(delta, d) / (1.0 + power(np.abs(delta), c + d))
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def excitation_gain(delta, b: float, d: float):
-    """saturation(delta) * <delta>^b; equals |delta|^(b+d) / (1 + |delta|^(b+d))
-    when the saturation exponent c equals b, hence always in [0, 1), and 0.0
-    at delta = 0.  Of a float, a float; of an array (the zeta1 monitor's
-    record of Delta), an array, each entry ``sat(delta, b, d) * spow(delta,
-    b)`` bit for bit.  Raises ValueError on a non-finite delta or an
-    exponent b or d that is not finite and positive."""
-    power = mathx.signed_power_vec
-    p_b = power(delta, b)
-    gain = power(delta, d) / (1.0 + power(np.abs(delta), b + d)) * p_b
+    """saturation(delta, b, d) * <delta>^b; equals |delta|^(b+d) / (1 +
+    |delta|^(b+d)), hence in [0, 1) (in floats at b = d = 0.5, for |delta|
+    below about 3.7e15, where it rounds to 1.0), and 0.0 at delta = 0.  Of a
+    float, a float; of an array (the zeta1 monitor's record of Delta), an
+    array, each entry ``sat(delta, b, d) * spow(delta, b)`` bit for bit.
+    Raises ValueError on a non-finite delta or an exponent b or d that is
+    not finite and positive."""
+    gain = saturation(delta, b, d) * mathx.signed_power_vec(delta, b)
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -194,10 +187,10 @@ def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
     v2 = g1d1 * math.tanh(e12) + g12 * e22
     xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, c)
     f_gain = sat(delta, c, gains.sat_d)
-    (i1, i2), (n1, n2) = gains.diagonals
+    (g1, g2), (u1, u2) = gains.gamma_diag, gains.upsilon_diag
     # -gamma (direct + indirect), the direct term being Psi' v
-    return (n1 * (p11 * v1 + p21 * v2 + i1 * f_gain * xi1),
-            n2 * (p12 * v1 + p22 * v2 + i2 * f_gain * xi2))
+    return (-g1 * (p11 * v1 + p21 * v2 + g12 * u1 * f_gain * xi1),
+            -g2 * (p12 * v1 + p22 * v2 + g12 * u2 * f_gain * xi2))
 
 
 def _check_theta_hat0(config, dim: int) -> None:
@@ -207,26 +200,19 @@ def _check_theta_hat0(config, dim: int) -> None:
 
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
-    reads and records, with ``theta_hat`` as its numpy view, and the
-    regressor extension, ``extension``, that each family steps."""
+    reads and records, and the regressor extension, ``extension``, that
+    each family steps."""
 
     estimate: tuple
     extension: object
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return np.array(self.estimate)
-
-    @theta_hat.setter
-    def theta_hat(self, value) -> None:
-        self.estimate = tuple(np.asarray(value, dtype=float).tolist())
 
     def advance(self, rate, dt: float) -> None:
         """Euler-step the estimate at ``rate``, a sequence of floats."""
         self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
 
     def _start(self, theta_hat0, dim: int) -> None:
-        self.theta_hat = np.zeros(dim) if theta_hat0 is None else theta_hat0
+        self.estimate = ((0.0,) * dim if theta_hat0 is None
+                         else tuple(np.asarray(theta_hat0, dtype=float).tolist()))
         if len(self.estimate) != dim:
             raise ValueError("theta_hat0 length does not match the estimate")
 
@@ -246,7 +232,7 @@ class CompositeFtController(_Estimate):
         self.ftpd = ftpd
         self.adapt = adapt
         self.extension = extension
-        self._start(theta_hat0, adapt.gamma_diag.size)
+        self._start(theta_hat0, len(adapt.gamma_diag))
         self._mixing = None
         self._e1 = self._e2 = self._psi = None
 
@@ -269,10 +255,11 @@ class CompositeFtController(_Estimate):
     def dre(self) -> str:
         return self.extension.kind
 
-    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
-        self._e1, self._e2, self._psi = e1, e2, psi
+    def torque(self, e1, q, qd, psi, inertia) -> tuple:
+        # the velocity error e2 of set-point regulation is qd
+        self._e1, self._e2, self._psi = e1, qd, psi
         ftpd = self.ftpd
-        return _ftpd(e1, e2, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
+        return _ftpd(e1, qd, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
 
     def adapt_rate(self, e1, e2, psi, delta: float, y_u) -> tuple:
         """The composite rate at Delta and theta_u's block y_u of Y."""
@@ -402,15 +389,16 @@ class SwitchingTsmController(_Estimate):
         return ((e21 * m11 + e22 * m21) * e21 + (e21 * m12 + e22 * m22) * e22
                 - lam_max * (ref1 * ref1 + ref2 * ref2))
 
-    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
+    def torque(self, e1, q, qd, psi, inertia) -> tuple:
         """Branch selection plus torque; caches the regressor and sliding
         variable for the subsequent adaptation-rate evaluation.  ``inertia``
-        is M(q), or None to have the plant evaluate it."""
+        is M(q), or None to have the plant evaluate it; the velocity error
+        e2 is qd."""
         p = self.params
         k2, a = p.k2, self.a
         if inertia is None:
             inertia = self.plant.inertia_rows(q)
-        self._nonlinear = self.switching_function(e1, e2, inertia) <= 0.0
+        self._nonlinear = self.switching_function(e1, qd, inertia) <= 0.0
         (e11, e12), (qd1, qd2) = e1, qd
         if self._nonlinear:
             ref1, ref2 = spow(e11, a), spow(e12, a)
@@ -442,7 +430,7 @@ class SwitchingTsmController(_Estimate):
             raise RuntimeError("torque() must be evaluated before adapt_rate()")
         p = self.params
         w_s = _regressor_times(self._w, self._s)
-        drift = phi2 @ self.theta_hat - phi1
+        drift = phi2 @ np.array(self.estimate) - phi1
         if self._nonlinear:
             gain, weight = p.gamma_tsm, p.gamma_tsm * p.k_tsm
             # |drift| as np.linalg.norm computes it for a 1-D vector
@@ -503,7 +491,7 @@ class SlotineLiLsController(_Estimate):
                               "force_balance parameterization")
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def torque(self, e1, e2, q, qd, psi, inertia) -> tuple:
+    def torque(self, e1, q, qd, psi, inertia) -> tuple:
         p = self.tsm
         k2 = p.k2
         (e11, e12), (qd1, qd2) = e1, qd

@@ -74,7 +74,7 @@ class LsDreParams:
     beta0: float = 10.0
     f0: float = 1.0
     gain_cap: float = 10.0
-    rho0: np.ndarray | None = None
+    rho0: tuple | None = None
     norm: str = "spectral"
 
     def __post_init__(self):
@@ -85,7 +85,7 @@ class LsDreParams:
         if self.norm not in ("spectral", "frobenius"):
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.rho0 is not None:
-            object.__setattr__(self, "rho0", np.asarray(self.rho0, dtype=float))
+            object.__setattr__(self, "rho0", tuple(np.asarray(self.rho0, dtype=float).tolist()))
 
 
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
@@ -131,7 +131,7 @@ class LeastSquaresDre:
         self.params = params or LsDreParams()
         self.dim = dim
         rho0 = self.params.rho0
-        self.rho0 = np.zeros(dim) if rho0 is None else np.asarray(rho0, dtype=float).copy()
+        self.rho0 = np.zeros(dim) if rho0 is None else np.array(rho0)
         if self.rho0.shape != (dim,):
             raise ValueError("rho0 length does not match the regression dimension")
         f0 = self.params.f0
@@ -275,9 +275,9 @@ class KreisselmeierDre:
     sum of the rank-k products Omega' Omega.  The mixing gathers
     phi2 and its copies with column j replaced by phi1 from the state as it
     stands, with ``mathx``'s Cramer index cached at construction, and takes
-    their determinants in one ``mathx.det_stack`` call into the caller's row,
-    the gather and call of ``mathx.det_and_cramer``: Delta = det(phi2) and
-    Y = adj(phi2) phi1.
+    their determinants in one ``mathx.det_stack`` call into the caller's row:
+    Delta = det(phi2) and Y = adj(phi2) phi1.  ``verify`` holds this mix, with
+    phi2 and phi1 assigned, to the adjugate.
     The record holds the state of every step in one (steps, l, l + 1)
     buffer, of which the recorded ``phi2`` and ``phi1`` are views.
     """

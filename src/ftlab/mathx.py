@@ -2,9 +2,9 @@
 
 The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
 ``matvec2`` and ``eig_sym2`` as its kernels; ``signed_power_vec`` is
-``spow`` over a whole array, bit for bit, for the monitors that run after
-the loop.  ``eigh_sym`` and ``det_stack``
-are the extensions' two LAPACK calls per step: the gufuncs that
+``spow`` over a whole array, bit for bit, with its arguments checked, for
+the monitors that run after the loop.  ``eigh_sym`` and ``det_stack`` are
+the extensions' two LAPACK calls per step: the gufuncs that
 ``np.linalg.eigh`` and ``np.linalg.det`` call, called directly, which gives
 the same bits without the wrappers' cost.  They are numpy's private
 ``numpy.linalg._umath_linalg`` loops, named nowhere else in ftlab; the numpy
@@ -12,11 +12,9 @@ pin in ``pyproject.toml`` and a bitwise test against the public functions
 guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
 from its stacked l = 5 state [phi2 | phi1] with the cached flat index of
 ``_cramer_index`` and hands the stack to ``det_stack``, which writes the
-determinants into the caller's mixing row; ``det_and_cramer``
-is that same gather and call behind shape checks, for ``verify`` and the
-tests (the least-squares mixing takes its determinants from an
-eigendecomposition, in ``drem``).  ``min_eig_sym`` is the excitation level
-of the metrics' Gramian.
+determinants into the caller's mixing row (the least-squares mixing takes
+its determinants from an eigendecomposition, in ``drem``).  ``min_eig_sym``
+is the excitation level of the metrics' Gramian.
 """
 
 from __future__ import annotations
@@ -42,27 +40,13 @@ def matvec2(a, v) -> tuple[float, float]:
     return a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
 
 
-def _check_exponent(q) -> None:
-    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
-        raise ValueError(f"exponent must be a finite positive number, got {q!r}")
-
-
-def check_power_args(z: float, q: float) -> float:
-    """float(z), after checking that z is finite and q a finite positive
-    exponent; raises ValueError otherwise."""
-    _check_exponent(q)
-    z = float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"argument must be finite, got {z!r}")
-    return z
-
-
 def signed_power_vec(z, q: float) -> np.ndarray:
     """Elementwise ``spow`` of an array, bit for bit, with z checked finite
     and q a finite positive exponent (ValueError otherwise).  |z|**q is
     ``math.pow``, the C pow that float ``**`` calls: numpy's vectorised
     power can differ from it in the last bit."""
-    _check_exponent(q)
+    if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
+        raise ValueError(f"exponent must be a finite positive number, got {q!r}")
     z = np.asarray(z, dtype=float)
     if not np.isfinite(z).all():
         raise ValueError("argument must be finite")
@@ -104,24 +88,6 @@ def _cramer_index(m: int) -> np.ndarray:
     index = np.arange(m)[:, None] * (m + 1) + cols
     index.flags.writeable = False
     return index
-
-
-def det_and_cramer(aug) -> tuple[float, np.ndarray]:
-    """(det(phi), w) of the augmented (m, m + 1) matrix [phi | v], with w_j
-    the determinant of phi with column j replaced by v, which equals
-    adj(phi) v: the Kreisselmeier mixing's determinants, with the shape
-    checked.
-
-    phi and its m column-replaced copies are gathered into one stack and
-    their determinants taken in one ``det_stack`` call; each equals the
-    determinant of the same matrix taken alone, bit for bit.
-    """
-    aug = np.asarray(aug, dtype=float)
-    if aug.ndim != 2 or aug.shape[1] != aug.shape[0] + 1:
-        raise ValueError(f"augmented matrix [phi | v] must have shape (m, m + 1), "
-                         f"got {aug.shape}")
-    dets = det_stack(aug.take(_cramer_index(aug.shape[0])))
-    return float(dets[0]), dets[1:]
 
 
 def min_eig_sym(a, sym_tol: float = 1e-9) -> float:

@@ -18,7 +18,7 @@ applies; they too return floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -237,19 +237,18 @@ class Plant:
 class FrictionModel:
     """Coulomb friction, tau_f_i = coulomb_i * sign(qd_i)."""
 
-    coulomb: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.4]))
+    coulomb: tuple = (0.5, 0.4)
 
     def __post_init__(self):
-        object.__setattr__(self, "coulomb", np.asarray(self.coulomb, dtype=float))
-        if self.coulomb.shape != (2,):
+        if np.shape(self.coulomb) != (2,):
             raise ValueError("friction needs one coefficient per joint (2)")
-        if not np.all(self.coulomb >= 0.0):
+        object.__setattr__(self, "coulomb", tuple(np.asarray(self.coulomb, dtype=float).tolist()))
+        if not all(c >= 0.0 for c in self.coulomb):
             raise ValueError("friction coefficients must be nonnegative")
-        object.__setattr__(self, "_coulomb", tuple(self.coulomb.tolist()))
 
     def torque(self, qd) -> tuple:
         """The friction torques as a pair of floats."""
-        c1, c2 = self._coulomb
+        c1, c2 = self.coulomb
         v1, v2 = qd
         return (c1 * (1.0 if v1 > 0.0 else -1.0 if v1 < 0.0 else v1),
                 c2 * (1.0 if v2 > 0.0 else -1.0 if v2 < 0.0 else v2))

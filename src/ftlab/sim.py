@@ -104,8 +104,7 @@ class SimConfig:
         """Range and consistency checks; raises ConfigError naming the key.
         The rules of one controller family are its class's check_config."""
         for key, value in _numeric_fields(self):
-            flat = value.ravel().tolist() if isinstance(value, np.ndarray) else (value,)
-            if not all(map(math.isfinite, flat)):
+            if not all(map(math.isfinite, np.ravel(value).tolist())):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.controller not in CONTROLLERS:
             raise ConfigError(f"controller must be one of {CONTROLLERS}, got {self.controller!r}")
@@ -130,7 +129,7 @@ class SimConfig:
         # entry per regression parameter) and theta_hat0 (the family's check)
         for key, value in _numeric_fields(self):
             n = 5 if key == "ls.rho0" else 2
-            if isinstance(value, np.ndarray) and key != "theta_hat0" and value.shape != (n,):
+            if np.ndim(value) and key != "theta_hat0" and np.shape(value) != (n,):
                 raise ConfigError(f"{key} must have length {n}")
         if not np.all(self.friction >= 0.0):
             raise ConfigError("friction coefficients must be nonnegative")
@@ -143,13 +142,13 @@ class SimConfig:
 
 
 def _numeric_fields(obj, prefix: str = ""):
-    """(dotted key, value) of every number or array in a dataclass and the
-    dataclasses it holds."""
+    """(dotted key, value) of every number, tuple of floats or array in a
+    dataclass and the dataclasses it holds."""
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if dataclasses.is_dataclass(value):
             yield from _numeric_fields(value, f"{prefix}{f.name}.")
-        elif isinstance(value, (int, float, np.ndarray)):
+        elif isinstance(value, (int, float, tuple, np.ndarray)):
             yield prefix + f.name, value
 
 
@@ -163,7 +162,6 @@ class Trace:
     q: np.ndarray
     qd: np.ndarray
     e1: np.ndarray
-    e2: np.ndarray
     tau: np.ndarray
     theta_hat: np.ndarray
     delta: np.ndarray
@@ -175,6 +173,11 @@ class Trace:
 
     def __len__(self) -> int:
         return self.t.size
+
+    @property
+    def e2(self) -> np.ndarray:
+        """The velocity error, which set-point regulation makes qd itself."""
+        return self.qd
 
 
 def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -205,7 +208,7 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
     ln_cosh = np.logaddexp(e1, -e1) - np.log(2.0)
     v1 = (adapt.g12 * v0
           + adapt.g1d1 * _row_dot(np.tanh(e1), m_e2)
-          + adapt.g1d1 * _row_dot(ftpd.kd_lin, ln_cosh)
+          + adapt.g1d1 * _row_dot(np.asarray(ftpd.kd_lin), ln_cosh)
           + 0.5 * _row_dot(tt, tt / adapt.gamma_diag))
     return float(v1) if v1.ndim == 0 else v1
 
@@ -288,8 +291,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 else:
                     q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
 
-                tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), qd_m, q_m, qd_m,
-                                        psi_m, inertia_m)
+                tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m,
+                                        inertia_m)
                 pair = regression.step(q_m, qd_m, tau, dt, psi_m)
                 delta = controller.update(pair, dt, k)
             except NumericalDegeneracyError as exc:
@@ -336,8 +339,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
         "q_d": config.q_d.copy(), "exponent_b": b_exp, "sat_d": d_exp,
         "settle_tol": config.settle_tol, "param_tol": config.param_tol,
     }
-    return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, qd_rec.copy(), tau_rec,
-                 theta_rec, delta_rec, zeta1, v1, z1norm, diagnostics=diag, meta=meta)
+    return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, tau_rec, theta_rec, delta_rec,
+                 zeta1, v1, z1norm, diagnostics=diag, meta=meta)
 
 
 @dataclass
@@ -463,7 +466,7 @@ def read_trace_csv(stream) -> Trace:
     qd = np.column_stack([cols["qd1"], cols["qd2"]])
     e1 = np.column_stack([cols["e11"], cols["e12"]])
     tau = np.column_stack([cols["tau1"], cols["tau2"]])
-    return Trace(t=cols["t"], q=q, qd=qd, e1=e1, e2=qd.copy(), tau=tau,
+    return Trace(t=cols["t"], q=q, qd=qd, e1=e1, tau=tau,
                  theta_hat=theta_hat, delta=cols["Delta"], zeta1=cols["zeta1"],
                  v1=cols["V1"], z1norm=cols["z1norm"])
 

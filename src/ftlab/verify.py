@@ -4,7 +4,10 @@ Each check returns a PropertyResult; checks that probe the plant accept the
 relevant evaluation functions as arguments so a harness (or a mutation test)
 can substitute a broken implementation and watch the property trip.  The
 checks on a trace (power audit, mixing identity, V1 monotonicity) take any
-trace, so the test suite holds its runs to the same bounds.
+trace, so the test suite holds its runs to the same bounds.  The checks of
+a kernel drive the code the run executes: the Cramer check mixes with a
+``KreisselmeierDre`` whose phi2 and phi1 it assigns, and the gain range
+check calls ``control.excitation_gain``, the zeta1 monitor's function.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control, mathx
+from .drem import KreisselmeierDre
 from .plant import Plant
 from .sim import SimConfig, Trace, run_closed_loop
 
@@ -74,6 +78,8 @@ def check_adjugate_identity(n_samples: int = 50, seed: int = 11) -> PropertyResu
 
 def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
                                   adjugate_fn=None) -> PropertyResult:
+    """Y of the Kreisselmeier mix with phi2 = phi and phi1 = v assigned, as
+    returned and as written into its row, against adj(phi) v."""
     adjugate_fn = adjugate_fn or adjugate
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -82,7 +88,11 @@ def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
         phi = rng.standard_normal((m, m))
         v = rng.standard_normal(m)
         ref = adjugate_fn(phi) @ v
-        got = mathx.det_and_cramer(np.column_stack((phi, v)))[1]
+        dre = KreisselmeierDre(m)
+        dre.phi2, dre.phi1 = phi, v
+        row = np.empty(m + 1)
+        # the floats the law takes and the row the record keeps
+        got = np.array((dre.mix(row)[1:], row[1:]))
         worst = max(worst, float(np.max(np.abs(got - ref))) / max(1.0, float(np.max(np.abs(ref)))))
     return PropertyResult("cramer_matches_adjugate", worst <= 1e-10,
                           f"max relative deviation = {worst:.3e}")
@@ -164,10 +174,14 @@ def check_mixing_identity(controller: str, trace: Trace | None = None) -> Proper
 
 
 def check_excitation_gain_range(deltas=None) -> PropertyResult:
-    """excitation_gain(delta) in [0, 1) over ``deltas``, by default every
-    50th point of 100 000 spread evenly over [-1e6, 1e6]."""
+    """excitation_gain(delta) in [0, 1) over ``deltas``, by default 0.0,
+    -0.0, +-5e-324 (the smallest subnormal) and +-``logspace(-12, 6)``.
+    The sweep stops at |delta| = 1e6: at b = d = 0.5 the float gain
+    |delta| / (1 + |delta|) first rounds to 1.0 near |delta| = 3.7e15, is
+    1.0 at 1e16 and 1.0000000000000002 at 1e17."""
     if deltas is None:
-        deltas = np.linspace(-1e6, 1e6, 100000)[::50]
+        mags = np.concatenate(([0.0, 5e-324], np.logspace(-12, 6)))
+        deltas = np.concatenate((mags, -mags))
     vals = control.excitation_gain(np.asarray(deltas, dtype=float), 0.5, 0.5)
     ok = bool(np.all(vals >= 0.0) and np.all(vals < 1.0))
     return PropertyResult("excitation_gain_range", ok,

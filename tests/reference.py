@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from ftlab.mathx import det_and_cramer
-
 
 # -- signed power -------------------------------------------------------------
 
@@ -118,7 +116,7 @@ def friction_torque(coulomb, qd):
 def ftpd_torque(e1, e2, psi_q, theta_hat_u, gains, a=None, b=None):
     a = gains.a if a is None else a
     b = gains.b if b is None else b
-    return (-gains.kp * signed_power_vec(e1, a)
+    return (-np.asarray(gains.kp) * signed_power_vec(e1, a)
             - gains.kd * signed_power_vec(e2, b)
             - gains.kd_lin * np.asarray(e2, dtype=float)
             + psi_q @ theta_hat_u)
@@ -135,8 +133,8 @@ def composite_adapt_rate(e1, e2, psi_q, theta_hat_u, delta, y_u, gains, c):
     xi = signed_power_vec(delta * np.asarray(theta_hat_u, dtype=float)
                           - np.asarray(y_u, dtype=float), c)
     f_gain = saturation(delta, c, gains.sat_d)
-    indirect = (gains.gamma1 + gains.gamma2) * gains.upsilon_diag * f_gain * xi
-    return -gains.gamma_diag * (direct + indirect)
+    indirect = (gains.gamma1 + gains.gamma2) * np.asarray(gains.upsilon_diag) * f_gain * xi
+    return -np.asarray(gains.gamma_diag) * (direct + indirect)
 
 
 def max_eig_sym2(m):
@@ -270,12 +268,12 @@ def ls_step(r, u, z, f, params, y, omega, dt):
 def ls_mix(f, rho_hat, z, params, rho0):
     """(Delta, Y) of the least-squares extension: phi = I - z f0 F and
     v = rho_hat - z f0 F rho0, then det(phi) and the column-replaced
-    determinants adj(phi) v."""
+    determinants adj(phi) v (``kreis_mix`` of v and phi)."""
     zf = z * params.f0
     phi = np.eye(f.shape[0]) - zf * f
     # before any excitation phi is exactly singular, and the LU divides by 0
     with np.errstate(divide="ignore"):
-        return det_and_cramer(np.column_stack((phi, rho_hat - zf * (f @ rho0))))
+        return kreis_mix(rho_hat - zf * (f @ rho0), phi)
 
 
 # -- Kreisselmeier extension ---------------------------------------------------

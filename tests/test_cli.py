@@ -9,9 +9,10 @@ import pytest
 import ftlab
 from ftlab import verify
 from ftlab.cli import CONFIG_KEYS, main, parse_config
-from ftlab.control import make_controller
+from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
+from ftlab.drem import KreisselmeierDre, LsDreParams
 from ftlab.errors import ConfigError
-from ftlab.plant import Plant
+from ftlab.plant import FrictionModel, Plant
 from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig
 
 
@@ -79,6 +80,13 @@ class TestParseConfig:
         np.testing.assert_allclose(cfg.ftpd.kd, [3.0, 2.0])
         assert cfg.kreis.lambda3 == 1.1
 
+    def test_same_text_gives_equal_parameter_objects(self):
+        text = "gains.P = 4, 3\ngains.Gamma = 2\ndre.rho0 = 1, 2, 3, 4, 5\n"
+        first, second = parse_config(text), parse_config(text)
+        for attr in ("ftpd", "adapt", "ls"):
+            a, b = getattr(first, attr), getattr(second, attr)
+            assert a == b and hash(a) == hash(b)
+
     def test_plant_completion_overridable(self):
         cfg = parse_config("plant.lc2 = 0.2\nplant.I2 = 0.01\n")
         assert cfg.params.lc2 == 0.2 and cfg.params.I2 == 0.01
@@ -107,6 +115,23 @@ class TestParseConfig:
         np.testing.assert_array_equal([ctrl.extension.gain_times(e) for e in np.eye(5)],
                                       np.eye(5) / 2.0)
         np.testing.assert_allclose(ctrl.extension.F, np.eye(5) / 2.0, rtol=1e-15)
+
+
+class TestParameterObjects:
+    """The frozen parameter objects hold their vectors as tuples of floats,
+    so twins compare and hash equal."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: FtPdGains(kp=np.array([4.0, 3.0]), kd=[2, 2]),
+        lambda: CompositeAdaptGains(gamma_diag=np.array([1.0, 2.0])),
+        lambda: FrictionModel(np.array([0.5, 0.4])),
+        lambda: LsDreParams(rho0=np.arange(5.0)),
+    ], ids=["FtPdGains", "CompositeAdaptGains", "FrictionModel", "LsDreParams"])
+    def test_twins_compare_and_hash_equal(self, make):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        vectors = [v for v in dataclasses.astuple(a) if isinstance(v, tuple)]
+        assert vectors and all(type(x) is float for v in vectors for x in v)
 
 
 def settable_fields() -> list:
@@ -472,6 +497,30 @@ class TestVerifySuite:
         broken = lambda a: verify.adjugate(a).T    # forgot the transpose
         result = verify.check_cramer_matches_adjugate(n_samples=20, adjugate_fn=broken)
         assert not result.passed
+
+    @pytest.mark.parametrize("where", ["row", "floats"])
+    def test_broken_kreisselmeier_mix_trips_cramer_equivalence(self, monkeypatch, where):
+        # the check drives the run's mix: two Y entries swapped in the record
+        # row, or in the floats the law takes, must trip it
+        mix = KreisselmeierDre.mix
+
+        def swapped(dre, out):
+            mixed = mix(dre, out)
+            if where == "row":
+                out[[1, 2]] = out[[2, 1]]
+            else:
+                mixed[1], mixed[2] = mixed[2], mixed[1]
+            return mixed
+
+        monkeypatch.setattr(KreisselmeierDre, "mix", swapped)
+        result = verify.check_cramer_matches_adjugate(n_samples=20)
+        assert not result.passed
+
+    def test_gain_range_sweep_reaches_zero(self):
+        # the default sweep covers Delta = 0 and the subnormals around it
+        result = verify.check_excitation_gain_range()
+        assert result.passed
+        assert result.detail == "range over sweep = [0.000e+00, 0.999999]"
 
     def test_result_lines_render(self):
         result = verify.check_signed_power_odd(n_samples=50)

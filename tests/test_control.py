@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,14 @@ from hypothesis import strategies as st
 import ftlab
 import reference as ref
 from ftlab import mathx
-from ftlab.control import (CompositeAdaptGains, CompositeFtController,
+from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams, _ftpd,
                            _prediction_error, _slotine_li_rows,
                            excitation_gain, sat, saturation)
 from ftlab.drem import LsDreParams
 from ftlab.regression import RegressionPair
+from ftlab.sim import SimConfig
 
 
 class TestFtPdGains:
@@ -57,7 +60,7 @@ class TestFtPdTorque:
         psi = ref.psi([1.0, 0.5])
         th = np.array([0.5, 1.0])
         tau = _ftpd(e1, e2, psi, th, gains, 1.0, 1.0)
-        expected = -gains.kp * e1 - gains.kd * e2 - gains.kd_lin * e2 + psi @ th
+        expected = -np.asarray(gains.kp) * e1 - gains.kd * e2 - gains.kd_lin * e2 + psi @ th
         np.testing.assert_allclose(tau, expected, atol=1e-15)
 
     def test_odd_symmetry_of_feedback_part(self, plant):
@@ -119,8 +122,14 @@ def _gain_of_record(delta, b, d):
     return excitation_gain(np.array([delta]), b, d)[0]
 
 
+def _saturation_of_record(delta, c, d):
+    """saturation over a one-entry array."""
+    return saturation(np.array([delta]), c, d)[0]
+
+
 def _assert_kernels_match(delta, c, d):
     assert _outcome(sat, delta, c, d) == _outcome(saturation, delta, c, d)
+    assert _outcome(sat, delta, c, d) == _outcome(_saturation_of_record, delta, c, d)
     want = _outcome(_gain_kernel, delta, c, d)
     assert _outcome(excitation_gain, delta, c, d) == want
     assert _outcome(_gain_of_record, delta, c, d) == want
@@ -206,8 +215,9 @@ class TestCompositeAdaptation:
         e2 = np.array([0.05, 0.4])
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=[5.0, -3.0])
         rate = ctrl.adapt_rate(e1, e2, psi, 0.0, [0.0, 0.0])
-        direct = -gains.gamma_diag * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
-                                               + (gains.gamma1 + gains.gamma2) * e2))
+        gamma = np.asarray(gains.gamma_diag)
+        direct = -gamma * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
+                                    + (gains.gamma1 + gains.gamma2) * e2))
         np.testing.assert_allclose(rate, direct, atol=1e-15)
 
     def test_rejects_bad_gains(self):
@@ -245,15 +255,15 @@ class TestSwitchingTsm:
     def test_zero_velocity_selects_nonlinear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2),
-                    plant.psi_rows(q), plant.inertia_rows(q))
+        ctrl.torque(np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
+                    plant.inertia_rows(q))
         assert ctrl.branch == "tsm"
 
     def test_fast_motion_selects_linear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([1e-4, 0.0]), np.array([3.0, -2.0]), q,
-                    np.array([3.0, -2.0]), plant.psi_rows(q), plant.inertia_rows(q))
+        ctrl.torque(np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q),
+                    plant.inertia_rows(q))
         assert ctrl.branch == "linear"
 
     def test_branch_is_deterministic(self, plant):
@@ -273,16 +283,16 @@ class TestSwitchingTsm:
         e1 = np.array([0.2, -0.4])
         s_ref = -ctrl.params.k2 * mathx.signed_power_vec(e1, ctrl.a)
         q = e1 + np.array([2.0, 2.0])
-        tau = ctrl.torque(e1, s_ref, q, s_ref, plant.psi_rows(q), plant.inertia_rows(q))
+        tau = ctrl.torque(e1, q, s_ref, plant.psi_rows(q), plant.inertia_rows(q))
         assert ctrl.branch == "tsm"
         w = ctrl._w
-        np.testing.assert_allclose(tau, w @ ctrl.theta_hat, atol=1e-12)
+        np.testing.assert_allclose(tau, w @ np.array(ctrl.estimate), atol=1e-12)
 
     def test_normalized_drift_term_zero_at_zero(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), np.zeros(2), q, np.zeros(2),
-                    plant.psi_rows(q), plant.inertia_rows(q))
+        ctrl.torque(np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
+                    plant.inertia_rows(q))
         rate = ctrl.adapt_rate(np.zeros(5), np.zeros((5, 5)))
         # phi2 theta_hat - phi1 = 0: the normalized term must be defined as 0
         expected = -ctrl.params.gamma_tsm * (np.array(ctrl._w).T @ ctrl._s)
@@ -291,8 +301,8 @@ class TestSwitchingTsm:
     def test_reference_acceleration_is_clamped(self, plant):
         ctrl = self.make()
         q = np.array([2.0, 2.0])
-        tau = ctrl.torque(np.zeros(2), np.array([1e-9, 0.0]), q,
-                          np.array([1e-9, 0.0]), plant.psi_rows(q), plant.inertia_rows(q))
+        tau = ctrl.torque(np.zeros(2), q, np.array([1e-9, 0.0]), plant.psi_rows(q),
+                          plant.inertia_rows(q))
         assert np.all(np.isfinite(tau))
 
 
@@ -300,18 +310,17 @@ class TestSlotineLiLs:
     def test_zero_error_zero_rate(self, plant):
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         q = np.array([2.0, 2.0])
-        ctrl.torque(np.zeros(2), np.zeros(2), q, np.zeros(2), plant.psi_rows(q),
-                    plant.inertia_rows(q))
+        ctrl.torque(np.zeros(2), q, np.zeros(2), plant.psi_rows(q), plant.inertia_rows(q))
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
         assert ctrl.update(pair, 5e-4, 0) == 0.0
-        np.testing.assert_array_equal(ctrl.theta_hat, np.zeros(5))
+        np.testing.assert_array_equal(np.array(ctrl.estimate), np.zeros(5))
 
     def test_equilibrium_hold(self, plant):
         q_d = np.array([2.0, 2.0])
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
-        ctrl.theta_hat = plant.theta.stacked.copy()
-        tau = ctrl.torque(np.zeros(2), np.zeros(2), q_d, np.zeros(2),
-                          plant.psi_rows(q_d), plant.inertia_rows(q_d))
+        ctrl.estimate = tuple(plant.theta.stacked.tolist())
+        tau = ctrl.torque(np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d),
+                          plant.inertia_rows(q_d))
         np.testing.assert_allclose(tau, ref.gravity(plant.theta.theta_u, q_d), atol=1e-12)
 
     def test_gain_matrix_stays_positive_definite(self, c4_case1):
@@ -331,12 +340,31 @@ class TestSlotineLiLs:
             TsmParams(ks=-1.0)
 
 
+# the runner's protocol: method -> its parameters after self
+PROTOCOL = {"torque": ["e1", "q", "qd", "psi", "inertia"], "update": ["pair", "dt", "k"],
+            "diagnostics": ["n_rec"], "record": ["diag", "k"]}
+
+
+class TestControllerProtocol:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_every_family_has_the_one_protocol(self, name, plant):
+        cls = FAMILIES[name]
+        for method, params in PROTOCOL.items():
+            assert list(inspect.signature(getattr(cls, method)).parameters) == ["self", *params]
+        config = SimConfig(controller=name)
+        cls.check_config(config, plant.theta.theta_u)
+        ctrl = cls.from_config(config, plant)
+        assert type(ctrl) is cls
+        assert type(ctrl.estimate) is tuple and all(type(x) is float for x in ctrl.estimate)
+        assert ctrl.dre in ("least_squares", "kreisselmeier", "none")
+
+
 class TestControllerWrappers:
     def test_composite_controller_advance(self, plant):
         ctrl = CompositeFtController(FtPdGains(), CompositeAdaptGains())
-        before = ctrl.theta_hat.copy()
+        before = np.array(ctrl.estimate)
         ctrl.advance(np.array([1.0, -1.0]), 1e-3)
-        np.testing.assert_allclose(ctrl.theta_hat - before, [1e-3, -1e-3])
+        np.testing.assert_allclose(np.array(ctrl.estimate) - before, [1e-3, -1e-3])
 
     def test_theta0_length_checked(self):
         with pytest.raises(ValueError):

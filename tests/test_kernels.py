@@ -123,7 +123,7 @@ def test_ftpd_torque_matches(e1, e2, q, th):
     want = ref.ftpd_torque(e1, e2, psi_q, th, gains)
     scale = ftpd_scale(gains, e1, e2, psi_q, th)
     ctrl = CompositeFtController(gains, CompositeAdaptGains(), theta_hat0=th)
-    got = ctrl.torque(e1, e2, q, e2, psi_q, ref.inertia(THETA.theta_m, q))
+    got = ctrl.torque(e1, q, e2, psi_q, ref.inertia(THETA.theta_m, q))
     assert_close(got, want, scale)
 
 
@@ -136,7 +136,7 @@ def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
     psi_q = ref.psi(q)
     want = ref.composite_adapt_rate(e1, e2, psi_q, th, delta, y_u, gains, c)
     direct = np.abs(psi_q).T @ (gains.g1d1 + gains.g12 * np.abs(e2))
-    indirect = gains.indirect_gain * np.abs(delta * th - y_u) ** c
+    indirect = gains.g12 * np.asarray(gains.upsilon_diag) * np.abs(delta * th - y_u) ** c
     scale = float(np.max(gains.gamma_diag * (direct + indirect)))
     ctrl = CompositeFtController(ftpd, gains, theta_hat0=th)
     assert_close(ctrl.adapt_rate(e1, e2, psi_q, delta, y_u.tolist()), want, scale)
@@ -158,7 +158,7 @@ def test_switching_torque_matches(e1, e2, q, th):
     if abs(f_want) <= N2 * max(1.0, f_scale):
         return    # on the switching surface either branch is right
     want, nonlinear, w, s = ref.tsm_torque(params, a, th, e1, e2, q, e2, m)
-    got = ctrl.torque(e1, e2, q, e2, ref.psi(q), m)
+    got = ctrl.torque(e1, q, e2, ref.psi(q), m)
     assert ctrl.branch == ("tsm" if nonlinear else "linear")
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
@@ -168,7 +168,7 @@ def test_slotine_li_torque_matches(e1, qd, q, th):
     params = TsmParams()
     want, w, s = ref.slotine_li_torque(params, th, e1, q, qd)
     ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
-    got = ctrl.torque(e1, qd, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
+    got = ctrl.torque(e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
 
@@ -288,9 +288,9 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
     tol = LS
     for k, (flat, e1, qd, q) in enumerate(steps, start=1):
         omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
-        theta_hat = ctrl.theta_hat
+        theta_hat = np.array(ctrl.estimate)
         _, w, s = ref.slotine_li_torque(params, theta_hat, e1, q, qd)
-        ctrl.torque(e1, qd, q, qd, ref.psi(q), None)
+        ctrl.torque(e1, q, qd, ref.psi(q), None)
         ctrl.update(RegressionPair(y=y, omega=omega), dt, k)
         e_p = omega @ theta_hat - y
         want = -f @ (w.T @ s + omega.T @ e_p)
@@ -312,7 +312,7 @@ def ls_drive(rows, params):
     and recording as the run does.  Returns the record and one LsStep per
     step."""
     dre = LeastSquaresDre(5, params)
-    rho0 = np.zeros(5) if params.rho0 is None else params.rho0
+    rho0 = np.zeros(5) if params.rho0 is None else np.asarray(params.rho0)
     r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
     dt = 5e-4
     theta = THETA.stacked
@@ -503,14 +503,14 @@ def test_eigh_sym_is_numpy_eigh_bitwise(state):
 @given(state=stacked_states)
 @settings(max_examples=100)
 def test_det_stack_is_numpy_det_bitwise(state):
-    # the (6, 5, 5) Cramer stack of det_and_cramer: phi, then phi with
-    # column j replaced by v
+    # the (6, 5, 5) Cramer stack of the Kreisselmeier mixing: phi, then phi
+    # with column j replaced by v
     stack = np.repeat(state[None, :, :5], 6, axis=0)
     for j in range(5):
         stack[j + 1, :, j] = state[:, 5]
     want = np.linalg.det(stack)
     assert same_bits(mathx.det_stack(stack), want)
-    delta, cramer = mathx.det_and_cramer(state)
+    delta, cramer = ref.kreis_mix(state[:, 5], state[:, :5])
     assert same_bits(np.float64(delta), want[0]) and same_bits(cramer, want[1:])
     # the Kreisselmeier mixing makes the same gather and call into its row
     dre = KreisselmeierDre(5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ftlab import mathx, verify
+from ftlab.drem import KreisselmeierDre
 
 
 class TestSignedPower:
@@ -46,17 +47,27 @@ class TestSignedPower:
                                       -mathx.signed_power_vec(z, q))
 
 
+def kreis_mix(phi, v):
+    """(Delta, Y) from the row that the Kreisselmeier mix writes, with
+    phi2 = phi and phi1 = v assigned: the run's mixing."""
+    dre = KreisselmeierDre(len(v))
+    dre.phi2, dre.phi1 = phi, v
+    row = np.empty(len(v) + 1)
+    dre.mix(row)
+    return row[0], row[1:]
+
+
 def det(phi):
-    return mathx.det_and_cramer(np.column_stack((phi, np.zeros(len(phi)))))[0]
+    return kreis_mix(phi, np.zeros(len(phi)))[0]
 
 
 def cramer_products(phi, v):
-    return mathx.det_and_cramer(np.column_stack((phi, v)))[1]
+    return kreis_mix(phi, v)[1]
 
 
 class TestDetAdjugate:
-    """The mixing's determinant and the adjugate that ``verify`` holds its
-    Cramer products to."""
+    """The Kreisselmeier mixing's determinant and the adjugate that
+    ``verify`` holds its Cramer products to."""
 
     def test_identity_and_zero(self):
         assert det(np.eye(5)) == 1.0
@@ -81,10 +92,11 @@ class TestDetAdjugate:
             assert np.max(np.abs(resid)) <= 1e-9 * max(1.0, np.max(np.abs(a)) ** m)
 
     def test_rejects_nonsquare(self):
-        # [phi | v] must be (m, m + 1): phi square and v one column
-        for shape in ((2, 2), (2, 4), (3, 2), (6,), (1, 2, 3)):
+        # phi2 must be (m, m): its setter refuses what does not broadcast there
+        dre = KreisselmeierDre(3)
+        for shape in ((2, 2), (3, 4), (4, 3), (6,), (1, 2, 3)):
             with pytest.raises(ValueError):
-                mathx.det_and_cramer(np.ones(shape))
+                dre.phi2 = np.ones(shape)
         with pytest.raises(ValueError):
             verify.adjugate(np.ones((3, 2)))
 
@@ -109,8 +121,10 @@ class TestCramerProducts:
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     def test_rejects_mismatched_vector(self):
-        with pytest.raises(ValueError):
-            mathx.det_and_cramer(np.column_stack((np.eye(3), np.ones((3, 2)))))
+        dre = KreisselmeierDre(3)
+        for shape in ((3, 2), (2,), (4,)):
+            with pytest.raises(ValueError):
+                dre.phi1 = np.ones(shape)
 
     def test_fused_determinants_equal_separate_calls_bitwise(self):
         # the mixing stage's one batched call must reproduce the determinants
@@ -121,7 +135,7 @@ class TestCramerProducts:
             for _ in range(20):
                 phi = rng.standard_normal((m, m))
                 v = rng.standard_normal(m)
-                delta, w = mathx.det_and_cramer(np.column_stack((phi, v)))
+                delta, w = kreis_mix(phi, v)
                 assert delta == np.linalg.det(phi)
                 replaced = []
                 for j in range(m):

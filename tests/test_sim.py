@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ftlab
+import reference as ref
 from ftlab import mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller, sat)
@@ -99,6 +100,13 @@ class TestRunClosedLoop:
         # horizon not divisible by dt: records stop at the last full step
         trace = run_closed_loop(SimConfig(t_final=0.00085))
         assert len(trace) == 2
+
+    def test_velocity_error_is_the_recorded_velocity(self):
+        # set-point regulation makes e2 = qd: the trace keeps one array of it
+        trace = run_closed_loop(SimConfig(t_final=0.01))
+        assert trace.e2 is trace.qd
+        back = read_trace_csv(io.StringIO(trace_csv_string(trace)))
+        assert back.e2 is back.qd
 
     def test_equilibrium_is_preserved(self, plant):
         cfg = SimConfig(controller="c1", q0=np.array([2.0, 2.0]),
@@ -204,9 +212,10 @@ class TestMixingRecord:
     def test_kreisselmeier_row_is_det_and_cramer_of_the_recorded_state(self, fixture,
                                                                       request):
         trace = request.getfixturevalue(fixture)
-        state = np.concatenate((trace.diagnostics["phi2"],
-                                trace.diagnostics["phi1"][:, :, None]), axis=2)
-        want = [mathx.det_and_cramer(aug) for aug in state]
+        # the reference builds the Cramer stack with np.where and takes
+        # np.linalg.det, the same bits as the mix's gather and det_stack
+        want = [ref.kreis_mix(phi1, phi2) for phi1, phi2
+                in zip(trace.diagnostics["phi1"], trace.diagnostics["phi2"])]
         assert trace.delta.tobytes() == np.array([d for d, _ in want]).tobytes()
         assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
 
@@ -334,7 +343,7 @@ class TestMetrics:
         n = e1_norm.size
         z = np.zeros((n, 2))
         e1 = np.column_stack([e1_norm, np.zeros(n)])
-        return Trace(t=np.arange(n) * DT, q=e1 + 2.0, qd=z, e1=e1, e2=z,
+        return Trace(t=np.arange(n) * DT, q=e1 + 2.0, qd=z, e1=e1,
                      tau=tau, theta_hat=np.zeros((n, 2)),
                      delta=np.zeros(n), zeta1=np.zeros(n), v1=np.zeros(n),
                      z1norm=np.zeros(n),
