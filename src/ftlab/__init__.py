@@ -2,8 +2,7 @@
 finite-time set-point control of Euler-Lagrange systems."""
 
 from .errors import ConfigError, NumericalDegeneracyError
-from .plant import (FrictionModel, NoiseModel, PhysicalParams, Plant,
-                    ThetaBounds, ThetaVector, default_params)
+from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant, ThetaVector
 from .regression import (ForceBalanceRegression, PowerBalanceRegression,
                          RegressionPair, make_regression)
 from .drem import (KreisParams, KreisselmeierDre, LeastSquaresDre, LsDreParams,

@@ -101,9 +101,9 @@ CONFIG_KEYS = {
     "sim.gramian_window": (None, "gramian_window", _parse_positive),
     **{f"plant.{name}": ("params", name, _parse_positive)
        for name in ("m1", "m2", "l1", "l2", "g", "lc1", "lc2", "I1", "I2")},
-    "plant.friction": (None, "friction", _pair),
-    "plant.noise_amplitude": (None, "noise_amplitude", _parse_float),
-    "plant.noise_frequency": (None, "noise_frequency", _parse_positive),
+    "plant.friction": ("friction", "coulomb", _pair),
+    "plant.noise_amplitude": ("noise", "amplitude", _parse_float),
+    "plant.noise_frequency": ("noise", "frequency", _parse_positive),
     "plant.theta_bar": (None, "theta_bar", _pair),
     "gains.P": ("ftpd", "kp", _parse_diag),
     "gains.D": ("ftpd", "kd", _parse_diag),
@@ -129,7 +129,6 @@ CONFIG_KEYS = {
     "dre.beta0": ("ls", "beta0", _parse_positive),
     "dre.f0": ("ls", "f0", _parse_positive),
     "dre.xi": ("ls", "gain_cap", _parse_positive),
-    "dre.rho0": ("ls", "rho0", lambda key, raw: _parse_vector(key, raw, 5)),
     "dre.norm": ("ls", "norm", _enum(("spectral", "frobenius"))),
     "dre.lambda0": (None, "lambda0", _parse_positive),
     "dre.lambda1": (None, "lambda1", _parse_positive),
@@ -179,12 +178,14 @@ def _read_config(text: str) -> SimConfig:
             raise ConfigError(f"line {lineno}: {exc}") from None
 
     config = SimConfig(**fields.pop(None, {}))
-    link = fields.get("params", {})
-    config.params = PhysicalParams.uniform_rods(**{k: link[k] for k in _ROD_FIELDS if k in link})
     for attr, values in fields.items():
         try:
-            setattr(config, attr, dataclasses.replace(getattr(config, attr), **values))
-        except ValueError as exc:
+            base = getattr(config, attr)
+            if attr == "params":
+                base = PhysicalParams.uniform_rods(**{k: values[k] for k in _ROD_FIELDS
+                                                      if k in values})
+            setattr(config, attr, dataclasses.replace(base, **values))
+        except (ValueError, ArithmeticError) as exc:
             keys = [source for (held, _), source in sources.items() if held == attr]
             raise ConfigError(f"{', '.join(keys)}: {exc}") from None
     return config

@@ -2,7 +2,8 @@
 
 Turns the streamed regression pairs (y, Omega) into the scalar-factor form
 Y = Delta * theta, either through a least-squares extension with a
-norm-capped forgetting factor or through a Kreisselmeier extension.  Each
+norm-capped forgetting factor, started from u~ = 0 (its initial estimate
+cancels out of Y), or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
 [phi2 | phi1], that one affine step advances in place: decay * state +
 gain * Omega' [Omega | y], the product one BLAS call on the regression
@@ -74,7 +75,6 @@ class LsDreParams:
     beta0: float = 10.0
     f0: float = 1.0
     gain_cap: float = 10.0
-    rho0: tuple | None = None
     norm: str = "spectral"
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class LsDreParams:
             raise ValueError("gain_cap must be at least 1/f0")
         if self.norm not in ("spectral", "frobenius"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if self.rho0 is not None:
-            object.__setattr__(self, "rho0", tuple(np.asarray(self.rho0, dtype=float).tolist()))
 
 
 _LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
@@ -97,8 +95,8 @@ class LeastSquaresDre:
 
     State: gain matrix F (symmetric positive definite), estimate rho_hat and
     the scalar discount z in (0, 1].  The Euler update is applied in
-    information coordinates R = F^-1 and u~ = F^-1 rho_hat - z f0 rho0,
-    whose right-hand sides are affine in the state:
+    information coordinates R = F^-1 and u~ = F^-1 rho_hat, whose
+    right-hand sides are affine in the state:
 
         R' = alpha Omega' Omega - beta R,   u~' = alpha Omega' y - beta u~,
 
@@ -115,12 +113,17 @@ class LeastSquaresDre:
 
     Each step takes one symmetric eigendecomposition R = V diag(w) V'
     (``mathx.eigh_sym``), and the mixing is read off it: with
-    phi = I - z f0 F = V diag(1 - z f0 / w) V' and v = rho_hat - z f0 F rho0 = F u~,
+    phi = I - z f0 F = V diag(1 - z f0 / w) V' and v = rho_hat = F u~,
 
         Delta = det(phi) = prod_i (w_i - z f0) / w_i,
         Y = adj(phi) v = V diag(prod_{j != i} ((w_j - z f0) / w_j) / w_i) V' u~,
 
     which never divides by a factor w_i - z f0 (all of them are 0 at t = 0).
+    The paper's form starts the estimate at rho0 and mixes v = rho_hat -
+    z f0 F rho0; its u~ = F^-1 rho_hat - z f0 rho0 is f0 rho0 - f0 rho0 = 0 at
+    t = 0 for every rho0.  So the state starts at R = f0 I and u~ = 0, rho0
+    cancels out of Y = Delta theta and is no setting, and rho_hat here is
+    the mixed v = F u~.
     F and rho_hat are properties of the eigenpairs.  The record holds w
     (F's eigenvalues are 1/w) and z of every step.
     """
@@ -130,10 +133,6 @@ class LeastSquaresDre:
     def __init__(self, dim: int, params: LsDreParams | None = None):
         self.params = params or LsDreParams()
         self.dim = dim
-        rho0 = self.params.rho0
-        self.rho0 = np.zeros(dim) if rho0 is None else np.array(rho0)
-        if self.rho0.shape != (dim,):
-            raise ValueError("rho0 length does not match the regression dimension")
         f0 = self.params.f0
         self.z = 1.0
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
@@ -164,14 +163,13 @@ class LeastSquaresDre:
 
     @property
     def rho_hat(self) -> np.ndarray:
-        """The estimate F (u~ + z f0 rho0)."""
-        return self.F @ (self._state[:, self.dim] + (self.z * self.params.f0) * self.rho0)
+        """The estimate F u~."""
+        return self.F @ self._state[:, self.dim]
 
     @rho_hat.setter
     def rho_hat(self, value) -> None:
-        # u~ of this estimate at the current F and z
-        self._state[:, self.dim] = self._r @ np.asarray(value, dtype=float) \
-            - (self.z * self.params.f0) * self.rho0
+        # u~ of this estimate at the current F
+        self._state[:, self.dim] = self._r @ np.asarray(value, dtype=float)
 
     def gain_times(self, x: np.ndarray) -> np.ndarray:
         """F x = V diag(1/w) V' x, as two matvecs on the current eigenpairs."""

@@ -9,10 +9,11 @@ coefficients,
 
 so that the regression can be built from the known terms.  The arm is the
 planar two-link manipulator with revolute joints, with three inertia terms
-and two potential terms; ``Plant`` evaluates its quantities as closed forms
+and two potential terms; ``ThetaVector`` holds their coefficients as tuples
+of floats, and ``Plant`` evaluates its quantities from them as closed forms
 in Python floats, which is what the step loop calls.  Friction and
 measurement noise are separate bolt-on models that only the simulation loop
-applies; they too return floats.
+applies, as the run's config holds them; they too return floats.
 """
 
 from __future__ import annotations
@@ -53,37 +54,32 @@ class PhysicalParams:
     def uniform_rods(cls, m1: float = 2.0, m2: float = 1.0, l1: float = 0.3,
                      l2: float = 0.2, g: float = 9.81) -> "PhysicalParams":
         """Complete the link data under the uniform-rod model:
-        lc_i = l_i / 2 and I_i = m_i l_i^2 / 12."""
+        lc_i = l_i / 2 and I_i = m_i l_i^2 / 12.  The defaults are the
+        reference arm: m1=2 kg, m2=1 kg, l1=0.3 m, l2=0.2 m, g=9.81 m/s^2."""
         return cls(m1=m1, m2=m2, l1=l1, l2=l2, g=g,
                    lc1=l1 / 2.0, lc2=l2 / 2.0,
                    I1=m1 * l1 ** 2 / 12.0, I2=m2 * l2 ** 2 / 12.0)
 
 
-def default_params() -> PhysicalParams:
-    """Reference arm: m1=2 kg, m2=1 kg, l1=0.3 m, l2=0.2 m, g=9.81 m/s^2,
-    uniform-rod completion of the unstated centre-of-mass/inertia data."""
-    return PhysicalParams.uniform_rods()
-
-
 @dataclass(frozen=True)
 class ThetaVector:
     """Stacked unknown parameters: inertia-side theta_m then potential-side
-    theta_u."""
+    theta_u, each a tuple of floats."""
 
-    theta_m: np.ndarray
-    theta_u: np.ndarray
+    theta_m: tuple
+    theta_u: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_m", np.asarray(self.theta_m, dtype=float))
-        object.__setattr__(self, "theta_u", np.asarray(self.theta_u, dtype=float))
+        object.__setattr__(self, "theta_m", tuple(map(float, self.theta_m)))
+        object.__setattr__(self, "theta_u", tuple(map(float, self.theta_u)))
 
     @property
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.theta_m, self.theta_u])
+        return np.array(self.theta_m + self.theta_u)
 
     @property
     def size(self) -> int:
-        return self.theta_m.size + self.theta_u.size
+        return len(self.theta_m) + len(self.theta_u)
 
     @classmethod
     def from_params(cls, p: PhysicalParams) -> "ThetaVector":
@@ -93,22 +89,7 @@ class ThetaVector:
         d3 = p.lc2 ** 2 * p.m2 + p.I2
         d4 = p.m2 * p.lc2 * p.g
         d5 = (p.m1 * p.lc1 + p.m2 * p.l1) * p.g
-        return cls(theta_m=np.array([d1, d2, d3]), theta_u=np.array([d4, d5]))
-
-
-@dataclass(frozen=True)
-class ThetaBounds:
-    """Entrywise box bound on the potential-side parameters."""
-
-    theta_bar: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_bar", np.asarray(self.theta_bar, dtype=float))
-        if not np.all(self.theta_bar > 0.0):
-            raise ValueError("theta_bar entries must be positive")
-
-    def contains(self, theta_u) -> bool:
-        return bool(np.all(np.abs(np.asarray(theta_u, dtype=float)) <= self.theta_bar))
+        return cls(theta_m=(d1, d2, d3), theta_u=(d4, d5))
 
 
 class Plant:
@@ -123,23 +104,21 @@ class Plant:
     n = 2
 
     def __init__(self, theta: ThetaVector):
-        if (theta.theta_m.size, theta.theta_u.size) != (3, 2):
+        if (len(theta.theta_m), len(theta.theta_u)) != (3, 2):
             raise ValueError("the closed forms are those of the two-link arm: "
                              "three inertia and two potential parameters")
         self.theta = theta
-        self._theta_m = tuple(theta.theta_m.tolist())
-        self._theta_u = tuple(theta.theta_u.tolist())
 
     @classmethod
     def two_link(cls, params: PhysicalParams | None = None) -> "Plant":
-        params = params or default_params()
+        params = params or PhysicalParams.uniform_rods()
         return cls(ThetaVector.from_params(params))
 
     # -- float kernels ---------------------------------------------------------
 
     def inertia_rows(self, q) -> tuple:
         """M(q) = sum_k theta_m[k] M_k(q)."""
-        d1, d2, d3 = self._theta_m
+        d1, d2, d3 = self.theta.theta_m
         c2 = math.cos(q[1])
         m12 = d2 * c2 + d3
         return ((d1 + d2 * (2.0 * c2), m12), (m12, d3))
@@ -147,7 +126,7 @@ class Plant:
     def coriolis_rows(self, q, qd) -> tuple:
         """C(q, qd) from Christoffel symbols, so that dM/dt = C + C'."""
         qd1, qd2 = qd
-        h = self._theta_m[1] * math.sin(q[1])
+        h = self.theta.theta_m[1] * math.sin(q[1])
         return ((h * -qd2, h * -(qd1 + qd2)), (h * qd1, 0.0))
 
     def psi_rows(self, q) -> tuple:
@@ -159,7 +138,7 @@ class Plant:
     def inertia_stack(self, q: np.ndarray) -> np.ndarray:
         """M(q) of every row of q (steps, 2), as a (steps, 2, 2) array: the
         closed form of ``inertia_rows`` in the same order of operations."""
-        d1, d2, d3 = self._theta_m
+        d1, d2, d3 = self.theta.theta_m
         c2 = np.cos(q[:, 1])
         m12 = d2 * c2 + d3
         out = np.empty((len(q), 2, 2))
@@ -217,7 +196,7 @@ class Plant:
         if psi is None:
             psi = self.psi_rows(q)
         c1, c2 = mathx.matvec2(self.coriolis_rows(q, qd), qd)
-        g1, g2 = mathx.matvec2(psi, self._theta_u)
+        g1, g2 = mathx.matvec2(psi, self.theta.theta_u)
         t1, t2 = tau
         r1 = t1 - c1 - g1
         r2 = t2 - c2 - g2

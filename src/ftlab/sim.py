@@ -13,7 +13,8 @@ advances everything with a shared explicit-Euler step.  Per step:
 6. Euler-update the plant state.
 
 The runner knows the controllers only through the protocol of
-``control`` (see its module docstring).  The trace keeps the series each
+``control`` (see its module docstring), and takes the friction and noise
+models from the config as they are.  The trace keeps the series each
 step records and nothing built after the loop but the monitors; the
 metrics of a trace are scalars.
 
@@ -33,8 +34,7 @@ import numpy as np
 from . import control, drem, mathx
 from .control import CONTROLLERS
 from .errors import ConfigError, NumericalDegeneracyError
-from .plant import (FrictionModel, NoiseModel, PhysicalParams, Plant,
-                    ThetaBounds, default_params)
+from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant
 from .regression import make_regression
 
 SCENARIOS = ("case1", "case2")
@@ -45,7 +45,13 @@ _CSV_BLOCK_ROWS = 256
 @dataclass
 class SimConfig:
     """Complete description of one run; defaults reproduce the reference
-    c1/case1 study (regulation to q_d = [2, 2] from q0 = [3, 0])."""
+    c1/case1 study (regulation to q_d = [2, 2] from q0 = [3, 0]).
+
+    Each setting is one field; ``friction`` and ``noise`` are the models the
+    run applies.  The parameter objects check their own ranges when they are
+    made, and ``validate`` adds the finiteness, length and cross-field
+    checks.  The vectors stay numpy arrays.
+    """
 
     controller: str = "c1"
     scenario: str = "case1"
@@ -55,12 +61,11 @@ class SimConfig:
     q_d: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0]))
     q0: np.ndarray = field(default_factory=lambda: np.array([3.0, 0.0]))
     qd0: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0]))
-    params: PhysicalParams = field(default_factory=default_params)
+    params: PhysicalParams = field(default_factory=PhysicalParams.uniform_rods)
     theta_bar: np.ndarray = field(default_factory=lambda: np.array([2.0, 8.0]))
     theta_hat0: np.ndarray | None = None
-    friction: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.4]))
-    noise_amplitude: float = 0.005
-    noise_frequency: float = 100.0
+    friction: FrictionModel = field(default_factory=FrictionModel)
+    noise: NoiseModel = field(default_factory=NoiseModel)
     ftpd: control.FtPdGains = field(default_factory=control.FtPdGains)
     adapt: control.CompositeAdaptGains = field(default_factory=control.CompositeAdaptGains)
     tsm: control.TsmParams = field(default_factory=control.TsmParams)
@@ -74,7 +79,7 @@ class SimConfig:
     gramian_window: float = 2.0
 
     def __post_init__(self):
-        for name in ("q_d", "q0", "qd0", "theta_bar", "friction"):
+        for name in ("q_d", "q0", "qd0", "theta_bar"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.theta_hat0 is not None:
             self.theta_hat0 = np.asarray(self.theta_hat0, dtype=float)
@@ -125,17 +130,18 @@ class SimConfig:
         if not 0.0 <= self.gramian_start < t_last:
             raise ConfigError(f"gramian_start must lie inside [0, {t_last:.17g}), before the "
                               f"last sample at floor(t_final / dt) dt, got {self.gramian_start}")
-        # every vector is a joint vector or a theta_u bound, except rho0 (one
-        # entry per regression parameter) and theta_hat0 (the family's check)
+        # every vector is a joint vector or a theta_u bound, except theta_hat0
+        # (the family's check)
         for key, value in _numeric_fields(self):
-            n = 5 if key == "ls.rho0" else 2
-            if np.ndim(value) and key != "theta_hat0" and np.shape(value) != (n,):
-                raise ConfigError(f"{key} must have length {n}")
-        if not np.all(self.friction >= 0.0):
-            raise ConfigError("friction coefficients must be nonnegative")
-        bounds = ThetaBounds(self.theta_bar)
-        theta_u = Plant.two_link(self.params).theta.theta_u
-        if not bounds.contains(theta_u):
+            if np.ndim(value) and key != "theta_hat0" and np.shape(value) != (2,):
+                raise ConfigError(f"{key} must have length 2")
+        if not np.all(self.theta_bar > 0.0):
+            raise ConfigError(f"theta_bar entries must be positive, got {self.theta_bar}")
+        try:
+            theta_u = Plant.two_link(self.params).theta.theta_u
+        except ArithmeticError as exc:
+            raise ConfigError(f"plant parameters put theta out of float range: {exc}") from None
+        if not np.all(np.abs(theta_u) <= self.theta_bar):
             raise ConfigError("theta_bar does not contain the plant's potential "
                               "parameters (violates the known-bound assumption)")
         control.FAMILIES[self.controller].check_config(self, theta_u)
@@ -232,12 +238,11 @@ def run_closed_loop(config: SimConfig) -> Trace:
     plant = Plant.two_link(config.params)
     theta_true = plant.theta
     l_dim = theta_true.size
-    j_dim = theta_true.theta_u.size
+    j_dim = len(theta_true.theta_u)
     n = plant.n
 
     noisy = config.scenario == "case2"
-    friction = FrictionModel(config.friction) if noisy else None
-    noise = NoiseModel(config.noise_amplitude, config.noise_frequency) if noisy else None
+    friction, noise = config.friction, config.noise
 
     controller = control.make_controller(config, plant)
     regression = make_regression(config.effective_parameterization, plant,
@@ -319,7 +324,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     psi_rec = plant.psi_stack(q_rec)
     inertia_rec = plant.inertia_stack(q_rec)
 
-    theta_u_true = theta_true.theta_u
+    theta_u_true = np.array(theta_true.theta_u)
     e1_rec = q_rec - config.q_d
     theta_tilde_u = theta_rec[:, -j_dim:] - theta_u_true
     v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, config.adapt)

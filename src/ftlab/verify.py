@@ -128,7 +128,7 @@ def check_gravity_factorization(plant: Plant | None = None, psi_fn=None,
     worst = 0.0
     for _ in range(n_samples):
         q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, plant.n)
-        gravity = np.array(mathx.matvec2(plant.psi_rows(q), theta_u.tolist()))
+        gravity = np.array(mathx.matvec2(plant.psi_rows(q), theta_u))
         resid = float(np.max(np.abs(gravity - psi_fn(q) @ theta_u)))
         worst = max(worst, resid)
     return PropertyResult("gravity_equals_psi_theta", worst <= 1e-14,

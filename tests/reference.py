@@ -265,15 +265,15 @@ def ls_step(r, u, z, f, params, y, omega, dt):
     return b, r, u, z * decay, f, f @ u
 
 
-def ls_mix(f, rho_hat, z, params, rho0):
+def ls_mix(f, rho_hat, z, params):
     """(Delta, Y) of the least-squares extension: phi = I - z f0 F and
-    v = rho_hat - z f0 F rho0, then det(phi) and the column-replaced
-    determinants adj(phi) v (``kreis_mix`` of v and phi)."""
+    v = rho_hat, then det(phi) and the column-replaced determinants
+    adj(phi) v (``kreis_mix`` of v and phi)."""
     zf = z * params.f0
     phi = np.eye(f.shape[0]) - zf * f
     # before any excitation phi is exactly singular, and the LU divides by 0
     with np.errstate(divide="ignore"):
-        return kreis_mix(rho_hat - zf * (f @ rho0), phi)
+        return kreis_mix(rho_hat, phi)
 
 
 # -- Kreisselmeier extension ---------------------------------------------------

@@ -10,9 +10,9 @@ import ftlab
 from ftlab import verify
 from ftlab.cli import CONFIG_KEYS, main, parse_config
 from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
-from ftlab.drem import KreisselmeierDre, LsDreParams
+from ftlab.drem import KreisselmeierDre
 from ftlab.errors import ConfigError
-from ftlab.plant import FrictionModel, Plant
+from ftlab.plant import FrictionModel, Plant, ThetaVector
 from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig
 
 
@@ -81,9 +81,10 @@ class TestParseConfig:
         assert cfg.kreis.lambda3 == 1.1
 
     def test_same_text_gives_equal_parameter_objects(self):
-        text = "gains.P = 4, 3\ngains.Gamma = 2\ndre.rho0 = 1, 2, 3, 4, 5\n"
+        text = ("gains.P = 4, 3\ngains.Gamma = 2\nplant.friction = 0.2, 0.1\n"
+                "plant.noise_amplitude = 0.01\n")
         first, second = parse_config(text), parse_config(text)
-        for attr in ("ftpd", "adapt", "ls"):
+        for attr in ("ftpd", "adapt", "ls", "friction", "noise"):
             a, b = getattr(first, attr), getattr(second, attr)
             assert a == b and hash(a) == hash(b)
 
@@ -125,8 +126,8 @@ class TestParameterObjects:
         lambda: FtPdGains(kp=np.array([4.0, 3.0]), kd=[2, 2]),
         lambda: CompositeAdaptGains(gamma_diag=np.array([1.0, 2.0])),
         lambda: FrictionModel(np.array([0.5, 0.4])),
-        lambda: LsDreParams(rho0=np.arange(5.0)),
-    ], ids=["FtPdGains", "CompositeAdaptGains", "FrictionModel", "LsDreParams"])
+        lambda: ThetaVector(np.array([1.0, 2.0, 3.0]), [4, 5]),
+    ], ids=["FtPdGains", "CompositeAdaptGains", "FrictionModel", "ThetaVector"])
     def test_twins_compare_and_hash_equal(self, make):
         a, b = make(), make()
         assert a == b and hash(a) == hash(b) and len({a, b}) == 1
@@ -163,7 +164,7 @@ def same(a, b) -> bool:
 SAMPLES = {
     "controller": "c2", "scenario": "case2", "parameterization": "power_balance",
     "sim.qd0": "0.5, -0.5", "sim.gramian_start": "0.5",
-    "gains.theta_hat0": "1, 5", "dre.rho0": "1, 2, 3, 4, 5", "dre.norm": "frobenius",
+    "gains.theta_hat0": "1, 5", "dre.norm": "frobenius",
     "dre.lambda0": "0.7",
 }
 
@@ -176,6 +177,41 @@ def sample(key: str) -> str:
         return SAMPLES[key]
     default = np.atleast_1d(field_value(SimConfig(), CONFIG_KEYS[key][:2]))
     return ", ".join(repr(1.25 * x) for x in default.tolist())
+
+
+# the short run (controller, scenario, t_final) in which a key shows, where
+# the default c1/case2 run at 0.2 s does not: the extension and controller
+# gains of the other families, c3's linear branch and clamp, which act only
+# once the TSM branch has handed over, and the metric windows and
+# tolerances, which need the run to settle
+MOVES_IN = {
+    **dict.fromkeys(("dre.lambda2", "dre.lambda3"), ("c2", "case2", 0.2)),
+    **dict.fromkeys(("gains.K1", "gains.K2", "gains.Ks", "gains.tsm_gamma", "gains.tsm_k"),
+                    ("c3", "case2", 0.2)),
+    **dict.fromkeys(("gains.lin_gamma", "gains.lin_k", "gains.tsm_clamp"), ("c3", "case1", 2.0)),
+    **dict.fromkeys(("sim.settle_tol", "sim.param_tol", "sim.gramian_start",
+                     "sim.gramian_window"), ("c1", "case1", 3.0)),
+}
+
+# keys that need move no output: the two selectors, which every run of the
+# table sets, and theta_bar, a validation bound (the known-bound assumption)
+# that a valid run never reads
+NO_OUTPUT = {"controller", "scenario", "plant.theta_bar"}
+
+
+def run_text(run, skip: str = "") -> str:
+    """The config lines of a (controller, scenario, t_final) run, without
+    the one that sets the field of key ``skip``."""
+    lines = dict(zip(("controller", "scenario", "sim.t_final"), run))
+    return "".join(f"{key} = {value}\n" for key, value in lines.items() if key != skip)
+
+
+def run_outputs(root: Path, text: str) -> str:
+    """trace.csv then metrics.txt of ``ftlab simulate`` on a config text."""
+    root.mkdir(parents=True)
+    out = root / "out"
+    assert main(["--config", str(_write(root, text)), "--out", str(out), "simulate"]) == 0
+    return (out / "trace.csv").read_text() + (out / "metrics.txt").read_text()
 
 
 class TestOneHomePerSetting:
@@ -200,6 +236,20 @@ class TestOneHomePerSetting:
             bare = parse_config(f"{key[4:]} = {raw}\n")
             assert all(same(field_value(bare, t), field_value(config, t))
                        for t in settable_fields())
+
+    def test_each_key_moves_an_output(self, tmp_path):
+        # a key that moves no byte of trace.csv or metrics.txt is a knob the
+        # run ignores; each key runs where it acts, against that run's baseline
+        baselines = {}
+        idle = []
+        for key in sorted(set(CONFIG_KEYS) - NO_OUTPUT):
+            run = MOVES_IN.get(key, ("c1", "case2", 0.2))
+            if run not in baselines:
+                baselines[run] = run_outputs(tmp_path / f"base{len(baselines)}", run_text(run))
+            text = run_text(run, skip=key) + f"{key} = {sample(key)}\n"
+            if run_outputs(tmp_path / key, text) == baselines[run]:
+                idle.append(key)
+        assert idle == []
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -335,6 +385,26 @@ class TestCliCommands:
                      "--out", str(out), "simulate"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("text, named", [
+        ("plant.theta_bar = 0, 8\n", "theta_bar"),
+        ("plant.theta_bar = -1, 8\n", "theta_bar"),
+        ("plant.l1 = 1e-300\n", "plant"),   # I1 underflows to 0
+        ("plant.l2 = 1e-300\n", "plant"),
+        ("plant.l1 = 1e308\n", "plant"),    # a square overflows
+        ("plant.l2 = 1e308\n", "plant"),
+        ("plant.lc1 = 1e308\n", "plant"),
+        ("plant.lc2 = 1e308\n", "plant"),
+    ], ids=["theta_bar_zero", "theta_bar_negative", "l1_tiny", "l2_tiny", "l1_huge",
+            "l2_huge", "lc1_huge", "lc2_huge"])
+    def test_bad_plant_value_is_a_config_error(self, tmp_path, capsys, text, named, command):
+        out = tmp_path / "o"
+        assert main(["--config", str(_write(tmp_path, "sim.t_final = 0.05\n" + text)),
+                     "--out", str(out), command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -39,7 +39,8 @@ class TestLeastSquares:
         assert dre.beta() == pytest.approx(9.0)
 
     def test_unexcited_dynamics(self):
-        dre = LeastSquaresDre(5, LsDreParams(rho0=np.array([1.0, 0, 0, 0, -2.0])))
+        dre = LeastSquaresDre(5)
+        dre.rho_hat = np.array([1.0, 0, 0, 0, -2.0])
         norms = []
         for _ in range(4000):
             dre.step(zero_pair(), DT)
@@ -57,7 +58,7 @@ class TestLeastSquares:
         assert drem._checked_mix(row) == row.tolist()
 
     def test_mix_starts_at_zero(self):
-        dre = LeastSquaresDre(5, LsDreParams(rho0=np.array([0.5, 1, 2, 3, 4.0])))
+        dre = LeastSquaresDre(5)
         delta, Y = mix(dre)
         assert delta == 0.0
         np.testing.assert_allclose(Y, np.zeros(5), atol=1e-18)

@@ -12,8 +12,8 @@ sign or index but not on the last bits:
 * the least-squares gain F = R^-1: cond(R) * 1e-14 times |F|, per step taken,
   and c4's estimate rate -F x within the same times |F| |x|;
 * the least-squares mixing: Delta, which lies in [0, 1), within the same
-  cond(R) * 1e-14 per step; Y and rho_hat within it times |F| (|u| + |z f0 rho0|),
-  the size of the vector v = rho_hat - z f0 F rho0 that is mixed;
+  cond(R) * 1e-14 per step; Y and rho_hat within it times |F| |u|, the size
+  of the vector v = rho_hat = F u that is mixed;
 * the Kreisselmeier filters: 1e-13 times their largest term, per step taken.
 
 The two direct LAPACK calls of ``mathx`` are held to the public
@@ -239,14 +239,12 @@ def test_regression_pair_is_one_buffer_rewritten_in_place(cls, q0, qd0, samples,
 
 @given(omegas=st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15,
                                 max_size=15), min_size=1, max_size=12),
-       norm=st.sampled_from(["spectral", "frobenius"]),
-       rho0=st.one_of(st.none(), vec(5, 2.0)))
+       norm=st.sampled_from(["spectral", "frobenius"]))
 @settings(max_examples=100)
-def test_least_squares_step_matches(omegas, norm, rho0):
-    params = LsDreParams(norm=norm, rho0=rho0)
+def test_least_squares_step_matches(omegas, norm):
+    params = LsDreParams(norm=norm)
     dre = LeastSquaresDre(5, params)
-    rho = np.zeros(5) if rho0 is None else rho0
-    r, u, z, f = params.f0 * np.eye(5), params.f0 * rho, 1.0, np.eye(5) / params.f0
+    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     dt = 5e-4
     theta = THETA.stacked
     for k, flat in enumerate(omegas, start=1):
@@ -312,8 +310,7 @@ def ls_drive(rows, params):
     and recording as the run does.  Returns the record and one LsStep per
     step."""
     dre = LeastSquaresDre(5, params)
-    rho0 = np.zeros(5) if params.rho0 is None else np.asarray(params.rho0)
-    r, u, z, f = params.f0 * np.eye(5), params.f0 * rho0, 1.0, np.eye(5) / params.f0
+    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     dt = 5e-4
     theta = THETA.stacked
     diag = dre.diagnostics(len(rows))
@@ -326,9 +323,8 @@ def ls_drive(rows, params):
         dre.step(RegressionPair(y=y, omega=omega), dt)
         dre.mix(mixing[k])
         dre.record(diag, k)
-        delta, Y = ref.ls_mix(f, rho_hat, z, params, rho0)
-        scale = float(np.max(np.abs(f))) * (float(np.max(np.abs(u)))
-                                             + z * params.f0 * float(np.max(np.abs(rho0))))
+        delta, Y = ref.ls_mix(f, rho_hat, z, params)
+        scale = float(np.max(np.abs(f))) * float(np.max(np.abs(u)))
         steps.append(LsStep(mixing[k, 0], mixing[k, 1:], dre.F, dre.rho_hat, delta, Y, r, f,
                             rho_hat, LS * (k + 1) * np.linalg.cond(r), scale))
     return diag, steps
@@ -338,11 +334,10 @@ ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, 
                    min_size=1, max_size=12)
 
 
-@given(rows=ls_rows, norm=st.sampled_from(["spectral", "frobenius"]),
-       rho0=st.one_of(st.none(), vec(5, 2.0)))
+@given(rows=ls_rows, norm=st.sampled_from(["spectral", "frobenius"]))
 @settings(max_examples=100)
-def test_least_squares_mix_matches(rows, norm, rho0):
-    diag, steps = ls_drive(rows, LsDreParams(norm=norm, rho0=rho0))
+def test_least_squares_mix_matches(rows, norm):
+    diag, steps = ls_drive(rows, LsDreParams(norm=norm))
     for k, s in enumerate(steps):
         assert abs(s.delta - s.want_delta) <= s.tol, (s.delta, s.want_delta)
         assert_close(s.Y, s.want_Y, s.scale, rel=s.tol)
@@ -365,21 +360,8 @@ def test_least_squares_never_excited_direction_mixes_to_zero(rows, column):
         assert abs(s.delta) <= s.tol
 
 
-@given(rows=ls_rows, rho0=vec(5, 2.0).filter(lambda v: bool(np.any(v != 0.0))))
-@settings(max_examples=30)
-def test_least_squares_nonzero_rho0(rows, rho0):
-    # rho0 enters only through v = rho_hat - z f0 F rho0; under an exact
-    # regression the mixing identity Y = Delta theta holds for any rho0
-    rows = np.array(rows).reshape(-1, 3, 5)
-    rows[:, 2] = 0.0
-    _, steps = ls_drive(rows.reshape(-1, 15), LsDreParams(rho0=rho0))
-    for s in steps:
-        assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
-        assert_close(s.Y, s.delta * THETA.stacked, s.scale, rel=s.tol)
-
-
 def test_least_squares_setters_round_trip():
-    params = LsDreParams(rho0=np.array([0.3, -1.0, 0.0, 2.0, 0.5]))
+    params = LsDreParams()
     dre = LeastSquaresDre(5, params)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5))
@@ -395,7 +377,7 @@ def test_least_squares_setters_round_trip():
                  f_max * float(np.max(np.abs(np.linalg.solve(f, rho_hat)))), rel=tol)
     assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol)
     # the mixing reads the assigned state
-    delta, Y = ref.ls_mix(f, rho_hat, 0.25, params, params.rho0)
+    delta, Y = ref.ls_mix(f, rho_hat, 0.25, params)
     row = np.empty(6)
     dre.mix(row)
     assert row[0] == pytest.approx(delta, rel=tol, abs=tol)

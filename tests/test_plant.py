@@ -4,9 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference as ref
-from ftlab import mathx, verify
-from ftlab.plant import (FrictionModel, NoiseModel, PhysicalParams,
-                         ThetaBounds, ThetaVector, default_params)
+from ftlab import ConfigError, SimConfig, mathx, verify
+from ftlab.plant import FrictionModel, NoiseModel, PhysicalParams, ThetaVector
 
 
 def reference_deltas():
@@ -26,13 +25,13 @@ def reference_deltas():
 
 class TestParamsAndTheta:
     def test_uniform_rod_completion(self):
-        p = default_params()
+        p = PhysicalParams.uniform_rods()
         assert p.lc1 == 0.15 and p.lc2 == 0.1
         assert p.I1 == pytest.approx(2.0 * 0.09 / 12.0)
         assert p.I2 == pytest.approx(1.0 * 0.04 / 12.0)
 
     def test_theta_matches_reference(self):
-        theta = ThetaVector.from_params(default_params())
+        theta = ThetaVector.from_params(PhysicalParams.uniform_rods())
         np.testing.assert_allclose(theta.stacked, reference_deltas(), rtol=1e-14)
 
     def test_rejects_nonpositive(self):
@@ -40,11 +39,12 @@ class TestParamsAndTheta:
             PhysicalParams.uniform_rods(m1=-1.0)
 
     def test_theta_bounds(self):
-        bounds = ThetaBounds(np.array([2.0, 8.0]))
-        assert bounds.contains(ThetaVector.from_params(default_params()).theta_u)
-        assert not bounds.contains([3.0, 1.0])
-        with pytest.raises(ValueError):
-            ThetaBounds(np.array([0.0, 1.0]))
+        SimConfig(theta_bar=np.array([2.0, 8.0])).validate()
+        with pytest.raises(ConfigError, match="does not contain"):
+            SimConfig(theta_bar=np.array([2.0, 1.0])).validate()
+        for bad in ([0.0, 8.0], [0.0, 1.0], [-1.0, 8.0]):
+            with pytest.raises(ConfigError, match="theta_bar entries must be positive"):
+                SimConfig(theta_bar=np.array(bad)).validate()
 
 
 class TestInertia:

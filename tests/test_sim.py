@@ -10,9 +10,9 @@ import reference as ref
 from ftlab import mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller, sat)
-from ftlab.drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
+from ftlab.drem import KreisselmeierDre, LeastSquaresDre
 from ftlab.errors import ConfigError, NumericalDegeneracyError
-from ftlab.plant import Plant
+from ftlab.plant import FrictionModel, NoiseModel, Plant
 from ftlab.regression import RegressionPair
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
                        read_trace_csv, run_closed_loop, trace_csv_string)
@@ -43,10 +43,12 @@ class TestConfig:
 
     NONFINITE = {
         "t_final_inf": ({"t_final": np.inf}, "t_final"),
-        "noise_amplitude_nan_case2": ({"scenario": "case2", "noise_amplitude": np.nan},
-                                      "noise_amplitude"),
-        "noise_frequency_nan_case2": ({"scenario": "case2", "noise_frequency": np.nan},
-                                      "noise_frequency"),
+        "noise_amplitude_nan_case2": ({"scenario": "case2",
+                                       "noise": NoiseModel(amplitude=np.nan)},
+                                      "noise.amplitude"),
+        "noise_frequency_nan_case2": ({"scenario": "case2",
+                                       "noise": NoiseModel(frequency=np.nan)},
+                                      "noise.frequency"),
         "q0_nan": ({"q0": [np.nan, 0.0]}, "q0"),
         "theta_bar_inf": ({"theta_bar": [np.inf, 8.0]}, "theta_bar"),
         "gramian_window_inf": ({"gramian_window": np.inf}, "gramian_window"),
@@ -71,8 +73,6 @@ class TestConfig:
                                "adapt.gamma_diag", 2),
         "adapt_upsilon_diag_1": ({"adapt": CompositeAdaptGains(upsilon_diag=[50.0])},
                                  "adapt.upsilon_diag", 2),
-        "ls_rho0_4_c1": ({"ls": LsDreParams(rho0=[0.0] * 4)}, "ls.rho0", 5),
-        "ls_rho0_2_c4": ({"controller": "c4", "ls": LsDreParams(rho0=[0.0] * 2)}, "ls.rho0", 5),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_LENGTH))
@@ -110,7 +110,7 @@ class TestRunClosedLoop:
 
     def test_equilibrium_is_preserved(self, plant):
         cfg = SimConfig(controller="c1", q0=np.array([2.0, 2.0]),
-                        qd0=np.zeros(2), theta_hat0=plant.theta.theta_u.copy(),
+                        qd0=np.zeros(2), theta_hat0=np.array(plant.theta.theta_u),
                         t_final=2.0)
         trace = run_closed_loop(cfg)
         assert np.max(np.linalg.norm(trace.e1, axis=1)) <= 1e-9
@@ -127,7 +127,7 @@ class TestRunClosedLoop:
         # with zero friction the true state must stay smooth even though the
         # controller sees noisy signals; the recorded q is the true state
         cfg = SimConfig(controller="c1", scenario="case2", t_final=0.2,
-                        friction=np.zeros(2))
+                        friction=FrictionModel((0.0, 0.0)))
         trace = run_closed_loop(cfg)
         assert np.isfinite(trace.q).all()
         # true positions move continuously: per-step increment = dt * qd
