@@ -181,9 +181,10 @@ def sample(key: str) -> str:
 
 # the short run (controller, scenario, t_final) in which a key shows, where
 # the default c1/case2 run at 0.2 s does not: the extension and controller
-# gains of the other families, c3's linear branch and clamp, which act only
-# once the TSM branch has handed over, and the metric windows and
-# tolerances, which need the run to settle
+# gains of the other families; c3's linear-branch gains and TSM clamp, which
+# act only once c3 switches branch or |e1| falls below the clamp; and the
+# metric tolerances and Gramian window, which need a run that settles and
+# outlasts the window
 MOVES_IN = {
     **dict.fromkeys(("dre.lambda2", "dre.lambda3"), ("c2", "case2", 0.2)),
     **dict.fromkeys(("gains.K1", "gains.K2", "gains.Ks", "gains.tsm_gamma", "gains.tsm_k"),
@@ -193,7 +194,7 @@ MOVES_IN = {
                      "sim.gramian_window"), ("c1", "case1", 3.0)),
 }
 
-# keys that need move no output: the two selectors, which every run of the
+# keys that need not move an output: the two selectors, which every run of the
 # table sets, and theta_bar, a validation bound (the known-bound assumption)
 # that a valid run never reads
 NO_OUTPUT = {"controller", "scenario", "plant.theta_bar"}
@@ -201,7 +202,7 @@ NO_OUTPUT = {"controller", "scenario", "plant.theta_bar"}
 
 def run_text(run, skip: str = "") -> str:
     """The config lines of a (controller, scenario, t_final) run, without
-    the one that sets the field of key ``skip``."""
+    the line of key ``skip``, which the caller sets instead."""
     lines = dict(zip(("controller", "scenario", "sim.t_final"), run))
     return "".join(f"{key} = {value}\n" for key, value in lines.items() if key != skip)
 
