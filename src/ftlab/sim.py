@@ -19,7 +19,9 @@ step records and nothing built after the loop but the monitors; the
 metrics of a trace are scalars.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
-configurations produce bit-identical traces.
+configurations produce bit-identical traces.  ``write_trace_csv`` writes
+each float in the exact bytes of ``'%.17g' % x``, through the vectorised
+formatter of ``_g17``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import control, drem, mathx
+from ._g17 import csv_blocks
 from .control import CONTROLLERS
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant
@@ -126,6 +129,9 @@ class SimConfig:
         for name in ("settle_tol", "param_tol", "gramian_window"):
             if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ConfigError(f"sim.t_final / sim.dt must be a finite step count, got "
+                              f"{self.t_final} / {self.dt}")
         t_last = self.n_steps * self.dt
         if not 0.0 <= self.gramian_start < t_last:
             raise ConfigError(f"gramian_start must lie inside [0, {t_last:.17g}), before the "
@@ -232,7 +238,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     and M(q) rebuilt from the recorded q.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
     and the time, and so does a float overflow within a step.  A record too
-    large to allocate is a ConfigError naming the step count.
+    large to allocate, or beyond numpy's index range, is a ConfigError naming
+    the step count.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -260,7 +267,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
         rows = np.empty((n_rec, 6 + j_est + 1))
         aug_rec = np.empty((n_rec, n_out, l_dim + 1))
         diag = controller.diagnostics(n_rec)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a shape beyond its index range with a ValueError
         raise ConfigError(f"sim.t_final / sim.dt gives {n_steps} steps, too many to "
                           f"record: {exc}") from None
 
@@ -449,15 +457,14 @@ def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:
 
 
 def write_trace_csv(trace: Trace, stream) -> None:
-    """Serialize the trace; numbers keep 17 significant digits so a read-back
-    reproduces every float64 exactly.  Rows are formatted a block at a time,
-    which bounds the memory the Python floats of a long trace take."""
+    """Serialize the trace; every number takes the exact bytes of
+    ``'%.17g' % x``, 17 significant digits, so a read-back reproduces every
+    float64.  ``_g17`` formats a block of rows at a time in numpy passes,
+    which also bounds the memory a long trace's text takes."""
     header, data = trace_columns(trace)
     stream.write(",".join(header) + "\n")
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    for start in range(0, len(data), _CSV_BLOCK_ROWS):
-        block = data[start:start + _CSV_BLOCK_ROWS].tolist()
-        stream.write("".join([row_format % tuple(row) for row in block]))
+    for text in csv_blocks(data, _CSV_BLOCK_ROWS):
+        stream.write(text.decode("ascii"))
 
 
 def read_trace_csv(stream) -> Trace:

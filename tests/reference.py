@@ -11,7 +11,10 @@ float64 rounding; ``test_drem.py`` holds the stacked Kreisselmeier state to
 its two-array form bit for bit.  The basis
 stacks are also the statement of the two-link decomposition M(q) =
 sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
-hold the plant's closed forms to.  Nothing in ``src/`` imports this module.
+hold the plant's closed forms to.  ``csv_rows`` is the row loop that wrote
+``trace.csv`` before its vectorised formatter; ``test_g17.py`` and
+``test_sim.py`` hold the formatter to it byte for byte.  Nothing in ``src/``
+imports this module.
 """
 
 import math
@@ -303,3 +306,12 @@ def kreis_mix(phi1, phi2):
     mask[cols + 1, :, cols] = True
     dets = np.linalg.det(np.where(mask, phi1[:, None], phi2))
     return float(dets[0]), dets[1:]
+
+
+# -- trace CSV -----------------------------------------------------------------
+
+def csv_rows(data):
+    """The rows of a 2-D float array, each value through ``'%.17g'``, joined
+    by ',' and ended by '\\n'."""
+    row_format = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    return "".join([row_format % tuple(row) for row in data.tolist()])

@@ -430,6 +430,20 @@ class TestCliCommands:
                               "steps, too many to record")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("text", ["sim.t_final = 1e308\n", "sim.dt = 5e-324\n",
+                                      "sim.dt = 1e-300\n", "sim.t_final = 1e300\n"],
+                             ids=["t_final_1e308", "dt_5e-324", "dt_1e-300", "t_final_1e300"])
+    def test_step_count_out_of_range_is_a_config_error(self, tmp_path, capsys, text, command):
+        # the first two overflow t_final / dt to inf; the last two give a
+        # finite count beyond numpy's index range, which np.empty refuses
+        # with a ValueError
+        out = tmp_path / "o"
+        assert main(["--config", str(_write(tmp_path, text)), "--out", str(out),
+                     command]) == 2
+        assert capsys.readouterr().err.startswith("config error: sim.t_final / sim.dt ")
+        assert not out.exists()
+
     def test_gramian_start_past_the_last_sample_is_a_config_error(self, tmp_path, capsys):
         # t_final = 1.0003 leaves the last sample at 1.0 s, before gramian_start
         out = tmp_path / "o"

@@ -8,6 +8,7 @@ import pytest
 import ftlab
 import reference as ref
 from ftlab import mathx, verify
+from ftlab import sim as sim_mod
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller, sat)
 from ftlab.drem import KreisselmeierDre, LeastSquaresDre
@@ -420,6 +421,22 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.zeta1, trace.zeta1)
         np.testing.assert_array_equal(back.v1, trace.v1)
         np.testing.assert_array_equal(back.z1norm, trace.z1norm)
+
+    @pytest.mark.parametrize("estimate_dim", [2, 5], ids=["c1_c2", "c3_c4"])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
+    def test_blocks_write_the_row_loop_bytes(self, rows, estimate_dim):
+        # 256-row blocks: one short block, exact fits, one spare row and a
+        # short third block
+        rng = np.random.default_rng(rows + estimate_dim)
+        col = lambda *shape: rng.standard_normal((rows, *shape)) * 10.0 ** rng.integers(
+            -12, 12, (rows, *shape))
+        trace = Trace(np.arange(rows) * DT, col(2), col(2), col(2), col(2),
+                      col(estimate_dim), col(), col(), col(), col())
+        trace.tau[::7, 0] = 0.0
+        trace.v1[::5] = -0.0
+        header, data = sim_mod.trace_columns(trace)
+        assert data.shape == (rows, 13 + estimate_dim)
+        assert trace_csv_string(trace) == ",".join(header) + "\n" + ref.csv_rows(data)
 
     def test_column_layout(self):
         trace = run_closed_loop(SimConfig(controller="c3", t_final=0.01))
