@@ -1,7 +1,8 @@
 """CSV text of float64 arrays in the exact bytes of ``'%.17g' % x``.
 
-``csv_blocks(data, block_rows)`` formats ``block_rows`` rows at a time, each
-block in a fixed number of numpy passes:
+``csv_blocks(data)`` formats ``BLOCK_ROWS`` rows at a time, each block in a
+fixed number of numpy passes, which also bounds the memory a long array's
+text takes:
 
 * **digits.**  With E = floor(log10 |x|), the 17 significant digits are
   D = round(|x| 10^(16 - E)).  The product is taken in double-double
@@ -31,6 +32,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+BLOCK_ROWS = 256
 _TINY, _HUGE = 1e-280, 1e280
 _TIE_MARGIN = 1e-9
 
@@ -110,20 +112,20 @@ def _decade_table() -> np.ndarray:
 _DECADES = _decade_table()
 
 
-def csv_blocks(data: np.ndarray, block_rows: int) -> Iterator[bytes]:
+def csv_blocks(data: np.ndarray) -> Iterator[bytes]:
     """The rows of a 2-D float64 array as ``'%.17g'`` fields joined by ','
-    and ended by '\\n', byte for byte, ``block_rows`` rows per item.  The
+    and ended by '\\n', byte for byte, ``BLOCK_ROWS`` rows per item.  The
     large work arrays are made once and reused by every block."""
     rows, cols = data.shape
-    size = min(rows, block_rows) * cols
+    size = min(rows, BLOCK_ROWS) * cols
     slots = np.empty((_SLOTS, size), dtype=np.uint8)
     slots[_SEP] = ord(",")
     slots[_SEP, cols - 1::cols] = ord("\n")
     digits = np.empty((17, size))
     scratch = np.empty((8, size))
     chars = np.zeros((18, size), dtype=np.uint8)    # row 17 stays NUL
-    for start in range(0, rows, block_rows):
-        x = data[start:start + block_rows].ravel()
+    for start in range(0, rows, BLOCK_ROWS):
+        x = data[start:start + BLOCK_ROWS].ravel()
         n = x.size
         yield _format(x, slots[:, :n], digits[:, :n], scratch[:, :n], chars[:, :n])
 

@@ -42,7 +42,6 @@ from .regression import make_regression
 
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
-_CSV_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -459,11 +458,10 @@ def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:
 def write_trace_csv(trace: Trace, stream) -> None:
     """Serialize the trace; every number takes the exact bytes of
     ``'%.17g' % x``, 17 significant digits, so a read-back reproduces every
-    float64.  ``_g17`` formats a block of rows at a time in numpy passes,
-    which also bounds the memory a long trace's text takes."""
+    float64.  ``_g17`` formats a block of rows at a time in numpy passes."""
     header, data = trace_columns(trace)
     stream.write(",".join(header) + "\n")
-    for text in csv_blocks(data, _CSV_BLOCK_ROWS):
+    for text in csv_blocks(data):
         stream.write(text.decode("ascii"))
 
 

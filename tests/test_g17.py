@@ -23,7 +23,7 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 def formatted(values, cols=None):
     data = np.asarray(values, dtype=float).reshape(-1, cols or len(values))
-    return b"".join(_g17.csv_blocks(data, 256)).decode("ascii")
+    return b"".join(_g17.csv_blocks(data)).decode("ascii")
 
 
 def expected(values, cols=None):

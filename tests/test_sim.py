@@ -7,8 +7,7 @@ import pytest
 
 import ftlab
 import reference as ref
-from ftlab import mathx, verify
-from ftlab import sim as sim_mod
+from ftlab import _g17, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller, sat)
 from ftlab.drem import KreisselmeierDre, LeastSquaresDre
@@ -16,7 +15,7 @@ from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import FrictionModel, NoiseModel, Plant
 from ftlab.regression import RegressionPair
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
-                       read_trace_csv, run_closed_loop, trace_csv_string)
+                       read_trace_csv, run_closed_loop, trace_columns, trace_csv_string)
 
 DT = 5e-4
 
@@ -425,8 +424,8 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("estimate_dim", [2, 5], ids=["c1_c2", "c3_c4"])
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
     def test_blocks_write_the_row_loop_bytes(self, rows, estimate_dim):
-        # 256-row blocks: one short block, exact fits, one spare row and a
-        # short third block
+        # less than one 256-row block, exactly one, one and a row, two and a row
+        assert _g17.BLOCK_ROWS == 256
         rng = np.random.default_rng(rows + estimate_dim)
         col = lambda *shape: rng.standard_normal((rows, *shape)) * 10.0 ** rng.integers(
             -12, 12, (rows, *shape))
@@ -434,7 +433,7 @@ class TestCsvRoundTrip:
                       col(estimate_dim), col(), col(), col(), col())
         trace.tau[::7, 0] = 0.0
         trace.v1[::5] = -0.0
-        header, data = sim_mod.trace_columns(trace)
+        header, data = trace_columns(trace)
         assert data.shape == (rows, 13 + estimate_dim)
         assert trace_csv_string(trace) == ",".join(header) + "\n" + ref.csv_rows(data)
 
