@@ -29,9 +29,15 @@ row sequences, and the kernels return floats.  The gain vectors are
 tuples of floats too, checked positive at construction.  Only the l = 5
 estimator algebra of c3 and c4 is numpy; c4 steps the least-squares
 extension's gain (``drem.LeastSquaresDre``) rather than a gain of its own.
-``saturation`` and ``excitation_gain`` are the checked forms, of a float or
-an array, over ``mathx.signed_power_vec``; ``sat`` is the step loop's
-unchecked kernel.
+Each family's ``update`` forms its estimate rate and takes the Euler step
+itself: the composite law's rate, prediction error and saturation are
+written out in ``CompositeFtController.update``, c3's rate is one
+comprehension over its cached views of phi1 and phi2, and c4 folds the
+sign of -F x into its step.  c3's ``torque`` takes <e1>^a once, for the
+switching value and the nonlinear branch.  ``saturation`` is the checked
+form, of a float or an array, of the composite update's saturation, and
+``excitation_gain`` the zeta1 monitor's gain, both over
+``mathx.signed_power_vec``.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from . import mathx
-from .mathx import matvec2, spow
+from .mathx import spow
 from .errors import ConfigError
 from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
 from .regression import RegressionPair
@@ -101,10 +107,9 @@ def _ftpd(e1, e2, psi, theta_hat_u, gains: FtPdGains, a: float, b: float) -> tup
     """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_hat_u, with <.>^p
     the elementwise signed power; a = b = 1 gives the plain adaptive PD."""
     (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.kp, gains.kd, gains.kd_lin
-    (e11, e12), (e21, e22) = e1, e2
-    g1, g2 = matvec2(psi, theta_hat_u)
-    return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + g1,
-            -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + g2)
+    (e11, e12), (e21, e22), ((p11, p12), (p21, p22)), (t1, t2) = e1, e2, psi, theta_hat_u
+    return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + (p11 * t1 + p12 * t2),
+            -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + (p21 * t1 + p22 * t2))
 
 
 @dataclass(frozen=True)
@@ -142,17 +147,11 @@ class CompositeAdaptGains:
         return self.gamma1 * self.d1
 
 
-def sat(delta: float, c: float, d: float) -> float:
-    """``saturation`` of a float, unchecked: the step loop calls it on a
-    Delta that the mixing has checked finite."""
-    return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
-
-
 def saturation(delta, c: float, d: float):
     """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Of a float, a
-    float; of an array, an array; each entry ``sat(delta, c, d)`` bit for
-    bit.  Raises ValueError on a non-finite delta or an exponent d or c + d
-    that is not finite and positive."""
+    float; of an array, an array; each entry the composite update's
+    saturation of that delta bit for bit.  Raises ValueError on a non-finite
+    delta or an exponent d or c + d that is not finite and positive."""
     power = mathx.signed_power_vec
     gain = power(delta, d) / (1.0 + power(np.abs(delta), c + d))
     return float(gain) if gain.ndim == 0 else gain
@@ -163,34 +162,12 @@ def excitation_gain(delta, b: float, d: float):
     |delta|^(b+d)), hence in [0, 1) (in floats at b = d = 0.5, for |delta|
     below about 3.7e15, where it rounds to 1.0), and 0.0 at delta = 0.  Of a
     float, a float; of an array (the zeta1 monitor's record of Delta), an
-    array, each entry ``sat(delta, b, d) * spow(delta, b)`` bit for bit.
+    array, each entry the update's saturation times ``spow(delta, b)`` bit
+    for bit.
     Raises ValueError on a non-finite delta or an exponent b or d that is
     not finite and positive."""
     gain = saturation(delta, b, d) * mathx.signed_power_vec(delta, b)
     return float(gain) if gain.ndim == 0 else gain
-
-
-def _prediction_error(delta: float, theta_hat_u, y_u, c: float) -> tuple:
-    """Componentwise <delta * theta_hat_u - y_u>^c; when y_u = delta * theta_u
-    exactly, this factors into <delta>^c <theta_hat_u - theta_u>^c."""
-    (t1, t2), (y1, y2) = theta_hat_u, y_u
-    return spow(delta * t1 - y1, c), spow(delta * t2 - y2, c)
-
-
-def _composite_rate(e1, e2, psi, theta_hat_u, delta: float, y_u,
-                    gains: CompositeAdaptGains, c: float) -> tuple:
-    """Time derivative of theta_hat_u under the composite law, with
-    saturation and prediction-error exponent c (the controller's b)."""
-    (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, e2, psi
-    g1d1, g12 = gains.g1d1, gains.g12
-    v1 = g1d1 * math.tanh(e11) + g12 * e21
-    v2 = g1d1 * math.tanh(e12) + g12 * e22
-    xi1, xi2 = _prediction_error(delta, theta_hat_u, y_u, c)
-    f_gain = sat(delta, c, gains.sat_d)
-    (g1, g2), (u1, u2) = gains.gamma_diag, gains.upsilon_diag
-    # -gamma (direct + indirect), the direct term being Psi' v
-    return (-g1 * (p11 * v1 + p21 * v2 + g12 * u1 * f_gain * xi1),
-            -g2 * (p12 * v1 + p22 * v2 + g12 * u2 * f_gain * xi2))
 
 
 def _check_theta_hat0(config, dim: int) -> None:
@@ -201,14 +178,11 @@ def _check_theta_hat0(config, dim: int) -> None:
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
     reads and records, and the regressor extension, ``extension``, that
-    each family steps."""
+    each family steps.  Each family's ``update`` Euler-steps the estimate
+    itself."""
 
     estimate: tuple
     extension: object
-
-    def advance(self, rate, dt: float) -> None:
-        """Euler-step the estimate at ``rate``, a sequence of floats."""
-        self.estimate = tuple(th + dt * r for th, r in zip(self.estimate, rate))
 
     def _start(self, theta_hat0, dim: int) -> None:
         self.estimate = ((0.0,) * dim if theta_hat0 is None
@@ -261,23 +235,26 @@ class CompositeFtController(_Estimate):
         ftpd = self.ftpd
         return _ftpd(e1, qd, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
 
-    def adapt_rate(self, e1, e2, psi, delta: float, y_u) -> tuple:
-        """The composite rate at Delta and theta_u's block y_u of Y."""
-        return _composite_rate(e1, e2, psi, self.estimate, delta, y_u, self.adapt,
-                               self.ftpd.b)
-
-    def advance(self, rate, dt: float) -> None:
-        """Euler-step the two estimates at ``rate``, a pair of floats."""
-        (t1, t2), (r1, r2) = self.estimate, rate
-        self.estimate = (t1 + dt * r1, t2 + dt * r2)
-
     def update(self, pair: RegressionPair, dt: float, k: int) -> float:
-        # row k of the mixing record that diagnostics() allocated
-        self.extension.step(pair, dt)
-        mixed = self.extension.mix(self._mixing[k])
-        delta = mixed[0]
-        self.advance(self.adapt_rate(self._e1, self._e2, self._psi, delta,
-                                     mixed[-self.estimate_dim:]), dt)
+        """Step the extension, mix into row k of the mixing record that
+        diagnostics() allocated, and Euler-step the estimate at the composite
+        rate -gamma (Psi' v + g12 upsilon sat(Delta) <Delta theta_hat - y_u>^c),
+        v = g1d1 tanh(e1) + g12 e2, y_u theta_u's block of Y and the exponent
+        c the PD exponent b; sat(Delta) = <Delta>^d / (1 + |Delta|^(c + d))."""
+        extension = self.extension
+        extension.step(pair, dt)
+        mixed = extension.mix(self._mixing[k])
+        delta, y1, y2 = mixed[0], mixed[-2], mixed[-1]
+        adapt, c = self.adapt, self.ftpd.b
+        g1d1, g12, d = adapt.g1d1, adapt.g12, adapt.sat_d
+        (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = self._e1, self._e2, self._psi
+        (t1, t2), (gm1, gm2), (u1, u2) = self.estimate, adapt.gamma_diag, adapt.upsilon_diag
+        v1 = g1d1 * math.tanh(e11) + g12 * e21
+        v2 = g1d1 * math.tanh(e12) + g12 * e22
+        f_gain = spow(delta, d) / (1.0 + abs(delta) ** (c + d))
+        r1 = -gm1 * (p11 * v1 + p21 * v2 + g12 * u1 * f_gain * spow(delta * t1 - y1, c))
+        r2 = -gm2 * (p12 * v1 + p22 * v2 + g12 * u2 * f_gain * spow(delta * t2 - y2, c))
+        self.estimate = (t1 + dt * r1, t2 + dt * r2)
         return delta
 
     def diagnostics(self, n_rec: int) -> dict:
@@ -311,10 +288,10 @@ def _slotine_li_torque(w, theta_hat, s, k1: float, ks: float) -> tuple:
             sum(map(operator.mul, w2, theta_hat)) - k1 * s2 - ks * u2)
 
 
-def _regressor_times(w, s) -> tuple:
-    """W' s for the two rows of W, as a tuple of floats."""
+def _regressor_times(w, s) -> list:
+    """W' s for the two rows of W, as a list of floats."""
     (w1, w2), (s1, s2) = w, s
-    return tuple(a * s1 + b * s2 for a, b in zip(w1, w2))
+    return [a * s1 + b * s2 for a, b in zip(w1, w2)]
 
 
 @dataclass(frozen=True)
@@ -365,10 +342,14 @@ class SwitchingTsmController(_Estimate):
         self._start(theta_hat0, self.estimate_dim)
         self.plant = plant
         self.extension = extension
+        if extension is not None:
+            # views of the extension's state, which its step updates in place
+            self._phi1, self._phi2 = extension.phi1, extension.phi2
         self._mixing = None
         self._w = None
         self._s = None
         self._nonlinear = True
+        self.switching_value = None
 
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
@@ -380,30 +361,27 @@ class SwitchingTsmController(_Estimate):
     def check_config(cls, config, theta_u) -> None:
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def switching_function(self, e1, e2, inertia) -> float:
-        """e2' M e2 - lam_max(M) |k2 <e1>^a|^2, with M = ``inertia``."""
-        k2, a = self.params.k2, self.a
-        (e11, e12), (e21, e22), ((m11, m12), (m21, m22)) = e1, e2, inertia
-        ref1, ref2 = k2 * spow(e11, a), k2 * spow(e12, a)
-        lam_max = mathx.eig_sym2(m11, m12, m22)[1]
-        return ((e21 * m11 + e22 * m21) * e21 + (e21 * m12 + e22 * m22) * e22
-                - lam_max * (ref1 * ref1 + ref2 * ref2))
-
     def torque(self, e1, q, qd, psi, inertia) -> tuple:
         """Branch selection plus torque; caches the regressor and sliding
         variable for the subsequent adaptation-rate evaluation.  ``inertia``
         is M(q), or None to have the plant evaluate it; the velocity error
-        e2 is qd."""
+        e2 is qd.  The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2,
+        which selects the branch, is kept as ``switching_value``; <e1>^a is
+        taken once, for it and for the nonlinear branch."""
         p = self.params
         k2, a = p.k2, self.a
         if inertia is None:
             inertia = self.plant.inertia_rows(q)
-        self._nonlinear = self.switching_function(e1, qd, inertia) <= 0.0
-        (e11, e12), (qd1, qd2) = e1, qd
+        (e11, e12), (qd1, qd2), ((m11, m12), (m21, m22)) = e1, qd, inertia
+        pow1, pow2 = spow(e11, a), spow(e12, a)
+        ref1, ref2 = k2 * pow1, k2 * pow2
+        lam_max = mathx.eig_sym2(m11, m12, m22)[1]
+        self.switching_value = ((qd1 * m11 + qd2 * m21) * qd1 + (qd1 * m12 + qd2 * m22) * qd2
+                                - lam_max * (ref1 * ref1 + ref2 * ref2))
+        self._nonlinear = self.switching_value <= 0.0
         if self._nonlinear:
-            ref1, ref2 = spow(e11, a), spow(e12, a)
-            qd_r = (-k2 * ref1, -k2 * ref2)
-            s = (qd1 + k2 * ref1, qd2 + k2 * ref2)
+            qd_r = (-k2 * pow1, -k2 * pow2)
+            s = (qd1 + ref1, qd2 + ref2)
             gain = -a * k2
             qdd_r = (gain * max(abs(e11), p.clamp) ** (a - 1.0) * qd1,
                      gain * max(abs(e12), p.clamp) ** (a - 1.0) * qd2)
@@ -419,9 +397,9 @@ class SwitchingTsmController(_Estimate):
     def branch(self) -> str:
         return "tsm" if self._nonlinear else "linear"
 
-    def adapt_rate(self, phi1: np.ndarray, phi2: np.ndarray) -> tuple:
+    def adapt_rate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
         """Estimator rate from the last torque evaluation and the current
-        extension filter states, as a tuple of floats: -gamma W' s minus
+        extension filter states, as a list of floats: -gamma W' s minus
         gamma k times the drift phi2 theta_hat - phi1 (linear branch) or
         phi2' times its unit vector, 0 at zero drift (nonlinear branch).
         The products with phi2 are numpy, where BLAS may fuse multiply-adds;
@@ -430,6 +408,8 @@ class SwitchingTsmController(_Estimate):
             raise RuntimeError("torque() must be evaluated before adapt_rate()")
         p = self.params
         w_s = _regressor_times(self._w, self._s)
+        # phi2 is a strided view of the extension's state, on which
+        # phi2.dot(x) rounds differently from phi2 @ x: keep the matmul
         drift = phi2 @ np.array(self.estimate) - phi1
         if self._nonlinear:
             gain, weight = p.gamma_tsm, p.gamma_tsm * p.k_tsm
@@ -439,13 +419,14 @@ class SwitchingTsmController(_Estimate):
         else:
             gain, weight = p.gamma_lin, p.gamma_lin * p.k_lin
             term = drift.tolist()
-        return tuple(-gain * a - weight * b for a, b in zip(w_s, term))
+        return [-gain * a - weight * b for a, b in zip(w_s, term)]
 
     def update(self, pair: RegressionPair, dt: float, k: int) -> float:
         extension = self.extension
         extension.step(pair, dt)
         delta = extension.mix(self._mixing[k])[0]
-        self.advance(self.adapt_rate(extension.phi1, extension.phi2), dt)
+        rate = self.adapt_rate(self._phi1, self._phi2)
+        self.estimate = tuple([th + dt * r for th, r in zip(self.estimate, rate)])
         return delta
 
     def diagnostics(self, n_rec: int) -> dict:
@@ -509,7 +490,9 @@ class SlotineLiLsController(_Estimate):
         omega = pair.omega
         e_p = omega.dot(self.estimate) - pair.y
         drive = np.add(_regressor_times(self._w, self._s), e_p.dot(omega))
-        self.advance((-self.extension.gain_times(drive)).tolist(), dt)
+        # th + dt * -(F x) is th - dt * (F x), bit for bit
+        f_drive = self.extension.gain_times(drive).tolist()
+        self.estimate = tuple([th - dt * r for th, r in zip(self.estimate, f_drive)])
         self.extension.step(pair, dt)
         return 0.0
 

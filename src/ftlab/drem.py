@@ -6,17 +6,20 @@ norm-capped forgetting factor, started from u~ = 0 (its initial estimate
 cancels out of Y), or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
 [phi2 | phi1], that one affine step advances in place: decay * state +
-gain * Omega' [Omega | y], the product one BLAS call on the regression
-filter's [Omega | y] buffer as it stands (the pair's ``omega`` and ``y`` are
-views of it; ``KreisselmeierDre`` says what the one product does to its
-bits and why phi2 stays symmetric).  The least-squares mixing reads Delta
-and adj(phi) v off the eigendecomposition of the information matrix that
-its step takes anyway; the Kreisselmeier mixing gathers phi2 and its
-column-replaced copies with ``mathx``'s cached Cramer index and takes their
-determinants in one call (Cramer form) instead of building the adjugate.
-Both LAPACK calls go
-through ``mathx``'s direct kernels (``eigh_sym``, ``det_stack``), not
-numpy's wrappers.  Each mix writes [Delta | Y] into the (l + 1,) row it is
+gain * Omega' [Omega | y], the product one ``ndarray.dot`` into a work
+array on the regression filter's [Omega | y] buffer as it stands (the
+pair's ``omega``, ``y`` and ``omega_t`` are views of it, built once;
+``KreisselmeierDre`` says what the one product does to its bits and why
+phi2 stays symmetric).  A gain or decay that is constant while dt is, the
+Kreisselmeier pair and the least-squares gain, is held as a 0-d array,
+which an in-place product takes without converting a float.  The
+least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
+of the information matrix that its step takes anyway; the Kreisselmeier
+mixing gathers phi2 and its column-replaced copies with ``mathx``'s cached
+Cramer index into a work stack and takes their determinants in one call
+(Cramer form) instead of building the adjugate.  Both LAPACK calls are
+``mathx``'s gufuncs (``eigh_sym``, ``det_stack``), called with no Python
+wrapper.  Each mix writes [Delta | Y] into the (l + 1,) row it is
 given, the caller's mixing record row for the step, and returns that row as
 floats: Delta first, then Y = adj(phi) v.  An eigendecomposition of R that
 fails (non-finite eigenvalues) raises NumericalDegeneracyError naming R,
@@ -53,10 +56,12 @@ def _checked_mix(row: np.ndarray) -> list:
 
 
 def _affine_step(state: np.ndarray, drive: np.ndarray, pair: RegressionPair,
-                 gain: float, decay: float) -> None:
+                 gain, decay) -> None:
     """state <- decay * state + gain * Omega' [Omega | y], in place: one BLAS
-    product on the pair's own buffer into ``drive``, then the update."""
-    np.dot(pair.omega.T, pair.aug, out=drive)
+    product on the pair's own buffer into ``drive``, then the update.  The
+    gain and decay are floats or 0-d arrays (an in-place product with a 0-d
+    array skips the conversion of a float, and rounds the same)."""
+    pair.omega_t.dot(pair.aug, out=drive)
     drive *= gain
     state *= decay
     state += drive
@@ -137,7 +142,9 @@ class LeastSquaresDre:
         self.z = 1.0
         self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
         self._r = self._state[:, :dim]
+        self._u = self._state[:, dim]
         self._drive = np.empty((dim, dim + 1))
+        self._dt = None
         # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w, kept
         # as the array the record row takes and as floats for beta and mix
         self._v = np.eye(dim)
@@ -164,17 +171,17 @@ class LeastSquaresDre:
     @property
     def rho_hat(self) -> np.ndarray:
         """The estimate F u~."""
-        return self.F @ self._state[:, self.dim]
+        return self.F @ self._u
 
     @rho_hat.setter
     def rho_hat(self, value) -> None:
         # u~ of this estimate at the current F
-        self._state[:, self.dim] = self._r @ np.asarray(value, dtype=float)
+        self._u[...] = self._r @ np.asarray(value, dtype=float)
 
     def gain_times(self, x: np.ndarray) -> np.ndarray:
         """F x = V diag(1/w) V' x, as two matvecs on the current eigenpairs."""
         v = self._v
-        return v.dot(np.divide(x.dot(v), self._w))
+        return v.dot(np.divide(x.dot(v), self._w_arr))
 
     def beta(self) -> float:
         """Current forgetting rate, from the eigenvalues w of R the last step
@@ -192,10 +199,14 @@ class LeastSquaresDre:
     def step(self, pair: RegressionPair, dt: float) -> None:
         """One Euler step of [R | u~] and the eigendecomposition of R, whose
         eigenvalues w feed the next beta()."""
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if dt != self._dt:
+            # the gain of a step size, kept as a 0-d array while it stays the same
+            if not dt > 0.0:
+                raise ValueError(f"dt must be positive, got {dt}")
+            self._gain = np.array(dt * self.params.alpha)
+            self._dt = dt
         decay = 1.0 - dt * self.beta()
-        _affine_step(self._state, self._drive, pair, dt * self.params.alpha, decay)
+        _affine_step(self._state, self._drive, pair, self._gain, decay)
         self.z = self.z * decay
         w, v = mathx.eigh_sym(self._r)
         eigs = w.tolist()
@@ -229,7 +240,7 @@ class LeastSquaresDre:
             suffix *= ratios[i]
             coef[i - 1] *= suffix
         v = self._v
-        v.dot(np.multiply(coef, self._state[:, self.dim].dot(v)), out=out[1:])
+        v.dot(np.multiply(coef, self._u.dot(v)), out=out[1:])
         out[0] = prefix
         return _checked_mix(out)
 
@@ -288,6 +299,8 @@ class KreisselmeierDre:
         self._state = np.zeros((dim, dim + 1))
         self._drive = np.empty((dim, dim + 1))
         self._cramer = mathx._cramer_index(dim)
+        self._stack = np.empty(self._cramer.shape)
+        self._dt = None
         self._rec = None
 
     @property
@@ -307,15 +320,22 @@ class KreisselmeierDre:
         self._state[:, :self.dim] = value
 
     def step(self, pair: RegressionPair, dt: float) -> None:
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        _affine_step(self._state, self._drive, pair, dt * self.params.lambda3,
-                     1.0 - dt * self.params.lambda2)
+        if dt != self._dt:
+            # the gain and decay of a step size, kept as 0-d arrays while it
+            # stays the same
+            if not dt > 0.0:
+                raise ValueError(f"dt must be positive, got {dt}")
+            self._gain = np.array(dt * self.params.lambda3)
+            self._decay = np.array(1.0 - dt * self.params.lambda2)
+            self._dt = dt
+        _affine_step(self._state, self._drive, pair, self._gain, self._decay)
 
     def mix(self, out: np.ndarray) -> list:
         """[Delta | Y] = [det(phi2) | adj(phi2) phi1], written into the
         (l + 1,) row ``out`` and returned as floats."""
-        mathx.det_stack(self._state.take(self._cramer), out=out)
+        # the flat indices are all in range, so no mode checks them
+        self._state.take(self._cramer, out=self._stack, mode="wrap")
+        mathx.det_stack(self._stack, out=out)
         return _checked_mix(out)
 
     def diagnostics(self, n_rec: int) -> dict:

@@ -1,12 +1,13 @@
 """Signed-power arithmetic and the few matrix helpers the run path calls.
 
-The step loop's n = 2 arithmetic runs on Python floats, with ``spow``,
-``matvec2`` and ``eig_sym2`` as its kernels; ``signed_power_vec`` is
-``spow`` over a whole array, bit for bit, with its arguments checked, for
-the monitors that run after the loop.  ``eigh_sym`` and ``det_stack`` are
-the extensions' two LAPACK calls per step: the gufuncs that
-``np.linalg.eigh`` and ``np.linalg.det`` call, called directly, which gives
-the same bits without the wrappers' cost.  They are numpy's private
+The step loop's n = 2 arithmetic runs on Python floats, with ``spow`` and
+``eig_sym2`` as its kernels (its 2x2 products are written out where they
+are taken); ``signed_power_vec`` is ``spow`` over a whole array, bit for
+bit, with its arguments checked, for the monitors that run after the loop.
+``eigh_sym`` and ``det_stack`` are the extensions' two LAPACK calls per
+step: the gufuncs that ``np.linalg.eigh`` and ``np.linalg.det`` call,
+bound to these names with no wrapper of ours either, which gives the same
+bits without the wrappers' cost.  They are numpy's private
 ``numpy.linalg._umath_linalg`` loops, named nowhere else in ftlab; the numpy
 pin in ``pyproject.toml`` and a bitwise test against the public functions
 guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
@@ -33,13 +34,6 @@ def spow(z: float, q: float) -> float:
     return math.copysign(abs(z) ** q, z) if z else 0.0
 
 
-def matvec2(a, v) -> tuple[float, float]:
-    """a v for a 2x2 matrix a, given as two rows, and a 2-vector v."""
-    (a11, a12), (a21, a22) = a
-    v1, v2 = v
-    return a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
-
-
 def signed_power_vec(z, q: float) -> np.ndarray:
     """Elementwise ``spow`` of an array, bit for bit, with z checked finite
     and q a finite positive exponent (ValueError otherwise).  |z|**q is
@@ -64,18 +58,17 @@ def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
     return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
-def eigh_sym(a) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of the symmetric matrix a, read from its lower triangle: w
-    ascending and v's columns the eigenvectors, bit for bit those of
-    ``np.linalg.eigh(a)``.  Unlike it, this raises no LinAlgError: a
-    decomposition that fails comes back as NaN, so the caller checks w."""
-    return _umath_linalg.eigh_lo(a, signature="d->dd")
-
-
-def det_stack(a, out=None) -> np.ndarray:
-    """Determinants of a stack of square matrices (one batched LU), bit for
-    bit those of ``np.linalg.det(a)``; written into ``out`` if given."""
-    return _umath_linalg.det(a, signature="d->d", out=out)
+# The extensions' two LAPACK calls per step are the gufuncs themselves, with
+# no Python wrapper around them.  On float64 input their type resolution
+# picks the "d" loops that np.linalg.eigh and np.linalg.det force with a
+# signature, so they give the same bits without the wrappers' cost.
+# eigh_sym(a) -> (w, v) reads the lower triangle of the symmetric a, w
+# ascending and v's columns the eigenvectors; unlike np.linalg.eigh it raises
+# no LinAlgError, a decomposition that fails comes back as NaN, so the caller
+# checks w.  det_stack(a, out=None) takes the determinants of a stack of
+# square matrices (one batched LU), written into ``out`` if given.
+eigh_sym = _umath_linalg.eigh_lo
+det_stack = _umath_linalg.det
 
 
 @functools.cache

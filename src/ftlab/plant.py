@@ -11,9 +11,12 @@ so that the regression can be built from the known terms.  The arm is the
 planar two-link manipulator with revolute joints, with three inertia terms
 and two potential terms; ``ThetaVector`` holds their coefficients as tuples
 of floats, and ``Plant`` evaluates its quantities from them as closed forms
-in Python floats, which is what the step loop calls.  Friction and
-measurement noise are separate bolt-on models that only the simulation loop
-applies, as the run's config holds them; they too return floats.
+in Python floats, which is what the step loop calls.  ``forward_dynamics``
+forms C(q, qd) qd and Psi(q) theta_u inline, in the order of operations of
+the row products it replaced, and ``energy_terms`` is one closed form.
+Friction and measurement noise are separate bolt-on models that only the
+simulation loop applies, as the run's config holds them; they too return
+floats, the noise both joints' position and velocity noise from one sine.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mathx
 from .errors import NumericalDegeneracyError
 
 
@@ -171,16 +173,15 @@ class Plant:
 
     def energy_terms(self, q, qd) -> tuple:
         """Basis energies: (1/2) qd' M_k(q) qd for k = 1..3, then U_1(q), U_2(q);
-        the total energy is their dot product with theta."""
-        qd1, qd2 = qd
-        (f11, f12, f13), (f21, f22, f23) = self.basis_force_rows(q, qd)
-        return (0.5 * (f11 * qd1 + f21 * qd2), 0.5 * (f12 * qd1 + f22 * qd2),
-                0.5 * (f13 * qd1 + f23 * qd2), *self._potential_terms(q))
-
-    @staticmethod
-    def _potential_terms(q) -> tuple:
+        the total energy is their dot product with theta.  One closed form:
+        the kinetic terms are qd' times the columns of ``basis_force_rows``,
+        in that product's order of operations (less the zero entry's term,
+        which moves no finite result)."""
         q1, q2 = q
-        return (-math.cos(q1 + q2), -math.cos(q1))
+        qd1, qd2 = qd
+        c2 = math.cos(q2)
+        return (0.5 * (qd1 * qd1), 0.5 * ((2.0 * c2 * qd1 + c2 * qd2) * qd1 + c2 * qd1 * qd2),
+                0.5 * (qd2 * qd1 + (qd1 + qd2) * qd2), -math.cos(q1 + q2), -math.cos(q1))
 
     def total_energy(self, q, qd) -> float:
         """The energy terms dotted with theta: the energy audit's reference."""
@@ -193,13 +194,15 @@ class Plant:
         Friction enters as an opposing torque on the plant side only.  ``psi``
         and ``inertia`` are Psi(q) and M(q), for a caller that has them already.
         """
-        if psi is None:
-            psi = self.psi_rows(q)
-        c1, c2 = mathx.matvec2(self.coriolis_rows(q, qd), qd)
-        g1, g2 = mathx.matvec2(psi, self.theta.theta_u)
+        qd1, qd2 = qd
+        (p11, p12), (p21, p22) = self.psi_rows(q) if psi is None else psi
+        d4, d5 = self.theta.theta_u
+        # C(q, qd) qd over the rows of ``coriolis_rows`` and g = Psi theta_u,
+        # each summed as a 2x2 product of rows sums it
+        h = self.theta.theta_m[1] * math.sin(q[1])
         t1, t2 = tau
-        r1 = t1 - c1 - g1
-        r2 = t2 - c2 - g2
+        r1 = t1 - (h * -qd2 * qd1 + h * -(qd1 + qd2) * qd2) - (p11 * d4 + p12 * d5)
+        r2 = t2 - (h * qd1 * qd1 + 0.0 * qd2) - (p21 * d4 + p22 * d5)
         if tau_f is not None:
             f1, f2 = tau_f
             r1 = r1 - f1
@@ -244,11 +247,8 @@ class NoiseModel:
     amplitude: float = 0.005
     frequency: float = 100.0
 
-    def position(self, t: float) -> tuple:
-        """The position noise at time t, one float per joint."""
+    def sample(self, t: float) -> tuple:
+        """amplitude * (sin w, cos w) at time t: the position noise of the two
+        joints, the first of which is also the velocity noise of both."""
         w = self.frequency * t
         return self.amplitude * math.sin(w), self.amplitude * math.cos(w)
-
-    def velocity(self, t: float) -> tuple:
-        noise = self.amplitude * math.sin(self.frequency * t)
-        return noise, noise

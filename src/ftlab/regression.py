@@ -13,13 +13,17 @@ measurement (state before the update), then advances the filter states; with
 the zero-transient initialization chosen here the identity y = Omega theta
 holds exactly at t = 0 and the residual stays at the integration-error level
 afterwards.  The filter states are Python floats.  Each filter owns one
-``RegressionPair`` for the whole run: a (n_out, l + 1) buffer [Omega | y]
-that ``step`` overwrites with one flat assignment per sample, and whose
-``omega`` and ``y`` are views of it.  The pair ``step`` returns is therefore
-valid until the next ``step``; a caller that keeps a sample copies it.
+``RegressionPair`` for the whole run, ``pair``: a (n_out, l + 1) buffer
+[Omega | y] that ``step`` overwrites with one ``struct`` pack per sample
+(the bytes a float64 assignment of the same floats gives), and whose
+``omega``, ``y`` and ``omega_t`` are views of it, built once.  The pair
+``step`` returns is therefore valid until the next ``step``; a caller that
+keeps a sample copies it.
 """
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -28,20 +32,28 @@ from .plant import Plant
 
 class RegressionPair:
     """One sample of the regression equation y = Omega theta, held as one
-    (n_out, l + 1) buffer ``aug`` = [Omega | y]: ``omega`` (n_out, l) and
-    ``y`` (n_out,) are views of it.  Built from y and Omega, it copies them
+    (n_out, l + 1) buffer ``aug`` = [Omega | y]: ``omega`` (n_out, l),
+    ``y`` (n_out,) and Omega' ``omega_t`` (l, n_out) are views of it, built
+    once.  Built from y and Omega, it copies them
     into a new buffer; a regression filter builds one per run and rewrites
     its buffer in place every step."""
 
-    __slots__ = ("aug", "omega", "y")
+    __slots__ = ("aug", "omega", "y", "omega_t")
 
     def __init__(self, y, omega):
         omega = np.asarray(omega, dtype=float)
         self.aug = np.empty((len(omega), omega.shape[1] + 1))
         self.omega = self.aug[:, :-1]
         self.y = self.aug[:, -1]
+        self.omega_t = self.omega.T
         self.omega[...] = omega
         self.y[...] = y
+
+
+# one row [Omega | y] of 6 or two of 12 native float64s, written into the
+# pair's buffer: the bytes numpy's float64 assignment of the same floats gives
+_pack6 = struct.Struct("6d").pack_into
+_pack12 = struct.Struct("12d").pack_into
 
 
 def _check_filter_constants(lambda0: float, lambda1: float):
@@ -66,8 +78,8 @@ class PowerBalanceRegression:
         self.lambda1 = float(lambda1)
         self._y = 0.0
         self._z = tuple(-self.lambda0 * w for w in plant.energy_terms(q0, qd0))
-        self._pair = RegressionPair(np.zeros(1), np.zeros((1, 5)))
-        self._flat = self._pair.aug.reshape(-1)
+        self.pair = RegressionPair(np.zeros(1), np.zeros((1, 5)))
+        self._buf = memoryview(self.pair.aug)
 
     @property
     def y(self) -> float:
@@ -87,13 +99,13 @@ class PowerBalanceRegression:
         w1, w2, w3, w4, w5 = self.plant.energy_terms(q, qd)
         z1, z2, z3, z4, z5 = self._z
         r1, r2, r3, r4, r5 = z1 + l0 * w1, z2 + l0 * w2, z3 + l0 * w3, z4 + l0 * w4, z5 + l0 * w5
-        self._flat[:] = (r1, r2, r3, r4, r5, self._y)
+        _pack6(self._buf, 0, r1, r2, r3, r4, r5, self._y)
         (qd1, qd2), (t1, t2) = qd, tau
         power = qd1 * t1 + qd2 * t2
         self._y += dt * (-l1 * self._y + l0 * power)
         self._z = (z1 + dt * (-l1 * r1), z2 + dt * (-l1 * r2), z3 + dt * (-l1 * r3),
                    z4 + dt * (-l1 * r4), z5 + dt * (-l1 * r5))
-        return self._pair
+        return self.pair
 
 
 class ForceBalanceRegression:
@@ -119,8 +131,8 @@ class ForceBalanceRegression:
         self._z = tuple(tuple(-self.lambda0 * f for f in row)
                         for row in plant.basis_force_rows(q0, qd0))
         self._omega_d2 = ((0.0, 0.0), (0.0, 0.0))
-        self._pair = RegressionPair(np.zeros(2), np.zeros((2, 5)))
-        self._flat = self._pair.aug.reshape(-1)
+        self.pair = RegressionPair(np.zeros(2), np.zeros((2, 5)))
+        self._buf = memoryview(self.pair.aug)
 
     @property
     def y(self) -> np.ndarray:
@@ -143,8 +155,8 @@ class ForceBalanceRegression:
         (z11, z12, z13), (z21, z22, z23) = self._z
         (w11, w12), (w21, w22) = self._omega_d2
         (y1, y2), (t1, t2) = self._y, tau
-        self._flat[:] = (z11 + f11, z12 + f12, z13 + f13, w11, w12, y1,
-                         z21 + f21, z22 + f22, z23 + f23, w21, w22, y2)
+        _pack12(self._buf, 0, z11 + f11, z12 + f12, z13 + f13, w11, w12, y1,
+                z21 + f21, z22 + f22, z23 + f23, w21, w22, y2)
         # phi1 = lambda0 phi3 + grad_gain * kinetic gradient
         (g11, g12, g13), (g21, g22, g23) = plant.kinetic_grad_rows(q, qd)
         f11, f12, f13 = f11 + gg * g11, f12 + gg * g12, f13 + gg * g13
@@ -157,7 +169,7 @@ class ForceBalanceRegression:
                     z23 + dt * (-l1 * (z23 + f23))))
         self._omega_d2 = ((w11 + dt * (-l1 * w11 + l0 * p11), w12 + dt * (-l1 * w12 + l0 * p12)),
                           (w21 + dt * (-l1 * w21 + l0 * p21), w22 + dt * (-l1 * w22 + l0 * p22)))
-        return self._pair
+        return self.pair
 
 
 def make_regression(kind: str, plant: Plant, q0, qd0,

@@ -18,6 +18,12 @@ models from the config as they are.  The trace keeps the series each
 step records and nothing built after the loop but the monitors; the
 metrics of a trace are scalars.
 
+The loop binds the methods it calls once, before it starts, and writes
+its record without numpy's per-call cost: each step's row of floats is
+packed with ``struct`` into its slot of the record's buffer, the bytes a
+float64 row assignment gives, and the regression pair's [Omega | y]
+buffer is copied byte for byte into its slot of the pair record.
+
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.  ``write_trace_csv`` writes
 each float in the exact bytes of ``'%.17g' % x``, through the vectorised
@@ -29,6 +35,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,8 +238,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     M(q) are evaluated once per step (at the true and, in case2, at the
     measured configuration; M(q) there only if the controller asks for it)
     and passed to the controller, the regression filter and the plant step.
-    The regression pair is the filter's one [Omega | y] buffer, recorded
-    whole each step.  The monitors V1, zeta1 and |z1| feed nothing back, so
+    The regression pair is the filter's one [Omega | y] buffer,
+    ``regression.pair``, recorded whole each step.  The monitors V1, zeta1 and |z1| feed nothing back, so
     they are evaluated after the loop, over the recorded series, with Psi(q)
     and M(q) rebuilt from the recorded q.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
@@ -276,6 +283,18 @@ def run_closed_loop(config: SimConfig) -> Trace:
     qdes1, qdes2 = config.q_d.tolist()
     dt = config.dt
 
+    # the loop's calls, bound once
+    psi_rows, inertia_rows, forward_dynamics = (plant.psi_rows, plant.inertia_rows,
+                                                plant.forward_dynamics)
+    torque, update, record = controller.torque, controller.update, controller.record
+    regression_step, noise_at, friction_torque = regression.step, noise.sample, friction.torque
+    # each row is packed into its bytes in the record; so is the regression
+    # pair's [Omega | y] buffer, copied byte for byte
+    pack_row = struct.Struct(f"{rows.shape[1]}d").pack_into
+    rows_buf, row_bytes = memoryview(rows), rows.itemsize * rows.shape[1]
+    aug_buf, aug_src = memoryview(aug_rec).cast("B"), memoryview(regression.pair.aug).cast("B")
+    aug_bytes = aug_src.nbytes
+
     # every state and mixing output is checked below, so numpy's
     # floating-point warnings would only repeat what the check names
     with np.errstate(all="ignore"):
@@ -292,34 +311,34 @@ def run_closed_loop(config: SimConfig) -> Trace:
                             raise NumericalDegeneracyError(f"{name} is not finite")
                 q = (q1, q2)
                 qd = (qd1, qd2)
-                psi = plant.psi_rows(q)
-                inertia = plant.inertia_rows(q)
+                psi = psi_rows(q)
+                inertia = inertia_rows(q)
                 if noisy:
-                    (n1, n2), (v1, v2) = noise.position(t), noise.velocity(t)
+                    # the first joint's position noise is both joints' velocity noise
+                    n1, n2 = noise_at(t)
                     q_m = (q1 + n1, q2 + n2)
-                    qd_m = (qd1 + v1, qd2 + v2)
-                    psi_m = plant.psi_rows(q_m)
+                    qd_m = (qd1 + n1, qd2 + n1)
+                    psi_m = psi_rows(q_m)
                     inertia_m = None
                 else:
                     q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
 
-                tau = controller.torque((q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m,
-                                        inertia_m)
-                pair = regression.step(q_m, qd_m, tau, dt, psi_m)
-                delta = controller.update(pair, dt, k)
+                tau = torque((q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m, inertia_m)
+                pair = regression_step(q_m, qd_m, tau, dt, psi_m)
+                delta = update(pair, dt, k)
             except NumericalDegeneracyError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
             except OverflowError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): float overflow "
                                                f"{exc}") from exc
 
-            rows[k] = (q1, q2, qd1, qd2, *tau, *estimate, delta)
-            aug_rec[k] = pair.aug
-            controller.record(diag, k)
+            pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
+            aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
+            record(diag, k)
 
             if k < n_steps:
-                tau_f = friction.torque(qd) if noisy else None
-                a1, a2 = plant.forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
+                tau_f = friction_torque(qd) if noisy else None
+                a1, a2 = forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
                 q1, q2 = q1 + dt * qd1, q2 + dt * qd2
                 qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
 

@@ -85,3 +85,49 @@ def c2_case1_pb():
 def theta_tilde_u(trace):
     true = trace.meta["theta_u_true"]
     return np.linalg.norm(trace.theta_hat[:, -true.size:] - true, axis=1)
+
+
+class MixStub:
+    """A regressor extension whose step leaves it as it is and whose mix
+    writes the given row [Delta | Y]: drives a controller's update on a
+    chosen mixing output."""
+
+    kind = "stub"
+
+    def __init__(self, row):
+        self.row = [float(x) for x in row]
+        self.dim = len(self.row) - 1
+
+    def step(self, pair, dt):
+        pass
+
+    def mix(self, out):
+        out[:] = self.row
+        return out.tolist()
+
+    def diagnostics(self, n_rec):
+        return {}
+
+    def record(self, diag, k):
+        pass
+
+
+def composite_step(ctrl, e1, e2, psi, delta, y_u, dt):
+    """One torque and update of the CompositeFtController ``ctrl`` at the
+    velocity error ``e2``, with an extension that mixes Delta = ``delta`` and
+    the theta_u block ``y_u`` of Y; returns the torque."""
+    ctrl.extension = MixStub([delta, 0.0, 0.0, 0.0, *y_u])
+    ctrl.diagnostics(1)
+    tau = ctrl.torque(e1, None, e2, psi, None)
+    ctrl.update(None, dt, 0)
+    return tau
+
+
+def composite_rate(ctrl, e1, e2, psi, delta, y_u):
+    """The composite rate of ``ctrl``'s update, as the difference of one Euler
+    step of unit length; ``ctrl`` is left where it was."""
+    before = ctrl.estimate
+    composite_step(ctrl, e1, e2, psi, delta, y_u, 1.0)
+    rate = np.subtract(ctrl.estimate, before)
+    ctrl.estimate = before
+    return rate

@@ -11,10 +11,12 @@ float64 rounding; ``test_drem.py`` holds the stacked Kreisselmeier state to
 its two-array form bit for bit.  The basis
 stacks are also the statement of the two-link decomposition M(q) =
 sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
-hold the plant's closed forms to.  ``csv_rows`` is the row loop that wrote
-``trace.csv`` before its vectorised formatter; ``test_g17.py`` and
-``test_sim.py`` hold the formatter to it byte for byte.  Nothing in ``src/``
-imports this module.
+hold the plant's closed forms to.  The layered float step path is the
+float kernels as the loop called them before their calls were flattened
+into the callers; ``test_kernels.py`` holds the flattened forms to it bit
+for bit.  ``csv_rows`` is the row loop that wrote ``trace.csv`` before its
+vectorised formatter; ``test_g17.py`` and ``test_sim.py`` hold the
+formatter to it byte for byte.  Nothing in ``src/`` imports this module.
 """
 
 import math
@@ -306,6 +308,131 @@ def kreis_mix(phi1, phi2):
     mask[cols + 1, :, cols] = True
     dets = np.linalg.det(np.where(mask, phi1[:, None], phi2))
     return float(dets[0]), dets[1:]
+
+
+# -- the layered float step path -------------------------------------------------
+#
+# The float kernels as the step loop called them before their calls were
+# flattened into the callers: C(q, qd) qd and Psi theta through ``matvec2``,
+# the energy terms through the basis forces, the noise in two calls, the
+# composite law through adapt_rate -> _composite_rate -> _prediction_error +
+# sat and advance, and c3's switching value in its own method.
+# ``test_kernels.py`` holds each flattened form to these bit for bit.
+
+def matvec2(a, v):
+    (a11, a12), (a21, a22) = a
+    v1, v2 = v
+    return a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
+
+
+def forward_dynamics_layered(plant, q, qd, tau, tau_f=None, psi=None, inertia=None):
+    if psi is None:
+        psi = plant.psi_rows(q)
+    c1, c2 = matvec2(plant.coriolis_rows(q, qd), qd)
+    g1, g2 = matvec2(psi, plant.theta.theta_u)
+    t1, t2 = tau
+    r1 = t1 - c1 - g1
+    r2 = t2 - c2 - g2
+    if tau_f is not None:
+        f1, f2 = tau_f
+        r1 = r1 - f1
+        r2 = r2 - f2
+    (m11, m12), (m21, m22) = plant.inertia_rows(q) if inertia is None else inertia
+    det = m11 * m22 - m12 * m21
+    return ((m22 * r1 - m12 * r2) / det, (m11 * r2 - m21 * r1) / det)
+
+
+def energy_terms_layered(plant, q, qd):
+    qd1, qd2 = qd
+    (f11, f12, f13), (f21, f22, f23) = plant.basis_force_rows(q, qd)
+    q1, q2 = q
+    return (0.5 * (f11 * qd1 + f21 * qd2), 0.5 * (f12 * qd1 + f22 * qd2),
+            0.5 * (f13 * qd1 + f23 * qd2), -math.cos(q1 + q2), -math.cos(q1))
+
+
+def noise_layered(noise, t):
+    """(position noise, velocity noise) of the two calls."""
+    w = noise.frequency * t
+    position = noise.amplitude * math.sin(w), noise.amplitude * math.cos(w)
+    v = noise.amplitude * math.sin(noise.frequency * t)
+    return position, (v, v)
+
+
+def spow(z, q):
+    return math.copysign(abs(z) ** q, z) if z else 0.0
+
+
+def sat(delta, c, d):
+    """The step loop's unchecked saturation of a float."""
+    return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
+
+
+def ftpd_layered(e1, e2, psi_q, theta_hat_u, gains, a, b):
+    (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.kp, gains.kd, gains.kd_lin
+    (e11, e12), (e21, e22) = e1, e2
+    g1, g2 = matvec2(psi_q, theta_hat_u)
+    return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + g1,
+            -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + g2)
+
+
+def prediction_error(delta, theta_hat_u, y_u, c):
+    """Componentwise <delta * theta_hat_u - y_u>^c."""
+    (t1, t2), (y1, y2) = theta_hat_u, y_u
+    return spow(delta * t1 - y1, c), spow(delta * t2 - y2, c)
+
+
+def composite_rate(e1, e2, psi_q, theta_hat_u, delta, y_u, gains, c):
+    (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, e2, psi_q
+    g1d1, g12 = gains.g1d1, gains.g12
+    v1 = g1d1 * math.tanh(e11) + g12 * e21
+    v2 = g1d1 * math.tanh(e12) + g12 * e22
+    xi1, xi2 = prediction_error(delta, theta_hat_u, y_u, c)
+    f_gain = sat(delta, c, gains.sat_d)
+    (g1, g2), (u1, u2) = gains.gamma_diag, gains.upsilon_diag
+    return (-g1 * (p11 * v1 + p21 * v2 + g12 * u1 * f_gain * xi1),
+            -g2 * (p12 * v1 + p22 * v2 + g12 * u2 * f_gain * xi2))
+
+
+def advance(estimate, rate, dt):
+    """The Euler step of an estimate at a rate, both sequences of floats."""
+    return tuple(th + dt * r for th, r in zip(estimate, rate))
+
+
+def switching_value_layered(params, a, e1, e2, inertia_q):
+    k2 = params.k2
+    (e11, e12), (e21, e22), ((m11, m12), (m21, m22)) = e1, e2, inertia_q
+    ref1, ref2 = k2 * spow(e11, a), k2 * spow(e12, a)
+    tr = m11 + m22
+    lam_max = 0.5 * (tr + math.sqrt((m11 - m22) ** 2 + 4.0 * m12 ** 2))
+    return ((e21 * m11 + e22 * m21) * e21 + (e21 * m12 + e22 * m22) * e22
+            - lam_max * (ref1 * ref1 + ref2 * ref2))
+
+
+def tsm_torque_layered(params, a, theta_hat, e1, q, qd, inertia_q):
+    """(torque, nonlinear branch?, switching value) of the switching
+    controller, with <e1>^a taken once for the switching value and again for
+    the nonlinear branch."""
+    k2 = params.k2
+    f = switching_value_layered(params, a, e1, qd, inertia_q)
+    (e11, e12), (qd1, qd2) = e1, qd
+    if f <= 0.0:
+        ref1, ref2 = spow(e11, a), spow(e12, a)
+        qd_r = (-k2 * ref1, -k2 * ref2)
+        s = (qd1 + k2 * ref1, qd2 + k2 * ref2)
+        gain = -a * k2
+        qdd_r = (gain * max(abs(e11), params.clamp) ** (a - 1.0) * qd1,
+                 gain * max(abs(e12), params.clamp) ** (a - 1.0) * qd2)
+    else:
+        qd_r = (-k2 * e11, -k2 * e12)
+        s = (qd1 + k2 * e11, qd2 + k2 * e12)
+        qdd_r = (-k2 * qd1, -k2 * qd2)
+    w = slotine_li_regressor(q, qd, qd_r, qdd_r)
+    (w1, w2), (s1, s2) = w.tolist(), s
+    norm = math.sqrt(s1 * s1 + s2 * s2)
+    u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
+    tau = (sum(x * y for x, y in zip(w1, theta_hat)) - params.k1 * s1 - params.ks * u1,
+           sum(x * y for x, y in zip(w2, theta_hat)) - params.k1 * s2 - params.ks * u2)
+    return tau, f <= 0.0, f
 
 
 # -- trace CSV -----------------------------------------------------------------

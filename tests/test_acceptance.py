@@ -8,9 +8,9 @@ Criteria 4-6 are checks of the ``verify`` suite, applied to these runs.
 import numpy as np
 
 import ftlab
+import reference as ref
 from conftest import at, run, theta_tilde_u
 from ftlab import mathx, verify
-from ftlab.control import _prediction_error
 
 
 def report(num: int, name: str, passed: bool, detail: str) -> None:
@@ -125,7 +125,7 @@ def test_criterion_7_excitation_gain_properties():
         theta_u = rng.uniform(-8.0, 8.0, 2)
         tilde = rng.uniform(1e-3, 8.0, 2) * rng.choice([-1.0, 1.0], 2)
         theta_hat = theta_u + tilde
-        xi = np.array(_prediction_error(delta, theta_hat, delta * theta_u, b))
+        xi = np.array(ref.prediction_error(delta, theta_hat, delta * theta_u, b))
         expected = mathx.spow(delta, b) \
             * mathx.signed_power_vec(theta_hat - theta_u, b)
         worst_id = max(worst_id, float(np.max(np.abs(xi - expected))))

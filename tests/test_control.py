@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
+from conftest import composite_rate, composite_step
 from ftlab import mathx
 from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams, _ftpd,
-                           _prediction_error, _slotine_li_rows,
-                           excitation_gain, sat, saturation)
+                           _slotine_li_rows, excitation_gain, saturation)
+from reference import prediction_error as _prediction_error, sat
 from ftlab.drem import LsDreParams
 from ftlab.regression import RegressionPair
 from ftlab.sim import SimConfig
@@ -141,9 +142,11 @@ KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
 
 
 class TestUncheckedKernels:
-    """``sat`` is the step loop's unchecked form of ``saturation``, and
-    ``excitation_gain``, of a float or over a record, is the float kernels'
-    ``sat(delta, b, d) * spow(delta, b)``: same bits on every finite delta."""
+    """``sat`` is the composite update's unchecked saturation of a float (its
+    layered form, which ``test_kernels.py`` holds the update to bit for bit),
+    and ``saturation`` its checked form; ``excitation_gain``, of a float or
+    over a record, is the float kernels' ``sat(delta, b, d) * spow(delta, b)``:
+    same bits on every finite delta."""
 
     @pytest.mark.parametrize("c, d", KERNEL_EXPONENTS)
     @pytest.mark.parametrize("delta", [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12,
@@ -204,8 +207,8 @@ class TestCompositeAdaptation:
         gains = CompositeAdaptGains()
         th = np.array([1.0, 2.0])
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=th)
-        rate = ctrl.adapt_rate(np.zeros(2), np.zeros(2), plant.psi_rows([2.0, 2.0]), 0.7,
-                               (0.7 * th).tolist())
+        rate = composite_rate(ctrl, np.zeros(2), np.zeros(2), plant.psi_rows([2.0, 2.0]), 0.7,
+                              (0.7 * th).tolist())
         np.testing.assert_allclose(rate, np.zeros(2), atol=1e-15)
 
     def test_zero_delta_leaves_direct_term(self, plant):
@@ -214,7 +217,7 @@ class TestCompositeAdaptation:
         e1 = np.array([0.2, -0.1])
         e2 = np.array([0.05, 0.4])
         ctrl = CompositeFtController(FtPdGains(), gains, theta_hat0=[5.0, -3.0])
-        rate = ctrl.adapt_rate(e1, e2, psi, 0.0, [0.0, 0.0])
+        rate = composite_rate(ctrl, e1, e2, psi, 0.0, [0.0, 0.0])
         gamma = np.asarray(gains.gamma_diag)
         direct = -gamma * (psi.T @ (gains.gamma1 * gains.d1 * np.tanh(e1)
                                     + (gains.gamma1 + gains.gamma2) * e2))
@@ -273,9 +276,10 @@ class TestSwitchingTsm:
             e1 = rng.uniform(-2, 2, 2)
             e2 = rng.uniform(-2, 2, 2)
             q = e1 + np.array([2.0, 2.0])
-            f1 = ctrl.switching_function(e1, e2, plant.inertia_rows(q))
-            f2 = ctrl.switching_function(e1, e2, plant.inertia_rows(q))
-            assert f1 == f2
+            ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            f1, branch1 = ctrl.switching_value, ctrl.branch
+            ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            assert f1 == ctrl.switching_value and branch1 == ctrl.branch
 
     def test_unit_vector_term_vanishes_at_zero_sliding(self, plant):
         ctrl = self.make()
@@ -361,10 +365,15 @@ class TestControllerProtocol:
 
 class TestControllerWrappers:
     def test_composite_controller_advance(self, plant):
-        ctrl = CompositeFtController(FtPdGains(), CompositeAdaptGains())
+        # update Euler-steps the estimate: at e1 = 0, Delta = 0 and Psi = I
+        # the rate is -gamma g12 e2
+        gains = CompositeAdaptGains()
+        ctrl = CompositeFtController(FtPdGains(), gains)
         before = np.array(ctrl.estimate)
-        ctrl.advance(np.array([1.0, -1.0]), 1e-3)
-        np.testing.assert_allclose(np.array(ctrl.estimate) - before, [1e-3, -1e-3])
+        e2 = np.array([1.0, -1.0]) / gains.g12
+        composite_step(ctrl, np.zeros(2), e2, ((1.0, 0.0), (0.0, 1.0)), 0.0, [0.0, 0.0], 1e-3)
+        np.testing.assert_allclose(np.array(ctrl.estimate) - before,
+                                   -1e-3 * np.asarray(gains.gamma_diag) * [1.0, -1.0])
 
     def test_theta0_length_checked(self):
         with pytest.raises(ValueError):

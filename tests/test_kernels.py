@@ -20,6 +20,7 @@ The two direct LAPACK calls of ``mathx`` are held to the public
 ``np.linalg`` functions bit for bit.
 """
 
+import itertools
 import math
 from collections import namedtuple
 from types import SimpleNamespace
@@ -30,14 +31,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
+from conftest import composite_rate, composite_step
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
 from ftlab import mathx
-from ftlab.mathx import matvec2
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams)
-from ftlab.plant import Plant
+from ftlab.plant import NoiseModel, Plant
 from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
                               RegressionPair)
 
@@ -86,7 +87,7 @@ def test_coriolis_times_velocity_matches(q, qd):
 @given(q=angles)
 def test_gravity_and_psi_match(q):
     assert_close(PLANT.psi_rows(q), ref.psi(q), 1.0)
-    assert_close(matvec2(PLANT.psi_rows(q), THETA.theta_u), ref.gravity(THETA.theta_u, q),
+    assert_close(ref.matvec2(PLANT.psi_rows(q), THETA.theta_u), ref.gravity(THETA.theta_u, q),
                  float(np.sum(THETA.theta_u)))
 
 
@@ -139,7 +140,9 @@ def test_composite_adapt_rate_matches(e1, e2, q, th, delta, y_u, r1):
     indirect = gains.g12 * np.asarray(gains.upsilon_diag) * np.abs(delta * th - y_u) ** c
     scale = float(np.max(gains.gamma_diag * (direct + indirect)))
     ctrl = CompositeFtController(ftpd, gains, theta_hat0=th)
-    assert_close(ctrl.adapt_rate(e1, e2, psi_q, delta, y_u.tolist()), want, scale)
+    # the rate as a unit Euler step of the estimate, which adds the rounding
+    # of th + rate, a few eps of |th| <= 10
+    assert_close(composite_rate(ctrl, e1, e2, psi_q, delta, y_u.tolist()), want, scale)
 
 
 def slotine_li_scale(w, th, s, k1, ks):
@@ -154,11 +157,11 @@ def test_switching_torque_matches(e1, e2, q, th):
     f_scale = float(np.max(np.abs(m))) * float(e2 @ e2 + 4.0 * params.k2 ** 2
                                                 * np.sum(np.abs(e1) ** (2 * a)))
     ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT)
-    assert_close(ctrl.switching_function(e1, e2, m), f_want, f_scale)
+    got = ctrl.torque(e1, q, e2, ref.psi(q), m)
+    assert_close(ctrl.switching_value, f_want, f_scale)
     if abs(f_want) <= N2 * max(1.0, f_scale):
         return    # on the switching surface either branch is right
     want, nonlinear, w, s = ref.tsm_torque(params, a, th, e1, e2, q, e2, m)
-    got = ctrl.torque(e1, q, e2, ref.psi(q), m)
     assert ctrl.branch == ("tsm" if nonlinear else "linear")
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
@@ -171,6 +174,92 @@ def test_slotine_li_torque_matches(e1, qd, q, th):
     got = ctrl.torque(e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
+
+
+# -- the flattened step path against its layered form, bit for bit --------------
+
+def bits(x):
+    return np.array(x, dtype=float).tobytes()
+
+
+def edgy(n, bound):
+    """n floats in [-bound, bound], a quarter of them drawn from the signed
+    zeros and subnormals, where a dropped or reordered zero term shows in the
+    sign of a zero result."""
+    drawn = st.floats(-bound, bound, allow_nan=False)
+    return st.lists(st.one_of(drawn, drawn, drawn, st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                    min_size=n, max_size=n)
+
+
+@given(q=edgy(2, 2.0 * math.pi), qd=edgy(2, 5.0), tau=edgy(2, 20.0), tau_f=edgy(2, 1.0),
+       friction=st.booleans(), given_terms=st.booleans())
+@settings(max_examples=500)
+def test_forward_dynamics_is_the_layered_form_bitwise(q, qd, tau, tau_f, friction,
+                                                      given_terms):
+    tau_f = tau_f if friction else None
+    terms = {"psi": PLANT.psi_rows(q), "inertia": PLANT.inertia_rows(q)} if given_terms else {}
+    assert bits(PLANT.forward_dynamics(q, qd, tau, tau_f, **terms)) \
+        == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau, tau_f, **terms))
+
+
+def test_forward_dynamics_and_energy_at_signed_zeros_bitwise():
+    # every sign pattern of an all-zero state, torque and friction: the zero
+    # products of C qd, Psi theta_u and the energy terms carry their signs
+    # into a zero result
+    for q1, q2, v1, v2, t1, t2, f1, f2 in itertools.product((0.0, -0.0), repeat=8):
+        q, qd, tau, tau_f = (q1, q2), (v1, v2), (t1, t2), (f1, f2)
+        for friction in (None, tau_f):
+            assert bits(PLANT.forward_dynamics(q, qd, tau, friction)) \
+                == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau, friction))
+        assert bits(PLANT.energy_terms(q, qd)) == bits(ref.energy_terms_layered(PLANT, q, qd))
+
+
+@given(q=edgy(2, 2.0 * math.pi), qd=edgy(2, 5.0))
+@settings(max_examples=500)
+def test_energy_terms_are_the_layered_form_bitwise(q, qd):
+    assert bits(PLANT.energy_terms(q, qd)) == bits(ref.energy_terms_layered(PLANT, q, qd))
+
+
+@given(t=st.floats(0.0, 1e3), amplitude=st.floats(0.0, 1.0), frequency=st.floats(0.0, 1e3))
+def test_noise_sample_is_the_two_calls_bitwise(t, amplitude, frequency):
+    noise = NoiseModel(amplitude, frequency)
+    n1, n2 = noise.sample(t)
+    position, velocity = ref.noise_layered(noise, t)
+    assert bits((n1, n2)) == bits(position) and bits((n1, n1)) == bits(velocity)
+
+
+deltas = st.floats(-50.0, 50.0, allow_nan=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-300])
+
+
+@given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(2, 10.0),
+       delta=deltas, y_u=edgy(2, 500.0), r1=st.sampled_from([1.2, 1.4, 1.5, 1.8]),
+       dt=st.sampled_from([5e-4, 1e-3, 0.05]))
+@settings(max_examples=500)
+def test_composite_torque_and_update_are_the_layered_form_bitwise(e1, e2, q, th, delta,
+                                                                  y_u, r1, dt):
+    ftpd, gains = FtPdGains(r1=r1), CompositeAdaptGains()
+    psi_q = PLANT.psi_rows(q)
+    ctrl = CompositeFtController(ftpd, gains, theta_hat0=th)
+    tau = composite_step(ctrl, e1, e2, psi_q, delta, y_u, dt)
+    assert bits(tau) == bits(ref.ftpd_layered(e1, e2, psi_q, th, ftpd, ftpd.a, ftpd.b))
+    rate = ref.composite_rate(e1, e2, psi_q, th, delta, y_u, gains, ftpd.b)
+    assert bits(ctrl.estimate) == bits(ref.advance(th, rate, dt))
+
+
+@given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(5, 10.0),
+       given_inertia=st.booleans())
+@settings(max_examples=500)
+def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
+                                                                  given_inertia):
+    params, a = TsmParams(), FtPdGains().a
+    m = PLANT.inertia_rows(q)
+    ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT)
+    tau = ctrl.torque(e1, q, e2, PLANT.psi_rows(q), m if given_inertia else None)
+    want, nonlinear, f = ref.tsm_torque_layered(params, a, th, e1, q, e2, m)
+    assert bits(tau) == bits(want)
+    assert ctrl.branch == ("tsm" if nonlinear else "linear")
+    assert bits(ctrl.switching_value) == bits(f)
 
 # -- regression filters --------------------------------------------------------
 
@@ -264,11 +353,19 @@ def test_least_squares_step_matches(omegas, norm):
 
 
 class RateProbe(SlotineLiLsController):
-    """c4 with the estimate rate of its last update kept as ``rate``."""
+    """c4 with the estimate rate of its last update, -F x with F x its
+    extension's ``gain_times``, kept as ``rate``."""
 
-    def advance(self, rate, dt):
-        self.rate = rate
-        super().advance(rate, dt)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        gain_times = self.extension.gain_times
+
+        def probe(x):
+            f_x = gain_times(x)
+            self.rate = -f_x
+            return f_x
+
+        self.extension.gain_times = probe
 
 
 @given(steps=st.lists(st.tuples(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
@@ -416,7 +513,9 @@ def test_extension_step_on_the_buffer_is_the_step_on_copies(extension, cls, q0, 
     on_buffer, on_copies = extension(5), extension(5)
     for q, qd, tau in samples:
         pair = reg.step(q, qd, tau, 5e-4, PLANT.psi_rows(q))
-        copies = SimpleNamespace(y=pair.y.copy(), omega=pair.omega.copy(), aug=pair.aug.copy())
+        omega = pair.omega.copy()
+        copies = SimpleNamespace(y=pair.y.copy(), omega=omega, aug=pair.aug.copy(),
+                                 omega_t=omega.T)
         on_buffer.step(pair, 5e-4)
         on_copies.step(copies, 5e-4)
         assert same_bits(on_buffer._state, on_copies._state)

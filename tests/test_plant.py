@@ -101,14 +101,14 @@ class TestCoriolis:
 
 class TestGravity:
     def test_hanging_pose(self, plant):
-        g = mathx.matvec2(plant.psi_rows([0.0, 0.0]), plant.theta.theta_u)
+        g = ref.matvec2(plant.psi_rows([0.0, 0.0]), plant.theta.theta_u)
         np.testing.assert_array_equal(g, [0.0, 0.0])
 
     def test_horizontal_first_link(self, plant):
         d = reference_deltas()
         np.testing.assert_allclose(plant.psi_rows([np.pi / 2, 0.0]),
                                    [[1.0, 1.0], [1.0, 0.0]], atol=1e-15)
-        g = mathx.matvec2(plant.psi_rows([np.pi / 2, 0.0]), plant.theta.theta_u)
+        g = ref.matvec2(plant.psi_rows([np.pi / 2, 0.0]), plant.theta.theta_u)
         np.testing.assert_allclose(g, [d[3] + d[4], d[3]], rtol=1e-12)
 
     def test_factorization_exact(self, plant):
@@ -149,7 +149,7 @@ class TestEnergy:
 class TestForwardDynamics:
     def test_gravity_hold_is_equilibrium(self, plant):
         q = np.array([0.4, -0.9])
-        g = mathx.matvec2(plant.psi_rows(q), plant.theta.theta_u)
+        g = ref.matvec2(plant.psi_rows(q), plant.theta.theta_u)
         qdd = plant.forward_dynamics(q, np.zeros(2), g)
         np.testing.assert_allclose(qdd, np.zeros(2), atol=1e-14)
 
@@ -167,7 +167,7 @@ class TestForwardDynamics:
             qdd = plant.forward_dynamics(q, qd, tau, tau_f)
             resid = np.array(plant.inertia_rows(q)) @ qdd \
                 + np.array(plant.coriolis_rows(q, qd)) @ qd \
-                + mathx.matvec2(plant.psi_rows(q), plant.theta.theta_u) - tau + tau_f
+                + ref.matvec2(plant.psi_rows(q), plant.theta.theta_u) - tau + tau_f
             assert np.max(np.abs(resid)) <= 1e-10
 
 
@@ -190,15 +190,17 @@ class TestFrictionAndNoise:
         assert np.array(got).tobytes() == np.array(ref.friction_torque(coulomb, qd)).tobytes()
 
     def test_noise_at_zero(self):
-        noise = NoiseModel()
-        np.testing.assert_allclose(noise.position(0.0), [0.0, 0.005])
-        np.testing.assert_allclose(noise.velocity(0.0), [0.0, 0.0])
+        # position noise (sin, cos), velocity noise the first on both joints
+        n1, n2 = NoiseModel().sample(0.0)
+        np.testing.assert_allclose((n1, n2), [0.0, 0.005])
+        np.testing.assert_allclose((n1, n1), [0.0, 0.0])
 
     def test_noise_bounded(self):
         noise = NoiseModel()
         for t in np.linspace(0.0, 1.0, 500):
-            assert np.max(np.abs(noise.position(t))) <= 0.005 + 1e-15
-            assert np.max(np.abs(noise.velocity(t))) <= 0.005 + 1e-15
+            n1, n2 = noise.sample(t)
+            assert np.max(np.abs((n1, n2))) <= 0.005 + 1e-15
+            assert np.max(np.abs((n1, n1))) <= 0.005 + 1e-15
 
     def test_friction_rejects_negative(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,19 @@
 import io
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
 from ftlab import _g17, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
-                           make_controller, sat)
+                           make_controller)
+from reference import sat
 from ftlab.drem import KreisselmeierDre, LeastSquaresDre
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import FrictionModel, NoiseModel, Plant
@@ -259,6 +263,33 @@ class TestMixingRecord:
         with pytest.raises(NumericalDegeneracyError,
                            match=rf"^step 3 \(t = 0\.0015 s\): {quantity} is not finite$"):
             run_closed_loop(SimConfig(controller=controller, t_final=0.01))
+
+
+# signed zeros, the smallest subnormals, infinities, NaNs of both signs and the
+# largest float
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan,
+               1.7976931348623157e308]
+
+
+class TestPackedRecord:
+    """The loop packs each record row, and each regression filter its
+    [Omega | y] rows, with ``struct`` into the record's own buffer: the bytes
+    are those of the floats as a numpy float64 row."""
+
+    @staticmethod
+    def pack(row):
+        record = np.zeros((3, len(row)))
+        struct.Struct(f"{len(row)}d").pack_into(memoryview(record), record.itemsize * len(row),
+                                                *row)
+        assert not record[0].any() and not record[2].any()
+        return record[1].tobytes()
+
+    def test_edge_values_bytewise(self):
+        assert self.pack(EDGE_FLOATS) == np.array(EDGE_FLOATS).tobytes()
+
+    @given(row=st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=1, max_size=13))
+    def test_packed_row_is_the_array_row_bytewise(self, row):
+        assert self.pack(row) == np.array(row).tobytes()
 
 
 class TestArrayMonitors:
