@@ -333,7 +333,8 @@ class KreisselmeierDre:
     def mix(self, out: np.ndarray) -> list:
         """[Delta | Y] = [det(phi2) | adj(phi2) phi1], written into the
         (l + 1,) row ``out`` and returned as floats."""
-        # the flat indices are all in range, so no mode checks them
+        # take writes into out without a buffered copy in any mode but "raise";
+        # the cached indices are all in range, so "wrap" never wraps one
         self._state.take(self._cramer, out=self._stack, mode="wrap")
         mathx.det_stack(self._stack, out=out)
         return _checked_mix(out)

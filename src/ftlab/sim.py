@@ -239,9 +239,9 @@ def run_closed_loop(config: SimConfig) -> Trace:
     measured configuration; M(q) there only if the controller asks for it)
     and passed to the controller, the regression filter and the plant step.
     The regression pair is the filter's one [Omega | y] buffer,
-    ``regression.pair``, recorded whole each step.  The monitors V1, zeta1 and |z1| feed nothing back, so
-    they are evaluated after the loop, over the recorded series, with Psi(q)
-    and M(q) rebuilt from the recorded q.  A non-finite state or mixing
+    ``regression.pair``, recorded whole each step.  The monitors V1, zeta1
+    and |z1| feed nothing back, so they are evaluated after the loop, over
+    the recorded series, with Psi(q) and M(q) rebuilt from the recorded q.  A non-finite state or mixing
     output ends the run with a NumericalDegeneracyError naming it, the step
     and the time, and so does a float overflow within a step.  A record too
     large to allocate, or beyond numpy's index range, is a ConfigError naming
@@ -283,13 +283,10 @@ def run_closed_loop(config: SimConfig) -> Trace:
     qdes1, qdes2 = config.q_d.tolist()
     dt = config.dt
 
-    # the loop's calls, bound once
     psi_rows, inertia_rows, forward_dynamics = (plant.psi_rows, plant.inertia_rows,
                                                 plant.forward_dynamics)
     torque, update, record = controller.torque, controller.update, controller.record
     regression_step, noise_at, friction_torque = regression.step, noise.sample, friction.torque
-    # each row is packed into its bytes in the record; so is the regression
-    # pair's [Omega | y] buffer, copied byte for byte
     pack_row = struct.Struct(f"{rows.shape[1]}d").pack_into
     rows_buf, row_bytes = memoryview(rows), rows.itemsize * rows.shape[1]
     aug_buf, aug_src = memoryview(aug_rec).cast("B"), memoryview(regression.pair.aug).cast("B")
