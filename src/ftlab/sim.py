@@ -343,7 +343,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     theta_rec = rows[:, 6:6 + j_est].copy()
     delta_rec = rows[:, 6 + j_est].copy()
     diag = {"y": aug_rec[:, :, l_dim].copy(), "omega": aug_rec[:, :, :l_dim].copy(), **diag}
-    del rows, aug_rec
+    del rows, aug_rec, rows_buf, aug_buf
     psi_rec = plant.psi_stack(q_rec)
     inertia_rec = plant.inertia_stack(q_rec)
 

@@ -17,7 +17,10 @@ sign or index but not on the last bits:
 * the Kreisselmeier filters: 1e-13 times their largest term, per step taken.
 
 The two direct LAPACK calls of ``mathx`` are held to the public
-``np.linalg`` functions bit for bit.
+``np.linalg`` functions bit for bit, and so are the flattened float forms
+of the step path (the forward dynamics, the energy terms, the one-call
+noise, the composite torque and update, and c3's torque and branch) to
+the layered forms in ``reference.py`` that they replaced.
 """
 
 import itertools
@@ -173,7 +176,6 @@ def test_slotine_li_torque_matches(e1, qd, q, th):
     ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
     got = ctrl.torque(e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
-
 
 
 # -- the flattened step path against its layered form, bit for bit --------------
