@@ -158,15 +158,26 @@ def saturation(delta, c: float, d: float):
 
 
 def excitation_gain(delta, b: float, d: float):
-    """saturation(delta, b, d) * <delta>^b; equals |delta|^(b+d) / (1 +
-    |delta|^(b+d)), hence in [0, 1) (in floats at b = d = 0.5, for |delta|
-    below about 3.7e15, where it rounds to 1.0), and 0.0 at delta = 0.  Of a
-    float, a float; of an array (the zeta1 monitor's record of Delta), an
-    array, each entry the update's saturation times ``spow(delta, b)`` bit
-    for bit.
-    Raises ValueError on a non-finite delta or an exponent b or d that is
-    not finite and positive."""
-    gain = saturation(delta, b, d) * mathx.signed_power_vec(delta, b)
+    """The zeta1 monitor's gain x / (1 + x), x = |delta|^(b+d), which is
+    saturation(delta, b, d) * <delta>^b: 0.0 at delta = 0 and in [0, 1] for
+    every finite delta.  Of a float, a float; of an array (the monitor's
+    record of Delta), an array.  For |delta| <= 1 it is that product, the
+    composite update's saturation times ``spow(delta, b)``, bit for bit.
+    For |delta| > 1 it is 1 / (1 + |delta|^-(b+d)), within a few ulp of
+    x / (1 + x): the product's roundings would leave [0, 1] there (at
+    b = d = 0.5 it is 1.0000000000000002 at 1e17), so above |delta| = 1
+    the monitor is not tied bit for bit to the update's kernels.  The two
+    forms meet at |delta| = 1, where both are 0.5.  Raises ValueError on a
+    non-finite delta or an exponent b or d that is not finite and
+    positive."""
+    delta = np.asarray(delta, dtype=float)
+    if not np.isfinite(delta).all():
+        raise ValueError("argument must be finite")
+    big = np.abs(delta) > 1.0
+    # the product runs on the entries up to 1, a copy only if any is above
+    small = np.where(big, 0.0, delta) if big.any() else delta
+    gain = np.asarray(saturation(small, b, d) * mathx.signed_power_vec(small, b))
+    gain[big] = 1.0 / (1.0 + np.abs(delta[big]) ** -(b + d))
     return float(gain) if gain.ndim == 0 else gain
 
 

@@ -179,8 +179,8 @@ def check_excitation_gain_range(deltas=None) -> PropertyResult:
     """excitation_gain(delta) in [0, 1) over ``deltas``, by default 0.0,
     -0.0, +-5e-324 (the smallest subnormal) and +-``logspace(-12, 6)``.
     The sweep stops at |delta| = 1e6: at b = d = 0.5 the float gain
-    |delta| / (1 + |delta|) first rounds to 1.0 near |delta| = 3.7e15, is
-    1.0 at 1e16 and 1.0000000000000002 at 1e17."""
+    |delta| / (1 + |delta|) rounds to 1.0 from about |delta| = 9.1e15 on,
+    and stays at most 1 for every finite delta."""
     if deltas is None:
         mags = np.concatenate(([0.0, 5e-324], np.logspace(-12, 6)))
         deltas = np.concatenate((mags, -mags))

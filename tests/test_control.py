@@ -1,4 +1,6 @@
+import decimal
 import inspect
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -76,6 +78,11 @@ class TestFtPdTorque:
             np.testing.assert_array_equal(plus, -minus)
 
 
+# (c or b, d): the default composite law's, a b = 0.6 law's, and one whose
+# c + d > 1 overflows the denominator at |delta| = 1e300
+KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
+
+
 class TestSaturationAndGain:
     def test_zero(self):
         assert saturation(0.0, 0.5, 0.5) == 0.0
@@ -104,6 +111,28 @@ class TestSaturationAndGain:
         vals = [excitation_gain(d, 0.5, 0.5) for d in (0.0, 0.1, 0.5, 2.0, 100.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @given(delta=st.floats(allow_nan=False, allow_infinity=False),
+           exponents=st.sampled_from(KERNEL_EXPONENTS))
+    @settings(max_examples=500)
+    def test_in_unit_interval_and_a_few_ulp_from_the_closed_form(self, delta, exponents):
+        # x / (1 + x) with x = |delta|^(b+d), from 50 significant digits;
+        # the exponent is the sum b + d of the two floats, as the product
+        # <delta>^d <delta>^b takes it
+        b, d = exponents
+        with decimal.localcontext(prec=50):
+            x = Decimal(abs(delta)) ** (Decimal(b) + Decimal(d))
+            want = float(x / (1 + x))
+        for gain in (excitation_gain(delta, b, d), excitation_gain(np.array([delta]), b, d)[0]):
+            assert 0.0 <= gain <= 1.0
+            assert abs(gain - want) <= 4.0 * np.spacing(want), (gain, want)
+
+    @pytest.mark.parametrize("delta", [3.7e15, 1e16, 1e17, 1e300, 1.7976931348623157e308])
+    def test_never_above_one(self, delta):
+        # the product form gave 1.0000000000000002 at 1e17
+        for value in (delta, -delta):
+            assert 0.0 < excitation_gain(value, 0.5, 0.5) <= 1.0
+        assert _gain_kernel(1e17, 0.5, 0.5) > 1.0
+
 
 def _outcome(fn, *args):
     """The float's exact bits, or the type of the exception raised."""
@@ -131,22 +160,20 @@ def _saturation_of_record(delta, c, d):
 def _assert_kernels_match(delta, c, d):
     assert _outcome(sat, delta, c, d) == _outcome(saturation, delta, c, d)
     assert _outcome(sat, delta, c, d) == _outcome(_saturation_of_record, delta, c, d)
-    want = _outcome(_gain_kernel, delta, c, d)
+    # the gain is the kernels' product up to |delta| = 1, its other form above
+    want = (_outcome(_gain_kernel, delta, c, d) if abs(delta) <= 1.0
+            else _outcome(_gain_of_record, delta, c, d))
     assert _outcome(excitation_gain, delta, c, d) == want
     assert _outcome(_gain_of_record, delta, c, d) == want
-
-
-# (c or b, d): the default composite law's, a b = 0.6 law's, and one whose
-# c + d > 1 overflows the denominator at |delta| = 1e300
-KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
 
 
 class TestUncheckedKernels:
     """``sat`` is the composite update's unchecked saturation of a float (its
     layered form, which ``test_kernels.py`` holds the update to bit for bit),
-    and ``saturation`` its checked form; ``excitation_gain``, of a float or
-    over a record, is the float kernels' ``sat(delta, b, d) * spow(delta, b)``:
-    same bits on every finite delta."""
+    and ``saturation`` its checked form: same bits on every finite delta.
+    ``excitation_gain``, of a float or over a record, is the float kernels'
+    ``sat(delta, b, d) * spow(delta, b)`` bit for bit for |delta| <= 1, and
+    the same bits of a float and of a record everywhere."""
 
     @pytest.mark.parametrize("c, d", KERNEL_EXPONENTS)
     @pytest.mark.parametrize("delta", [0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12,

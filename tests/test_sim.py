@@ -294,7 +294,9 @@ class TestPackedRecord:
 
 class TestArrayMonitors:
     """zeta1 and V1's signed power run over whole arrays, with the bits of
-    the float kernels taken sample by sample."""
+    the float kernels taken sample by sample (zeta1 where |Delta| <= 1;
+    above it the gain takes its other form, which ``test_control.py``
+    holds to x / (1 + x))."""
 
     @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2", "c3_case2", "c4_case1"])
     def test_zeta1_is_the_float_kernel_bitwise(self, fixture, request):
@@ -302,7 +304,8 @@ class TestArrayMonitors:
         b, d = trace.meta["exponent_b"], trace.meta["sat_d"]
         deltas = trace.delta.tolist()
         want = np.array([sat(x, b, d) * mathx.spow(x, b) for x in deltas])
-        assert trace.zeta1.tobytes() == want.tobytes()
+        small = np.abs(trace.delta) <= 1.0
+        assert trace.zeta1[small].tobytes() == want[small].tobytes()
         # Delta = 0 of either sign gives +0.0, as spow does
         got = excitation_gain(np.array(deltas[:5] + [0.0, -0.0]), b, d)
         assert got.tobytes() == np.concatenate((want[:5], [0.0, 0.0])).tobytes()
