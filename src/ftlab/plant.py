@@ -12,8 +12,8 @@ planar two-link manipulator with revolute joints, with three inertia terms
 and two potential terms; ``ThetaVector`` holds their coefficients as tuples
 of floats, and ``Plant`` evaluates its quantities from them as closed forms
 in Python floats, which is what the step loop calls.  ``forward_dynamics``
-forms C(q, qd) qd and Psi(q) theta_u inline, in the order of operations of
-the row products it replaced, and ``energy_terms`` is one closed form.
+forms C(q, qd) qd and Psi(q) theta_u inline, summed as row-by-row 2x2
+products sum them, and ``energy_terms`` is one closed form.
 Friction and measurement noise are separate bolt-on models that only the
 simulation loop applies, as the run's config holds them; they too return
 floats, the noise both joints' position and velocity noise from one sine.

@@ -8,8 +8,9 @@ Each round runs every entry of ``RUNS`` once per side, each in a fresh
 process that times ``sim.run_closed_loop`` three times and keeps the
 fastest; the time covers the loop and its post-loop monitors and is divided
 by the number of steps.  The two sides alternate which runs first from one
-round to the next.  The table gives each side's median over the rounds and
-the number of rounds in which the working tree was faster.
+round to the next.  The table gives each side's median over the rounds, the
+median of the per-round ratios tree / REV as a change, and the number of
+rounds in which the working tree was faster.
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
@@ -97,8 +98,9 @@ def main() -> int:
           f"{'rounds faster':>14}")
     for name, t in times.items():
         tree, rev = statistics.median(t["tree"]), statistics.median(t["rev"])
+        ratio = statistics.median(a / b for a, b in zip(t["tree"], t["rev"]))
         won = sum(a < b for a, b in zip(t["tree"], t["rev"]))
-        print(f"{name:14} {tree:13.2f} {rev:16.2f} {100.0 * (tree / rev - 1.0):+8.1f}% "
+        print(f"{name:14} {tree:13.2f} {rev:16.2f} {100.0 * (ratio - 1.0):+8.1f}% "
               f"{won:>9}/{args.rounds}")
     return 0
 
