@@ -32,9 +32,9 @@ extension's gain (``drem.LeastSquaresDre``) rather than a gain of its own.
 Each family's ``update`` forms its estimate rate and takes the Euler step
 itself: the composite law's rate, prediction error and saturation are
 written out in ``CompositeFtController.update``, c3's rate is one
-comprehension over its cached views of phi1 and phi2, and c4 folds the
-sign of -F x into its step.  c3's ``torque`` takes <e1>^a once, for the
-switching value and the nonlinear branch.  ``saturation`` is the checked
+comprehension over the extension's views of phi1 and phi2, and c4 folds
+the sign of -F x into its step.  c3's ``torque`` takes <e1>^a once, for
+the switching value and the nonlinear branch.  ``saturation`` is the checked
 form, of a float or an array, of the composite update's saturation, and
 ``excitation_gain`` the zeta1 monitor's gain, both over
 ``mathx.signed_power_vec``.
@@ -353,14 +353,10 @@ class SwitchingTsmController(_Estimate):
         self._start(theta_hat0, self.estimate_dim)
         self.plant = plant
         self.extension = extension
-        if extension is not None:
-            # views of the extension's state, which its step updates in place
-            self._phi1, self._phi2 = extension.phi1, extension.phi2
         self._mixing = None
         self._w = None
         self._s = None
         self._nonlinear = True
-        self.switching_value = None
 
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
@@ -376,9 +372,9 @@ class SwitchingTsmController(_Estimate):
         """Branch selection plus torque; caches the regressor and sliding
         variable for the subsequent adaptation-rate evaluation.  ``inertia``
         is M(q), or None to have the plant evaluate it; the velocity error
-        e2 is qd.  The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2,
-        which selects the branch, is kept as ``switching_value``; <e1>^a is
-        taken once, for it and for the nonlinear branch."""
+        e2 is qd.  The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2
+        selects the branch; <e1>^a is taken once, for it and for the
+        nonlinear branch."""
         p = self.params
         k2, a = p.k2, self.a
         if inertia is None:
@@ -387,9 +383,8 @@ class SwitchingTsmController(_Estimate):
         pow1, pow2 = spow(e11, a), spow(e12, a)
         ref1, ref2 = k2 * pow1, k2 * pow2
         lam_max = mathx.eig_sym2(m11, m12, m22)[1]
-        self.switching_value = ((qd1 * m11 + qd2 * m21) * qd1 + (qd1 * m12 + qd2 * m22) * qd2
-                                - lam_max * (ref1 * ref1 + ref2 * ref2))
-        self._nonlinear = self.switching_value <= 0.0
+        self._nonlinear = ((qd1 * m11 + qd2 * m21) * qd1 + (qd1 * m12 + qd2 * m22) * qd2
+                           - lam_max * (ref1 * ref1 + ref2 * ref2)) <= 0.0
         if self._nonlinear:
             qd_r = (-k2 * pow1, -k2 * pow2)
             s = (qd1 + ref1, qd2 + ref2)
@@ -436,7 +431,7 @@ class SwitchingTsmController(_Estimate):
         extension = self.extension
         extension.step(pair, dt)
         delta = extension.mix(self._mixing[k])[0]
-        rate = self.adapt_rate(self._phi1, self._phi2)
+        rate = self.adapt_rate(extension.phi1, extension.phi2)
         self.estimate = tuple([th + dt * r for th, r in zip(self.estimate, rate)])
         return delta
 

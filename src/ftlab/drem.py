@@ -269,8 +269,8 @@ class KreisselmeierDre:
     """Kreisselmeier regressor extension plus mixing.
 
     State: phi2 (l, l) and phi1 (l,), carried as one stacked (l, l + 1)
-    state [phi2 | phi1]; ``phi2`` and ``phi1`` are views of it, and
-    assigning either writes into it.  A step is one affine update
+    state [phi2 | phi1]; ``phi2`` and ``phi1`` are views of it, built once,
+    and assigning either writes into it.  A step is one affine update
 
         [phi2 | phi1] <- (1 - lambda2 dt) [phi2 | phi1]
                          + lambda3 dt Omega' [Omega | y],
@@ -297,6 +297,7 @@ class KreisselmeierDre:
         self.params = params or KreisParams()
         self.dim = dim
         self._state = np.zeros((dim, dim + 1))
+        self._phi1, self._phi2 = self._state[:, dim], self._state[:, :dim]
         self._drive = np.empty((dim, dim + 1))
         self._cramer = mathx._cramer_index(dim)
         self._stack = np.empty(self._cramer.shape)
@@ -305,19 +306,19 @@ class KreisselmeierDre:
 
     @property
     def phi1(self) -> np.ndarray:
-        return self._state[:, self.dim]
+        return self._phi1
 
     @phi1.setter
     def phi1(self, value) -> None:
-        self._state[:, self.dim] = value
+        self._phi1[...] = value
 
     @property
     def phi2(self) -> np.ndarray:
-        return self._state[:, :self.dim]
+        return self._phi2
 
     @phi2.setter
     def phi2(self, value) -> None:
-        self._state[:, :self.dim] = value
+        self._phi2[...] = value
 
     def step(self, pair: RegressionPair, dt: float) -> None:
         if dt != self._dt:

@@ -18,7 +18,9 @@ afterwards.  The filter states are Python floats.  Each filter owns one
 (the bytes a float64 assignment of the same floats gives), and whose
 ``omega``, ``y`` and ``omega_t`` are views of it, built once.  The pair
 ``step`` returns is therefore valid until the next ``step``; a caller that
-keeps a sample copies it.
+keeps a sample copies it.  ``step`` returns ``pair`` itself and no filter
+rebinds ``pair`` or its buffer: the step loop records every sample through
+one view of ``pair.aug``, taken before the first step.
 """
 
 from __future__ import annotations

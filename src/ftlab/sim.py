@@ -239,13 +239,14 @@ def run_closed_loop(config: SimConfig) -> Trace:
     measured configuration; M(q) there only if the controller asks for it)
     and passed to the controller, the regression filter and the plant step.
     The regression pair is the filter's one [Omega | y] buffer,
-    ``regression.pair``, recorded whole each step.  The monitors V1, zeta1
-    and |z1| feed nothing back, so they are evaluated after the loop, over
-    the recorded series, with Psi(q) and M(q) rebuilt from the recorded q.  A non-finite state or mixing
-    output ends the run with a NumericalDegeneracyError naming it, the step
-    and the time, and so does a float overflow within a step.  A record too
-    large to allocate, or beyond numpy's index range, is a ConfigError naming
-    the step count.
+    ``regression.pair``, recorded whole each step through a view taken
+    before the first.  The monitors V1, zeta1 and |z1| feed nothing back,
+    so they are evaluated after the loop, over the recorded series, with
+    Psi(q) and M(q) rebuilt from the recorded q.  A non-finite state or
+    mixing output ends the run with a NumericalDegeneracyError naming it,
+    the step and the time, and so does a float overflow within a step.  A
+    record too large to allocate, or beyond numpy's index range, is a
+    ConfigError naming the step count.
     """
     config.validate()
     plant = Plant.two_link(config.params)

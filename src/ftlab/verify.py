@@ -123,14 +123,15 @@ def check_gravity_factorization(plant: Plant | None = None, psi_fn=None,
                                 n_samples: int = 1000, seed: int = 19) -> PropertyResult:
     plant = plant or Plant.two_link()
     psi_fn = psi_fn or (lambda q: np.array(plant.psi_rows(q)))
-    theta_u = d4, d5 = plant.theta.theta_u
+    theta_u = plant.theta.theta_u
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
         q = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, plant.n)
-        # g = Psi(q) theta_u on floats, as the forward dynamics forms it
-        (p11, p12), (p21, p22) = plant.psi_rows(q)
-        gravity = np.array((p11 * d4 + p12 * d5, p21 * d4 + p22 * d5))
+        # g as the simulation forms it: at rest, under no torque and with
+        # M = I, the forward dynamics return -g exactly
+        gravity = -np.array(plant.forward_dynamics(q, (0.0, 0.0), (0.0, 0.0),
+                                                   inertia=((1.0, 0.0), (0.0, 1.0))))
         resid = float(np.max(np.abs(gravity - psi_fn(q) @ theta_u)))
         worst = max(worst, resid)
     return PropertyResult("gravity_equals_psi_theta", worst <= 1e-14,

@@ -409,9 +409,8 @@ def switching_value_layered(params, a, e1, e2, inertia_q):
 
 
 def tsm_torque_layered(params, a, theta_hat, e1, q, qd, inertia_q):
-    """(torque, nonlinear branch?, switching value) of the switching
-    controller, with <e1>^a taken once for the switching value and again for
-    the nonlinear branch."""
+    """(torque, nonlinear branch?) of the switching controller, with <e1>^a
+    taken once for the switching value and again for the nonlinear branch."""
     k2 = params.k2
     f = switching_value_layered(params, a, e1, qd, inertia_q)
     (e11, e12), (qd1, qd2) = e1, qd
@@ -432,7 +431,7 @@ def tsm_torque_layered(params, a, theta_hat, e1, q, qd, inertia_q):
     u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
     tau = (sum(x * y for x, y in zip(w1, theta_hat)) - params.k1 * s1 - params.ks * u1,
            sum(x * y for x, y in zip(w2, theta_hat)) - params.k1 * s2 - params.ks * u2)
-    return tau, f <= 0.0, f
+    return tau, f <= 0.0
 
 
 # -- trace CSV -----------------------------------------------------------------

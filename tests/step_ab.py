@@ -1,12 +1,12 @@
 """In-process A/B of the step loop's cost between the working tree and a git
 revision, in microseconds per step.
 
-    python tests/step_ab.py REV [--rounds 10] [--t-final 2]
+    python tests/step_ab.py REV [--rounds 10]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory.
 Each round runs every entry of ``RUNS`` once per side, each in a fresh
-process that times ``sim.run_closed_loop`` three times and keeps the
-fastest; the time covers the loop and its post-loop monitors and is divided
+process that times ``sim.run_closed_loop`` over T_FINAL simulated seconds
+three times and keeps the fastest; the time covers the loop and its post-loop monitors and is divided
 by the number of steps.  The two sides alternate which runs first from one
 round to the next.  The table gives each side's median over the rounds, the
 median of the per-round ratios tree / REV as a change, and the number of
@@ -40,15 +40,16 @@ RUNS = {
     "c4": {"controller": "c4"},
 }
 REPEATS = 3
+T_FINAL = 2.0    # simulated seconds per run: 4000 steps at the default dt
 
 
-def child(name: str, t_final: float) -> None:
+def child(name: str) -> None:
     """Print the fastest of REPEATS runs of ``name``, in µs per step."""
     import time
 
     from ftlab import sim
 
-    config = sim.SimConfig(t_final=t_final, **RUNS[name])
+    config = sim.SimConfig(t_final=T_FINAL, **RUNS[name])
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -57,9 +58,9 @@ def child(name: str, t_final: float) -> None:
     print(1e6 * best / config.n_steps)
 
 
-def measure(src: Path, name: str, t_final: float) -> float:
+def measure(src: Path, name: str) -> float:
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--child", name, str(t_final)],
+    out = subprocess.run([sys.executable, __file__, "--child", name],
                          env=env, check=True, capture_output=True, text=True).stdout
     return float(out)
 
@@ -75,13 +76,11 @@ def export(rev: str, dest: Path) -> Path:
 
 def main() -> int:
     if sys.argv[1:2] == ["--child"]:
-        child(sys.argv[2], float(sys.argv[3]))
+        child(sys.argv[2])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--t-final", type=float, default=2.0,
-                        help="simulated seconds per run (default 2, 4000 steps)")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,7 +90,7 @@ def main() -> int:
             order = ("tree", "rev") if r % 2 == 0 else ("rev", "tree")
             for name in RUNS:
                 for side in order:
-                    times[name][side].append(measure(sides[side], name, args.t_final))
+                    times[name][side].append(measure(sides[side], name))
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     print(f"{'run':14} {'tree us/step':>13} {args.rev + ' us/step':>16} {'change':>9} "

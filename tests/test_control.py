@@ -16,7 +16,7 @@ from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            SwitchingTsmController, TsmParams, _ftpd,
                            _slotine_li_rows, excitation_gain, saturation)
 from reference import prediction_error as _prediction_error, sat
-from ftlab.drem import LsDreParams
+from ftlab.drem import KreisselmeierDre, LsDreParams
 from ftlab.regression import RegressionPair
 from ftlab.sim import SimConfig
 
@@ -303,10 +303,33 @@ class TestSwitchingTsm:
             e1 = rng.uniform(-2, 2, 2)
             e2 = rng.uniform(-2, 2, 2)
             q = e1 + np.array([2.0, 2.0])
+            tau1 = ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            branch1 = ctrl.branch
+            tau2 = ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            assert tau1 == tau2 and branch1 == ctrl.branch
+
+    def test_reassigned_extension_drives_the_rate(self, plant):
+        # the rate reads phi1 and phi2 of the extension the controller holds
+        # now, not of the one it was built with
+        rng = np.random.default_rng(4)
+        pair = RegressionPair(y=rng.uniform(-1, 1, 2), omega=rng.uniform(-1, 1, (2, 5)))
+        e1, q, e2 = np.array([0.5, -0.2]), np.array([1.0, 0.5]), np.array([0.3, 0.1])
+        th = tuple(rng.uniform(-2, 2, 5).tolist())
+        state = rng.uniform(-1, 1, (5, 6))
+        estimates = []
+        for reassign in (False, True):
+            extension = KreisselmeierDre(5)
+            extension.phi2, extension.phi1 = state[:, :5], state[:, 5]
+            ctrl = SwitchingTsmController(TsmParams(), 1.0 / 3.0, theta_hat0=th, plant=plant,
+                                          extension=KreisselmeierDre(5) if reassign else extension)
+            if reassign:
+                ctrl.extension = extension
+            ctrl.diagnostics(1)
             ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
-            f1, branch1 = ctrl.switching_value, ctrl.branch
-            ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
-            assert f1 == ctrl.switching_value and branch1 == ctrl.branch
+            ctrl.update(pair, 5e-4, 0)
+            estimates.append(ctrl.estimate)
+        assert estimates[0] == estimates[1]
+        assert estimates[1] != th
 
     def test_unit_vector_term_vanishes_at_zero_sliding(self, plant):
         ctrl = self.make()

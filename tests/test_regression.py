@@ -114,3 +114,13 @@ def test_factory_dispatch(plant):
                       ForceBalanceRegression)
     with pytest.raises(ValueError):
         make_regression("banana", plant, [0, 0], [0, 0])
+
+
+@pytest.mark.parametrize("kind", ["power_balance", "force_balance"])
+def test_step_returns_the_filters_own_pair(plant, kind):
+    # the step loop records pair.aug through a view taken before its first step
+    reg = make_regression(kind, plant, [0.3, -0.2], [0.1, 0.4])
+    pair, aug = reg.pair, reg.pair.aug
+    for k in range(3):
+        assert reg.step([0.3, -0.2], [0.1 * k, 0.4], [1.0, -1.0], DT) is pair
+        assert reg.pair is pair and pair.aug is aug
