@@ -10,34 +10,39 @@
 * ``SlotineLiLsController`` (c4): classical virtual-reference adaptive
   controller with a time-varying least-squares estimation gain.
 
-Torque and rate computations are pure given a state snapshot.  The runner
-knows the controllers only through their shared protocol: the estimate
-``estimate``, a tuple of floats; ``torque(e1, q, qd, psi, inertia)`` from
-the measured signals, a pair of floats (under set-point regulation the
-velocity error e2 is qd itself); ``diagnostics(n_rec)``, which allocates
-its per-step series before the loop; ``update(pair, dt, k)``, which steps
-the family's regressor extension (c4: its least-squares gain), mixes
-(c1-c3) straight into sample k of its mixing record, adapts and returns
-Delta; ``record(diag, k)`` for the rest of sample k; and ``dre``, the name
-of the extension it mixes from.  ``FAMILIES`` maps the controller names to
-the classes, whose ``from_config`` builds one and ``check_config`` holds
-the family's rules.
+The runner knows the controllers only through their shared protocol: the
+estimate ``estimate``, a tuple of floats; ``regression``, the regression
+filter the family builds in ``from_config`` (as it builds its extension),
+whose one [Omega | y] buffer ``regression.pair.aug`` the runner records;
+``diagnostics(n_rec)``, which allocates the family's per-step series
+before the loop; ``step(k, e1, q, qd, psi, inertia)``, the one call per
+sample; and ``dre``, the name of the extension it mixes from.  ``step``
+takes the measured signals (under set-point regulation the velocity
+error e2 is qd itself; ``inertia`` is M(q), or None to have a family that
+needs it evaluate it) and, in one method, forms the torque, feeds the
+regression filter, steps the family's regressor extension (c4: its
+least-squares gain) and mixes (c1-c3) straight into sample k of its
+mixing record, Euler-steps the estimate at dt and records sample k; it
+returns the torque, a pair of floats, and Delta.  ``FAMILIES`` maps the
+controller names to the classes, whose ``from_config`` builds one and
+``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
-row sequences, and the kernels return floats.  The gain vectors are
-tuples of floats too, checked positive at construction.  Only the l = 5
-estimator algebra of c3 and c4 is numpy; c4 steps the least-squares
-extension's gain (``drem.LeastSquaresDre``) rather than a gain of its own.
-Each family's ``update`` forms its estimate rate and takes the Euler step
-itself: the composite law's rate, prediction error and saturation are
-written out in ``CompositeFtController.update``, c3's rate is one
-comprehension over the extension's views of phi1 and phi2, and c4 folds
-the sign of -F x into its step.  c3's ``torque`` takes <e1>^a once, for
-the switching value and the nonlinear branch.  ``saturation`` is the checked
-form, of a float or an array, of the composite update's saturation, and
-``excitation_gain`` the zeta1 monitor's gain, both over
-``mathx.signed_power_vec``.
+row sequences.  The gain vectors are tuples of floats too, checked
+positive at construction, and each family binds its gains and exponents
+once, at construction.  Only the l = 5 estimator algebra of c3 and c4 is
+numpy; c4 steps the least-squares extension's gain
+(``drem.LeastSquaresDre``) rather than a gain of its own.  Each step
+writes out what it takes: the composite law's seven signed powers
+<z>^p = ``copysign(abs(z) ** p, z) if z else 0.0``, its prediction error
+and saturation; c3's <e1>^a, taken once for the switching value and the
+nonlinear branch, and lambda_max(M); and each extension's record, a byte
+copy of its state through the views its ``diagnostics`` binds.  c3 and
+c4 share one Slotine-Li kernel, which gives the torque and W' s.
+``saturation`` is the checked form, of a float or an array, of the
+composite update's saturation, and ``excitation_gain`` the zeta1
+monitor's gain, both over ``mathx.signed_power_vec``.
 """
 
 from __future__ import annotations
@@ -51,10 +56,11 @@ from functools import cached_property
 import numpy as np
 
 from . import mathx
-from .mathx import spow
 from .errors import ConfigError
 from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
-from .regression import RegressionPair
+from .regression import make_regression
+
+_copysign, _tanh, _sqrt = math.copysign, math.tanh, math.sqrt
 
 
 def _positive_diagonals(gains, *names: str) -> None:
@@ -73,9 +79,8 @@ class FtPdGains:
 
     The exponents derive from the weights r1, r2 through m_c = 2 r2 - r1,
     a = m_c / r1, b = m_c / r2; the admissible range 2 r2 > r1 > r2 > 0
-    guarantees 1 > b > a > 0.  a = b = 1 (r1 = r2) is outside that range and
-    deliberately not representable here: the linear PD limit is the kernel
-    ``_ftpd`` called with explicit exponents.
+    guarantees 1 > b > a > 0.  a = b = 1 (r1 = r2), the plain adaptive PD, is
+    outside that range and deliberately not representable here.
     """
 
     kp: tuple = (3.0, 3.0)
@@ -101,15 +106,6 @@ class FtPdGains:
     @cached_property
     def b(self) -> float:
         return self.m_c / self.r2
-
-
-def _ftpd(e1, e2, psi, theta_hat_u, gains: FtPdGains, a: float, b: float) -> tuple:
-    """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_hat_u, with <.>^p
-    the elementwise signed power; a = b = 1 gives the plain adaptive PD."""
-    (kp1, kp2), (kd1, kd2), (kl1, kl2) = gains.kp, gains.kd, gains.kd_lin
-    (e11, e12), (e21, e22), ((p11, p12), (p21, p22)), (t1, t2) = e1, e2, psi, theta_hat_u
-    return (-kp1 * spow(e11, a) - kd1 * spow(e21, b) - kl1 * e21 + (p11 * t1 + p12 * t2),
-            -kp2 * spow(e12, a) - kd2 * spow(e22, b) - kl2 * e22 + (p21 * t1 + p22 * t2))
 
 
 @dataclass(frozen=True)
@@ -150,10 +146,24 @@ class CompositeAdaptGains:
 def saturation(delta, c: float, d: float):
     """Odd, bounded gain <delta>^d / (1 + |delta|^(c+d)).  Of a float, a
     float; of an array, an array; each entry the composite update's
-    saturation of that delta bit for bit.  Raises ValueError on a non-finite
+    saturation of that delta bit for bit.  Where |delta|^(c+d) (or
+    |delta|^d) overflows, 1 is below the last bit of the denominator and
+    the gain is <delta>^-c, formed as that power, which cannot overflow
+    (there |delta| > 1, and c > 0).  Raises ValueError on a non-finite
     delta or an exponent d or c + d that is not finite and positive."""
     power = mathx.signed_power_vec
-    gain = power(delta, d) / (1.0 + power(np.abs(delta), c + d))
+    try:
+        gain = power(delta, d) / (1.0 + power(np.abs(delta), c + d))
+    except OverflowError:
+        # the entries one at a time, each as the composite update forms it
+        flat = []
+        for x in np.ravel(delta).tolist():
+            try:
+                flat.append((_copysign(abs(x) ** d, x) if x else 0.0)
+                            / (1.0 + abs(x) ** (c + d)))
+            except OverflowError:
+                flat.append(_copysign(abs(x) ** -c, x))
+        gain = np.reshape(flat, np.shape(delta))
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -162,7 +172,7 @@ def excitation_gain(delta, b: float, d: float):
     saturation(delta, b, d) * <delta>^b: 0.0 at delta = 0 and in [0, 1] for
     every finite delta.  Of a float, a float; of an array (the monitor's
     record of Delta), an array.  For |delta| <= 1 it is that product, the
-    composite update's saturation times ``spow(delta, b)``, bit for bit.
+    composite update's saturation times its <delta>^b, bit for bit.
     For |delta| > 1 it is 1 / (1 + |delta|^-(b+d)), within a few ulp of
     x / (1 + x): the product's roundings would leave [0, 1] there (at
     b = d = 0.5 it is 1.0000000000000002 at 1e17), so above |delta| = 1
@@ -186,20 +196,39 @@ def _check_theta_hat0(config, dim: int) -> None:
         raise ConfigError(f"theta_hat0 must have length {dim} for {config.controller}")
 
 
+def _regression(config, plant):
+    """The regression filter of ``config`` for ``plant``."""
+    return make_regression(config.effective_parameterization, plant, config.q0, config.qd0,
+                           config.effective_lambda0, config.lambda1)
+
+
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
-    reads and records, and the regressor extension, ``extension``, that
-    each family steps.  Each family's ``update`` Euler-steps the estimate
-    itself."""
+    reads and records; the regressor extension, ``extension``, and the
+    regression filter, ``regression``, that each family's ``step`` steps at
+    the step size ``dt``; and the extension's record, which
+    ``diagnostics`` binds."""
 
     estimate: tuple
     extension: object
+    regression: object
+    dt: float
 
-    def _start(self, theta_hat0, dim: int) -> None:
+    def _start(self, theta_hat0, dim: int, extension, regression, dt) -> None:
         self.estimate = ((0.0,) * dim if theta_hat0 is None
                          else tuple(np.asarray(theta_hat0, dtype=float).tolist()))
         if len(self.estimate) != dim:
             raise ValueError("theta_hat0 length does not match the estimate")
+        self.extension, self.regression, self.dt = extension, regression, dt
+        self._record = None
+
+    def _bind_record(self, n_rec: int) -> dict:
+        """Allocate the extension's record of n_rec samples and bind its byte
+        views, with the byte length of one sample, for ``step``."""
+        diag = self.extension.diagnostics(n_rec)
+        rec, src = self.extension.record_bytes
+        self._record = (rec, src, src.nbytes)
+        return diag
 
 
 class CompositeFtController(_Estimate):
@@ -213,20 +242,22 @@ class CompositeFtController(_Estimate):
     estimate_dim = 2
 
     def __init__(self, ftpd: FtPdGains, adapt: CompositeAdaptGains, theta_hat0=None,
-                 extension=None):
+                 extension=None, regression=None, dt=None):
         self.ftpd = ftpd
         self.adapt = adapt
-        self.extension = extension
-        self._start(theta_hat0, len(adapt.gamma_diag))
+        self._start(theta_hat0, len(adapt.gamma_diag), extension, regression, dt)
         self._mixing = None
-        self._e1 = self._e2 = self._psi = None
+        c, d = ftpd.b, adapt.sat_d
+        self._gains = (*ftpd.kp, *ftpd.kd, *ftpd.kd_lin, ftpd.a, c, adapt.g1d1, adapt.g12,
+                       d, c + d, *adapt.gamma_diag, *adapt.upsilon_diag)
 
     @classmethod
     def from_config(cls, config, plant) -> "CompositeFtController":
         dim = plant.theta.size
         extension = (LeastSquaresDre(dim, config.ls) if config.controller == "c1"
                      else KreisselmeierDre(dim, config.kreis))
-        return cls(config.ftpd, config.adapt, config.theta_hat0, extension)
+        return cls(config.ftpd, config.adapt, config.theta_hat0, extension,
+                   _regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -240,69 +271,74 @@ class CompositeFtController(_Estimate):
     def dre(self) -> str:
         return self.extension.kind
 
-    def torque(self, e1, q, qd, psi, inertia) -> tuple:
-        # the velocity error e2 of set-point regulation is qd
-        self._e1, self._e2, self._psi = e1, qd, psi
-        ftpd = self.ftpd
-        return _ftpd(e1, qd, psi, self.estimate, ftpd, ftpd.a, ftpd.b)
-
-    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
-        """Step the extension, mix into row k of the mixing record that
-        diagnostics() allocated, and Euler-step the estimate at the composite
-        rate -gamma (Psi' v + g12 upsilon sat(Delta) <Delta theta_hat - y_u>^c),
+    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+        """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_u (e2 = qd);
+        then the filter and the extension step, the mix into row k of the
+        mixing record that diagnostics() allocated, and the Euler step of
+        the estimate at the composite rate
+        -gamma (Psi' v + g12 upsilon sat(Delta) <Delta theta_hat - y_u>^c),
         v = g1d1 tanh(e1) + g12 e2, y_u theta_u's block of Y and the exponent
-        c the PD exponent b; sat(Delta) = <Delta>^d / (1 + |Delta|^(c + d))."""
+        c the PD exponent b; sat(Delta) = <Delta>^d / (1 + |Delta|^(c + d)),
+        or <Delta>^-c where |Delta|^(c + d) overflows (see ``saturation``).
+        ``inertia`` is not used."""
+        (kp1, kp2, kd1, kd2, kl1, kl2, a, c, g1d1, g12, d, cd,
+         gm1, gm2, u1, u2) = self._gains
+        (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, qd, psi
+        t1, t2 = self.estimate
+        dt = self.dt
+        tau = (-kp1 * (_copysign(abs(e11) ** a, e11) if e11 else 0.0)
+               - kd1 * (_copysign(abs(e21) ** c, e21) if e21 else 0.0)
+               - kl1 * e21 + (p11 * t1 + p12 * t2),
+               -kp2 * (_copysign(abs(e12) ** a, e12) if e12 else 0.0)
+               - kd2 * (_copysign(abs(e22) ** c, e22) if e22 else 0.0)
+               - kl2 * e22 + (p21 * t1 + p22 * t2))
+        pair = self.regression.step(q, qd, tau, dt, psi)
         extension = self.extension
         extension.step(pair, dt)
         mixed = extension.mix(self._mixing[k])
+        rec, src, n = self._record
+        rec[k * n:(k + 1) * n] = src
         delta, y1, y2 = mixed[0], mixed[-2], mixed[-1]
-        adapt, c = self.adapt, self.ftpd.b
-        g1d1, g12, d = adapt.g1d1, adapt.g12, adapt.sat_d
-        (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = self._e1, self._e2, self._psi
-        (t1, t2), (gm1, gm2), (u1, u2) = self.estimate, adapt.gamma_diag, adapt.upsilon_diag
-        v1 = g1d1 * math.tanh(e11) + g12 * e21
-        v2 = g1d1 * math.tanh(e12) + g12 * e22
-        f_gain = spow(delta, d) / (1.0 + abs(delta) ** (c + d))
-        r1 = -gm1 * (p11 * v1 + p21 * v2 + g12 * u1 * f_gain * spow(delta * t1 - y1, c))
-        r2 = -gm2 * (p12 * v1 + p22 * v2 + g12 * u2 * f_gain * spow(delta * t2 - y2, c))
+        v1 = g1d1 * _tanh(e11) + g12 * e21
+        v2 = g1d1 * _tanh(e12) + g12 * e22
+        try:
+            f_gain = ((_copysign(abs(delta) ** d, delta) if delta else 0.0)
+                      / (1.0 + abs(delta) ** cd))
+        except OverflowError:
+            f_gain = _copysign(abs(delta) ** -c, delta)
+        x1, x2 = delta * t1 - y1, delta * t2 - y2
+        r1 = -gm1 * (p11 * v1 + p21 * v2
+                     + g12 * u1 * f_gain * (_copysign(abs(x1) ** c, x1) if x1 else 0.0))
+        r2 = -gm2 * (p12 * v1 + p22 * v2
+                     + g12 * u2 * f_gain * (_copysign(abs(x2) ** c, x2) if x2 else 0.0))
         self.estimate = (t1 + dt * r1, t2 + dt * r2)
-        return delta
+        return tau, delta
 
     def diagnostics(self, n_rec: int) -> dict:
-        # one mixing row [Delta | Y] per sample, which update has the mix
+        # one mixing row [Delta | Y] per sample, which step has the mix
         # write into; Y_mixed is its [:, 1:] view
         self._mixing = np.empty((n_rec, self.extension.dim + 1))
-        return {"Y_mixed": self._mixing[:, 1:], **self.extension.diagnostics(n_rec)}
-
-    def record(self, diag: dict, k: int) -> None:
-        self.extension.record(diag, k)
+        return {"Y_mixed": self._mixing[:, 1:], **self._bind_record(n_rec)}
 
 
-def _slotine_li_rows(q, qd, qd_r, qdd_r) -> tuple:
-    """Two-link tracking regressor W with
-    W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r + g(q)."""
-    (q1, q2), (qd1, qd2), (r1, r2), (a1, a2) = q, qd, qd_r, qdd_r
-    c2 = math.cos(q2)
-    s2 = math.sin(q2)
+def _slotine_li(q, qd, qd_r, qdd_r, s, theta_hat, k1: float, ks: float) -> tuple:
+    """(tau, W' s) of the Slotine-Li law with the two-link tracking
+    regressor W, W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r
+    + g(q): tau = W theta_hat - k1 s - ks s / |s| (the last term 0 at
+    s = 0), and W' s the five floats a * s1 + b * s2 over W's columns."""
+    (q1, q2), (qd1, qd2), (r1, r2), (a1, a2), (s1, s2) = q, qd, qd_r, qdd_r, s
+    cos2, sin2 = math.cos(q2), math.sin(q2)
     s12 = math.sin(q1 + q2)
-    w12 = c2 * (2.0 * a1 + a2) - s2 * (qd2 * r1 + (qd1 + qd2) * r2)
-    w21 = c2 * a1 + s2 * qd1 * r1
-    return ((a1, w12, a2, s12, math.sin(q1)), (0.0, w21, a1 + a2, s12, 0.0))
-
-
-def _slotine_li_torque(w, theta_hat, s, k1: float, ks: float) -> tuple:
-    """W theta_hat - k1 s - ks s / |s| (the last term 0 at s = 0)."""
-    (w1, w2), (s1, s2) = w, s
-    norm = math.sqrt(s1 * s1 + s2 * s2)
+    w12 = cos2 * (2.0 * a1 + a2) - sin2 * (qd2 * r1 + (qd1 + qd2) * r2)
+    w21 = cos2 * a1 + sin2 * qd1 * r1
+    w1 = (a1, w12, a2, s12, math.sin(q1))
+    w2 = (0.0, w21, a1 + a2, s12, 0.0)
+    norm = _sqrt(s1 * s1 + s2 * s2)
     u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
-    return (sum(map(operator.mul, w1, theta_hat)) - k1 * s1 - ks * u1,
-            sum(map(operator.mul, w2, theta_hat)) - k1 * s2 - ks * u2)
-
-
-def _regressor_times(w, s) -> list:
-    """W' s for the two rows of W, as a list of floats."""
-    (w1, w2), (s1, s2) = w, s
-    return [a * s1 + b * s2 for a, b in zip(w1, w2)]
+    return ((sum(map(operator.mul, w1, theta_hat)) - k1 * s1 - ks * u1,
+             sum(map(operator.mul, w2, theta_hat)) - k1 * s2 - ks * u2),
+            (w1[0] * s1 + w2[0] * s2, w1[1] * s1 + w2[1] * s2, w1[2] * s1 + w2[2] * s2,
+             w1[3] * s1 + w2[3] * s2, w1[4] * s1 + w2[4] * s2))
 
 
 @dataclass(frozen=True)
@@ -338,111 +374,108 @@ class SwitchingTsmController(_Estimate):
     nonlinear branch runs while e2' M(q) e2 <= lam_max(M) |k2 <e1>^a|^2,
     the linear branch otherwise.  Estimates the full parameter vector from
     the classical Kreisselmeier extension filters (lambda3 = 1).  ``plant``
-    evaluates M(q) when the caller of torque() has not.
+    evaluates M(q) when the caller of step() has not.
     """
 
     estimate_dim = 5
     dre = "kreisselmeier"
 
     def __init__(self, params: TsmParams, exponent_a: float, theta_hat0=None,
-                 plant=None, extension=None):
+                 plant=None, extension=None, regression=None, dt=None):
         self.params = params
-        self.a = float(exponent_a)
-        if not 0.0 < self.a < 1.0:
+        self.a = a = float(exponent_a)
+        if not 0.0 < a < 1.0:
             raise ValueError("exponent a must lie in (0, 1)")
-        self._start(theta_hat0, self.estimate_dim)
+        self._start(theta_hat0, self.estimate_dim, extension, regression, dt)
         self.plant = plant
-        self.extension = extension
         self._mixing = None
-        self._w = None
-        self._s = None
+        self._branch = None
         self._nonlinear = True
+        p = params
+        self._gains = (p.k1, p.k2, p.ks, p.clamp, a, -a * p.k2, p.gamma_tsm,
+                       p.gamma_tsm * p.k_tsm, p.gamma_lin, p.gamma_lin * p.k_lin)
 
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
         kreis = dataclasses.replace(config.kreis, lambda3=1.0)
         extension = KreisselmeierDre(plant.theta.size, kreis)
-        return cls(config.tsm, config.ftpd.a, config.theta_hat0, plant, extension)
+        return cls(config.tsm, config.ftpd.a, config.theta_hat0, plant, extension,
+                   _regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def torque(self, e1, q, qd, psi, inertia) -> tuple:
-        """Branch selection plus torque; caches the regressor and sliding
-        variable for the subsequent adaptation-rate evaluation.  ``inertia``
-        is M(q), or None to have the plant evaluate it; the velocity error
-        e2 is qd.  The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2
-        selects the branch; <e1>^a is taken once, for it and for the
-        nonlinear branch."""
-        p = self.params
-        k2, a = p.k2, self.a
+    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+        """Branch selection and torque, then the filter and the extension
+        step, the mix into row k of the mixing record, and the Euler step of
+        the estimate.  ``inertia`` is M(q), or None to have the plant
+        evaluate it; the velocity error e2 is qd.  The switching value
+        e2' M e2 - lam_max(M) |k2 <e1>^a|^2 selects the branch; <e1>^a is
+        taken once, for it and for the nonlinear branch.  The estimate rate
+        is -gamma W' s minus gamma k times the drift phi2 theta_hat - phi1
+        (linear branch) or phi2' times its unit vector, 0 at zero drift
+        (nonlinear branch), with phi1 and phi2 the extension's after its
+        step.  The products with phi2 are numpy, where BLAS may fuse
+        multiply-adds; the rest is floats."""
+        k1, k2, ks, clamp, a, ref_gain, g_tsm, w_tsm, g_lin, w_lin = self._gains
         if inertia is None:
             inertia = self.plant.inertia_rows(q)
         (e11, e12), (qd1, qd2), ((m11, m12), (m21, m22)) = e1, qd, inertia
-        pow1, pow2 = spow(e11, a), spow(e12, a)
+        pow1 = _copysign(abs(e11) ** a, e11) if e11 else 0.0
+        pow2 = _copysign(abs(e12) ** a, e12) if e12 else 0.0
         ref1, ref2 = k2 * pow1, k2 * pow2
-        lam_max = mathx.eig_sym2(m11, m12, m22)[1]
-        self._nonlinear = ((qd1 * m11 + qd2 * m21) * qd1 + (qd1 * m12 + qd2 * m22) * qd2
-                           - lam_max * (ref1 * ref1 + ref2 * ref2)) <= 0.0
-        if self._nonlinear:
+        # the upper eigenvalue of the symmetric 2x2 M
+        lam_max = 0.5 * ((m11 + m22) + _sqrt((m11 - m22) ** 2 + 4.0 * m12 ** 2))
+        nonlinear = ((qd1 * m11 + qd2 * m21) * qd1 + (qd1 * m12 + qd2 * m22) * qd2
+                     - lam_max * (ref1 * ref1 + ref2 * ref2)) <= 0.0
+        if nonlinear:
             qd_r = (-k2 * pow1, -k2 * pow2)
             s = (qd1 + ref1, qd2 + ref2)
-            gain = -a * k2
-            qdd_r = (gain * max(abs(e11), p.clamp) ** (a - 1.0) * qd1,
-                     gain * max(abs(e12), p.clamp) ** (a - 1.0) * qd2)
+            qdd_r = (ref_gain * max(abs(e11), clamp) ** (a - 1.0) * qd1,
+                     ref_gain * max(abs(e12), clamp) ** (a - 1.0) * qd2)
         else:
             qd_r = (-k2 * e11, -k2 * e12)
             s = (qd1 + k2 * e11, qd2 + k2 * e12)
             qdd_r = (-k2 * qd1, -k2 * qd2)
-        self._w = _slotine_li_rows(q, qd, qd_r, qdd_r)
-        self._s = s
-        return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
+        estimate = self.estimate
+        tau, w_s = _slotine_li(q, qd, qd_r, qdd_r, s, estimate, k1, ks)
+        dt = self.dt
+        pair = self.regression.step(q, qd, tau, dt, psi)
+        extension = self.extension
+        extension.step(pair, dt)
+        delta = extension.mix(self._mixing[k])[0]
+        rec, src, n = self._record
+        rec[k * n:(k + 1) * n] = src
+        self._nonlinear = nonlinear
+        self._branch[k] = 0 if nonlinear else 1
+        phi1, phi2 = extension.phi1, extension.phi2
+        # phi2 is a strided view of the extension's state, on which
+        # phi2.dot(x) rounds differently from phi2 @ x: keep the matmul
+        drift = phi2 @ np.array(estimate) - phi1
+        if nonlinear:
+            gain, weight = g_tsm, w_tsm
+            # |drift| as np.linalg.norm computes it for a 1-D vector
+            norm = _sqrt(drift.dot(drift))
+            term = (phi2.T @ (drift / norm)).tolist() if norm else [0.0] * len(w_s)
+        else:
+            gain, weight = g_lin, w_lin
+            term = drift.tolist()
+        updated = []
+        for th, w, x in zip(estimate, w_s, term):
+            updated.append(th + dt * (-gain * w - weight * x))
+        self.estimate = tuple(updated)
+        return tau, delta
 
     @property
     def branch(self) -> str:
         return "tsm" if self._nonlinear else "linear"
 
-    def adapt_rate(self, phi1: np.ndarray, phi2: np.ndarray) -> list:
-        """Estimator rate from the last torque evaluation and the current
-        extension filter states, as a list of floats: -gamma W' s minus
-        gamma k times the drift phi2 theta_hat - phi1 (linear branch) or
-        phi2' times its unit vector, 0 at zero drift (nonlinear branch).
-        The products with phi2 are numpy, where BLAS may fuse multiply-adds;
-        the rest is floats."""
-        if self._w is None:
-            raise RuntimeError("torque() must be evaluated before adapt_rate()")
-        p = self.params
-        w_s = _regressor_times(self._w, self._s)
-        # phi2 is a strided view of the extension's state, on which
-        # phi2.dot(x) rounds differently from phi2 @ x: keep the matmul
-        drift = phi2 @ np.array(self.estimate) - phi1
-        if self._nonlinear:
-            gain, weight = p.gamma_tsm, p.gamma_tsm * p.k_tsm
-            # |drift| as np.linalg.norm computes it for a 1-D vector
-            norm = math.sqrt(drift.dot(drift))
-            term = (phi2.T @ (drift / norm)).tolist() if norm else [0.0] * len(w_s)
-        else:
-            gain, weight = p.gamma_lin, p.gamma_lin * p.k_lin
-            term = drift.tolist()
-        return [-gain * a - weight * b for a, b in zip(w_s, term)]
-
-    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
-        extension = self.extension
-        extension.step(pair, dt)
-        delta = extension.mix(self._mixing[k])[0]
-        rate = self.adapt_rate(extension.phi1, extension.phi2)
-        self.estimate = tuple([th + dt * r for th, r in zip(self.estimate, rate)])
-        return delta
-
     def diagnostics(self, n_rec: int) -> dict:
         self._mixing = np.empty((n_rec, self.extension.dim + 1))
-        return {"Y_mixed": self._mixing[:, 1:], **self.extension.diagnostics(n_rec),
-                "branch": np.empty(n_rec, dtype=np.int8)}
-
-    def record(self, diag: dict, k: int) -> None:
-        self.extension.record(diag, k)
-        diag["branch"][k] = 0 if self._nonlinear else 1
+        branch = np.empty(n_rec, dtype=np.int8)
+        self._branch = memoryview(branch)
+        return {"Y_mixed": self._mixing[:, 1:], **self._bind_record(n_rec), "branch": branch}
 
 
 class SlotineLiLsController(_Estimate):
@@ -459,17 +492,18 @@ class SlotineLiLsController(_Estimate):
     estimate_dim = 5
     dre = "none"
 
-    def __init__(self, tsm: TsmParams, ls: LsDreParams, theta_hat0=None):
+    def __init__(self, tsm: TsmParams, ls: LsDreParams, theta_hat0=None, regression=None,
+                 dt=None):
         self.tsm = tsm
         self.ls = ls
-        self._start(theta_hat0, self.estimate_dim)
-        self.extension = LeastSquaresDre(self.estimate_dim, ls)
-        self._w = None
-        self._s = None
+        self._start(theta_hat0, self.estimate_dim, LeastSquaresDre(self.estimate_dim, ls),
+                    regression, dt)
+        self._gains = (tsm.k1, tsm.k2, tsm.ks)
 
     @classmethod
     def from_config(cls, config, plant) -> "SlotineLiLsController":
-        return cls(config.tsm, config.ls, config.theta_hat0)
+        return cls(config.tsm, config.ls, config.theta_hat0, _regression(config, plant),
+                   config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -478,35 +512,35 @@ class SlotineLiLsController(_Estimate):
                               "force_balance parameterization")
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def torque(self, e1, q, qd, psi, inertia) -> tuple:
-        p = self.tsm
-        k2 = p.k2
+    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+        """The torque, then the filter step and the Euler step of the
+        estimate at the rate -F (W' s + Omega' e_p), with the gain F the
+        last step left, then the extension's step; nothing is mixed, so
+        sample k has no mixing row and Delta is 0.  ``inertia`` is not
+        used."""
+        k1, k2, ks = self._gains
         (e11, e12), (qd1, qd2) = e1, qd
         s = (qd1 + k2 * e11, qd2 + k2 * e12)
-        self._w = _slotine_li_rows(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2))
-        self._s = s
-        return _slotine_li_torque(self._w, self.estimate, s, p.k1, p.ks)
-
-    def update(self, pair: RegressionPair, dt: float, k: int) -> float:
-        """Euler-step the estimate at the rate -F (W' s + Omega' e_p), from
-        the last torque evaluation and the gain F the last step left, then
-        step the extension; nothing is mixed, so sample k has no mixing row."""
-        if self._w is None:
-            raise RuntimeError("torque() must be evaluated before update()")
+        estimate = self.estimate
+        tau, w_s = _slotine_li(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2), s,
+                               estimate, k1, ks)
+        dt = self.dt
+        pair = self.regression.step(q, qd, tau, dt, psi)
         omega = pair.omega
-        e_p = omega.dot(self.estimate) - pair.y
-        drive = np.add(_regressor_times(self._w, self._s), e_p.dot(omega))
+        e_p = omega.dot(estimate) - pair.y
+        extension = self.extension
         # th + dt * -(F x) is th - dt * (F x), bit for bit
-        f_drive = self.extension.gain_times(drive).tolist()
-        self.estimate = tuple([th - dt * r for th, r in zip(self.estimate, f_drive)])
-        self.extension.step(pair, dt)
-        return 0.0
+        updated = []
+        for th, r in zip(estimate, extension.gain_times(np.add(w_s, e_p.dot(omega))).tolist()):
+            updated.append(th - dt * r)
+        self.estimate = tuple(updated)
+        extension.step(pair, dt)
+        rec, src, n = self._record
+        rec[k * n:(k + 1) * n] = src
+        return tau, 0.0
 
     def diagnostics(self, n_rec: int) -> dict:
-        return self.extension.diagnostics(n_rec)
-
-    def record(self, diag: dict, k: int) -> None:
-        self.extension.record(diag, k)
+        return self._bind_record(n_rec)
 
 
 # controller name -> family; c1 and c2 differ only in their extension, which

@@ -5,66 +5,50 @@ Y = Delta * theta, either through a least-squares extension with a
 norm-capped forgetting factor, started from u~ = 0 (its initial estimate
 cancels out of Y), or through a Kreisselmeier extension.  Each
 carries its matrix and vector as one stacked (l, l + 1) state, [R | u~] or
-[phi2 | phi1], that one affine step advances in place: decay * state +
-gain * Omega' [Omega | y], the product one ``ndarray.dot`` into a work
-array on the regression filter's [Omega | y] buffer as it stands (the
-pair's ``omega``, ``y`` and ``omega_t`` are views of it, built once;
-``KreisselmeierDre`` says what the one product does to its bits and why
-phi2 stays symmetric).  A gain or decay that is constant while dt is, the
-Kreisselmeier pair and the least-squares gain, is held as a 0-d array,
-which an in-place product takes without converting a float.  The
-least-squares mixing reads Delta and adj(phi) v off the eigendecomposition
-of the information matrix that its step takes anyway; the Kreisselmeier
-mixing gathers phi2 and its column-replaced copies with ``mathx``'s cached
-Cramer index into a work stack and takes their determinants in one call
-(Cramer form) instead of building the adjugate.  Both LAPACK calls are
-``mathx``'s gufuncs (``eigh_sym``, ``det_stack``), called with no Python
-wrapper.  Each mix writes [Delta | Y] into the (l + 1,) row it is
-given, the caller's mixing record row for the step, and returns that row as
-floats: Delta first, then Y = adj(phi) v.  An eigendecomposition of R that
-fails (non-finite eigenvalues) raises NumericalDegeneracyError naming R,
-and a mixing output that is not finite one naming Delta or Y.  An
-extension knows only the regression dimension l, not which of its
-parameters a controller estimates.  Its ``record`` writes what its step
-already holds: the least-squares extension the eigenvalues of R and the
-discount z, the Kreisselmeier extension its state.
+[phi2 | phi1], that its ``step`` advances in place by one affine update:
+decay * state + gain * Omega' [Omega | y], the product one ``ndarray.dot``
+into a work array on the regression filter's [Omega | y] buffer as it
+stands (the pair's ``omega``, ``y`` and ``omega_t`` are views of it, built
+once; ``KreisselmeierDre`` says what the one product does to its bits and
+why phi2 stays symmetric).  The state and the work array are the two
+halves of one buffer, which one in-place product by a buffer of [decay;
+gain] scales (each entry the product a 0-d factor gives); a factor that
+is constant while dt is, the Kreisselmeier pair and the least-squares
+gain, is written when dt changes, and the least-squares decay follows its
+forgetting rate, which its step forms from the eigenvalues the last step
+left.  The least-squares mixing reads
+Delta and adj(phi) v off the eigendecomposition of the information matrix
+that its step takes anyway; the Kreisselmeier mixing gathers phi2 and its
+column-replaced copies with ``mathx``'s cached Cramer index into a work
+stack and takes their determinants in one call (Cramer form) instead of
+building the adjugate.  Both LAPACK calls are ``mathx``'s gufuncs
+(``eigh_sym``, ``det_stack``), called with no Python wrapper.  Each mix
+writes [Delta | Y] into the (l + 1,) row it is given, the caller's mixing
+record row for the step, checks it finite and returns it as floats: Delta
+first, then Y = adj(phi) v.  An eigendecomposition of R that fails
+(non-finite eigenvalues) raises NumericalDegeneracyError naming R, and a
+mixing output that is not finite one naming Delta or Y.  An extension
+knows only the regression dimension l, not which of its parameters a
+controller estimates.  Its record holds what its step already holds, the
+least-squares extension the eigenvalues of R and the discount z, the
+Kreisselmeier extension its state: ``diagnostics`` allocates it and binds
+``record_bytes``, the byte views (record, sample source) through which the
+controller copies sample k after the step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mathx
 from .errors import NumericalDegeneracyError
+from .mathx import det_stack, eigh_sym
 from .regression import RegressionPair
-
-
-def _checked_mix(row: np.ndarray) -> list:
-    """The mixing row [Delta | Y] as floats, checked finite."""
-    mixed = row.tolist()
-    # one sum tests all; a finite sum that overflows falls through to the
-    # exact tests, which then find nothing
-    if not math.isfinite(sum(mixed)):
-        if not math.isfinite(mixed[0]):
-            raise NumericalDegeneracyError("mixing factor Delta is not finite")
-        if not all(map(math.isfinite, mixed)):
-            raise NumericalDegeneracyError("mixed regression Y is not finite")
-    return mixed
-
-
-def _affine_step(state: np.ndarray, drive: np.ndarray, pair: RegressionPair,
-                 gain, decay) -> None:
-    """state <- decay * state + gain * Omega' [Omega | y], in place: one BLAS
-    product on the pair's own buffer into ``drive``, then the update.  The
-    gain and decay are floats or 0-d arrays (an in-place product with a 0-d
-    array skips the conversion of a float, and rounds the same)."""
-    pair.omega_t.dot(pair.aug, out=drive)
-    drive *= gain
-    state *= decay
-    state += drive
 
 
 @dataclass(frozen=True)
@@ -117,8 +101,9 @@ class LeastSquaresDre:
     reference runs) dwarfs the tolerance the mixing stage is held to.
 
     Each step takes one symmetric eigendecomposition R = V diag(w) V'
-    (``mathx.eigh_sym``), and the mixing is read off it: with
-    phi = I - z f0 F = V diag(1 - z f0 / w) V' and v = rho_hat = F u~,
+    (``mathx.eigh_sym``, written into the extension's own w and V), and the
+    mixing is read off it: with phi = I - z f0 F = V diag(1 - z f0 / w) V'
+    and v = rho_hat = F u~,
 
         Delta = det(phi) = prod_i (w_i - z f0) / w_i,
         Y = adj(phi) v = V diag(prod_{j != i} ((w_j - z f0) / w_j) / w_i) V' u~,
@@ -130,26 +115,41 @@ class LeastSquaresDre:
     cancels out of Y = Delta theta and is no setting, and rho_hat here is
     the mixed v = F u~.
     F and rho_hat are properties of the eigenpairs.  The record holds w
-    (F's eigenvalues are 1/w) and z of every step.
+    (F's eigenvalues are 1/w) and z of every step, each sample a byte copy
+    of the extension's [w | z].
     """
 
     kind = "least_squares"
 
     def __init__(self, dim: int, params: LsDreParams | None = None):
-        self.params = params or LsDreParams()
+        self.params = params = params or LsDreParams()
         self.dim = dim
-        f0 = self.params.f0
+        f0 = params.f0
+        self._f0, self._beta0, self._gain_cap = f0, params.beta0, params.gain_cap
+        self._spectral = params.norm == "spectral"
         self.z = 1.0
-        self._state = np.hstack((f0 * np.eye(dim), np.zeros((dim, 1))))
+        # [state; drive], which one product by [decay; gain] scales
+        self._state_drive = np.zeros((2, dim, dim + 1))
+        self._state, self._drive = self._state_drive
+        self._state[:, :dim] = f0 * np.eye(dim)
         self._r = self._state[:, :dim]
         self._u = self._state[:, dim]
-        self._drive = np.empty((dim, dim + 1))
+        self._factors = np.empty((2, dim, dim + 1))
+        self._decay = self._factors[0]
         self._dt = None
-        # eigenpairs of R (w ascending); F = R^-1 has the eigenvalues 1/w, kept
-        # as the array the record row takes and as floats for beta and mix
+        # eigenpairs of R (w ascending), written in place by each step; F =
+        # R^-1 has the eigenvalues 1/w.  w is the head of [w | z], the
+        # record's sample, and is also kept as floats for the forgetting
+        # rate and the mix
         self._v = np.eye(dim)
-        self._w_arr = np.full(dim, f0)
+        self._wz = np.full(dim + 1, f0)
+        self._wz[dim] = self.z
+        self._w_arr = self._wz[:dim]
         self._w = [f0] * dim
+        # the mix's coefficients, packed as floats into one array
+        self._coef = np.empty(dim)
+        self._pack_coef = struct.Struct(f"{dim}d").pack_into
+        self.record_bytes = None
 
     @property
     def F(self) -> np.ndarray:
@@ -159,12 +159,12 @@ class LeastSquaresDre:
 
     @F.setter
     def F(self, value) -> None:
-        # F's eigenvectors are R's; R's eigenvalues, checked by beta(), keep
-        # their signs, so an indefinite assignment is reported there
+        # F's eigenvectors are R's; R's eigenvalues, checked by the next
+        # step, keep their signs, so an indefinite assignment is reported there
         f_eigs, v = np.linalg.eigh(np.asarray(value, dtype=float))
         w = 1.0 / f_eigs[::-1]
-        self._v = v[:, ::-1]
-        self._w_arr = w
+        self._v[...] = v[:, ::-1]
+        self._w_arr[...] = w
         self._w = w.tolist()
         self._r[...] = (self._v * w) @ self._v.T
 
@@ -183,33 +183,35 @@ class LeastSquaresDre:
         v = self._v
         return v.dot(np.divide(x.dot(v), self._w_arr))
 
-    def beta(self) -> float:
-        """Current forgetting rate, from the eigenvalues w of R the last step
-        (or assignment) left, F's being 1/w; also validates positive
-        definiteness."""
+    def step(self, pair: RegressionPair, dt: float) -> None:
+        """One Euler step of [R | u~] and the eigendecomposition of R.  The
+        decay is 1 - beta dt, with the forgetting rate
+        beta = beta0 (1 - |F| / gain_cap) from the eigenvalues w of R that
+        the last step (or assignment) left, F's being 1/w; a w that is not
+        positive (F lost definiteness) raises NumericalDegeneracyError."""
+        if dt != self._dt:
+            # the gain of a step size, kept while it stays the same
+            if not dt > 0.0:
+                raise ValueError(f"dt must be positive, got {dt}")
+            self._factors[1] = dt * self.params.alpha
+            self._dt = dt
         w = self._w
         if min(w) <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
-        if self.params.norm == "spectral":
+        if self._spectral:
             norm = 1.0 / w[0]
         else:
-            norm = math.sqrt(sum((1.0 / x) * (1.0 / x) for x in reversed(w)))
-        return self.params.beta0 * (1.0 - norm / self.params.gain_cap)
-
-    def step(self, pair: RegressionPair, dt: float) -> None:
-        """One Euler step of [R | u~] and the eigendecomposition of R, whose
-        eigenvalues w feed the next beta()."""
-        if dt != self._dt:
-            # the gain of a step size, kept as a 0-d array while it stays the same
-            if not dt > 0.0:
-                raise ValueError(f"dt must be positive, got {dt}")
-            self._gain = np.array(dt * self.params.alpha)
-            self._dt = dt
-        decay = 1.0 - dt * self.beta()
-        _affine_step(self._state, self._drive, pair, self._gain, decay)
-        self.z = self.z * decay
-        w, v = mathx.eigh_sym(self._r)
-        eigs = w.tolist()
+            inv = list(map((1.0).__truediv__, reversed(w)))
+            norm = math.sqrt(sum(map(operator.mul, inv, inv)))
+        decay = 1.0 - dt * (self._beta0 * (1.0 - norm / self._gain_cap))
+        pair.omega_t.dot(pair.aug, out=self._drive)
+        # decay * state and gain * drive, then their sum
+        self._decay.fill(decay)
+        self._state_drive *= self._factors
+        self._state += self._drive
+        self.z = z = self.z * decay
+        eigh_sym(self._r, out=(self._w_arr, self._v))
+        eigs = self._w_arr.tolist()
         # a failed decomposition is NaN; a finite sum that overflows falls
         # through to the exact test, which then finds nothing
         if not math.isfinite(sum(eigs)) and not all(map(math.isfinite, eigs)):
@@ -217,22 +219,22 @@ class LeastSquaresDre:
                 "least-squares information matrix R has no eigendecomposition")
         if eigs[0] <= 0.0:
             raise NumericalDegeneracyError(_LS_DEFINITENESS)
-        self._v = v
-        self._w_arr = w
         self._w = eigs
+        self._wz[-1] = z
 
     def mix(self, out: np.ndarray) -> list:
         """[Delta | Y] from the eigenpairs of R (see the class docstring),
-        written into the (l + 1,) row ``out`` and returned as floats.  The
-        eigenvalues (w_i - z f0) / w_i of phi lie in [0, 1), so their prefix
-        and suffix products neither overflow nor underflow."""
-        zf = self.z * self.params.f0
+        written into the (l + 1,) row ``out``, checked finite and returned
+        as floats.  The eigenvalues (w_i - z f0) / w_i of phi lie in [0, 1),
+        so their prefix and suffix products neither overflow nor underflow."""
+        zf = self.z * self._f0
         w = self._w
-        ratios = [(x - zf) / x for x in w]
         # coef[i] = prod(ratios[:i]) prod(ratios[i + 1:]) / w[i]
-        coef = []
+        ratios, coef = [], []
         prefix = 1.0
-        for x, ratio in zip(w, ratios):
+        for x in w:
+            ratio = (x - zf) / x
+            ratios.append(ratio)
             coef.append(prefix / x)
             prefix *= ratio
         suffix = 1.0
@@ -240,16 +242,28 @@ class LeastSquaresDre:
             suffix *= ratios[i]
             coef[i - 1] *= suffix
         v = self._v
-        v.dot(np.multiply(coef, self._u.dot(v)), out=out[1:])
+        self._pack_coef(self._coef, 0, *coef)
+        scaled = self._u.dot(v)
+        scaled *= self._coef
+        v.dot(scaled, out=out[1:])
         out[0] = prefix
-        return _checked_mix(out)
+        mixed = out.tolist()
+        # one sum tests all; a finite sum that overflows falls through to the
+        # exact tests, which then find nothing
+        if not math.isfinite(sum(mixed)):
+            if not math.isfinite(mixed[0]):
+                raise NumericalDegeneracyError("mixing factor Delta is not finite")
+            if not all(map(math.isfinite, mixed)):
+                raise NumericalDegeneracyError("mixed regression Y is not finite")
+        return mixed
 
     def diagnostics(self, n_rec: int) -> dict:
-        return {"w": np.empty((n_rec, self.dim)), "z_forget": np.empty(n_rec)}
-
-    def record(self, diag: dict, k: int) -> None:
-        diag["w"][k] = self._w_arr
-        diag["z_forget"][k] = self.z
+        """The record of n_rec samples, "w" and "z_forget", two views of one
+        (n_rec, l + 1) buffer whose row k is a byte copy of [w | z] after
+        step k, through ``record_bytes``."""
+        rec = np.empty((n_rec, self.dim + 1))
+        self.record_bytes = (memoryview(rec).cast("B"), memoryview(self._wz).cast("B"))
+        return {"w": rec[:, :self.dim], "z_forget": rec[:, self.dim]}
 
 
 @dataclass(frozen=True)
@@ -288,7 +302,8 @@ class KreisselmeierDre:
     Delta = det(phi2) and Y = adj(phi2) phi1.  ``verify`` holds this mix, with
     phi2 and phi1 assigned, to the adjugate.
     The record holds the state of every step in one (steps, l, l + 1)
-    buffer, of which the recorded ``phi2`` and ``phi1`` are views.
+    buffer, of which the recorded ``phi2`` and ``phi1`` are views, each
+    sample a byte copy of the state.
     """
 
     kind = "kreisselmeier"
@@ -296,13 +311,15 @@ class KreisselmeierDre:
     def __init__(self, dim: int, params: KreisParams | None = None):
         self.params = params or KreisParams()
         self.dim = dim
-        self._state = np.zeros((dim, dim + 1))
+        # [state; drive], which one product by [decay; gain] scales
+        self._state_drive = np.zeros((2, dim, dim + 1))
+        self._state, self._drive = self._state_drive
+        self._factors = np.empty((2, dim, dim + 1))
         self._phi1, self._phi2 = self._state[:, dim], self._state[:, :dim]
-        self._drive = np.empty((dim, dim + 1))
         self._cramer = mathx._cramer_index(dim)
         self._stack = np.empty(self._cramer.shape)
         self._dt = None
-        self._rec = None
+        self.record_bytes = None
 
     @property
     def phi1(self) -> np.ndarray:
@@ -322,31 +339,42 @@ class KreisselmeierDre:
 
     def step(self, pair: RegressionPair, dt: float) -> None:
         if dt != self._dt:
-            # the gain and decay of a step size, kept as 0-d arrays while it
-            # stays the same
+            # the decay and gain of a step size, kept while it stays the same
             if not dt > 0.0:
                 raise ValueError(f"dt must be positive, got {dt}")
-            self._gain = np.array(dt * self.params.lambda3)
-            self._decay = np.array(1.0 - dt * self.params.lambda2)
+            self._factors[0] = 1.0 - dt * self.params.lambda2
+            self._factors[1] = dt * self.params.lambda3
             self._dt = dt
-        _affine_step(self._state, self._drive, pair, self._gain, self._decay)
+        pair.omega_t.dot(pair.aug, out=self._drive)
+        # decay * state and gain * drive, then their sum
+        self._state_drive *= self._factors
+        self._state += self._drive
 
     def mix(self, out: np.ndarray) -> list:
         """[Delta | Y] = [det(phi2) | adj(phi2) phi1], written into the
-        (l + 1,) row ``out`` and returned as floats."""
+        (l + 1,) row ``out``, checked finite and returned as floats."""
         # take writes into out without a buffered copy in any mode but "raise";
         # the cached indices are all in range, so "wrap" never wraps one
         self._state.take(self._cramer, out=self._stack, mode="wrap")
-        mathx.det_stack(self._stack, out=out)
-        return _checked_mix(out)
+        det_stack(self._stack, out=out)
+        mixed = out.tolist()
+        # one sum tests all; a finite sum that overflows falls through to the
+        # exact tests, which then find nothing
+        if not math.isfinite(sum(mixed)):
+            if not math.isfinite(mixed[0]):
+                raise NumericalDegeneracyError("mixing factor Delta is not finite")
+            if not all(map(math.isfinite, mixed)):
+                raise NumericalDegeneracyError("mixed regression Y is not finite")
+        return mixed
 
     def diagnostics(self, n_rec: int) -> dict:
+        """The record of n_rec samples, "phi1" and "phi2", two views of one
+        (n_rec, l, l + 1) buffer whose sample k is a byte copy of the state
+        after step k, through ``record_bytes``."""
         l_dim = self.dim
-        self._rec = rec = np.empty((n_rec, l_dim, l_dim + 1))
+        rec = np.empty((n_rec, l_dim, l_dim + 1))
+        self.record_bytes = (memoryview(rec).cast("B"), memoryview(self._state).cast("B"))
         return {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]}
-
-    def record(self, diag: dict, k: int) -> None:
-        self._rec[k] = self._state
 
 
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,

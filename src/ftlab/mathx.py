@@ -1,9 +1,11 @@
 """Signed-power arithmetic and the few matrix helpers the run path calls.
 
-The step loop's n = 2 arithmetic runs on Python floats, with ``spow`` and
-``eig_sym2`` as its kernels (its 2x2 products are written out where they
-are taken); ``signed_power_vec`` is ``spow`` over a whole array, bit for
-bit, with its arguments checked, for the monitors that run after the loop.
+The step loop's n = 2 arithmetic runs on Python floats, written out where
+it is taken: each signed power <z>^q of a float is
+``math.copysign(abs(z) ** q, z) if z else 0.0`` in the controller that
+takes it.  ``signed_power_vec`` is that expression over a whole array, bit
+for bit, with its arguments checked, for the checked saturation and the
+monitors that run after the loop.
 ``eigh_sym`` and ``det_stack`` are the extensions' two LAPACK calls per
 step: the gufuncs that ``np.linalg.eigh`` and ``np.linalg.det`` call,
 bound to these names with no wrapper of ours either, which gives the same
@@ -28,15 +30,10 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 
-def spow(z: float, q: float) -> float:
-    """|z|**q * sign(z) of a float, 0.0 at z = 0; NaN stays NaN.  Unchecked:
-    the step loop calls it on values it has checked finite."""
-    return math.copysign(abs(z) ** q, z) if z else 0.0
-
-
 def signed_power_vec(z, q: float) -> np.ndarray:
-    """Elementwise ``spow`` of an array, bit for bit, with z checked finite
-    and q a finite positive exponent (ValueError otherwise).  |z|**q is
+    """Elementwise <z>^q of an array, each entry the float expression
+    ``math.copysign(abs(z) ** q, z) if z else 0.0`` bit for bit, with z
+    checked finite and q a finite positive exponent (ValueError otherwise).  |z|**q is
     ``math.pow``, the C pow that float ``**`` calls: numpy's vectorised
     power can differ from it in the last bit."""
     if not (isinstance(q, (int, float)) and math.isfinite(q) and q > 0.0):
@@ -49,13 +46,6 @@ def signed_power_vec(z, q: float) -> np.ndarray:
     np.copysign(out, z, out=out)
     out[z == 0.0] = 0.0
     return out
-
-
-def eig_sym2(a: float, b: float, d: float) -> tuple[float, float]:
-    """Eigenvalues (lower, upper) of the symmetric 2x2 matrix [[a, b], [b, d]]."""
-    tr = a + d
-    gap = math.sqrt((a - d) ** 2 + 4.0 * b ** 2)
-    return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
 # The extensions' two LAPACK calls per step are the gufuncs themselves, with

@@ -12,11 +12,13 @@ planar two-link manipulator with revolute joints, with three inertia terms
 and two potential terms; ``ThetaVector`` holds their coefficients as tuples
 of floats, and ``Plant`` evaluates its quantities from them as closed forms
 in Python floats, which is what the step loop calls.  ``forward_dynamics``
-forms C(q, qd) qd and Psi(q) theta_u inline, summed as row-by-row 2x2
-products sum them, and ``energy_terms`` is one closed form.
+forms C(q, qd) qd, Psi(q) theta_u, the Coulomb friction and M(q) inline,
+summed as row-by-row 2x2 products sum them, and ``energy_terms`` is one
+closed form.
 Friction and measurement noise are separate bolt-on models that only the
-simulation loop applies, as the run's config holds them; they too return
-floats, the noise both joints' position and velocity noise from one sine.
+simulation loop applies, as the run's config holds them: the forward
+dynamics take the friction's coefficients, and ``NoiseModel.sample`` gives
+the noise of every sample of a run in one call, before its loop.
 """
 
 from __future__ import annotations
@@ -165,12 +167,6 @@ class Plant:
         c2 = math.cos(q[1])
         return ((qd1, 2.0 * c2 * qd1 + c2 * qd2, qd2), (0.0, c2 * qd1, qd1 + qd2))
 
-    def kinetic_grad_rows(self, q, qd) -> tuple:
-        """The n x 3 matrix whose column k is grad_q(qd' M_k(q) qd); only M_2
-        depends on q, through qd' M_2 qd = 2 cos(q2) qd1 (qd1 + qd2)."""
-        qd1, qd2 = qd
-        return ((0.0, 0.0, 0.0), (0.0, -2.0 * math.sin(q[1]) * qd1 * (qd1 + qd2), 0.0))
-
     def energy_terms(self, q, qd) -> tuple:
         """Basis energies: (1/2) qd' M_k(q) qd for k = 1..3, then U_1(q), U_2(q);
         the total energy is their dot product with theta.  One closed form:
@@ -187,27 +183,39 @@ class Plant:
         """The energy terms dotted with theta: the energy audit's reference."""
         return float(np.array(self.energy_terms(q, qd)) @ self.theta.stacked)
 
-    def forward_dynamics(self, q, qd, tau, tau_f=None, psi=None, inertia=None) -> tuple:
+    def forward_dynamics(self, q, qd, tau, coulomb=None, psi=None, inertia=None) -> tuple:
         """Joint accelerations from M(q) qdd + C(q,qd) qd + g(q) = tau - tau_f,
         as a pair of floats.
 
-        Friction enters as an opposing torque on the plant side only.  ``psi``
-        and ``inertia`` are Psi(q) and M(q), for a caller that has them already.
+        Friction enters as an opposing torque on the plant side only:
+        tau_f_i = coulomb_i sign(qd_i), the ``FrictionModel``'s law, with
+        ``coulomb`` its coefficients (None: no friction).  ``psi`` is Psi(q),
+        for a caller that has it already; M(q) is formed here unless
+        ``inertia`` gives it (``verify`` passes M = I to read g off).
         """
+        q2 = q[1]
         qd1, qd2 = qd
         (p11, p12), (p21, p22) = self.psi_rows(q) if psi is None else psi
+        d1, d2, d3 = self.theta.theta_m
         d4, d5 = self.theta.theta_u
         # C(q, qd) qd over the rows of ``coriolis_rows`` and g = Psi theta_u,
         # each summed as a 2x2 product of rows sums it
-        h = self.theta.theta_m[1] * math.sin(q[1])
+        h = d2 * math.sin(q2)
         t1, t2 = tau
         r1 = t1 - (h * -qd2 * qd1 + h * -(qd1 + qd2) * qd2) - (p11 * d4 + p12 * d5)
         r2 = t2 - (h * qd1 * qd1 + 0.0 * qd2) - (p21 * d4 + p22 * d5)
-        if tau_f is not None:
-            f1, f2 = tau_f
-            r1 = r1 - f1
-            r2 = r2 - f2
-        (m11, m12), (m21, m22) = self.inertia_rows(q) if inertia is None else inertia
+        if coulomb is not None:
+            # c sign(v), and c v at v = +-0.0, whose sign carries
+            c1, c2 = coulomb
+            r1 = r1 - c1 * (1.0 if qd1 > 0.0 else -1.0 if qd1 < 0.0 else qd1)
+            r2 = r2 - c2 * (1.0 if qd2 > 0.0 else -1.0 if qd2 < 0.0 else qd2)
+        if inertia is None:
+            # ``inertia_rows``
+            c2 = math.cos(q2)
+            m12 = m21 = d2 * c2 + d3
+            m11, m22 = d1 + d2 * (2.0 * c2), d3
+        else:
+            (m11, m12), (m21, m22) = inertia
         det = m11 * m22 - m12 * m21
         if abs(det) < 1e-300:
             raise NumericalDegeneracyError("inertia matrix is singular; "
@@ -217,7 +225,8 @@ class Plant:
 
 @dataclass(frozen=True)
 class FrictionModel:
-    """Coulomb friction, tau_f_i = coulomb_i * sign(qd_i)."""
+    """Coulomb friction, tau_f_i = coulomb_i * sign(qd_i), which
+    ``Plant.forward_dynamics`` applies from the coefficients."""
 
     coulomb: tuple = (0.5, 0.4)
 
@@ -227,13 +236,6 @@ class FrictionModel:
         object.__setattr__(self, "coulomb", tuple(np.asarray(self.coulomb, dtype=float).tolist()))
         if not all(c >= 0.0 for c in self.coulomb):
             raise ValueError("friction coefficients must be nonnegative")
-
-    def torque(self, qd) -> tuple:
-        """The friction torques as a pair of floats."""
-        c1, c2 = self.coulomb
-        v1, v2 = qd
-        return (c1 * (1.0 if v1 > 0.0 else -1.0 if v1 < 0.0 else v1),
-                c2 * (1.0 if v2 > 0.0 else -1.0 if v2 < 0.0 else v2))
 
 
 @dataclass(frozen=True)
@@ -247,8 +249,15 @@ class NoiseModel:
     amplitude: float = 0.005
     frequency: float = 100.0
 
-    def sample(self, t: float) -> tuple:
-        """amplitude * (sin w, cos w) at time t: the position noise of the two
-        joints, the first of which is also the velocity noise of both."""
-        w = self.frequency * t
-        return self.amplitude * math.sin(w), self.amplitude * math.cos(w)
+    def sample(self, t) -> np.ndarray:
+        """amplitude * (sin w, cos w) at each time of the sequence t, as a
+        (len(t), 2) array: the position noise of the two joints, the first
+        of which is also the velocity noise of both.  Each entry is the
+        float expression of one time, bit for bit: w and the products are
+        exact roundings, and the sines and cosines are ``math``'s."""
+        w = (self.frequency * np.asarray(t, dtype=float)).tolist()
+        out = np.empty((len(w), 2))
+        out[:, 0] = np.fromiter(map(math.sin, w), float, len(w))
+        out[:, 1] = np.fromiter(map(math.cos, w), float, len(w))
+        out *= self.amplitude
+        return out

@@ -12,7 +12,11 @@ step.  ``step`` returns the regression pair sampled at the incoming
 measurement (state before the update), then advances the filter states; with
 the zero-transient initialization chosen here the identity y = Omega theta
 holds exactly at t = 0 and the residual stays at the integration-error level
-afterwards.  The filter states are Python floats.  Each filter owns one
+afterwards.  The filter states are Python floats, and each step writes
+out the plant's basis terms it samples (the energy terms, or the basis
+forces and their kinetic gradient, which share one cos and one sin of q2)
+in the order of operations of ``Plant.energy_terms`` and
+``Plant.basis_force_rows``, which start the filters.  Each filter owns one
 ``RegressionPair`` for the whole run, ``pair``: a (n_out, l + 1) buffer
 [Omega | y] that ``step`` overwrites with one ``struct`` pack per sample
 (the bytes a float64 assignment of the same floats gives), and whose
@@ -20,11 +24,13 @@ afterwards.  The filter states are Python floats.  Each filter owns one
 ``step`` returns is therefore valid until the next ``step``; a caller that
 keeps a sample copies it.  ``step`` returns ``pair`` itself and no filter
 rebinds ``pair`` or its buffer: the step loop records every sample through
-one view of ``pair.aug``, taken before the first step.
+one view of ``pair.aug``, taken before the first step.  Each controller
+builds its filter with ``make_regression`` and steps it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -56,6 +62,7 @@ class RegressionPair:
 # pair's buffer: the bytes numpy's float64 assignment of the same floats gives
 _pack6 = struct.Struct("6d").pack_into
 _pack12 = struct.Struct("12d").pack_into
+_cos, _sin = math.cos, math.sin
 
 
 def _check_filter_constants(lambda0: float, lambda1: float):
@@ -75,7 +82,6 @@ class PowerBalanceRegression:
 
     def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0):
         _check_filter_constants(lambda0, lambda1)
-        self.plant = plant
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         self._y = 0.0
@@ -97,14 +103,20 @@ class PowerBalanceRegression:
         is not used by this parameterization."""
         if not dt > 0.0:
             raise ValueError(f"dt must be positive, got {dt}")
-        l0, l1 = self.lambda0, self.lambda1
-        w1, w2, w3, w4, w5 = self.plant.energy_terms(q, qd)
+        l0, l1, y = self.lambda0, self.lambda1, self._y
+        # Plant.energy_terms
+        q1, q2 = q
+        qd1, qd2 = qd
+        c2 = _cos(q2)
+        w1, w2, w3 = (0.5 * (qd1 * qd1), 0.5 * ((2.0 * c2 * qd1 + c2 * qd2) * qd1 + c2 * qd1 * qd2),
+                      0.5 * (qd2 * qd1 + (qd1 + qd2) * qd2))
+        w4, w5 = -_cos(q1 + q2), -_cos(q1)
         z1, z2, z3, z4, z5 = self._z
         r1, r2, r3, r4, r5 = z1 + l0 * w1, z2 + l0 * w2, z3 + l0 * w3, z4 + l0 * w4, z5 + l0 * w5
-        _pack6(self._buf, 0, r1, r2, r3, r4, r5, self._y)
-        (qd1, qd2), (t1, t2) = qd, tau
+        _pack6(self._buf, 0, r1, r2, r3, r4, r5, y)
+        t1, t2 = tau
         power = qd1 * t1 + qd2 * t2
-        self._y += dt * (-l1 * self._y + l0 * power)
+        self._y = y + dt * (-l1 * y + l0 * power)
         self._z = (z1 + dt * (-l1 * r1), z2 + dt * (-l1 * r2), z3 + dt * (-l1 * r3),
                    z4 + dt * (-l1 * r4), z5 + dt * (-l1 * r5))
         return self.pair
@@ -152,17 +164,22 @@ class ForceBalanceRegression:
             raise ValueError(f"dt must be positive, got {dt}")
         plant = self.plant
         l0, l1, gg = self.lambda0, self.lambda1, self._grad_gain
-        (f11, f12, f13), (f21, f22, f23) = plant.basis_force_rows(q, qd)
-        f11, f12, f13, f21, f22, f23 = l0 * f11, l0 * f12, l0 * f13, l0 * f21, l0 * f22, l0 * f23
+        # Plant.basis_force_rows, times lambda0
+        qd1, qd2 = qd
+        c2, s2 = _cos(q[1]), _sin(q[1])
+        f11, f12, f13 = l0 * qd1, l0 * (2.0 * c2 * qd1 + c2 * qd2), l0 * qd2
+        f21, f22, f23 = l0 * 0.0, l0 * (c2 * qd1), l0 * (qd1 + qd2)
         (z11, z12, z13), (z21, z22, z23) = self._z
         (w11, w12), (w21, w22) = self._omega_d2
         (y1, y2), (t1, t2) = self._y, tau
         _pack12(self._buf, 0, z11 + f11, z12 + f12, z13 + f13, w11, w12, y1,
                 z21 + f21, z22 + f22, z23 + f23, w21, w22, y2)
-        # phi1 = lambda0 phi3 + grad_gain * kinetic gradient
-        (g11, g12, g13), (g21, g22, g23) = plant.kinetic_grad_rows(q, qd)
-        f11, f12, f13 = f11 + gg * g11, f12 + gg * g12, f13 + gg * g13
-        f21, f22, f23 = f21 + gg * g21, f22 + gg * g22, f23 + gg * g23
+        # phi1 = lambda0 phi3 + grad_gain * kinetic gradient, whose one nonzero
+        # entry is grad_q2(qd' M_2 qd) (M_2 alone depends on q); the zero
+        # entries stay terms, as they carry the sign of a zero sum
+        g22 = -2.0 * s2 * qd1 * (qd1 + qd2)
+        f11, f12, f13 = f11 + gg * 0.0, f12 + gg * 0.0, f13 + gg * 0.0
+        f21, f22, f23 = f21 + gg * 0.0, f22 + gg * g22, f23 + gg * 0.0
         (p11, p12), (p21, p22) = plant.psi_rows(q) if psi is None else psi
         self._y = (y1 + dt * (-l1 * y1 + l0 * t1), y2 + dt * (-l1 * y2 + l0 * t2))
         self._z = ((z11 + dt * (-l1 * (z11 + f11)), z12 + dt * (-l1 * (z12 + f12)),

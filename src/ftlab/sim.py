@@ -3,14 +3,17 @@
 One run wires plant + regression + regressor extension + controller and
 advances everything with a shared explicit-Euler step.  Per step:
 
-1. form measurements (exact in case1, noisy in case2);
-2. evaluate the control torque from the measurements;
-3. advance the regression filters with the measured signals and the
-   commanded torque;
-4. update the controller: its regressor extension, if it has one, the
-   mixing and the Euler step of its estimates;
-5. evaluate friction from the true velocity (case2);
-6. Euler-update the plant state.
+1. form measurements (exact in case1; in case2 with the noise of the
+   sample, which ``NoiseModel.sample`` gives for every sample before the
+   loop);
+2. call the controller's ``step``, the one call of the control layer per
+   sample: it evaluates the torque from the measurements, advances its
+   regression filter with the measured signals and the commanded torque,
+   steps its regressor extension, if it has one, mixes, Euler-steps its
+   estimates and records the sample of its own series;
+3. pack the record row, with the regression pair's [Omega | y] buffer;
+4. Euler-update the plant state, whose forward dynamics apply the
+   friction from the true velocity (case2).
 
 The runner knows the controllers only through the protocol of
 ``control`` (see its module docstring), and takes the friction and noise
@@ -22,7 +25,8 @@ The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
 packed with ``struct`` into its slot of the record's buffer, the bytes a
 float64 row assignment gives, and the regression pair's [Omega | y]
-buffer is copied byte for byte into its slot of the pair record.
+buffer, ``controller.regression.pair.aug``, is copied byte for byte into
+its slot of the pair record.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.  ``write_trace_csv`` writes
@@ -45,7 +49,6 @@ from ._g17 import csv_blocks
 from .control import CONTROLLERS
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant
-from .regression import make_regression
 
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
@@ -234,19 +237,20 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
 def run_closed_loop(config: SimConfig) -> Trace:
     """Integrate the closed loop and return the full trace.
 
-    The loop carries q, qd and the estimate as Python floats.  Psi(q) and
-    M(q) are evaluated once per step (at the true and, in case2, at the
-    measured configuration; M(q) there only if the controller asks for it)
-    and passed to the controller, the regression filter and the plant step.
-    The regression pair is the filter's one [Omega | y] buffer,
-    ``regression.pair``, recorded whole each step through a view taken
-    before the first.  The monitors V1, zeta1 and |z1| feed nothing back,
-    so they are evaluated after the loop, over the recorded series, with
-    Psi(q) and M(q) rebuilt from the recorded q.  A non-finite state or
-    mixing output ends the run with a NumericalDegeneracyError naming it,
-    the step and the time, and so does a float overflow within a step.  A
-    record too large to allocate, or beyond numpy's index range, is a
-    ConfigError naming the step count.
+    The loop carries q, qd and the estimate as Python floats.  Psi(q) is
+    evaluated once per step (at the true and, in case2, at the measured
+    configuration) and passed to the controller, which passes it to its
+    regression filter, and to the plant step; M(q) is formed by the plant
+    step and, if it needs it, by the controller.  The regression pair is
+    the filter's one [Omega | y] buffer, ``controller.regression.pair``,
+    recorded whole each step through a view taken before the first.  The
+    monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
+    after the loop, over the recorded series, with Psi(q) and M(q) rebuilt
+    from the recorded q.  A non-finite state or mixing output ends the run
+    with a NumericalDegeneracyError naming it, the step and the time, and
+    so does a float overflow within a step.  A record too large to
+    allocate, or beyond numpy's index range, is a ConfigError naming the
+    step count.
     """
     config.validate()
     plant = Plant.two_link(config.params)
@@ -259,9 +263,6 @@ def run_closed_loop(config: SimConfig) -> Trace:
     friction, noise = config.friction, config.noise
 
     controller = control.make_controller(config, plant)
-    regression = make_regression(config.effective_parameterization, plant,
-                                 config.q0, config.qd0,
-                                 config.effective_lambda0, config.lambda1)
 
     n_steps = config.n_steps
     n_rec = n_steps + 1
@@ -274,6 +275,10 @@ def run_closed_loop(config: SimConfig) -> Trace:
         rows = np.empty((n_rec, 6 + j_est + 1))
         aug_rec = np.empty((n_rec, n_out, l_dim + 1))
         diag = controller.diagnostics(n_rec)
+        # each sample's (position noise of joint 1, of joint 2), the first
+        # also the velocity noise of both joints, unpacked one sample a step
+        next_noise = (struct.iter_unpack("2d", noise.sample(np.arange(n_rec) * config.dt))
+                      .__next__ if noisy else None)
     except (MemoryError, ValueError) as exc:
         # numpy refuses a shape beyond its index range with a ValueError
         raise ConfigError(f"sim.t_final / sim.dt gives {n_steps} steps, too many to "
@@ -283,21 +288,19 @@ def run_closed_loop(config: SimConfig) -> Trace:
     qd1, qd2 = config.qd0.tolist()
     qdes1, qdes2 = config.q_d.tolist()
     dt = config.dt
+    coulomb = friction.coulomb if noisy else None
 
-    psi_rows, inertia_rows, forward_dynamics = (plant.psi_rows, plant.inertia_rows,
-                                                plant.forward_dynamics)
-    torque, update, record = controller.torque, controller.update, controller.record
-    regression_step, noise_at, friction_torque = regression.step, noise.sample, friction.torque
+    psi_rows, forward_dynamics, step = plant.psi_rows, plant.forward_dynamics, controller.step
     pack_row = struct.Struct(f"{rows.shape[1]}d").pack_into
     rows_buf, row_bytes = memoryview(rows), rows.itemsize * rows.shape[1]
-    aug_buf, aug_src = memoryview(aug_rec).cast("B"), memoryview(regression.pair.aug).cast("B")
+    aug_buf = memoryview(aug_rec).cast("B")
+    aug_src = memoryview(controller.regression.pair.aug).cast("B")
     aug_bytes = aug_src.nbytes
 
     # every state and mixing output is checked below, so numpy's
     # floating-point warnings would only repeat what the check names
     with np.errstate(all="ignore"):
         for k in range(n_rec):
-            t = k * dt
             try:
                 estimate = controller.estimate
                 # fast test first; a finite sum that overflows falls through to
@@ -310,33 +313,25 @@ def run_closed_loop(config: SimConfig) -> Trace:
                 q = (q1, q2)
                 qd = (qd1, qd2)
                 psi = psi_rows(q)
-                inertia = inertia_rows(q)
                 if noisy:
-                    # the first joint's position noise is both joints' velocity noise
-                    n1, n2 = noise_at(t)
+                    n1, n2 = next_noise()
                     q_m = (q1 + n1, q2 + n2)
                     qd_m = (qd1 + n1, qd2 + n1)
                     psi_m = psi_rows(q_m)
-                    inertia_m = None
                 else:
-                    q_m, qd_m, psi_m, inertia_m = q, qd, psi, inertia
-
-                tau = torque((q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m, inertia_m)
-                pair = regression_step(q_m, qd_m, tau, dt, psi_m)
-                delta = update(pair, dt, k)
+                    q_m, qd_m, psi_m = q, qd, psi
+                tau, delta = step(k, (q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m, None)
             except NumericalDegeneracyError as exc:
-                raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): {exc}") from exc
+                raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): {exc}") from exc
             except OverflowError as exc:
-                raise NumericalDegeneracyError(f"step {k} (t = {t:.6g} s): float overflow "
+                raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): float overflow "
                                                f"{exc}") from exc
 
             pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
             aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
-            record(diag, k)
 
             if k < n_steps:
-                tau_f = friction_torque(qd) if noisy else None
-                a1, a2 = forward_dynamics(q, qd, tau, tau_f, psi=psi, inertia=inertia)
+                a1, a2 = forward_dynamics(q, qd, tau, coulomb, psi)
                 q1, q2 = q1 + dt * qd1, q2 + dt * qd2
                 qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
 

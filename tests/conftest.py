@@ -1,3 +1,5 @@
+import gc
+import sys
 import time
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import settings
 
 import ftlab
+from ftlab.drem import KreisselmeierDre
+from ftlab.regression import RegressionPair
 
 # property tests share a session with multi-second simulation fixtures;
 # wall-clock deadlines would only add flakiness on loaded machines
@@ -20,6 +24,39 @@ def run(controller, scenario="case1", **kwargs):
     trace = ftlab.run_closed_loop(cfg)
     trace.meta["wall_time"] = time.perf_counter() - start
     return trace
+
+
+def calls_per_step(fields: dict) -> float:
+    """Python-level calls per step of a run of the SimConfig ``fields``, as
+    ``sys.setprofile`` sees them ("call" events: functions, methods,
+    property getters, generator resumptions and, on Python 3.11,
+    comprehensions): the calls of a 0.1 s run less those of a 0.05 s run,
+    over the difference of their step counts, so that the set-up and the
+    monitors after the loop cancel.  A first run, not counted, fills the
+    caches that set-up keeps across runs, and the garbage collector is off
+    while the runs are counted, so that no finalizer of an object made
+    elsewhere runs among their calls."""
+    ftlab.run_closed_loop(ftlab.SimConfig(t_final=0.05, **fields))
+    counts = []
+    for t_final in (0.05, 0.1):
+        config = ftlab.SimConfig(t_final=t_final, **fields)
+        seen = [0]
+
+        def count(frame, event, arg):
+            if event == "call":
+                seen[0] += 1
+
+        gc.collect()
+        gc.disable()
+        sys.setprofile(count)
+        try:
+            ftlab.run_closed_loop(config)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        counts.append((seen[0], config.n_steps))
+    (calls0, steps0), (calls1, steps1) = counts
+    return (calls1 - calls0) / (steps1 - steps0)
 
 
 def at(trace, t):
@@ -89,14 +126,15 @@ def theta_tilde_u(trace):
 
 class MixStub:
     """A regressor extension whose step leaves it as it is and whose mix
-    writes the given row [Delta | Y]: drives a controller's update on a
-    chosen mixing output."""
+    writes the given row [Delta | Y]: drives a controller's step on a
+    chosen mixing output.  It records nothing."""
 
     kind = "stub"
 
     def __init__(self, row):
         self.row = [float(x) for x in row]
         self.dim = len(self.row) - 1
+        self.record_bytes = None
 
     def step(self, pair, dt):
         pass
@@ -106,25 +144,51 @@ class MixStub:
         return out.tolist()
 
     def diagnostics(self, n_rec):
+        self.record_bytes = (memoryview(bytearray()), memoryview(b""))
         return {}
 
-    def record(self, diag, k):
-        pass
+
+class PairStub:
+    """A regression filter whose step returns one fixed pair, by default a
+    zero force-balance pair."""
+
+    def __init__(self, pair=None):
+        self.pair = pair if pair is not None else RegressionPair(np.zeros(2), np.zeros((2, 5)))
+
+    def step(self, q, qd, tau, dt, psi=None):
+        return self.pair
+
+
+def record(extension, k):
+    """Copy sample k of ``extension``'s record, through the byte views its
+    ``diagnostics`` bound, as a controller's step does."""
+    rec, src = extension.record_bytes
+    n = src.nbytes
+    rec[k * n:(k + 1) * n] = src
+
+
+def step_once(ctrl, e1, q, qd, psi, inertia, pair=None, dt=5e-4):
+    """One ``step`` of ``ctrl`` as sample 0 of a one-sample record, its
+    regression filter a PairStub of ``pair``; a c3 controller built without
+    an extension gets a fresh Kreisselmeier one.  Returns (tau, Delta)."""
+    if ctrl.extension is None:
+        ctrl.extension = KreisselmeierDre(5)
+    ctrl.regression = PairStub(pair)
+    ctrl.dt = dt
+    ctrl.diagnostics(1)
+    return ctrl.step(0, e1, q, qd, psi, inertia)
 
 
 def composite_step(ctrl, e1, e2, psi, delta, y_u, dt):
-    """One torque and update of the CompositeFtController ``ctrl`` at the
-    velocity error ``e2``, with an extension that mixes Delta = ``delta`` and
-    the theta_u block ``y_u`` of Y; returns the torque."""
+    """One step of the CompositeFtController ``ctrl`` at the velocity error
+    ``e2``, with an extension that mixes Delta = ``delta`` and the theta_u
+    block ``y_u`` of Y; returns the torque."""
     ctrl.extension = MixStub([delta, 0.0, 0.0, 0.0, *y_u])
-    ctrl.diagnostics(1)
-    tau = ctrl.torque(e1, None, e2, psi, None)
-    ctrl.update(None, dt, 0)
-    return tau
+    return step_once(ctrl, e1, None, e2, psi, None, dt=dt)[0]
 
 
 def composite_rate(ctrl, e1, e2, psi, delta, y_u):
-    """The composite rate of ``ctrl``'s update, as the difference of one Euler
+    """The composite rate of ``ctrl``'s step, as the difference of one Euler
     step of unit length; ``ctrl`` is left where it was."""
     before = ctrl.estimate
     composite_step(ctrl, e1, e2, psi, delta, y_u, 1.0)

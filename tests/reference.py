@@ -13,8 +13,12 @@ stacks are also the statement of the two-link decomposition M(q) =
 sum_k theta_m[k] M_k(q) that ``test_plant.py`` and ``test_regression.py``
 hold the plant's closed forms to.  The layered float step path is the
 float kernels as the loop called them before their calls were flattened
-into the callers; ``test_kernels.py`` holds the flattened forms to it bit
-for bit.  ``csv_rows`` is the row loop that wrote ``trace.csv`` before its
+into the callers, and then folded into each controller's one ``step`` per
+sample (the torque, update and record methods, the regression filters'
+calls of the plant's basis terms, the extensions' forgetting rate, affine
+step and mixing check, and the friction and noise models' per-sample
+calls); ``test_kernels.py`` holds the flattened forms to it bit for
+bit.  ``csv_rows`` is the row loop that wrote ``trace.csv`` before its
 vectorised formatter; ``test_g17.py`` and ``test_sim.py`` hold the
 formatter to it byte for byte.  Nothing in ``src/`` imports this module.
 """
@@ -363,8 +367,19 @@ def spow(z, q):
 
 
 def sat(delta, c, d):
-    """The step loop's unchecked saturation of a float."""
-    return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
+    """The step loop's unchecked saturation of a float: <delta>^-c where
+    |delta|^(c + d) overflows."""
+    try:
+        return spow(delta, d) / (1.0 + abs(delta) ** (c + d))
+    except OverflowError:
+        return math.copysign(abs(delta) ** -c, delta)
+
+
+def eig_sym2(a, b, d):
+    """Eigenvalues (lower, upper) of the symmetric 2x2 matrix [[a, b], [b, d]]."""
+    tr = a + d
+    gap = math.sqrt((a - d) ** 2 + 4.0 * b ** 2)
+    return 0.5 * (tr - gap), 0.5 * (tr + gap)
 
 
 def ftpd_layered(e1, e2, psi_q, theta_hat_u, gains, a, b):
@@ -402,15 +417,15 @@ def switching_value_layered(params, a, e1, e2, inertia_q):
     k2 = params.k2
     (e11, e12), (e21, e22), ((m11, m12), (m21, m22)) = e1, e2, inertia_q
     ref1, ref2 = k2 * spow(e11, a), k2 * spow(e12, a)
-    tr = m11 + m22
-    lam_max = 0.5 * (tr + math.sqrt((m11 - m22) ** 2 + 4.0 * m12 ** 2))
+    lam_max = eig_sym2(m11, m12, m22)[1]
     return ((e21 * m11 + e22 * m21) * e21 + (e21 * m12 + e22 * m22) * e22
             - lam_max * (ref1 * ref1 + ref2 * ref2))
 
 
 def tsm_torque_layered(params, a, theta_hat, e1, q, qd, inertia_q):
-    """(torque, nonlinear branch?) of the switching controller, with <e1>^a
-    taken once for the switching value and again for the nonlinear branch."""
+    """(torque, nonlinear branch?, W rows, s) of the switching controller,
+    with <e1>^a taken once for the switching value and again for the
+    nonlinear branch."""
     k2 = params.k2
     f = switching_value_layered(params, a, e1, qd, inertia_q)
     (e11, e12), (qd1, qd2) = e1, qd
@@ -425,13 +440,119 @@ def tsm_torque_layered(params, a, theta_hat, e1, q, qd, inertia_q):
         qd_r = (-k2 * e11, -k2 * e12)
         s = (qd1 + k2 * e11, qd2 + k2 * e12)
         qdd_r = (-k2 * qd1, -k2 * qd2)
-    w = slotine_li_regressor(q, qd, qd_r, qdd_r)
-    (w1, w2), (s1, s2) = w.tolist(), s
+    w = slotine_li_regressor(q, qd, qd_r, qdd_r).tolist()
+    return slotine_li_torque_layered(w, theta_hat, s, params.k1, params.ks), f <= 0.0, w, s
+
+
+def slotine_li_torque_layered(w, theta_hat, s, k1, ks):
+    """W theta_hat - k1 s - ks s / |s| of the rows of W, as floats."""
+    (w1, w2), (s1, s2) = w, s
     norm = math.sqrt(s1 * s1 + s2 * s2)
     u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
-    tau = (sum(x * y for x, y in zip(w1, theta_hat)) - params.k1 * s1 - params.ks * u1,
-           sum(x * y for x, y in zip(w2, theta_hat)) - params.k1 * s2 - params.ks * u2)
-    return tau, f <= 0.0
+    return (sum(x * y for x, y in zip(w1, theta_hat)) - k1 * s1 - ks * u1,
+            sum(x * y for x, y in zip(w2, theta_hat)) - k1 * s2 - ks * u2)
+
+
+def regressor_times(w, s):
+    """W' s for the two rows of W, as a list of floats."""
+    (w1, w2), (s1, s2) = w, s
+    return [a * s1 + b * s2 for a, b in zip(w1, w2)]
+
+
+def tsm_rate_layered(params, estimate, w, s, nonlinear, phi1, phi2):
+    """The switching controller's estimate rate from its last torque's W
+    and s and the extension's phi1 and phi2, as its ``adapt_rate`` formed
+    it: -gamma W' s minus gamma k times the drift phi2 theta_hat - phi1
+    (linear branch) or phi2' times its unit vector (nonlinear branch)."""
+    w_s = regressor_times(w, s)
+    drift = phi2 @ np.array(estimate) - phi1
+    if nonlinear:
+        gain, weight = params.gamma_tsm, params.gamma_tsm * params.k_tsm
+        norm = math.sqrt(drift.dot(drift))
+        term = (phi2.T @ (drift / norm)).tolist() if norm else [0.0] * len(w_s)
+    else:
+        gain, weight = params.gamma_lin, params.gamma_lin * params.k_lin
+        term = drift.tolist()
+    return [-gain * a - weight * b for a, b in zip(w_s, term)]
+
+
+def slotine_li_ls_drive(w, s, estimate, y, omega):
+    """c4's W' s + Omega' e_p, e_p = Omega theta_hat - y, as its update
+    formed it; the estimate then steps by -dt F times it."""
+    e_p = omega.dot(estimate) - y
+    return np.add(regressor_times(w, s), e_p.dot(omega))
+
+
+def slotine_li_ls_torque_layered(params, theta_hat, e1, q, qd):
+    """(torque, W rows, s) of the least-squares Slotine-Li controller, as
+    its float ``torque`` formed them."""
+    (e11, e12), (qd1, qd2) = e1, qd
+    k2 = params.k2
+    s = (qd1 + k2 * e11, qd2 + k2 * e12)
+    w = slotine_li_regressor(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2)).tolist()
+    return slotine_li_torque_layered(w, theta_hat, s, params.k1, params.ks), w, s
+
+
+# -- the layered regression filters and extensions ------------------------------
+
+def kinetic_grad_rows(q, qd):
+    """The n x 3 matrix whose column k is grad_q(qd' M_k(q) qd), as rows of
+    floats; only M_2 depends on q."""
+    qd1, qd2 = qd
+    return ((0.0, 0.0, 0.0), (0.0, -2.0 * math.sin(q[1]) * qd1 * (qd1 + qd2), 0.0))
+
+
+def regression_step_layered(reg, plant, q, qd, tau, dt, psi):
+    """One step of a regression filter's float state, the pair and the
+    update formed through the plant's basis-term calls: returns
+    (the [Omega | y] rows, y, z, and the force-balance Omega_d2 or None)
+    after the step, the filter's private state untouched."""
+    l0, l1 = reg.lambda0, reg.lambda1
+    if reg.pair.aug.shape[0] == 1:
+        w = plant.energy_terms(q, qd)
+        rows = [tuple(z + l0 * x for z, x in zip(reg._z, w)) + (reg._y,)]
+        (qd1, qd2), (t1, t2) = qd, tau
+        power = qd1 * t1 + qd2 * t2
+        y = reg._y + dt * (-l1 * reg._y + l0 * power)
+        z = tuple(zz + dt * (-l1 * r) for zz, r in zip(reg._z, rows[0][:5]))
+        return rows, y, z, None
+    gg = reg._grad_gain
+    f = [[l0 * x for x in row] for row in plant.basis_force_rows(q, qd)]
+    rows = [tuple(z + x for z, x in zip(reg._z[i], f[i])) + reg._omega_d2[i] + (reg._y[i],)
+            for i in range(2)]
+    g = kinetic_grad_rows(q, qd)
+    f = [[x + gg * gx for x, gx in zip(f[i], g[i])] for i in range(2)]
+    y = tuple(yy + dt * (-l1 * yy + l0 * t) for yy, t in zip(reg._y, tau))
+    z = tuple(tuple(zz + dt * (-l1 * (zz + x)) for zz, x in zip(reg._z[i], f[i]))
+              for i in range(2))
+    omega_d2 = tuple(tuple(w + dt * (-l1 * w + l0 * p) for w, p in zip(reg._omega_d2[i], psi[i]))
+                     for i in range(2))
+    return rows, y, z, omega_d2
+
+
+def ls_beta_of(dre):
+    """The least-squares extension's forgetting rate from the eigenvalues w
+    of R that its last step (or assignment) left, as its ``beta`` formed
+    it; raises ValueError where F is not positive definite."""
+    w = dre._w
+    if min(w) <= 0.0:
+        raise ValueError("F is not positive definite")
+    if dre.params.norm == "spectral":
+        norm = 1.0 / w[0]
+    else:
+        norm = math.sqrt(sum((1.0 / x) * (1.0 / x) for x in reversed(w)))
+    return dre.params.beta0 * (1.0 - norm / dre.params.gain_cap)
+
+
+def checked_mix(row):
+    """The mixing row [Delta | Y] as floats, or the ValueError naming the
+    first of Delta and Y that is not finite."""
+    mixed = row.tolist()
+    if not math.isfinite(mixed[0]):
+        raise ValueError("mixing factor Delta is not finite")
+    if not all(map(math.isfinite, mixed)):
+        raise ValueError("mixed regression Y is not finite")
+    return mixed
 
 
 # -- trace CSV -----------------------------------------------------------------

@@ -1,16 +1,19 @@
 """In-process A/B of the step loop's cost between the working tree and a git
-revision, in microseconds per step.
+revision, in microseconds and in Python-level calls per step.
 
     python tests/step_ab.py REV [--rounds 10]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory.
 Each round runs every entry of ``RUNS`` once per side, each in a fresh
 process that times ``sim.run_closed_loop`` over T_FINAL simulated seconds
-three times and keeps the fastest; the time covers the loop and its post-loop monitors and is divided
-by the number of steps.  The two sides alternate which runs first from one
-round to the next.  The table gives each side's median over the rounds, the
-median of the per-round ratios tree / REV as a change, and the number of
-rounds in which the working tree was faster.
+three times and keeps the fastest; the time covers the loop and its
+post-loop monitors and is divided by the number of steps.  The two sides
+alternate which runs first from one round to the next.  The table gives
+each side's median over the rounds, the median of the per-round ratios
+tree / REV as a change, the number of rounds in which the working tree was
+faster, and each side's Python-level calls per step, counted once per run
+and side after the timing by ``conftest.calls_per_step``, the counter of
+the call-budget test in ``test_sim.py``.
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
@@ -29,8 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# name -> SimConfig fields; c2 runs twice, on force balance (the default
-# parameterization) and on the ensemble's case2 / power-balance family
+# name -> SimConfig fields: the four families in case1 on force balance (the
+# default parameterization), the ensemble's c2 / case2 / power-balance
+# family, and the other case2 runs of the grid workload
 RUNS = {
     "c1": {"controller": "c1"},
     "c2": {"controller": "c2"},
@@ -38,13 +42,17 @@ RUNS = {
                     "parameterization": "power_balance"},
     "c3": {"controller": "c3"},
     "c4": {"controller": "c4"},
+    "c1/case2": {"controller": "c1", "scenario": "case2"},
+    "c3/case2": {"controller": "c3", "scenario": "case2"},
+    "c4/case2": {"controller": "c4", "scenario": "case2"},
 }
 REPEATS = 3
 T_FINAL = 2.0    # simulated seconds per run: 4000 steps at the default dt
 
 
-def child(name: str) -> None:
-    """Print the fastest of REPEATS runs of ``name``, in µs per step."""
+def child(name: str, count: bool) -> None:
+    """Print the fastest of REPEATS runs of ``name``, in µs per step, and
+    then, if ``count``, its Python-level calls per step."""
     import time
 
     from ftlab import sim
@@ -56,13 +64,19 @@ def child(name: str) -> None:
         sim.run_closed_loop(config)
         best = min(best, time.perf_counter() - start)
     print(1e6 * best / config.n_steps)
+    if count:
+        from conftest import calls_per_step
+
+        print(calls_per_step(RUNS[name]))
 
 
-def measure(src: Path, name: str) -> float:
+def measure(src: Path, name: str, count: bool) -> list:
+    """[µs per step] of ``name`` on the sources ``src``, with the calls per
+    step appended if ``count``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, __file__, "--child", name],
+    out = subprocess.run([sys.executable, __file__, "--child", name, str(int(count))],
                          env=env, check=True, capture_output=True, text=True).stdout
-    return float(out)
+    return [float(x) for x in out.split()]
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -76,7 +90,7 @@ def export(rev: str, dest: Path) -> Path:
 
 def main() -> int:
     if sys.argv[1:2] == ["--child"]:
-        child(sys.argv[2])
+        child(sys.argv[2], sys.argv[3] == "1")
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
@@ -86,21 +100,25 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"tree": ROOT / "src", "rev": export(args.rev, Path(tmp))}
         times = {name: {"tree": [], "rev": []} for name in RUNS}
+        calls = {name: {} for name in RUNS}
         for r in range(args.rounds):
             order = ("tree", "rev") if r % 2 == 0 else ("rev", "tree")
             for name in RUNS:
                 for side in order:
-                    times[name][side].append(measure(sides[side], name))
+                    us, *counted = measure(sides[side], name, r == 0)
+                    times[name][side].append(us)
+                    if counted:
+                        calls[name][side] = counted[0]
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     print(f"{'run':14} {'tree us/step':>13} {args.rev + ' us/step':>16} {'change':>9} "
-          f"{'rounds faster':>14}")
+          f"{'rounds faster':>14} {'tree calls':>11} {args.rev + ' calls':>13}")
     for name, t in times.items():
         tree, rev = statistics.median(t["tree"]), statistics.median(t["rev"])
         ratio = statistics.median(a / b for a, b in zip(t["tree"], t["rev"]))
         won = sum(a < b for a, b in zip(t["tree"], t["rev"]))
         print(f"{name:14} {tree:13.2f} {rev:16.2f} {100.0 * (ratio - 1.0):+8.1f}% "
-              f"{won:>9}/{args.rounds}")
+              f"{won:>9}/{args.rounds} {calls[name]['tree']:11g} {calls[name]['rev']:13g}")
     return 0
 
 

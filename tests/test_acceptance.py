@@ -126,7 +126,7 @@ def test_criterion_7_excitation_gain_properties():
         tilde = rng.uniform(1e-3, 8.0, 2) * rng.choice([-1.0, 1.0], 2)
         theta_hat = theta_u + tilde
         xi = np.array(ref.prediction_error(delta, theta_hat, delta * theta_u, b))
-        expected = mathx.spow(delta, b) \
+        expected = ref.spow(delta, b) \
             * mathx.signed_power_vec(theta_hat - theta_u, b)
         worst_id = max(worst_id, float(np.max(np.abs(xi - expected))))
     passed = range_ok and odd_ok and worst_id <= 1e-12

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import re
 import threading
 from pathlib import Path
@@ -13,7 +14,7 @@ from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
 from ftlab.drem import KreisselmeierDre
 from ftlab.errors import ConfigError
 from ftlab.plant import FrictionModel, Plant, ThetaVector
-from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig
+from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig, read_trace_csv
 
 
 class TestParseConfig:
@@ -332,22 +333,35 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "numerical degeneracy: step 9 (t = 0.45 s): mixing factor Delta is not finite\n")
 
-    @pytest.mark.parametrize("lambda3", ["1e30", "1e40"])
-    def test_float_overflow_exit_code(self, tmp_path, capsys, lambda3):
-        # a huge extension gain overflows a float power of the composite law
-        # (in control.sat at 1e30, in mathx.spow at 1e40); the run ends in the
-        # degeneracy exit code with step and time, not a traceback
-        cfg = _write(tmp_path, f"controller = c2\ndre.lambda3 = {lambda3}\n"
-                               "gains.sat_d = 3\nsim.t_final = 0.01\n")
+    @pytest.mark.parametrize("clamp", ["5e-324", "1e-320"])
+    def test_float_overflow_exit_code(self, tmp_path, capsys, clamp):
+        # c3's reference acceleration takes max(|e1|, clamp)^(a - 1): at e1 = 0
+        # with a subnormal clamp and a near 0 (r1 near 2 r2) the power
+        # overflows a float at step 0; the run ends in the degeneracy exit
+        # code with step and time, not a traceback
+        cfg = _write(tmp_path, f"controller = c3\ngains.tsm_clamp = {clamp}\n"
+                               "gains.r1 = 1.99\nsim.q0 = 2, 0\nsim.t_final = 0.01\n")
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("numerical degeneracy: step ") and "(t = " in err
-        assert "float overflow" in err
+        assert err.startswith("numerical degeneracy: step 0 (t = 0 s): float overflow")
         assert not out.exists()
-        assert main(["--config", str(cfg), "--scenario", "case1", "--controller", "c2",
+        assert main(["--config", str(cfg), "--scenario", "case1", "--controller", "c3",
                      "--out", str(tmp_path / "grid"), "sweep"]) == 3
         assert "numerical degeneracy in " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lambda3", ["1e30", "1e40"])
+    def test_huge_extension_gain_saturates_without_overflow(self, tmp_path, lambda3):
+        # |Delta|^(c + d) overflows a float here, where the composite law's
+        # saturation is <Delta>^-c: the run completes with a finite trace
+        cfg = _write(tmp_path, f"controller = c2\ndre.lambda3 = {lambda3}\n"
+                               "gains.sat_d = 3\nsim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        trace = read_trace_csv(io.StringIO((out / "trace.csv").read_text()))
+        assert np.isfinite(trace.theta_hat).all() and np.isfinite(trace.tau).all()
+        # c + d = 0.5 + 3: the denominator's power overflowed
+        assert np.abs(trace.delta).max() > np.finfo(float).max ** (1.0 / 3.5)
 
     def test_failed_write_leaves_neither_output(self, tmp_path, monkeypatch):
         from ftlab import cli as cli_mod

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
-from conftest import composite_rate, composite_step
+from conftest import composite_rate, composite_step, step_once
 from ftlab import mathx
 from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
-                           SwitchingTsmController, TsmParams, _ftpd,
-                           _slotine_li_rows, excitation_gain, saturation)
+                           SwitchingTsmController, TsmParams, _slotine_li,
+                           excitation_gain, saturation)
 from reference import prediction_error as _prediction_error, sat
 from ftlab.drem import KreisselmeierDre, LsDreParams
 from ftlab.regression import RegressionPair
@@ -38,12 +38,19 @@ class TestFtPdGains:
             FtPdGains(kp=np.array([3.0, -1.0]))
 
 
+def ftpd_torque(e1, e2, psi, theta_hat_u, gains):
+    """The composite controller's torque at e1, e2 = qd and Psi, from the
+    estimate theta_hat_u, by one step of a fresh controller."""
+    ctrl = CompositeFtController(gains, CompositeAdaptGains(), theta_hat0=theta_hat_u)
+    return composite_step(ctrl, e1, e2, psi, 0.0, [0.0, 0.0], 5e-4)
+
+
 class TestFtPdTorque:
     def test_gravity_compensation_at_target(self, plant):
         q_d = np.array([2.0, 2.0])
         gains = FtPdGains()
-        tau = _ftpd(np.zeros(2), np.zeros(2), plant.psi_rows(q_d),
-                    plant.theta.theta_u, gains, gains.a, gains.b)
+        tau = ftpd_torque(np.zeros(2), np.zeros(2), plant.psi_rows(q_d),
+                          plant.theta.theta_u, gains)
         # independent evaluation from the lumped coefficients
         d4, d5 = plant.theta.theta_u
         expected = np.array([d4 * np.sin(4.0) + d5 * np.sin(2.0), d4 * np.sin(4.0)])
@@ -52,17 +59,20 @@ class TestFtPdTorque:
 
     def test_unit_errors_bypass_the_exponent(self, plant):
         gains = FtPdGains()
-        tau = _ftpd(np.array([1.0, -1.0]), np.zeros(2),
-                    plant.psi_rows([0.0, 0.0]), np.zeros(2), gains, gains.a, gains.b)
+        tau = ftpd_torque(np.array([1.0, -1.0]), np.zeros(2),
+                          plant.psi_rows([0.0, 0.0]), np.zeros(2), gains)
         np.testing.assert_allclose(tau, [-3.0, 3.0], atol=1e-15)
 
     def test_unit_exponents_recover_linear_pd(self, plant):
+        # a = b = 1 is outside the gains' range, so the exponents the
+        # controller binds at construction are set past the check
         gains = FtPdGains()
+        gains.__dict__.update(a=1.0, b=1.0)
         e1 = np.array([0.3, -0.7])
         e2 = np.array([-1.2, 0.4])
         psi = ref.psi([1.0, 0.5])
         th = np.array([0.5, 1.0])
-        tau = _ftpd(e1, e2, psi, th, gains, 1.0, 1.0)
+        tau = ftpd_torque(e1, e2, psi, th, gains)
         expected = -np.asarray(gains.kp) * e1 - gains.kd * e2 - gains.kd_lin * e2 + psi @ th
         np.testing.assert_allclose(tau, expected, atol=1e-15)
 
@@ -73,13 +83,14 @@ class TestFtPdTorque:
         for _ in range(50):
             e1 = rng.uniform(-2, 2, 2)
             e2 = rng.uniform(-2, 2, 2)
-            plus = np.array(_ftpd(e1, e2, psi, np.zeros(2), gains, gains.a, gains.b))
-            minus = np.array(_ftpd(-e1, -e2, psi, np.zeros(2), gains, gains.a, gains.b))
+            plus = np.array(ftpd_torque(e1, e2, psi, np.zeros(2), gains))
+            minus = np.array(ftpd_torque(-e1, -e2, psi, np.zeros(2), gains))
             np.testing.assert_array_equal(plus, -minus)
 
 
 # (c or b, d): the default composite law's, a b = 0.6 law's, and one whose
-# c + d > 1 overflows the denominator at |delta| = 1e300
+# c + d > 1 overflows the denominator at |delta| = 1e300, where the gain is
+# <delta>^-c
 KERNEL_EXPONENTS = [(0.5, 0.5), (0.6, 0.5), (1.0 / 3.0, 0.25), (0.9, 0.7)]
 
 
@@ -126,6 +137,17 @@ class TestSaturationAndGain:
             assert 0.0 <= gain <= 1.0
             assert abs(gain - want) <= 4.0 * np.spacing(want), (gain, want)
 
+    @pytest.mark.parametrize("delta", [1e300, -1e300, 1.7976931348623157e308, 1e200])
+    def test_saturation_where_the_denominator_overflows(self, delta):
+        # |delta|^1.6 overflows: the gain is <delta>^-c, odd and finite
+        want = np.copysign(abs(delta) ** -0.9, delta)
+        for gain in (saturation(delta, 0.9, 0.7), saturation(np.array([delta, 1.0]), 0.9, 0.7)[0],
+                     sat(delta, 0.9, 0.7)):
+            assert gain == want and gain.hex() == want.hex()
+        assert saturation(-delta, 0.9, 0.7) == -saturation(delta, 0.9, 0.7)
+        # the array's other entries keep the vectorised form's bits
+        assert saturation(np.array([delta, 1.0]), 0.9, 0.7)[1] == saturation(1.0, 0.9, 0.7)
+
     @pytest.mark.parametrize("delta", [3.7e15, 1e16, 1e17, 1e300, 1.7976931348623157e308])
     def test_never_above_one(self, delta):
         # the product form gave 1.0000000000000002 at 1e17
@@ -144,7 +166,7 @@ def _outcome(fn, *args):
 
 def _gain_kernel(delta, b, d):
     """The excitation gain as the float kernels compose it."""
-    return sat(delta, b, d) * mathx.spow(delta, b)
+    return sat(delta, b, d) * ref.spow(delta, b)
 
 
 def _gain_of_record(delta, b, d):
@@ -224,7 +246,7 @@ class TestPredictionError:
         theta_hat = theta_u + tilde
         c = 0.5
         xi = _prediction_error(delta, theta_hat, delta * theta_u, c)
-        expected = mathx.spow(delta, c) * mathx.signed_power_vec(theta_hat - theta_u, c) \
+        expected = ref.spow(delta, c) * mathx.signed_power_vec(theta_hat - theta_u, c) \
             if delta != 0.0 else np.zeros(2)
         np.testing.assert_allclose(xi, expected, atol=1e-12)
 
@@ -257,6 +279,14 @@ class TestCompositeAdaptation:
             CompositeAdaptGains(sat_d=0.0)
 
 
+def slotine_li_rows(q, qd, qd_r, qdd_r):
+    """The rows of the tracking regressor W, read off the Slotine-Li kernel's
+    W' s at the unit vectors s."""
+    zero = (0.0,) * 5
+    return np.array([_slotine_li(q, qd, qd_r, qdd_r, s, zero, 0.0, 0.0)[1]
+                     for s in ((1.0, 0.0), (0.0, 1.0))])
+
+
 class TestSlotineLiRegressor:
     def test_linear_in_parameters_identity(self, plant):
         rng = np.random.default_rng(7)
@@ -265,15 +295,19 @@ class TestSlotineLiRegressor:
             qd = rng.uniform(-3, 3, 2)
             qd_r = rng.uniform(-3, 3, 2)
             qdd_r = rng.uniform(-10, 10, 2)
-            w = np.array(_slotine_li_rows(q, qd, qd_r, qdd_r))
+            # at s = 0 the torque is W theta_hat
+            w_theta, _ = _slotine_li(q, qd, qd_r, qdd_r, (0.0, 0.0), plant.theta.stacked.tolist(),
+                                     1.0, 1.0)
             lhs = np.array(plant.inertia_rows(q)) @ qdd_r \
                 + np.array(plant.coriolis_rows(q, qd)) @ qd_r \
                 + np.array(plant.psi_rows(q)) @ plant.theta.theta_u
-            np.testing.assert_allclose(w @ plant.theta.stacked, lhs, atol=1e-8)
+            np.testing.assert_allclose(w_theta, lhs, atol=1e-8)
+            np.testing.assert_allclose(slotine_li_rows(q, qd, qd_r, qdd_r) @ plant.theta.stacked,
+                                       lhs, atol=1e-8)
 
     def test_rest_regressor_is_gravity_only(self, plant):
         q = np.array([2.0, 2.0])
-        w = np.array(_slotine_li_rows(q, np.zeros(2), np.zeros(2), np.zeros(2)))
+        w = slotine_li_rows(q, np.zeros(2), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(w[:, :3], np.zeros((2, 3)), atol=1e-15)
         np.testing.assert_allclose(w[:, 3:], plant.psi_rows(q), atol=1e-15)
 
@@ -285,15 +319,15 @@ class TestSwitchingTsm:
     def test_zero_velocity_selects_nonlinear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
-                    plant.inertia_rows(q))
+        step_once(ctrl, np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
+                  plant.inertia_rows(q))
         assert ctrl.branch == "tsm"
 
     def test_fast_motion_selects_linear_branch(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q),
-                    plant.inertia_rows(q))
+        step_once(ctrl, np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q),
+                  plant.inertia_rows(q))
         assert ctrl.branch == "linear"
 
     def test_branch_is_deterministic(self, plant):
@@ -303,9 +337,13 @@ class TestSwitchingTsm:
             e1 = rng.uniform(-2, 2, 2)
             e2 = rng.uniform(-2, 2, 2)
             q = e1 + np.array([2.0, 2.0])
-            tau1 = ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            # the same estimate before each step; the extension stays at zero
+            # on the zero pair
+            before = ctrl.estimate
+            tau1, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
             branch1 = ctrl.branch
-            tau2 = ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            ctrl.estimate = before
+            tau2, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
             assert tau1 == tau2 and branch1 == ctrl.branch
 
     def test_reassigned_extension_drives_the_rate(self, plant):
@@ -324,9 +362,7 @@ class TestSwitchingTsm:
                                           extension=KreisselmeierDre(5) if reassign else extension)
             if reassign:
                 ctrl.extension = extension
-            ctrl.diagnostics(1)
-            ctrl.torque(e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
-            ctrl.update(pair, 5e-4, 0)
+            step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q), pair=pair)
             estimates.append(ctrl.estimate)
         assert estimates[0] == estimates[1]
         assert estimates[1] != th
@@ -337,26 +373,32 @@ class TestSwitchingTsm:
         e1 = np.array([0.2, -0.4])
         s_ref = -ctrl.params.k2 * mathx.signed_power_vec(e1, ctrl.a)
         q = e1 + np.array([2.0, 2.0])
-        tau = ctrl.torque(e1, q, s_ref, plant.psi_rows(q), plant.inertia_rows(q))
+        m = plant.inertia_rows(q)
+        before = ctrl.estimate
+        tau, _ = step_once(ctrl, e1, q, s_ref, plant.psi_rows(q), m)
         assert ctrl.branch == "tsm"
-        w = ctrl._w
-        np.testing.assert_allclose(tau, w @ np.array(ctrl.estimate), atol=1e-12)
+        w = ref.tsm_torque_layered(ctrl.params, ctrl.a, before, e1, q, s_ref, m)[2]
+        np.testing.assert_allclose(tau, np.array(w) @ np.array(before), atol=1e-12)
 
     def test_normalized_drift_term_zero_at_zero(self, plant):
         ctrl = self.make()
         q = np.array([1.0, 0.5])
-        ctrl.torque(np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
-                    plant.inertia_rows(q))
-        rate = ctrl.adapt_rate(np.zeros(5), np.zeros((5, 5)))
-        # phi2 theta_hat - phi1 = 0: the normalized term must be defined as 0
-        expected = -ctrl.params.gamma_tsm * (np.array(ctrl._w).T @ ctrl._s)
-        np.testing.assert_allclose(rate, expected, atol=1e-15)
+        e1, m = np.array([0.5, -0.2]), plant.inertia_rows(q)
+        # the extension starts at and stays at zero on the zero pair, so
+        # phi2 theta_hat - phi1 = 0: the normalized term must be defined as
+        # 0; one unit step from theta_hat = 0 is the rate
+        step_once(ctrl, e1, q, np.zeros(2), plant.psi_rows(q), m, dt=1.0)
+        assert ctrl.branch == "tsm"
+        _, _, w, s = ref.tsm_torque_layered(ctrl.params, ctrl.a, np.zeros(5), e1, q,
+                                            np.zeros(2), m)
+        expected = -ctrl.params.gamma_tsm * (np.array(w).T @ np.array(s))
+        np.testing.assert_allclose(ctrl.estimate, expected, atol=1e-15)
 
     def test_reference_acceleration_is_clamped(self, plant):
         ctrl = self.make()
         q = np.array([2.0, 2.0])
-        tau = ctrl.torque(np.zeros(2), q, np.array([1e-9, 0.0]), plant.psi_rows(q),
-                          plant.inertia_rows(q))
+        tau, _ = step_once(ctrl, np.zeros(2), q, np.array([1e-9, 0.0]), plant.psi_rows(q),
+                           plant.inertia_rows(q))
         assert np.all(np.isfinite(tau))
 
 
@@ -364,17 +406,18 @@ class TestSlotineLiLs:
     def test_zero_error_zero_rate(self, plant):
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         q = np.array([2.0, 2.0])
-        ctrl.torque(np.zeros(2), q, np.zeros(2), plant.psi_rows(q), plant.inertia_rows(q))
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
-        assert ctrl.update(pair, 5e-4, 0) == 0.0
+        _, delta = step_once(ctrl, np.zeros(2), q, np.zeros(2), plant.psi_rows(q),
+                             plant.inertia_rows(q), pair=pair)
+        assert delta == 0.0
         np.testing.assert_array_equal(np.array(ctrl.estimate), np.zeros(5))
 
     def test_equilibrium_hold(self, plant):
         q_d = np.array([2.0, 2.0])
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         ctrl.estimate = tuple(plant.theta.stacked.tolist())
-        tau = ctrl.torque(np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d),
-                          plant.inertia_rows(q_d))
+        tau, _ = step_once(ctrl, np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d),
+                           plant.inertia_rows(q_d))
         np.testing.assert_allclose(tau, ref.gravity(plant.theta.theta_u, q_d), atol=1e-12)
 
     def test_gain_matrix_stays_positive_definite(self, c4_case1):
@@ -395,8 +438,7 @@ class TestSlotineLiLs:
 
 
 # the runner's protocol: method -> its parameters after self
-PROTOCOL = {"torque": ["e1", "q", "qd", "psi", "inertia"], "update": ["pair", "dt", "k"],
-            "diagnostics": ["n_rec"], "record": ["diag", "k"]}
+PROTOCOL = {"step": ["k", "e1", "q", "qd", "psi", "inertia"], "diagnostics": ["n_rec"]}
 
 
 class TestControllerProtocol:
@@ -405,12 +447,24 @@ class TestControllerProtocol:
         cls = FAMILIES[name]
         for method, params in PROTOCOL.items():
             assert list(inspect.signature(getattr(cls, method)).parameters) == ["self", *params]
+        for gone in ("torque", "update", "record"):
+            assert not hasattr(cls, gone)
         config = SimConfig(controller=name)
         cls.check_config(config, plant.theta.theta_u)
         ctrl = cls.from_config(config, plant)
         assert type(ctrl) is cls
         assert type(ctrl.estimate) is tuple and all(type(x) is float for x in ctrl.estimate)
         assert ctrl.dre in ("least_squares", "kreisselmeier", "none")
+        # the family's own regression filter, whose buffer the runner records
+        assert ctrl.regression.pair.aug.shape == (2, 6) and ctrl.dt == config.dt
+        ctrl.diagnostics(2)
+        q = tuple(config.q0.tolist())
+        qd = tuple(config.qd0.tolist())
+        e1 = tuple((config.q0 - config.q_d).tolist())
+        tau, delta = ctrl.step(0, e1, q, qd, plant.psi_rows(q), None)
+        assert type(tau) is tuple and all(type(x) is float for x in tau) and len(tau) == 2
+        assert type(delta) is float
+        assert type(ctrl.estimate) is tuple and all(type(x) is float for x in ctrl.estimate)
 
 
 class TestControllerWrappers:

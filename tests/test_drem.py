@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import reference as ref
-from ftlab import cli, drem, mathx, sim, verify
+from conftest import record
+from ftlab import cli, control, drem, mathx, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
                         LsDreParams, excitation_gramian)
 from ftlab.errors import NumericalDegeneracyError
@@ -36,7 +37,10 @@ class TestLeastSquares:
     def test_initial_forgetting_rate(self):
         # f0 = 1, cap 10: |F(0)| = 1 spectrally, so beta = 10 (1 - 1/10) = 9
         dre = LeastSquaresDre(5)
-        assert dre.beta() == pytest.approx(9.0)
+        assert ref.ls_beta_of(dre) == pytest.approx(9.0)
+        # the first step decays z by 1 - beta dt
+        dre.step(zero_pair(), DT)
+        assert dre.z == pytest.approx(1.0 - 9.0 * DT)
 
     def test_unexcited_dynamics(self):
         dre = LeastSquaresDre(5)
@@ -52,10 +56,20 @@ class TestLeastSquares:
         # without data the product z * f0 * F is invariant, so z tracks 1/|F|
         assert dre.z == pytest.approx(1.0 / norms[-1], rel=1e-9)
 
-    def test_finite_row_whose_sum_overflows_passes_the_mix_check(self):
-        # the one-sum test overflows; the exact tests then find every entry finite
+    def test_finite_row_whose_sum_overflows_passes_the_mix_check(self, monkeypatch):
+        # the one-sum test overflows; the exact tests then find every entry
+        # finite, in the Kreisselmeier mix and in the least-squares one
         row = np.array([1e308, 1e308, -1.0, 1e308, 0.0, 2.0])
-        assert drem._checked_mix(row) == row.tolist()
+        kreis = KreisselmeierDre(5)
+        monkeypatch.setattr(drem, "det_stack", lambda stack, out: out.__setitem__(
+            slice(None), row))
+        out = np.empty(6)
+        assert kreis.mix(out) == out.tolist() == ref.checked_mix(row)
+        # at z = 0, w = 1 and V = I: Delta = 1 and Y = u~
+        ls = LeastSquaresDre(5)
+        ls.z, ls._w = 0.0, [1.0] * 5
+        ls._u[...] = row[1:]
+        assert ls.mix(out) == [1.0, *row[1:].tolist()] == ref.checked_mix(out)
 
     def test_mix_starts_at_zero(self):
         dre = LeastSquaresDre(5)
@@ -109,20 +123,20 @@ class TestLeastSquares:
         for k in range(8):
             omega = rng.standard_normal((2, 5))
             dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
-            dre.record(diag, k)
+            record(dre, k)
             assert diag["w"][k].tobytes() == mathx.eigh_sym(dre._r)[0].tobytes()
             assert diag["w"][k].tolist() == dre._w
         a = rng.standard_normal((5, 5))
         dre.F = a @ a.T + np.eye(5)
-        dre.record(diag, 8)
+        record(dre, 8)
         assert diag["w"][8].tolist() == dre._w
         np.testing.assert_allclose(diag["w"][8], np.linalg.eigvalsh(dre._r), rtol=1e-12)
 
     def test_degeneracy_detection(self):
         dre = LeastSquaresDre(5)
         dre.F = -np.eye(5)
-        with pytest.raises(NumericalDegeneracyError):
-            dre.beta()
+        with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
+            dre.step(zero_pair(), DT)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
     def test_non_finite_information_matrix_is_degenerate(self, bad):
@@ -141,7 +155,7 @@ class TestLeastSquares:
                                                      bad):
         # a regressor that turns non-finite at step 3 of a run ends it in the
         # degeneracy exit code, with step and time, and leaves no output
-        real = sim.make_regression
+        real = control.make_regression
 
         def corrupted(*args):
             regression = real(*args)
@@ -156,7 +170,7 @@ class TestLeastSquares:
             regression.step = bad_step
             return regression
 
-        monkeypatch.setattr(sim, "make_regression", corrupted)
+        monkeypatch.setattr(control, "make_regression", corrupted)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("controller = c1\nsim.t_final = 0.01\n")
         out = tmp_path / "o"
@@ -237,7 +251,7 @@ class TestKreisselmeier:
         for k in range(20):
             omega = rng.standard_normal((2, 5))
             dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
-            dre.record(diag, k)
+            record(dre, k)
             want1.append(dre.phi1.copy())
             want2.append(dre.phi2.copy())
         assert diag["phi1"].shape == (20, 5) and diag["phi2"].shape == (20, 5, 5)

@@ -18,9 +18,10 @@ sign or index but not on the last bits:
 
 The two direct LAPACK calls of ``mathx`` are held to the public
 ``np.linalg`` functions bit for bit, and so are the flattened float forms
-of the step path (the forward dynamics, the energy terms, the one-call
-noise, the composite torque and update, and c3's torque and branch) to
-the layered forms in ``reference.py`` that they replaced.
+of the step path (the forward dynamics with friction, the energy terms,
+the regression filters, the least-squares forgetting rate, the noise of a
+run's samples, the composite step, and c3's and c4's steps) to the
+layered forms in ``reference.py`` that they replaced.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import composite_rate, composite_step
+from conftest import PairStub, composite_rate, composite_step, record, step_once
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
@@ -94,16 +95,18 @@ def test_gravity_and_psi_match(q):
                  float(np.sum(THETA.theta_u)))
 
 
-@given(q=angles, qd=rates, tau=torques, tau_f=vec(2, 1.0), friction=st.booleans())
-def test_forward_dynamics_matches(q, qd, tau, tau_f, friction):
-    tau_f = tau_f if friction else None
+@given(q=angles, qd=rates, tau=torques, coulomb=vec(2, 1.0).map(np.abs),
+       friction=st.booleans())
+def test_forward_dynamics_matches(q, qd, tau, coulomb, friction):
+    coulomb = tuple(coulomb.tolist()) if friction else None
+    tau_f = np.array(ref.friction_torque(coulomb, qd)) if friction else None
     want = ref.forward_dynamics(THETA, q, qd, tau, tau_f)
     m = ref.inertia(THETA.theta_m, q)
     terms = (np.abs(tau) + np.abs(ref.coriolis(THETA.theta_m, q, qd)) @ np.abs(qd)
              + np.abs(ref.psi(q)) @ THETA.theta_u
              + (np.abs(tau_f) if friction else 0.0))
     scale = float(np.max(terms)) / float(np.linalg.eigvalsh(m)[0])
-    assert_close(PLANT.forward_dynamics(q, qd, tau, tau_f), want, scale)
+    assert_close(PLANT.forward_dynamics(q, qd, tau, coulomb), want, scale)
 
 
 @given(q=angles, qd=rates)
@@ -127,7 +130,7 @@ def test_ftpd_torque_matches(e1, e2, q, th):
     want = ref.ftpd_torque(e1, e2, psi_q, th, gains)
     scale = ftpd_scale(gains, e1, e2, psi_q, th)
     ctrl = CompositeFtController(gains, CompositeAdaptGains(), theta_hat0=th)
-    got = ctrl.torque(e1, q, e2, psi_q, ref.inertia(THETA.theta_m, q))
+    got = composite_step(ctrl, e1, e2, psi_q, 0.0, [0.0, 0.0], 5e-4)
     assert_close(got, want, scale)
 
 
@@ -160,7 +163,7 @@ def test_switching_torque_matches(e1, e2, q, th):
     f_scale = float(np.max(np.abs(m))) * float(e2 @ e2 + 4.0 * params.k2 ** 2
                                                 * np.sum(np.abs(e1) ** (2 * a)))
     ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT)
-    got = ctrl.torque(e1, q, e2, ref.psi(q), m)
+    got, _ = step_once(ctrl, e1, q, e2, ref.psi(q), m)
     # the controller takes the branch of the layered switching value, bit for
     # bit (test_switching_torque_and_branch_are_the_layered_form_bitwise)
     assert_close(ref.switching_value_layered(params, a, e1, e2, m), f_want, f_scale)
@@ -176,7 +179,7 @@ def test_slotine_li_torque_matches(e1, qd, q, th):
     params = TsmParams()
     want, w, s = ref.slotine_li_torque(params, th, e1, q, qd)
     ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
-    got = ctrl.torque(e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
+    got, _ = step_once(ctrl, e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
 
@@ -195,26 +198,36 @@ def edgy(n, bound):
                     min_size=n, max_size=n)
 
 
-@given(q=edgy(2, 2.0 * math.pi), qd=edgy(2, 5.0), tau=edgy(2, 20.0), tau_f=edgy(2, 1.0),
-       friction=st.booleans(), given_terms=st.booleans())
+def friction_of(coulomb, qd):
+    """The friction torque the layered form took, or None without friction."""
+    return None if coulomb is None else ref.friction_torque(coulomb, qd)
+
+
+@given(q=edgy(2, 2.0 * math.pi), qd=edgy(2, 5.0), tau=edgy(2, 20.0), coulomb=edgy(2, 1.0),
+       friction=st.booleans(), given_terms=st.sampled_from(["none", "psi", "both"]))
 @settings(max_examples=500)
-def test_forward_dynamics_is_the_layered_form_bitwise(q, qd, tau, tau_f, friction,
+def test_forward_dynamics_is_the_layered_form_bitwise(q, qd, tau, coulomb, friction,
                                                       given_terms):
-    tau_f = tau_f if friction else None
-    terms = {"psi": PLANT.psi_rows(q), "inertia": PLANT.inertia_rows(q)} if given_terms else {}
-    assert bits(PLANT.forward_dynamics(q, qd, tau, tau_f, **terms)) \
-        == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau, tau_f, **terms))
+    # the Coulomb term c sign(v), c v at v = +-0.0, is the friction model's
+    # torque; M(q) formed inline is inertia_rows'
+    coulomb = coulomb if friction else None
+    terms = {"none": {}, "psi": {"psi": PLANT.psi_rows(q)},
+             "both": {"psi": PLANT.psi_rows(q), "inertia": PLANT.inertia_rows(q)}}[given_terms]
+    assert bits(PLANT.forward_dynamics(q, qd, tau, coulomb, **terms)) \
+        == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau, friction_of(coulomb, qd),
+                                             **terms))
 
 
 def test_forward_dynamics_and_energy_at_signed_zeros_bitwise():
     # every sign pattern of an all-zero state, torque and friction: the zero
-    # products of C qd, Psi theta_u and the energy terms carry their signs
-    # into a zero result
+    # products of C qd, Psi theta_u, the friction and the energy terms carry
+    # their signs into a zero result
     for q1, q2, v1, v2, t1, t2, f1, f2 in itertools.product((0.0, -0.0), repeat=8):
-        q, qd, tau, tau_f = (q1, q2), (v1, v2), (t1, t2), (f1, f2)
-        for friction in (None, tau_f):
+        q, qd, tau, coulomb = (q1, q2), (v1, v2), (t1, t2), (f1, f2)
+        for friction in (None, coulomb):
             assert bits(PLANT.forward_dynamics(q, qd, tau, friction)) \
-                == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau, friction))
+                == bits(ref.forward_dynamics_layered(PLANT, q, qd, tau,
+                                                     friction_of(friction, qd)))
         assert bits(PLANT.energy_terms(q, qd)) == bits(ref.energy_terms_layered(PLANT, q, qd))
 
 
@@ -224,16 +237,22 @@ def test_energy_terms_are_the_layered_form_bitwise(q, qd):
     assert bits(PLANT.energy_terms(q, qd)) == bits(ref.energy_terms_layered(PLANT, q, qd))
 
 
-@given(t=st.floats(0.0, 1e3), amplitude=st.floats(0.0, 1.0), frequency=st.floats(0.0, 1e3))
-def test_noise_sample_is_the_two_calls_bitwise(t, amplitude, frequency):
+@given(t=st.floats(0.0, 1e3), amplitude=st.floats(0.0, 1.0), frequency=st.floats(0.0, 1e3),
+       steps=st.integers(1, 50), dt=st.sampled_from([5e-4, 1e-3, 0.05]))
+def test_noise_sample_is_the_two_calls_bitwise(t, amplitude, frequency, steps, dt):
     noise = NoiseModel(amplitude, frequency)
-    n1, n2 = noise.sample(t)
+    (n1, n2), = noise.sample([t]).tolist()
     position, velocity = ref.noise_layered(noise, t)
     assert bits((n1, n2)) == bits(position) and bits((n1, n1)) == bits(velocity)
+    # the noise of a run's samples k dt, drawn at once as the runner does,
+    # is that of each sample time, the float k * dt
+    for k, row in enumerate(noise.sample(np.arange(steps) * dt).tolist()):
+        assert bits(row) == bits(ref.noise_layered(noise, k * dt)[0])
 
 
+# 1e300 and the largest float overflow |Delta|^(c + d) where c + d > 1
 deltas = st.floats(-50.0, 50.0, allow_nan=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-300])
+    [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1e-300, 1e300, -1.7976931348623157e308])
 
 
 @given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(2, 10.0),
@@ -251,18 +270,55 @@ def test_composite_torque_and_update_are_the_layered_form_bitwise(e1, e2, q, th,
     assert bits(ctrl.estimate) == bits(ref.advance(th, rate, dt))
 
 
+def kreis_with_state(flat):
+    """A Kreisselmeier extension whose state [phi2 | phi1] is ``flat``."""
+    dre = KreisselmeierDre(5, KreisParams(lambda3=1.0))
+    dre._state[...] = np.reshape(flat, (5, 6))
+    return dre
+
+
 @given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(5, 10.0),
-       given_inertia=st.booleans())
-@settings(max_examples=500)
+       given_inertia=st.booleans(), state=edgy(30, 3.0), aug=edgy(12, 3.0))
+@settings(max_examples=300)
 def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
-                                                                  given_inertia):
-    params, a = TsmParams(), FtPdGains().a
+                                                                  given_inertia, state, aug):
+    params, a, dt = TsmParams(), FtPdGains().a, 5e-4
     m = PLANT.inertia_rows(q)
-    ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT)
-    tau = ctrl.torque(e1, q, e2, PLANT.psi_rows(q), m if given_inertia else None)
-    want, nonlinear = ref.tsm_torque_layered(params, a, th, e1, q, e2, m)
+    pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
+    ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT,
+                                  extension=kreis_with_state(state))
+    dre = kreis_with_state(state)
+    row = np.empty(6)
+    # a drawn phi2 may be singular, where the LU divides by zero
+    with np.errstate(all="ignore"):
+        tau, delta = step_once(ctrl, e1, q, e2, PLANT.psi_rows(q),
+                               m if given_inertia else None, pair=pair, dt=dt)
+        # the extension as its own step and mix leave it
+        dre.step(pair, dt)
+        dre.mix(row)
+    want, nonlinear, w, s = ref.tsm_torque_layered(params, a, th, e1, q, e2, m)
     assert bits(tau) == bits(want)
     assert ctrl.branch == ("tsm" if nonlinear else "linear")
+    assert bits(delta) == bits(row[0])
+    # the rate of the controller's adapt_rate, from the stepped phi1 and phi2
+    rate = ref.tsm_rate_layered(params, th, w, s, nonlinear, dre.phi1, dre.phi2)
+    assert bits(ctrl.estimate) == bits(ref.advance(th, rate, dt))
+
+
+@given(e1=edgy(2, 3.0), qd=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(5, 10.0),
+       aug=edgy(12, 3.0))
+@settings(max_examples=300)
+def test_slotine_li_ls_step_is_the_layered_form_bitwise(e1, qd, q, th, aug):
+    params, dt = TsmParams(), 5e-4
+    pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
+    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
+    gain = LeastSquaresDre(5, LsDreParams())
+    tau, delta = step_once(ctrl, e1, q, qd, PLANT.psi_rows(q), None, pair=pair, dt=dt)
+    want, w, s = ref.slotine_li_ls_torque_layered(params, th, e1, q, qd)
+    assert bits(tau) == bits(want) and delta == 0.0
+    f_drive = gain.gain_times(ref.slotine_li_ls_drive(w, s, th, pair.y, pair.omega))
+    assert bits(ctrl.estimate) == bits(ref.advance(th, (-f_drive).tolist(), dt))
+
 
 # -- regression filters --------------------------------------------------------
 
@@ -327,6 +383,28 @@ def test_regression_pair_is_one_buffer_rewritten_in_place(cls, q0, qd0, samples,
         assert pair.omega.base is pair.aug and pair.y.base is pair.aug
 
 
+edgy_steps = st.lists(st.tuples(edgy(2, 2.0 * math.pi), edgy(2, 5.0), edgy(2, 20.0)),
+                     min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("cls", [PowerBalanceRegression, ForceBalanceRegression])
+@given(q0=edgy(2, 2.0 * math.pi), qd0=edgy(2, 5.0), samples=edgy_steps,
+       lambda0=st.sampled_from([0.3, 1.0, 1.5]))
+@settings(max_examples=200)
+def test_regression_step_is_the_layered_form_bitwise(cls, q0, qd0, samples, lambda0):
+    # each filter writes out the plant's basis terms it used to call, the
+    # zero entries of the kinetic gradient included
+    reg = cls(PLANT, q0, qd0, lambda0, 1.0)
+    for q, qd, tau in samples:
+        psi = PLANT.psi_rows(q)
+        rows, y, z, omega_d2 = ref.regression_step_layered(reg, PLANT, q, qd, tau, 5e-4, psi)
+        pair = reg.step(q, qd, tau, 5e-4, psi)
+        assert bits(pair.aug) == bits(rows)
+        assert bits(reg._y) == bits(y) and bits(reg._z) == bits(z)
+        if omega_d2 is not None:
+            assert bits(reg._omega_d2) == bits(omega_d2)
+
+
 # -- least-squares extension ---------------------------------------------------
 
 @given(omegas=st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15,
@@ -344,7 +422,7 @@ def test_least_squares_step_matches(omegas, norm):
         y = omega @ theta + np.reshape(flat, (3, 5))[2, :2]
         b, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
         # the rate this step uses
-        b_got = dre.beta()
+        b_got = ref.ls_beta_of(dre)
         dre.step(RegressionPair(y=y, omega=omega), dt)
         tol = LS * k * np.linalg.cond(r)
         assert b_got == pytest.approx(b, rel=tol, abs=tol)
@@ -352,7 +430,7 @@ def test_least_squares_step_matches(omegas, norm):
         assert_close(dre.F, f, float(np.max(np.abs(f))), rel=tol)
         assert_close(dre.rho_hat, rho_hat, float(np.max(np.abs(f)) * np.max(np.abs(u))),
                      rel=tol)
-    assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol, abs=tol)
+    assert ref.ls_beta_of(dre) == pytest.approx(ref.ls_beta(f, params), rel=tol, abs=tol)
 
 
 class RateProbe(SlotineLiLsController):
@@ -384,12 +462,14 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
     r, u, z, f = ls.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / ls.f0
     dt = 5e-4
     tol = LS
+    ctrl.dt = dt
+    ctrl.diagnostics(len(steps))
     for k, (flat, e1, qd, q) in enumerate(steps, start=1):
         omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
         theta_hat = np.array(ctrl.estimate)
         _, w, s = ref.slotine_li_torque(params, theta_hat, e1, q, qd)
-        ctrl.torque(e1, q, qd, ref.psi(q), None)
-        ctrl.update(RegressionPair(y=y, omega=omega), dt, k)
+        ctrl.regression = PairStub(RegressionPair(y=y, omega=omega))
+        ctrl.step(k - 1, e1, q, qd, ref.psi(q), None)
         e_p = omega @ theta_hat - y
         want = -f @ (w.T @ s + omega.T @ e_p)
         x_scale = float(np.max(np.abs(w).T @ np.abs(s)
@@ -422,7 +502,7 @@ def ls_drive(rows, params):
         _, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
         dre.step(RegressionPair(y=y, omega=omega), dt)
         dre.mix(mixing[k])
-        dre.record(diag, k)
+        record(dre, k)
         delta, Y = ref.ls_mix(f, rho_hat, z, params)
         scale = float(np.max(np.abs(f))) * float(np.max(np.abs(u)))
         steps.append(LsStep(mixing[k, 0], mixing[k, 1:], dre.F, dre.rho_hat, delta, Y, r, f,
@@ -475,7 +555,7 @@ def test_least_squares_setters_round_trip():
     assert_close(dre.F, f, f_max, rel=tol)
     assert_close(dre.rho_hat, rho_hat,
                  f_max * float(np.max(np.abs(np.linalg.solve(f, rho_hat)))), rel=tol)
-    assert dre.beta() == pytest.approx(ref.ls_beta(f, params), rel=tol)
+    assert ref.ls_beta_of(dre) == pytest.approx(ref.ls_beta(f, params), rel=tol)
     # the mixing reads the assigned state
     delta, Y = ref.ls_mix(f, rho_hat, 0.25, params)
     row = np.empty(6)
@@ -541,12 +621,27 @@ def test_extension_step_is_one_product_affine_step(extension, cls, q0, qd0, samp
         if extension is KreisselmeierDre:
             decay, gain = 1.0 - dt * dre.params.lambda2, dt * dre.params.lambda3
         else:
-            decay, gain = 1.0 - dt * dre.beta(), dt * dre.params.alpha
+            decay, gain = 1.0 - dt * ref.ls_beta_of(dre), dt * dre.params.alpha
         want = decay * dre._state + gain * (pair.omega.T @ pair.aug)
         dre.step(pair, dt)
         assert same_bits(dre._state, want)
         block = dre._state[:, :5]
         assert same_bits(block, block.T.copy())
+
+
+@pytest.mark.parametrize("norm", ["spectral", "frobenius"])
+@given(rows=ls_rows)
+@settings(max_examples=40)
+def test_least_squares_decay_is_the_layered_forgetting_rate_bitwise(norm, rows):
+    # each step decays z by 1 - beta dt, with beta as the extension's
+    # ``beta`` formed it from the eigenvalues the last step left
+    dre = LeastSquaresDre(5, LsDreParams(norm=norm))
+    dt, z = 5e-4, 1.0
+    for flat in rows:
+        omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
+        z = z * (1.0 - dt * ref.ls_beta_of(dre))
+        dre.step(RegressionPair(y=y, omega=omega), dt)
+        assert dre.z.hex() == z.hex()
 
 
 # -- direct LAPACK calls -------------------------------------------------------

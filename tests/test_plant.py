@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference as ref
 from ftlab import ConfigError, SimConfig, mathx, verify
-from ftlab.plant import FrictionModel, NoiseModel, PhysicalParams, ThetaVector
+from ftlab.plant import FrictionModel, NoiseModel, PhysicalParams, Plant, ThetaVector
 
 
 def reference_deltas():
@@ -163,42 +163,58 @@ class TestForwardDynamics:
             q = rng.uniform(-np.pi, np.pi, 2)
             qd = rng.uniform(-3.0, 3.0, 2)
             tau = rng.uniform(-10.0, 10.0, 2)
-            tau_f = rng.uniform(-0.5, 0.5, 2)
-            qdd = plant.forward_dynamics(q, qd, tau, tau_f)
+            coulomb = tuple(rng.uniform(0.0, 0.5, 2).tolist())
+            tau_f = np.array(ref.friction_torque(coulomb, qd))
+            qdd = plant.forward_dynamics(q, qd, tau, coulomb)
             resid = np.array(plant.inertia_rows(q)) @ qdd \
                 + np.array(plant.coriolis_rows(q, qd)) @ qd \
                 + ref.matvec2(plant.psi_rows(q), plant.theta.theta_u) - tau + tau_f
             assert np.max(np.abs(resid)) <= 1e-10
 
 
+def friction_applied(coulomb, qd, q=(0.7, -0.3), tau=(1.5, -0.5)):
+    """The friction torque the forward dynamics apply: M(q) times the drop
+    in acceleration that the Coulomb coefficients cause."""
+    plant = Plant.two_link()
+    free = np.array(plant.forward_dynamics(q, qd, tau))
+    damped = np.array(plant.forward_dynamics(q, qd, tau, coulomb))
+    return np.array(plant.inertia_rows(q)) @ (free - damped)
+
+
 class TestFrictionAndNoise:
     def test_friction_at_rest(self):
-        np.testing.assert_array_equal(FrictionModel().torque([0.0, 0.0]), [0.0, 0.0])
+        plant = Plant.two_link()
+        q, tau = (0.7, -0.3), (1.5, -0.5)
+        assert plant.forward_dynamics(q, (0.0, 0.0), tau, FrictionModel().coulomb) \
+            == plant.forward_dynamics(q, (0.0, 0.0), tau)
 
     def test_friction_signs(self):
-        np.testing.assert_allclose(FrictionModel().torque([-1.0, 2.0]), [-0.5, 0.4])
+        np.testing.assert_allclose(friction_applied(FrictionModel().coulomb, (-1.0, 2.0)),
+                                   [-0.5, 0.4], atol=1e-12)
 
     @given(coulomb=st.tuples(*[st.sampled_from([0.0]) | st.floats(0.0, 10.0)] * 2),
            v=st.tuples(*[st.sampled_from([0.0, -0.0]) | st.floats(0.0, 10.0)] * 2),
            signs=st.tuples(*[st.sampled_from([1.0, -1.0])] * 2))
     def test_friction_is_the_per_joint_expression_bitwise(self, coulomb, v, signs):
         # +-v and +-0.0 on each joint, zero coefficients included: the sign of
-        # a zero velocity carries into the torque
+        # a zero velocity carries into the torque, which the forward dynamics
+        # subtract as the friction model's torque would be
         qd = [s * x for s, x in zip(signs, v)]
-        got = FrictionModel(np.array(coulomb)).torque(qd)
+        plant, q, tau = Plant.two_link(), (0.7, -0.3), (1.5, -0.5)
+        got = plant.forward_dynamics(q, qd, tau, FrictionModel(np.array(coulomb)).coulomb)
         assert type(got) is tuple and all(type(x) is float for x in got)
-        assert np.array(got).tobytes() == np.array(ref.friction_torque(coulomb, qd)).tobytes()
+        want = ref.forward_dynamics_layered(plant, q, qd, tau, ref.friction_torque(coulomb, qd))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_noise_at_zero(self):
         # position noise (sin, cos), velocity noise the first on both joints
-        n1, n2 = NoiseModel().sample(0.0)
+        (n1, n2), = NoiseModel().sample([0.0]).tolist()
         np.testing.assert_allclose((n1, n2), [0.0, 0.005])
         np.testing.assert_allclose((n1, n1), [0.0, 0.0])
 
     def test_noise_bounded(self):
         noise = NoiseModel()
-        for t in np.linspace(0.0, 1.0, 500):
-            n1, n2 = noise.sample(t)
+        for n1, n2 in noise.sample(np.linspace(0.0, 1.0, 500)).tolist():
             assert np.max(np.abs((n1, n2))) <= 0.005 + 1e-15
             assert np.max(np.abs((n1, n1))) <= 0.005 + 1e-15
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
+from conftest import calls_per_step
 from ftlab import _g17, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller)
@@ -168,6 +169,21 @@ class TestRunClosedLoop:
                                           parameterization=parameterization))
         assert len(trace) == 101 and len(built) == 1
 
+    @pytest.mark.parametrize("controller, scenario, parameterization, budget", [
+        ("c1", "case1", None, 9), ("c2", "case1", None, 9),
+        ("c3", "case1", None, 14), ("c4", "case1", None, 14),
+        ("c1", "case2", None, 9), ("c2", "case2", None, 9),
+        ("c3", "case2", None, 14), ("c4", "case2", None, 14),
+        ("c2", "case2", "power_balance", 8)])
+    def test_a_step_makes_a_fixed_budget_of_python_calls(self, controller, scenario,
+                                                         parameterization, budget):
+        # per sample the loop measures, calls the controller's step once and
+        # steps the plant; the step's stages are written out in it, so the
+        # count is a small constant per family
+        calls = calls_per_step({"controller": controller, "scenario": scenario,
+                                "parameterization": parameterization})
+        assert calls == int(calls) and calls <= budget, calls
+
     def test_coarse_step_ends_in_named_degeneracy(self):
         # at dt = 0.05 the Kreisselmeier determinant overflows; the run must
         # stop with the quantity, step and time, not a bare ValueError
@@ -303,7 +319,7 @@ class TestArrayMonitors:
         trace = request.getfixturevalue(fixture)
         b, d = trace.meta["exponent_b"], trace.meta["sat_d"]
         deltas = trace.delta.tolist()
-        want = np.array([sat(x, b, d) * mathx.spow(x, b) for x in deltas])
+        want = np.array([sat(x, b, d) * ref.spow(x, b) for x in deltas])
         small = np.abs(trace.delta) <= 1.0
         assert trace.zeta1[small].tobytes() == want[small].tobytes()
         # Delta = 0 of either sign gives +0.0, as spow does
@@ -315,7 +331,7 @@ class TestArrayMonitors:
         a = FtPdGains().a
         e1 = np.vstack((request.getfixturevalue(fixture).e1,
                         [[0.0, -0.0], [-0.0, 1e-300], [-1e-300, 0.0]]))
-        want = np.array([[mathx.spow(x, a) for x in row] for row in e1.tolist()])
+        want = np.array([[ref.spow(x, a) for x in row] for row in e1.tolist()])
         assert mathx.signed_power_vec(e1, a).tobytes() == want.tobytes()
 
 
