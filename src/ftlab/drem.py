@@ -51,6 +51,19 @@ from .mathx import det_stack, eigh_sym
 from .regression import RegressionPair
 
 
+def _checked_mix(row: np.ndarray) -> list:
+    """The mixing row [Delta | Y] as floats, checked finite."""
+    mixed = row.tolist()
+    # one sum tests all; a finite sum that overflows falls through to the
+    # exact tests, which then find nothing
+    if not math.isfinite(sum(mixed)):
+        if not math.isfinite(mixed[0]):
+            raise NumericalDegeneracyError("mixing factor Delta is not finite")
+        if not all(map(math.isfinite, mixed)):
+            raise NumericalDegeneracyError("mixed regression Y is not finite")
+    return mixed
+
+
 @dataclass(frozen=True)
 class LsDreParams:
     """Constants of the least-squares extension.
@@ -204,6 +217,8 @@ class LeastSquaresDre:
             inv = list(map((1.0).__truediv__, reversed(w)))
             norm = math.sqrt(sum(map(operator.mul, inv, inv)))
         decay = 1.0 - dt * (self._beta0 * (1.0 - norm / self._gain_cap))
+        # the affine step, written out as in the other extension's step (the
+        # two change together; a shared helper would cost a call per sample)
         pair.omega_t.dot(pair.aug, out=self._drive)
         # decay * state and gain * drive, then their sum
         self._decay.fill(decay)
@@ -247,15 +262,7 @@ class LeastSquaresDre:
         scaled *= self._coef
         v.dot(scaled, out=out[1:])
         out[0] = prefix
-        mixed = out.tolist()
-        # one sum tests all; a finite sum that overflows falls through to the
-        # exact tests, which then find nothing
-        if not math.isfinite(sum(mixed)):
-            if not math.isfinite(mixed[0]):
-                raise NumericalDegeneracyError("mixing factor Delta is not finite")
-            if not all(map(math.isfinite, mixed)):
-                raise NumericalDegeneracyError("mixed regression Y is not finite")
-        return mixed
+        return _checked_mix(out)
 
     def diagnostics(self, n_rec: int) -> dict:
         """The record of n_rec samples, "w" and "z_forget", two views of one
@@ -345,6 +352,8 @@ class KreisselmeierDre:
             self._factors[0] = 1.0 - dt * self.params.lambda2
             self._factors[1] = dt * self.params.lambda3
             self._dt = dt
+        # the affine step, written out as in the other extension's step (the
+        # two change together; a shared helper would cost a call per sample)
         pair.omega_t.dot(pair.aug, out=self._drive)
         # decay * state and gain * drive, then their sum
         self._state_drive *= self._factors
@@ -357,15 +366,7 @@ class KreisselmeierDre:
         # the cached indices are all in range, so "wrap" never wraps one
         self._state.take(self._cramer, out=self._stack, mode="wrap")
         det_stack(self._stack, out=out)
-        mixed = out.tolist()
-        # one sum tests all; a finite sum that overflows falls through to the
-        # exact tests, which then find nothing
-        if not math.isfinite(sum(mixed)):
-            if not math.isfinite(mixed[0]):
-                raise NumericalDegeneracyError("mixing factor Delta is not finite")
-            if not all(map(math.isfinite, mixed)):
-                raise NumericalDegeneracyError("mixed regression Y is not finite")
-        return mixed
+        return _checked_mix(out)
 
     def diagnostics(self, n_rec: int) -> dict:
         """The record of n_rec samples, "phi1" and "phi2", two views of one

@@ -15,8 +15,8 @@ hold the plant's closed forms to.  The layered float step path is the
 float kernels as the loop called them before their calls were flattened
 into the callers, and then folded into each controller's one ``step`` per
 sample (the torque, update and record methods, the regression filters'
-calls of the plant's basis terms, the extensions' forgetting rate, affine
-step and mixing check, and the friction and noise models' per-sample
+calls of the plant's basis terms, the extensions' forgetting rate and
+affine step, and the friction and noise models' per-sample
 calls); ``test_kernels.py`` holds the flattened forms to it bit for
 bit.  ``csv_rows`` is the row loop that wrote ``trace.csv`` before its
 vectorised formatter; ``test_g17.py`` and ``test_sim.py`` hold the

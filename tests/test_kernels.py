@@ -279,7 +279,7 @@ def kreis_with_state(flat):
 
 @given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(5, 10.0),
        given_inertia=st.booleans(), state=edgy(30, 3.0), aug=edgy(12, 3.0))
-@settings(max_examples=300)
+@settings(max_examples=500)
 def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
                                                                   given_inertia, state, aug):
     params, a, dt = TsmParams(), FtPdGains().a, 5e-4
