@@ -1,8 +1,8 @@
 """CSV text of float64 arrays in the exact bytes of ``'%.17g' % x``.
 
-``csv_blocks(data)`` formats ``BLOCK_ROWS`` rows at a time, each block in a
-fixed number of numpy passes, which also bounds the memory a long array's
-text takes:
+``csv_blocks(series)`` gathers ``BLOCK_ROWS`` rows at a time from the
+column series into one work block and formats it in a fixed number of numpy
+passes, which also bounds the memory a long run's text takes:
 
 * **digits.**  With E = floor(log10 |x|), the 17 significant digits are
   D = round(|x| 10^(16 - E)).  The product is taken in double-double
@@ -112,12 +112,18 @@ def _decade_table() -> np.ndarray:
 _DECADES = _decade_table()
 
 
-def csv_blocks(data: np.ndarray) -> Iterator[bytes]:
-    """The rows of a 2-D float64 array as ``'%.17g'`` fields joined by ','
-    and ended by '\\n', byte for byte, ``BLOCK_ROWS`` rows per item.  The
-    large work arrays are made once and reused by every block."""
-    rows, cols = data.shape
-    size = min(rows, BLOCK_ROWS) * cols
+def csv_blocks(series) -> Iterator[bytes]:
+    """The rows of the series side by side (each a float64 array of one
+    length, 1-D or 2-D, of any strides) as ``'%.17g'`` fields joined by ','
+    and ended by '\\n', byte for byte, ``BLOCK_ROWS`` rows per item.  Each
+    block is gathered into one work block; it and the large work arrays are
+    made once and reused by every block."""
+    series = [s if s.ndim == 2 else s[:, None] for s in series]
+    rows, cols = len(series[0]), sum(s.shape[1] for s in series)
+    if any(len(s) != rows for s in series):
+        raise ValueError("the series differ in length")
+    block = np.empty((min(rows, BLOCK_ROWS), cols))
+    size = block.size
     slots = np.empty((_SLOTS, size), dtype=np.uint8)
     slots[_SEP] = ord(",")
     slots[_SEP, cols - 1::cols] = ord("\n")
@@ -125,7 +131,12 @@ def csv_blocks(data: np.ndarray) -> Iterator[bytes]:
     scratch = np.empty((8, size))
     chars = np.zeros((18, size), dtype=np.uint8)    # row 17 stays NUL
     for start in range(0, rows, BLOCK_ROWS):
-        x = data[start:start + BLOCK_ROWS].ravel()
+        stop = min(start + BLOCK_ROWS, rows)
+        col = 0
+        for s in series:
+            block[:stop - start, col:col + s.shape[1]] = s[start:stop]
+            col += s.shape[1]
+        x = block[:stop - start].ravel()
         n = x.size
         yield _format(x, slots[:, :n], digits[:, :n], scratch[:, :n], chars[:, :n])
 

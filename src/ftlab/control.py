@@ -15,15 +15,14 @@ estimate ``estimate``, a tuple of floats; ``regression``, the regression
 filter the family builds in ``from_config`` (as it builds its extension),
 whose one [Omega | y] buffer ``regression.pair.aug`` the runner records;
 ``diagnostics(n_rec)``, which allocates the family's per-step series
-before the loop; ``step(k, e1, q, qd, psi, inertia)``, the one call per
-sample; and ``dre``, the name of the extension it mixes from.  ``step``
-takes the measured signals (under set-point regulation the velocity
-error e2 is qd itself; ``inertia`` is M(q), or None to have a family that
-needs it evaluate it) and, in one method, forms the torque, feeds the
-regression filter, steps the family's regressor extension (c4: its
-least-squares gain) and mixes (c1-c3) straight into sample k of its
-mixing record, Euler-steps the estimate at dt and records sample k; it
-returns the torque, a pair of floats, and Delta.  ``FAMILIES`` maps the
+before the loop; ``step(k, e1, q, qd, psi)``, the one call per sample;
+and ``dre``, the name of the extension it mixes from.  ``step`` takes the
+measured signals (under set-point regulation the velocity error e2 is qd
+itself; c3 forms M(q) through its plant) and, in one method, forms the
+torque, feeds the regression filter, steps the family's regressor
+extension (c4: its least-squares gain) and mixes (c1-c3) straight into
+sample k of its mixing record, Euler-steps the estimate at dt and records
+sample k; it returns the torque, a pair of floats, and Delta.  ``FAMILIES`` maps the
 controller names to the classes, whose ``from_config`` builds one and
 ``check_config`` holds the family's rules.
 
@@ -271,7 +270,7 @@ class CompositeFtController(_Estimate):
     def dre(self) -> str:
         return self.extension.kind
 
-    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+    def step(self, k: int, e1, q, qd, psi) -> tuple:
         """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_u (e2 = qd);
         then the filter and the extension step, the mix into row k of the
         mixing record that diagnostics() allocated, and the Euler step of
@@ -279,8 +278,7 @@ class CompositeFtController(_Estimate):
         -gamma (Psi' v + g12 upsilon sat(Delta) <Delta theta_hat - y_u>^c),
         v = g1d1 tanh(e1) + g12 e2, y_u theta_u's block of Y and the exponent
         c the PD exponent b; sat(Delta) = <Delta>^d / (1 + |Delta|^(c + d)),
-        or <Delta>^-c where |Delta|^(c + d) overflows (see ``saturation``).
-        ``inertia`` is not used."""
+        or <Delta>^-c where |Delta|^(c + d) overflows (see ``saturation``)."""
         (kp1, kp2, kd1, kd2, kl1, kl2, a, c, g1d1, g12, d, cd,
          gm1, gm2, u1, u2) = self._gains
         (e11, e12), (e21, e22), ((p11, p12), (p21, p22)) = e1, qd, psi
@@ -374,14 +372,14 @@ class SwitchingTsmController(_Estimate):
     nonlinear branch runs while e2' M(q) e2 <= lam_max(M) |k2 <e1>^a|^2,
     the linear branch otherwise.  Estimates the full parameter vector from
     the classical Kreisselmeier extension filters (lambda3 = 1).  ``plant``
-    evaluates M(q) when the caller of step() has not.
+    evaluates M(q) in step().
     """
 
     estimate_dim = 5
     dre = "kreisselmeier"
 
-    def __init__(self, params: TsmParams, exponent_a: float, theta_hat0=None,
-                 plant=None, extension=None, regression=None, dt=None):
+    def __init__(self, params: TsmParams, exponent_a: float, plant, theta_hat0=None,
+                 extension=None, regression=None, dt=None):
         self.params = params
         self.a = a = float(exponent_a)
         if not 0.0 < a < 1.0:
@@ -399,29 +397,26 @@ class SwitchingTsmController(_Estimate):
     def from_config(cls, config, plant) -> "SwitchingTsmController":
         kreis = dataclasses.replace(config.kreis, lambda3=1.0)
         extension = KreisselmeierDre(plant.theta.size, kreis)
-        return cls(config.tsm, config.ftpd.a, config.theta_hat0, plant, extension,
+        return cls(config.tsm, config.ftpd.a, plant, config.theta_hat0, extension,
                    _regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+    def step(self, k: int, e1, q, qd, psi) -> tuple:
         """Branch selection and torque, then the filter and the extension
         step, the mix into row k of the mixing record, and the Euler step of
-        the estimate.  ``inertia`` is M(q), or None to have the plant
-        evaluate it; the velocity error e2 is qd.  The switching value
-        e2' M e2 - lam_max(M) |k2 <e1>^a|^2 selects the branch; <e1>^a is
-        taken once, for it and for the nonlinear branch.  The estimate rate
-        is -gamma W' s minus gamma k times the drift phi2 theta_hat - phi1
-        (linear branch) or phi2' times its unit vector, 0 at zero drift
-        (nonlinear branch), with phi1 and phi2 the extension's after its
-        step.  The products with phi2 are numpy, where BLAS may fuse
-        multiply-adds; the rest is floats."""
+        the estimate.  M(q) is the plant's; the velocity error e2 is qd.
+        The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2 selects the
+        branch; <e1>^a is taken once, for it and for the nonlinear branch.
+        The estimate rate is -gamma W' s minus gamma k times the drift
+        phi2 theta_hat - phi1 (linear branch) or phi2' times its unit
+        vector, 0 at zero drift (nonlinear branch), with phi1 and phi2 the
+        extension's after its step.  The products with phi2 are numpy, where
+        BLAS may fuse multiply-adds; the rest is floats."""
         k1, k2, ks, clamp, a, ref_gain, g_tsm, w_tsm, g_lin, w_lin = self._gains
-        if inertia is None:
-            inertia = self.plant.inertia_rows(q)
-        (e11, e12), (qd1, qd2), ((m11, m12), (m21, m22)) = e1, qd, inertia
+        (e11, e12), (qd1, qd2), ((m11, m12), (m21, m22)) = e1, qd, self.plant.inertia_rows(q)
         pow1 = _copysign(abs(e11) ** a, e11) if e11 else 0.0
         pow2 = _copysign(abs(e12) ** a, e12) if e12 else 0.0
         ref1, ref2 = k2 * pow1, k2 * pow2
@@ -512,12 +507,11 @@ class SlotineLiLsController(_Estimate):
                               "force_balance parameterization")
         _check_theta_hat0(config, cls.estimate_dim)
 
-    def step(self, k: int, e1, q, qd, psi, inertia) -> tuple:
+    def step(self, k: int, e1, q, qd, psi) -> tuple:
         """The torque, then the filter step and the Euler step of the
         estimate at the rate -F (W' s + Omega' e_p), with the gain F the
         last step left, then the extension's step; nothing is mixed, so
-        sample k has no mixing row and Delta is 0.  ``inertia`` is not
-        used."""
+        sample k has no mixing row and Delta is 0."""
         k1, k2, ks = self._gains
         (e11, e12), (qd1, qd2) = e1, qd
         s = (qd1 + k2 * e11, qd2 + k2 * e12)

@@ -378,6 +378,10 @@ class KreisselmeierDre:
         return {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]}
 
 
+# trapezoid intervals per block of ``excitation_gramian``
+GRAMIAN_ROWS = 1024
+
+
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,
                        t1: float, window: float) -> np.ndarray:
     """Trapezoidal integral of Omega' Omega over [t1, t1 + window].
@@ -385,6 +389,13 @@ def excitation_gramian(t: np.ndarray, omega: np.ndarray,
     ``t`` is the trace time grid and ``omega`` the per-step regressor stack
     (steps, n_out, l).  The window endpoints are snapped to the grid; the
     smallest eigenvalue of the result is the excitation level of the window.
+
+    The integral runs over blocks of ``GRAMIAN_ROWS`` intervals, in
+    ``np.trapezoid``'s order of operations on the ``einsum`` products, bit
+    for bit: per interval (G_s+1 + G_s) times its length, halved, formed in
+    one work block, and the areas summed in order, each block's after the
+    total of the blocks before it (``sum`` over the leading axis of a
+    contiguous stack adds its rows in order).
     """
     t = np.asarray(t, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -394,5 +405,22 @@ def excitation_gramian(t: np.ndarray, omega: np.ndarray,
         raise ValueError("excitation window falls outside the trace")
     i0 = int(np.searchsorted(t, t1 - 1e-12))
     i1 = int(np.searchsorted(t, t1 + window - 1e-12))
-    gram = np.einsum("ski,skj->sij", omega[i0:i1 + 1], omega[i0:i1 + 1])
-    return np.trapezoid(gram, t[i0:i1 + 1], axis=0)
+    l_dim = omega.shape[-1]
+    # row 0 carries the total of the blocks before
+    areas = np.empty((min(i1 - i0, GRAMIAN_ROWS) + 1, l_dim, l_dim))
+    total = None
+    for start in range(i0, i1, GRAMIAN_ROWS):
+        stop = min(start + GRAMIAN_ROWS, i1)
+        rows = omega[start:stop + 1]
+        gram = np.einsum("ski,skj->sij", rows, rows)
+        area = areas[1:stop - start + 1]
+        np.add(gram[1:], gram[:-1], out=area)
+        area *= np.diff(t[start:stop + 1])[:, None, None]
+        area /= 2.0
+        if total is None:
+            total = area.sum(axis=0)
+        else:
+            areas[0] = total
+            total = areas[:stop - start + 1].sum(axis=0)
+    # a window that snaps to one sample has no area
+    return np.zeros((l_dim, l_dim)) if total is None else total

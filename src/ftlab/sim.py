@@ -19,7 +19,14 @@ The runner knows the controllers only through the protocol of
 ``control`` (see its module docstring), and takes the friction and noise
 models from the config as they are.  The trace keeps the series each
 step records and nothing built after the loop but the monitors; the
-metrics of a trace are scalars.
+metrics of a trace are scalars.  Its series are views of the loop's
+records, not copies: q, qd, tau and the estimate are columns of the
+packed row record, and y and omega of the pair record; only Delta is
+copied out.  After the loop a run holds no more than one block of
+temporaries beyond the trace: the monitors V1, |z1| and zeta1 run over
+``MONITOR_ROWS`` rows at a time into preallocated series, and
+``write_trace_csv`` gathers each 256-row block of ``trace.csv`` straight
+from the series.
 
 The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
@@ -234,6 +241,31 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
     return float(v1) if v1.ndim == 0 else v1
 
 
+# rows per block of the post-loop monitors
+MONITOR_ROWS = 1024
+
+
+def _monitors(plant: Plant, config: SimConfig, q, qd, e1, theta_u, theta_u_true,
+              delta) -> tuple:
+    """V1, |z1| = |Psi(q) theta~_u| and zeta1 of every sample, evaluated
+    ``MONITOR_ROWS`` rows at a time into preallocated series, with Psi(q)
+    and M(q) stacked per block.  Each sample's value is a function of its
+    own row alone, so the blocks give the bits of one pass over the run."""
+    n_rec = len(delta)
+    v1, z1norm, zeta1 = np.empty(n_rec), np.empty(n_rec), np.empty(n_rec)
+    b_exp, d_exp = config.ftpd.b, config.adapt.sat_d
+    for start in range(0, n_rec, MONITOR_ROWS):
+        block = slice(start, start + MONITOR_ROWS)
+        q_blk = q[block]
+        tt = theta_u[block] - theta_u_true
+        v1[block] = lyapunov_v1(e1[block], qd[block], tt, plant.inertia_stack(q_blk),
+                                config.ftpd, config.adapt)
+        z1 = (plant.psi_stack(q_blk) @ tt[:, :, None])[:, :, 0]
+        z1norm[block] = np.sqrt(_row_dot(z1, z1))
+        zeta1[block] = control.excitation_gain(delta[block], b_exp, d_exp)
+    return v1, z1norm, zeta1
+
+
 def run_closed_loop(config: SimConfig) -> Trace:
     """Integrate the closed loop and return the full trace.
 
@@ -241,12 +273,15 @@ def run_closed_loop(config: SimConfig) -> Trace:
     evaluated once per step (at the true and, in case2, at the measured
     configuration) and passed to the controller, which passes it to its
     regression filter, and to the plant step; M(q) is formed by the plant
-    step and, if it needs it, by the controller.  The regression pair is
+    step and, in c3, by the controller.  The regression pair is
     the filter's one [Omega | y] buffer, ``controller.regression.pair``,
     recorded whole each step through a view taken before the first.  The
-    monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
-    after the loop, over the recorded series, with Psi(q) and M(q) rebuilt
-    from the recorded q.  A non-finite state or mixing output ends the run
+    trace hands out the two records themselves: q, qd, tau and the
+    estimate are column views of the row record, y and omega views of the
+    pair record, and only Delta is copied out.  The monitors V1, zeta1 and
+    |z1| feed nothing back, so they are evaluated after the loop, over the
+    recorded series in blocks of rows (``_monitors``).  A non-finite state
+    or mixing output, or a singular M(q) in the plant step, ends the run
     with a NumericalDegeneracyError naming it, the step and the time, and
     so does a float overflow within a step.  A record too large to
     allocate, or beyond numpy's index range, is a ConfigError naming the
@@ -320,39 +355,32 @@ def run_closed_loop(config: SimConfig) -> Trace:
                     psi_m = psi_rows(q_m)
                 else:
                     q_m, qd_m, psi_m = q, qd, psi
-                tau, delta = step(k, (q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m, None)
+                tau, delta = step(k, (q_m[0] - qdes1, q_m[1] - qdes2), q_m, qd_m, psi_m)
+
+                pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
+                aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
+
+                if k < n_steps:
+                    a1, a2 = forward_dynamics(q, qd, tau, coulomb, psi)
+                    q1, q2 = q1 + dt * qd1, q2 + dt * qd2
+                    qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
             except NumericalDegeneracyError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): {exc}") from exc
             except OverflowError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): float overflow "
                                                f"{exc}") from exc
 
-            pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
-            aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
-
-            if k < n_steps:
-                a1, a2 = forward_dynamics(q, qd, tau, coulomb, psi)
-                q1, q2 = q1 + dt * qd1, q2 + dt * qd2
-                qd1, qd2 = qd1 + dt * a1, qd2 + dt * a2
-
-    q_rec, qd_rec, tau_rec = rows[:, 0:2].copy(), rows[:, 2:4].copy(), rows[:, 4:6].copy()
-    theta_rec = rows[:, 6:6 + j_est].copy()
+    # the trace's series are views of the two records; Delta is a compact
+    # copy, so that a caller keeping it alone does not keep the row record
+    q_rec, qd_rec, tau_rec = rows[:, 0:2], rows[:, 2:4], rows[:, 4:6]
+    theta_rec = rows[:, 6:6 + j_est]
     delta_rec = rows[:, 6 + j_est].copy()
-    diag = {"y": aug_rec[:, :, l_dim].copy(), "omega": aug_rec[:, :, :l_dim].copy(), **diag}
-    del rows, aug_rec, rows_buf, aug_buf
-    psi_rec = plant.psi_stack(q_rec)
-    inertia_rec = plant.inertia_stack(q_rec)
+    diag = {"y": aug_rec[:, :, l_dim], "omega": aug_rec[:, :, :l_dim], **diag}
 
     theta_u_true = np.array(theta_true.theta_u)
     e1_rec = q_rec - config.q_d
-    theta_tilde_u = theta_rec[:, -j_dim:] - theta_u_true
-    v1 = lyapunov_v1(e1_rec, qd_rec, theta_tilde_u, inertia_rec, config.ftpd, config.adapt)
-    z1 = (psi_rec @ theta_tilde_u[:, :, None])[:, :, 0]
-    z1norm = np.sqrt(_row_dot(z1, z1))
-    b_exp = config.ftpd.b
-    d_exp = config.adapt.sat_d
-    zeta1 = control.excitation_gain(delta_rec, b_exp, d_exp)
-    del psi_rec, inertia_rec
+    v1, z1norm, zeta1 = _monitors(plant, config, q_rec, qd_rec, e1_rec,
+                                  theta_rec[:, -j_dim:], theta_u_true, delta_rec)
 
     meta = {
         "controller": config.controller, "scenario": config.scenario,
@@ -360,7 +388,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
         "dre": controller.dre,
         "dt": dt, "t_final": config.t_final,
         "theta_true": theta_true.stacked, "theta_u_true": theta_u_true,
-        "q_d": config.q_d.copy(), "exponent_b": b_exp, "sat_d": d_exp,
+        "q_d": config.q_d.copy(), "exponent_b": config.ftpd.b, "sat_d": config.adapt.sat_d,
         "settle_tol": config.settle_tol, "param_tol": config.param_tol,
     }
     return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, tau_rec, theta_rec, delta_rec,
@@ -454,26 +482,27 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
                    gramian_min_eig=float(gram_min))
 
 
-def trace_columns(trace: Trace) -> tuple[list[str], np.ndarray]:
-    """Fixed CSV column layout."""
+def trace_columns(trace: Trace) -> tuple[list[str], list[np.ndarray]]:
+    """Fixed CSV column layout: the header and the series whose columns, in
+    order, are the CSV's columns (each 1-D or (rows, k), views as the trace
+    holds them)."""
     k = trace.theta_hat.shape[1]
     header = (["t", "q1", "q2", "qd1", "qd2", "e11", "e12", "tau1", "tau2"]
               + [f"theta_hat_{i + 1}" for i in range(k)]
               + ["Delta", "zeta1", "V1", "z1norm"])
-    data = np.column_stack([
-        trace.t, trace.q, trace.qd, trace.e1, trace.tau, trace.theta_hat,
-        trace.delta, trace.zeta1, trace.v1, trace.z1norm,
-    ])
-    return header, data
+    series = [trace.t, trace.q, trace.qd, trace.e1, trace.tau, trace.theta_hat,
+              trace.delta, trace.zeta1, trace.v1, trace.z1norm]
+    return header, series
 
 
 def write_trace_csv(trace: Trace, stream) -> None:
     """Serialize the trace; every number takes the exact bytes of
     ``'%.17g' % x``, 17 significant digits, so a read-back reproduces every
-    float64.  ``_g17`` formats a block of rows at a time in numpy passes."""
-    header, data = trace_columns(trace)
+    float64.  ``_g17`` gathers a block of rows at a time from the series
+    and formats it in numpy passes."""
+    header, series = trace_columns(trace)
     stream.write(",".join(header) + "\n")
-    for text in csv_blocks(data):
+    for text in csv_blocks(series):
         stream.write(text.decode("ascii"))
 
 

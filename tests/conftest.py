@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +59,41 @@ def calls_per_step(fields: dict) -> float:
         counts.append((seen[0], config.n_steps))
     (calls0, steps0), (calls1, steps1) = counts
     return (calls1 - calls0) / (steps1 - steps0)
+
+
+def traced_peak(fn, *args) -> tuple:
+    """(fn's result, the peak of tracemalloc's traced bytes during the call
+    above those traced when it started)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - base
+
+
+def trace_bytes(trace) -> int:
+    """Bytes of the distinct buffers the trace's series and diagnostics
+    hold, each buffer once however many views of it the trace holds."""
+    owners = {}
+    for arr in [getattr(trace, f.name) for f in dataclasses.fields(trace)] \
+            + list(trace.diagnostics.values()):
+        if isinstance(arr, np.ndarray):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            owners[id(arr)] = arr.nbytes
+    return sum(owners.values())
+
+
+def run_staging(config) -> tuple:
+    """(trace, bytes) of ``run_closed_loop(config)``: its traced peak beyond
+    the bytes of the trace it returns.  A 0.05 s run of the same config, not
+    counted, first fills the caches that set-up keeps across runs."""
+    ftlab.run_closed_loop(dataclasses.replace(config, t_final=0.05))
+    trace, peak = traced_peak(ftlab.run_closed_loop, config)
+    return trace, peak - trace_bytes(trace)
 
 
 def at(trace, t):
@@ -167,7 +204,7 @@ def record(extension, k):
     rec[k * n:(k + 1) * n] = src
 
 
-def step_once(ctrl, e1, q, qd, psi, inertia, pair=None, dt=5e-4):
+def step_once(ctrl, e1, q, qd, psi, pair=None, dt=5e-4):
     """One ``step`` of ``ctrl`` as sample 0 of a one-sample record, its
     regression filter a PairStub of ``pair``; a c3 controller built without
     an extension gets a fresh Kreisselmeier one.  Returns (tau, Delta)."""
@@ -176,7 +213,7 @@ def step_once(ctrl, e1, q, qd, psi, inertia, pair=None, dt=5e-4):
     ctrl.regression = PairStub(pair)
     ctrl.dt = dt
     ctrl.diagnostics(1)
-    return ctrl.step(0, e1, q, qd, psi, inertia)
+    return ctrl.step(0, e1, q, qd, psi)
 
 
 def composite_step(ctrl, e1, e2, psi, delta, y_u, dt):
@@ -184,7 +221,7 @@ def composite_step(ctrl, e1, e2, psi, delta, y_u, dt):
     ``e2``, with an extension that mixes Delta = ``delta`` and the theta_u
     block ``y_u`` of Y; returns the torque."""
     ctrl.extension = MixStub([delta, 0.0, 0.0, 0.0, *y_u])
-    return step_once(ctrl, e1, None, e2, psi, None, dt=dt)[0]
+    return step_once(ctrl, e1, None, e2, psi, dt=dt)[0]
 
 
 def composite_rate(ctrl, e1, e2, psi, delta, y_u):

@@ -1,5 +1,6 @@
 """In-process A/B of the step loop's cost between the working tree and a git
-revision, in microseconds and in Python-level calls per step.
+revision, in microseconds and in Python-level calls per step, and of the
+memory a run stages beyond its trace.
 
     python tests/step_ab.py REV [--rounds 10]
 
@@ -13,7 +14,10 @@ each side's median over the rounds, the median of the per-round ratios
 tree / REV as a change, the number of rounds in which the working tree was
 faster, and each side's Python-level calls per step, counted once per run
 and side after the timing by ``conftest.calls_per_step``, the counter of
-the call-budget test in ``test_sim.py``.
+the call-budget test in ``test_sim.py``.  The same untimed pass takes each
+side's tracemalloc peak during ``run_closed_loop`` beyond the bytes of the
+trace it returns, in MB (``conftest.run_staging``, the measure of the
+bounded-staging test in ``test_sim.py``).
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
@@ -52,7 +56,8 @@ T_FINAL = 2.0    # simulated seconds per run: 4000 steps at the default dt
 
 def child(name: str, count: bool) -> None:
     """Print the fastest of REPEATS runs of ``name``, in µs per step, and
-    then, if ``count``, its Python-level calls per step."""
+    then, if ``count``, its Python-level calls per step and the MB its run
+    stages beyond its trace."""
     import time
 
     from ftlab import sim
@@ -65,14 +70,15 @@ def child(name: str, count: bool) -> None:
         best = min(best, time.perf_counter() - start)
     print(1e6 * best / config.n_steps)
     if count:
-        from conftest import calls_per_step
+        from conftest import calls_per_step, run_staging
 
         print(calls_per_step(RUNS[name]))
+        print(run_staging(config)[1] / 1e6)
 
 
 def measure(src: Path, name: str, count: bool) -> list:
     """[µs per step] of ``name`` on the sources ``src``, with the calls per
-    step appended if ``count``."""
+    step and the MB staged beyond the trace appended if ``count``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, __file__, "--child", name, str(int(count))],
                          env=env, check=True, capture_output=True, text=True).stdout
@@ -100,25 +106,28 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"tree": ROOT / "src", "rev": export(args.rev, Path(tmp))}
         times = {name: {"tree": [], "rev": []} for name in RUNS}
-        calls = {name: {} for name in RUNS}
+        counted = {name: {} for name in RUNS}
         for r in range(args.rounds):
             order = ("tree", "rev") if r % 2 == 0 else ("rev", "tree")
             for name in RUNS:
                 for side in order:
-                    us, *counted = measure(sides[side], name, r == 0)
+                    us, *extra = measure(sides[side], name, r == 0)
                     times[name][side].append(us)
-                    if counted:
-                        calls[name][side] = counted[0]
+                    if extra:
+                        counted[name][side] = extra
             print(f"round {r + 1}/{args.rounds} done", file=sys.stderr)
 
     print(f"{'run':14} {'tree us/step':>13} {args.rev + ' us/step':>16} {'change':>9} "
-          f"{'rounds faster':>14} {'tree calls':>11} {args.rev + ' calls':>13}")
+          f"{'rounds faster':>14} {'tree calls':>11} {args.rev + ' calls':>13} "
+          f"{'tree MB':>8} {args.rev + ' MB':>10}")
     for name, t in times.items():
         tree, rev = statistics.median(t["tree"]), statistics.median(t["rev"])
         ratio = statistics.median(a / b for a, b in zip(t["tree"], t["rev"]))
         won = sum(a < b for a, b in zip(t["tree"], t["rev"]))
+        (tree_calls, tree_mb), (rev_calls, rev_mb) = counted[name]["tree"], counted[name]["rev"]
         print(f"{name:14} {tree:13.2f} {rev:16.2f} {100.0 * (ratio - 1.0):+8.1f}% "
-              f"{won:>9}/{args.rounds} {calls[name]['tree']:11g} {calls[name]['rev']:13g}")
+              f"{won:>9}/{args.rounds} {tree_calls:11g} {rev_calls:13g} "
+              f"{tree_mb:8.2f} {rev_mb:10.2f}")
     return 0
 
 

@@ -333,6 +333,19 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "numerical degeneracy: step 9 (t = 0.45 s): mixing factor Delta is not finite\n")
 
+    def test_singular_inertia_names_step_and_time(self, tmp_path, capsys):
+        # link masses of 1e-160 validate, but M(q)'s determinant falls below
+        # the plant step's singularity floor; the plant step is inside the
+        # loop's step and time report like every other degeneracy
+        cfg = _write(tmp_path, "controller = c2\nplant.m1 = 1e-160\nplant.m2 = 1e-160\n"
+                               "plant.theta_bar = 1, 1\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        err = capsys.readouterr().err
+        assert re.match(r"numerical degeneracy: step \d+ \(t = [^)]+ s\): inertia matrix is "
+                        r"singular", err), err
+        assert not out.exists()
+
     @pytest.mark.parametrize("clamp", ["5e-324", "1e-320"])
     def test_float_overflow_exit_code(self, tmp_path, capsys, clamp):
         # c3's reference acceleration takes max(|e1|, clamp)^(a - 1): at e1 = 0

@@ -313,25 +313,23 @@ class TestSlotineLiRegressor:
 
 
 class TestSwitchingTsm:
-    def make(self):
-        return SwitchingTsmController(TsmParams(), exponent_a=1.0 / 3.0)
+    def make(self, plant):
+        return SwitchingTsmController(TsmParams(), exponent_a=1.0 / 3.0, plant=plant)
 
     def test_zero_velocity_selects_nonlinear_branch(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         q = np.array([1.0, 0.5])
-        step_once(ctrl, np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q),
-                  plant.inertia_rows(q))
+        step_once(ctrl, np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q))
         assert ctrl.branch == "tsm"
 
     def test_fast_motion_selects_linear_branch(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         q = np.array([1.0, 0.5])
-        step_once(ctrl, np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q),
-                  plant.inertia_rows(q))
+        step_once(ctrl, np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q))
         assert ctrl.branch == "linear"
 
     def test_branch_is_deterministic(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         rng = np.random.default_rng(9)
         for _ in range(100):
             e1 = rng.uniform(-2, 2, 2)
@@ -340,10 +338,10 @@ class TestSwitchingTsm:
             # the same estimate before each step; the extension stays at zero
             # on the zero pair
             before = ctrl.estimate
-            tau1, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            tau1, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q))
             branch1 = ctrl.branch
             ctrl.estimate = before
-            tau2, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q))
+            tau2, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q))
             assert tau1 == tau2 and branch1 == ctrl.branch
 
     def test_reassigned_extension_drives_the_rate(self, plant):
@@ -362,32 +360,32 @@ class TestSwitchingTsm:
                                           extension=KreisselmeierDre(5) if reassign else extension)
             if reassign:
                 ctrl.extension = extension
-            step_once(ctrl, e1, q, e2, plant.psi_rows(q), plant.inertia_rows(q), pair=pair)
+            step_once(ctrl, e1, q, e2, plant.psi_rows(q), pair=pair)
             estimates.append(ctrl.estimate)
         assert estimates[0] == estimates[1]
         assert estimates[1] != th
 
     def test_unit_vector_term_vanishes_at_zero_sliding(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         # e2 = -k2 <e1>^a makes s = 0 on the nonlinear branch
         e1 = np.array([0.2, -0.4])
         s_ref = -ctrl.params.k2 * mathx.signed_power_vec(e1, ctrl.a)
         q = e1 + np.array([2.0, 2.0])
         m = plant.inertia_rows(q)
         before = ctrl.estimate
-        tau, _ = step_once(ctrl, e1, q, s_ref, plant.psi_rows(q), m)
+        tau, _ = step_once(ctrl, e1, q, s_ref, plant.psi_rows(q))
         assert ctrl.branch == "tsm"
         w = ref.tsm_torque_layered(ctrl.params, ctrl.a, before, e1, q, s_ref, m)[2]
         np.testing.assert_allclose(tau, np.array(w) @ np.array(before), atol=1e-12)
 
     def test_normalized_drift_term_zero_at_zero(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         q = np.array([1.0, 0.5])
         e1, m = np.array([0.5, -0.2]), plant.inertia_rows(q)
         # the extension starts at and stays at zero on the zero pair, so
         # phi2 theta_hat - phi1 = 0: the normalized term must be defined as
         # 0; one unit step from theta_hat = 0 is the rate
-        step_once(ctrl, e1, q, np.zeros(2), plant.psi_rows(q), m, dt=1.0)
+        step_once(ctrl, e1, q, np.zeros(2), plant.psi_rows(q), dt=1.0)
         assert ctrl.branch == "tsm"
         _, _, w, s = ref.tsm_torque_layered(ctrl.params, ctrl.a, np.zeros(5), e1, q,
                                             np.zeros(2), m)
@@ -395,10 +393,9 @@ class TestSwitchingTsm:
         np.testing.assert_allclose(ctrl.estimate, expected, atol=1e-15)
 
     def test_reference_acceleration_is_clamped(self, plant):
-        ctrl = self.make()
+        ctrl = self.make(plant)
         q = np.array([2.0, 2.0])
-        tau, _ = step_once(ctrl, np.zeros(2), q, np.array([1e-9, 0.0]), plant.psi_rows(q),
-                           plant.inertia_rows(q))
+        tau, _ = step_once(ctrl, np.zeros(2), q, np.array([1e-9, 0.0]), plant.psi_rows(q))
         assert np.all(np.isfinite(tau))
 
 
@@ -407,8 +404,7 @@ class TestSlotineLiLs:
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         q = np.array([2.0, 2.0])
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
-        _, delta = step_once(ctrl, np.zeros(2), q, np.zeros(2), plant.psi_rows(q),
-                             plant.inertia_rows(q), pair=pair)
+        _, delta = step_once(ctrl, np.zeros(2), q, np.zeros(2), plant.psi_rows(q), pair=pair)
         assert delta == 0.0
         np.testing.assert_array_equal(np.array(ctrl.estimate), np.zeros(5))
 
@@ -416,8 +412,7 @@ class TestSlotineLiLs:
         q_d = np.array([2.0, 2.0])
         ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
         ctrl.estimate = tuple(plant.theta.stacked.tolist())
-        tau, _ = step_once(ctrl, np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d),
-                           plant.inertia_rows(q_d))
+        tau, _ = step_once(ctrl, np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d))
         np.testing.assert_allclose(tau, ref.gravity(plant.theta.theta_u, q_d), atol=1e-12)
 
     def test_gain_matrix_stays_positive_definite(self, c4_case1):
@@ -438,7 +433,7 @@ class TestSlotineLiLs:
 
 
 # the runner's protocol: method -> its parameters after self
-PROTOCOL = {"step": ["k", "e1", "q", "qd", "psi", "inertia"], "diagnostics": ["n_rec"]}
+PROTOCOL = {"step": ["k", "e1", "q", "qd", "psi"], "diagnostics": ["n_rec"]}
 
 
 class TestControllerProtocol:
@@ -461,7 +456,7 @@ class TestControllerProtocol:
         q = tuple(config.q0.tolist())
         qd = tuple(config.qd0.tolist())
         e1 = tuple((config.q0 - config.q_d).tolist())
-        tau, delta = ctrl.step(0, e1, q, qd, plant.psi_rows(q), None)
+        tau, delta = ctrl.step(0, e1, q, qd, plant.psi_rows(q))
         assert type(tau) is tuple and all(type(x) is float for x in tau) and len(tau) == 2
         assert type(delta) is float
         assert type(ctrl.estimate) is tuple and all(type(x) is float for x in ctrl.estimate)

@@ -333,6 +333,21 @@ class TestExcitationGramian:
         with pytest.raises(ValueError):
             excitation_gramian(t, omega, -1.0, 5 * DT)
 
+    @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case1_pb"])
+    @pytest.mark.parametrize("block", [1, 7, 1024])
+    def test_blocks_are_numpys_trapezoid_bitwise(self, monkeypatch, fixture, block, request):
+        # the 2 s window from 0.3 s (4001 samples), and one shorter than the
+        # snapping slack, which snaps to one sample and has no area
+        trace = request.getfixturevalue(fixture)
+        omega = trace.diagnostics["omega"]
+        monkeypatch.setattr(drem, "GRAMIAN_ROWS", block)
+        i0, i1 = 600, 4600
+        want = np.trapezoid(np.einsum("ski,skj->sij", omega[i0:i1 + 1], omega[i0:i1 + 1]),
+                            trace.t[i0:i1 + 1], axis=0)
+        assert excitation_gramian(trace.t, omega, 0.3, 2.0).tobytes() == want.tobytes()
+        assert excitation_gramian(trace.t, omega, trace.t[i0], 1e-13).tobytes() \
+            == np.zeros((5, 5)).tobytes()
+
     def test_excitation_grows_along_run(self, c1_case1):
         gram_early = excitation_gramian(c1_case1.t, c1_case1.diagnostics["omega"],
                                         0.0, 0.5)

@@ -23,7 +23,7 @@ pytestmark = pytest.mark.filterwarnings("error")
 
 def formatted(values, cols=None):
     data = np.asarray(values, dtype=float).reshape(-1, cols or len(values))
-    return b"".join(_g17.csv_blocks(data)).decode("ascii")
+    return b"".join(_g17.csv_blocks([data])).decode("ascii")
 
 
 def expected(values, cols=None):
@@ -134,3 +134,18 @@ any_float = st.one_of(st.floats(), st.integers(0, 2 ** 64 - 1).map(_from_bits))
 def test_any_floats_write_percent_bytes(values):
     assert formatted(values) == expected(values)
     assert formatted(values, cols=1) == expected(values, cols=1)
+
+
+def test_series_are_gathered_side_by_side():
+    # 1-D and 2-D series, strided views among them, over three blocks: the
+    # rows of their column_stack; series of unequal length are refused,
+    # a length-1 series too, which would otherwise broadcast
+    rng = np.random.default_rng(3)
+    rows = 2 * _g17.BLOCK_ROWS + 1
+    packed = rng.standard_normal((rows, 6)) * 10.0 ** rng.integers(-20, 20, (rows, 6))
+    series = [packed[:, 4], packed[:, 0:3], rng.standard_normal(rows), packed[:, 3:6:2]]
+    text = b"".join(_g17.csv_blocks(series)).decode("ascii")
+    assert text == ref.csv_rows(np.column_stack(series))
+    for bad in (series + [np.zeros(rows - 1)], series + [np.zeros(1)]):
+        with pytest.raises(ValueError, match="differ in length"):
+            list(_g17.csv_blocks(bad))

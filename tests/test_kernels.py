@@ -163,7 +163,7 @@ def test_switching_torque_matches(e1, e2, q, th):
     f_scale = float(np.max(np.abs(m))) * float(e2 @ e2 + 4.0 * params.k2 ** 2
                                                 * np.sum(np.abs(e1) ** (2 * a)))
     ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT)
-    got, _ = step_once(ctrl, e1, q, e2, ref.psi(q), m)
+    got, _ = step_once(ctrl, e1, q, e2, ref.psi(q))
     # the controller takes the branch of the layered switching value, bit for
     # bit (test_switching_torque_and_branch_are_the_layered_form_bitwise)
     assert_close(ref.switching_value_layered(params, a, e1, e2, m), f_want, f_scale)
@@ -179,7 +179,7 @@ def test_slotine_li_torque_matches(e1, qd, q, th):
     params = TsmParams()
     want, w, s = ref.slotine_li_torque(params, th, e1, q, qd)
     ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
-    got, _ = step_once(ctrl, e1, q, qd, ref.psi(q), ref.inertia(THETA.theta_m, q))
+    got, _ = step_once(ctrl, e1, q, qd, ref.psi(q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
 
@@ -278,10 +278,9 @@ def kreis_with_state(flat):
 
 
 @given(e1=edgy(2, 3.0), e2=edgy(2, 5.0), q=edgy(2, 2.0 * math.pi), th=edgy(5, 10.0),
-       given_inertia=st.booleans(), state=edgy(30, 3.0), aug=edgy(12, 3.0))
+       state=edgy(30, 3.0), aug=edgy(12, 3.0))
 @settings(max_examples=500)
-def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
-                                                                  given_inertia, state, aug):
+def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th, state, aug):
     params, a, dt = TsmParams(), FtPdGains().a, 5e-4
     m = PLANT.inertia_rows(q)
     pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
@@ -291,8 +290,7 @@ def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
     row = np.empty(6)
     # a drawn phi2 may be singular, where the LU divides by zero
     with np.errstate(all="ignore"):
-        tau, delta = step_once(ctrl, e1, q, e2, PLANT.psi_rows(q),
-                               m if given_inertia else None, pair=pair, dt=dt)
+        tau, delta = step_once(ctrl, e1, q, e2, PLANT.psi_rows(q), pair=pair, dt=dt)
         # the extension as its own step and mix leave it
         dre.step(pair, dt)
         dre.mix(row)
@@ -313,7 +311,7 @@ def test_slotine_li_ls_step_is_the_layered_form_bitwise(e1, qd, q, th, aug):
     pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
     ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
     gain = LeastSquaresDre(5, LsDreParams())
-    tau, delta = step_once(ctrl, e1, q, qd, PLANT.psi_rows(q), None, pair=pair, dt=dt)
+    tau, delta = step_once(ctrl, e1, q, qd, PLANT.psi_rows(q), pair=pair, dt=dt)
     want, w, s = ref.slotine_li_ls_torque_layered(params, th, e1, q, qd)
     assert bits(tau) == bits(want) and delta == 0.0
     f_drive = gain.gain_times(ref.slotine_li_ls_drive(w, s, th, pair.y, pair.omega))
@@ -469,7 +467,7 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
         theta_hat = np.array(ctrl.estimate)
         _, w, s = ref.slotine_li_torque(params, theta_hat, e1, q, qd)
         ctrl.regression = PairStub(RegressionPair(y=y, omega=omega))
-        ctrl.step(k - 1, e1, q, qd, ref.psi(q), None)
+        ctrl.step(k - 1, e1, q, qd, ref.psi(q))
         e_p = omega @ theta_hat - y
         want = -f @ (w.T @ s + omega.T @ e_p)
         x_scale = float(np.max(np.abs(w).T @ np.abs(s)

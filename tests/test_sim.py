@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
-from conftest import calls_per_step
+from conftest import calls_per_step, run_staging, traced_peak
 from ftlab import _g17, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller)
@@ -20,7 +20,8 @@ from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import FrictionModel, NoiseModel, Plant
 from ftlab.regression import RegressionPair
 from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
-                       read_trace_csv, run_closed_loop, trace_columns, trace_csv_string)
+                       read_trace_csv, run_closed_loop, trace_columns, trace_csv_string,
+                       write_trace_csv)
 
 DT = 5e-4
 
@@ -326,6 +327,18 @@ class TestArrayMonitors:
         got = excitation_gain(np.array(deltas[:5] + [0.0, -0.0]), b, d)
         assert got.tobytes() == np.concatenate((want[:5], [0.0, 0.0])).tobytes()
 
+    @pytest.mark.parametrize("controller, scenario", [("c1", "case1"), ("c3", "case2")])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, controller, scenario):
+        # 1001 samples in blocks of 7 rows (the last one short) against one
+        # block of all of them
+        config = SimConfig(controller=controller, scenario=scenario, t_final=0.5)
+        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", 7)
+        blocked = run_closed_loop(config)
+        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", len(blocked))
+        whole = run_closed_loop(config)
+        for name in ("v1", "z1norm", "zeta1"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+
     @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2"])
     def test_signed_power_of_e1_is_spow_bitwise(self, fixture, request):
         a = FtPdGains().a
@@ -471,19 +484,35 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.v1, trace.v1)
         np.testing.assert_array_equal(back.z1norm, trace.z1norm)
 
-    @pytest.mark.parametrize("estimate_dim", [2, 5], ids=["c1_c2", "c3_c4"])
+    @pytest.mark.parametrize("estimate_dim, packed", [(2, False), (5, False), (2, True), (5, True)],
+                             ids=["c1_c2", "c3_c4", "c1_c2_packed", "c3_c4_packed"])
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
-    def test_blocks_write_the_row_loop_bytes(self, rows, estimate_dim):
-        # less than one 256-row block, exactly one, one and a row, two and a row
+    def test_blocks_write_the_row_loop_bytes(self, rows, estimate_dim, packed):
+        # less than one 256-row block, exactly one, one and a row, two and a
+        # row; "packed" series are column views of one buffer, as a run's
+        # trace holds the record's columns, laid out in another order than
+        # the CSV's
         assert _g17.BLOCK_ROWS == 256
         rng = np.random.default_rng(rows + estimate_dim)
-        col = lambda *shape: rng.standard_normal((rows, *shape)) * 10.0 ** rng.integers(
-            -12, 12, (rows, *shape))
-        trace = Trace(np.arange(rows) * DT, col(2), col(2), col(2), col(2),
-                      col(estimate_dim), col(), col(), col(), col())
+        widths = [2, 2, 2, 2, estimate_dim, 1, 1, 1, 1]
+        drawn = lambda n: rng.standard_normal((rows, n)) * 10.0 ** rng.integers(
+            -12, 12, (rows, n))
+        if packed:
+            # the series from the last column backwards, after two unused ones
+            buffer, end, views = drawn(sum(widths) + 2), sum(widths) + 2, []
+            for w in widths:
+                views.append(buffer[:, end - w:end])
+                end -= w
+        else:
+            views = [drawn(w) for w in widths]
+        series = [v if w > 1 else v[:, 0] for v, w in zip(views, widths)]
+        if packed and rows > 1:
+            assert not any(v.flags.c_contiguous for v in series)
+        trace = Trace(np.arange(rows) * DT, *series)
         trace.tau[::7, 0] = 0.0
         trace.v1[::5] = -0.0
-        header, data = trace_columns(trace)
+        header, columns = trace_columns(trace)
+        data = np.column_stack(columns)
         assert data.shape == (rows, 13 + estimate_dim)
         assert trace_csv_string(trace) == ",".join(header) + "\n" + ref.csv_rows(data)
 
@@ -493,3 +522,33 @@ class TestCsvRoundTrip:
         assert header[:9] == ["t", "q1", "q2", "qd1", "qd2", "e11", "e12", "tau1", "tau2"]
         assert header[9:14] == [f"theta_hat_{i}" for i in range(1, 6)]
         assert header[14:] == ["Delta", "zeta1", "V1", "z1norm"]
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+class TestBoundedStaging:
+    """After the loop a run stages a bounded block of temporaries beyond
+    the trace: the monitors and the CSV work a block of rows at a time.
+    The bounds are stated from the data's size, not from a measurement."""
+
+    def test_csv_stages_less_than_one_copy_of_its_columns(self, c1_case1):
+        # bound: one float64 copy of the CSV's 15 columns (2.4 MB at 20 001
+        # rows), which a column_stack of the trace alone would take
+        header, _ = trace_columns(c1_case1)
+        bound = len(c1_case1) * len(header) * 8
+        assert len(c1_case1) == 20001 and len(header) == 15
+        write_trace_csv(c1_case1, _Discard())    # warm numpy's and _g17's caches
+        _, peak = traced_peak(write_trace_csv, c1_case1, _Discard())
+        assert peak < bound, (peak, bound)
+
+    def test_run_stages_less_than_its_row_record_beyond_the_trace(self):
+        # bound: the bytes of the packed row record, one (7 + estimate)
+        # float64 row per sample; a run that copied the trace's series out
+        # of the row and pair records, rather than handing out views of
+        # them, would stage more than that beside the records
+        trace, staged = run_staging(SimConfig())
+        row_record = len(trace) * (7 + trace.theta_hat.shape[1]) * 8
+        assert staged < row_record, (staged, row_record)
