@@ -22,9 +22,9 @@ itself; c3 forms M(q) through its plant) and, in one method, forms the
 torque, feeds the regression filter, steps the family's regressor
 extension (c4: its least-squares gain) and mixes (c1-c3) straight into
 sample k of its mixing record, Euler-steps the estimate at dt and records
-sample k; it returns the torque, a pair of floats, and Delta.  ``FAMILIES`` maps the
-controller names to the classes, whose ``from_config`` builds one and
-``check_config`` holds the family's rules.
+sample k; it returns the torque, a pair of floats, and Delta.
+``FAMILIES`` maps the controller names to the classes, whose
+``from_config`` builds one and ``check_config`` holds the family's rules.
 
 The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
 sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2

@@ -484,7 +484,8 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.v1, trace.v1)
         np.testing.assert_array_equal(back.z1norm, trace.z1norm)
 
-    @pytest.mark.parametrize("estimate_dim, packed", [(2, False), (5, False), (2, True), (5, True)],
+    @pytest.mark.parametrize("estimate_dim, packed",
+                             [(2, False), (5, False), (2, True), (5, True)],
                              ids=["c1_c2", "c3_c4", "c1_c2_packed", "c3_c4_packed"])
     @pytest.mark.parametrize("rows", [1, 255, 256, 257, 513])
     def test_blocks_write_the_row_loop_bytes(self, rows, estimate_dim, packed):
