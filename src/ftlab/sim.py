@@ -184,7 +184,9 @@ def _numeric_fields(obj, prefix: str = ""):
 class Trace:
     """Per-step records on the uniform grid t_k = k dt (inclusive of both
     endpoints).  ``diagnostics`` holds controller-family specific series and
-    ``meta`` the run description needed to interpret them."""
+    ``meta`` the run description needed to interpret them.  In a trace from
+    ``run_closed_loop`` q, qd, tau, theta_hat, y and omega are views of the
+    run's records, so a write to one of them writes to that record."""
 
     t: np.ndarray
     q: np.ndarray
