@@ -11,18 +11,18 @@
   controller with a time-varying least-squares estimation gain.
 
 The runner knows the controllers only through their shared protocol: the
-estimate ``estimate``, a tuple of floats; ``regression``, the regression
-filter the family builds in ``from_config`` (as it builds its extension),
-whose one [Omega | y] buffer ``regression.pair.aug`` the runner records;
-``diagnostics(n_rec)``, which allocates the family's per-step series
-before the loop; ``step(k, e1, q, qd, psi)``, the one call per sample;
-and ``dre``, the name of the extension it mixes from.  ``step`` takes the
-measured signals (under set-point regulation the velocity error e2 is qd
-itself; c3 forms M(q) through its plant) and, in one method, forms the
-torque, feeds the regression filter, steps the family's regressor
-extension (c4: its least-squares gain) and mixes (c1-c3) straight into
-sample k of its mixing record, Euler-steps the estimate at dt and records
-sample k; it returns the torque, a pair of floats, and Delta.
+estimate ``estimate``, a tuple of floats; ``regression`` and ``extension``,
+the filter and the extension the family builds at dt in ``from_config``,
+whose [Omega | y] buffer and state the runner records;
+``diagnostics(n_rec)``, which allocates the series the family's step forms
+(the mixing record, c3's branch); ``step(k, e1, q, qd, psi)``, the one call
+per sample; and ``dre``, the name of the extension it mixes from.  ``step``
+takes the measured signals (under set-point regulation the velocity error e2
+is qd itself; c3 forms M(q) through its plant) and, in one method, forms the
+torque, feeds the regression filter, steps the family's regressor extension
+(c4: its least-squares gain) and mixes (c1-c3) straight into sample k of its
+mixing record, and Euler-steps the estimate at dt; it returns the torque, a
+pair of floats, and Delta.
 ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
 
@@ -35,13 +35,12 @@ numpy; c4 steps the least-squares extension's gain
 (``drem.LeastSquaresDre``) rather than a gain of its own.  Each step
 writes out what it takes: the composite law's seven signed powers
 <z>^p = ``copysign(abs(z) ** p, z) if z else 0.0``, its prediction error
-and saturation; c3's <e1>^a, taken once for the switching value and the
-nonlinear branch, and lambda_max(M); and each extension's record, a byte
-copy of its state through the views its ``diagnostics`` binds.  c3 and
-c4 share one Slotine-Li kernel, which gives the torque and W' s.
-``saturation`` is the checked form, of a float or an array, of the
-composite update's saturation, and ``excitation_gain`` the zeta1
-monitor's gain, both over ``mathx.signed_power_vec``.
+and saturation; and c3's <e1>^a, taken once for the switching value and
+the nonlinear branch, and lambda_max(M).  c3 and c4 share one Slotine-Li
+kernel, which gives the torque and W' s.  ``saturation`` is the checked
+form, of a float or an array, of the composite update's saturation, and
+``excitation_gain`` the zeta1 monitor's gain, both over
+``mathx.signed_power_vec``.
 """
 
 from __future__ import annotations
@@ -198,15 +197,14 @@ def _check_theta_hat0(config, dim: int) -> None:
 def _regression(config, plant):
     """The regression filter of ``config`` for ``plant``."""
     return make_regression(config.effective_parameterization, plant, config.q0, config.qd0,
-                           config.effective_lambda0, config.lambda1)
+                           config.effective_lambda0, config.lambda1, dt=config.dt)
 
 
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
-    reads and records; the regressor extension, ``extension``, and the
-    regression filter, ``regression``, that each family's ``step`` steps at
-    the step size ``dt``; and the extension's record, which
-    ``diagnostics`` binds."""
+    records and each family's ``step`` advances at the step size ``dt``; and
+    the regressor extension and the regression filter built at that step
+    size, ``extension`` and ``regression``, which ``step`` steps."""
 
     estimate: tuple
     extension: object
@@ -219,15 +217,6 @@ class _Estimate:
         if len(self.estimate) != dim:
             raise ValueError("theta_hat0 length does not match the estimate")
         self.extension, self.regression, self.dt = extension, regression, dt
-        self._record = None
-
-    def _bind_record(self, n_rec: int) -> dict:
-        """Allocate the extension's record of n_rec samples and bind its byte
-        views, with the byte length of one sample, for ``step``."""
-        diag = self.extension.diagnostics(n_rec)
-        rec, src = self.extension.record_bytes
-        self._record = (rec, src, src.nbytes)
-        return diag
 
 
 class CompositeFtController(_Estimate):
@@ -253,16 +242,18 @@ class CompositeFtController(_Estimate):
     @classmethod
     def from_config(cls, config, plant) -> "CompositeFtController":
         dim = plant.theta.size
-        extension = (LeastSquaresDre(dim, config.ls) if config.controller == "c1"
-                     else KreisselmeierDre(dim, config.kreis))
+        extension = (LeastSquaresDre(dim, config.ls, dt=config.dt) if config.controller == "c1"
+                     else KreisselmeierDre(dim, config.kreis, dt=config.dt))
         return cls(config.ftpd, config.adapt, config.theta_hat0, extension,
                    _regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
         _check_theta_hat0(config, cls.estimate_dim)
-        init = config.theta_hat0 if config.theta_hat0 is not None else np.zeros(cls.estimate_dim)
-        if np.linalg.norm(init - theta_u) > 2.0 * np.linalg.norm(config.theta_bar):
+        # on floats, whose overflow is inf without a numpy warning
+        init = (0.0,) * cls.estimate_dim if config.theta_hat0 is None else config.theta_hat0
+        bound = 2.0 * math.hypot(*config.theta_bar.tolist())
+        if math.hypot(*[float(h) - u for h, u in zip(init, theta_u)]) > bound:
             raise ConfigError("theta_hat0 violates the initial-error bound "
                               "|theta_tilde(0)| <= 2 |theta_bar|")
 
@@ -290,12 +281,9 @@ class CompositeFtController(_Estimate):
                -kp2 * (_copysign(abs(e12) ** a, e12) if e12 else 0.0)
                - kd2 * (_copysign(abs(e22) ** c, e22) if e22 else 0.0)
                - kl2 * e22 + (p21 * t1 + p22 * t2))
-        pair = self.regression.step(q, qd, tau, dt, psi)
         extension = self.extension
-        extension.step(pair, dt)
+        extension.step(self.regression.step(q, qd, tau, psi))
         mixed = extension.mix(self._mixing[k])
-        rec, src, n = self._record
-        rec[k * n:(k + 1) * n] = src
         delta, y1, y2 = mixed[0], mixed[-2], mixed[-1]
         v1 = g1d1 * _tanh(e11) + g12 * e21
         v2 = g1d1 * _tanh(e12) + g12 * e22
@@ -316,7 +304,7 @@ class CompositeFtController(_Estimate):
         # one mixing row [Delta | Y] per sample, which step has the mix
         # write into; Y_mixed is its [:, 1:] view
         self._mixing = np.empty((n_rec, self.extension.dim + 1))
-        return {"Y_mixed": self._mixing[:, 1:], **self._bind_record(n_rec)}
+        return {"Y_mixed": self._mixing[:, 1:]}
 
 
 def _slotine_li(q, qd, qd_r, qdd_r, s, theta_hat, k1: float, ks: float) -> tuple:
@@ -396,7 +384,7 @@ class SwitchingTsmController(_Estimate):
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
         kreis = dataclasses.replace(config.kreis, lambda3=1.0)
-        extension = KreisselmeierDre(plant.theta.size, kreis)
+        extension = KreisselmeierDre(plant.theta.size, kreis, dt=config.dt)
         return cls(config.tsm, config.ftpd.a, plant, config.theta_hat0, extension,
                    _regression(config, plant), config.dt)
 
@@ -435,13 +423,9 @@ class SwitchingTsmController(_Estimate):
             qdd_r = (-k2 * qd1, -k2 * qd2)
         estimate = self.estimate
         tau, w_s = _slotine_li(q, qd, qd_r, qdd_r, s, estimate, k1, ks)
-        dt = self.dt
-        pair = self.regression.step(q, qd, tau, dt, psi)
         extension = self.extension
-        extension.step(pair, dt)
+        extension.step(self.regression.step(q, qd, tau, psi))
         delta = extension.mix(self._mixing[k])[0]
-        rec, src, n = self._record
-        rec[k * n:(k + 1) * n] = src
         self._nonlinear = nonlinear
         self._branch[k] = 0 if nonlinear else 1
         phi1, phi2 = extension.phi1, extension.phi2
@@ -456,6 +440,7 @@ class SwitchingTsmController(_Estimate):
         else:
             gain, weight = g_lin, w_lin
             term = drift.tolist()
+        dt = self.dt
         updated = []
         for th, w, x in zip(estimate, w_s, term):
             updated.append(th + dt * (-gain * w - weight * x))
@@ -470,7 +455,7 @@ class SwitchingTsmController(_Estimate):
         self._mixing = np.empty((n_rec, self.extension.dim + 1))
         branch = np.empty(n_rec, dtype=np.int8)
         self._branch = memoryview(branch)
-        return {"Y_mixed": self._mixing[:, 1:], **self._bind_record(n_rec), "branch": branch}
+        return {"Y_mixed": self._mixing[:, 1:], "branch": branch}
 
 
 class SlotineLiLsController(_Estimate):
@@ -487,18 +472,18 @@ class SlotineLiLsController(_Estimate):
     estimate_dim = 5
     dre = "none"
 
-    def __init__(self, tsm: TsmParams, ls: LsDreParams, theta_hat0=None, regression=None,
-                 dt=None):
+    def __init__(self, tsm: TsmParams, ls: LsDreParams, theta_hat0=None, regression=None, *,
+                 dt: float):
         self.tsm = tsm
         self.ls = ls
-        self._start(theta_hat0, self.estimate_dim, LeastSquaresDre(self.estimate_dim, ls),
-                    regression, dt)
+        self._start(theta_hat0, self.estimate_dim,
+                    LeastSquaresDre(self.estimate_dim, ls, dt=dt), regression, dt)
         self._gains = (tsm.k1, tsm.k2, tsm.ks)
 
     @classmethod
     def from_config(cls, config, plant) -> "SlotineLiLsController":
         return cls(config.tsm, config.ls, config.theta_hat0, _regression(config, plant),
-                   config.dt)
+                   dt=config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -519,7 +504,7 @@ class SlotineLiLsController(_Estimate):
         tau, w_s = _slotine_li(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2), s,
                                estimate, k1, ks)
         dt = self.dt
-        pair = self.regression.step(q, qd, tau, dt, psi)
+        pair = self.regression.step(q, qd, tau, psi)
         omega = pair.omega
         e_p = omega.dot(estimate) - pair.y
         extension = self.extension
@@ -528,13 +513,11 @@ class SlotineLiLsController(_Estimate):
         for th, r in zip(estimate, extension.gain_times(np.add(w_s, e_p.dot(omega))).tolist()):
             updated.append(th - dt * r)
         self.estimate = tuple(updated)
-        extension.step(pair, dt)
-        rec, src, n = self._record
-        rec[k * n:(k + 1) * n] = src
+        extension.step(pair)
         return tau, 0.0
 
     def diagnostics(self, n_rec: int) -> dict:
-        return self._bind_record(n_rec)
+        return {}
 
 
 # controller name -> family; c1 and c2 differ only in their extension, which

@@ -12,28 +12,29 @@ stands (the pair's ``omega``, ``y`` and ``omega_t`` are views of it, built
 once; ``KreisselmeierDre`` says what the one product does to its bits and
 why phi2 stays symmetric).  The state and the work array are the two
 halves of one buffer, which one in-place product by a buffer of [decay;
-gain] scales (each entry the product a 0-d factor gives); a factor that
-is constant while dt is, the Kreisselmeier pair and the least-squares
-gain, is written when dt changes, and the least-squares decay follows its
-forgetting rate, which its step forms from the eigenvalues the last step
-left.  The least-squares mixing reads
-Delta and adj(phi) v off the eigendecomposition of the information matrix
-that its step takes anyway; the Kreisselmeier mixing gathers phi2 and its
-column-replaced copies with ``mathx``'s cached Cramer index into a work
-stack and takes their determinants in one call (Cramer form) instead of
-building the adjugate.  Both LAPACK calls are ``mathx``'s gufuncs
-(``eigh_sym``, ``det_stack``), called with no Python wrapper.  Each mix
-writes [Delta | Y] into the (l + 1,) row it is given, the caller's mixing
-record row for the step, checks it finite and returns it as floats: Delta
-first, then Y = adj(phi) v.  An eigendecomposition of R that fails
-(non-finite eigenvalues) raises NumericalDegeneracyError naming R, and a
-mixing output that is not finite one naming Delta or Y.  An extension
-knows only the regression dimension l, not which of its parameters a
-controller estimates.  Its record holds what its step already holds, the
+gain] scales (each entry the product a 0-d factor gives); the factors
+constant at the step size dt an extension is built with, the Kreisselmeier
+pair and the least-squares gain, are written then, so ``step(pair)`` takes
+only the sample, and the least-squares decay follows the forgetting rate
+its step forms from the eigenvalues the last step left.  The least-squares
+mixing reads Delta and adj(phi) v off the eigendecomposition of the
+information matrix that its step takes anyway; the Kreisselmeier mixing
+gathers phi2 and its column-replaced copies with ``mathx``'s cached Cramer
+index into a work stack and takes their determinants in one call (Cramer
+form) instead of building the adjugate.  Both LAPACK calls are ``mathx``'s
+gufuncs (``eigh_sym``, ``det_stack``), called with no Python wrapper.
+Each mix writes [Delta | Y] into the (l + 1,) row it is given, the
+caller's mixing record row for the step, checks it finite and returns it
+as floats: Delta first, then Y = adj(phi) v.  An eigendecomposition of R
+that fails (non-finite eigenvalues) raises NumericalDegeneracyError naming
+R, an R that is not positive definite one naming the cause, and a mixing
+output that is not finite one naming Delta or Y.  An extension knows only
+the regression dimension l, not which of its parameters a controller
+estimates.  Its record holds what its step already holds, the
 least-squares extension the eigenvalues of R and the discount z, the
 Kreisselmeier extension its state: ``diagnostics`` allocates it and binds
 ``record_bytes``, the byte views (record, sample source) through which the
-controller copies sample k after the step.
+step loop copies sample k after the controller's step.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from . import mathx
 from .errors import NumericalDegeneracyError
 from .mathx import det_stack, eigh_sym
-from .regression import RegressionPair
+from .regression import RegressionPair, _check_positive
 
 
 def _checked_mix(row: np.ndarray) -> list:
@@ -88,8 +89,13 @@ class LsDreParams:
             raise ValueError(f"unknown norm {self.norm!r}")
 
 
-_LS_DEFINITENESS = ("least-squares gain matrix lost positive definiteness "
-                    "(beta dt >= 1: the forgetting factor 1 - beta dt is not positive)")
+def _lost_definiteness(w_min: float, decay: float = 1.0) -> NumericalDegeneracyError:
+    """R's smallest eigenvalue w_min is not positive: named as the cause
+    unless the step's decay 1 - beta dt was not positive."""
+    cause = (f"R's smallest eigenvalue is {w_min:.6g}" if decay > 0.0
+             else "beta dt >= 1: the forgetting factor 1 - beta dt is not positive")
+    return NumericalDegeneracyError(f"least-squares gain matrix lost positive definiteness "
+                                    f"({cause})")
 
 
 class LeastSquaresDre:
@@ -134,9 +140,10 @@ class LeastSquaresDre:
 
     kind = "least_squares"
 
-    def __init__(self, dim: int, params: LsDreParams | None = None):
+    def __init__(self, dim: int, params: LsDreParams | None = None, *, dt: float):
+        _check_positive(dt=dt)
         self.params = params = params or LsDreParams()
-        self.dim = dim
+        self.dim, self.dt = dim, float(dt)
         f0 = params.f0
         self._f0, self._beta0, self._gain_cap = f0, params.beta0, params.gain_cap
         self._spectral = params.norm == "spectral"
@@ -147,9 +154,10 @@ class LeastSquaresDre:
         self._state[:, :dim] = f0 * np.eye(dim)
         self._r = self._state[:, :dim]
         self._u = self._state[:, dim]
+        # [decay; gain]: the gain alpha dt is constant, the decay set per step
         self._factors = np.empty((2, dim, dim + 1))
         self._decay = self._factors[0]
-        self._dt = None
+        self._factors[1] = self.dt * params.alpha
         # eigenpairs of R (w ascending), written in place by each step; F =
         # R^-1 has the eigenvalues 1/w.  w is the head of [w | z], the
         # record's sample, and is also kept as floats for the forgetting
@@ -196,27 +204,21 @@ class LeastSquaresDre:
         v = self._v
         return v.dot(np.divide(x.dot(v), self._w_arr))
 
-    def step(self, pair: RegressionPair, dt: float) -> None:
+    def step(self, pair: RegressionPair) -> None:
         """One Euler step of [R | u~] and the eigendecomposition of R.  The
         decay is 1 - beta dt, with the forgetting rate
         beta = beta0 (1 - |F| / gain_cap) from the eigenvalues w of R that
         the last step (or assignment) left, F's being 1/w; a w that is not
         positive (F lost definiteness) raises NumericalDegeneracyError."""
-        if dt != self._dt:
-            # the gain of a step size, kept while it stays the same
-            if not dt > 0.0:
-                raise ValueError(f"dt must be positive, got {dt}")
-            self._factors[1] = dt * self.params.alpha
-            self._dt = dt
         w = self._w
         if min(w) <= 0.0:
-            raise NumericalDegeneracyError(_LS_DEFINITENESS)
+            raise _lost_definiteness(min(w))
         if self._spectral:
             norm = 1.0 / w[0]
         else:
             inv = list(map((1.0).__truediv__, reversed(w)))
             norm = math.sqrt(sum(map(operator.mul, inv, inv)))
-        decay = 1.0 - dt * (self._beta0 * (1.0 - norm / self._gain_cap))
+        decay = 1.0 - self.dt * (self._beta0 * (1.0 - norm / self._gain_cap))
         # the affine step, written out as in the other extension's step (the
         # two change together; a shared helper would cost a call per sample)
         pair.omega_t.dot(pair.aug, out=self._drive)
@@ -233,7 +235,7 @@ class LeastSquaresDre:
             raise NumericalDegeneracyError(
                 "least-squares information matrix R has no eigendecomposition")
         if eigs[0] <= 0.0:
-            raise NumericalDegeneracyError(_LS_DEFINITENESS)
+            raise _lost_definiteness(eigs[0], decay)
         self._w = eigs
         self._wz[-1] = z
 
@@ -315,17 +317,19 @@ class KreisselmeierDre:
 
     kind = "kreisselmeier"
 
-    def __init__(self, dim: int, params: KreisParams | None = None):
-        self.params = params or KreisParams()
-        self.dim = dim
+    def __init__(self, dim: int, params: KreisParams | None = None, *, dt: float):
+        _check_positive(dt=dt)
+        self.params = params = params or KreisParams()
+        self.dim, self.dt = dim, float(dt)
         # [state; drive], which one product by [decay; gain] scales
         self._state_drive = np.zeros((2, dim, dim + 1))
         self._state, self._drive = self._state_drive
         self._factors = np.empty((2, dim, dim + 1))
+        self._factors[0] = 1.0 - self.dt * params.lambda2
+        self._factors[1] = self.dt * params.lambda3
         self._phi1, self._phi2 = self._state[:, dim], self._state[:, :dim]
         self._cramer = mathx._cramer_index(dim)
         self._stack = np.empty(self._cramer.shape)
-        self._dt = None
         self.record_bytes = None
 
     @property
@@ -344,14 +348,7 @@ class KreisselmeierDre:
     def phi2(self, value) -> None:
         self._phi2[...] = value
 
-    def step(self, pair: RegressionPair, dt: float) -> None:
-        if dt != self._dt:
-            # the decay and gain of a step size, kept while it stays the same
-            if not dt > 0.0:
-                raise ValueError(f"dt must be positive, got {dt}")
-            self._factors[0] = 1.0 - dt * self.params.lambda2
-            self._factors[1] = dt * self.params.lambda3
-            self._dt = dt
+    def step(self, pair: RegressionPair) -> None:
         # the affine step, written out as in the other extension's step (the
         # two change together; a shared helper would cost a call per sample)
         pair.omega_t.dot(pair.aug, out=self._drive)

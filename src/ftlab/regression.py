@@ -7,16 +7,18 @@ Two parameterizations are provided:
 * force balance: n equations obtained by filtering the joint torques and the
   basis force terms.
 
-Both use stable first-order filters advanced with the global explicit-Euler
-step.  ``step`` returns the regression pair sampled at the incoming
-measurement (state before the update), then advances the filter states; with
-the zero-transient initialization chosen here the identity y = Omega theta
-holds exactly at t = 0 and the residual stays at the integration-error level
-afterwards.  The filter states are Python floats, and each step writes
-out the plant's basis terms it samples (the energy terms, or the basis
-forces and their kinetic gradient, which share one cos and one sin of q2)
-in the order of operations of ``Plant.energy_terms`` and
-``Plant.basis_force_rows``, which start the filters.  Each filter owns one
+Both use stable first-order filters advanced by explicit Euler at the
+step size ``dt`` a filter is built with (and checks positive then).
+``step(q, qd, tau, psi)`` returns the regression pair sampled at the
+incoming measurement (state before the update), then advances the filter
+states; with the zero-transient initialization chosen here the identity
+y = Omega theta holds exactly at t = 0 and the residual stays at the
+integration-error level afterwards.  The filter states are Python floats,
+and each step writes out the plant's basis terms it samples (the energy
+terms, or the basis forces and their kinetic gradient, which share one cos
+and one sin of q2) in the order of operations of ``Plant.energy_terms``
+and ``Plant.basis_force_rows``, which start the filters; only the
+force-balance filter samples ``psi``, Psi(q).  Each filter owns one
 ``RegressionPair`` for the whole run, ``pair``: a (n_out, l + 1) buffer
 [Omega | y] that ``step`` overwrites with one ``struct`` pack per sample
 (the bytes a float64 assignment of the same floats gives), and whose
@@ -65,11 +67,11 @@ _pack12 = struct.Struct("12d").pack_into
 _cos, _sin = math.cos, math.sin
 
 
-def _check_filter_constants(lambda0: float, lambda1: float):
-    if not lambda0 > 0.0:
-        raise ValueError(f"lambda0 must be positive, got {lambda0}")
-    if not lambda1 > 0.0:
-        raise ValueError(f"lambda1 must be positive, got {lambda1}")
+def _check_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not positive."""
+    for name, value in values.items():
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 class PowerBalanceRegression:
@@ -80,8 +82,10 @@ class PowerBalanceRegression:
     and y(0) = 0 make the residual vanish at t = 0.
     """
 
-    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0):
-        _check_filter_constants(lambda0, lambda1)
+    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
+                 dt: float):
+        _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
+        self.dt = float(dt)
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         self._y = 0.0
@@ -97,13 +101,11 @@ class PowerBalanceRegression:
     def z(self) -> np.ndarray:
         return np.array(self._z)
 
-    def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
+    def step(self, q, qd, tau, psi) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
         The pair is the filter's own, valid until the next step.  ``psi``
         is not used by this parameterization."""
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        l0, l1, y = self.lambda0, self.lambda1, self._y
+        l0, l1, y, dt = self.lambda0, self.lambda1, self._y, self.dt
         # Plant.energy_terms
         q1, q2 = q
         qd1, qd2 = qd
@@ -135,9 +137,10 @@ class ForceBalanceRegression:
     residual for any initial state.  The states are rows of floats.
     """
 
-    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0):
-        _check_filter_constants(lambda0, lambda1)
-        self.plant = plant
+    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
+                 dt: float):
+        _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
+        self.dt = float(dt)
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         self._grad_gain = self.lambda0 / (2.0 * self.lambda1)
@@ -156,14 +159,11 @@ class ForceBalanceRegression:
     def z(self) -> np.ndarray:
         return np.array(self._z)
 
-    def step(self, q, qd, tau, dt: float, psi=None) -> RegressionPair:
+    def step(self, q, qd, tau, psi) -> RegressionPair:
         """Sample the pair at this measurement, then advance one Euler step.
         The pair is the filter's own, valid until the next step.  ``psi`` is
-        the plant's Psi(q), for a caller that has it already."""
-        if not dt > 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        plant = self.plant
-        l0, l1, gg = self.lambda0, self.lambda1, self._grad_gain
+        the plant's Psi(q) at this measurement."""
+        l0, l1, gg, dt = self.lambda0, self.lambda1, self._grad_gain, self.dt
         # Plant.basis_force_rows, times lambda0
         qd1, qd2 = qd
         c2, s2 = _cos(q[1]), _sin(q[1])
@@ -180,7 +180,7 @@ class ForceBalanceRegression:
         g22 = -2.0 * s2 * qd1 * (qd1 + qd2)
         f11, f12, f13 = f11 + gg * 0.0, f12 + gg * 0.0, f13 + gg * 0.0
         f21, f22, f23 = f21 + gg * 0.0, f22 + gg * g22, f23 + gg * 0.0
-        (p11, p12), (p21, p22) = plant.psi_rows(q) if psi is None else psi
+        (p11, p12), (p21, p22) = psi
         self._y = (y1 + dt * (-l1 * y1 + l0 * t1), y2 + dt * (-l1 * y2 + l0 * t2))
         self._z = ((z11 + dt * (-l1 * (z11 + f11)), z12 + dt * (-l1 * (z12 + f12)),
                     z13 + dt * (-l1 * (z13 + f13))),
@@ -192,10 +192,11 @@ class ForceBalanceRegression:
 
 
 def make_regression(kind: str, plant: Plant, q0, qd0,
-                    lambda0: float = 1.0, lambda1: float = 1.0):
-    """Factory keyed by the configuration value."""
+                    lambda0: float = 1.0, lambda1: float = 1.0, *, dt: float):
+    """Factory keyed by the configuration value; the filter advances at the
+    step size ``dt``."""
     if kind == "power_balance":
-        return PowerBalanceRegression(plant, q0, qd0, lambda0, lambda1)
+        return PowerBalanceRegression(plant, q0, qd0, lambda0, lambda1, dt=dt)
     if kind == "force_balance":
-        return ForceBalanceRegression(plant, q0, qd0, lambda0, lambda1)
+        return ForceBalanceRegression(plant, q0, qd0, lambda0, lambda1, dt=dt)
     raise ValueError(f"unknown parameterization {kind!r}")

@@ -9,9 +9,10 @@ advances everything with a shared explicit-Euler step.  Per step:
 2. call the controller's ``step``, the one call of the control layer per
    sample: it evaluates the torque from the measurements, advances its
    regression filter with the measured signals and the commanded torque,
-   steps its regressor extension, if it has one, mixes, Euler-steps its
-   estimates and records the sample of its own series;
-3. pack the record row, with the regression pair's [Omega | y] buffer;
+   steps its regressor extension, mixes, Euler-steps its estimate and
+   records the sample of the series it forms;
+3. pack the record row, and copy the pair's [Omega | y] and the extension's
+   state into their records;
 4. Euler-update the plant state, whose forward dynamics apply the
    friction from the true velocity (case2).
 
@@ -24,16 +25,16 @@ records, not copies: q, qd, tau and the estimate are columns of the
 packed row record, and y and omega of the pair record; only Delta is
 copied out.  After the loop a run holds no more than one block of
 temporaries beyond the trace: the monitors V1, |z1| and zeta1 run over
-``MONITOR_ROWS`` rows at a time into preallocated series, and
-``write_trace_csv`` gathers each 256-row block of ``trace.csv`` straight
-from the series.
+``MONITOR_ROWS`` rows at a time into preallocated series, checked finite
+as the loop's states are, and ``write_trace_csv`` gathers each 256-row
+block of ``trace.csv`` straight from the series.
 
 The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
 packed with ``struct`` into its slot of the record's buffer, the bytes a
-float64 row assignment gives, and the regression pair's [Omega | y]
-buffer, ``controller.regression.pair.aug``, is copied byte for byte into
-its slot of the pair record.
+float64 row assignment gives; ``controller.regression.pair.aug`` and the
+extension's state, through its ``record_bytes``, are copied byte for byte
+into their slots of their records.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.  ``write_trace_csv`` writes
@@ -277,15 +278,16 @@ def run_closed_loop(config: SimConfig) -> Trace:
     regression filter, and to the plant step; M(q) is formed by the plant
     step and, in c3, by the controller.  The regression pair is
     the filter's one [Omega | y] buffer, ``controller.regression.pair``,
-    recorded whole each step through a view taken before the first.  The
-    trace hands out the two records themselves: q, qd, tau and the
-    estimate are column views of the row record, y and omega views of the
-    pair record, and only Delta is copied out.  The monitors V1, zeta1 and
-    |z1| feed nothing back, so they are evaluated after the loop, over the
-    recorded series in blocks of rows (``_monitors``).  A non-finite state
-    or mixing output, or a singular M(q) in the plant step, ends the run
-    with a NumericalDegeneracyError naming it, the step and the time, and
-    so does a float overflow within a step.  A record too large to
+    recorded whole each step through a view taken before the first, as
+    the extension's state is.  The trace hands out the records themselves:
+    q, qd, tau and the estimate are column views of the row record, y and
+    omega views of the pair record, and only Delta is copied out.  The
+    monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
+    after the loop, over the recorded series in blocks of rows
+    (``_monitors``).  A non-finite state, mixing output or monitor sample,
+    or a singular M(q) in the plant step, ends the run with a
+    NumericalDegeneracyError naming it, the step and the time, and so does
+    a float overflow within a step.  A record too large to
     allocate, or beyond numpy's index range, is a ConfigError naming the
     step count.
     """
@@ -311,7 +313,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     try:
         rows = np.empty((n_rec, 6 + j_est + 1))
         aug_rec = np.empty((n_rec, n_out, l_dim + 1))
-        diag = controller.diagnostics(n_rec)
+        extension = controller.extension
+        diag = {**controller.diagnostics(n_rec), **extension.diagnostics(n_rec)}
         # each sample's (position noise of joint 1, of joint 2), the first
         # also the velocity noise of both joints, unpacked one sample a step
         next_noise = (struct.iter_unpack("2d", noise.sample(np.arange(n_rec) * config.dt))
@@ -333,6 +336,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     aug_buf = memoryview(aug_rec).cast("B")
     aug_src = memoryview(controller.regression.pair.aug).cast("B")
     aug_bytes = aug_src.nbytes
+    ext_buf, ext_src = extension.record_bytes
+    ext_bytes = ext_src.nbytes
 
     # every state and mixing output is checked below, so numpy's
     # floating-point warnings would only repeat what the check names
@@ -361,6 +366,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
 
                 pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
                 aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
+                ext_buf[k * ext_bytes:(k + 1) * ext_bytes] = ext_src
 
                 if k < n_steps:
                     a1, a2 = forward_dynamics(q, qd, tau, coulomb, psi)
@@ -381,8 +387,15 @@ def run_closed_loop(config: SimConfig) -> Trace:
 
     theta_u_true = np.array(theta_true.theta_u)
     e1_rec = q_rec - config.q_d
-    v1, z1norm, zeta1 = _monitors(plant, config, q_rec, qd_rec, e1_rec,
-                                  theta_rec[:, -j_dim:], theta_u_true, delta_rec)
+    with np.errstate(all="ignore"):    # the series are checked below
+        v1, z1norm, zeta1 = _monitors(plant, config, q_rec, qd_rec, e1_rec,
+                                      theta_rec[:, -j_dim:], theta_u_true, delta_rec)
+    bad = [(int(np.argmin(np.isfinite(x))), name) for name, x in
+           (("V1", v1), ("|z1|", z1norm), ("zeta1", zeta1)) if not np.isfinite(x).all()]
+    if bad:
+        k, name = min(bad, key=lambda entry: entry[0])
+        raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): monitor {name} "
+                                       "is not finite")
 
     meta = {
         "controller": config.controller, "scenario": config.scenario,
@@ -430,16 +443,19 @@ def _last_exceed_time(t: np.ndarray, magnitude: np.ndarray, tol: float) -> float
     return float(t[over[-1]]) if over.size else 0.0
 
 
+# the trailing share of a trace that is its steady-state window
+STEADY_FRACTION = 0.2
+
+
 def compute_metrics(trace: Trace, settle_tol: float | None = None,
                     param_tol: float | None = None,
-                    steady_fraction: float = 0.2,
                     gramian_start: float = 0.0,
                     gramian_window: float = 2.0) -> Metrics:
     """Evaluate all trace metrics.
 
     Settling / convergence times are the last instants at which the monitored
     magnitude exceeds its tolerance; the steady-state window is the trailing
-    ``steady_fraction`` of the trace.  The Gramian window ends at the end of
+    ``STEADY_FRACTION`` of the trace.  The Gramian window ends at the end of
     the trace at the latest.
     """
     if len(trace) == 0:
@@ -450,7 +466,7 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
     e1_norm = np.linalg.norm(trace.e1, axis=1)
     settling = _last_exceed_time(trace.t, e1_norm, settle_tol)
 
-    tail = max(2, int(np.ceil(len(trace) * steady_fraction)))
+    tail = max(2, int(np.ceil(len(trace) * STEADY_FRACTION)))
     window = slice(len(trace) - tail, len(trace))
     steady_err = float(np.mean(e1_norm[window]))
 

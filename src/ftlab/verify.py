@@ -88,7 +88,8 @@ def check_cramer_matches_adjugate(n_samples: int = 50, seed: int = 13,
         phi = rng.standard_normal((m, m))
         v = rng.standard_normal(m)
         ref = adjugate_fn(phi) @ v
-        dre = KreisselmeierDre(m)
+        # never stepped, so its step size moves nothing
+        dre = KreisselmeierDre(m, dt=1.0)
         dre.phi2, dre.phi1 = phi, v
         row = np.empty(m + 1)
         # the floats the law takes and the row the record keeps

@@ -173,7 +173,7 @@ class MixStub:
         self.dim = len(self.row) - 1
         self.record_bytes = None
 
-    def step(self, pair, dt):
+    def step(self, pair):
         pass
 
     def mix(self, out):
@@ -192,24 +192,25 @@ class PairStub:
     def __init__(self, pair=None):
         self.pair = pair if pair is not None else RegressionPair(np.zeros(2), np.zeros((2, 5)))
 
-    def step(self, q, qd, tau, dt, psi=None):
+    def step(self, q, qd, tau, psi):
         return self.pair
 
 
 def record(extension, k):
     """Copy sample k of ``extension``'s record, through the byte views its
-    ``diagnostics`` bound, as a controller's step does."""
+    ``diagnostics`` bound, as the step loop does after a step."""
     rec, src = extension.record_bytes
     n = src.nbytes
     rec[k * n:(k + 1) * n] = src
 
 
-def step_once(ctrl, e1, q, qd, psi, pair=None, dt=5e-4):
-    """One ``step`` of ``ctrl`` as sample 0 of a one-sample record, its
-    regression filter a PairStub of ``pair``; a c3 controller built without
-    an extension gets a fresh Kreisselmeier one.  Returns (tau, Delta)."""
+def step_once(ctrl, e1, q, qd, psi, pair=None, dt=DT):
+    """One ``step`` of ``ctrl`` at the step size ``dt`` as sample 0 of a
+    one-sample record, its regression filter a PairStub of ``pair``; a c3
+    controller built without an extension gets a fresh Kreisselmeier one at
+    ``dt``.  Returns (tau, Delta)."""
     if ctrl.extension is None:
-        ctrl.extension = KreisselmeierDre(5)
+        ctrl.extension = KreisselmeierDre(5, dt=dt)
     ctrl.regression = PairStub(pair)
     ctrl.dt = dt
     ctrl.diagnostics(1)

@@ -333,6 +333,49 @@ class TestCliCommands:
         assert capsys.readouterr().err == (
             "numerical degeneracy: step 9 (t = 0.45 s): mixing factor Delta is not finite\n")
 
+    def test_monitor_overflow_is_a_degeneracy(self, tmp_path, capsys):
+        # the loop's states stay finite, but V1 and |z1| overflow under a
+        # 1e300 link mass and a 1e308 bound: the run ends in the degeneracy
+        # exit with one line naming the monitor, step and time, and no output
+        cfg = _write(tmp_path, "plant.m1 = 1e300\nplant.theta_bar = 1e308, 1e308\n"
+                               "sim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: step 0 (t = 0 s): monitor V1 is not finite\n")
+        assert not out.exists()
+
+    def test_initial_error_bound_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the bound's norms overflow without a warning: stderr holds the
+        # config error alone, and a huge valid bound prints nothing
+        cfg = _write(tmp_path, "gains.theta_hat0 = 1e308, 0\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: theta_hat0 violates the initial-error bound "
+            "|theta_tilde(0)| <= 2 |theta_bar|\n")
+        cfg = _write(tmp_path, "plant.theta_bar = 1e308, 1e308\nsim.t_final = 0.01\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "simulate"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_lost_definiteness_names_its_cause(self, tmp_path, capsys):
+        # beta dt >= 1 only where the step's decay 1 - beta dt was not
+        # positive (beta0 = 1e6); a huge drive (alpha or q0 = 1e300) rounds
+        # R indefinite at a decay of about 0.9955, and the error names R's
+        # smallest eigenvalue
+        causes = {"dre.alpha = 1e300\n": r"R's smallest eigenvalue is -\S+",
+                  "sim.q0 = 1e300, 0\n": r"R's smallest eigenvalue is -\S+",
+                  "dre.beta0 = 1e6\n": re.escape("beta dt >= 1: the forgetting factor "
+                                                 "1 - beta dt is not positive")}
+        for text, cause in causes.items():
+            out = tmp_path / "o"
+            cfg = _write(tmp_path, text + "sim.t_final = 0.05\n")
+            assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3, text
+            err = capsys.readouterr().err
+            assert re.fullmatch(r"numerical degeneracy: step \d+ \(t = [^)]+ s\): least-squares "
+                                r"gain matrix lost positive definiteness \(" + cause + r"\)\n",
+                                err), err
+            assert not out.exists()
+
     def test_singular_inertia_names_step_and_time(self, tmp_path, capsys):
         # link masses of 1e-160 validate, but M(q)'s determinant falls below
         # the plant step's singularity floor; the plant step is inside the

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
-from conftest import composite_rate, composite_step, step_once
+from conftest import DT, composite_rate, composite_step, step_once
 from ftlab import mathx
 from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
@@ -354,10 +354,11 @@ class TestSwitchingTsm:
         state = rng.uniform(-1, 1, (5, 6))
         estimates = []
         for reassign in (False, True):
-            extension = KreisselmeierDre(5)
+            extension = KreisselmeierDre(5, dt=DT)
             extension.phi2, extension.phi1 = state[:, :5], state[:, 5]
+            built = KreisselmeierDre(5, dt=DT) if reassign else extension
             ctrl = SwitchingTsmController(TsmParams(), 1.0 / 3.0, theta_hat0=th, plant=plant,
-                                          extension=KreisselmeierDre(5) if reassign else extension)
+                                          extension=built)
             if reassign:
                 ctrl.extension = extension
             step_once(ctrl, e1, q, e2, plant.psi_rows(q), pair=pair)
@@ -401,7 +402,7 @@ class TestSwitchingTsm:
 
 class TestSlotineLiLs:
     def test_zero_error_zero_rate(self, plant):
-        ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
+        ctrl = SlotineLiLsController(TsmParams(), LsDreParams(), dt=DT)
         q = np.array([2.0, 2.0])
         pair = RegressionPair(y=np.zeros(2), omega=np.zeros((2, 5)))
         _, delta = step_once(ctrl, np.zeros(2), q, np.zeros(2), plant.psi_rows(q), pair=pair)
@@ -410,7 +411,7 @@ class TestSlotineLiLs:
 
     def test_equilibrium_hold(self, plant):
         q_d = np.array([2.0, 2.0])
-        ctrl = SlotineLiLsController(TsmParams(), LsDreParams())
+        ctrl = SlotineLiLsController(TsmParams(), LsDreParams(), dt=DT)
         ctrl.estimate = tuple(plant.theta.stacked.tolist())
         tau, _ = step_once(ctrl, np.zeros(2), q_d, np.zeros(2), plant.psi_rows(q_d))
         np.testing.assert_allclose(tau, ref.gravity(plant.theta.theta_u, q_d), atol=1e-12)

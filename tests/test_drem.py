@@ -29,25 +29,25 @@ def mix(dre):
 
 class TestLeastSquares:
     def test_initial_state(self):
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         np.testing.assert_array_equal(dre.rho_hat, np.zeros(5))
         np.testing.assert_allclose(dre.F, np.eye(5))
         assert dre.z == 1.0
 
     def test_initial_forgetting_rate(self):
         # f0 = 1, cap 10: |F(0)| = 1 spectrally, so beta = 10 (1 - 1/10) = 9
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         assert ref.ls_beta_of(dre) == pytest.approx(9.0)
         # the first step decays z by 1 - beta dt
-        dre.step(zero_pair(), DT)
+        dre.step(zero_pair())
         assert dre.z == pytest.approx(1.0 - 9.0 * DT)
 
     def test_unexcited_dynamics(self):
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         dre.rho_hat = np.array([1.0, 0, 0, 0, -2.0])
         norms = []
         for _ in range(4000):
-            dre.step(zero_pair(), DT)
+            dre.step(zero_pair())
             norms.append(np.linalg.eigvalsh(dre.F)[-1])
         # estimate frozen exactly, gain norm grows toward the cap, z decays
         np.testing.assert_allclose(dre.rho_hat, [1.0, 0, 0, 0, -2.0], atol=1e-12)
@@ -60,25 +60,25 @@ class TestLeastSquares:
         # the one-sum test overflows; the exact tests then find every entry
         # finite, in the Kreisselmeier mix and in the least-squares one
         row = np.array([1e308, 1e308, -1.0, 1e308, 0.0, 2.0])
-        kreis = KreisselmeierDre(5)
+        kreis = KreisselmeierDre(5, dt=DT)
         monkeypatch.setattr(drem, "det_stack", lambda stack, out: out.__setitem__(
             slice(None), row))
         out = np.empty(6)
         assert kreis.mix(out) == out.tolist() == ref.checked_mix(row)
         # at z = 0, w = 1 and V = I: Delta = 1 and Y = u~
-        ls = LeastSquaresDre(5)
+        ls = LeastSquaresDre(5, dt=DT)
         ls.z, ls._w = 0.0, [1.0] * 5
         ls._u[...] = row[1:]
         assert ls.mix(out) == [1.0, *row[1:].tolist()] == ref.checked_mix(out)
 
     def test_mix_starts_at_zero(self):
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         delta, Y = mix(dre)
         assert delta == 0.0
         np.testing.assert_allclose(Y, np.zeros(5), atol=1e-18)
 
     def test_diagonal_cramer_structure(self):
-        dre = LeastSquaresDre(3)
+        dre = LeastSquaresDre(3, dt=DT)
         # force a diagonal mixing matrix by hand
         dre.z = 0.5
         dre.F = np.diag([0.4, 1.0, 1.6])
@@ -94,13 +94,13 @@ class TestLeastSquares:
         # synthetic trace: y = Omega theta exactly, time-varying Omega
         rng = np.random.default_rng(21)
         theta = np.array([0.16, 0.03, 0.013, 0.98, 5.9])
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         t = 0.0
         for k in range(6000):
             omega = np.vstack([np.sin(np.array([1, 2, 3, 4, 5]) * t + 0.3),
                                np.cos(np.array([2, 3, 4, 5, 6]) * t)])
             pair = RegressionPair(y=omega @ theta, omega=omega)
-            dre.step(pair, DT)
+            dre.step(pair)
             t += DT
             if k % 500 == 0:
                 delta, Y = mix(dre)
@@ -118,11 +118,11 @@ class TestLeastSquares:
         # the w row is the array eigh_sym returned for R, after a step and
         # after an assignment of F, and the floats beta and mix read agree
         rng = np.random.default_rng(13)
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         diag = dre.diagnostics(9)
         for k in range(8):
             omega = rng.standard_normal((2, 5))
-            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
+            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega))
             record(dre, k)
             assert diag["w"][k].tobytes() == mathx.eigh_sym(dre._r)[0].tobytes()
             assert diag["w"][k].tolist() == dre._w
@@ -133,22 +133,22 @@ class TestLeastSquares:
         np.testing.assert_allclose(diag["w"][8], np.linalg.eigvalsh(dre._r), rtol=1e-12)
 
     def test_degeneracy_detection(self):
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         dre.F = -np.eye(5)
         with pytest.raises(NumericalDegeneracyError, match="positive definiteness"):
-            dre.step(zero_pair(), DT)
+            dre.step(zero_pair())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
     def test_non_finite_information_matrix_is_degenerate(self, bad):
         # LAPACK hands back NaN eigenvalues without an error (1e200 overflows
         # R to inf); the step names R before the mixing could name Delta
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         omega = np.ones((2, 5))
         omega[0, 1] = bad
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalDegeneracyError, match="^least-squares information matrix R has no "
                                                 "eigendecomposition$"):
-            dre.step(RegressionPair(y=np.ones(2), omega=omega), DT)
+            dre.step(RegressionPair(y=np.ones(2), omega=omega))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "1e200"])
     def test_non_finite_information_matrix_exit_code(self, tmp_path, monkeypatch, capsys,
@@ -157,8 +157,8 @@ class TestLeastSquares:
         # degeneracy exit code, with step and time, and leaves no output
         real = control.make_regression
 
-        def corrupted(*args):
-            regression = real(*args)
+        def corrupted(*args, **kwargs):
+            regression = real(*args, **kwargs)
             step, count = regression.step, itertools.count()
 
             def bad_step(*step_args):
@@ -191,26 +191,26 @@ class TestLeastSquares:
 
 class TestKreisselmeier:
     def test_decay_without_excitation(self):
-        dre = KreisselmeierDre(5)
+        dre = KreisselmeierDre(5, dt=DT)
         dre.phi1 = np.ones(5)
         dre.phi2 = np.eye(5)
         for _ in range(2000):
-            dre.step(zero_pair(), DT)
+            dre.step(zero_pair())
         # one second at unit decay rate: norms shrink to about e^-1
         assert np.linalg.norm(dre.phi1) == pytest.approx(np.exp(-1.0) * np.sqrt(5.0), rel=1e-3)
         assert np.linalg.norm(dre.phi2) == pytest.approx(np.exp(-1.0) * np.sqrt(5.0), rel=1e-3)
 
     def test_single_step_from_zero(self):
-        dre = KreisselmeierDre(5, KreisParams(lambda2=1.0, lambda3=1.3))
+        dre = KreisselmeierDre(5, KreisParams(lambda2=1.0, lambda3=1.3), dt=DT)
         omega = np.array([[1.0, 0.0, 2.0, 0.0, 1.0], [0.0, 1.0, 0.0, 2.0, 0.0]])
         pair = RegressionPair(y=np.array([1.0, 2.0]), omega=omega)
-        dre.step(pair, DT)
+        dre.step(pair)
         np.testing.assert_allclose(dre.phi2, DT * 1.3 * omega.T @ omega, atol=1e-15)
         np.testing.assert_allclose(dre.phi1, DT * 1.3 * omega.T @ np.array([1.0, 2.0]),
                                    atol=1e-15)
 
     def test_identity_mixing(self):
-        dre = KreisselmeierDre(5)
+        dre = KreisselmeierDre(5, dt=DT)
         dre.phi2 = np.eye(5)
         dre.phi1 = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         delta, Y = mix(dre)
@@ -218,7 +218,7 @@ class TestKreisselmeier:
         np.testing.assert_allclose(Y, dre.phi1)
 
     def test_zero_state_mixes_to_zero(self):
-        delta, Y = mix(KreisselmeierDre(5))
+        delta, Y = mix(KreisselmeierDre(5, dt=DT))
         assert delta == 0.0
         np.testing.assert_array_equal(Y, np.zeros(5))
 
@@ -228,13 +228,13 @@ class TestKreisselmeier:
         # 1 x 5 pairs are power balance, 2 x 5 force balance; magnitudes span
         # four decades so that the products round in their last bits
         rng = np.random.default_rng(31 + n_out)
-        dre = KreisselmeierDre(5, params)
+        dre = KreisselmeierDre(5, params, dt=DT)
         phi1, phi2 = np.zeros(5), np.zeros((5, 5))
         for k in range(600):
             omega = rng.standard_normal((n_out, 5)) * 10.0 ** rng.uniform(-2, 2, (n_out, 1))
             y = rng.standard_normal(n_out) * 10.0 ** rng.uniform(-2, 2)
             phi1, phi2 = ref.kreis_update(phi1, phi2, params, y, omega, DT)
-            dre.step(RegressionPair(y=y, omega=omega), DT)
+            dre.step(RegressionPair(y=y, omega=omega))
             assert dre.phi1.tobytes() == phi1.tobytes()
             assert dre.phi2.tobytes() == phi2.tobytes()
             assert np.array_equal(dre.phi2, dre.phi2.T)
@@ -245,12 +245,12 @@ class TestKreisselmeier:
 
     def test_record_holds_the_state_of_every_step(self):
         rng = np.random.default_rng(5)
-        dre = KreisselmeierDre(5)
+        dre = KreisselmeierDre(5, dt=DT)
         diag = dre.diagnostics(20)
         want1, want2 = [], []
         for k in range(20):
             omega = rng.standard_normal((2, 5))
-            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega), DT)
+            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega))
             record(dre, k)
             want1.append(dre.phi1.copy())
             want2.append(dre.phi2.copy())
@@ -261,7 +261,7 @@ class TestKreisselmeier:
 
     def test_setters_write_through_to_the_mixing(self):
         rng = np.random.default_rng(8)
-        dre = KreisselmeierDre(5)
+        dre = KreisselmeierDre(5, dt=DT)
         a = rng.standard_normal((5, 5))
         phi2, phi1 = a @ a.T, rng.standard_normal(5)
         dre.phi2 = phi2
@@ -273,7 +273,7 @@ class TestKreisselmeier:
         assert got_delta == delta
         assert got_Y.tobytes() == Y.tobytes()
         # the next step starts from the assigned state
-        dre.step(zero_pair(), DT)
+        dre.step(zero_pair())
         decay = 1.0 - DT * dre.params.lambda2
         assert dre.phi1.tobytes() == (decay * phi1).tobytes()
         assert dre.phi2.tobytes() == (decay * phi2).tobytes()
@@ -296,11 +296,11 @@ class TestMixingIdentityOnTraces:
     def test_cramer_equals_adjugate_along_run(self, c1_case1):
         # re-drive the extension on the run's recorded regression pairs and
         # compare the two routes on its mixing matrix at sampled steps
-        dre = LeastSquaresDre(5)
+        dre = LeastSquaresDre(5, dt=DT)
         f0 = dre.params.f0
         diag = c1_case1.diagnostics
         for k in range(len(c1_case1)):
-            dre.step(RegressionPair(y=diag["y"][k], omega=diag["omega"][k]), DT)
+            dre.step(RegressionPair(y=diag["y"][k], omega=diag["omega"][k]))
             if k % 997:
                 continue
             assert dre.z == diag["z_forget"][k]

@@ -35,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import PairStub, composite_rate, composite_step, record, step_once
+from conftest import DT, PairStub, composite_rate, composite_step, record, step_once
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
@@ -178,7 +178,7 @@ def test_switching_torque_matches(e1, e2, q, th):
 def test_slotine_li_torque_matches(e1, qd, q, th):
     params = TsmParams()
     want, w, s = ref.slotine_li_torque(params, th, e1, q, qd)
-    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
+    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th, dt=DT)
     got, _ = step_once(ctrl, e1, q, qd, ref.psi(q))
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
@@ -270,9 +270,10 @@ def test_composite_torque_and_update_are_the_layered_form_bitwise(e1, e2, q, th,
     assert bits(ctrl.estimate) == bits(ref.advance(th, rate, dt))
 
 
-def kreis_with_state(flat):
-    """A Kreisselmeier extension whose state [phi2 | phi1] is ``flat``."""
-    dre = KreisselmeierDre(5, KreisParams(lambda3=1.0))
+def kreis_with_state(flat, dt):
+    """A Kreisselmeier extension at the step size ``dt`` whose state
+    [phi2 | phi1] is ``flat``."""
+    dre = KreisselmeierDre(5, KreisParams(lambda3=1.0), dt=dt)
     dre._state[...] = np.reshape(flat, (5, 6))
     return dre
 
@@ -285,14 +286,14 @@ def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
     m = PLANT.inertia_rows(q)
     pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
     ctrl = SwitchingTsmController(params, a, theta_hat0=th, plant=PLANT,
-                                  extension=kreis_with_state(state))
-    dre = kreis_with_state(state)
+                                  extension=kreis_with_state(state, dt))
+    dre = kreis_with_state(state, dt)
     row = np.empty(6)
     # a drawn phi2 may be singular, where the LU divides by zero
     with np.errstate(all="ignore"):
         tau, delta = step_once(ctrl, e1, q, e2, PLANT.psi_rows(q), pair=pair, dt=dt)
         # the extension as its own step and mix leave it
-        dre.step(pair, dt)
+        dre.step(pair)
         dre.mix(row)
     want, nonlinear, w, s = ref.tsm_torque_layered(params, a, th, e1, q, e2, m)
     assert bits(tau) == bits(want)
@@ -309,8 +310,8 @@ def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
 def test_slotine_li_ls_step_is_the_layered_form_bitwise(e1, qd, q, th, aug):
     params, dt = TsmParams(), 5e-4
     pair = RegressionPair(y=np.array(aug[5::6]), omega=np.reshape(aug, (2, 6))[:, :5])
-    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th)
-    gain = LeastSquaresDre(5, LsDreParams())
+    ctrl = SlotineLiLsController(params, LsDreParams(), theta_hat0=th, dt=dt)
+    gain = LeastSquaresDre(5, LsDreParams(), dt=dt)
     tau, delta = step_once(ctrl, e1, q, qd, PLANT.psi_rows(q), pair=pair, dt=dt)
     want, w, s = ref.slotine_li_ls_torque_layered(params, th, e1, q, qd)
     assert bits(tau) == bits(want) and delta == 0.0
@@ -329,11 +330,11 @@ steps = st.lists(st.tuples(angles, rates, torques), min_size=1, max_size=4)
 def test_regression_step_matches(kind, q0, qd0, samples, lambda0):
     cls, ref_cls = {"power_balance": (PowerBalanceRegression, ref.PowerBalanceRegression),
                     "force_balance": (ForceBalanceRegression, ref.ForceBalanceRegression)}[kind]
-    reg = cls(PLANT, q0, qd0, lambda0, 1.0)
-    want_reg = ref_cls(q0, qd0, lambda0, 1.0)
     dt = 5e-4
+    reg = cls(PLANT, q0, qd0, lambda0, 1.0, dt=dt)
+    want_reg = ref_cls(q0, qd0, lambda0, 1.0)
     for q, qd, tau in samples:
-        pair = reg.step(q, qd, tau, dt, ref.psi(q))
+        pair = reg.step(q, qd, tau, ref.psi(q))
         y, omega = want_reg.step(q, qd, tau, dt)
         scale = float(np.max(np.abs(omega))) + float(np.max(np.abs(y)))
         assert_close(pair.y, y, scale)
@@ -369,11 +370,11 @@ float_steps = st.lists(st.tuples(angles, rates, torques).map(
 @given(q0=angles, qd0=rates, samples=float_steps, lambda0=st.sampled_from([0.3, 1.0, 1.5]))
 @settings(max_examples=60)
 def test_regression_pair_is_one_buffer_rewritten_in_place(cls, q0, qd0, samples, lambda0):
-    reg = cls(PLANT, q0, qd0, lambda0, 1.0)
+    reg = cls(PLANT, q0, qd0, lambda0, 1.0, dt=5e-4)
     first = None
     for q, qd, tau in samples:
         want_y, want_omega = sampled_pair(reg, q, qd)
-        pair = reg.step(q, qd, tau, 5e-4, PLANT.psi_rows(q))
+        pair = reg.step(q, qd, tau, PLANT.psi_rows(q))
         assert same_bits(pair.y, want_y) and same_bits(pair.omega, want_omega)
         # y and Omega are views of the one [Omega | y] buffer of the run
         first = first or pair
@@ -392,11 +393,11 @@ edgy_steps = st.lists(st.tuples(edgy(2, 2.0 * math.pi), edgy(2, 5.0), edgy(2, 20
 def test_regression_step_is_the_layered_form_bitwise(cls, q0, qd0, samples, lambda0):
     # each filter writes out the plant's basis terms it used to call, the
     # zero entries of the kinetic gradient included
-    reg = cls(PLANT, q0, qd0, lambda0, 1.0)
+    reg = cls(PLANT, q0, qd0, lambda0, 1.0, dt=5e-4)
     for q, qd, tau in samples:
         psi = PLANT.psi_rows(q)
         rows, y, z, omega_d2 = ref.regression_step_layered(reg, PLANT, q, qd, tau, 5e-4, psi)
-        pair = reg.step(q, qd, tau, 5e-4, psi)
+        pair = reg.step(q, qd, tau, psi)
         assert bits(pair.aug) == bits(rows)
         assert bits(reg._y) == bits(y) and bits(reg._z) == bits(z)
         if omega_d2 is not None:
@@ -411,9 +412,9 @@ def test_regression_step_is_the_layered_form_bitwise(cls, q0, qd0, samples, lamb
 @settings(max_examples=100)
 def test_least_squares_step_matches(omegas, norm):
     params = LsDreParams(norm=norm)
-    dre = LeastSquaresDre(5, params)
-    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     dt = 5e-4
+    dre = LeastSquaresDre(5, params, dt=dt)
+    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     theta = THETA.stacked
     for k, flat in enumerate(omegas, start=1):
         omega = np.reshape(flat, (3, 5))[:2]
@@ -421,7 +422,7 @@ def test_least_squares_step_matches(omegas, norm):
         b, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
         # the rate this step uses
         b_got = ref.ls_beta_of(dre)
-        dre.step(RegressionPair(y=y, omega=omega), dt)
+        dre.step(RegressionPair(y=y, omega=omega))
         tol = LS * k * np.linalg.cond(r)
         assert b_got == pytest.approx(b, rel=tol, abs=tol)
         assert dre.z == pytest.approx(z, rel=tol)
@@ -456,11 +457,10 @@ def test_slotine_li_rate_uses_the_least_squares_gain(steps, th, norm):
     # c4's estimate rate is -F (W' s + Omega' e_p), e_p = Omega theta_hat - y,
     # with F the gain the least-squares step has reached before this step
     params, ls = TsmParams(), LsDreParams(norm=norm)
-    ctrl = RateProbe(params, ls, theta_hat0=th)
-    r, u, z, f = ls.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / ls.f0
     dt = 5e-4
+    ctrl = RateProbe(params, ls, theta_hat0=th, dt=dt)
+    r, u, z, f = ls.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / ls.f0
     tol = LS
-    ctrl.dt = dt
     ctrl.diagnostics(len(steps))
     for k, (flat, e1, qd, q) in enumerate(steps, start=1):
         omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
@@ -487,9 +487,9 @@ def ls_drive(rows, params):
     on two regressor rows and a residual row of ``rows`` (15 floats), mixing
     and recording as the run does.  Returns the record and one LsStep per
     step."""
-    dre = LeastSquaresDre(5, params)
-    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     dt = 5e-4
+    dre = LeastSquaresDre(5, params, dt=dt)
+    r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     theta = THETA.stacked
     diag = dre.diagnostics(len(rows))
     mixing = np.empty((len(rows), 6))
@@ -498,7 +498,7 @@ def ls_drive(rows, params):
         omega, resid = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
         y = omega @ theta + resid
         _, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
-        dre.step(RegressionPair(y=y, omega=omega), dt)
+        dre.step(RegressionPair(y=y, omega=omega))
         dre.mix(mixing[k])
         record(dre, k)
         delta, Y = ref.ls_mix(f, rho_hat, z, params)
@@ -540,7 +540,7 @@ def test_least_squares_never_excited_direction_mixes_to_zero(rows, column):
 
 def test_least_squares_setters_round_trip():
     params = LsDreParams()
-    dre = LeastSquaresDre(5, params)
+    dre = LeastSquaresDre(5, params, dt=DT)
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5))
     f = a @ a.T + 0.5 * np.eye(5)
@@ -569,14 +569,14 @@ def test_least_squares_setters_round_trip():
        lambda3=st.sampled_from([1.0, 1.3]))
 @settings(max_examples=100)
 def test_kreisselmeier_step_matches(omegas, lambda3):
-    dre = KreisselmeierDre(5, KreisParams(lambda3=lambda3))
-    phi1, phi2 = np.zeros(5), np.zeros((5, 5))
     dt = 5e-4
+    dre = KreisselmeierDre(5, KreisParams(lambda3=lambda3), dt=dt)
+    phi1, phi2 = np.zeros(5), np.zeros((5, 5))
     for k, flat in enumerate(omegas, start=1):
         omega = np.reshape(flat, (3, 5))[:2]
         y = np.reshape(flat, (3, 5))[2, :2]
         phi1, phi2 = ref.kreis_step(phi1, phi2, 1.0, lambda3, y, omega, dt)
-        dre.step(RegressionPair(y=y, omega=omega), dt)
+        dre.step(RegressionPair(y=y, omega=omega))
         scale = k * dt * lambda3 * 9.0 * 2    # |omega' omega| <= 2 rows of 3 x 3
         assert_close(dre.phi1, phi1, scale, rel=N2 * k)
         assert_close(dre.phi2, phi2, scale, rel=N2 * k)
@@ -590,15 +590,15 @@ def test_extension_step_on_the_buffer_is_the_step_on_copies(extension, cls, q0, 
                                                             samples):
     # the pair's Omega and y are views of [Omega | y], y a strided column
     # for 2 rows; each step must round as it does on contiguous copies
-    reg = cls(PLANT, q0, qd0, 1.5, 1.0)
-    on_buffer, on_copies = extension(5), extension(5)
+    reg = cls(PLANT, q0, qd0, 1.5, 1.0, dt=DT)
+    on_buffer, on_copies = extension(5, dt=DT), extension(5, dt=DT)
     for q, qd, tau in samples:
-        pair = reg.step(q, qd, tau, 5e-4, PLANT.psi_rows(q))
+        pair = reg.step(q, qd, tau, PLANT.psi_rows(q))
         omega = pair.omega.copy()
         copies = SimpleNamespace(y=pair.y.copy(), omega=omega, aug=pair.aug.copy(),
                                  omega_t=omega.T)
-        on_buffer.step(pair, 5e-4)
-        on_copies.step(copies, 5e-4)
+        on_buffer.step(pair)
+        on_copies.step(copies)
         assert same_bits(on_buffer._state, on_copies._state)
 
 
@@ -612,16 +612,16 @@ def test_extension_step_is_one_product_affine_step(extension, cls, q0, qd0, samp
     # leading block, phi2 or R, stays exactly symmetric, which the final
     # phi2's eigvalsh in compute_metrics relies on
     dt = 5e-4
-    reg = cls(PLANT, q0, qd0, 1.5, 1.0)
-    dre = extension(5)
+    reg = cls(PLANT, q0, qd0, 1.5, 1.0, dt=dt)
+    dre = extension(5, dt=dt)
     for q, qd, tau in samples:
-        pair = reg.step(q, qd, tau, dt, PLANT.psi_rows(q))
+        pair = reg.step(q, qd, tau, PLANT.psi_rows(q))
         if extension is KreisselmeierDre:
             decay, gain = 1.0 - dt * dre.params.lambda2, dt * dre.params.lambda3
         else:
             decay, gain = 1.0 - dt * ref.ls_beta_of(dre), dt * dre.params.alpha
         want = decay * dre._state + gain * (pair.omega.T @ pair.aug)
-        dre.step(pair, dt)
+        dre.step(pair)
         assert same_bits(dre._state, want)
         block = dre._state[:, :5]
         assert same_bits(block, block.T.copy())
@@ -633,12 +633,12 @@ def test_extension_step_is_one_product_affine_step(extension, cls, q0, qd0, samp
 def test_least_squares_decay_is_the_layered_forgetting_rate_bitwise(norm, rows):
     # each step decays z by 1 - beta dt, with beta as the extension's
     # ``beta`` formed it from the eigenvalues the last step left
-    dre = LeastSquaresDre(5, LsDreParams(norm=norm))
     dt, z = 5e-4, 1.0
+    dre = LeastSquaresDre(5, LsDreParams(norm=norm), dt=dt)
     for flat in rows:
         omega, y = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
         z = z * (1.0 - dt * ref.ls_beta_of(dre))
-        dre.step(RegressionPair(y=y, omega=omega), dt)
+        dre.step(RegressionPair(y=y, omega=omega))
         assert dre.z.hex() == z.hex()
 
 
@@ -690,7 +690,7 @@ def test_det_stack_is_numpy_det_bitwise(state):
     delta, cramer = ref.kreis_mix(state[:, 5], state[:, :5])
     assert same_bits(np.float64(delta), want[0]) and same_bits(cramer, want[1:])
     # the Kreisselmeier mixing makes the same gather and call into its row
-    dre = KreisselmeierDre(5)
+    dre = KreisselmeierDre(5, dt=DT)
     dre.phi2, dre.phi1 = state[:, :5], state[:, 5]
     row = np.empty(6)
     assert dre.mix(row) == want.tolist() and same_bits(row, want)

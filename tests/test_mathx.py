@@ -51,8 +51,9 @@ class TestSignedPower:
 
 def kreis_mix(phi, v):
     """(Delta, Y) from the row that the Kreisselmeier mix writes, with
-    phi2 = phi and phi1 = v assigned: the run's mixing."""
-    dre = KreisselmeierDre(len(v))
+    phi2 = phi and phi1 = v assigned: the run's mixing.  The extension is
+    never stepped, so its step size moves nothing."""
+    dre = KreisselmeierDre(len(v), dt=1.0)
     dre.phi2, dre.phi1 = phi, v
     row = np.empty(len(v) + 1)
     dre.mix(row)
@@ -95,7 +96,7 @@ class TestDetAdjugate:
 
     def test_rejects_nonsquare(self):
         # phi2 must be (m, m): its setter refuses what does not broadcast there
-        dre = KreisselmeierDre(3)
+        dre = KreisselmeierDre(3, dt=1.0)
         for shape in ((2, 2), (3, 4), (4, 3), (6,), (1, 2, 3)):
             with pytest.raises(ValueError):
                 dre.phi2 = np.ones(shape)
@@ -123,7 +124,7 @@ class TestCramerProducts:
             assert np.max(np.abs(got - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
     def test_rejects_mismatched_vector(self):
-        dre = KreisselmeierDre(3)
+        dre = KreisselmeierDre(3, dt=1.0)
         for shape in ((3, 2), (2,), (4,)):
             with pytest.raises(ValueError):
                 dre.phi1 = np.ones(shape)

@@ -268,8 +268,8 @@ class TestMixingRecord:
                                                         quantity):
         step, count = extension.step, itertools.count()
 
-        def corrupted(dre, pair, dt):
-            step(dre, pair, dt)
+        def corrupted(dre, pair):
+            step(dre, pair)
             if next(count) == 3:
                 if index is None:
                     setattr(dre, attribute, value)
