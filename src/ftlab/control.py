@@ -12,8 +12,9 @@
 
 The runner knows the controllers only through their shared protocol: the
 estimate ``estimate``, a tuple of floats; ``regression`` and ``extension``,
-the filter and the extension the family builds at dt in ``from_config``,
-whose [Omega | y] buffer and state the runner records;
+the filter and the extension the family builds at dt in ``from_config``;
+the runner records the filter's [Omega | y] buffer and keeps the extension
+in the trace, whose history ``drem.replay`` rebuilds from those pairs;
 ``diagnostics(n_rec)``, which allocates the series the family's step forms
 (the mixing record, c3's branch); ``step(k, e1, q, qd, psi)``, the one call
 per sample; and ``dre``, the name of the extension it mixes from.  ``step``

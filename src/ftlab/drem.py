@@ -30,11 +30,8 @@ that fails (non-finite eigenvalues) raises NumericalDegeneracyError naming
 R, an R that is not positive definite one naming the cause, and a mixing
 output that is not finite one naming Delta or Y.  An extension knows only
 the regression dimension l, not which of its parameters a controller
-estimates.  Its record holds what its step already holds, the
-least-squares extension the eigenvalues of R and the discount z, the
-Kreisselmeier extension its state: ``diagnostics`` allocates it and binds
-``record_bytes``, the byte views (record, sample source) through which the
-step loop copies sample k after the controller's step.
+estimates.  It records nothing per step: ``replay`` rebuilds its history
+from the run's recorded pairs, bit for bit.
 """
 
 from __future__ import annotations
@@ -133,9 +130,8 @@ class LeastSquaresDre:
     t = 0 for every rho0.  So the state starts at R = f0 I and u~ = 0, rho0
     cancels out of Y = Delta theta and is no setting, and rho_hat here is
     the mixed v = F u~.
-    F and rho_hat are properties of the eigenpairs.  The record holds w
-    (F's eigenvalues are 1/w) and z of every step, each sample a byte copy
-    of the extension's [w | z].
+    F and rho_hat are properties of the eigenpairs.  Its history, from
+    ``replay``, is w (F's eigenvalues are 1/w) and z after every step.
     """
 
     kind = "least_squares"
@@ -159,18 +155,14 @@ class LeastSquaresDre:
         self._decay = self._factors[0]
         self._factors[1] = self.dt * params.alpha
         # eigenpairs of R (w ascending), written in place by each step; F =
-        # R^-1 has the eigenvalues 1/w.  w is the head of [w | z], the
-        # record's sample, and is also kept as floats for the forgetting
-        # rate and the mix
+        # R^-1 has the eigenvalues 1/w.  w is also kept as floats for the
+        # forgetting rate and the mix
         self._v = np.eye(dim)
-        self._wz = np.full(dim + 1, f0)
-        self._wz[dim] = self.z
-        self._w_arr = self._wz[:dim]
+        self._w_arr = np.full(dim, f0)
         self._w = [f0] * dim
         # the mix's coefficients, packed as floats into one array
         self._coef = np.empty(dim)
         self._pack_coef = struct.Struct(f"{dim}d").pack_into
-        self.record_bytes = None
 
     @property
     def F(self) -> np.ndarray:
@@ -226,7 +218,7 @@ class LeastSquaresDre:
         self._decay.fill(decay)
         self._state_drive *= self._factors
         self._state += self._drive
-        self.z = z = self.z * decay
+        self.z = self.z * decay
         eigh_sym(self._r, out=(self._w_arr, self._v))
         eigs = self._w_arr.tolist()
         # a failed decomposition is NaN; a finite sum that overflows falls
@@ -237,7 +229,6 @@ class LeastSquaresDre:
         if eigs[0] <= 0.0:
             raise _lost_definiteness(eigs[0], decay)
         self._w = eigs
-        self._wz[-1] = z
 
     def mix(self, out: np.ndarray) -> list:
         """[Delta | Y] from the eigenpairs of R (see the class docstring),
@@ -265,14 +256,6 @@ class LeastSquaresDre:
         v.dot(scaled, out=out[1:])
         out[0] = prefix
         return _checked_mix(out)
-
-    def diagnostics(self, n_rec: int) -> dict:
-        """The record of n_rec samples, "w" and "z_forget", two views of one
-        (n_rec, l + 1) buffer whose row k is a byte copy of [w | z] after
-        step k, through ``record_bytes``."""
-        rec = np.empty((n_rec, self.dim + 1))
-        self.record_bytes = (memoryview(rec).cast("B"), memoryview(self._wz).cast("B"))
-        return {"w": rec[:, :self.dim], "z_forget": rec[:, self.dim]}
 
 
 @dataclass(frozen=True)
@@ -310,9 +293,7 @@ class KreisselmeierDre:
     their determinants in one ``mathx.det_stack`` call into the caller's row:
     Delta = det(phi2) and Y = adj(phi2) phi1.  ``verify`` holds this mix, with
     phi2 and phi1 assigned, to the adjugate.
-    The record holds the state of every step in one (steps, l, l + 1)
-    buffer, of which the recorded ``phi2`` and ``phi1`` are views, each
-    sample a byte copy of the state.
+    Its history, from ``replay``, is phi2 and phi1 after every step.
     """
 
     kind = "kreisselmeier"
@@ -330,7 +311,6 @@ class KreisselmeierDre:
         self._phi1, self._phi2 = self._state[:, dim], self._state[:, :dim]
         self._cramer = mathx._cramer_index(dim)
         self._stack = np.empty(self._cramer.shape)
-        self.record_bytes = None
 
     @property
     def phi1(self) -> np.ndarray:
@@ -365,14 +345,23 @@ class KreisselmeierDre:
         det_stack(self._stack, out=out)
         return _checked_mix(out)
 
-    def diagnostics(self, n_rec: int) -> dict:
-        """The record of n_rec samples, "phi1" and "phi2", two views of one
-        (n_rec, l, l + 1) buffer whose sample k is a byte copy of the state
-        after step k, through ``record_bytes``."""
-        l_dim = self.dim
-        rec = np.empty((n_rec, l_dim, l_dim + 1))
-        self.record_bytes = (memoryview(rec).cast("B"), memoryview(self._state).cast("B"))
-        return {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]}
+
+def replay(extension, omega: np.ndarray, y: np.ndarray) -> dict:
+    """The per-step history of a run's ``extension``: a fresh one of its
+    class, ``dim``, ``params`` and ``dt`` steps on each recorded [Omega | y]
+    of ``omega`` (steps, n_out, l) and ``y`` (steps, n_out), the bytes the
+    run stepped on, bit for bit: "w" and "z_forget", or "phi1" and "phi2"."""
+    fresh = type(extension)(extension.dim, extension.params, dt=extension.dt)
+    l_dim, ls = fresh.dim, fresh.kind == "least_squares"
+    rows = np.concatenate((omega, np.asarray(y)[..., None]), axis=-1)
+    pair = RegressionPair(rows[0, :, l_dim], rows[0, :, :l_dim])
+    rec = np.empty((len(rows), l_dim + 1) if ls else (len(rows), l_dim, l_dim + 1))
+    for k, row in enumerate(rows):
+        pair.aug[...] = row
+        fresh.step(pair)
+        rec[k] = (*fresh._w, fresh.z) if ls else fresh._state
+    return ({"w": rec[:, :l_dim], "z_forget": rec[:, l_dim]} if ls
+            else {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]})
 
 
 # trapezoid intervals per block of ``excitation_gramian``

@@ -11,8 +11,7 @@ advances everything with a shared explicit-Euler step.  Per step:
    regression filter with the measured signals and the commanded torque,
    steps its regressor extension, mixes, Euler-steps its estimate and
    records the sample of the series it forms;
-3. pack the record row, and copy the pair's [Omega | y] and the extension's
-   state into their records;
+3. pack the record row, and copy the pair's [Omega | y] into its record;
 4. Euler-update the plant state, whose forward dynamics apply the
    friction from the true velocity (case2).
 
@@ -23,18 +22,19 @@ step records and nothing built after the loop but the monitors; the
 metrics of a trace are scalars.  Its series are views of the loop's
 records, not copies: q, qd, tau and the estimate are columns of the
 packed row record, and y and omega of the pair record; only Delta is
-copied out.  After the loop a run holds no more than one block of
-temporaries beyond the trace: the monitors V1, |z1| and zeta1 run over
-``MONITOR_ROWS`` rows at a time into preallocated series, checked finite
-as the loop's states are, and ``write_trace_csv`` gathers each 256-row
-block of ``trace.csv`` straight from the series.
+copied out; the run's extension is kept as it ends, and ``drem.replay``
+rebuilds its history from the pair record.  After the loop a run holds
+no more than one block of temporaries beyond the trace: the monitors V1,
+|z1| and zeta1 run over ``MONITOR_ROWS`` rows at a time into
+preallocated series, checked finite as the loop's states are, and
+``write_trace_csv`` gathers each 256-row block of ``trace.csv`` straight
+from the series.
 
 The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
 packed with ``struct`` into its slot of the record's buffer, the bytes a
-float64 row assignment gives; ``controller.regression.pair.aug`` and the
-extension's state, through its ``record_bytes``, are copied byte for byte
-into their slots of their records.
+float64 row assignment gives; ``controller.regression.pair.aug`` is copied
+byte for byte into its slot of the pair record.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.  ``write_trace_csv`` writes
@@ -187,7 +187,9 @@ class Trace:
     endpoints).  ``diagnostics`` holds controller-family specific series and
     ``meta`` the run description needed to interpret them.  In a trace from
     ``run_closed_loop`` q, qd, tau, theta_hat, y and omega are views of the
-    run's records, so a write to one of them writes to that record."""
+    run's records, so a write to one of them writes to that record, and
+    ``extension`` is the run's extension as it ended (``drem.replay``
+    rebuilds its history; None in a trace read back from CSV)."""
 
     t: np.ndarray
     q: np.ndarray
@@ -201,6 +203,7 @@ class Trace:
     z1norm: np.ndarray
     diagnostics: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    extension: object = None
 
     def __len__(self) -> int:
         return self.t.size
@@ -278,10 +281,10 @@ def run_closed_loop(config: SimConfig) -> Trace:
     regression filter, and to the plant step; M(q) is formed by the plant
     step and, in c3, by the controller.  The regression pair is
     the filter's one [Omega | y] buffer, ``controller.regression.pair``,
-    recorded whole each step through a view taken before the first, as
-    the extension's state is.  The trace hands out the records themselves:
-    q, qd, tau and the estimate are column views of the row record, y and
-    omega views of the pair record, and only Delta is copied out.  The
+    recorded whole each step through a view taken before the first.  The
+    trace hands out the records themselves: q, qd, tau and the estimate
+    are column views of the row record, y and omega views of the pair
+    record, and only Delta is copied out.  The
     monitors V1, zeta1 and |z1| feed nothing back, so they are evaluated
     after the loop, over the recorded series in blocks of rows
     (``_monitors``).  A non-finite state, mixing output or monitor sample,
@@ -313,8 +316,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     try:
         rows = np.empty((n_rec, 6 + j_est + 1))
         aug_rec = np.empty((n_rec, n_out, l_dim + 1))
-        extension = controller.extension
-        diag = {**controller.diagnostics(n_rec), **extension.diagnostics(n_rec)}
+        diag = controller.diagnostics(n_rec)
         # each sample's (position noise of joint 1, of joint 2), the first
         # also the velocity noise of both joints, unpacked one sample a step
         next_noise = (struct.iter_unpack("2d", noise.sample(np.arange(n_rec) * config.dt))
@@ -336,8 +338,6 @@ def run_closed_loop(config: SimConfig) -> Trace:
     aug_buf = memoryview(aug_rec).cast("B")
     aug_src = memoryview(controller.regression.pair.aug).cast("B")
     aug_bytes = aug_src.nbytes
-    ext_buf, ext_src = extension.record_bytes
-    ext_bytes = ext_src.nbytes
 
     # every state and mixing output is checked below, so numpy's
     # floating-point warnings would only repeat what the check names
@@ -366,7 +366,6 @@ def run_closed_loop(config: SimConfig) -> Trace:
 
                 pack_row(rows_buf, k * row_bytes, q1, q2, qd1, qd2, *tau, *estimate, delta)
                 aug_buf[k * aug_bytes:(k + 1) * aug_bytes] = aug_src
-                ext_buf[k * ext_bytes:(k + 1) * ext_bytes] = ext_src
 
                 if k < n_steps:
                     a1, a2 = forward_dynamics(q, qd, tau, coulomb, psi)
@@ -407,7 +406,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
         "settle_tol": config.settle_tol, "param_tol": config.param_tol,
     }
     return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, tau_rec, theta_rec, delta_rec,
-                 zeta1, v1, z1norm, diagnostics=diag, meta=meta)
+                 zeta1, v1, z1norm, diagnostics=diag, meta=meta,
+                 extension=controller.extension)
 
 
 @dataclass
@@ -425,22 +425,23 @@ class Metrics:
     gramian_min_eig: float
 
     def to_text(self) -> str:
-        lines = [
-            f"settling_time={self.settling_time:.17g}",
-            f"steady_state_error={self.steady_state_error:.17g}",
-            f"param_convergence_time={self.param_convergence_time:.17g}",
-            f"chattering_amplitude={self.chattering_amplitude:.17g}",
-            f"zeta1_integral={self.zeta1_integral:.17g}",
-            f"gramian_min_eig={self.gramian_min_eig:.17g}",
-        ]
+        names = ["settling_time", "steady_state_error", "param_convergence_time",
+                 "chattering_amplitude", "zeta1_integral", "gramian_min_eig"]
+        lines = [f"{name}={getattr(self, name):.17g}" for name in names]
         if self.min_eig_phi2 is not None:
             lines.append(f"min_eig_phi2_final={self.min_eig_phi2:.17g}")
         return "\n".join(lines) + "\n"
 
 
-def _last_exceed_time(t: np.ndarray, magnitude: np.ndarray, tol: float) -> float:
-    over = np.nonzero(magnitude > tol)[0]
-    return float(t[over[-1]]) if over.size else 0.0
+def _last_exceed_time(t: np.ndarray, x: np.ndarray, tol: float, offset=0.0) -> float:
+    """t of the last row k with |x_k - offset| > tol, 0.0 if none, scanned in
+    blocks of ``MONITOR_ROWS`` rows from the end to the first that exceeds."""
+    for stop in range(len(x), 0, -MONITOR_ROWS):
+        start = max(stop - MONITOR_ROWS, 0)
+        over = np.nonzero(np.linalg.norm(x[start:stop] - offset, axis=1) > tol)[0]
+        if over.size:
+            return float(t[start + over[-1]])
+    return 0.0
 
 
 # the trailing share of a trace that is its steady-state window
@@ -456,39 +457,48 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
     Settling / convergence times are the last instants at which the monitored
     magnitude exceeds its tolerance; the steady-state window is the trailing
     ``STEADY_FRACTION`` of the trace.  The Gramian window ends at the end of
-    the trace at the latest.
+    the trace at the latest.  Each figure runs over blocks of
+    ``MONITOR_ROWS`` rows, with the bits of one pass over the run.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     settle_tol = settle_tol if settle_tol is not None else trace.meta.get("settle_tol", 1e-3)
     param_tol = param_tol if param_tol is not None else trace.meta.get("param_tol", 0.05)
+    t, n = trace.t, len(trace)
 
-    e1_norm = np.linalg.norm(trace.e1, axis=1)
-    settling = _last_exceed_time(trace.t, e1_norm, settle_tol)
+    settling = _last_exceed_time(t, trace.e1, settle_tol)
 
-    tail = max(2, int(np.ceil(len(trace) * STEADY_FRACTION)))
-    window = slice(len(trace) - tail, len(trace))
-    steady_err = float(np.mean(e1_norm[window]))
+    tail, rows = max(2, int(np.ceil(n * STEADY_FRACTION))), MONITOR_ROWS
+    # the window's norms, kept whole: np.mean sums them pairwise
+    e1 = trace.e1[-tail:]
+    steady_err = float(np.mean(np.concatenate(
+        [np.linalg.norm(e1[s:s + rows], axis=1) for s in range(0, len(e1), rows)])))
 
     theta_u_true = trace.meta["theta_u_true"]
-    j = theta_u_true.size
-    tilde = np.linalg.norm(trace.theta_hat[:, -j:] - theta_u_true, axis=1)
-    ref = tilde[0]
-    param_time = 0.0 if ref == 0.0 else _last_exceed_time(trace.t, tilde, param_tol * ref)
+    theta_u = trace.theta_hat[:, -theta_u_true.size:]
+    ref = np.linalg.norm(theta_u[:1] - theta_u_true, axis=1)[0]
+    param_time = 0.0 if ref == 0.0 else _last_exceed_time(t, theta_u, param_tol * ref,
+                                                         theta_u_true)
 
-    jumps = np.abs(np.diff(trace.tau, axis=0)).max(axis=1)
-    chatter = float(jumps[window.start - 1:].max()) if len(trace) > 1 else 0.0
+    # the jumps into and within the steady window: its rows and the one before
+    tau = trace.tau[max(n - tail - 1, 0):]
+    chatter = float(np.max([np.abs(np.diff(tau[s:s + rows + 1], axis=0)).max()
+                            for s in range(0, len(tau) - 1, rows)], initial=0.0))
 
-    # trapezoids summed in order, as a running integral's last entry (np.sum's
-    # pairwise order would move the last bits)
-    areas = 0.5 * (trace.zeta1[1:] + trace.zeta1[:-1]) * np.diff(trace.t)
-    zeta_integral = float(np.cumsum(areas)[-1]) if areas.size else 0.0
+    # trapezoids summed in order, each block's after the total before it, as a
+    # running integral's last entry (np.sum's pairwise order moves last bits)
+    total = ()
+    for s in range(0, n - 1, rows):
+        zeta1 = trace.zeta1[s:s + rows + 1]
+        areas = 0.5 * (zeta1[1:] + zeta1[:-1]) * np.diff(t[s:s + rows + 1])
+        total = np.cumsum(np.concatenate((total, areas)))[-1:]
+    zeta_integral = float(total[0]) if len(total) else 0.0
 
     min_eig_phi2 = None
-    if "phi2" in trace.diagnostics:
+    if getattr(trace.extension, "kind", None) == "kreisselmeier":
         # phi2 is exactly symmetric: the filter adds gemm products Omega' Omega,
         # whose (i, j) and (j, i) entries sum the same terms in the same order
-        min_eig_phi2 = float(np.linalg.eigvalsh(trace.diagnostics["phi2"][-1])[0])
+        min_eig_phi2 = float(np.linalg.eigvalsh(trace.extension.phi2)[0])
 
     gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,
                                    min(gramian_window, trace.t[-1] - gramian_start))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 import ftlab
+from ftlab import drem
 from ftlab.drem import KreisselmeierDre
 from ftlab.regression import RegressionPair
 
@@ -74,17 +75,22 @@ def traced_peak(fn, *args) -> tuple:
     return result, peak - base
 
 
-def trace_bytes(trace) -> int:
-    """Bytes of the distinct buffers the trace's series and diagnostics
-    hold, each buffer once however many views of it the trace holds."""
+def trace_buffers(trace) -> list:
+    """The distinct buffers the trace's series and diagnostics hold, each
+    buffer once however many views of it the trace holds."""
     owners = {}
     for arr in [getattr(trace, f.name) for f in dataclasses.fields(trace)] \
             + list(trace.diagnostics.values()):
         if isinstance(arr, np.ndarray):
             while isinstance(arr.base, np.ndarray):
                 arr = arr.base
-            owners[id(arr)] = arr.nbytes
-    return sum(owners.values())
+            owners[id(arr)] = arr
+    return list(owners.values())
+
+
+def trace_bytes(trace) -> int:
+    """Bytes of the distinct buffers the trace holds (``trace_buffers``)."""
+    return sum(arr.nbytes for arr in trace_buffers(trace))
 
 
 def run_staging(config) -> tuple:
@@ -94,6 +100,12 @@ def run_staging(config) -> tuple:
     ftlab.run_closed_loop(dataclasses.replace(config, t_final=0.05))
     trace, peak = traced_peak(ftlab.run_closed_loop, config)
     return trace, peak - trace_bytes(trace)
+
+
+def history(trace) -> dict:
+    """The per-step history of the trace's extension, which ``drem.replay``
+    rebuilds from the run's recorded regression pairs."""
+    return drem.replay(trace.extension, trace.diagnostics["omega"], trace.diagnostics["y"])
 
 
 def at(trace, t):
@@ -164,14 +176,13 @@ def theta_tilde_u(trace):
 class MixStub:
     """A regressor extension whose step leaves it as it is and whose mix
     writes the given row [Delta | Y]: drives a controller's step on a
-    chosen mixing output.  It records nothing."""
+    chosen mixing output."""
 
     kind = "stub"
 
     def __init__(self, row):
         self.row = [float(x) for x in row]
         self.dim = len(self.row) - 1
-        self.record_bytes = None
 
     def step(self, pair):
         pass
@@ -179,10 +190,6 @@ class MixStub:
     def mix(self, out):
         out[:] = self.row
         return out.tolist()
-
-    def diagnostics(self, n_rec):
-        self.record_bytes = (memoryview(bytearray()), memoryview(b""))
-        return {}
 
 
 class PairStub:
@@ -194,14 +201,6 @@ class PairStub:
 
     def step(self, q, qd, tau, psi):
         return self.pair
-
-
-def record(extension, k):
-    """Copy sample k of ``extension``'s record, through the byte views its
-    ``diagnostics`` bound, as the step loop does after a step."""
-    rec, src = extension.record_bytes
-    n = src.nbytes
-    rec[k * n:(k + 1) * n] = src
 
 
 def step_once(ctrl, e1, q, qd, psi, pair=None, dt=DT):

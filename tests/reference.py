@@ -20,7 +20,10 @@ affine step, and the friction and noise models' per-sample
 calls); ``test_kernels.py`` holds the flattened forms to it bit for
 bit.  ``csv_rows`` is the row loop that wrote ``trace.csv`` before its
 vectorised formatter; ``test_g17.py`` and ``test_sim.py`` hold the
-formatter to it byte for byte.  Nothing in ``src/`` imports this module.
+formatter to it byte for byte.  ``trace_figures`` is the one pass over
+whole-run arrays that ``compute_metrics`` made before it worked in blocks
+of rows; ``test_sim.py`` holds the blocks to it bit for bit.  Nothing in
+``src/`` imports this module.
 """
 
 import math
@@ -562,3 +565,26 @@ def csv_rows(data):
     by ',' and ended by '\\n'."""
     row_format = ",".join(["%.17g"] * data.shape[1]) + "\n"
     return "".join([row_format % tuple(row) for row in data.tolist()])
+
+
+# -- trace metrics ---------------------------------------------------------------
+
+def trace_figures(trace, settle_tol, param_tol, steady_fraction):
+    """(settling time, steady-state error, parameter convergence time,
+    chattering amplitude, zeta1 integral) of ``trace``, each over whole-run
+    arrays in one pass."""
+    def last_exceed(magnitude, tol):
+        over = np.nonzero(magnitude > tol)[0]
+        return float(trace.t[over[-1]]) if over.size else 0.0
+
+    n = len(trace)
+    e1_norm = np.linalg.norm(trace.e1, axis=1)
+    window = slice(n - max(2, int(np.ceil(n * steady_fraction))), n)
+    true = trace.meta["theta_u_true"]
+    tilde = np.linalg.norm(trace.theta_hat[:, -true.size:] - true, axis=1)
+    jumps = np.abs(np.diff(trace.tau, axis=0)).max(axis=1)
+    areas = 0.5 * (trace.zeta1[1:] + trace.zeta1[:-1]) * np.diff(trace.t)
+    return (last_exceed(e1_norm, settle_tol), float(np.mean(e1_norm[window])),
+            0.0 if tilde[0] == 0.0 else last_exceed(tilde, param_tol * tilde[0]),
+            float(jumps[window.start - 1:].max()) if n > 1 else 0.0,
+            float(np.cumsum(areas)[-1]) if areas.size else 0.0)

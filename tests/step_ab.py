@@ -17,7 +17,9 @@ and side after the timing by ``conftest.calls_per_step``, the counter of
 the call-budget test in ``test_sim.py``.  The same untimed pass takes each
 side's tracemalloc peak during ``run_closed_loop`` beyond the bytes of the
 trace it returns, in MB (``conftest.run_staging``, the measure of the
-bounded-staging test in ``test_sim.py``).
+bounded-staging test in ``test_sim.py``), and the bytes of that trace per
+1 000 steps, in MB (``conftest.trace_bytes``), so that a change in what a
+run keeps shows beside a change in what it stages.
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
@@ -56,8 +58,8 @@ T_FINAL = 2.0    # simulated seconds per run: 4000 steps at the default dt
 
 def child(name: str, count: bool) -> None:
     """Print the fastest of REPEATS runs of ``name``, in µs per step, and
-    then, if ``count``, its Python-level calls per step and the MB its run
-    stages beyond its trace."""
+    then, if ``count``, its Python-level calls per step, the MB its run
+    stages beyond its trace and the MB of its trace per 1 000 steps."""
     import time
 
     from ftlab import sim
@@ -70,15 +72,18 @@ def child(name: str, count: bool) -> None:
         best = min(best, time.perf_counter() - start)
     print(1e6 * best / config.n_steps)
     if count:
-        from conftest import calls_per_step, run_staging
+        from conftest import calls_per_step, run_staging, trace_bytes
 
         print(calls_per_step(RUNS[name]))
-        print(run_staging(config)[1] / 1e6)
+        trace, staged = run_staging(config)
+        print(staged / 1e6)
+        print(trace_bytes(trace) / 1e6 * 1000 / config.n_steps)
 
 
 def measure(src: Path, name: str, count: bool) -> list:
     """[µs per step] of ``name`` on the sources ``src``, with the calls per
-    step and the MB staged beyond the trace appended if ``count``."""
+    step, the MB staged beyond the trace and the trace's MB per 1 000 steps
+    appended if ``count``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, __file__, "--child", name, str(int(count))],
                          env=env, check=True, capture_output=True, text=True).stdout
@@ -119,15 +124,17 @@ def main() -> int:
 
     print(f"{'run':14} {'tree us/step':>13} {args.rev + ' us/step':>16} {'change':>9} "
           f"{'rounds faster':>14} {'tree calls':>11} {args.rev + ' calls':>13} "
-          f"{'tree MB':>8} {args.rev + ' MB':>10}")
+          f"{'tree MB':>8} {args.rev + ' MB':>10} "
+          f"{'tree trace MB/1k':>17} {args.rev + ' trace MB/1k':>19}")
     for name, t in times.items():
         tree, rev = statistics.median(t["tree"]), statistics.median(t["rev"])
         ratio = statistics.median(a / b for a, b in zip(t["tree"], t["rev"]))
         won = sum(a < b for a, b in zip(t["tree"], t["rev"]))
-        (tree_calls, tree_mb), (rev_calls, rev_mb) = counted[name]["tree"], counted[name]["rev"]
+        (tree_calls, tree_mb, tree_kept), (rev_calls, rev_mb, rev_kept) = (
+            counted[name]["tree"], counted[name]["rev"])
         print(f"{name:14} {tree:13.2f} {rev:16.2f} {100.0 * (ratio - 1.0):+8.1f}% "
               f"{won:>9}/{args.rounds} {tree_calls:11g} {rev_calls:13g} "
-              f"{tree_mb:8.2f} {rev_mb:10.2f}")
+              f"{tree_mb:8.2f} {rev_mb:10.2f} {tree_kept:17.3f} {rev_kept:19.3f}")
     return 0
 
 

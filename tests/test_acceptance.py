@@ -9,7 +9,7 @@ import numpy as np
 
 import ftlab
 import reference as ref
-from conftest import at, run, theta_tilde_u
+from conftest import at, history, run, theta_tilde_u
 from ftlab import mathx, verify
 
 
@@ -139,13 +139,14 @@ def test_criterion_7_excitation_gain_properties():
 
 
 def test_criterion_8_dre_state_health(c1_case1, c2_case1):
-    # F = R^-1 has the eigenvalues 1/w of the recorded eigenvalues w of R
-    w = c1_case1.diagnostics["w"]
-    z = c1_case1.diagnostics["z_forget"]
+    # F = R^-1 has the eigenvalues 1/w of the eigenvalues w of R, which the
+    # replay of the run's extension gives for every step
+    ls = history(c1_case1)
+    w, z = ls["w"], ls["z_forget"]
     f_ok = float(w.min()) > 0.0
     z_ok = bool(np.all((z > 0.0) & (z <= 1.0)))
 
-    phi2_min = float(np.linalg.eigvalsh(c2_case1.diagnostics["phi2"])[:, 0].min())
+    phi2_min = float(np.linalg.eigvalsh(history(c2_case1)["phi2"])[:, 0].min())
     phi2_ok = phi2_min >= -1e-9
 
     def final_second_increment(trace):

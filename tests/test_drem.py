@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import ftlab
 import reference as ref
-from conftest import record
+from conftest import history
 from ftlab import cli, control, drem, mathx, verify
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
-                        LsDreParams, excitation_gramian)
+                        LsDreParams, excitation_gramian, replay)
 from ftlab.errors import NumericalDegeneracyError
 from ftlab.regression import RegressionPair
 
@@ -108,29 +109,35 @@ class TestLeastSquares:
                 assert err <= 1e-9 * (1.0 + abs(delta) * np.linalg.norm(theta))
 
     def test_z_monotone_and_f_positive_definite(self, c1_case1):
-        z = c1_case1.diagnostics["z_forget"]
+        replayed = history(c1_case1)
+        z = replayed["z_forget"]
         assert np.all(np.diff(z) < 0.0)
         assert z[-1] > 0.0 and z[0] <= 1.0
-        # F = R^-1 has the eigenvalues 1/w of the recorded eigenvalues w of R
-        assert c1_case1.diagnostics["w"].min() > 0.0
+        # F = R^-1 has the eigenvalues 1/w of the replayed eigenvalues w of R
+        assert replayed["w"].min() > 0.0
 
-    def test_record_row_is_the_eigh_array(self):
-        # the w row is the array eigh_sym returned for R, after a step and
-        # after an assignment of F, and the floats beta and mix read agree
+    def test_replayed_row_is_the_eigh_array(self):
+        # the replayed w row is the array eigh_sym returned for R after the
+        # step, and the floats beta and mix read agree; the replay's last
+        # row is the live extension's state
         rng = np.random.default_rng(13)
         dre = LeastSquaresDre(5, dt=DT)
-        diag = dre.diagnostics(9)
+        omega, y, eighs, floats = rng.standard_normal((8, 2, 5)), rng.standard_normal((8, 2)), [], []
         for k in range(8):
-            omega = rng.standard_normal((2, 5))
-            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega))
-            record(dre, k)
-            assert diag["w"][k].tobytes() == mathx.eigh_sym(dre._r)[0].tobytes()
-            assert diag["w"][k].tolist() == dre._w
+            dre.step(RegressionPair(y=y[k], omega=omega[k]))
+            eighs.append(mathx.eigh_sym(dre._r)[0].tobytes())
+            floats.append(dre._w)
+        replayed = replay(dre, omega, y)
+        for k in range(8):
+            assert replayed["w"][k].tobytes() == eighs[k]
+            assert replayed["w"][k].tolist() == floats[k]
+        assert replayed["w"][-1].tobytes() == dre._w_arr.tobytes()
+        assert replayed["z_forget"][-1] == dre.z
+        # an assignment of F writes the eigenvalue array and its floats alike
         a = rng.standard_normal((5, 5))
         dre.F = a @ a.T + np.eye(5)
-        record(dre, 8)
-        assert diag["w"][8].tolist() == dre._w
-        np.testing.assert_allclose(diag["w"][8], np.linalg.eigvalsh(dre._r), rtol=1e-12)
+        assert dre._w_arr.tolist() == dre._w
+        np.testing.assert_allclose(dre._w_arr, np.linalg.eigvalsh(dre._r), rtol=1e-12)
 
     def test_degeneracy_detection(self):
         dre = LeastSquaresDre(5, dt=DT)
@@ -243,21 +250,22 @@ class TestKreisselmeier:
             assert got_delta.tobytes() == np.float64(delta).tobytes()
             assert got_Y.tobytes() == Y.tobytes()
 
-    def test_record_holds_the_state_of_every_step(self):
+    def test_replay_holds_the_state_of_every_step(self):
+        # the replay takes the extension's own lambda2 and lambda3
         rng = np.random.default_rng(5)
-        dre = KreisselmeierDre(5, dt=DT)
-        diag = dre.diagnostics(20)
-        want1, want2 = [], []
-        for k in range(20):
-            omega = rng.standard_normal((2, 5))
-            dre.step(RegressionPair(y=rng.standard_normal(2), omega=omega))
-            record(dre, k)
-            want1.append(dre.phi1.copy())
-            want2.append(dre.phi2.copy())
-        assert diag["phi1"].shape == (20, 5) and diag["phi2"].shape == (20, 5, 5)
-        assert diag["phi1"].dtype == diag["phi2"].dtype == np.float64
-        assert diag["phi1"].tobytes() == np.array(want1).tobytes()
-        assert diag["phi2"].tobytes() == np.array(want2).tobytes()
+        omega, y = rng.standard_normal((20, 2, 5)), rng.standard_normal((20, 2))
+        for params in (KreisParams(), KreisParams(lambda2=0.7, lambda3=1.0)):
+            dre = KreisselmeierDre(5, params, dt=DT)
+            want1, want2 = [], []
+            for k in range(20):
+                dre.step(RegressionPair(y=y[k], omega=omega[k]))
+                want1.append(dre.phi1.copy())
+                want2.append(dre.phi2.copy())
+            replayed = replay(dre, omega, y)
+            assert replayed["phi1"].shape == (20, 5) and replayed["phi2"].shape == (20, 5, 5)
+            assert replayed["phi1"].dtype == replayed["phi2"].dtype == np.float64
+            assert replayed["phi1"].tobytes() == np.array(want1).tobytes()
+            assert replayed["phi2"].tobytes() == np.array(want2).tobytes()
 
     def test_setters_write_through_to_the_mixing(self):
         rng = np.random.default_rng(8)
@@ -279,7 +287,7 @@ class TestKreisselmeier:
         assert dre.phi2.tobytes() == (decay * phi2).tobytes()
 
     def test_phi2_stays_positive_semidefinite(self, c2_case1):
-        eigs = np.linalg.eigvalsh(c2_case1.diagnostics["phi2"])
+        eigs = np.linalg.eigvalsh(history(c2_case1)["phi2"])
         assert eigs[:, 0].min() >= -1e-9
         assert c2_case1.delta.min() >= -1e-9
 
@@ -295,7 +303,8 @@ class TestMixingIdentityOnTraces:
 
     def test_cramer_equals_adjugate_along_run(self, c1_case1):
         # re-drive the extension on the run's recorded regression pairs and
-        # compare the two routes on its mixing matrix at sampled steps
+        # compare the two routes on its mixing matrix at sampled steps; the
+        # re-driven extension ends in the run's final state
         dre = LeastSquaresDre(5, dt=DT)
         f0 = dre.params.f0
         diag = c1_case1.diagnostics
@@ -303,12 +312,65 @@ class TestMixingIdentityOnTraces:
             dre.step(RegressionPair(y=diag["y"][k], omega=diag["omega"][k]))
             if k % 997:
                 continue
-            assert dre.z == diag["z_forget"][k]
             phi = np.eye(5) - dre.z * f0 * dre.F
             v = dre.rho_hat
             want = verify.adjugate(phi) @ v
             got = ref.kreis_mix(v, phi)[1]
             assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
+        assert dre.z == c1_case1.extension.z
+        assert dre._state.tobytes() == c1_case1.extension._state.tobytes()
+
+
+class TestReplay:
+    """``replay`` rebuilds a run's extension history from the recorded pairs
+    with the bits of the run's own extension: a probe copies the live state
+    after every ``step`` of the run."""
+
+    @pytest.mark.parametrize("controller, parameterization", [
+        ("c1", "force_balance"), ("c2", "force_balance"), ("c2", "power_balance"),
+        ("c3", "force_balance"), ("c4", "force_balance")])
+    def test_replay_is_the_live_state_of_every_step(self, monkeypatch, controller,
+                                                    parameterization):
+        live = []
+        ls_step, kreis_step = LeastSquaresDre.step, KreisselmeierDre.step
+
+        def ls_probe(dre, pair):
+            ls_step(dre, pair)
+            live.append(np.append(dre._w_arr, dre.z))
+
+        def kreis_probe(dre, pair):
+            kreis_step(dre, pair)
+            live.append(dre._state.copy())
+
+        monkeypatch.setattr(LeastSquaresDre, "step", ls_probe)
+        monkeypatch.setattr(KreisselmeierDre, "step", kreis_probe)
+        trace = ftlab.run_closed_loop(ftlab.SimConfig(
+            controller=controller, parameterization=parameterization, t_final=0.05))
+        monkeypatch.undo()
+        live = np.array(live)
+        ext, replayed = trace.extension, history(trace)
+        n, l_dim = len(trace), ext.dim
+        assert len(live) == n
+        if controller in ("c1", "c4"):
+            assert ext.kind == "least_squares" and sorted(replayed) == ["w", "z_forget"]
+            assert replayed["w"].shape == (n, l_dim) and replayed["z_forget"].shape == (n,)
+            assert replayed["w"].tobytes() == live[:, :l_dim].tobytes()
+            assert replayed["z_forget"].tobytes() == live[:, l_dim].tobytes()
+            # the last replayed state is the trace's extension's
+            assert replayed["w"][-1].tobytes() == ext._w_arr.tobytes()
+            assert replayed["z_forget"][-1].tobytes() == np.float64(ext.z).tobytes()
+        else:
+            assert ext.kind == "kreisselmeier" and sorted(replayed) == ["phi1", "phi2"]
+            assert replayed["phi1"].shape == (n, l_dim)
+            assert replayed["phi2"].shape == (n, l_dim, l_dim)
+            assert replayed["phi1"].tobytes() == live[:, :, l_dim].tobytes()
+            assert replayed["phi2"].tobytes() == np.ascontiguousarray(live[:, :, :l_dim]).tobytes()
+            assert replayed["phi1"][-1].tobytes() == ext.phi1.tobytes()
+            assert replayed["phi2"][-1].tobytes() == np.ascontiguousarray(ext.phi2).tobytes()
+        # c3 estimates from the classical extension, and the replay takes its
+        # lambda3 = 1 from the trace's extension
+        if ext.kind == "kreisselmeier":
+            assert ext.params.lambda3 == (1.0 if controller == "c3" else KreisParams().lambda3)
 
 
 class TestExcitationGramian:
@@ -370,8 +432,7 @@ class TestQualitativeMonitors:
         assert levels[0] > 0.0
 
     def test_switching_controller_extension_health(self, c3_case1):
-        import ftlab
-        eigs = np.linalg.eigvalsh(c3_case1.diagnostics["phi2"])[:, 0]
+        eigs = np.linalg.eigvalsh(history(c3_case1)["phi2"])[:, 0]
         assert eigs.min() >= -1e-9
         # the extension carries enough excitation mid-run to estimate
         k2 = int(round(2.0 / c3_case1.meta["dt"]))

@@ -1,7 +1,9 @@
 """Golden traces: every recorded bit of the reference runs is pinned.
 
 Each digest is the SHA-256 of the trace's CSV serialization, then the name,
-dtype, shape and raw bytes of every diagnostics array, then the
+dtype, shape and raw bytes of every diagnostics array and of every series
+of the extension's history that ``drem.replay`` rebuilds (``w`` and
+``z_forget``, or ``phi1`` and ``phi2``), in name order, then the
 ``metrics.txt`` text of ``compute_metrics`` at its defaults, so a change that
 moves any float of any recorded series, in the CSV or only in memory, or any
 printed metric, fails here.  The session fixtures of ``conftest.py`` are
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import run
+from conftest import history, run
 from ftlab import sim
 from ftlab.control import FtPdGains
 
@@ -66,8 +68,9 @@ EXTRA_RUNS = {
 
 def trace_digest(trace) -> str:
     h = hashlib.sha256(sim.trace_csv_string(trace).encode())
-    for name in sorted(trace.diagnostics):
-        arr = np.ascontiguousarray(trace.diagnostics[name])
+    arrays = {**trace.diagnostics, **history(trace)}
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
         h.update(f"{name}:{arr.dtype.str}:{arr.shape}".encode())
         h.update(arr.tobytes())
     h.update(sim.compute_metrics(trace).to_text().encode())

@@ -35,13 +35,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import DT, PairStub, composite_rate, composite_step, record, step_once
+from conftest import DT, PairStub, composite_rate, composite_step, step_once
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
 from ftlab import mathx
 from ftlab.drem import (KreisParams, KreisselmeierDre, LeastSquaresDre,
-                        LsDreParams)
+                        LsDreParams, replay)
 from ftlab.plant import NoiseModel, Plant
 from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
                               RegressionPair)
@@ -485,27 +485,27 @@ LsStep = namedtuple("LsStep",
 def ls_drive(rows, params):
     """Step a LeastSquaresDre and the reference step side by side, each step
     on two regressor rows and a residual row of ``rows`` (15 floats), mixing
-    and recording as the run does.  Returns the record and one LsStep per
-    step."""
+    as the run does.  Returns the extension's history, which ``replay``
+    rebuilds from the pairs, and one LsStep per step."""
     dt = 5e-4
     dre = LeastSquaresDre(5, params, dt=dt)
     r, u, z, f = params.f0 * np.eye(5), np.zeros(5), 1.0, np.eye(5) / params.f0
     theta = THETA.stacked
-    diag = dre.diagnostics(len(rows))
     mixing = np.empty((len(rows), 6))
-    steps = []
+    omegas, ys, steps = [], [], []
     for k, flat in enumerate(rows):
         omega, resid = np.reshape(flat, (3, 5))[:2], np.reshape(flat, (3, 5))[2, :2]
         y = omega @ theta + resid
+        omegas.append(omega)
+        ys.append(y)
         _, r, u, z, f, rho_hat = ref.ls_step(r, u, z, f, params, y, omega, dt)
         dre.step(RegressionPair(y=y, omega=omega))
         dre.mix(mixing[k])
-        record(dre, k)
         delta, Y = ref.ls_mix(f, rho_hat, z, params)
         scale = float(np.max(np.abs(f))) * float(np.max(np.abs(u)))
         steps.append(LsStep(mixing[k, 0], mixing[k, 1:], dre.F, dre.rho_hat, delta, Y, r, f,
                             rho_hat, LS * (k + 1) * np.linalg.cond(r), scale))
-    return diag, steps
+    return replay(dre, np.array(omegas), np.array(ys)), steps
 
 
 ls_rows = st.lists(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=15, max_size=15),
@@ -521,7 +521,7 @@ def test_least_squares_mix_matches(rows, norm):
         assert_close(s.Y, s.want_Y, s.scale, rel=s.tol)
         assert_close(s.F, s.want_F, float(np.max(np.abs(s.want_F))), rel=s.tol)
         assert_close(s.rho_hat, s.want_rho_hat, s.scale, rel=s.tol)
-        # the record holds the eigenvalues of R = F^-1, ascending
+        # the history holds the eigenvalues of R = F^-1, ascending
         assert_close(diag["w"][k], np.linalg.eigvalsh(s.want_R),
                      float(np.max(np.abs(s.want_R))), rel=s.tol)
 

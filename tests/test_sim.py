@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
-from conftest import calls_per_step, run_staging, traced_peak
+from conftest import (calls_per_step, history, run_staging, trace_buffers, trace_bytes,
+                      traced_peak)
 from ftlab import _g17, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller)
@@ -235,8 +236,9 @@ class TestMixingRecord:
         trace = request.getfixturevalue(fixture)
         # the reference builds the Cramer stack with np.where and takes
         # np.linalg.det, the same bits as the mix's gather and det_stack
+        replayed = history(trace)
         want = [ref.kreis_mix(phi1, phi2) for phi1, phi2
-                in zip(trace.diagnostics["phi1"], trace.diagnostics["phi2"])]
+                in zip(replayed["phi1"], replayed["phi2"])]
         assert trace.delta.tobytes() == np.array([d for d, _ in want]).tobytes()
         assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
 
@@ -286,6 +288,36 @@ class TestMixingRecord:
 # largest float
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan,
                1.7976931348623157e308]
+
+
+class TestNoExtensionRecord:
+    """The trace keeps the run's extension and no per-step copy of its
+    state: ``drem.replay`` rebuilds that history from the pair record."""
+
+    @pytest.mark.parametrize("controller, parameterization", [
+        ("c1", "force_balance"), ("c2", "force_balance"), ("c2", "power_balance"),
+        ("c3", "force_balance"), ("c4", "force_balance")])
+    def test_trace_holds_no_per_step_extension_state(self, controller, parameterization):
+        trace = run_closed_loop(SimConfig(controller=controller, t_final=0.05,
+                                          parameterization=parameterization))
+        n, l_dim = len(trace), trace.extension.dim
+        assert not {"w", "z_forget", "phi1", "phi2"} & set(trace.diagnostics)
+        buffers = trace_buffers(trace)
+        assert not [b for b in buffers if b.shape == (n, l_dim, l_dim + 1)]
+        # the one (steps, l + 1) buffer is the controller's mixing record
+        wide = [b for b in buffers if b.shape == (n, l_dim + 1)]
+        mixed = "Y_mixed" in trace.diagnostics
+        assert len(wide) == mixed
+        if mixed:
+            assert trace.diagnostics["Y_mixed"].base is wide[0]
+        # bytes per step: the packed row (q, qd, tau, the estimate, Delta),
+        # the pair [Omega | y], the mixing row, t, e1, the Delta copy, the
+        # three monitors and c3's one-byte branch
+        n_out = trace.diagnostics["omega"].shape[1]
+        floats = (7 + trace.theta_hat.shape[1] + n_out * (l_dim + 1)
+                  + mixed * (l_dim + 1) + 1 + 2 + 1 + 3)
+        per_step = 8 * floats + ("branch" in trace.diagnostics)
+        assert trace_bytes(trace) <= n * per_step, (trace_bytes(trace), n * per_step)
 
 
 class TestPackedRecord:
@@ -446,7 +478,7 @@ class TestMetrics:
 
     def test_phi2_series_present_for_kreisselmeier(self, c2_case1):
         m = compute_metrics(c2_case1)
-        eigs = np.linalg.eigvalsh(c2_case1.diagnostics["phi2"])[:, 0]
+        eigs = np.linalg.eigvalsh(history(c2_case1)["phi2"])[:, 0]
         assert eigs.min() >= -1e-9
         # the final step's eigenvalue, as the batched solve gives it
         assert m.min_eig_phi2 == eigs[-1]
@@ -466,6 +498,36 @@ class TestMetrics:
     def test_text_rendering(self, c1_case1):
         text = compute_metrics(c1_case1).to_text()
         assert "settling_time=" in text and "chattering_amplitude=" in text
+
+    @staticmethod
+    def figures(m):
+        return struct.pack("5d", m.settling_time, m.steady_state_error,
+                           m.param_convergence_time, m.chattering_amplitude, m.zeta1_integral)
+
+    @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2", "c3_case2", "c4_case1"])
+    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, fixture, request):
+        # 7-row blocks (the last one short) against the whole-array pass and
+        # against one block of all the rows
+        trace = request.getfixturevalue(fixture)
+        want = ref.trace_figures(trace, trace.meta["settle_tol"], trace.meta["param_tol"],
+                                 ftlab.sim.STEADY_FRACTION)
+        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", 7)
+        blocked = compute_metrics(trace)
+        assert self.figures(blocked) == struct.pack("5d", *want)
+        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", len(trace))
+        assert compute_metrics(trace).to_text() == blocked.to_text()
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 36])
+    def test_short_traces_in_blocks_give_the_bits_of_one_pass(self, monkeypatch, n):
+        # traces shorter than, as long as and a few blocks longer than 7 rows,
+        # with exceedances anywhere
+        rng = np.random.default_rng(n)
+        trace = self.synthetic_trace(rng.uniform(0.0, 2e-3, n), rng.standard_normal((n, 2)))
+        trace.theta_hat = np.array([1.0, 2.0]) + rng.uniform(-0.1, 0.1, (n, 2))
+        trace.zeta1 = rng.uniform(0.0, 1.0, n)
+        want = ref.trace_figures(trace, 1e-3, 0.05, ftlab.sim.STEADY_FRACTION)
+        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", 7)
+        assert self.figures(compute_metrics(trace)) == struct.pack("5d", *want)
 
 
 class TestCsvRoundTrip:
