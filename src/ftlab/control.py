@@ -217,7 +217,8 @@ class _Estimate:
                          else tuple(np.asarray(theta_hat0, dtype=float).tolist()))
         if len(self.estimate) != dim:
             raise ValueError("theta_hat0 length does not match the estimate")
-        self.extension, self.regression, self.dt = extension, regression, dt
+        self.extension, self.regression = extension, regression
+        self.dt = None if dt is None else float(dt)
 
 
 class CompositeFtController(_Estimate):
@@ -237,8 +238,9 @@ class CompositeFtController(_Estimate):
         self._start(theta_hat0, len(adapt.gamma_diag), extension, regression, dt)
         self._mixing = None
         c, d = ftpd.b, adapt.sat_d
-        self._gains = (*ftpd.kp, *ftpd.kd, *ftpd.kd_lin, ftpd.a, c, adapt.g1d1, adapt.g12,
-                       d, c + d, *adapt.gamma_diag, *adapt.upsilon_diag)
+        self._gains = tuple(map(float, (*ftpd.kp, *ftpd.kd, *ftpd.kd_lin, ftpd.a, c, adapt.g1d1,
+                                        adapt.g12, d, c + d, *adapt.gamma_diag,
+                                        *adapt.upsilon_diag)))
 
     @classmethod
     def from_config(cls, config, plant) -> "CompositeFtController":
@@ -379,8 +381,9 @@ class SwitchingTsmController(_Estimate):
         self._branch = None
         self._nonlinear = True
         p = params
-        self._gains = (p.k1, p.k2, p.ks, p.clamp, a, -a * p.k2, p.gamma_tsm,
-                       p.gamma_tsm * p.k_tsm, p.gamma_lin, p.gamma_lin * p.k_lin)
+        self._gains = tuple(map(float, (p.k1, p.k2, p.ks, p.clamp, a, -a * p.k2, p.gamma_tsm,
+                                        p.gamma_tsm * p.k_tsm, p.gamma_lin,
+                                        p.gamma_lin * p.k_lin)))
 
     @classmethod
     def from_config(cls, config, plant) -> "SwitchingTsmController":
@@ -479,7 +482,7 @@ class SlotineLiLsController(_Estimate):
         self.ls = ls
         self._start(theta_hat0, self.estimate_dim,
                     LeastSquaresDre(self.estimate_dim, ls, dt=dt), regression, dt)
-        self._gains = (tsm.k1, tsm.k2, tsm.ks)
+        self._gains = tuple(map(float, (tsm.k1, tsm.k2, tsm.ks)))
 
     @classmethod
     def from_config(cls, config, plant) -> "SlotineLiLsController":

@@ -140,8 +140,8 @@ class LeastSquaresDre:
         _check_positive(dt=dt)
         self.params = params = params or LsDreParams()
         self.dim, self.dt = dim, float(dt)
-        f0 = params.f0
-        self._f0, self._beta0, self._gain_cap = f0, params.beta0, params.gain_cap
+        f0, self._beta0, self._gain_cap = map(float, (params.f0, params.beta0, params.gain_cap))
+        self._f0 = f0
         self._spectral = params.norm == "spectral"
         self.z = 1.0
         # [state; drive], which one product by [decay; gain] scales

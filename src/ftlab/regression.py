@@ -67,6 +67,13 @@ _pack12 = struct.Struct("12d").pack_into
 _cos, _sin = math.cos, math.sin
 
 
+def _floats(*vectors) -> list:
+    """Each joint vector as a list of Python floats, whatever sequence of
+    numbers the caller passes: a state seeded from numpy scalars would stay
+    numpy scalars, several times slower per operation, for the whole run."""
+    return [np.asarray(v, dtype=float).tolist() for v in vectors]
+
+
 def _check_positive(**values: float) -> None:
     """Raise ValueError naming the first of ``values`` that is not positive."""
     for name, value in values.items():
@@ -89,7 +96,7 @@ class PowerBalanceRegression:
         self.lambda0 = float(lambda0)
         self.lambda1 = float(lambda1)
         self._y = 0.0
-        self._z = tuple(-self.lambda0 * w for w in plant.energy_terms(q0, qd0))
+        self._z = tuple(-self.lambda0 * w for w in plant.energy_terms(*_floats(q0, qd0)))
         self.pair = RegressionPair(np.zeros(1), np.zeros((1, 5)))
         self._buf = memoryview(self.pair.aug)
 
@@ -146,7 +153,7 @@ class ForceBalanceRegression:
         self._grad_gain = self.lambda0 / (2.0 * self.lambda1)
         self._y = (0.0, 0.0)
         self._z = tuple(tuple(-self.lambda0 * f for f in row)
-                        for row in plant.basis_force_rows(q0, qd0))
+                        for row in plant.basis_force_rows(*_floats(q0, qd0)))
         self._omega_d2 = ((0.0, 0.0), (0.0, 0.0))
         self.pair = RegressionPair(np.zeros(2), np.zeros((2, 5)))
         self._buf = memoryview(self.pair.aug)

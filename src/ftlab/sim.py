@@ -329,7 +329,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q1, q2 = config.q0.tolist()
     qd1, qd2 = config.qd0.tolist()
     qdes1, qdes2 = config.q_d.tolist()
-    dt = config.dt
+    dt = float(config.dt)
     coulomb = friction.coulomb if noisy else None
 
     psi_rows, forward_dynamics, step = plant.psi_rows, plant.forward_dynamics, controller.step
@@ -448,6 +448,7 @@ def _last_exceed_time(t: np.ndarray, x: np.ndarray, tol: float, offset=0.0) -> f
 STEADY_FRACTION = 0.2
 
 
+@np.errstate(all="ignore")    # each figure is checked finite below
 def compute_metrics(trace: Trace, settle_tol: float | None = None,
                     param_tol: float | None = None,
                     gramian_start: float = 0.0,
@@ -458,10 +459,17 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
     magnitude exceeds its tolerance; the steady-state window is the trailing
     ``STEADY_FRACTION`` of the trace.  The Gramian window ends at the end of
     the trace at the latest.  Each figure runs over blocks of
-    ``MONITOR_ROWS`` rows, with the bits of one pass over the run.
+    ``MONITOR_ROWS`` rows, with the bits of one pass over the run.  numpy's
+    floating-point warnings are off; a figure that is not finite raises
+    NumericalDegeneracyError naming it.  The trace must come from
+    ``run_closed_loop``: one read back from CSV has no run metadata and no
+    omega record, and is a ValueError.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
+    if "theta_u_true" not in trace.meta or "omega" not in trace.diagnostics:
+        raise ValueError("the trace has no run metadata or omega record, as one read back "
+                         "from CSV has none; it cannot be scored")
     settle_tol = settle_tol if settle_tol is not None else trace.meta.get("settle_tol", 1e-3)
     param_tol = param_tol if param_tol is not None else trace.meta.get("param_tol", 0.05)
     t, n = trace.t, len(trace)
@@ -504,10 +512,14 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
                                    min(gramian_window, trace.t[-1] - gramian_start))
     gram_min = mathx.min_eig_sym(gram, sym_tol=1e-6)
 
-    return Metrics(settling_time=settling, steady_state_error=steady_err,
-                   param_convergence_time=param_time, chattering_amplitude=chatter,
-                   zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2,
-                   gramian_min_eig=float(gram_min))
+    metrics = Metrics(settling_time=settling, steady_state_error=steady_err,
+                      param_convergence_time=param_time, chattering_amplitude=chatter,
+                      zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2,
+                      gramian_min_eig=float(gram_min))
+    for name, value in vars(metrics).items():
+        if value is not None and not math.isfinite(value):
+            raise NumericalDegeneracyError(f"metric {name} is not finite ({value})")
+    return metrics
 
 
 def trace_columns(trace: Trace) -> tuple[list[str], list[np.ndarray]]:
@@ -535,7 +547,11 @@ def write_trace_csv(trace: Trace, stream) -> None:
 
 
 def read_trace_csv(stream) -> Trace:
-    """Rebuild a Trace (without diagnostics) from its CSV serialization."""
+    """Rebuild a Trace from its CSV serialization: t, q, qd, e1, tau,
+    theta_hat, Delta, zeta1, V1 and |z1|, each float bit for bit.  The CSV
+    holds no diagnostics (no omega, y or mixing record), no run metadata and
+    no extension, so the trace comes back without them and
+    ``compute_metrics`` refuses it."""
     header = stream.readline().strip().split(",")
     data = np.loadtxt(stream, delimiter=",", ndmin=2)
     cols = {name: data[:, i] for i, name in enumerate(header)}

@@ -345,6 +345,35 @@ class TestCliCommands:
             "numerical degeneracy: step 0 (t = 0 s): monitor V1 is not finite\n")
         assert not out.exists()
 
+    def test_non_finite_metric_is_a_degeneracy(self, tmp_path, capsys):
+        # the run's states stay finite, but the norm of a 1e200 position
+        # error overflows in the steady-state figure: simulate ends in the
+        # degeneracy exit naming the figure, with no numpy warning and no
+        # output, and sweep counts the job as failed
+        cfg = _write(tmp_path, "controller = c2\nparameterization = power_balance\n"
+                               "sim.q0 = 1e200,1e150\nplant.lc2 = 1e-320\nsim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: metric steady_state_error is not finite (inf)\n")
+        assert not out.exists()
+        assert main(["--config", str(cfg), "--controller", "c2", "--scenario", "case1",
+                     "--out", str(out), "sweep"]) == 3
+        assert capsys.readouterr().err.splitlines()[-1] == "1 of 1 runs failed"
+        assert not out.exists()
+
+    def test_huge_initial_velocity_prints_only_the_degeneracy_line(self, tmp_path, capsys):
+        # the power-balance filter starts from the energy terms of q0 and
+        # qd0 as floats, whose overflow is inf without a numpy warning
+        cfg = _write(tmp_path, "controller = c1\nparameterization = power_balance\n"
+                               "sim.qd0 = 0,-1e300\nsim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical degeneracy: step 0 (t = 0 s): least-squares information matrix R "
+            "has no eigendecomposition\n")
+        assert not out.exists()
+
     def test_initial_error_bound_prints_no_numpy_warning(self, tmp_path, capsys):
         # the bound's norms overflow without a warning: stderr holds the
         # config error alone, and a huge valid bound prints nothing

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import math
@@ -12,7 +13,7 @@ import ftlab
 import reference as ref
 from conftest import (calls_per_step, history, run_staging, trace_buffers, trace_bytes,
                       traced_peak)
-from ftlab import _g17, mathx, verify
+from ftlab import _g17, control, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
                            make_controller)
 from reference import sat
@@ -210,6 +211,58 @@ class TestRunClosedLoop:
     def test_energy_audit_case1(self, plant, c1_case1):
         result = verify.check_energy_audit(c1_case1, plant)
         assert result.passed, result.line()
+
+
+def _numpy_scalars(obj):
+    """``obj`` rebuilt with every float field a numpy scalar, recursively."""
+    return dataclasses.replace(obj, **{
+        f.name: (_numpy_scalars(v) if dataclasses.is_dataclass(v)
+                 else np.float64(v) if type(v) is float else v)
+        for f in dataclasses.fields(obj) for v in [getattr(obj, f.name)]})
+
+
+def _leaves(value):
+    """The scalars of a number or of nested tuples and lists of them."""
+    if isinstance(value, (tuple, list)):
+        return [x for item in value for x in _leaves(item)]
+    return [value]
+
+
+class TestFloatStepState:
+    # every number the step path carries from one sample to the next is a
+    # Python float, converted once where it is bound: numpy scalars in a
+    # library caller's config would otherwise make every operation on the
+    # state a numpy scalar operation, several times slower
+    @pytest.mark.parametrize("controller, scenario, parameterization", [
+        (c, s, p) for c in ("c1", "c2", "c3", "c4") for s in ("case1", "case2")
+        for p in ("power_balance", "force_balance")
+        if c != "c4" or p == "force_balance"])
+    def test_numpy_settings_give_float_state(self, monkeypatch, controller, scenario,
+                                              parameterization):
+        kept = []
+
+        def keep(config, plant):
+            kept.append(make_controller(config, plant))
+            return kept[-1]
+
+        monkeypatch.setattr(control, "make_controller", keep)
+        config = _numpy_scalars(SimConfig(controller=controller, scenario=scenario,
+                                          parameterization=parameterization,
+                                          t_final=0.01))
+        assert type(config.dt) is np.float64 and type(config.ftpd.r1) is np.float64
+        assert type(config.q0) is np.ndarray
+        run_closed_loop(config)
+        ctrl, = kept
+        reg, ext = ctrl.regression, ctrl.extension
+        held = {"estimate": ctrl.estimate, "dt": ctrl.dt, "_gains": ctrl._gains,
+                "regression._z": reg._z, "regression._y": reg._y}
+        if parameterization == "force_balance":
+            held["regression._omega_d2"] = reg._omega_d2
+        if isinstance(ext, LeastSquaresDre):
+            held.update({"extension._w": ext._w, "extension.z": ext.z})
+        for name, value in held.items():
+            leaves = _leaves(value)
+            assert leaves and all(type(x) is float for x in leaves), (name, value)
 
 
 def _eigenpair_mix(dre):
@@ -494,6 +547,21 @@ class TestMetrics:
         trace = self.synthetic_trace(np.zeros(0), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             compute_metrics(trace)
+
+    def test_trace_read_back_from_csv_is_refused(self):
+        # the CSV keeps the series but not the run's metadata or omega
+        back = read_trace_csv(io.StringIO(trace_csv_string(run_closed_loop(
+            SimConfig(t_final=0.05)))))
+        with pytest.raises(ValueError, match="read back from CSV"):
+            compute_metrics(back)
+
+    def test_non_finite_figure_is_a_named_degeneracy(self):
+        # an error whose squares overflow: the norms are inf, without a
+        # numpy warning, and the first figure they reach is named
+        trace = self.synthetic_trace(np.full(100, 1e200), np.zeros((100, 2)))
+        with pytest.raises(NumericalDegeneracyError,
+                           match=r"^metric steady_state_error is not finite \(inf\)$"):
+            compute_metrics(trace, gramian_window=40 * DT)
 
     def test_text_rendering(self, c1_case1):
         text = compute_metrics(c1_case1).to_text()
