@@ -27,21 +27,24 @@ pair of floats, and Delta.
 ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
 
-The n = 2 arithmetic runs on Python floats: joint vectors are any length-2
-sequences (pairs of floats on the step path), Psi(q) and M(q) any 2x2
-row sequences.  The gain vectors are tuples of floats too, checked
-positive at construction, and each family binds its gains and exponents
-once, at construction.  Only the l = 5 estimator algebra of c3 and c4 is
-numpy; c4 steps the least-squares extension's gain
-(``drem.LeastSquaresDre``) rather than a gain of its own.  Each step
-writes out what it takes: the composite law's seven signed powers
-<z>^p = ``copysign(abs(z) ** p, z) if z else 0.0``, its prediction error
-and saturation; and c3's <e1>^a, taken once for the switching value and
-the nonlinear branch, and lambda_max(M).  c3 and c4 share one Slotine-Li
-kernel, which gives the torque and W' s.  ``saturation`` is the checked
-form, of a float or an array, of the composite update's saturation, and
-``excitation_gain`` the zeta1 monitor's gain, both over
-``mathx.signed_power_vec``.
+The n = 2 arithmetic runs on Python floats: joint vectors are any
+length-2 sequences (pairs of floats on the step path), Psi(q) and M(q)
+any 2x2 row sequences.  The gain vectors are tuples of floats too,
+checked positive at construction, and each family binds its gains and
+exponents once, at construction, as the Python floats of ``_gains``, and
+``_Estimate._start`` binds the step size ``dt`` as a float: a setting
+given as a numpy scalar is converted there (the parameter objects keep
+it as given), so the estimate stays a tuple of floats.  Only the l = 5
+estimator algebra of c3 and c4 is numpy; c4 steps the least-squares
+extension's gain (``drem.LeastSquaresDre``) rather than a gain of its
+own.  Each step writes out what it takes: the composite law's seven
+signed powers <z>^p = ``copysign(abs(z) ** p, z) if z else 0.0``, its
+prediction error and saturation; and c3's <e1>^a, taken once for the
+switching value and the nonlinear branch, and lambda_max(M).  c3 and c4
+share one Slotine-Li kernel, which gives the torque and W' s.
+``saturation`` is the checked form, of a float or an array, of the
+composite update's saturation, and ``excitation_gain`` the zeta1
+monitor's gain, both over ``mathx.signed_power_vec``.
 """
 
 from __future__ import annotations

@@ -13,11 +13,15 @@ step size ``dt`` a filter is built with (and checks positive then).
 incoming measurement (state before the update), then advances the filter
 states; with the zero-transient initialization chosen here the identity
 y = Omega theta holds exactly at t = 0 and the residual stays at the
-integration-error level afterwards.  The filter states are Python floats,
-and each step writes out the plant's basis terms it samples (the energy
-terms, or the basis forces and their kinetic gradient, which share one cos
-and one sin of q2) in the order of operations of ``Plant.energy_terms``
-and ``Plant.basis_force_rows``, which start the filters; only the
+integration-error level afterwards.  The filter states are Python floats
+for the whole run: a filter converts q0 and qd0 to floats once, when it is
+built (``_floats``), and its lambda0, lambda1 and dt too, so that given
+float measurements, torque and Psi(q), as the runner and the controllers
+pass them, every step is float arithmetic.  Each step writes out the
+plant's basis terms it samples (the energy terms, or the basis forces and
+their kinetic gradient, which share one cos and one sin of q2) in the
+order of operations of ``Plant.energy_terms`` and
+``Plant.basis_force_rows``, which start the filters; only the
 force-balance filter samples ``psi``, Psi(q).  Each filter owns one
 ``RegressionPair`` for the whole run, ``pair``: a (n_out, l + 1) buffer
 [Omega | y] that ``step`` overwrites with one ``struct`` pack per sample
@@ -68,9 +72,8 @@ _cos, _sin = math.cos, math.sin
 
 
 def _floats(*vectors) -> list:
-    """Each joint vector as a list of Python floats, whatever sequence of
-    numbers the caller passes: a state seeded from numpy scalars would stay
-    numpy scalars, several times slower per operation, for the whole run."""
+    """Each joint vector as a list of Python floats, whatever the caller
+    passes: a state seeded from numpy scalars stays numpy scalars."""
     return [np.asarray(v, dtype=float).tolist() for v in vectors]
 
 

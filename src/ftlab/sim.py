@@ -70,7 +70,9 @@ class SimConfig:
     Each setting is one field; ``friction`` and ``noise`` are the models the
     run applies.  The parameter objects check their own ranges when they are
     made, and ``validate`` adds the finiteness, length and cross-field
-    checks.  The vectors stay numpy arrays.
+    checks.  The vectors are numpy arrays, and the scalars stay as given: a
+    run converts each number it carries from step to step to a Python float
+    where it binds it (see ``run_closed_loop``).
     """
 
     controller: str = "c1"
@@ -275,7 +277,10 @@ def _monitors(plant: Plant, config: SimConfig, q, qd, e1, theta_u, theta_u_true,
 def run_closed_loop(config: SimConfig) -> Trace:
     """Integrate the closed loop and return the full trace.
 
-    The loop carries q, qd and the estimate as Python floats.  Psi(q) is
+    The loop carries q, qd and the estimate as Python floats, whatever
+    number types the config holds: it takes q0, qd0 and q_d as lists of
+    floats and dt as a float, and the controller, its regression filter and
+    its extension convert what they bind when they are built.  Psi(q) is
     evaluated once per step (at the true and, in case2, at the measured
     configuration) and passed to the controller, which passes it to its
     regression filter, and to the plant step; M(q) is formed by the plant
