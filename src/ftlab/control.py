@@ -16,14 +16,14 @@ the filter and the extension the family builds at dt in ``from_config``;
 the runner records the filter's [Omega | y] buffer and keeps the extension
 in the trace, whose history ``drem.replay`` rebuilds from those pairs;
 ``diagnostics(n_rec)``, which allocates the series the family's step forms
-(the mixing record, c3's branch); ``step(k, e1, q, qd, psi)``, the one call
-per sample; and ``dre``, the name of the extension it mixes from.  ``step``
-takes the measured signals (under set-point regulation the velocity error e2
-is qd itself; c3 forms M(q) through its plant) and, in one method, forms the
-torque, feeds the regression filter, steps the family's regressor extension
-(c4: its least-squares gain) and mixes (c1-c3) straight into sample k of its
-mixing record, and Euler-steps the estimate at dt; it returns the torque, a
-pair of floats, and Delta.
+(c1/c2's mixing record, c3's branch); ``step(k, e1, q, qd, psi)``, the one
+call per sample; and ``dre``, the name of the extension it mixes from.
+``step`` takes the measured signals (under set-point regulation e2 is qd
+itself; c3 forms M(q) through its plant) and, in one method, forms the
+torque, feeds the regression filter, steps the family's extension (c4: its
+least-squares gain), mixes into sample k of its mixing record (c1, c2) or
+takes Delta alone (c3), and Euler-steps the estimate at dt; it returns the
+torque, a pair of floats, and Delta.
 ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
 
@@ -380,7 +380,6 @@ class SwitchingTsmController(_Estimate):
             raise ValueError("exponent a must lie in (0, 1)")
         self._start(theta_hat0, self.estimate_dim, extension, regression, dt)
         self.plant = plant
-        self._mixing = None
         self._branch = None
         self._nonlinear = True
         p = params
@@ -401,8 +400,8 @@ class SwitchingTsmController(_Estimate):
 
     def step(self, k: int, e1, q, qd, psi) -> tuple:
         """Branch selection and torque, then the filter and the extension
-        step, the mix into row k of the mixing record, and the Euler step of
-        the estimate.  M(q) is the plant's; the velocity error e2 is qd.
+        step, Delta = det(phi2) alone (the law reads no Y), and the Euler step
+        of the estimate.  M(q) is the plant's; the velocity error e2 is qd.
         The switching value e2' M e2 - lam_max(M) |k2 <e1>^a|^2 selects the
         branch; <e1>^a is taken once, for it and for the nonlinear branch.
         The estimate rate is -gamma W' s minus gamma k times the drift
@@ -432,7 +431,7 @@ class SwitchingTsmController(_Estimate):
         tau, w_s = _slotine_li(q, qd, qd_r, qdd_r, s, estimate, k1, ks)
         extension = self.extension
         extension.step(self.regression.step(q, qd, tau, psi))
-        delta = extension.mix(self._mixing[k])[0]
+        delta = extension.delta()
         self._nonlinear = nonlinear
         self._branch[k] = 0 if nonlinear else 1
         phi1, phi2 = extension.phi1, extension.phi2
@@ -459,10 +458,9 @@ class SwitchingTsmController(_Estimate):
         return "tsm" if self._nonlinear else "linear"
 
     def diagnostics(self, n_rec: int) -> dict:
-        self._mixing = np.empty((n_rec, self.extension.dim + 1))
         branch = np.empty(n_rec, dtype=np.int8)
         self._branch = memoryview(branch)
-        return {"Y_mixed": self._mixing[:, 1:], "branch": branch}
+        return {"branch": branch}
 
 
 class SlotineLiLsController(_Estimate):

@@ -345,6 +345,13 @@ class KreisselmeierDre:
         det_stack(self._stack, out=out)
         return _checked_mix(out)
 
+    def delta(self) -> float:
+        """Delta = det(phi2) alone, ``mix``'s first entry bit for bit, checked."""
+        delta = float(det_stack(self._phi2))
+        if not math.isfinite(delta):
+            raise NumericalDegeneracyError("mixing factor Delta is not finite")
+        return delta
+
 
 def replay(extension, omega: np.ndarray, y: np.ndarray) -> dict:
     """The per-step history of a run's ``extension``: a fresh one of its

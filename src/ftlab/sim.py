@@ -60,6 +60,7 @@ from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant
 
 SCENARIOS = ("case1", "case2")
 PARAMETERIZATIONS = ("power_balance", "force_balance")
+VECTORS = ("q_d", "q0", "qd0", "theta_bar", "theta_hat0")
 
 
 @dataclass
@@ -70,9 +71,9 @@ class SimConfig:
     Each setting is one field; ``friction`` and ``noise`` are the models the
     run applies.  The parameter objects check their own ranges when they are
     made, and ``validate`` adds the finiteness, length and cross-field
-    checks.  The vectors are numpy arrays, and the scalars stay as given: a
-    run converts each number it carries from step to step to a Python float
-    where it binds it (see ``run_closed_loop``).
+    checks.  The vectors (``VECTORS``) are float arrays however they are set,
+    compared by value in ``==``; the scalars stay as given: a run converts
+    each number it steps with to a float where it binds it (``run_closed_loop``).
     """
 
     controller: str = "c1"
@@ -100,11 +101,15 @@ class SimConfig:
     gramian_start: float = 0.0
     gramian_window: float = 2.0
 
-    def __post_init__(self):
-        for name in ("q_d", "q0", "qd0", "theta_bar"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.theta_hat0 is not None:
-            self.theta_hat0 = np.asarray(self.theta_hat0, dtype=float)
+    def __setattr__(self, name, value):
+        if name in VECTORS and not (value is None and name == "theta_hat0"):
+            value = np.asarray(value, dtype=float)
+        object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) if f.name in VECTORS
+            else getattr(self, f.name) == getattr(other, f.name) for f in dataclasses.fields(self))
 
     @property
     def effective_parameterization(self) -> str:

@@ -2,24 +2,25 @@
 revision, in microseconds and in Python-level calls per step, and of the
 memory a run stages beyond its trace.
 
-    python tests/step_ab.py REV [--rounds 10]
+    python tests/step_ab.py REV [--rounds 10] [--runs NAME,...]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory.
-Each round runs every entry of ``RUNS`` once per side, each in a fresh
-process that times ``sim.run_closed_loop`` over T_FINAL simulated seconds
-three times and keeps the fastest; the time covers the loop and its
-post-loop monitors and is divided by the number of steps.  The two sides
-alternate which runs first from one round to the next.  The table gives
-each side's median over the rounds, the median of the per-round ratios
-tree / REV as a change, the number of rounds in which the working tree was
-faster, and each side's Python-level calls per step, counted once per run
-and side after the timing by ``conftest.calls_per_step``, the counter of
-the call-budget test in ``test_sim.py``.  The same untimed pass takes each
-side's tracemalloc peak during ``run_closed_loop`` beyond the bytes of the
-trace it returns, in MB (``conftest.run_staging``, the measure of the
-bounded-staging test in ``test_sim.py``), and the bytes of that trace per
-1 000 steps, in MB (``conftest.trace_bytes``), so that a change in what a
-run keeps shows beside a change in what it stages.
+Each round runs every entry of ``RUNS`` (or the comma-separated names of
+``--runs``, so that a change to one family need not time all eight) once per
+side, each in a fresh process that times ``sim.run_closed_loop`` over
+T_FINAL simulated seconds three times and keeps the fastest; the time covers
+the loop and its post-loop monitors and is divided by the number of steps.
+The two sides alternate which runs first from one round to the next.  The
+table gives each side's median over the rounds, the median of the per-round
+ratios tree / REV as a change, the number of rounds in which the working
+tree was faster, and each side's Python-level calls per step, counted once
+per run and side after the timing by ``conftest.calls_per_step``, the
+counter of the call-budget test in ``test_sim.py``.  The same untimed pass
+takes each side's tracemalloc peak during ``run_closed_loop`` beyond the
+bytes of the trace it returns, in MB (``conftest.run_staging``, the measure
+of the bounded-staging test in ``test_sim.py``), and the bytes of that trace
+per 1 000 steps, in MB (``conftest.trace_bytes``), so that a change in what
+a run keeps shows beside a change in what it stages.
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
@@ -106,15 +107,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--runs", type=lambda text: text.split(","), default=list(RUNS),
+                        help=f"comma-separated names of RUNS to time: {','.join(RUNS)}")
     args = parser.parse_args()
+    unknown = [name for name in args.runs if name not in RUNS]
+    if unknown:
+        parser.error(f"unknown run(s) {', '.join(unknown)}; known: {', '.join(RUNS)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"tree": ROOT / "src", "rev": export(args.rev, Path(tmp))}
-        times = {name: {"tree": [], "rev": []} for name in RUNS}
-        counted = {name: {} for name in RUNS}
+        times = {name: {"tree": [], "rev": []} for name in args.runs}
+        counted = {name: {} for name in args.runs}
         for r in range(args.rounds):
             order = ("tree", "rev") if r % 2 == 0 else ("rev", "tree")
-            for name in RUNS:
+            for name in args.runs:
                 for side in order:
                     us, *extra = measure(sides[side], name, r == 0)
                     times[name][side].append(us)

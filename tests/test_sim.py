@@ -91,6 +91,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must have length {n}$"):
             run_closed_loop(SimConfig(t_final=0.05, **kwargs))
 
+    @pytest.mark.parametrize("name, value", [
+        ("q0", [3.0, 0.0]), ("qd0", (0.0, 0.0)), ("q_d", [2, 2]), ("theta_bar", [2.0, 8.0]),
+        ("theta_hat0", [0.0, 0.0])])
+    def test_vector_assigned_after_construction_is_a_float_array(self, name, value):
+        # a run reads the vectors as arrays, whenever they were set
+        config = SimConfig(t_final=0.01)
+        setattr(config, name, value)
+        assert type(getattr(config, name)) is np.ndarray
+        assert getattr(config, name).dtype == np.float64
+        want = run_closed_loop(SimConfig(t_final=0.01, **{name: value}))
+        assert run_closed_loop(config).q.tobytes() == want.q.tobytes()
+
+    def test_nonfinite_vector_assigned_after_construction_is_a_config_error(self):
+        config = SimConfig(t_final=0.01)
+        config.q0 = [np.nan, 0.0]
+        with pytest.raises(ConfigError, match=r"^q0 must be finite"):
+            run_closed_loop(config)
+
+    def test_equality_compares_vectors_by_value(self):
+        assert SimConfig() == SimConfig()
+        assert SimConfig(q0=[3, 0], theta_hat0=(1.0, 2.0)) == SimConfig(theta_hat0=[1, 2])
+        assert SimConfig() != SimConfig(q0=[3.0, 0.5])
+        assert SimConfig() != SimConfig(dt=1e-3)
+        # None and an array differ, whatever the array holds
+        assert SimConfig() != SimConfig(theta_hat0=[0.0, 0.0])
+        assert SimConfig(theta_hat0=[0.0, 0.0]) != SimConfig()
+
     def test_estimate_dimension_checked(self):
         with pytest.raises(ConfigError):
             SimConfig(controller="c1", theta_hat0=np.zeros(5)).validate()
@@ -174,9 +201,9 @@ class TestRunClosedLoop:
 
     @pytest.mark.parametrize("controller, scenario, parameterization, budget", [
         ("c1", "case1", None, 9), ("c2", "case1", None, 9),
-        ("c3", "case1", None, 14), ("c4", "case1", None, 14),
+        ("c3", "case1", None, 10), ("c4", "case1", None, 14),
         ("c1", "case2", None, 9), ("c2", "case2", None, 9),
-        ("c3", "case2", None, 14), ("c4", "case2", None, 14),
+        ("c3", "case2", None, 11), ("c4", "case2", None, 14),
         ("c2", "case2", "power_balance", 8)])
     def test_a_step_makes_a_fixed_budget_of_python_calls(self, controller, scenario,
                                                          parameterization, budget):
@@ -281,7 +308,8 @@ def _eigenpair_mix(dre):
 
 class TestMixingRecord:
     """Each step's mix writes [Delta | Y] into the run's mixing record, whose
-    [:, 1:] is ``Y_mixed``; the recorded Delta is its first entry."""
+    [:, 1:] is ``Y_mixed``; the recorded Delta is its first entry.  c3 takes
+    Delta alone and keeps no mixing record."""
 
     @pytest.mark.parametrize("fixture", ["c2_case1", "c2_case1_pb", "c3_case2"])
     def test_kreisselmeier_row_is_det_and_cramer_of_the_recorded_state(self, fixture,
@@ -293,6 +321,12 @@ class TestMixingRecord:
         want = [ref.kreis_mix(phi1, phi2) for phi1, phi2
                 in zip(replayed["phi1"], replayed["phi2"])]
         assert trace.delta.tobytes() == np.array([d for d, _ in want]).tobytes()
+        if trace.meta["controller"] == "c3":
+            # its law reads phi1 and phi2, not Y: no Y and no (steps, l + 1) row
+            assert "Y_mixed" not in trace.diagnostics
+            row = (trace.extension.dim + 1,)
+            assert not [b for b in trace_buffers(trace) if b.shape[1:] == row]
+            return
         assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
 
     def test_least_squares_row_is_the_eigenpair_formula(self, monkeypatch):
