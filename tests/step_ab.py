@@ -5,22 +5,23 @@ memory a run stages beyond its trace.
     python tests/step_ab.py REV [--rounds 10] [--runs NAME,...]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory.
-Each round runs every entry of ``RUNS`` (or the comma-separated names of
-``--runs``, so that a change to one family need not time all eight) once per
-side, each in a fresh process that times ``sim.run_closed_loop`` over
-T_FINAL simulated seconds three times and keeps the fastest; the time covers
-the loop and its post-loop monitors and is divided by the number of steps.
-The two sides alternate which runs first from one round to the next.  The
-table gives each side's median over the rounds, the median of the per-round
-ratios tree / REV as a change, the number of rounds in which the working
-tree was faster, and each side's Python-level calls per step, counted once
-per run and side after the timing by ``conftest.calls_per_step``, the
-counter of the call-budget test in ``test_sim.py``.  The same untimed pass
-takes each side's tracemalloc peak during ``run_closed_loop`` beyond the
-bytes of the trace it returns, in MB (``conftest.run_staging``, the measure
-of the bounded-staging test in ``test_sim.py``), and the bytes of that trace
-per 1 000 steps, in MB (``conftest.trace_bytes``), so that a change in what
-a run keeps shows beside a change in what it stages.
+Each round runs every entry of ``RUNS`` once per side, each in a fresh
+process that times ``sim.run_closed_loop`` over T_FINAL simulated seconds
+three times and keeps the fastest; the time covers the loop and its
+post-loop monitors and is divided by the number of steps.  ``--runs``
+times only the named entries, so that a change to one family need not
+time all eight.  The two sides alternate which runs first from one round
+to the next.  The table gives
+each side's median over the rounds, the median of the per-round ratios
+tree / REV as a change, the number of rounds in which the working tree was
+faster, and each side's Python-level calls per step, counted once per run
+and side after the timing by ``conftest.calls_per_step``, the counter of
+the call-budget test in ``test_sim.py``.  The same untimed pass takes each
+side's tracemalloc peak during ``run_closed_loop`` beyond the bytes of the
+trace it returns, in MB (``conftest.run_staging``, the measure of the
+bounded-staging test in ``test_sim.py``), and the bytes of that trace per
+1 000 steps, in MB (``conftest.trace_bytes``), so that a change in what a
+run keeps shows beside a change in what it stages.
 
 This measures the library's step path alone, without the imports, the CSV
 and the metrics that ``perfbench/`` times end to end; it serves changes of
