@@ -6,7 +6,8 @@ common sim keys) or section-prefixed (sim., plant., gains., dre.).
 ``CONFIG_KEYS`` maps each key to the one field it sets.  Vectors are
 comma-separated; every number must be finite.  Unknown keys, and a field
 set twice, are rejected with their line numbers.  An empty file reproduces
-the reference c1/case1 study.
+the reference c1/case1 study.  A file is parsed once, into SimConfig
+keyword arguments, and each run's SimConfig is checked whole when it is built.
 
 Exit codes: 0 success, 2 configuration error (also a record too large to
 allocate), 3 numerical degeneracy, 4 property failure (verify).
@@ -69,18 +70,16 @@ def _parse_diag(key: str, raw: str, length: int = 2) -> np.ndarray:
     return vec
 
 
-def _parse_enum(key: str, raw: str, options: tuple) -> str:
-    if raw not in options:
-        raise ConfigError(f"{key}: must be one of {options}, got {raw!r}")
-    return raw
-
-
 def _pair(key: str, raw: str) -> np.ndarray:
     return _parse_vector(key, raw, 2)
 
 
 def _enum(options: tuple):
-    return lambda key, raw: _parse_enum(key, raw, options)
+    def parse(key: str, raw: str) -> str:
+        if raw not in options:
+            raise ConfigError(f"{key}: must be one of {options}, got {raw!r}")
+        return raw
+    return parse
 
 
 # config key -> (the SimConfig attribute whose dataclass holds the field, or
@@ -142,15 +141,14 @@ _ROD_FIELDS = ("m1", "m2", "l1", "l2", "g")
 
 def parse_config(text: str) -> SimConfig:
     """Parse a key=value config into a fully populated, validated SimConfig."""
-    config = _read_config(text)
-    config.validate()
-    return config
+    return SimConfig(**_config_kwargs(text))
 
 
-def _read_config(text: str) -> SimConfig:
-    """The SimConfig of a key=value config, checked key by key but not yet
-    validated as a whole.  A field set twice, under one spelling or two, is
-    an error naming both lines."""
+def _config_kwargs(text: str) -> dict:
+    """The SimConfig keyword arguments of a key=value config, checked key by
+    key, with the parameter objects built.  A field set twice, under one
+    spelling or two, is an error naming both lines, and so is a parameter
+    object that refuses its fields, naming the keys and lines that set it."""
     fields: dict = {}    # attribute -> {field: value}
     sources: dict = {}   # (attribute, field) -> "key (line n)"
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -177,35 +175,30 @@ def _read_config(text: str) -> SimConfig:
         except ConfigError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
 
-    config = SimConfig(**fields.pop(None, {}))
+    kwargs = fields.pop(None, {})
     for attr, values in fields.items():
         try:
-            base = getattr(config, attr)
-            if attr == "params":
-                base = PhysicalParams.uniform_rods(**{k: values[k] for k in _ROD_FIELDS
-                                                      if k in values})
-            setattr(config, attr, dataclasses.replace(base, **values))
+            # SimConfig's default object, or the uniform-rod arm of the given links
+            base = (PhysicalParams.uniform_rods(**{k: values[k] for k in _ROD_FIELDS
+                                                   if k in values})
+                    if attr == "params" else getattr(SimConfig, attr))
+            kwargs[attr] = dataclasses.replace(base, **values)
         except (ValueError, ArithmeticError) as exc:
             keys = [source for (held, _), source in sources.items() if held == attr]
             raise ConfigError(f"{', '.join(keys)}: {exc}") from None
-    return config
-
-
-def _read_file(path: str | None) -> SimConfig:
-    return _read_config(Path(path).read_text() if path else "")
+    return kwargs
 
 
 def load_config(path: str | None, controller: str | None = None,
                 scenario: str | None = None) -> SimConfig:
-    """The config file's SimConfig with the command line's overrides,
-    validated after they are applied."""
-    config = _read_file(path)
+    """The SimConfig of the config file at ``path`` (none: the empty config)
+    with the command line's controller and scenario, where given."""
+    kwargs = _config_kwargs(Path(path).read_text() if path else "")
     if controller is not None:
-        config.controller = _parse_enum("controller", controller, CONTROLLERS)
+        kwargs["controller"] = controller
     if scenario is not None:
-        config.scenario = _parse_enum("scenario", scenario, SCENARIOS)
-    config.validate()
-    return config
+        kwargs["scenario"] = scenario
+    return SimConfig(**kwargs)
 
 
 def _run_and_write(config: SimConfig, out_dir: Path) -> None:
@@ -267,22 +260,22 @@ def cmd_sweep(args) -> int:
     i/o failure ends the sweep.  Each job is validated for its own
     controller: a configured theta_hat0 goes to the controllers whose
     estimate has its length, and the others start from zeros."""
-    base = _read_file(args.config)
+    base = _config_kwargs(Path(args.config).read_text() if args.config else "")
+    theta_hat0 = base.pop("theta_hat0", None)
     scenarios = [args.scenario] if args.scenario else SCENARIOS
     controllers = [args.controller] if args.controller else CONTROLLERS
     jobs = []
     for controller in controllers:
         dim = control.FAMILIES[controller].estimate_dim
+        fits = theta_hat0 is None or theta_hat0.size == dim
         for scenario in scenarios:
-            config = dataclasses.replace(base, controller=controller, scenario=scenario)
             out = Path(args.out) / f"{controller}_{scenario}"
-            if base.theta_hat0 is not None and base.theta_hat0.size != dim:
-                config.theta_hat0 = None
-                print(f"{out}: theta_hat0 has {base.theta_hat0.size} entries and "
+            if not fits:
+                print(f"{out}: theta_hat0 has {theta_hat0.size} entries and "
                       f"{controller} estimates {dim}; starting from zeros",
                       file=sys.stderr)
-            config.validate()
-            jobs.append((config, out))
+            jobs.append((SimConfig(**dict(base, controller=controller, scenario=scenario,
+                                          theta_hat0=theta_hat0 if fits else None)), out))
     failed = 0
     for config, out in jobs:
         try:

@@ -63,17 +63,19 @@ PARAMETERIZATIONS = ("power_balance", "force_balance")
 VECTORS = ("q_d", "q0", "qd0", "theta_bar", "theta_hat0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Complete description of one run; defaults reproduce the reference
     c1/case1 study (regulation to q_d = [2, 2] from q0 = [3, 0]).
 
     Each setting is one field; ``friction`` and ``noise`` are the models the
-    run applies.  The parameter objects check their own ranges when they are
-    made, and ``validate`` adds the finiteness, length and cross-field
-    checks.  The vectors (``VECTORS``) are float arrays however they are set,
-    compared by value in ``==``; the scalars stay as given: a run converts
-    each number it steps with to a float where it binds it (``run_closed_loop``).
+    run applies.  A config is frozen and valid: the parameter objects check
+    their own ranges when they are made, and ``__post_init__`` copies the
+    vectors (``VECTORS``, any float sequences) into read-only float64
+    arrays, compared by value in ``==``, then calls ``validate``.  So
+    ``dataclasses.replace`` varies a config and checks it again.  The
+    scalars stay as given: a run converts each number it steps with to a
+    float where it binds it (``run_closed_loop``).
     """
 
     controller: str = "c1"
@@ -81,19 +83,19 @@ class SimConfig:
     parameterization: str | None = None     # default: force_balance
     dt: float = 5e-4
     t_final: float = 10.0
-    q_d: np.ndarray = field(default_factory=lambda: np.array([2.0, 2.0]))
-    q0: np.ndarray = field(default_factory=lambda: np.array([3.0, 0.0]))
-    qd0: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0]))
-    params: PhysicalParams = field(default_factory=PhysicalParams.uniform_rods)
-    theta_bar: np.ndarray = field(default_factory=lambda: np.array([2.0, 8.0]))
+    q_d: np.ndarray = (2.0, 2.0)
+    q0: np.ndarray = (3.0, 0.0)
+    qd0: np.ndarray = (0.0, 0.0)
+    params: PhysicalParams = PhysicalParams.uniform_rods()
+    theta_bar: np.ndarray = (2.0, 8.0)
     theta_hat0: np.ndarray | None = None
-    friction: FrictionModel = field(default_factory=FrictionModel)
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    ftpd: control.FtPdGains = field(default_factory=control.FtPdGains)
-    adapt: control.CompositeAdaptGains = field(default_factory=control.CompositeAdaptGains)
-    tsm: control.TsmParams = field(default_factory=control.TsmParams)
-    ls: drem.LsDreParams = field(default_factory=drem.LsDreParams)
-    kreis: drem.KreisParams = field(default_factory=drem.KreisParams)
+    friction: FrictionModel = FrictionModel()
+    noise: NoiseModel = NoiseModel()
+    ftpd: control.FtPdGains = control.FtPdGains()
+    adapt: control.CompositeAdaptGains = control.CompositeAdaptGains()
+    tsm: control.TsmParams = control.TsmParams()
+    ls: drem.LsDreParams = drem.LsDreParams()
+    kreis: drem.KreisParams = drem.KreisParams()
     lambda0: float | None = None
     lambda1: float = 1.0
     settle_tol: float = 1e-3
@@ -101,10 +103,14 @@ class SimConfig:
     gramian_start: float = 0.0
     gramian_window: float = 2.0
 
-    def __setattr__(self, name, value):
-        if name in VECTORS and not (value is None and name == "theta_hat0"):
-            value = np.asarray(value, dtype=float)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        for name in VECTORS:
+            value = getattr(self, name)
+            if value is not None or name != "theta_hat0":
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        self.validate()
 
     def __eq__(self, other):
         return type(other) is type(self) and all(
@@ -133,8 +139,9 @@ class SimConfig:
         return int(math.floor(self.t_final / self.dt + 1e-9))
 
     def validate(self):
-        """Range and consistency checks; raises ConfigError naming the key.
-        The rules of one controller family are its class's check_config."""
+        """Range, finiteness, length and cross-field checks, which every built
+        config has passed; raises ConfigError naming the key.  The rules of
+        one controller family are its class's check_config."""
         for key, value in _numeric_fields(self):
             if not all(map(math.isfinite, np.ravel(value).tolist())):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -163,7 +170,8 @@ class SimConfig:
         # every vector is a joint vector or a theta_u bound, except theta_hat0
         # (the family's check)
         for key, value in _numeric_fields(self):
-            if np.ndim(value) and key != "theta_hat0" and np.shape(value) != (2,):
+            if (key in VECTORS or np.ndim(value)) and key != "theta_hat0" \
+                    and np.shape(value) != (2,):
                 raise ConfigError(f"{key} must have length 2")
         if not np.all(self.theta_bar > 0.0):
             raise ConfigError(f"theta_bar entries must be positive, got {self.theta_bar}")
@@ -302,9 +310,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     NumericalDegeneracyError naming it, the step and the time, and so does
     a float overflow within a step.  A record too large to
     allocate, or beyond numpy's index range, is a ConfigError naming the
-    step count.
+    step count; the config itself was checked when it was built.
     """
-    config.validate()
     plant = Plant.two_link(config.params)
     theta_true = plant.theta
     l_dim = theta_true.size

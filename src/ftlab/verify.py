@@ -165,9 +165,8 @@ def check_regression_residual(parameterization: str, t_final: float = 5.0) -> Pr
                           f"max |y - Omega theta| = {worst:.3e} (bound {bound:.1e})")
 
 
-def check_mixing_identity(controller: str, trace: Trace | None = None) -> PropertyResult:
-    if trace is None:
-        trace = run_closed_loop(SimConfig(controller=controller, t_final=5.0))
+def check_mixing_identity(controller: str, trace: Trace) -> PropertyResult:
+    """Y = Delta theta, scaled by 1 + |Delta| |theta|, along ``trace``, a run of ``controller``."""
     theta = trace.meta["theta_true"]
     scale = 1.0 + np.abs(trace.delta) * np.linalg.norm(theta)
     resid = np.linalg.norm(trace.diagnostics["Y_mixed"]

@@ -1,20 +1,26 @@
+import contextlib
 import dataclasses
 import io
+import math
 import re
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ftlab
-from ftlab import verify
+from ftlab import cli, verify
 from ftlab.cli import CONFIG_KEYS, main, parse_config
 from ftlab.control import CompositeAdaptGains, FtPdGains, make_controller
 from ftlab.drem import KreisselmeierDre
 from ftlab.errors import ConfigError
 from ftlab.plant import FrictionModel, Plant, ThetaVector
-from ftlab.sim import CONTROLLERS, SCENARIOS, SimConfig, read_trace_csv
+from ftlab.sim import CONTROLLERS, PARAMETERIZATIONS, SCENARIOS, SimConfig, read_trace_csv
 
 
 class TestParseConfig:
@@ -101,6 +107,17 @@ class TestParseConfig:
             parse_config("dt=")
         with pytest.raises(ConfigError, match="q_d"):
             parse_config("q_d=1,2,3")
+
+    @pytest.mark.parametrize("text, message", [
+        ("sim.dt = fast\n", "line 1: sim.dt: expected a number, got 'fast'"),
+        ("gains.P = 1, 2, 3\n", "line 1: gains.P: expected 1 or 2 entries, got 3"),
+        ("controller = c9\n",
+         "line 1: controller: must be one of ('c1', 'c2', 'c3', 'c4'), got 'c9'"),
+    ], ids=["not_a_number", "diagonal_length", "enum_value"])
+    def test_value_check_names_line_and_key(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
     def test_bad_gain_combination(self):
         with pytest.raises(ConfigError, match="gains"):
@@ -558,6 +575,13 @@ class TestCliCommands:
         monkeypatch.setattr(cli_mod.verify, "run_all", lambda t_final: broken)
         assert main(["--out", str(tmp_path), "verify"]) == 4
 
+    def test_verify_success_exit_code(self, tmp_path, monkeypatch, capsys):
+        from ftlab import cli as cli_mod
+        passing = [verify.PropertyResult("synthetic", True, "holds")]
+        monkeypatch.setattr(cli_mod.verify, "run_all", lambda t_final: passing)
+        assert main(["--out", str(tmp_path), "verify"]) == 0
+        assert capsys.readouterr().out == "[PASS] synthetic: holds\nall 1 properties passed\n"
+
     def test_sweep_writes_grid(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("t_final=0.05\n")
@@ -700,6 +724,10 @@ class TestVerifySuite:
         result = verify.check_cramer_matches_adjugate(n_samples=20)
         assert not result.passed
 
+    def test_adjugate_of_a_scalar_is_one(self):
+        # the 1x1 case has no minors: A adj(A) = det(A) I needs adj(A) = [[1]]
+        np.testing.assert_array_equal(verify.adjugate([[5.0]]), [[1.0]])
+
     def test_gain_range_sweep_reaches_zero(self):
         # the default sweep covers Delta = 0 and the subnormals around it
         result = verify.check_excitation_gain_range()
@@ -709,3 +737,68 @@ class TestVerifySuite:
     def test_result_lines_render(self):
         result = verify.check_signed_power_odd(n_samples=50)
         assert result.line().startswith("[PASS]")
+
+
+# the failure-contract fuzzer's values for a number; an enum key draws from
+# its options instead, and a vector key a count of these its parser takes
+# (a wrong count is a parse error, which TestParseConfig covers)
+FUZZ_NUMBERS = ("0", "1", "-1", "3", "-3", "1e9", "1e-9", "1e150", "1e-150", "1e100",
+                "1e200", "1e-200", "1e300", "-1e300", "1e-320")
+FUZZ_ENUMS = {"controller": CONTROLLERS, "scenario": SCENARIOS,
+              "parameterization": PARAMETERIZATIONS, "dre.norm": ("spectral", "frobenius")}
+FUZZ_SIZES = {cli._pair: (2,), cli._parse_diag: (1, 2), cli._parse_vector: (2, 5)}
+# an example whose step count lies between these is not run: sim.dt = 1e-9
+# makes a valid run of 10^7 steps, minutes long, and no other drawn setting
+# comes near; a count beyond numpy's index range is refused before any step
+FUZZ_MAX_STEPS, FUZZ_UNINDEXABLE_STEPS = 10_000, 2 ** 63
+
+
+@st.composite
+def fuzzed_config(draw) -> str:
+    """A config text at sim.t_final = 0.01 or 0.05 that sets 1-6 other keys."""
+    keys = draw(st.lists(st.sampled_from(sorted(set(CONFIG_KEYS) - {"sim.t_final"})),
+                         min_size=1, max_size=6, unique=True))
+    lines = [f"sim.t_final = {draw(st.sampled_from(('0.01', '0.05')))}"]
+    for key in keys:
+        if key in FUZZ_ENUMS:
+            value = draw(st.sampled_from(FUZZ_ENUMS[key]))
+        else:
+            size = draw(st.sampled_from(FUZZ_SIZES.get(CONFIG_KEYS[key][2], (1,))))
+            value = ", ".join(draw(st.lists(st.sampled_from(FUZZ_NUMBERS),
+                                            min_size=size, max_size=size)))
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFailureContract:
+    """Every run ends in exit 0, 2 or 3.  Exit 0 writes both files, with
+    finite metrics, and nothing on stderr; any other exit prints one stderr
+    line and leaves no output directory.  A warning counts as stderr."""
+
+    @settings(max_examples=100, derandomize=True, database=None)
+    @given(text=fuzzed_config())
+    def test_a_run_keeps_the_failure_contract(self, text):
+        try:
+            steps = parse_config(text).n_steps
+        except ConfigError:
+            steps = 0
+        assume(not FUZZ_MAX_STEPS < steps < FUZZ_UNINDEXABLE_STEPS)
+        with tempfile.TemporaryDirectory() as root:
+            cfg, out = Path(root) / "run.cfg", Path(root) / "out"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["--config", str(cfg), "--out", str(out), "simulate"])
+            err = err.getvalue()
+            assert code in (0, 2, 3), (code, err)
+            assert caught == [], [str(w.message) for w in caught]
+            if code == 0:
+                assert err == "" and (out / "trace.csv").is_file()
+                metrics = dict(line.split("=") for line in
+                               (out / "metrics.txt").read_text().splitlines())
+                assert all(math.isfinite(float(v)) for v in metrics.values()), metrics
+            else:
+                assert err.endswith("\n") and err.count("\n") == 1, err
+                assert not out.exists()

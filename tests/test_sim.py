@@ -14,14 +14,14 @@ import reference as ref
 from conftest import (calls_per_step, history, run_staging, trace_buffers, trace_bytes,
                       traced_peak)
 from ftlab import _g17, control, mathx, verify
-from ftlab.control import (CompositeAdaptGains, FtPdGains, excitation_gain,
+from ftlab.control import (CompositeAdaptGains, FtPdGains, TsmParams, excitation_gain,
                            make_controller)
 from reference import sat
-from ftlab.drem import KreisselmeierDre, LeastSquaresDre
+from ftlab.drem import KreisParams, KreisselmeierDre, LeastSquaresDre, excitation_gramian
 from ftlab.errors import ConfigError, NumericalDegeneracyError
-from ftlab.plant import FrictionModel, NoiseModel, Plant
+from ftlab.plant import FrictionModel, NoiseModel, Plant, ThetaVector
 from ftlab.regression import RegressionPair
-from ftlab.sim import (SimConfig, Trace, compute_metrics, lyapunov_v1,
+from ftlab.sim import (VECTORS, SimConfig, Trace, compute_metrics, lyapunov_v1,
                        read_trace_csv, run_closed_loop, trace_columns, trace_csv_string,
                        write_trace_csv)
 
@@ -91,23 +91,59 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^{key} must have length {n}$"):
             run_closed_loop(SimConfig(t_final=0.05, **kwargs))
 
+    def test_fields_cannot_be_assigned(self):
+        config = SimConfig(t_final=0.01)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.q0 = [3.0, 0.0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.dt = 1e-3
+
+    @pytest.mark.parametrize("name", VECTORS)
+    def test_vectors_are_read_only(self, name):
+        config = SimConfig(t_final=0.01, theta_hat0=[0.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(config, name)[0] = 1.0
+
     @pytest.mark.parametrize("name, value", [
         ("q0", [3.0, 0.0]), ("qd0", (0.0, 0.0)), ("q_d", [2, 2]), ("theta_bar", [2.0, 8.0]),
-        ("theta_hat0", [0.0, 0.0])])
-    def test_vector_assigned_after_construction_is_a_float_array(self, name, value):
-        # a run reads the vectors as arrays, whenever they were set
-        config = SimConfig(t_final=0.01)
-        setattr(config, name, value)
-        assert type(getattr(config, name)) is np.ndarray
-        assert getattr(config, name).dtype == np.float64
-        want = run_closed_loop(SimConfig(t_final=0.01, **{name: value}))
-        assert run_closed_loop(config).q.tobytes() == want.q.tobytes()
+        ("theta_hat0", (0, 0))])
+    def test_vector_given_as_a_sequence_is_a_float_array(self, name, value):
+        vec = getattr(SimConfig(t_final=0.01, **{name: value}), name)
+        assert type(vec) is np.ndarray and vec.dtype == np.float64
+        assert vec.tolist() == [float(x) for x in value]
 
-    def test_nonfinite_vector_assigned_after_construction_is_a_config_error(self):
-        config = SimConfig(t_final=0.01)
-        config.q0 = [np.nan, 0.0]
-        with pytest.raises(ConfigError, match=r"^q0 must be finite"):
-            run_closed_loop(config)
+    def test_vector_is_a_copy_of_the_given_array(self):
+        q0 = np.array([3.0, 0.5])
+        config = SimConfig(q0=q0)
+        q0[0] = 1.0
+        assert config.q0.tolist() == [3.0, 0.5] and q0.flags.writeable
+
+    @pytest.mark.parametrize("change, message", [
+        ({"q0": [np.nan, 0.0]}, "q0 must be finite, got [nan  0.]"),
+        ({"dt": -1.0}, "dt must be positive, got -1.0"),
+        ({"controller": "c3", "theta_hat0": [0.0, 0.0]}, "theta_hat0 must have length 5 for c3"),
+        ({"scenario": "case3"}, "scenario must be one of ('case1', 'case2'), got 'case3'"),
+        ({"parameterization": "energy"},
+         "parameterization must be one of ('power_balance', 'force_balance')"),
+        ({"lambda1": 0.0}, "lambda0 and lambda1 must be positive"),
+        ({"settle_tol": 0.0}, "settle_tol must be positive"),
+        ({"q0": 3.0}, "q0 must have length 2"),
+    ], ids=["q0_nan", "dt_negative", "theta_hat0_length", "scenario", "parameterization",
+            "lambda1", "settle_tol", "q0_scalar"])
+    @pytest.mark.parametrize("build", ["construction", "replace"])
+    def test_invalid_field_is_a_config_error_when_built(self, change, message, build):
+        with pytest.raises(ConfigError) as info:
+            if build == "construction":
+                SimConfig(**change)
+            else:
+                dataclasses.replace(SimConfig(), **change)
+        assert str(info.value) == message
+
+    def test_replace_gives_the_config_built_with_its_fields(self):
+        varied = dataclasses.replace(SimConfig(), q0=[1, 0], dt=1e-3)
+        assert varied == SimConfig(q0=np.array([1.0, 0.0]), dt=1e-3)
+        assert not varied.q0.flags.writeable
+        varied.validate()    # a built config passes its checks again
 
     def test_equality_compares_vectors_by_value(self):
         assert SimConfig() == SimConfig()
@@ -123,6 +159,30 @@ class TestConfig:
             SimConfig(controller="c1", theta_hat0=np.zeros(5)).validate()
         with pytest.raises(ConfigError):
             SimConfig(controller="c3", theta_hat0=np.zeros(2)).validate()
+
+
+# checks of the library's own arguments, which no config reaches:
+# name -> (the call, its ValueError's message)
+LIBRARY_CHECKS = {
+    "tsm_exponent": (lambda: control.SwitchingTsmController(TsmParams(), 1.0, Plant.two_link()),
+                     "exponent a must lie in (0, 1)"),
+    "kreis_lambda": (lambda: KreisParams(lambda2=0.0), "lambda2 and lambda3 must be positive"),
+    "gramian_window": (lambda: excitation_gramian(np.arange(3.0), np.zeros((3, 2, 5)), 0.0, 0.0),
+                       "window length must be positive"),
+    "min_eig_square": (lambda: mathx.min_eig_sym(np.zeros((2, 3))),
+                       "matrix must be square, got shape (2, 3)"),
+    "plant_theta": (lambda: Plant(ThetaVector((1.0, 2.0), (3.0, 4.0))),
+                    "the closed forms are those of the two-link arm: three inertia and two "
+                    "potential parameters"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY_CHECKS))
+def test_library_argument_check_names_its_error(name):
+    call, message = LIBRARY_CHECKS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestRunClosedLoop:
