@@ -63,7 +63,7 @@ PARAMETERIZATIONS = ("power_balance", "force_balance")
 VECTORS = ("q_d", "q0", "qd0", "theta_bar", "theta_hat0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)    # __eq__ below; arrays do not hash
 class SimConfig:
     """Complete description of one run; defaults reproduce the reference
     c1/case1 study (regulation to q_d = [2, 2] from q0 = [3, 0]).

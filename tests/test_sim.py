@@ -154,6 +154,10 @@ class TestConfig:
         assert SimConfig() != SimConfig(theta_hat0=[0.0, 0.0])
         assert SimConfig(theta_hat0=[0.0, 0.0]) != SimConfig()
 
+    def test_config_is_not_hashable(self):
+        with pytest.raises(TypeError, match="unhashable type: 'SimConfig'"):
+            hash(SimConfig())
+
     def test_estimate_dimension_checked(self):
         with pytest.raises(ConfigError):
             SimConfig(controller="c1", theta_hat0=np.zeros(5)).validate()
