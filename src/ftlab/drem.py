@@ -371,10 +371,6 @@ def replay(extension, omega: np.ndarray, y: np.ndarray) -> dict:
             else {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]})
 
 
-# trapezoid intervals per block of ``excitation_gramian``
-GRAMIAN_ROWS = 1024
-
-
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,
                        t1: float, window: float) -> np.ndarray:
     """Trapezoidal integral of Omega' Omega over [t1, t1 + window].
@@ -383,12 +379,13 @@ def excitation_gramian(t: np.ndarray, omega: np.ndarray,
     (steps, n_out, l).  The window endpoints are snapped to the grid; the
     smallest eigenvalue of the result is the excitation level of the window.
 
-    The integral runs over blocks of ``GRAMIAN_ROWS`` intervals, in
-    ``np.trapezoid``'s order of operations on the ``einsum`` products, bit
-    for bit: per interval (G_s+1 + G_s) times its length, halved, formed in
-    one work block, and the areas summed in order, each block's after the
-    total of the blocks before it (``sum`` over the leading axis of a
-    contiguous stack adds its rows in order).
+    The integral is ``np.trapezoid``'s order of operations on the window's
+    ``einsum`` products, in one pass, bit for bit: per interval
+    (G_s+1 + G_s) into one work stack, times its length and halved in
+    place, and the areas summed in order (``sum`` over the leading axis of
+    a contiguous stack adds its rows in order).  Each (i, j) and (j, i)
+    entry sums the same products in the same order, so the result is
+    exactly symmetric.
     """
     t = np.asarray(t, dtype=float)
     omega = np.asarray(omega, dtype=float)
@@ -398,22 +395,10 @@ def excitation_gramian(t: np.ndarray, omega: np.ndarray,
         raise ValueError("excitation window falls outside the trace")
     i0 = int(np.searchsorted(t, t1 - 1e-12))
     i1 = int(np.searchsorted(t, t1 + window - 1e-12))
-    l_dim = omega.shape[-1]
-    # row 0 carries the total of the blocks before
-    areas = np.empty((min(i1 - i0, GRAMIAN_ROWS) + 1, l_dim, l_dim))
-    total = None
-    for start in range(i0, i1, GRAMIAN_ROWS):
-        stop = min(start + GRAMIAN_ROWS, i1)
-        rows = omega[start:stop + 1]
-        gram = np.einsum("ski,skj->sij", rows, rows)
-        area = areas[1:stop - start + 1]
-        np.add(gram[1:], gram[:-1], out=area)
-        area *= np.diff(t[start:stop + 1])[:, None, None]
-        area /= 2.0
-        if total is None:
-            total = area.sum(axis=0)
-        else:
-            areas[0] = total
-            total = areas[:stop - start + 1].sum(axis=0)
-    # a window that snaps to one sample has no area
-    return np.zeros((l_dim, l_dim)) if total is None else total
+    rows = omega[i0:i1 + 1]
+    gram = np.einsum("ski,skj->sij", rows, rows)
+    area = gram[1:] + gram[:-1]
+    area *= np.diff(t[i0:i1 + 1])[:, None, None]
+    area /= 2.0
+    # a window that snaps to one sample has no area: the sum of no rows
+    return area.sum(axis=0)

@@ -16,8 +16,7 @@ guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
 from its stacked l = 5 state [phi2 | phi1] with the cached flat index of
 ``_cramer_index`` and hands the stack to ``det_stack``, which writes the
 determinants into the caller's mixing row (the least-squares mixing takes
-its determinants from an eigendecomposition, in ``drem``).  ``min_eig_sym``
-is the excitation level of the metrics' Gramian.
+its determinants from an eigendecomposition, in ``drem``).
 """
 
 from __future__ import annotations
@@ -71,16 +70,3 @@ def _cramer_index(m: int) -> np.ndarray:
     index = np.arange(m)[:, None] * (m + 1) + cols
     index.flags.writeable = False
     return index
-
-
-def min_eig_sym(a, sym_tol: float = 1e-9) -> float:
-    """Smallest eigenvalue of a symmetric matrix, by LAPACK's symmetric
-    eigensolver.  Raises if the input is asymmetric beyond ``sym_tol``
-    (relative to max(1, |a|_max))."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    if float(np.max(np.abs(a - a.T))) > sym_tol * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (a + a.T))[0])

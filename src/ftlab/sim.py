@@ -28,7 +28,9 @@ no more than one block of temporaries beyond the trace: the monitors V1,
 |z1| and zeta1 run over ``MONITOR_ROWS`` rows at a time into
 preallocated series, checked finite as the loop's states are, and
 ``write_trace_csv`` gathers each 256-row block of ``trace.csv`` straight
-from the series.
+from the series.  ``compute_metrics`` scores a trace in one pass over each
+series; its largest temporaries are the Gramian window's product stack
+and its trapezoids.
 
 The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
@@ -173,6 +175,9 @@ class SimConfig:
             if (key in VECTORS or np.ndim(value)) and key != "theta_hat0" \
                     and np.shape(value) != (2,):
                 raise ConfigError(f"{key} must have length 2")
+        # the arm's closed forms take the sine and cosine of q1 + q2
+        if not math.isfinite(sum(self.q0.tolist())):
+            raise ConfigError(f"q0's joint sum q1 + q2 must be finite, got {self.q0}")
         if not np.all(self.theta_bar > 0.0):
             raise ConfigError(f"theta_bar entries must be positive, got {self.theta_bar}")
         try:
@@ -262,7 +267,8 @@ def lyapunov_v1(e1, e2, theta_tilde_u, inertia, ftpd: control.FtPdGains,
     return float(v1) if v1.ndim == 0 else v1
 
 
-# rows per block of the post-loop monitors
+# rows per block of the post-loop monitors: Psi(q) and M(q) stacked over a
+# whole 10 s run add about 1.3 MB to the reference run's peak RSS
 MONITOR_ROWS = 1024
 
 
@@ -393,6 +399,14 @@ def run_closed_loop(config: SimConfig) -> Trace:
             except OverflowError as exc:
                 raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): float overflow "
                                                f"{exc}") from exc
+            except ValueError as exc:
+                # math.sin and math.cos refuse the joint sum q1 + q2 of finite
+                # joints when it overflows: the true position's, checked first,
+                # or in case2 the measured one's
+                name = "position q" if not math.isfinite(q1 + q2) else "measured position"
+                raise NumericalDegeneracyError(f"step {k} (t = {k * dt:.6g} s): joint sum "
+                                               f"q1 + q2 of the {name} is not finite "
+                                               f"({exc})") from exc
 
     # the trace's series are views of the two records; Delta is a compact
     # copy, so that a caller keeping it alone does not keep the row record
@@ -451,14 +465,9 @@ class Metrics:
 
 
 def _last_exceed_time(t: np.ndarray, x: np.ndarray, tol: float, offset=0.0) -> float:
-    """t of the last row k with |x_k - offset| > tol, 0.0 if none, scanned in
-    blocks of ``MONITOR_ROWS`` rows from the end to the first that exceeds."""
-    for stop in range(len(x), 0, -MONITOR_ROWS):
-        start = max(stop - MONITOR_ROWS, 0)
-        over = np.nonzero(np.linalg.norm(x[start:stop] - offset, axis=1) > tol)[0]
-        if over.size:
-            return float(t[start + over[-1]])
-    return 0.0
+    """t of the last row k with |x_k - offset| > tol, 0.0 if none."""
+    over = np.nonzero(np.linalg.norm(x - offset, axis=1) > tol)[0]
+    return float(t[over[-1]]) if over.size else 0.0
 
 
 # the trailing share of a trace that is its steady-state window
@@ -466,58 +475,48 @@ STEADY_FRACTION = 0.2
 
 
 @np.errstate(all="ignore")    # each figure is checked finite below
-def compute_metrics(trace: Trace, settle_tol: float | None = None,
-                    param_tol: float | None = None,
-                    gramian_start: float = 0.0,
+def compute_metrics(trace: Trace, gramian_start: float = 0.0,
                     gramian_window: float = 2.0) -> Metrics:
-    """Evaluate all trace metrics.
+    """Evaluate all trace metrics, each in one pass over its series.
 
     Settling / convergence times are the last instants at which the monitored
-    magnitude exceeds its tolerance; the steady-state window is the trailing
+    magnitude exceeds its tolerance, the run's ``settle_tol`` and
+    ``param_tol``; the steady-state window is the trailing
     ``STEADY_FRACTION`` of the trace.  The Gramian window ends at the end of
-    the trace at the latest.  Each figure runs over blocks of
-    ``MONITOR_ROWS`` rows, with the bits of one pass over the run.  numpy's
-    floating-point warnings are off; a figure that is not finite raises
-    NumericalDegeneracyError naming it.  The trace must come from
-    ``run_closed_loop``: one read back from CSV has no run metadata and no
-    omega record, and is a ValueError.
+    the trace at the latest.  The Gramian and phi2 are exactly symmetric,
+    so each excitation level is ``np.linalg.eigvalsh``'s smallest
+    eigenvalue of the matrix as it is.  numpy's floating-point warnings are
+    off; a figure that is not finite raises NumericalDegeneracyError naming
+    it.  The trace must come from ``run_closed_loop``: one read back from
+    CSV has no run metadata and no omega record, and is a ValueError.
     """
     if len(trace) == 0:
         raise ValueError("empty trace")
     if "theta_u_true" not in trace.meta or "omega" not in trace.diagnostics:
         raise ValueError("the trace has no run metadata or omega record, as one read back "
                          "from CSV has none; it cannot be scored")
-    settle_tol = settle_tol if settle_tol is not None else trace.meta.get("settle_tol", 1e-3)
-    param_tol = param_tol if param_tol is not None else trace.meta.get("param_tol", 0.05)
     t, n = trace.t, len(trace)
 
-    settling = _last_exceed_time(t, trace.e1, settle_tol)
+    settling = _last_exceed_time(t, trace.e1, trace.meta["settle_tol"])
 
-    tail, rows = max(2, int(np.ceil(n * STEADY_FRACTION))), MONITOR_ROWS
-    # the window's norms, kept whole: np.mean sums them pairwise
-    e1 = trace.e1[-tail:]
-    steady_err = float(np.mean(np.concatenate(
-        [np.linalg.norm(e1[s:s + rows], axis=1) for s in range(0, len(e1), rows)])))
+    tail = max(2, int(np.ceil(n * STEADY_FRACTION)))
+    steady_err = float(np.mean(np.linalg.norm(trace.e1[-tail:], axis=1)))
 
     theta_u_true = trace.meta["theta_u_true"]
     theta_u = trace.theta_hat[:, -theta_u_true.size:]
     ref = np.linalg.norm(theta_u[:1] - theta_u_true, axis=1)[0]
-    param_time = 0.0 if ref == 0.0 else _last_exceed_time(t, theta_u, param_tol * ref,
-                                                         theta_u_true)
+    param_time = 0.0 if ref == 0.0 else _last_exceed_time(
+        t, theta_u, trace.meta["param_tol"] * ref, theta_u_true)
 
     # the jumps into and within the steady window: its rows and the one before
     tau = trace.tau[max(n - tail - 1, 0):]
-    chatter = float(np.max([np.abs(np.diff(tau[s:s + rows + 1], axis=0)).max()
-                            for s in range(0, len(tau) - 1, rows)], initial=0.0))
+    chatter = float(np.abs(np.diff(tau, axis=0)).max(initial=0.0))
 
-    # trapezoids summed in order, each block's after the total before it, as a
-    # running integral's last entry (np.sum's pairwise order moves last bits)
-    total = ()
-    for s in range(0, n - 1, rows):
-        zeta1 = trace.zeta1[s:s + rows + 1]
-        areas = 0.5 * (zeta1[1:] + zeta1[:-1]) * np.diff(t[s:s + rows + 1])
-        total = np.cumsum(np.concatenate((total, areas)))[-1:]
-    zeta_integral = float(total[0]) if len(total) else 0.0
+    # trapezoids summed in order, as a running integral's last entry
+    # (np.sum's pairwise order moves last bits)
+    zeta1 = trace.zeta1
+    zeta_integral = float(np.cumsum(0.5 * (zeta1[1:] + zeta1[:-1]) * np.diff(t))[-1]) \
+        if n > 1 else 0.0
 
     min_eig_phi2 = None
     if getattr(trace.extension, "kind", None) == "kreisselmeier":
@@ -527,12 +526,12 @@ def compute_metrics(trace: Trace, settle_tol: float | None = None,
 
     gram = drem.excitation_gramian(trace.t, trace.diagnostics["omega"], gramian_start,
                                    min(gramian_window, trace.t[-1] - gramian_start))
-    gram_min = mathx.min_eig_sym(gram, sym_tol=1e-6)
+    gram_min = float(np.linalg.eigvalsh(gram)[0])
 
     metrics = Metrics(settling_time=settling, steady_state_error=steady_err,
                       param_convergence_time=param_time, chattering_amplitude=chatter,
                       zeta1_integral=zeta_integral, min_eig_phi2=min_eig_phi2,
-                      gramian_min_eig=float(gram_min))
+                      gramian_min_eig=gram_min)
     for name, value in vars(metrics).items():
         if value is not None and not math.isfinite(value):
             raise NumericalDegeneracyError(f"metric {name} is not finite ({value})")

@@ -391,6 +391,34 @@ class TestCliCommands:
             "has no eigendecomposition\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("parameterization", PARAMETERIZATIONS)
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("escape", ["q0", "noise"])
+    def test_overflowing_joint_sum_keeps_the_failure_contract(self, tmp_path, capsys, escape,
+                                                             command, parameterization):
+        # math.sin and math.cos refuse the joint sum q1 + q2 once it
+        # overflows: a q0 whose sum does is a config error, and a measured
+        # position whose sum does ends the run naming it, the step and time
+        text = {"q0": "sim.q0 = 1e308, 1e308\n",
+                "noise": "scenario = case2\nplant.noise_amplitude = 1.7976931348623157e308\n"}
+        cfg = _write(tmp_path, f"{text[escape]}parameterization = {parameterization}\n"
+                               "sim.t_final = 0.01\n")
+        out = tmp_path / "o"
+        args = ["--controller", "c1", "--scenario", "case2"] if command == "sweep" else []
+        code = main(["--config", str(cfg), *args, "--out", str(out), command])
+        err = capsys.readouterr().err.splitlines()
+        if escape == "q0":
+            assert code == 2
+            assert err == ["config error: q0's joint sum q1 + q2 must be finite, got "
+                           "[1.e+308 1.e+308]"]
+        else:
+            # sweep adds its summary line to the job's
+            assert code == 3
+            assert err[1:] == (["1 of 1 runs failed"] if command == "sweep" else [])
+            assert err[0].endswith("step 1 (t = 0.0005 s): joint sum q1 + q2 of the measured "
+                                   "position is not finite (math domain error)")
+        assert not out.exists()
+
     def test_initial_error_bound_prints_no_numpy_warning(self, tmp_path, capsys):
         # the bound's norms overflow without a warning: stderr holds the
         # config error alone, and a huge valid bound prints nothing
@@ -743,7 +771,8 @@ class TestVerifySuite:
 # its options instead, and a vector key a count of these its parser takes
 # (a wrong count is a parse error, which TestParseConfig covers)
 FUZZ_NUMBERS = ("0", "1", "-1", "3", "-3", "1e9", "1e-9", "1e150", "1e-150", "1e100",
-                "1e200", "1e-200", "1e300", "-1e300", "1e-320")
+                "1e200", "1e-200", "1e300", "-1e300", "1e-320", "1e308", "-1e308",
+                "1.7976931348623157e308", "-1.7976931348623157e308")
 FUZZ_ENUMS = {"controller": CONTROLLERS, "scenario": SCENARIOS,
               "parameterization": PARAMETERIZATIONS, "dre.norm": ("spectral", "frobenius")}
 FUZZ_SIZES = {cli._pair: (2,), cli._parse_diag: (1, 2), cli._parse_vector: (2, 5)}

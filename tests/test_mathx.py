@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,41 +146,7 @@ class TestCramerProducts:
                 assert w.tobytes() == np.array(replaced).tobytes()
 
 
-def _power_iteration_min_eig(a, iters=200000, tol=1e-13):
-    """Shifted power iteration: largest eigenvalue of (c I - A) gives the
-    smallest of A."""
-    m = a.shape[0]
-    c = float(np.max(np.abs(a))) * m + 1.0
-    shifted = c * np.eye(m) - a
-    v = np.full(m, 1.0 / math.sqrt(m))
-    lam = 0.0
-    for _ in range(iters):
-        w = shifted @ v
-        new_lam = float(v @ w)
-        v = w / np.linalg.norm(w)
-        if abs(new_lam - lam) < tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return c - lam
-
-
-class TestMinEigSym:
-    def test_identity(self):
-        assert mathx.min_eig_sym(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert mathx.min_eig_sym(np.diag([3.0, -2.0, 0.5])) == pytest.approx(-2.0, abs=1e-12)
-
-    def test_matches_power_iteration_oracle(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            m = int(rng.integers(2, 7))
-            b = rng.standard_normal((m, m))
-            a = 0.5 * (b + b.T)
-            assert mathx.min_eig_sym(a) == pytest.approx(
-                _power_iteration_min_eig(a), abs=1e-8)
-
+class TestEigSym2:
     def test_max_eig(self):
         # the closed-form 2x2 pair, whose upper value c3's step writes out
         # as lambda_max(M)
@@ -192,9 +156,3 @@ class TestMinEigSym:
             a, b, d = rng.standard_normal(3)
             want = np.linalg.eigvalsh([[a, b], [b, d]])
             np.testing.assert_allclose(ref.eig_sym2(a, b, d), want, atol=1e-12)
-
-    def test_rejects_asymmetric(self):
-        a = np.eye(4)
-        a[0, 1] = 1e-6
-        with pytest.raises(ValueError):
-            mathx.min_eig_sym(a)

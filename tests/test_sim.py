@@ -17,6 +17,7 @@ from ftlab import _g17, control, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, TsmParams, excitation_gain,
                            make_controller)
 from reference import sat
+from test_golden import FIXTURE_RUNS
 from ftlab.drem import KreisParams, KreisselmeierDre, LeastSquaresDre, excitation_gramian
 from ftlab.errors import ConfigError, NumericalDegeneracyError
 from ftlab.plant import FrictionModel, NoiseModel, Plant, ThetaVector
@@ -173,8 +174,6 @@ LIBRARY_CHECKS = {
     "kreis_lambda": (lambda: KreisParams(lambda2=0.0), "lambda2 and lambda3 must be positive"),
     "gramian_window": (lambda: excitation_gramian(np.arange(3.0), np.zeros((3, 2, 5)), 0.0, 0.0),
                        "window length must be positive"),
-    "min_eig_square": (lambda: mathx.min_eig_sym(np.zeros((2, 3))),
-                       "matrix must be square, got shape (2, 3)"),
     "plant_theta": (lambda: Plant(ThetaVector((1.0, 2.0), (3.0, 4.0))),
                     "the closed forms are those of the two-link arm: three inertia and two "
                     "potential parameters"),
@@ -671,29 +670,33 @@ class TestMetrics:
                            m.param_convergence_time, m.chattering_amplitude, m.zeta1_integral)
 
     @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case2", "c3_case2", "c4_case1"])
-    def test_blocks_give_the_bits_of_one_pass(self, monkeypatch, fixture, request):
-        # 7-row blocks (the last one short) against the whole-array pass and
-        # against one block of all the rows
+    def test_figures_are_the_whole_array_reference_bitwise(self, fixture, request):
         trace = request.getfixturevalue(fixture)
         want = ref.trace_figures(trace, trace.meta["settle_tol"], trace.meta["param_tol"],
                                  ftlab.sim.STEADY_FRACTION)
-        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", 7)
-        blocked = compute_metrics(trace)
-        assert self.figures(blocked) == struct.pack("5d", *want)
-        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", len(trace))
-        assert compute_metrics(trace).to_text() == blocked.to_text()
+        assert self.figures(compute_metrics(trace)) == struct.pack("5d", *want)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 15, 36])
-    def test_short_traces_in_blocks_give_the_bits_of_one_pass(self, monkeypatch, n):
-        # traces shorter than, as long as and a few blocks longer than 7 rows,
-        # with exceedances anywhere
+    def test_short_trace_figures_are_the_whole_array_reference_bitwise(self, n):
+        # the shortest traces and a few longer ones, with exceedances anywhere
         rng = np.random.default_rng(n)
         trace = self.synthetic_trace(rng.uniform(0.0, 2e-3, n), rng.standard_normal((n, 2)))
         trace.theta_hat = np.array([1.0, 2.0]) + rng.uniform(-0.1, 0.1, (n, 2))
         trace.zeta1 = rng.uniform(0.0, 1.0, n)
         want = ref.trace_figures(trace, 1e-3, 0.05, ftlab.sim.STEADY_FRACTION)
-        monkeypatch.setattr(ftlab.sim, "MONITOR_ROWS", 7)
         assert self.figures(compute_metrics(trace)) == struct.pack("5d", *want)
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_RUNS))
+    def test_excitation_matrices_are_exactly_symmetric(self, fixture, request):
+        # what lets the metrics take eigvalsh of the Gramian and of phi2 as
+        # they are, with no symmetrisation
+        trace = request.getfixturevalue(fixture)
+        gram = excitation_gramian(trace.t, trace.diagnostics["omega"], 0.0, 2.0)
+        assert gram.tobytes() == np.ascontiguousarray(gram.T).tobytes()
+        assert compute_metrics(trace).gramian_min_eig == np.linalg.eigvalsh(gram)[0]
+        if trace.extension.kind == "kreisselmeier":
+            phi2 = np.ascontiguousarray(trace.extension.phi2)
+            assert phi2.tobytes() == np.ascontiguousarray(phi2.T).tobytes()
 
 
 class TestCsvRoundTrip:
