@@ -396,19 +396,22 @@ class TestExcitationGramian:
             excitation_gramian(t, omega, -1.0, 5 * DT)
 
     @pytest.mark.parametrize("fixture", ["c1_case1", "c2_case1_pb"])
-    def test_is_numpys_trapezoid_bitwise(self, fixture, request):
+    @pytest.mark.parametrize("window", ["2s", "whole", "snapped"])
+    def test_is_numpys_trapezoid_bitwise(self, window, fixture, request):
         # the 2 s window from 0.3 s (4001 samples), the whole 10 s run (20 001
         # samples), and one shorter than the snapping slack, which snaps to
         # one sample and has no area
         trace = request.getfixturevalue(fixture)
         omega = trace.diagnostics["omega"]
-        for t1, window, (i0, i1) in ((0.3, 2.0, (600, 4600)),
-                                     (0.0, trace.t[-1], (0, len(trace) - 1))):
-            want = np.trapezoid(np.einsum("ski,skj->sij", omega[i0:i1 + 1], omega[i0:i1 + 1]),
-                                trace.t[i0:i1 + 1], axis=0)
-            assert excitation_gramian(trace.t, omega, t1, window).tobytes() == want.tobytes()
-        assert excitation_gramian(trace.t, omega, trace.t[600], 1e-13).tobytes() \
-            == np.zeros((5, 5)).tobytes()
+        if window == "snapped":
+            assert excitation_gramian(trace.t, omega, trace.t[600], 1e-13).tobytes() \
+                == np.zeros((5, 5)).tobytes()
+            return
+        t1, span, (i0, i1) = {"2s": (0.3, 2.0, (600, 4600)),
+                              "whole": (0.0, trace.t[-1], (0, len(trace) - 1))}[window]
+        want = np.trapezoid(np.einsum("ski,skj->sij", omega[i0:i1 + 1], omega[i0:i1 + 1]),
+                            trace.t[i0:i1 + 1], axis=0)
+        assert excitation_gramian(trace.t, omega, t1, span).tobytes() == want.tobytes()
 
     def test_excitation_grows_along_run(self, c1_case1):
         gram_early = excitation_gramian(c1_case1.t, c1_case1.diagnostics["omega"],
