@@ -16,14 +16,20 @@ the filter and the extension the family builds at dt in ``from_config``;
 the runner records the filter's [Omega | y] buffer and keeps the extension
 in the trace, whose history ``drem.replay`` rebuilds from those pairs;
 ``diagnostics(n_rec)``, which allocates the series the family's step forms
-(c1/c2's mixing record, c3's branch); ``step(k, e1, q, qd, psi)``, the one
-call per sample; and ``dre``, the name of the extension it mixes from.
+(c1's mixing record, c3's branch) and may give, in place of a series, a
+function of the trace's diagnostics that builds it when it is first read
+(c2's ``Y_mixed``); ``step(k, e1, q, qd, psi)``, the one call per sample;
+and ``dre``, the name of the extension it mixes from.
 ``step`` takes the measured signals (under set-point regulation e2 is qd
 itself; c3 forms M(q) through its plant) and, in one method, forms the
 torque, feeds the regression filter, steps the family's extension (c4: its
-least-squares gain), mixes into sample k of its mixing record (c1, c2) or
+least-squares gain), mixes into sample k of its mixing record (c1), mixes
+Delta and theta_u's block of Y alone into one row of its own (c2), or
 takes Delta alone (c3), and Euler-steps the estimate at dt; it returns the
-torque, a pair of floats, and Delta.
+torque, a pair of floats, and Delta.  c2's full mixing record, which only
+the mixing checks read, is rebuilt from the extension's history
+(``drem.mixing_record``); c1 keeps its step-written record, since a
+rebuild would replay an eigendecomposition per step.
 ``FAMILIES`` maps the controller names to the classes, whose
 ``from_config`` builds one and ``check_config`` holds the family's rules.
 
@@ -57,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import mathx
+from . import drem, mathx
 from .errors import ConfigError
 from .drem import KreisselmeierDre, LeastSquaresDre, LsDreParams
 from .regression import make_regression
@@ -239,7 +245,7 @@ class CompositeFtController(_Estimate):
         self.ftpd = ftpd
         self.adapt = adapt
         self._start(theta_hat0, len(adapt.gamma_diag), extension, regression, dt)
-        self._mixing = None
+        self._mixing = self._row = None
         c, d = ftpd.b, adapt.sat_d
         self._gains = tuple(map(float, (*ftpd.kp, *ftpd.kd, *ftpd.kd_lin, ftpd.a, c, adapt.g1d1,
                                         adapt.g12, d, c + d, *adapt.gamma_diag,
@@ -248,8 +254,10 @@ class CompositeFtController(_Estimate):
     @classmethod
     def from_config(cls, config, plant) -> "CompositeFtController":
         dim = plant.theta.size
+        # c2 mixes Delta and theta_u's block of Y alone: the law reads no more
         extension = (LeastSquaresDre(dim, config.ls, dt=config.dt) if config.controller == "c1"
-                     else KreisselmeierDre(dim, config.kreis, dt=config.dt))
+                     else KreisselmeierDre(dim, config.kreis, dt=config.dt,
+                                           block=range(dim - cls.estimate_dim, dim)))
         return cls(config.ftpd, config.adapt, config.theta_hat0, extension,
                    _regression(config, plant), config.dt)
 
@@ -269,9 +277,9 @@ class CompositeFtController(_Estimate):
 
     def step(self, k: int, e1, q, qd, psi) -> tuple:
         """tau = -kp <e1>^a - kd <e2>^b - kd_lin e2 + Psi theta_u (e2 = qd);
-        then the filter and the extension step, the mix into row k of the
-        mixing record that diagnostics() allocated, and the Euler step of
-        the estimate at the composite rate
+        then the filter and the extension step, the mix into the row that
+        diagnostics() allocated (c2) or into row k of its mixing record (c1),
+        and the Euler step of the estimate at the composite rate
         -gamma (Psi' v + g12 upsilon sat(Delta) <Delta theta_hat - y_u>^c),
         v = g1d1 tanh(e1) + g12 e2, y_u theta_u's block of Y and the exponent
         c the PD exponent b; sat(Delta) = <Delta>^d / (1 + |Delta|^(c + d)),
@@ -289,7 +297,8 @@ class CompositeFtController(_Estimate):
                - kl2 * e22 + (p21 * t1 + p22 * t2))
         extension = self.extension
         extension.step(self.regression.step(q, qd, tau, psi))
-        mixed = extension.mix(self._mixing[k])
+        mixing = self._mixing
+        mixed = extension.mix(self._row if mixing is None else mixing[k])
         delta, y1, y2 = mixed[0], mixed[-2], mixed[-1]
         v1 = g1d1 * _tanh(e11) + g12 * e21
         v2 = g1d1 * _tanh(e12) + g12 * e22
@@ -307,9 +316,17 @@ class CompositeFtController(_Estimate):
         return tau, delta
 
     def diagnostics(self, n_rec: int) -> dict:
-        # one mixing row [Delta | Y] per sample, which step has the mix
-        # write into; Y_mixed is its [:, 1:] view
-        self._mixing = np.empty((n_rec, self.extension.dim + 1))
+        extension = self.extension
+        if extension.kind == "kreisselmeier":
+            # c2's step mixes into one row of its own; the full record, whose
+            # [:, 1:] is Y_mixed, is rebuilt from the history when first read
+            self._mixing, self._row = None, np.empty(1 + len(extension.block))
+            return {"Y_mixed": lambda diag: drem.mixing_record(
+                extension, diag["omega"], diag["y"])[:, 1:]}
+        # c1: one mixing row [Delta | Y] per sample, which step has the mix
+        # write into (a rebuild would replay an eigendecomposition per step);
+        # Y_mixed is its [:, 1:] view
+        self._mixing = np.empty((n_rec, extension.dim + 1))
         return {"Y_mixed": self._mixing[:, 1:]}
 
 

@@ -19,19 +19,22 @@ only the sample, and the least-squares decay follows the forgetting rate
 its step forms from the eigenvalues the last step left.  The least-squares
 mixing reads Delta and adj(phi) v off the eigendecomposition of the
 information matrix that its step takes anyway; the Kreisselmeier mixing
-gathers phi2 and its column-replaced copies with ``mathx``'s cached Cramer
-index into a work stack and takes their determinants in one call (Cramer
-form) instead of building the adjugate.  Both LAPACK calls are ``mathx``'s
-gufuncs (``eigh_sym``, ``det_stack``), called with no Python wrapper.
-Each mix writes [Delta | Y] into the (l + 1,) row it is given, the
-caller's mixing record row for the step, checks it finite and returns it
-as floats: Delta first, then Y = adj(phi) v.  An eigendecomposition of R
-that fails (non-finite eigenvalues) raises NumericalDegeneracyError naming
-R, an R that is not positive definite one naming the cause, and a mixing
-output that is not finite one naming Delta or Y.  An extension knows only
-the regression dimension l, not which of its parameters a controller
-estimates.  It records nothing per step: ``replay`` rebuilds its history
-from the run's recorded pairs, bit for bit.
+gathers phi2 and the column-replaced copies of the block of Y it was
+built to mix with ``mathx``'s cached Cramer index into a work stack and
+takes their determinants in one call (Cramer form) instead of building
+the adjugate.  Both LAPACK calls are ``mathx``'s gufuncs (``eigh_sym``,
+``det_stack``), called with no Python wrapper.
+Each mix writes into the row it is given and returns that row checked
+finite, as floats: [Delta | Y] for least squares, [Delta | Y_block] for
+Kreisselmeier, Delta first, then entries of Y = adj(phi) v.  An
+eigendecomposition of R that fails (non-finite eigenvalues) raises
+NumericalDegeneracyError naming R, an R that is not positive definite one
+naming the cause, and a mixing output that is not finite one naming Delta
+or Y.  An extension knows only the regression dimension l and, for
+Kreisselmeier, the entries of Y its mix writes, not which parameters a
+controller estimates.  It records nothing per step: ``replay`` rebuilds
+its history from the run's recorded pairs, bit for bit, and
+``mixing_record`` the full Kreisselmeier [Delta | Y] of every step.
 """
 
 from __future__ import annotations
@@ -287,21 +290,30 @@ class KreisselmeierDre:
     a matrix-vector product on y.  phi2 stays exactly
     symmetric: its (i, j) and (j, i) entries sum the same row products in
     the same order.  It is positive semidefinite, an exponentially weighted
-    sum of the rank-k products Omega' Omega.  The mixing gathers
-    phi2 and its copies with column j replaced by phi1 from the state as it
-    stands, with ``mathx``'s Cramer index cached at construction, and takes
-    their determinants in one ``mathx.det_stack`` call into the caller's row:
-    Delta = det(phi2) and Y = adj(phi2) phi1.  ``verify`` holds this mix, with
-    phi2 and phi1 assigned, to the adjugate.
-    Its history, from ``replay``, is phi2 and phi1 after every step.
+    sum of the rank-k products Omega' Omega.
+
+    The mix writes Delta = det(phi2) and the entries j of ``block`` of
+    Y = adj(phi2) phi1, the block fixed when the extension is built: all of
+    Y by default, theta_u's two entries for c2, whose law reads no others.
+    It gathers phi2 and its copies with column j replaced by phi1 from the
+    state as it stands, with rows 0 and 1 + j of ``mathx``'s Cramer index,
+    cached at construction, and takes their determinants in one
+    ``mathx.det_stack`` call into the caller's row; each determinant is the
+    bits the full Cramer stack gives it.  ``delta`` takes Delta alone, from
+    one determinant (c3's law reads no Y).  ``verify`` holds the full mix,
+    with phi2 and phi1 assigned, to the adjugate, and ``mixing_record``
+    rebuilds the full [Delta | Y] of every step of a run.  Its history,
+    from ``replay``, is phi2 and phi1 after every step.
     """
 
     kind = "kreisselmeier"
 
-    def __init__(self, dim: int, params: KreisParams | None = None, *, dt: float):
+    def __init__(self, dim: int, params: KreisParams | None = None, *, dt: float,
+                 block=None):
         _check_positive(dt=dt)
         self.params = params = params or KreisParams()
         self.dim, self.dt = dim, float(dt)
+        self.block = tuple(range(dim) if block is None else block)
         # [state; drive], which one product by [decay; gain] scales
         self._state_drive = np.zeros((2, dim, dim + 1))
         self._state, self._drive = self._state_drive
@@ -309,7 +321,7 @@ class KreisselmeierDre:
         self._factors[0] = 1.0 - self.dt * params.lambda2
         self._factors[1] = self.dt * params.lambda3
         self._phi1, self._phi2 = self._state[:, dim], self._state[:, :dim]
-        self._cramer = mathx._cramer_index(dim)
+        self._cramer = mathx._cramer_index(dim)[[0, *(1 + j for j in self.block)]]
         self._stack = np.empty(self._cramer.shape)
 
     @property
@@ -337,8 +349,9 @@ class KreisselmeierDre:
         self._state += self._drive
 
     def mix(self, out: np.ndarray) -> list:
-        """[Delta | Y] = [det(phi2) | adj(phi2) phi1], written into the
-        (l + 1,) row ``out``, checked finite and returned as floats."""
+        """[Delta | Y_block] = [det(phi2) | (adj(phi2) phi1)_block], written
+        into the (1 + len(block),) row ``out``, checked finite and returned
+        as floats."""
         # take writes into out without a buffered copy in any mode but "raise";
         # the cached indices are all in range, so "wrap" never wraps one
         self._state.take(self._cramer, out=self._stack, mode="wrap")
@@ -353,22 +366,62 @@ class KreisselmeierDre:
         return delta
 
 
+# steps per block of ``mixing_record``: the history's states and their
+# Cramer stack take 1.44 kB per step, so a block holds about 0.4 MB
+MIX_ROWS = 256
+
+
+def _replay_blocks(extension, omega: np.ndarray, y: np.ndarray, rows: int):
+    """Step a fresh extension of ``extension``'s class, ``dim``, ``params``
+    and ``dt`` on each recorded [Omega | y] of ``omega`` (steps, n_out, l)
+    and ``y`` (steps, n_out), in order, and yield (start, block) after every
+    ``rows`` steps: the block holds, per step from ``start`` on, (*w, z) of
+    a least-squares extension or the (l, l + 1) state [phi2 | phi1] of a
+    Kreisselmeier one, as the step leaves it.  The block is one buffer,
+    rewritten for the next."""
+    fresh = type(extension)(extension.dim, extension.params, dt=extension.dt)
+    l_dim, ls = fresh.dim, fresh.kind == "least_squares"
+    y = np.asarray(y)
+    pair = RegressionPair(y[0], omega[0])
+    block = np.empty((min(rows, len(y)), *((l_dim + 1,) if ls else (l_dim, l_dim + 1))))
+    for start in range(0, len(y), rows):
+        aug = np.concatenate((omega[start:start + rows], y[start:start + rows, :, None]),
+                             axis=-1)
+        for k, row in enumerate(aug):
+            pair.aug[...] = row
+            fresh.step(pair)
+            block[k] = (*fresh._w, fresh.z) if ls else fresh._state
+        yield start, block[:len(aug)]
+
+
 def replay(extension, omega: np.ndarray, y: np.ndarray) -> dict:
     """The per-step history of a run's ``extension``: a fresh one of its
     class, ``dim``, ``params`` and ``dt`` steps on each recorded [Omega | y]
     of ``omega`` (steps, n_out, l) and ``y`` (steps, n_out), the bytes the
     run stepped on, bit for bit: "w" and "z_forget", or "phi1" and "phi2"."""
-    fresh = type(extension)(extension.dim, extension.params, dt=extension.dt)
-    l_dim, ls = fresh.dim, fresh.kind == "least_squares"
-    rows = np.concatenate((omega, np.asarray(y)[..., None]), axis=-1)
-    pair = RegressionPair(rows[0, :, l_dim], rows[0, :, :l_dim])
-    rec = np.empty((len(rows), l_dim + 1) if ls else (len(rows), l_dim, l_dim + 1))
-    for k, row in enumerate(rows):
-        pair.aug[...] = row
-        fresh.step(pair)
-        rec[k] = (*fresh._w, fresh.z) if ls else fresh._state
-    return ({"w": rec[:, :l_dim], "z_forget": rec[:, l_dim]} if ls
+    (_, rec), = _replay_blocks(extension, omega, y, len(y))
+    l_dim = extension.dim
+    return ({"w": rec[:, :l_dim], "z_forget": rec[:, l_dim]}
+            if extension.kind == "least_squares"
             else {"phi1": rec[:, :, l_dim], "phi2": rec[:, :, :l_dim]})
+
+
+def mixing_record(extension, omega: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The full [Delta | Y] of every step of a run of the Kreisselmeier
+    ``extension``, (steps, l + 1), from the run's recorded pairs: the
+    history ``replay`` steps, ``MIX_ROWS`` steps at a time, gathered with
+    ``mathx``'s full Cramer index and taken in one ``det_stack`` per block.
+    Each row is the bits a full mix of that step writes; the rebuild raises
+    nothing on a row that is not finite.  Only one block of the history
+    and of its Cramer stack is held at a time."""
+    cramer = mathx._cramer_index(extension.dim)
+    out = np.empty((len(y), extension.dim + 1))
+    # a row that is not finite is left for the reader to find, unwarned
+    with np.errstate(all="ignore"):
+        for start, states in _replay_blocks(extension, omega, y, MIX_ROWS):
+            n = len(states)
+            det_stack(states.reshape(n, -1)[:, cramer], out=out[start:start + n])
+    return out
 
 
 def excitation_gramian(t: np.ndarray, omega: np.ndarray,

@@ -12,11 +12,13 @@ bound to these names with no wrapper of ours either, which gives the same
 bits without the wrappers' cost.  They are numpy's private
 ``numpy.linalg._umath_linalg`` loops, named nowhere else in ftlab; the numpy
 pin in ``pyproject.toml`` and a bitwise test against the public functions
-guard them.  The Kreisselmeier mixing gathers phi2 and its Cramer copies
-from its stacked l = 5 state [phi2 | phi1] with the cached flat index of
-``_cramer_index`` and hands the stack to ``det_stack``, which writes the
-determinants into the caller's mixing row (the least-squares mixing takes
-its determinants from an eigendecomposition, in ``drem``).
+guard them.  The Kreisselmeier mixing gathers phi2 and the Cramer copies
+of the block of Y it mixes from its stacked l = 5 state [phi2 | phi1] with
+those rows of the cached flat index of ``_cramer_index`` and hands the
+stack to ``det_stack``, which writes the determinants into the caller's
+row; ``drem.mixing_record`` gathers a run's replayed states with the full
+index (the least-squares mixing takes its determinants from an
+eigendecomposition, in ``drem``).
 """
 
 from __future__ import annotations

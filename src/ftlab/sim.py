@@ -9,8 +9,8 @@ advances everything with a shared explicit-Euler step.  Per step:
 2. call the controller's ``step``, the one call of the control layer per
    sample: it evaluates the torque from the measurements, advances its
    regression filter with the measured signals and the commanded torque,
-   steps its regressor extension, mixes, Euler-steps its estimate and
-   records the sample of the series it forms;
+   steps its regressor extension, mixes what its law reads, Euler-steps its
+   estimate and records the sample of the series it forms;
 3. pack the record row, and copy the pair's [Omega | y] into its record;
 4. Euler-update the plant state, whose forward dynamics apply the
    friction from the true velocity (case2).
@@ -23,7 +23,10 @@ metrics of a trace are scalars.  Its series are views of the loop's
 records, not copies: q, qd, tau and the estimate are columns of the
 packed row record, and y and omega of the pair record; only Delta is
 copied out; the run's extension is kept as it ends, and ``drem.replay``
-rebuilds its history from the pair record.  After the loop a run holds
+rebuilds its history from the pair record.  The trace's ``diagnostics``
+(``Diagnostics``) holds y, omega and the controller's series; one the
+controller gives as a function, c2's ``Y_mixed``, is built from the pair
+record when it is first read, and then kept.  After the loop a run holds
 no more than one block of temporaries beyond the trace: the monitors V1,
 |z1| and zeta1 run over ``MONITOR_ROWS`` rows at a time into
 preallocated series, checked finite as the loop's states are, and
@@ -50,6 +53,7 @@ import dataclasses
 import io
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,11 +205,44 @@ def _numeric_fields(obj, prefix: str = ""):
             yield prefix + f.name, value
 
 
+class Diagnostics(Mapping):
+    """A trace's named series.  An entry given as a function is built on
+    its first read, by calling the function with this mapping, and then
+    kept: ``[]``, ``get``, ``values``, ``items`` and ``**`` all see the
+    built series, the same array on every read, while ``in``, ``len`` and
+    iteration see its name without building it.  ``pending`` names the
+    entries not built yet."""
+
+    def __init__(self, entries=()):
+        self._entries = dict(entries)
+
+    def __getitem__(self, name):
+        value = self._entries[name]
+        if callable(value):
+            value = self._entries[name] = value(self)
+        return value
+
+    def __iter__(self):
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    @property
+    def pending(self) -> frozenset:
+        return frozenset(name for name, value in self._entries.items() if callable(value))
+
+
 @dataclass
 class Trace:
     """Per-step records on the uniform grid t_k = k dt (inclusive of both
-    endpoints).  ``diagnostics`` holds controller-family specific series and
-    ``meta`` the run description needed to interpret them.  In a trace from
+    endpoints).  ``diagnostics`` holds controller-family specific series (a
+    ``Diagnostics`` from ``run_closed_loop``, whose c2 ``Y_mixed`` is built
+    when first read) and ``meta`` the run description needed to interpret
+    them.  In a trace from
     ``run_closed_loop`` q, qd, tau, theta_hat, y and omega are views of the
     run's records, so a write to one of them writes to that record, and
     ``extension`` is the run's extension as it ended (``drem.replay``
@@ -221,7 +258,7 @@ class Trace:
     zeta1: np.ndarray
     v1: np.ndarray
     z1norm: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: Mapping = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     extension: object = None
 
@@ -230,7 +267,8 @@ class Trace:
 
     @property
     def e2(self) -> np.ndarray:
-        """The velocity error, which set-point regulation makes qd itself."""
+        """The velocity error, which set-point regulation makes qd itself;
+        ``perfbench/workloads.py``'s ``_finite`` reads it on every workload."""
         return self.qd
 
 
@@ -413,7 +451,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q_rec, qd_rec, tau_rec = rows[:, 0:2], rows[:, 2:4], rows[:, 4:6]
     theta_rec = rows[:, 6:6 + j_est]
     delta_rec = rows[:, 6 + j_est].copy()
-    diag = {"y": aug_rec[:, :, l_dim], "omega": aug_rec[:, :, :l_dim], **diag}
+    diag = Diagnostics({"y": aug_rec[:, :, l_dim], "omega": aug_rec[:, :, :l_dim], **diag})
 
     theta_u_true = np.array(theta_true.theta_u)
     e1_rec = q_rec - config.q_d

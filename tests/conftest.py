@@ -77,10 +77,14 @@ def traced_peak(fn, *args) -> tuple:
 
 def trace_buffers(trace) -> list:
     """The distinct buffers the trace's series and diagnostics hold, each
-    buffer once however many views of it the trace holds."""
+    buffer once however many views of it the trace holds; a diagnostics
+    entry not built yet (``Diagnostics.pending``) is not held, and is left
+    unbuilt."""
+    diag = trace.diagnostics
+    pending = getattr(diag, "pending", ())
     owners = {}
     for arr in [getattr(trace, f.name) for f in dataclasses.fields(trace)] \
-            + list(trace.diagnostics.values()):
+            + [diag[name] for name in diag if name not in pending]:
         if isinstance(arr, np.ndarray):
             while isinstance(arr.base, np.ndarray):
                 arr = arr.base

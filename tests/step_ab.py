@@ -92,13 +92,14 @@ def measure(src: Path, name: str, count: bool) -> list:
     return [float(x) for x in out.split()]
 
 
-def export(rev: str, dest: Path) -> Path:
-    """Extract REV's src/ under dest and return that src directory."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+def export(rev: str, dest: Path, paths=("src",)) -> Path:
+    """Extract REV's ``paths`` (directories or files of the repository) under
+    dest and return dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, *paths], cwd=ROOT,
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    return dest / "src"
+    return dest
 
 
 def main() -> int:
@@ -116,7 +117,7 @@ def main() -> int:
         parser.error(f"unknown run(s) {', '.join(unknown)}; known: {', '.join(RUNS)}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"tree": ROOT / "src", "rev": export(args.rev, Path(tmp))}
+        sides = {"tree": ROOT / "src", "rev": export(args.rev, Path(tmp)) / "src"}
         times = {name: {"tree": [], "rev": []} for name in args.runs}
         counted = {name: {} for name in args.runs}
         for r in range(args.rounds):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +269,51 @@ class TestKreisselmeier:
             assert replayed["phi1"].tobytes() == np.array(want1).tobytes()
             assert replayed["phi2"].tobytes() == np.array(want2).tobytes()
 
+    @pytest.mark.parametrize("block", [(3, 4), (4, 1), (0,), ()])
+    def test_block_mix_is_the_full_mix_entries_bitwise(self, block):
+        # Delta and each entry of the block are the bits the full Cramer
+        # stack gives them
+        rng = np.random.default_rng(12)
+        full, part = KreisselmeierDre(5, dt=DT), KreisselmeierDre(5, dt=DT, block=block)
+        assert part.block == block
+        picked = [0, *(1 + j for j in block)]
+        for _ in range(50):
+            pair = RegressionPair(y=rng.standard_normal(2), omega=rng.standard_normal((2, 5)))
+            full.step(pair)
+            part.step(pair)
+            row, got = np.empty(6), np.empty(1 + len(block))
+            full.mix(row)
+            assert part.mix(got) == row[picked].tolist()
+            assert got.tobytes() == row[picked].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 256])
+    def test_mixing_record_is_the_full_mix_of_every_step(self, monkeypatch, rows):
+        # 7 rows a block cross block bounds within the 20 steps, 1 makes each
+        # step a block; the block mix of the extension passed moves nothing
+        monkeypatch.setattr(drem, "MIX_ROWS", rows)
+        rng = np.random.default_rng(6)
+        omega, y = rng.standard_normal((20, 2, 5)), rng.standard_normal((20, 2))
+        params = KreisParams(lambda2=0.7)
+        full = KreisselmeierDre(5, params, dt=DT)
+        want = np.empty((20, 6))
+        for k in range(20):
+            full.step(RegressionPair(y=y[k], omega=omega[k]))
+            full.mix(want[k])
+        run = KreisselmeierDre(5, params, dt=DT, block=(3, 4))
+        assert drem.mixing_record(run, omega, y).tobytes() == want.tobytes()
+
+    def test_mixing_record_raises_nothing_on_a_non_finite_row(self):
+        # a regressor entry that overflows leaves rows that are not finite;
+        # the rebuild returns them, unwarned, for the mixing check to report
+        rng = np.random.default_rng(9)
+        omega, y = rng.standard_normal((10, 2, 5)), rng.standard_normal((10, 2))
+        omega[4, 0, 2] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = drem.mixing_record(KreisselmeierDre(5, dt=DT), omega, y)
+        assert rec.shape == (10, 6)
+        assert np.isfinite(rec[:4]).all() and not np.isfinite(rec[4:]).all()
+
     def test_setters_write_through_to_the_mixing(self):
         rng = np.random.default_rng(8)
         dre = KreisselmeierDre(5, dt=DT)
@@ -300,6 +347,14 @@ class TestMixingIdentityOnTraces:
     def test_kreisselmeier_along_run(self, c2_case1):
         result = verify.check_mixing_identity("c2", c2_case1)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_row_is_a_fail_line(self, c2_case1, value):
+        y_mixed = np.array(c2_case1.diagnostics["Y_mixed"])
+        y_mixed[7, 1] = value
+        trace = dataclasses.replace(c2_case1, diagnostics={"Y_mixed": y_mixed})
+        result = verify.check_mixing_identity("c2", trace)
+        assert not result.passed and result.line().startswith("[FAIL] mixing_identity")
 
     def test_cramer_equals_adjugate_along_run(self, c1_case1):
         # re-drive the extension on the run's recorded regression pairs and

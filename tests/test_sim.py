@@ -13,7 +13,7 @@ import ftlab
 import reference as ref
 from conftest import (calls_per_step, history, run_staging, trace_buffers, trace_bytes,
                       traced_peak)
-from ftlab import _g17, control, mathx, verify
+from ftlab import _g17, control, drem, mathx, verify
 from ftlab.control import (CompositeAdaptGains, FtPdGains, TsmParams, excitation_gain,
                            make_controller)
 from reference import sat
@@ -370,9 +370,12 @@ def _eigenpair_mix(dre):
 
 
 class TestMixingRecord:
-    """Each step's mix writes [Delta | Y] into the run's mixing record, whose
-    [:, 1:] is ``Y_mixed``; the recorded Delta is its first entry.  c3 takes
-    Delta alone and keeps no mixing record."""
+    """``Y_mixed`` is the [:, 1:] of the run's mixing record [Delta | Y],
+    whose first column is the recorded Delta.  c1's step mixes into its row
+    of that record.  c2's step mixes Delta and theta_u's block of Y alone,
+    into one row of its own, and the record is rebuilt from the replayed
+    history when ``Y_mixed`` is first read, the bits a full mix of each
+    step writes.  c3 takes Delta alone and has no ``Y_mixed``."""
 
     @pytest.mark.parametrize("fixture", ["c2_case1", "c2_case1_pb", "c3_case2"])
     def test_kreisselmeier_row_is_det_and_cramer_of_the_recorded_state(self, fixture,
@@ -391,6 +394,20 @@ class TestMixingRecord:
             assert not [b for b in trace_buffers(trace) if b.shape[1:] == row]
             return
         assert trace.diagnostics["Y_mixed"].tobytes() == np.array([y for _, y in want]).tobytes()
+
+    def test_c2_step_takes_the_three_determinants_its_law_reads(self, monkeypatch):
+        # Delta, Y_4 and Y_5: one stack of 3 matrices per step, not the 6 of
+        # the full Cramer stack
+        shapes = []
+
+        def recording(stack, out=None):
+            shapes.append(stack.shape)
+            return mathx.det_stack(stack, out=out)
+
+        monkeypatch.setattr(drem, "det_stack", recording)
+        trace = run_closed_loop(SimConfig(controller="c2", t_final=0.01))
+        assert shapes == [(3, 5, 5)] * len(trace)
+        assert trace.diagnostics.pending == {"Y_mixed"}
 
     def test_least_squares_row_is_the_eigenpair_formula(self, monkeypatch):
         want = []
@@ -454,20 +471,55 @@ class TestNoExtensionRecord:
         assert not {"w", "z_forget", "phi1", "phi2"} & set(trace.diagnostics)
         buffers = trace_buffers(trace)
         assert not [b for b in buffers if b.shape == (n, l_dim, l_dim + 1)]
-        # the one (steps, l + 1) buffer is the controller's mixing record
+        # the one (steps, l + 1) buffer is c1's mixing record, which its step
+        # writes; c2 holds none until Y_mixed is read
         wide = [b for b in buffers if b.shape == (n, l_dim + 1)]
-        mixed = "Y_mixed" in trace.diagnostics
-        assert len(wide) == mixed
-        if mixed:
-            assert trace.diagnostics["Y_mixed"].base is wide[0]
+        recorded = controller == "c1"
+        assert len(wide) == recorded
         # bytes per step: the packed row (q, qd, tau, the estimate, Delta),
-        # the pair [Omega | y], the mixing row, t, e1, the Delta copy, the
+        # the pair [Omega | y], c1's mixing row, t, e1, the Delta copy, the
         # three monitors and c3's one-byte branch
         n_out = trace.diagnostics["omega"].shape[1]
         floats = (7 + trace.theta_hat.shape[1] + n_out * (l_dim + 1)
-                  + mixed * (l_dim + 1) + 1 + 2 + 1 + 3)
+                  + recorded * (l_dim + 1) + 1 + 2 + 1 + 3)
         per_step = 8 * floats + ("branch" in trace.diagnostics)
         assert trace_bytes(trace) <= n * per_step, (trace_bytes(trace), n * per_step)
+        if "Y_mixed" in trace.diagnostics:
+            # once read, the one (steps, l + 1) buffer is the record, built
+            # or written
+            y_mixed = trace.diagnostics["Y_mixed"]
+            wide = [b for b in trace_buffers(trace) if b.shape == (n, l_dim + 1)]
+            assert len(wide) == 1 and y_mixed.base is wide[0]
+
+
+class TestDiagnostics:
+    """A c2 trace's ``Y_mixed`` is built on its first read and then kept;
+    every way of reading the diagnostics sees it."""
+
+    READS = {"getitem": lambda diag: diag["Y_mixed"],
+             "get": lambda diag: diag.get("Y_mixed"),
+             "unpack": lambda diag: {**diag}["Y_mixed"],
+             "items": lambda diag: dict(diag.items())["Y_mixed"]}
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_every_read_sees_the_built_mixing_record(self, read):
+        trace = run_closed_loop(SimConfig(controller="c2", t_final=0.05))
+        diag = trace.diagnostics
+        # the name is there before the record is built, and naming it builds nothing
+        assert "Y_mixed" in diag and "Y_mixed" in list(diag) and len(diag) == 3
+        assert diag.pending == {"Y_mixed"}
+        first = self.READS[read](diag)
+        assert not diag.pending
+        # the rows the full mix of each step writes
+        want = drem.mixing_record(trace.extension, diag["omega"], diag["y"])[:, 1:]
+        assert first.tobytes() == want.tobytes() and first.shape == (len(trace), 5)
+        # every later read returns the same array
+        assert all(reader(diag) is first for reader in self.READS.values())
+
+    def test_written_entries_are_not_pending(self, c1_case1):
+        # c1 writes its mixing record in the loop
+        assert not c1_case1.diagnostics.pending
+        assert set(c1_case1.diagnostics) == {"y", "omega", "Y_mixed"}
 
 
 class TestPackedRecord:
