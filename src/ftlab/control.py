@@ -398,7 +398,6 @@ class SwitchingTsmController(_Estimate):
         self._start(theta_hat0, self.estimate_dim, extension, regression, dt)
         self.plant = plant
         self._branch = None
-        self._nonlinear = True
         p = params
         self._gains = tuple(map(float, (p.k1, p.k2, p.ks, p.clamp, a, -a * p.k2, p.gamma_tsm,
                                         p.gamma_tsm * p.k_tsm, p.gamma_lin,
@@ -449,7 +448,6 @@ class SwitchingTsmController(_Estimate):
         extension = self.extension
         extension.step(self.regression.step(q, qd, tau, psi))
         delta = extension.delta()
-        self._nonlinear = nonlinear
         self._branch[k] = 0 if nonlinear else 1
         phi1, phi2 = extension.phi1, extension.phi2
         # phi2 is a strided view of the extension's state, on which
@@ -469,10 +467,6 @@ class SwitchingTsmController(_Estimate):
             updated.append(th + dt * (-gain * w - weight * x))
         self.estimate = tuple(updated)
         return tau, delta
-
-    @property
-    def branch(self) -> str:
-        return "tsm" if self._nonlinear else "linear"
 
     def diagnostics(self, n_rec: int) -> dict:
         branch = np.empty(n_rec, dtype=np.int8)

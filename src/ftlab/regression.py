@@ -31,7 +31,8 @@ force-balance filter samples ``psi``, Psi(q).  Each filter owns one
 keeps a sample copies it.  ``step`` returns ``pair`` itself and no filter
 rebinds ``pair`` or its buffer: the step loop records every sample through
 one view of ``pair.aug``, taken before the first step.  Each controller
-builds its filter with ``make_regression`` and steps it.
+builds its filter with ``make_regression``, from ``FILTERS``, and steps it;
+a config without lambda0 takes the class's ``default_lambda0``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,10 @@ class PowerBalanceRegression:
     and y(0) = 0 make the residual vanish at t = 0.
     """
 
+    # the power signal carries the integrator's full kinetic-energy defect, so
+    # a lower filter gain keeps the mixed regression identity tight
+    default_lambda0 = 0.3
+
     def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
                  dt: float):
         _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
@@ -147,6 +152,9 @@ class ForceBalanceRegression:
     residual for any initial state.  The states are rows of floats.
     """
 
+    # the force signals tolerate, and the extension's convergence wants, more
+    default_lambda0 = 1.5
+
     def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
                  dt: float):
         _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
@@ -201,12 +209,13 @@ class ForceBalanceRegression:
         return self.pair
 
 
+FILTERS = {"power_balance": PowerBalanceRegression, "force_balance": ForceBalanceRegression}
+
+
 def make_regression(kind: str, plant: Plant, q0, qd0,
                     lambda0: float = 1.0, lambda1: float = 1.0, *, dt: float):
-    """Factory keyed by the configuration value; the filter advances at the
-    step size ``dt``."""
-    if kind == "power_balance":
-        return PowerBalanceRegression(plant, q0, qd0, lambda0, lambda1, dt=dt)
-    if kind == "force_balance":
-        return ForceBalanceRegression(plant, q0, qd0, lambda0, lambda1, dt=dt)
-    raise ValueError(f"unknown parameterization {kind!r}")
+    """Factory keyed by the configuration value (``FILTERS``); the filter
+    advances at the step size ``dt``."""
+    if kind not in FILTERS:
+        raise ValueError(f"unknown parameterization {kind!r}")
+    return FILTERS[kind](plant, q0, qd0, lambda0, lambda1, dt=dt)

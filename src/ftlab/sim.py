@@ -39,7 +39,7 @@ The loop binds the methods it calls once, before it starts, and writes
 its record without numpy's per-call cost: each step's row of floats is
 packed with ``struct`` into its slot of the record's buffer, the bytes a
 float64 row assignment gives; ``controller.regression.pair.aug`` is copied
-byte for byte into its slot of the pair record.
+byte for byte into its slot of the pair record, which has its shape.
 
 Runs are deterministic: the only "noise" is a fixed sinusoid, so identical
 configurations produce bit-identical traces.  ``write_trace_csv`` writes
@@ -63,9 +63,10 @@ from ._g17 import csv_blocks
 from .control import CONTROLLERS
 from .errors import ConfigError, NumericalDegeneracyError
 from .plant import FrictionModel, NoiseModel, PhysicalParams, Plant
+from .regression import FILTERS
 
 SCENARIOS = ("case1", "case2")
-PARAMETERIZATIONS = ("power_balance", "force_balance")
+PARAMETERIZATIONS = tuple(FILTERS)
 VECTORS = ("q_d", "q0", "qd0", "theta_bar", "theta_hat0")
 
 
@@ -129,14 +130,9 @@ class SimConfig:
 
     @property
     def effective_lambda0(self) -> float:
-        # parameterization-specific default: the power signal carries the
-        # integrator's full kinetic-energy discretization defect, so its
-        # pipeline runs at a lower filter gain to keep the mixed regression
-        # identity tight; the force signals tolerate (and the extension
-        # convergence wants) a larger one
         if self.lambda0 is not None:
             return self.lambda0
-        return 0.3 if self.effective_parameterization == "power_balance" else 1.5
+        return FILTERS[self.effective_parameterization].default_lambda0
 
     @property
     def n_steps(self) -> int:
@@ -358,9 +354,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     """
     plant = Plant.two_link(config.params)
     theta_true = plant.theta
-    l_dim = theta_true.size
     j_dim = len(theta_true.theta_u)
-    n = plant.n
 
     noisy = config.scenario == "case2"
     friction, noise = config.friction, config.noise
@@ -373,10 +367,9 @@ def run_closed_loop(config: SimConfig) -> Trace:
     # per step: one row of q, qd, tau (2 each), the estimate and Delta, and
     # the regression pair's [Omega | y] buffer
     j_est = len(controller.estimate)
-    n_out = 1 if config.effective_parameterization == "power_balance" else n
     try:
         rows = np.empty((n_rec, 6 + j_est + 1))
-        aug_rec = np.empty((n_rec, n_out, l_dim + 1))
+        aug_rec = np.empty((n_rec, *controller.regression.pair.aug.shape))
         diag = controller.diagnostics(n_rec)
         # each sample's (position noise of joint 1, of joint 2), the first
         # also the velocity noise of both joints, unpacked one sample a step
@@ -451,7 +444,7 @@ def run_closed_loop(config: SimConfig) -> Trace:
     q_rec, qd_rec, tau_rec = rows[:, 0:2], rows[:, 2:4], rows[:, 4:6]
     theta_rec = rows[:, 6:6 + j_est]
     delta_rec = rows[:, 6 + j_est].copy()
-    diag = Diagnostics({"y": aug_rec[:, :, l_dim], "omega": aug_rec[:, :, :l_dim], **diag})
+    diag = Diagnostics({"y": aug_rec[..., -1], "omega": aug_rec[..., :-1], **diag})
 
     theta_u_true = np.array(theta_true.theta_u)
     e1_rec = q_rec - config.q_d

@@ -3,11 +3,12 @@
 Each check returns a PropertyResult; checks that probe the plant accept the
 relevant evaluation functions as arguments so a harness (or a mutation test)
 can substitute a broken implementation and watch the property trip.  The
-checks on a trace (power audit, mixing identity, V1 monotonicity) take any
-trace, so the test suite holds its runs to the same bounds.  The checks of
-a kernel drive the code the run executes: the Cramer check mixes with a
-``KreisselmeierDre`` whose phi2 and phi1 it assigns, and the gain range
-check calls ``control.excitation_gain``, the zeta1 monitor's function.
+checks on a trace (power audit, regression residual, mixing identity, V1
+monotonicity) take any trace, so the test suite holds its runs to the same
+bounds.  The checks of a kernel drive the code the run executes: the
+Cramer check mixes with a ``KreisselmeierDre`` whose phi2 and phi1 it
+assigns, and the gain range check calls ``control.excitation_gain``, the
+zeta1 monitor's function.
 """
 
 from __future__ import annotations
@@ -153,15 +154,14 @@ def check_energy_audit(trace: Trace, plant: Plant | None = None) -> PropertyResu
                           f"max defect / tolerance = {worst:.3e}")
 
 
-def check_regression_residual(parameterization: str, t_final: float = 5.0) -> PropertyResult:
-    """y = Omega theta along a closed-loop trace, within the Euler slack 5 dt."""
-    cfg = SimConfig(controller="c1", parameterization=parameterization, t_final=t_final)
-    trace = run_closed_loop(cfg)
+def check_regression_residual(trace: Trace) -> PropertyResult:
+    """y = Omega theta along ``trace``, within the Euler slack 5 dt."""
     theta = trace.meta["theta_true"]
     resid = np.linalg.norm(trace.diagnostics["y"] - trace.diagnostics["omega"] @ theta, axis=1)
     bound = 5.0 * trace.meta["dt"]
     worst = float(resid.max())
-    return PropertyResult(f"regression_residual_{parameterization}", worst <= bound,
+    return PropertyResult(f"regression_residual_{trace.meta['parameterization']}",
+                          worst <= bound,
                           f"max |y - Omega theta| = {worst:.3e} (bound {bound:.1e})")
 
 
@@ -200,10 +200,13 @@ def check_v1_monotone(trace: Trace) -> PropertyResult:
 
 
 def run_all(t_final: float = 10.0) -> list[PropertyResult]:
-    """Full suite on a fresh reference trace; returns all results."""
+    """Full suite on three fresh runs, the c1 reference and c2 over ``t_final``
+    and c1 on power balance over at most 5 s; returns all results."""
     plant = Plant.two_link()
     trace = run_closed_loop(SimConfig(controller="c1", t_final=t_final))
     trace_kreis = run_closed_loop(SimConfig(controller="c2", t_final=t_final))
+    trace_power = run_closed_loop(SimConfig(controller="c1", parameterization="power_balance",
+                                            t_final=min(5.0, t_final)))
     return [
         check_signed_power_odd(),
         check_adjugate_identity(),
@@ -211,8 +214,8 @@ def run_all(t_final: float = 10.0) -> list[PropertyResult]:
         check_skew_symmetry(plant),
         check_gravity_factorization(plant),
         check_energy_audit(trace, plant),
-        check_regression_residual("power_balance", t_final=min(5.0, t_final)),
-        check_regression_residual("force_balance", t_final=min(5.0, t_final)),
+        check_regression_residual(trace_power),
+        check_regression_residual(trace),
         check_mixing_identity("c1", trace),
         check_mixing_identity("c2", trace_kreis),
         check_excitation_gain_range(),

@@ -26,8 +26,9 @@ under BENCHMARK.json's rules, whose bounds it reads and never changes:
 * ``gain`` if the working tree is better in at least nine tenths of the
   pairs and the medians differ by more than REV's quartile spread.
 
-A workload whose share of failed runs is larger on the working tree, or
-whose result is not ``correct``, is named below the table.  ``--out``
+Below the table, ``workload_problems`` names each WORSE metric, each
+workload whose share of failed runs is larger on the working tree, and each
+whose result is not ``correct``; any of them makes the exit status 1.  ``--out``
 writes the pairs and summaries as ``<workload>_pairs`` entries, with the
 revision, the command and the machine, into a JSON file; keys already in
 that file that the run does not write (a description, notes) are kept.
@@ -111,6 +112,24 @@ def verdicts(metric: dict, entry: dict, pairs: list) -> list:
     return found
 
 
+def workload_problems(workload: str, runs: list, metrics: list, summary: dict) -> list:
+    """One line per fault of the working tree on ``workload``: each metric
+    whose verdicts include WORSE, a larger share of failed runs than REV's,
+    and each side with a run that is not ``correct``."""
+    problems = [f"{workload}: {metric['name']} is WORSE than the bound {metric['bound']:g} "
+                f"allows" for metric in metrics
+                if "WORSE" in verdicts(metric, summary[metric["name"]], runs)]
+    share = {side: sum(p[side]["failed"] for p in runs)
+             / max(1, sum(p[side]["attempted"] for p in runs)) for side in ("parent", "change")}
+    if share["change"] > share["parent"]:
+        problems.append(f"{workload}: failed share {share['change']:.3g} against "
+                        f"{share['parent']:.3g}")
+    for side in ("parent", "change"):
+        if not all(p[side]["correct"] for p in runs):
+            problems.append(f"{workload}: a {side} run is not correct")
+    return problems
+
+
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -172,14 +191,7 @@ def main() -> int:
                   f"{'n/a' if rel is None else f'{100.0 * rel:+.2f}%':>9} "
                   f"{entry['change_better_pairs']:>7} {entry['tied_pairs']:>5}  "
                   f"{' '.join(verdicts(metric, entry, runs))}")
-        share = {side: sum(p[side]["failed"] for p in runs)
-                 / max(1, sum(p[side]["attempted"] for p in runs)) for side in ("parent", "change")}
-        if share["change"] > share["parent"]:
-            problems.append(f"{workload}: failed share {share['change']:.3g} against "
-                            f"{share['parent']:.3g}")
-        for side in ("parent", "change"):
-            if not all(p[side]["correct"] for p in runs):
-                problems.append(f"{workload}: a {side} run is not correct")
+        problems += workload_problems(workload, runs, metrics, summary)
     for problem in problems:
         print(problem)
     if args.out:

@@ -220,6 +220,11 @@ def step_once(ctrl, e1, q, qd, psi, pair=None, dt=DT):
     return ctrl.step(0, e1, q, qd, psi)
 
 
+def recorded_branch(ctrl) -> str:
+    """The branch, "tsm" or "linear", that c3's last ``step_once`` recorded."""
+    return ("tsm", "linear")[ctrl._branch[0]]
+
+
 def composite_step(ctrl, e1, e2, psi, delta, y_u, dt):
     """One step of the CompositeFtController ``ctrl`` at the velocity error
     ``e2``, with an extension that mixes Delta = ``delta`` and the theta_u

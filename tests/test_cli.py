@@ -717,6 +717,20 @@ class TestVerifySuite:
         failed = [r.name for r in results if not r.passed]
         assert failed == []
 
+    def test_runs_three_closed_loops(self, monkeypatch):
+        # the reference c1 run, the c2 run and one power-balance c1 run; each
+        # trace check reads one of them
+        configs = []
+
+        def counted(config):
+            configs.append(config)
+            return ftlab.run_closed_loop(config)
+
+        monkeypatch.setattr(verify, "run_closed_loop", counted)
+        verify.run_all(t_final=0.7)
+        assert [(c.controller, c.effective_parameterization) for c in configs] \
+            == [("c1", "force_balance"), ("c2", "force_balance"), ("c1", "power_balance")]
+
     def test_sign_flip_in_coriolis_trips_skew_symmetry(self):
         plant = Plant.two_link()
         broken = lambda q, qd: -np.array(plant.coriolis_rows(q, qd))

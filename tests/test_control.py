@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import ftlab
 import reference as ref
-from conftest import DT, composite_rate, composite_step, history, step_once
+from conftest import (DT, composite_rate, composite_step, history, recorded_branch,
+                      step_once)
 from ftlab import mathx
 from ftlab.control import (FAMILIES, CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
@@ -320,13 +321,13 @@ class TestSwitchingTsm:
         ctrl = self.make(plant)
         q = np.array([1.0, 0.5])
         step_once(ctrl, np.array([0.5, -0.2]), q, np.zeros(2), plant.psi_rows(q))
-        assert ctrl.branch == "tsm"
+        assert recorded_branch(ctrl) == "tsm"
 
     def test_fast_motion_selects_linear_branch(self, plant):
         ctrl = self.make(plant)
         q = np.array([1.0, 0.5])
         step_once(ctrl, np.array([1e-4, 0.0]), q, np.array([3.0, -2.0]), plant.psi_rows(q))
-        assert ctrl.branch == "linear"
+        assert recorded_branch(ctrl) == "linear"
 
     def test_branch_is_deterministic(self, plant):
         ctrl = self.make(plant)
@@ -339,10 +340,10 @@ class TestSwitchingTsm:
             # on the zero pair
             before = ctrl.estimate
             tau1, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q))
-            branch1 = ctrl.branch
+            branch1 = recorded_branch(ctrl)
             ctrl.estimate = before
             tau2, _ = step_once(ctrl, e1, q, e2, plant.psi_rows(q))
-            assert tau1 == tau2 and branch1 == ctrl.branch
+            assert tau1 == tau2 and branch1 == recorded_branch(ctrl)
 
     def test_reassigned_extension_drives_the_rate(self, plant):
         # the rate reads phi1 and phi2 of the extension the controller holds
@@ -375,7 +376,7 @@ class TestSwitchingTsm:
         m = plant.inertia_rows(q)
         before = ctrl.estimate
         tau, _ = step_once(ctrl, e1, q, s_ref, plant.psi_rows(q))
-        assert ctrl.branch == "tsm"
+        assert recorded_branch(ctrl) == "tsm"
         w = ref.tsm_torque_layered(ctrl.params, ctrl.a, before, e1, q, s_ref, m)[2]
         np.testing.assert_allclose(tau, np.array(w) @ np.array(before), atol=1e-12)
 
@@ -387,7 +388,7 @@ class TestSwitchingTsm:
         # phi2 theta_hat - phi1 = 0: the normalized term must be defined as
         # 0; one unit step from theta_hat = 0 is the rate
         step_once(ctrl, e1, q, np.zeros(2), plant.psi_rows(q), dt=1.0)
-        assert ctrl.branch == "tsm"
+        assert recorded_branch(ctrl) == "tsm"
         _, _, w, s = ref.tsm_torque_layered(ctrl.params, ctrl.a, np.zeros(5), e1, q,
                                             np.zeros(2), m)
         expected = -ctrl.params.gamma_tsm * (np.array(w).T @ np.array(s))

@@ -35,7 +35,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import DT, PairStub, composite_rate, composite_step, step_once
+from conftest import (DT, PairStub, composite_rate, composite_step, recorded_branch,
+                      step_once)
 from ftlab.control import (CompositeAdaptGains, CompositeFtController,
                            FtPdGains, SlotineLiLsController,
                            SwitchingTsmController, TsmParams)
@@ -170,7 +171,7 @@ def test_switching_torque_matches(e1, e2, q, th):
     if abs(f_want) <= N2 * max(1.0, f_scale):
         return    # on the switching surface either branch is right
     want, nonlinear, w, s = ref.tsm_torque(params, a, th, e1, e2, q, e2, m)
-    assert ctrl.branch == ("tsm" if nonlinear else "linear")
+    assert recorded_branch(ctrl) == ("tsm" if nonlinear else "linear")
     assert_close(got, want, slotine_li_scale(w, th, s, params.k1, params.ks))
 
 
@@ -297,7 +298,7 @@ def test_switching_torque_and_branch_are_the_layered_form_bitwise(e1, e2, q, th,
         dre.mix(row)
     want, nonlinear, w, s = ref.tsm_torque_layered(params, a, th, e1, q, e2, m)
     assert bits(tau) == bits(want)
-    assert ctrl.branch == ("tsm" if nonlinear else "linear")
+    assert recorded_branch(ctrl) == ("tsm" if nonlinear else "linear")
     assert bits(delta) == bits(row[0])
     # the rate of the controller's adapt_rate, from the stepped phi1 and phi2
     rate = ref.tsm_rate_layered(params, th, w, s, nonlinear, dre.phi1, dre.phi2)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import reference as ref
+from conftest import run
+from ftlab import verify
 from ftlab.drem import KreisselmeierDre, LeastSquaresDre
 from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
                               make_regression)
@@ -42,10 +44,11 @@ class TestPowerBalance:
 
     def test_residual_along_closed_loop(self, c1_case1_pb):
         trace = c1_case1_pb
+        result = verify.check_regression_residual(trace)
+        assert result.passed and result.name == "regression_residual_power_balance"
         theta = trace.meta["theta_true"]
         resid = np.abs(trace.diagnostics["y"][:, 0]
                        - trace.diagnostics["omega"][:, 0, :] @ theta)
-        assert resid.max() <= 5.0 * DT
         # after the transient has been flushed the identity is tight
         k5 = int(round(5.0 / DT))
         tail = resid[k5:] / (1.0 + np.abs(trace.diagnostics["y"][k5:, 0]))
@@ -96,13 +99,20 @@ class TestForceBalance:
 
     def test_residual_along_closed_loop(self, c1_case1):
         trace = c1_case1
+        result = verify.check_regression_residual(trace)
+        assert result.passed and result.name == "regression_residual_force_balance"
         theta = trace.meta["theta_true"]
         resid = np.linalg.norm(trace.diagnostics["y"]
                                - trace.diagnostics["omega"] @ theta, axis=1)
-        assert resid.max() <= 5.0 * DT
         k5 = int(round(5.0 / DT))
         y_norm = np.linalg.norm(trace.diagnostics["y"][k5:], axis=1)
         assert np.max(resid[k5:] / (1.0 + y_norm)) <= 1e-6
+
+    def test_residual_line_of_the_reference_run_is_its_5s_prefix(self, c1_case1):
+        # verify checks force balance on its 10 s reference run, where it once
+        # ran a 5 s loop of its own: the residual peaks in the first 5 s
+        assert verify.check_regression_residual(c1_case1).line() \
+            == verify.check_regression_residual(run("c1", t_final=5.0)).line()
 
     def test_omega_bounded_on_bounded_signals(self, c1_case1):
         assert np.isfinite(c1_case1.diagnostics["omega"]).all()
