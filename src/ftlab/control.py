@@ -47,7 +47,8 @@ own.  Each step writes out what it takes: the composite law's seven
 signed powers <z>^p = ``copysign(abs(z) ** p, z) if z else 0.0``, its
 prediction error and saturation; and c3's <e1>^a, taken once for the
 switching value and the nonlinear branch, and lambda_max(M).  c3 and c4
-share one Slotine-Li kernel, which gives the torque and W' s.
+share one Slotine-Li kernel, which gives the torque and W' s and reads W's
+gravity columns from the Psi(q) its caller was handed.
 ``saturation`` is the checked form, of a float or an array, of the
 composite update's saturation, and ``excitation_gain`` the zeta1
 monitor's gain, both over ``mathx.signed_power_vec``.
@@ -204,12 +205,6 @@ def _check_theta_hat0(config, dim: int) -> None:
         raise ConfigError(f"theta_hat0 must have length {dim} for {config.controller}")
 
 
-def _regression(config, plant):
-    """The regression filter of ``config`` for ``plant``."""
-    return make_regression(config.effective_parameterization, plant, config.q0, config.qd0,
-                           config.effective_lambda0, config.lambda1, dt=config.dt)
-
-
 class _Estimate:
     """The estimate as a tuple of floats, ``estimate``, which the runner
     records and each family's ``step`` advances at the step size ``dt``; and
@@ -259,7 +254,7 @@ class CompositeFtController(_Estimate):
                      else KreisselmeierDre(dim, config.kreis, dt=config.dt,
                                            block=range(dim - cls.estimate_dim, dim)))
         return cls(config.ftpd, config.adapt, config.theta_hat0, extension,
-                   _regression(config, plant), config.dt)
+                   make_regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -330,18 +325,19 @@ class CompositeFtController(_Estimate):
         return {"Y_mixed": self._mixing[:, 1:]}
 
 
-def _slotine_li(q, qd, qd_r, qdd_r, s, theta_hat, k1: float, ks: float) -> tuple:
+def _slotine_li(q, qd, psi, qd_r, qdd_r, s, theta_hat, k1: float, ks: float) -> tuple:
     """(tau, W' s) of the Slotine-Li law with the two-link tracking
     regressor W, W(q, qd, qd_r, qdd_r) theta = M(q) qdd_r + C(q, qd) qd_r
     + g(q): tau = W theta_hat - k1 s - ks s / |s| (the last term 0 at
-    s = 0), and W' s the five floats a * s1 + b * s2 over W's columns."""
-    (q1, q2), (qd1, qd2), (r1, r2), (a1, a2), (s1, s2) = q, qd, qd_r, qdd_r, s
+    s = 0), and W' s the five floats a * s1 + b * s2 over W's columns.
+    W's two gravity columns are Psi(q), ``psi``, as the caller has it."""
+    (_, q2), (qd1, qd2), (r1, r2), (a1, a2), (s1, s2) = q, qd, qd_r, qdd_r, s
+    (p11, p12), (p21, p22) = psi
     cos2, sin2 = math.cos(q2), math.sin(q2)
-    s12 = math.sin(q1 + q2)
     w12 = cos2 * (2.0 * a1 + a2) - sin2 * (qd2 * r1 + (qd1 + qd2) * r2)
     w21 = cos2 * a1 + sin2 * qd1 * r1
-    w1 = (a1, w12, a2, s12, math.sin(q1))
-    w2 = (0.0, w21, a1 + a2, s12, 0.0)
+    w1 = (a1, w12, a2, p11, p12)
+    w2 = (0.0, w21, a1 + a2, p21, p22)
     norm = _sqrt(s1 * s1 + s2 * s2)
     u1, u2 = (0.0, 0.0) if norm == 0.0 else (s1 / norm, s2 / norm)
     return ((sum(map(operator.mul, w1, theta_hat)) - k1 * s1 - ks * u1,
@@ -408,7 +404,7 @@ class SwitchingTsmController(_Estimate):
         kreis = dataclasses.replace(config.kreis, lambda3=1.0)
         extension = KreisselmeierDre(plant.theta.size, kreis, dt=config.dt)
         return cls(config.tsm, config.ftpd.a, plant, config.theta_hat0, extension,
-                   _regression(config, plant), config.dt)
+                   make_regression(config, plant), config.dt)
 
     @classmethod
     def check_config(cls, config, theta_u) -> None:
@@ -444,7 +440,7 @@ class SwitchingTsmController(_Estimate):
             s = (qd1 + k2 * e11, qd2 + k2 * e12)
             qdd_r = (-k2 * qd1, -k2 * qd2)
         estimate = self.estimate
-        tau, w_s = _slotine_li(q, qd, qd_r, qdd_r, s, estimate, k1, ks)
+        tau, w_s = _slotine_li(q, qd, psi, qd_r, qdd_r, s, estimate, k1, ks)
         extension = self.extension
         extension.step(self.regression.step(q, qd, tau, psi))
         delta = extension.delta()
@@ -498,7 +494,7 @@ class SlotineLiLsController(_Estimate):
 
     @classmethod
     def from_config(cls, config, plant) -> "SlotineLiLsController":
-        return cls(config.tsm, config.ls, config.theta_hat0, _regression(config, plant),
+        return cls(config.tsm, config.ls, config.theta_hat0, make_regression(config, plant),
                    dt=config.dt)
 
     @classmethod
@@ -517,7 +513,7 @@ class SlotineLiLsController(_Estimate):
         (e11, e12), (qd1, qd2) = e1, qd
         s = (qd1 + k2 * e11, qd2 + k2 * e12)
         estimate = self.estimate
-        tau, w_s = _slotine_li(q, qd, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2), s,
+        tau, w_s = _slotine_li(q, qd, psi, (-k2 * e11, -k2 * e12), (-k2 * qd1, -k2 * qd2), s,
                                estimate, k1, ks)
         dt = self.dt
         pair = self.regression.step(q, qd, tau, psi)

@@ -30,9 +30,12 @@ force-balance filter samples ``psi``, Psi(q).  Each filter owns one
 ``step`` returns is therefore valid until the next ``step``; a caller that
 keeps a sample copies it.  ``step`` returns ``pair`` itself and no filter
 rebinds ``pair`` or its buffer: the step loop records every sample through
-one view of ``pair.aug``, taken before the first step.  Each controller
-builds its filter with ``make_regression``, from ``FILTERS``, and steps it;
-a config without lambda0 takes the class's ``default_lambda0``.
+one view of ``pair.aug``, taken before the first step.  A run's filter is
+built in one place, ``make_regression(config, plant)``, which each
+controller's ``from_config`` calls: ``FILTERS`` names the class of the
+config's parameterization, and a config without lambda0 runs the class's
+``default_lambda0``.  The constructors state no gain of their own, so a
+caller that builds a filter directly names lambda0 and lambda1.
 """
 
 from __future__ import annotations
@@ -97,8 +100,7 @@ class PowerBalanceRegression:
     # a lower filter gain keeps the mixed regression identity tight
     default_lambda0 = 0.3
 
-    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
-                 dt: float):
+    def __init__(self, plant: Plant, q0, qd0, lambda0: float, lambda1: float, *, dt: float):
         _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
         self.dt = float(dt)
         self.lambda0 = float(lambda0)
@@ -155,8 +157,7 @@ class ForceBalanceRegression:
     # the force signals tolerate, and the extension's convergence wants, more
     default_lambda0 = 1.5
 
-    def __init__(self, plant: Plant, q0, qd0, lambda0: float = 1.0, lambda1: float = 1.0, *,
-                 dt: float):
+    def __init__(self, plant: Plant, q0, qd0, lambda0: float, lambda1: float, *, dt: float):
         _check_positive(dt=dt, lambda0=lambda0, lambda1=lambda1)
         self.dt = float(dt)
         self.lambda0 = float(lambda0)
@@ -212,10 +213,10 @@ class ForceBalanceRegression:
 FILTERS = {"power_balance": PowerBalanceRegression, "force_balance": ForceBalanceRegression}
 
 
-def make_regression(kind: str, plant: Plant, q0, qd0,
-                    lambda0: float = 1.0, lambda1: float = 1.0, *, dt: float):
-    """Factory keyed by the configuration value (``FILTERS``); the filter
-    advances at the step size ``dt``."""
-    if kind not in FILTERS:
-        raise ValueError(f"unknown parameterization {kind!r}")
-    return FILTERS[kind](plant, q0, qd0, lambda0, lambda1, dt=dt)
+def make_regression(config, plant: Plant):
+    """The regression filter of a run of ``config`` on ``plant``: the class
+    ``FILTERS`` names for its parameterization, started at q0 and qd0 with
+    the config's lambda0 (the class's ``default_lambda0`` where the config
+    sets none) and lambda1, advancing at the step size dt."""
+    return FILTERS[config.effective_parameterization](
+        plant, config.q0, config.qd0, config.effective_lambda0, config.lambda1, dt=config.dt)

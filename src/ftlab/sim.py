@@ -336,7 +336,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
     its extension convert what they bind when they are built.  Psi(q) is
     evaluated once per step (at the true and, in case2, at the measured
     configuration) and passed to the controller, which passes it to its
-    regression filter, and to the plant step; M(q) is formed by the plant
+    regression filter (and c3 and c4 to their Slotine-Li kernel), and to
+    the plant step; M(q) is formed by the plant
     step and, in c3, by the controller.  The regression pair is
     the filter's one [Omega | y] buffer, ``controller.regression.pair``,
     recorded whole each step through a view taken before the first.  The
@@ -462,9 +463,8 @@ def run_closed_loop(config: SimConfig) -> Trace:
         "controller": config.controller, "scenario": config.scenario,
         "parameterization": config.effective_parameterization,
         "dre": controller.dre,
-        "dt": dt, "t_final": config.t_final,
-        "theta_true": theta_true.stacked, "theta_u_true": theta_u_true,
-        "q_d": config.q_d.copy(), "exponent_b": config.ftpd.b, "sat_d": config.adapt.sat_d,
+        "dt": dt, "theta_true": theta_true.stacked, "theta_u_true": theta_u_true,
+        "exponent_b": config.ftpd.b, "sat_d": config.adapt.sat_d,
         "settle_tol": config.settle_tol, "param_tol": config.param_tol,
     }
     return Trace(np.arange(n_rec) * dt, q_rec, qd_rec, e1_rec, tau_rec, theta_rec, delta_rec,

@@ -1,5 +1,6 @@
 import decimal
 import inspect
+import math
 from decimal import Decimal
 
 import numpy as np
@@ -280,35 +281,51 @@ class TestCompositeAdaptation:
             CompositeAdaptGains(sat_d=0.0)
 
 
-def slotine_li_rows(q, qd, qd_r, qdd_r):
+def slotine_li_rows(q, qd, psi, qd_r, qdd_r):
     """The rows of the tracking regressor W, read off the Slotine-Li kernel's
     W' s at the unit vectors s."""
     zero = (0.0,) * 5
-    return np.array([_slotine_li(q, qd, qd_r, qdd_r, s, zero, 0.0, 0.0)[1]
+    return np.array([_slotine_li(q, qd, psi, qd_r, qdd_r, s, zero, 0.0, 0.0)[1]
                      for s in ((1.0, 0.0), (0.0, 1.0))])
+
+
+def slotine_li_states():
+    """300 random (q, qd, qd_r, qdd_r) of the Slotine-Li kernel, each a
+    float64 array of length 2."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        yield (rng.uniform(-np.pi, np.pi, 2), rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2),
+               rng.uniform(-10, 10, 2))
 
 
 class TestSlotineLiRegressor:
     def test_linear_in_parameters_identity(self, plant):
-        rng = np.random.default_rng(7)
-        for _ in range(300):
-            q = rng.uniform(-np.pi, np.pi, 2)
-            qd = rng.uniform(-3, 3, 2)
-            qd_r = rng.uniform(-3, 3, 2)
-            qdd_r = rng.uniform(-10, 10, 2)
+        for q, qd, qd_r, qdd_r in slotine_li_states():
+            psi = plant.psi_rows(q)
             # at s = 0 the torque is W theta_hat
-            w_theta, _ = _slotine_li(q, qd, qd_r, qdd_r, (0.0, 0.0), plant.theta.stacked.tolist(),
-                                     1.0, 1.0)
+            w_theta, _ = _slotine_li(q, qd, psi, qd_r, qdd_r, (0.0, 0.0),
+                                     plant.theta.stacked.tolist(), 1.0, 1.0)
             lhs = np.array(plant.inertia_rows(q)) @ qdd_r \
                 + np.array(plant.coriolis_rows(q, qd)) @ qd_r \
-                + np.array(plant.psi_rows(q)) @ plant.theta.theta_u
+                + np.array(psi) @ plant.theta.theta_u
             np.testing.assert_allclose(w_theta, lhs, atol=1e-8)
-            np.testing.assert_allclose(slotine_li_rows(q, qd, qd_r, qdd_r) @ plant.theta.stacked,
-                                       lhs, atol=1e-8)
+            np.testing.assert_allclose(slotine_li_rows(q, qd, psi, qd_r, qdd_r)
+                                       @ plant.theta.stacked, lhs, atol=1e-8)
+
+    def test_gravity_columns_are_the_psi_passed_in_bitwise(self, plant):
+        # the kernel takes W's gravity columns from its caller's Psi(q), the
+        # runner's one evaluation per step, which is the closed form
+        # sin(q1 + q2), sin(q1) the kernel once formed itself
+        for q, qd, qd_r, qdd_r in slotine_li_states():
+            psi = plant.psi_rows(q)
+            q1, q2 = q.tolist()
+            assert psi == ((math.sin(q1 + q2), math.sin(q1)), (math.sin(q1 + q2), 0.0))
+            w = slotine_li_rows(q, qd, psi, qd_r, qdd_r)
+            assert w[:, 3:].tobytes() == np.array(psi).tobytes()
 
     def test_rest_regressor_is_gravity_only(self, plant):
         q = np.array([2.0, 2.0])
-        w = slotine_li_rows(q, np.zeros(2), np.zeros(2), np.zeros(2))
+        w = slotine_li_rows(q, np.zeros(2), plant.psi_rows(q), np.zeros(2), np.zeros(2))
         np.testing.assert_allclose(w[:, :3], np.zeros((2, 3)), atol=1e-15)
         np.testing.assert_allclose(w[:, 3:], plant.psi_rows(q), atol=1e-15)
 

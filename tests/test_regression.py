@@ -5,8 +5,10 @@ import reference as ref
 from conftest import run
 from ftlab import verify
 from ftlab.drem import KreisselmeierDre, LeastSquaresDre
-from ftlab.regression import (ForceBalanceRegression, PowerBalanceRegression,
+from ftlab.control import make_controller
+from ftlab.regression import (FILTERS, ForceBalanceRegression, PowerBalanceRegression,
                               make_regression)
+from ftlab.sim import SimConfig
 
 DT = 5e-4
 
@@ -20,11 +22,11 @@ class TestPowerBalance:
 
     def test_rejects_nonpositive_constants(self, plant):
         with pytest.raises(ValueError):
-            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], lambda0=0.0, dt=DT)
+            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], 0.0, 1.0, dt=DT)
         with pytest.raises(ValueError):
-            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], lambda1=-1.0, dt=DT)
+            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], 1.0, -1.0, dt=DT)
         with pytest.raises(ValueError):
-            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], dt=0.0)
+            PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, dt=0.0)
 
     def test_single_euler_step_of_y(self, plant):
         # unit power input: qd' tau = 1
@@ -120,18 +122,43 @@ class TestForceBalance:
 
 
 def test_factory_dispatch(plant):
-    assert isinstance(make_regression("power_balance", plant, [0, 0], [0, 0], dt=DT),
+    assert isinstance(make_regression(SimConfig(parameterization="power_balance"), plant),
                       PowerBalanceRegression)
-    assert isinstance(make_regression("force_balance", plant, [0, 0], [0, 0], dt=DT),
+    assert isinstance(make_regression(SimConfig(parameterization="force_balance"), plant),
                       ForceBalanceRegression)
-    with pytest.raises(ValueError):
-        make_regression("banana", plant, [0, 0], [0, 0], dt=DT)
+
+
+# each controller family builds its filter from the config; c4 runs force
+# balance alone
+FAMILY_FILTERS = [("c1", "power_balance"), ("c1", "force_balance"), ("c2", "power_balance"),
+                  ("c3", "power_balance"), ("c3", "force_balance"), ("c4", "force_balance")]
+
+
+@pytest.mark.parametrize("lambda0", [None, 0.7], ids=["default", "set"])
+@pytest.mark.parametrize("controller, kind", FAMILY_FILTERS)
+def test_a_run_builds_its_filter_at_the_config_gains(plant, controller, kind, lambda0):
+    # a config without lambda0 runs its filter class's default_lambda0
+    cfg = SimConfig(controller=controller, parameterization=kind, lambda0=lambda0, lambda1=0.8)
+    reg = make_controller(cfg, plant).regression
+    assert type(reg) is FILTERS[kind]
+    assert reg.lambda0 == (FILTERS[kind].default_lambda0 if lambda0 is None else lambda0)
+    assert reg.lambda1 == cfg.lambda1
+
+
+@pytest.mark.parametrize("gains", [{}, {"lambda0": 1.0}, {"lambda1": 1.0}],
+                         ids=["neither", "no_lambda1", "no_lambda0"])
+@pytest.mark.parametrize("kind", list(FILTERS))
+def test_a_filter_is_not_built_without_both_gains(plant, kind, gains):
+    # the config's lambda0 default and its lambda1 are the only statements of
+    # the gains: a direct caller names them
+    with pytest.raises(TypeError):
+        FILTERS[kind](plant, [0.0, 0.0], [0.0, 0.0], dt=DT, **gains)
 
 
 @pytest.mark.parametrize("kind", ["power_balance", "force_balance"])
 def test_step_returns_the_filters_own_pair(plant, kind):
     # the step loop records pair.aug through a view taken before its first step
-    reg = make_regression(kind, plant, [0.3, -0.2], [0.1, 0.4], dt=DT)
+    reg = FILTERS[kind](plant, [0.3, -0.2], [0.1, 0.4], 1.0, 1.0, dt=DT)
     pair, aug = reg.pair, reg.pair.aug
     for k in range(3):
         assert reg.step([0.3, -0.2], [0.1 * k, 0.4], [1.0, -1.0],
@@ -141,8 +168,8 @@ def test_step_returns_the_filters_own_pair(plant, kind):
 
 @pytest.mark.parametrize("dt", [0.0, -DT, float("nan")])
 @pytest.mark.parametrize("build", [
-    lambda plant, dt: PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], dt=dt),
-    lambda plant, dt: ForceBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], dt=dt),
+    lambda plant, dt: PowerBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, dt=dt),
+    lambda plant, dt: ForceBalanceRegression(plant, [0.0, 0.0], [0.0, 0.0], 1.0, 1.0, dt=dt),
     lambda plant, dt: LeastSquaresDre(5, dt=dt),
     lambda plant, dt: KreisselmeierDre(5, dt=dt),
 ], ids=["power_balance", "force_balance", "least_squares", "kreisselmeier"])
